@@ -33,6 +33,7 @@ import numpy as np
 from . import devices as dev
 from . import experiments as exp
 from .opf import (
+    ESTIMATION_FAMILIES,
     FullMeasurement,
     check_closure,
     check_estimation_assumption,
@@ -289,9 +290,9 @@ def parse_config(text: str) -> RunConfig:
     def line_of(key):
         return pairs[key][1] if key in pairs else None
 
-    env_seed = os.environ.get("PQSIM_SEED")
-    default_seed = int(env_seed) if env_seed else DEFAULT_SEED
-    seed = take("seed", default_seed)
+    seed = take("seed")
+    if seed is None:
+        seed = _env_seed()
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer", "seed", line_of("seed"))
 
@@ -593,12 +594,25 @@ def _default_ensemble() -> Ensemble:
     return Ensemble(((ket0, 0.5), (ket1, 0.3), (plus, 0.2)))
 
 
+def _bounded_int(value, key: str, low: int, high: int | None = None) -> int:
+    """An integer parameter within [low, high], or a ConfigError naming the key."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}", key) from None
+    if number < low or (high is not None and number > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{key} must be {bounds}, got {number}", key)
+    return number
+
+
 def run_experiment(experiment_id: str, params: dict, seed: int):
     """Dispatch one named experiment and return its certificate or report."""
     rng = RandomStream(seed, experiment=_EXPERIMENT_STREAMS[experiment_id])
     if experiment_id == "fpvnem":
         return exp.fpvnem_refutation(
-            int(params.get("d", 2)), int(params.get("m", 3)),
+            _bounded_int(params.get("d", 2), "d", 2, 4),
+            _bounded_int(params.get("m", 3), "m", 1, 8),
             int(params.get("samples", 1000)), rng,
             include_entangled=bool(params.get("include_entangled", True)))
     if experiment_id == "spod-update":
@@ -608,17 +622,25 @@ def run_experiment(experiment_id: str, params: dict, seed: int):
         weights = params.get("weights", (0.5, 0.5))
         return exp.no_signalling_demo(rng, schmidt_weights=weights)
     if experiment_id == "cloning":
-        return exp.cloning_demo(int(params.get("d", 2)), rng,
-                                precision=params.get("precision"),
-                                trials=int(params.get("trials", 100)))
+        precision = params.get("precision")
+        return exp.cloning_demo(_bounded_int(params.get("d", 2), "d", 2, 4), rng,
+                                precision=(None if precision is None
+                                           else _bounded_int(precision, "precision", 1)),
+                                trials=_bounded_int(params.get("trials", 100), "trials", 1))
     if experiment_id == "tomography":
         source = PureState.basis_state(FactorSpace((2,)), 0)
-        return exp.tomography_estimate(source, int(params.get("n", 100_000)), rng,
+        return exp.tomography_estimate(source,
+                                       _bounded_int(params.get("n", 100_000), "n", 100), rng,
                                        threshold=float(params.get("threshold", 0.02)))
     if experiment_id == "ensemble-readout":
+        precisions = params.get("precisions")
+        if precisions is not None:
+            if len(precisions) == 0:
+                raise ConfigError("precisions must be nonempty", "precisions")
+            precisions = [_bounded_int(m, "precisions", 1) for m in precisions]
         return exp.ensemble_estimate_readout(
-            _default_ensemble(), int(params.get("n", 10_000)), rng,
-            precision_schedule=params.get("precisions"),
+            _default_ensemble(), _bounded_int(params.get("n", 10_000), "n", 100), rng,
+            precision_schedule=precisions,
             threshold=float(params.get("threshold", 0.05)))
     if experiment_id == "ensemble-overlap":
         epsilons = params.get("epsilons", (0.05, 0.01))
@@ -638,15 +660,15 @@ def _run_check(check_kind: str, params: dict, seed: int) -> tuple[list[dict], in
     rng = RandomStream(seed, experiment=_CHECK_STREAM)
     if check_kind == "closure":
         family = params.get("family", "quantum_povm")
-        samples = int(params.get("samples", 100))
+        samples = _bounded_int(params.get("samples", 100), "samples", 1)
         space = FactorSpace((2, 2))
         if family == "quantum_povm":
             eye = np.eye(4, dtype=complex)
             povm = POVMSet(tuple(np.outer(eye[i], eye[i]) for i in range(4)))
             measurement = FullMeasurement.from_povm(povm, space)
         elif family in ("entropy_meter", "fpvnem"):
-            measurement = entropy_meter_measurement(space, (0,),
-                                                    precision=int(params.get("m", 3)))
+            measurement = entropy_meter_measurement(
+                space, (0,), precision=_bounded_int(params.get("m", 3), "m", 1))
         else:
             raise ConfigError(f"unknown closure family {family!r}")
         report = check_closure(measurement, samples, rng)
@@ -655,10 +677,11 @@ def _run_check(check_kind: str, params: dict, seed: int) -> tuple[list[dict], in
         return [fields], 0 if report.passed else 1
     if check_kind == "product_form":
         family = params.get("family", "fpvnem")
-        space = FactorSpace((int(params.get("d", 2)),) * 2)
+        # the witness fits operators on a space of total dimension <= 16
+        space = FactorSpace((_bounded_int(params.get("d", 2), "d", 2, 4),) * 2)
         if family == "fpvnem":
-            measurement = entropy_meter_measurement(space, (0,),
-                                                    precision=int(params.get("m", 3)))
+            measurement = entropy_meter_measurement(
+                space, (0,), precision=_bounded_int(params.get("m", 3), "m", 1))
             opf = measurement.outcomes[0]
             expected = "VIOLATION"
         elif family == "quantum":
@@ -674,7 +697,11 @@ def _run_check(check_kind: str, params: dict, seed: int) -> tuple[list[dict], in
         return [fields], 0 if cert.verdict == expected else 1
     # estimation_assumption
     family = params.get("family", "readout")
-    verdict = check_estimation_assumption(family, int(params.get("d", 2)), rng)
+    if family not in ESTIMATION_FAMILIES:
+        raise ConfigError(f"unknown estimation family {family!r}; "
+                          f"expected one of {ESTIMATION_FAMILIES}")
+    verdict = check_estimation_assumption(family, _bounded_int(params.get("d", 2), "d", 2, 4),
+                                          rng)
     return [verdict.record_fields()], 0
 
 
@@ -734,11 +761,21 @@ def list_devices(as_json: bool = False, pattern: str = "") -> str:
     return "\n".join(lines)
 
 
+def _env_seed() -> int:
+    """The seed from PQSIM_SEED, or DEFAULT_SEED when it is unset or empty."""
+    text = os.environ.get("PQSIM_SEED")
+    if not text:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"PQSIM_SEED must be an integer, got {text!r}") from None
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
-    env_seed = os.environ.get("PQSIM_SEED")
-    return int(env_seed) if env_seed else DEFAULT_SEED
+    return _env_seed()
 
 
 def build_parser() -> argparse.ArgumentParser:

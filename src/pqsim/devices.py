@@ -31,6 +31,8 @@ from .qcore import (
     entropy,
     partial_trace,
     quantize,
+    reduced_densities,
+    spectrum_entropy,
 )
 
 BASIS_ATOL = 1e-8
@@ -115,6 +117,23 @@ def reduced_density(state: PureState, target: Union[int, Sequence[int]]) -> Dens
     if len(subset) == state.space.n_factors:
         return DensityMatrix.from_pure(state)
     return partial_trace(state, subset)
+
+
+def reduced_density_stack(states: Sequence[PureState], target) -> np.ndarray:
+    """Reduced density matrices of the target factors of states on one space.
+
+    Returns an (n, d, d) stack whose entries equal ``reduced_density`` of
+    each state; the states are unit vectors, so the stack needs no
+    revalidation.
+    """
+    space = states[0].space
+    if any(s.space.dims != space.dims for s in states):
+        raise ValueError("stacked states must share one FactorSpace")
+    subset = _normalize_subset(space, target)
+    amps = np.array([s.amplitudes for s in states])
+    if len(subset) == space.n_factors:
+        return amps[:, :, None] * amps.conj()[:, None, :]
+    return reduced_densities(amps, space, subset)
 
 
 def target_dimension(space: FactorSpace, target: Union[int, Sequence[int]]) -> int:
@@ -436,12 +455,23 @@ def basis_select(state: PureState, target, basis=None, rng: RandomStream | None 
 def entropy_meter(state: PureState, target, alpha: float = 1.0,
                   precision: int | None = None) -> RealValue:
     """Entanglement entropy of order alpha of the target subsystem, in bits."""
+    return entropy_meter_readings([state], target, alpha, precision)[0]
+
+
+def entropy_meter_readings(states: Sequence[PureState], target, alpha: float = 1.0,
+                           precision: int | None = None) -> list[RealValue]:
+    """Entropy-meter outputs for states on one space, from one stacked eigensolve."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    value = entropy(reduced_density(state, target), alpha)
-    if precision is not None:
-        value = quantize(value, precision)
-    return RealValue(value)
+    if len(states) == 0:
+        return []
+    readings = []
+    for vals in np.linalg.eigvalsh(reduced_density_stack(states, target)):
+        value = spectrum_entropy(vals, alpha)
+        if precision is not None:
+            value = quantize(value, precision)
+        readings.append(RealValue(value))
+    return readings
 
 
 def certify_distribution(state: PureState, target, alpha: float, threshold: float,
@@ -619,6 +649,16 @@ class DeviceSpec:
             return [(out, 1.0)]
         raise AssertionError(kind)
 
+    def distributions(self, states: Sequence[PureState], target
+                      ) -> list[list[tuple[Outcome, float]]]:
+        """``distribution`` of each state; entropy meters take the list in one stacked pass."""
+        if self.kind == "EntropyMeter":
+            p = self.params
+            readings = entropy_meter_readings(states, target, p.get("alpha", 1.0),
+                                              p.get("precision"))
+            return [[(out, 1.0)] for out in readings]
+        return [self.distribution(state, target) for state in states]
+
     def apply(self, state: PureState, target, rng: RandomStream | None = None) -> Outcome:
         """Run the device once.  Stochastic kinds require a RandomStream."""
         dist = self.distribution(state, target)
@@ -634,17 +674,8 @@ class DeviceSpec:
     def probability_of(self, state: PureState, target, selector: Outcome,
                        atol: float = OUTCOME_ATOL) -> float:
         """Analytic probability that the device yields the selected outcome."""
-        dist = self.distribution(state, target)
-        total = 0.0
-        matched = False
-        for outcome, prob in dist:
-            if outcomes_equal(outcome, selector, atol):
-                total += prob
-                matched = True
-        if not matched and not _selector_plausible(self, selector):
-            raise ValueError(
-                f"selector {selector!r} is not in the outcome set of {self.kind}")
-        return total
+        selection = OutcomeSelection(self, (selector,), atol)
+        return float(selection.probabilities(self.distribution(state, target))[0])
 
 
 def _selector_plausible(spec: DeviceSpec, selector: Outcome) -> bool:
@@ -662,3 +693,57 @@ def _selector_plausible(spec: DeviceSpec, selector: Outcome) -> bool:
     if spec.kind in ("EigenvalueSampler", "UncertaintySampler"):
         return isinstance(selector, (RealValue, IntegerLabel, Bit, Overflow))
     return False
+
+
+class OutcomeSelection:
+    """A fixed list of selected outcomes of one device, read off its distributions.
+
+    ``probabilities(dist)[i]`` adds up, in distribution order, the
+    probabilities of the branches that match ``selectors[i]`` under
+    :func:`outcomes_equal`.  All selectors are matched in one pass over the
+    distribution, so a measurement with many outcomes needs one device
+    evaluation per state, not one per outcome.  A selector that matches no
+    branch must still be a legal outcome of the device kind.
+    """
+
+    __slots__ = ("kind", "selectors", "atol", "_groups", "_values", "_may_miss")
+
+    def __init__(self, spec: DeviceSpec, selectors: Sequence[Outcome],
+                 atol: float = OUTCOME_ATOL):
+        self.kind = spec.kind
+        self.selectors = tuple(selectors)
+        self.atol = atol
+        groups: dict[type, list[int]] = {}
+        for i, selector in enumerate(self.selectors):
+            groups.setdefault(type(selector), []).append(i)
+        self._groups = {kind: np.array(idx) for kind, idx in groups.items()}
+        # scalar payloads of RealValue/IntegerLabel/Bit selectors, NaN elsewhere
+        self._values = np.array([getattr(s, "value", math.nan) for s in self.selectors],
+                                dtype=float)
+        self._may_miss = np.array([_selector_plausible(spec, s) for s in self.selectors],
+                                  dtype=bool)
+
+    def _matches(self, outcome: Outcome) -> np.ndarray:
+        """Indices of the selectors equal to one outcome."""
+        idx = self._groups.get(type(outcome))
+        if idx is None:
+            return np.zeros(0, dtype=int)
+        if isinstance(outcome, RealValue):
+            return idx[np.abs(outcome.value - self._values[idx]) <= self.atol]
+        if isinstance(outcome, (IntegerLabel, Bit)):
+            return idx[self._values[idx] == outcome.value]
+        return np.array([i for i in idx
+                         if outcomes_equal(outcome, self.selectors[i], self.atol)], dtype=int)
+
+    def probabilities(self, distribution: list[tuple[Outcome, float]]) -> np.ndarray:
+        probs = np.zeros(len(self.selectors))
+        matched = np.zeros(len(self.selectors), dtype=bool)
+        for outcome, prob in distribution:
+            hit = self._matches(outcome)
+            probs[hit] += prob
+            matched[hit] = True
+        illegal = np.flatnonzero(~(matched | self._may_miss))
+        if illegal.size:
+            raise ValueError(f"selector {self.selectors[illegal[0]]!r} is not in the "
+                             f"outcome set of {self.kind}")
+        return probs

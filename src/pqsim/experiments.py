@@ -11,17 +11,16 @@ CLI's record format through ``record_fields``.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.stats
 
 from .devices import entropy_meter, overlap_test, readout_density, sample_povm
 from .opf import (
     QUBIT_PROBE_STATES,
     entropy_meter_measurement,
-    hermitian_basis,
     hermitian_coords,
     product_form_witness,
     update_map_feasibility,
@@ -131,7 +130,7 @@ class EstimationReport:
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    z = float(scipy.stats.norm.ppf(0.5 + confidence / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -170,12 +169,13 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
     outcome_count = len(measurement.outcomes)
     f0 = measurement.outcomes[0]
 
-    worst_product = 0.0
+    products = []
     for trial in range(samples):
         child = rng.derive(trial)
-        psi = tensor_product(random_pure_state(factor, child),
-                             random_pure_state(factor, child))
-        worst_product = max(worst_product, abs(f0(psi) - 1.0))
+        products.append(tensor_product(random_pure_state(factor, child),
+                                       random_pure_state(factor, child)))
+    f0_products = measurement.probabilities(products)[:, 0]
+    worst_product = float(np.max(np.abs(f0_products - 1.0), initial=0.0))
 
     evidence = {
         "d": d, "m": m, "samples": samples,
@@ -214,8 +214,7 @@ def _product_probe_residual(f, d: int) -> float:
     space = FactorSpace((d, d))
     probes = [PureState.normalized(space, np.kron(a, b))
               for a in factor_probes for b in factor_probes]
-    basis = hermitian_basis(d * d)
-    design = np.array([hermitian_coords(p.density(), basis) for p in probes])
+    design = hermitian_coords(np.array([p.density() for p in probes]))
     values = np.array([f(p) for p in probes])
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     return float(np.max(np.abs(values - design @ coeffs)))

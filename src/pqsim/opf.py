@@ -13,7 +13,7 @@ for linear post-measurement update maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .devices import (
     IntegerLabel,
     MatrixDescription,
     Outcome,
+    OutcomeSelection,
     RealValue,
     target_dimension,
 )
@@ -79,24 +80,52 @@ class OPF:
 
 @dataclass(frozen=True)
 class FullMeasurement:
-    """Finite list of OPFs that should sum to 1 on every pure state."""
+    """Finite list of OPFs that should sum to 1 on every pure state.
+
+    ``evaluator``, when set, maps a list of n states to the (n, k) matrix
+    of outcome vectors, and each OPF in ``outcomes`` is an index into that
+    vector: a device-backed measurement runs its device once per state,
+    not once per outcome.  Without it the outcomes are evaluated one by one.
+    """
 
     outcomes: tuple[OPF, ...]
+    evaluator: Callable[[Sequence[PureState]], np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def space(self) -> FactorSpace:
         return self.outcomes[0].space
 
+    def probabilities(self, states: Sequence[PureState]) -> np.ndarray:
+        """(n, k) matrix: the k outcome probabilities on each of the n states."""
+        if self.evaluator is None:
+            return np.array([[f(psi) for f in self.outcomes] for psi in states],
+                            dtype=float).reshape(len(states), len(self.outcomes))
+        if any(psi.space.dims != self.space.dims for psi in states):
+            raise ValueError("state space does not match the measurement's space")
+        return self.evaluator(states)
+
     def completeness_violation(self, states: Sequence[PureState]) -> float:
-        worst = 0.0
-        for psi in states:
-            total = sum(f(psi) for f in self.outcomes)
-            worst = max(worst, abs(total - 1.0))
-        return worst
+        return _completeness_violation(self.probabilities(states))
 
     @classmethod
     def from_povm(cls, povm: POVMSet, space: FactorSpace) -> "FullMeasurement":
         return cls(tuple(opf_from_quantum(q, space) for q in povm.elements))
+
+
+def _completeness_violation(probs: np.ndarray) -> float:
+    """Worst |sum_i f_i - 1| over the rows, each summed left to right."""
+    totals = np.cumsum(probs, axis=1)[:, -1]
+    return float(np.max(np.abs(totals - 1.0), initial=0.0))
+
+
+def _indexed_outcomes(space: FactorSpace,
+                      evaluate: Callable[[Sequence[PureState]], np.ndarray],
+                      provenance: str, operators: Sequence[np.ndarray | None]
+                      ) -> tuple[OPF, ...]:
+    """One OPF per column of an outcome-vector evaluator."""
+    return tuple(OPF(space, lambda psi, i=i: evaluate([psi])[0, i], provenance, operator=op)
+                 for i, op in enumerate(operators))
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +154,29 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
     return OPF(space, evaluate, "quantum", operator=q)
 
 
+def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: FactorSpace,
+                       target) -> FullMeasurement:
+    """One OPF per selected device outcome, evaluated analytically (never by sampling).
+
+    All outcomes are read off one device distribution per state, and the
+    selectors are checked against a single probe state.
+    """
+    selection = OutcomeSelection(spec, selectors)
+
+    def evaluate(states: Sequence[PureState]) -> np.ndarray:
+        rows = [selection.probabilities(dist) for dist in spec.distributions(states, target)]
+        return np.array(rows, dtype=float).reshape(len(states), len(selection.selectors))
+
+    evaluate([PureState.basis_state(space, 0)])  # validates selector kinds early
+    outcomes = _indexed_outcomes(space, evaluate, f"device:{spec.kind}",
+                                 [None] * len(selection.selectors))
+    return FullMeasurement(outcomes, evaluate)
+
+
 def opf_from_device(spec: DeviceSpec, selector: Outcome, space: FactorSpace,
                     target) -> OPF:
     """OPF of one device outcome, evaluated analytically (never by sampling)."""
-    probe = PureState.basis_state(space, 0)
-    spec.probability_of(probe, target, selector)  # validates selector kind early
-
-    def evaluate(psi: PureState) -> float:
-        return spec.probability_of(psi, target, selector)
-
-    return OPF(space, evaluate, f"device:{spec.kind}")
+    return device_measurement(spec, (selector,), space, target).outcomes[0]
 
 
 def readout_opf(phi: PureState) -> OPF:
@@ -230,27 +272,30 @@ def mix_measurements(first: FullMeasurement, second: FullMeasurement, weight: fl
     used_j = {j for _, j in pairing}
     if len(used_i) != len(pairing) or len(used_j) != len(pairing):
         raise ValueError("pairing must not repeat outcomes")
-    space = first.space
-    out: list[OPF] = []
+    paired_i = [i for i, _ in pairing]
+    paired_j = [j for _, j in pairing]
+    only_i = [i for i in range(len(first.outcomes)) if i not in used_i]
+    only_j = [j for j in range(len(second.outcomes)) if j not in used_j]
+
+    def evaluate(states: Sequence[PureState]) -> np.ndarray:
+        a = first.probabilities(states)
+        b = second.probabilities(states)
+        return np.concatenate([weight * a[:, paired_i] + (1.0 - weight) * b[:, paired_j],
+                               weight * a[:, only_i], (1.0 - weight) * b[:, only_j]], axis=1)
+
+    operators = []
     for i, j in pairing:
         f, g = first.outcomes[i], second.outcomes[j]
-        op = None
-        if f.operator is not None and g.operator is not None:
-            op = weight * f.operator + (1.0 - weight) * g.operator
-        out.append(OPF(space,
-                       lambda psi, f=f, g=g: weight * f(psi) + (1.0 - weight) * g(psi),
-                       "mixture", operator=op))
-    for i, f in enumerate(first.outcomes):
-        if i not in used_i:
-            op = None if f.operator is None else weight * f.operator
-            out.append(OPF(space, lambda psi, f=f: weight * f(psi), "mixture",
-                           operator=op))
-    for j, g in enumerate(second.outcomes):
-        if j not in used_j:
-            op = None if g.operator is None else (1.0 - weight) * g.operator
-            out.append(OPF(space, lambda psi, g=g: (1.0 - weight) * g(psi), "mixture",
-                           operator=op))
-    return FullMeasurement(tuple(out))
+        operators.append(None if f.operator is None or g.operator is None
+                         else weight * f.operator + (1.0 - weight) * g.operator)
+    for i in only_i:
+        op = first.outcomes[i].operator
+        operators.append(None if op is None else weight * op)
+    for j in only_j:
+        op = second.outcomes[j].operator
+        operators.append(None if op is None else (1.0 - weight) * op)
+    outcomes = _indexed_outcomes(first.space, evaluate, "mixture", operators)
+    return FullMeasurement(outcomes, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +317,8 @@ def entropy_meter_measurement(space: FactorSpace, target, precision: int,
     """Finite-precision entropy meter as a full measurement (one OPF per output)."""
     spec = DeviceSpec("EntropyMeter", {"alpha": alpha, "precision": precision})
     d_t = target_dimension(space, target)
-    outcomes = tuple(
-        opf_from_device(spec, RealValue(v), space, target)
-        for v in entropy_outcome_values(d_t, precision)
-    )
-    return FullMeasurement(outcomes)
+    selectors = [RealValue(v) for v in entropy_outcome_values(d_t, precision)]
+    return device_measurement(spec, selectors, space, target)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +362,9 @@ class ClosureReport:
         }
 
 
-def _range_violation(value: float) -> float:
-    return max(0.0, value - 1.0, -value)
+def _range_violation(values: np.ndarray) -> float:
+    """Worst distance of any value outside [0, 1]."""
+    return float(np.max(np.maximum(values - 1.0, -values), initial=0.0))
 
 
 def check_closure(measurement: FullMeasurement, samples: int,
@@ -329,15 +372,19 @@ def check_closure(measurement: FullMeasurement, samples: int,
     """Verify completeness and closure membership on sampled inputs.
 
     Completeness tests sum_i f_i = 1 on random states.  The property checks
-    build random mixtures, unitary compositions, and (on multi-factor
+    take random mixtures, unitary compositions, and (on multi-factor
     spaces) background compositions, and verify the constructed OPFs are
-    valid: values inside [0, 1] and completeness preserved.
+    valid: values inside [0, 1] and completeness preserved.  Each
+    constructed OPF is evaluated through the measurement's outcome vectors,
+    as mix, compose_unitary and compose_system define it: a weighted sum of
+    the outcomes, the outcomes on U psi, the outcomes on psi (x) phi.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     space = measurement.space
     states = [random_pure_state(space, rng.derive(t)) for t in range(samples)]
-    completeness = measurement.completeness_violation(states)
+    values = measurement.probabilities(states)
+    completeness = _completeness_violation(values)
 
     n_out = len(measurement.outcomes)
     aux = rng.derive(samples + 1)
@@ -346,20 +393,16 @@ def check_closure(measurement: FullMeasurement, samples: int,
     mixture_violation = 0.0
     for _ in range(10):
         w = aux.generator.dirichlet(np.ones(n_out)) if n_out > 1 else np.ones(1)
-        mixed = mix(measurement.outcomes, w)
-        for psi in probes:
-            mixture_violation = max(mixture_violation, _range_violation(mixed(psi)))
+        mixed = np.cumsum(values[: len(probes)] * w, axis=1)[:, -1]
+        mixture_violation = max(mixture_violation, _range_violation(mixed))
 
     unitary_violation = 0.0
     for _ in range(10):
         u = random_unitary(space.total_dim, aux)
-        composed = FullMeasurement(tuple(compose_unitary(f, u)
-                                         for f in measurement.outcomes))
-        unitary_violation = max(unitary_violation,
-                                composed.completeness_violation(probes))
-        for f in composed.outcomes:
-            for psi in probes[:10]:
-                unitary_violation = max(unitary_violation, _range_violation(f(psi)))
+        rotated = measurement.probabilities(
+            [PureState.normalized(space, u @ psi.amplitudes) for psi in probes])
+        unitary_violation = max(unitary_violation, _completeness_violation(rotated),
+                                _range_violation(rotated[:10]))
 
     composition_violation: float | None = None
     if space.n_factors >= 2:
@@ -369,14 +412,11 @@ def check_closure(measurement: FullMeasurement, samples: int,
         lead_probes = [random_pure_state(lead, aux) for _ in range(10)]
         for _ in range(10):
             phi = random_pure_state(back, aux)
-            composed = FullMeasurement(tuple(compose_system(f, phi)
-                                             for f in measurement.outcomes))
+            joint = measurement.probabilities([tensor_product(psi, phi)
+                                               for psi in lead_probes])
             composition_violation = max(composition_violation,
-                                        composed.completeness_violation(lead_probes))
-            for f in composed.outcomes:
-                for psi in lead_probes:
-                    composition_violation = max(composition_violation,
-                                                _range_violation(f(psi)))
+                                        _completeness_violation(joint),
+                                        _range_violation(joint))
 
     return ClosureReport(samples, completeness, mixture_violation,
                          unitary_violation, composition_violation)
@@ -405,8 +445,38 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
     return out
 
 
-def hermitian_coords(matrix: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    return np.array([float(np.trace(h @ matrix).real) for h in basis])
+def hermitian_coords(matrix: np.ndarray) -> np.ndarray:
+    """Coordinates Re Tr(H_a M) over hermitian_basis(d), for a (..., d, d) stack.
+
+    The d diagonal entries come first, then for each pair j < k (row-major)
+    the symmetric and the antisymmetric coordinate.
+    """
+    m = np.asarray(matrix)
+    d = m.shape[-1]
+    j, k = np.triu_indices(d, 1)
+    c = 1.0 / math.sqrt(2.0)
+    lower, upper = m[..., k, j], m[..., j, k]
+    pairs = np.stack([c * lower.real + c * upper.real,
+                      c * lower.imag - c * upper.imag], axis=-1)
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1).real
+    return np.concatenate([diagonal, pairs.reshape(m.shape[:-2] + (-1,))], axis=-1)
+
+
+def hermitian_from_coords(coords: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix sum_a x_a H_a over hermitian_basis(d), for (..., d^2) x."""
+    x = np.asarray(coords, dtype=float)
+    d = math.isqrt(x.shape[-1])
+    j, k = np.triu_indices(d, 1)
+    c = 1.0 / math.sqrt(2.0)
+    symmetric, antisymmetric = c * x[..., d::2], c * x[..., d + 1::2]
+    out = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    out.real[..., diag, diag] = x[..., :d]
+    out.real[..., j, k] = symmetric
+    out.real[..., k, j] = symmetric
+    out.imag[..., j, k] = -antisymmetric
+    out.imag[..., k, j] = antisymmetric
+    return out
 
 
 def canonical_probe_states(dim: int) -> list[np.ndarray]:
@@ -489,14 +559,12 @@ def product_form_witness(f: OPF, extra_probes: Sequence[PureState] = ()
     probes = [PureState.normalized(f.space, v) for v in _witness_probe_states(dim)]
     probes.extend(extra_probes)
 
-    basis = hermitian_basis(dim)
-    design = np.array([hermitian_coords(psi.density(), basis) for psi in probes])
+    design = hermitian_coords(np.array([psi.density() for psi in probes]))
     values = np.array([f(psi) for psi in probes])
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     fitted = design @ coeffs
     residual = float(np.max(np.abs(values - fitted)))
-    operator = sum(c * h for c, h in zip(coeffs, basis))
-    return ProductFormCertificate(residual, operator, len(probes))
+    return ProductFormCertificate(residual, hermitian_from_coords(coeffs), len(probes))
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +631,11 @@ def ic_projector_states(dim: int) -> list[np.ndarray]:
 def density_from_projector_values(states: Sequence[np.ndarray], values: Sequence[float],
                                   dim: int) -> np.ndarray:
     """Reconstruct rho from Tr(P_a rho) values plus the unit-trace constraint."""
-    basis = hermitian_basis(dim)
-    rows = [hermitian_coords(np.outer(s, s.conj()), basis) for s in states]
-    rows.append(hermitian_coords(np.eye(dim, dtype=complex), basis))
+    operators = [np.outer(s, s.conj()) for s in states] + [np.eye(dim, dtype=complex)]
     rhs = list(values) + [1.0]
-    coeffs, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    return sum(c * h for c, h in zip(coeffs, basis))
+    coeffs, *_ = np.linalg.lstsq(hermitian_coords(np.array(operators)), np.array(rhs),
+                                 rcond=None)
+    return hermitian_from_coords(coeffs)
 
 
 def _ic_outcomes(family: str, dim: int) -> tuple[OPF, ...]:
@@ -641,11 +708,8 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
 
     if family == "entropy_meter":
         measurement = entropy_meter_measurement(space, space.indices(), precision=4)
-        f0 = measurement.outcomes[0]
-        worst = 0.0
-        for trial in range(100):
-            psi = random_pure_state(space, rng.derive(trial))
-            worst = max(worst, abs(f0(psi) - 1.0))
+        states = [random_pure_state(space, rng.derive(trial)) for trial in range(100)]
+        worst = float(np.max(np.abs(measurement.probabilities(states)[:, 0] - 1.0)))
         return EstimationVerdict(family, dim, "SATISFIED-TRIVIALLY", outcomes=(),
                                  evidence=worst)
 
@@ -693,10 +757,7 @@ class CPMapCandidate:
     matrix: np.ndarray  # (d^2, d^2) real, acting on Hermitian coordinates
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        basis = hermitian_basis(self.dimension)
-        coords = hermitian_coords(rho, basis)
-        out_coords = self.matrix @ coords
-        return sum(c * h for c, h in zip(out_coords, basis))
+        return hermitian_from_coords(self.matrix @ hermitian_coords(rho))
 
 
 @dataclass(frozen=True)
@@ -738,18 +799,14 @@ def update_map_feasibility(element: np.ndarray, probe_states: Sequence[PureState
     """
     a = np.asarray(element, dtype=complex)
     dim = a.shape[0]
-    basis = hermitian_basis(dim)
 
     probe_vecs = [np.asarray(p.amplitudes) for p in probe_states]
-    design = np.array([hermitian_coords(np.outer(v, v.conj()), basis)
-                       for v in probe_vecs])
+    design = hermitian_coords(np.array([np.outer(v, v.conj()) for v in probe_vecs]))
     if np.linalg.matrix_rank(design, tol=1e-9) < dim * dim:
         raise ValueError("probe states do not span the Hermitian operator space")
 
-    targets = np.array([
-        float(np.real(np.vdot(v, a @ v))) * hermitian_coords(np.outer(v, v.conj()), basis)
-        for v in probe_vecs
-    ])
+    weights = np.array([float(np.real(np.vdot(v, a @ v))) for v in probe_vecs])
+    targets = weights[:, None] * design
     solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
     lmap = solution.T  # acts on Hermitian coordinates from the left
 

@@ -143,7 +143,7 @@ class PureState:
 class DensityMatrix:
     """Hermitian, positive semi-definite, unit-trace complex matrix."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_eigenvalues")
 
     def __init__(self, entries):
         mat = np.array(entries, dtype=complex)
@@ -154,11 +154,14 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        if float(np.linalg.eigvalsh(mat)[0]) < -NORM_ATOL:
+        vals = np.linalg.eigvalsh(mat)
+        if float(vals[0]) < -NORM_ATOL:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         mat.setflags(write=False)
+        vals.setflags(write=False)
         self.dim = mat.shape[0]
         self.entries = mat
+        self._eigenvalues = vals
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityMatrix":
@@ -177,7 +180,8 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
+        """Ascending eigenvalues, kept from the positivity check (read-only)."""
+        return self._eigenvalues
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
@@ -464,29 +468,43 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep: Union[int, Seque
     For a :class:`DensityMatrix` input the factorization must be supplied.
     """
     if isinstance(state, PureState):
-        space = state.space
-    elif space is None:
+        return DensityMatrix(reduced_densities(state.amplitudes[None], state.space, keep)[0])
+    if space is None:
         raise ValueError("partial_trace of a DensityMatrix needs an explicit FactorSpace")
+    keep_t, rest, d_keep, d_rest = _bipartition(space, keep)
+    perm = keep_t + rest
+    tensor = state.entries.reshape(space.dims + space.dims)
+    order = perm + tuple(space.n_factors + i for i in perm)
+    tensor = np.transpose(tensor, order).reshape(d_keep, d_rest, d_keep, d_rest)
+    rho = np.einsum("irjr->ij", tensor)
+    return DensityMatrix((rho + rho.conj().T) / 2.0)
+
+
+def reduced_densities(amplitudes: np.ndarray, space: FactorSpace,
+                      keep: Union[int, Sequence[int]]) -> np.ndarray:
+    """Reduced density matrices, on the kept factors, of a stack of pure states.
+
+    ``amplitudes`` holds one normalized amplitude vector per row; the
+    result has shape (n, d_keep, d_keep) and is Hermitian by construction.
+    ``keep`` must be a nonempty proper subset of the subsystem indices.
+    """
+    keep_t, rest, d_keep, d_rest = _bipartition(space, keep)
+    n = amplitudes.shape[0]
+    axes = (0,) + tuple(1 + i for i in keep_t + rest)
+    mat = np.transpose(amplitudes.reshape((n,) + space.dims), axes).reshape(n, d_keep, d_rest)
+    rho = mat @ mat.conj().transpose(0, 2, 1)
+    return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _bipartition(space: FactorSpace, keep) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Kept and traced-out factors of a partial trace, with their dimensions."""
     keep_t = _normalize_subset(space, keep)
     if len(keep_t) >= space.n_factors:
         raise ValueError("keep must be a proper subset of the subsystem indices")
     rest = space.complement(keep_t)
-    dims = space.dims
-    d_keep = int(np.prod([dims[i] for i in keep_t]))
-    d_rest = int(np.prod([dims[i] for i in rest]))
-
-    if isinstance(state, PureState):
-        mat = state.amplitudes.reshape(dims)
-        mat = np.transpose(mat, keep_t + rest).reshape(d_keep, d_rest)
-        rho = mat @ mat.conj().T
-    else:
-        perm = keep_t + rest
-        tensor = state.entries.reshape(dims + dims)
-        order = perm + tuple(space.n_factors + i for i in perm)
-        tensor = np.transpose(tensor, order).reshape(d_keep, d_rest, d_keep, d_rest)
-        rho = np.einsum("irjr->ij", tensor)
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(rho)
+    d_keep = int(np.prod([space.dims[i] for i in keep_t]))
+    d_rest = int(np.prod([space.dims[i] for i in rest]))
+    return keep_t, rest, d_keep, d_rest
 
 
 def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> SchmidtDecomposition:
@@ -581,27 +599,34 @@ def quantize(x: float, m: int) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum(lambda log2 lambda) in bits, over eigenvalues above the floor."""
-    vals = rho.eigenvalues()
-    vals = vals[vals > EIGENVALUE_FLOOR]
-    # + 0.0 normalizes -0.0, which would leak into record output
-    return max(float(-np.sum(vals * np.log2(vals))), 0.0) + 0.0
+    return spectrum_entropy(rho.eigenvalues(), 1.0)
 
 
 def renyi_entropy(rho: DensityMatrix, alpha: float) -> float:
     """Renyi entropy (1/(1-alpha)) log2 Tr(rho^alpha) in bits, alpha != 1."""
-    alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    if abs(alpha - 1.0) <= 1e-9:
+    if abs(float(alpha) - 1.0) <= 1e-9:
         raise ValueError("alpha = 1 is the von Neumann case; use von_neumann_entropy")
-    vals = rho.eigenvalues()
-    vals = vals[vals > EIGENVALUE_FLOOR]
-    # + 0.0 normalizes -0.0, as in von_neumann_entropy
-    return max(float(np.log2(np.sum(vals ** alpha)) / (1.0 - alpha)), 0.0) + 0.0
+    return spectrum_entropy(rho.eigenvalues(), alpha)
 
 
 def entropy(rho: DensityMatrix, alpha: float = 1.0) -> float:
     """Entropy of order alpha in bits; alpha = 1 routes to von Neumann."""
-    if abs(float(alpha) - 1.0) <= 1e-9:
-        return von_neumann_entropy(rho)
-    return renyi_entropy(rho, alpha)
+    return spectrum_entropy(rho.eigenvalues(), alpha)
+
+
+def spectrum_entropy(eigenvalues: np.ndarray, alpha: float = 1.0) -> float:
+    """Entropy of order alpha in bits of a density matrix's eigenvalues.
+
+    Eigenvalues at or below ``EIGENVALUE_FLOOR`` are dropped; alpha = 1
+    is the von Neumann entropy, any other alpha >= 0 the Renyi entropy.
+    """
+    alpha = float(alpha)
+    if alpha < 0.0:
+        raise ValueError("alpha must be nonnegative")
+    vals = eigenvalues[eigenvalues > EIGENVALUE_FLOOR]
+    if abs(alpha - 1.0) <= 1e-9:
+        value = float(-np.sum(vals * np.log2(vals)))
+    else:
+        value = float(np.log2(np.sum(vals ** alpha)) / (1.0 - alpha))
+    # + 0.0 normalizes -0.0, which would leak into record output
+    return max(value, 0.0) + 0.0

@@ -2,7 +2,10 @@
 
 Each oracle deliberately avoids the library's own code paths: partial
 traces are explicit index sums, entropies are scalar formulas applied to
-probability lists, quadratic forms are evaluated term by term.
+probability lists, quadratic forms are evaluated term by term.  The scalar
+forms of the library's vectorised paths live here too: Hermitian
+coordinates one basis matrix at a time, and device outcome probabilities
+one selected outcome at a time.
 """
 
 import itertools
@@ -10,6 +13,9 @@ import math
 
 import numpy as np
 import scipy.stats
+
+from pqsim.devices import outcomes_equal
+from pqsim.opf import hermitian_basis
 
 
 def naive_partial_trace(amplitudes, dims, keep):
@@ -106,3 +112,60 @@ def chisquare_pvalue(counts, probabilities):
         return 1.0
     _, p = scipy.stats.chisquare(counts, expected)
     return float(p)
+
+
+def hermitian_coords(matrix):
+    """Coordinates Re Tr(H_a M), one basis matrix H_a at a time."""
+    matrix = np.asarray(matrix)
+    return np.array([float(np.trace(h @ matrix).real)
+                     for h in hermitian_basis(matrix.shape[0])])
+
+
+def hermitian_matrix(coords):
+    """sum_a x_a H_a, one basis matrix at a time."""
+    coords = np.asarray(coords, dtype=float)
+    return sum(c * h for c, h in zip(coords, hermitian_basis(math.isqrt(coords.size))))
+
+
+def entropy_reading(amplitudes, dims, keep, alpha, precision=None):
+    """Entropy-meter output for one state: a 2-D reduced density, one eigensolve."""
+    amplitudes = np.asarray(amplitudes)
+    dims = tuple(dims)
+    keep = tuple(sorted(keep))
+    rest = tuple(i for i in range(len(dims)) if i not in keep)
+    if not rest:
+        rho = np.outer(amplitudes, amplitudes.conj())
+    else:
+        d_keep = int(np.prod([dims[i] for i in keep]))
+        mat = np.transpose(amplitudes.reshape(dims), keep + rest).reshape(d_keep, -1)
+        rho = mat @ mat.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+    vals = np.linalg.eigvalsh(rho)
+    vals = vals[vals > 1e-12]
+    if alpha == 1.0:
+        value = float(-np.sum(vals * np.log2(vals)))
+    else:
+        value = float(np.log2(np.sum(vals ** alpha)) / (1.0 - alpha))
+    value = max(value, 0.0) + 0.0
+    if precision is not None:
+        value = math.ldexp(float(round(math.ldexp(value, precision))), -precision)
+    return value
+
+
+def selected_probability(spec, state, target, selector):
+    """Probability of one device outcome, summed over its exact distribution."""
+    total = 0.0
+    for outcome, prob in spec.distribution(state, target):
+        if outcomes_equal(outcome, selector):
+            total += prob
+    return total
+
+
+def wilson_interval(successes, trials, confidence):
+    """Wilson score interval with the normal quantile from scipy."""
+    z = float(scipy.stats.norm.ppf(0.5 + confidence / 2.0))
+    phat = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    return center - half, center + half

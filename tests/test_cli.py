@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +348,56 @@ class TestMainEntry:
         assert main(["check", "closure", "--family", "quantum_povm",
                      "--samples", "30"]) == 0
         assert "passed=true" in capsys.readouterr().out
+
+
+class TestConfigurationExitCodes:
+    """Out-of-range inputs exit 2 with a configuration error, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "fpvnem", "--d", "7"],
+        ["demo", "fpvnem", "--m", "9"],
+        ["demo", "cloning", "--d", "9"],
+        ["demo", "cloning", "--m", "0"],
+        ["demo", "ensemble-readout", "--m", "0"],
+        ["check", "product-form", "--d", "5"],
+        ["check", "product-form", "--m", "0"],
+        ["check", "closure", "--samples", "0"],
+        ["check", "closure", "--family", "entropy_meter", "--m", "0"],
+        ["check", "closure", "--family", "nope"],
+        ["check", "estimation", "--family", "nope"],
+        ["check", "estimation", "--d", "9"],
+    ])
+    def test_out_of_range_argument_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "no-signalling"],
+        ["check", "closure", "--samples", "5"],
+    ])
+    def test_malformed_env_seed_exits_two(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("PQSIM_SEED", "abc")
+        assert main(argv) == 2
+        assert "PQSIM_SEED" in capsys.readouterr().err
+
+    def test_malformed_env_seed_in_config_is_a_config_error(self, monkeypatch):
+        monkeypatch.setenv("PQSIM_SEED", "abc")
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL)
+        assert "PQSIM_SEED" in str(err.value)
+        assert parse_config("seed = 1\n" + MINIMAL).seed == 1  # config wins, env unread
+
+    def test_unused_argument_is_not_validated(self, capsys):
+        assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
+                     "--samples", "5"]) == 0
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, pqsim.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestListDevices:

@@ -24,6 +24,7 @@ from pqsim.experiments import (
 )
 from pqsim.qcore import Ensemble, FactorSpace, PureState, RandomStream
 
+from . import oracles
 from .oracles import shannon_bits
 
 QUBIT = FactorSpace((2,))
@@ -289,6 +290,13 @@ class TestReportPlumbing:
             lo, hi = wilson_interval(k, n, 0.95)
             assert lo <= k / n <= hi
             assert 0.0 <= lo <= hi <= 1.0
+
+    def test_wilson_interval_matches_scipy_quantile(self):
+        for confidence in (0.8, 0.9, 0.95, 0.99, 0.999):
+            for k, n in [(17, 100), (3, 50), (990, 1000)]:
+                want = oracles.wilson_interval(k, n, confidence)
+                got = wilson_interval(k, n, confidence)
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_trace_distance_basics(self):
         a, b = KET0.density(), KET1.density()

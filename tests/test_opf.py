@@ -1,11 +1,12 @@
 """Outcome probability functions: constructors, closure, witnesses, checkers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pqsim.devices import Bit, DeviceSpec, IntegerLabel, RealValue
+from pqsim.devices import Bit, DeviceSpec, IntegerLabel, RealValue, entropy_meter_readings
 from pqsim.opf import (
     QUBIT_PROBE_STATES,
     FullMeasurement,
@@ -15,8 +16,11 @@ from pqsim.opf import (
     compose_unitary,
     constant_opf,
     density_from_projector_values,
+    device_measurement,
     entropy_meter_measurement,
     entropy_outcome_values,
+    hermitian_coords,
+    hermitian_from_coords,
     ic_projector_states,
     mix,
     mix_measurements,
@@ -35,8 +39,10 @@ from pqsim.qcore import (
     random_density_matrix,
     random_pure_state,
     random_unitary,
+    tensor_product,
 )
 
+from . import oracles
 from .oracles import quadratic_form
 
 QUBIT = FactorSpace((2,))
@@ -481,3 +487,184 @@ class TestUpdateMapFeasibility:
         combined = cert.candidate.apply(0.3 * a + 0.7 * b)
         split = 0.3 * cert.candidate.apply(a) + 0.7 * cert.candidate.apply(b)
         np.testing.assert_allclose(combined, split, atol=1e-12)
+
+
+class TestVectorisedHermitianCoords:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_equals_scalar_oracle_on_non_hermitian_matrices(self, dim):
+        gen = np.random.default_rng(dim)
+        for _ in range(5):
+            m = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+            assert np.array_equal(hermitian_coords(m), oracles.hermitian_coords(m))
+        real = gen.normal(size=(dim, dim))
+        assert np.array_equal(hermitian_coords(real), oracles.hermitian_coords(real))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_stack_equals_scalar_oracle_entrywise(self, dim):
+        gen = np.random.default_rng(100 + dim)
+        stack = gen.normal(size=(3, 2, dim, dim)) + 1j * gen.normal(size=(3, 2, dim, dim))
+        coords = hermitian_coords(stack)
+        assert coords.shape == (3, 2, dim * dim)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(coords[idx], oracles.hermitian_coords(stack[idx]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_from_coords_equals_scalar_sum_and_inverts(self, dim):
+        gen = np.random.default_rng(200 + dim)
+        x = gen.normal(size=dim * dim)
+        assert np.array_equal(hermitian_from_coords(x), oracles.hermitian_matrix(x))
+        stack = gen.normal(size=(4, dim * dim))
+        for row, matrix in zip(stack, hermitian_from_coords(stack)):
+            assert np.array_equal(matrix, oracles.hermitian_matrix(row))
+        h = random_density_matrix(dim, RandomStream(dim)).entries
+        assert np.max(np.abs(hermitian_from_coords(hermitian_coords(h)) - h)) < 1e-12
+
+
+SPACES = [FactorSpace((2, 2)), FactorSpace((2, 3)), FactorSpace((2, 2, 2))]
+
+
+def _states(space, seed, n=12):
+    return [random_pure_state(space, RandomStream(seed, trial=t)) for t in range(n)]
+
+
+def _per_outcome(measurement, states):
+    return np.array([[f(psi) for f in measurement.outcomes] for psi in states])
+
+
+class TestOutcomeVectors:
+    @pytest.mark.parametrize("space", SPACES, ids=str)
+    def test_entropy_meter_equals_scalar_oracle_exactly(self, space):
+        meter = entropy_meter_measurement(space, (0,), precision=3)
+        spec = DeviceSpec("EntropyMeter", {"alpha": 1.0, "precision": 3})
+        states = _states(space, 401)
+        want = np.array([[oracles.selected_probability(spec, psi, (0,), RealValue(v))
+                          for v in entropy_outcome_values(2, 3)] for psi in states])
+        got = meter.probabilities(states)
+        assert got.shape == (len(states), len(meter.outcomes))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _per_outcome(meter, states))
+
+    @pytest.mark.parametrize("space", SPACES, ids=str)
+    def test_quantum_povm_matches_quadratic_forms(self, space):
+        b = random_povm_element(space.total_dim, RandomStream(409))
+        elements = (b, np.eye(space.total_dim) - b)
+        measurement = FullMeasurement.from_povm(POVMSet(elements), space)
+        states = _states(space, 419)
+        want = np.array([[quadratic_form(q, psi.amplitudes) for q in elements]
+                         for psi in states])
+        assert np.max(np.abs(measurement.probabilities(states) - want)) < 1e-12
+
+    @pytest.mark.parametrize("space", SPACES, ids=str)
+    def test_mixed_measurement_matches_scalar_mixture(self, space):
+        b = random_povm_element(space.total_dim, RandomStream(421))
+        elements = (b, np.eye(space.total_dim) - b)
+        quantum = FullMeasurement.from_povm(POVMSet(elements), space)
+        meter = entropy_meter_measurement(space, (0,), precision=2)
+        spec = DeviceSpec("EntropyMeter", {"alpha": 1.0, "precision": 2})
+        mixed = mix_measurements(meter, quantum, 0.3, pairing=[(0, 1)])
+        states = _states(space, 431)
+        values = entropy_outcome_values(2, 2)
+        for psi, got in zip(states, mixed.probabilities(states)):
+            dev = [oracles.selected_probability(spec, psi, (0,), RealValue(v)) for v in values]
+            q = [quadratic_form(e, psi.amplitudes) for e in elements]
+            want = [0.3 * dev[0] + 0.7 * q[1]] + [0.3 * p for p in dev[1:]] + [0.7 * q[0]]
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(mixed.probabilities(states) - _per_outcome(mixed, states))) < 1e-12
+
+    @pytest.mark.parametrize("space", SPACES, ids=str)
+    def test_composed_measurements_match_base_on_transformed_states(self, space):
+        rng = RandomStream(433)
+        meter = entropy_meter_measurement(space, (0,), precision=3)
+        u = random_unitary(space.total_dim, rng)
+        rotated = FullMeasurement(tuple(compose_unitary(f, u) for f in meter.outcomes))
+        states = _states(space, 439)
+        moved = [PureState.normalized(space, u @ psi.amplitudes) for psi in states]
+        assert np.max(np.abs(rotated.probabilities(states)
+                             - meter.probabilities(moved))) < 1e-12
+
+        lead = FactorSpace(space.dims[:-1])
+        phi = random_pure_state(FactorSpace(space.dims[-1:]), rng)
+        joined = FullMeasurement(tuple(compose_system(f, phi) for f in meter.outcomes))
+        lead_states = _states(lead, 443)
+        assert np.max(np.abs(
+            joined.probabilities(lead_states)
+            - meter.probabilities([tensor_product(psi, phi) for psi in lead_states]))) < 1e-12
+
+    def test_space_mismatch_rejected(self):
+        meter = entropy_meter_measurement(TWO_QUBITS, (0,), precision=2)
+        with pytest.raises(ValueError):
+            meter.probabilities([KET0])
+
+
+class TestStackedEntropyMeter:
+    @pytest.mark.parametrize("space", SPACES + [FactorSpace((4, 4))], ids=str)
+    @pytest.mark.parametrize("alpha,precision", [(1.0, None), (1.0, 3), (2.0, None), (0.5, 4)])
+    def test_readings_equal_single_state_oracle_exactly(self, space, alpha, precision):
+        states = _states(space, 461)
+        for n in range(1, space.n_factors + 1):
+            for target in itertools.combinations(range(space.n_factors), n):
+                got = entropy_meter_readings(states, target, alpha, precision)
+                want = [oracles.entropy_reading(psi.amplitudes, space.dims, target,
+                                                alpha, precision) for psi in states]
+                assert [r.value for r in got] == want
+                spec = DeviceSpec("EntropyMeter", {"alpha": alpha, "precision": precision})
+                assert spec.distributions(states, target) == [
+                    spec.distribution(psi, target) for psi in states]
+
+    def test_mixed_spaces_rejected(self):
+        with pytest.raises(ValueError):
+            entropy_meter_readings([BELL, random_pure_state(FactorSpace((2, 3)),
+                                                             RandomStream(1))], (0,))
+
+
+class TestDistributionCounts:
+    """A device-backed measurement evaluates its device once per state.
+
+    Entropy meters pass whole lists of states to ``DeviceSpec.distributions``
+    (one stacked eigensolve); other kinds call ``DeviceSpec.distribution``
+    once per state.  The counters record every state either one evaluates.
+    """
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        seen = []
+        single, stacked = DeviceSpec.distribution, DeviceSpec.distributions
+
+        def distribution(self, state, target):
+            seen.append(state.amplitudes.tobytes())
+            return single(self, state, target)
+
+        def distributions(self, states, target):
+            if self.kind == "EntropyMeter":
+                seen.extend(psi.amplitudes.tobytes() for psi in states)
+            return stacked(self, states, target)
+
+        monkeypatch.setattr(DeviceSpec, "distribution", distribution)
+        monkeypatch.setattr(DeviceSpec, "distributions", distributions)
+        return seen
+
+    def test_meter_construction_evaluates_one_probe(self, evaluated):
+        meter = entropy_meter_measurement(FactorSpace((4, 4)), (0,), precision=8)
+        assert len(meter.outcomes) == 513
+        assert len(evaluated) == 1
+
+    def test_closure_evaluates_each_distinct_state_once(self, evaluated):
+        meter = entropy_meter_measurement(TWO_QUBITS, (0,), precision=3)
+        evaluated.clear()
+        samples = 20
+        report = check_closure(meter, samples, RandomStream(449))
+        assert report.passed
+        # random states, 10 unitary rotations and 10 backgrounds of 10 probes
+        assert len(evaluated) == samples + 10 * samples + 10 * 10
+        assert len(set(evaluated)) == len(evaluated)
+
+    def test_povm_measurement_runs_its_device_once_per_state(self, evaluated):
+        spec = DeviceSpec("PovmSampler", {"povm": POVMSet(tuple(
+            np.diag(row).astype(complex) for row in np.eye(4)))})
+        selectors = [IntegerLabel(i) for i in range(1, 5)]
+        measurement = device_measurement(spec, selectors, TWO_QUBITS, (0, 1))
+        assert len(evaluated) == 1
+        states = _states(TWO_QUBITS, 457)
+        values = measurement.probabilities(states)
+        assert len(evaluated) == 1 + len(states)
+        assert np.max(np.abs(values.sum(axis=1) - 1.0)) < 1e-12

@@ -79,6 +79,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_density_matrix_keeps_its_eigenvalues(self, monkeypatch):
+        rho = random_density_matrix(4, RandomStream(31))
+        assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(rho.entries))
+        with pytest.raises(ValueError):
+            rho.eigenvalues()[0] = 1.0
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(1) or original(a))
+        von_neumann_entropy(rho)
+        renyi_entropy(rho, 2.0)
+        assert calls == []
+
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
             Ensemble(((KET0, 0.5), (KET1, 0.6)))
