@@ -387,6 +387,19 @@ class TestConfigurationExitCodes:
         assert "PQSIM_SEED" in str(err.value)
         assert parse_config("seed = 1\n" + MINIMAL).seed == 1  # config wins, env unread
 
+    @pytest.mark.parametrize("experiment,line", [
+        ("fpvnem", 'action.experiment.d = "x"'),
+        ("ensemble-readout", "action.experiment.precisions = []"),
+    ])
+    def test_malformed_experiment_parameter_exits_two(self, experiment, line, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "bad.pq"
+        cfg.write_text('space.dims = [2]\nstate.kind = "random"\n'
+                       f'action.type = "experiment"\naction.experiment.id = "{experiment}"\n'
+                       f"{line}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_unused_argument_is_not_validated(self, capsys):
         assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
                      "--samples", "5"]) == 0
