@@ -41,7 +41,7 @@ from .opf import (
     opf_from_quantum,
     product_form_witness,
 )
-from .qcore import Ensemble, FactorSpace, POVMSet, PureState, RandomStream
+from .qcore import Ensemble, FactorSpace, POVMSet, PureState, RandomStream, require_hermitian
 
 DEFAULT_SEED = 0x5EED
 
@@ -338,7 +338,7 @@ def parse_config(text: str) -> RunConfig:
                 f"expected {space.total_dim}", "state.amplitudes",
                 line_of("state.amplitudes"))
         norm = float(np.linalg.norm(np.array(state_amplitudes)))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # also rejects non-finite amplitudes
             raise ConfigError(f"amplitudes norm {norm} deviates from 1 beyond 1e-6",
                               "state.amplitudes", line_of("state.amplitudes"))
     elif state_kind in ("bell", "ghz"):
@@ -441,7 +441,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_device_params(kind, params, space, target, line_of, prefix):
-    d_target = int(np.prod([space.dims[i] for i in sorted(set(target))]))
+    d_target = math.prod(space.dims[i] for i in set(target))
     if kind == "EntropyCertifier":
         threshold = params.get("entropy_threshold")
         if threshold is None:
@@ -497,21 +497,30 @@ def _resolve_state_vector(value, dim: int, key: str) -> PureState:
     entries = [parse_complex(v) if isinstance(v, str) else complex(v) for v in value]
     if len(entries) != dim:
         raise ConfigError(f"state vector needs {dim} entries", key)
-    return PureState.normalized(FactorSpace((dim,)), np.array(entries))
+    try:
+        return PureState.normalized(FactorSpace((dim,)), np.array(entries))
+    except ValueError as err:
+        raise ConfigError(str(err), key) from None
 
 
 def _resolve_device_spec(config: RunConfig, space: FactorSpace) -> dev.DeviceSpec:
-    d_target = int(np.prod([space.dims[i] for i in sorted(set(config.target))]))
+    d_target = math.prod(space.dims[i] for i in set(config.target))
     params: dict = {}
     for key, value in config.params:
+        full_key = "action.device." + key
         if key == "observable":
-            params[key] = _resolve_matrix(value, d_target, key)
+            mat = _resolve_matrix(value, d_target, full_key)
+            try:
+                require_hermitian(mat, "observable is not Hermitian within tolerance")
+            except ValueError as err:
+                raise ConfigError(str(err), full_key) from None
+            params[key] = mat
         elif key == "target_state":
-            params[key] = _resolve_state_vector(value, d_target, key)
+            params[key] = _resolve_state_vector(value, d_target, full_key)
         elif key == "basis":
             if value == "computational":
                 continue
-            mat = _resolve_matrix(value, d_target, key)
+            mat = _resolve_matrix(value, d_target, full_key)
             params[key] = [mat[i] for i in range(d_target)]
         elif key == "povm":
             if value == "computational":
@@ -519,7 +528,7 @@ def _resolve_device_spec(config: RunConfig, space: FactorSpace) -> dev.DeviceSpe
                 params[key] = POVMSet(tuple(
                     np.outer(eye[i], eye[i]) for i in range(d_target)))
             else:
-                raise ConfigError("povm supports the named set 'computational'", key)
+                raise ConfigError("povm supports the named set 'computational'", full_key)
         else:
             params[key] = value
     return dev.DeviceSpec(config.device_kind, params)

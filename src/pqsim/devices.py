@@ -138,7 +138,7 @@ def reduced_density_stack(states: Sequence[PureState], target) -> np.ndarray:
 
 def target_dimension(space: FactorSpace, target: Union[int, Sequence[int]]) -> int:
     subset = _normalize_subset(space, target)
-    return int(np.prod([space.dims[i] for i in subset]))
+    return math.prod(space.dims[i] for i in subset)
 
 
 def quantize_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
@@ -523,7 +523,7 @@ def entanglement_analyse(state: PureState, target_single: int, basis=None,
     d_t = space.dims[target]
     b = _basis_matrix(basis, d_t)
     rest = space.complement((target,))
-    d_rest = int(np.prod([space.dims[i] for i in rest]))
+    d_rest = math.prod(space.dims[i] for i in rest)
 
     tensor = state.amplitudes.reshape(space.dims)
     tensor = np.moveaxis(tensor, target, 0).reshape(d_t, d_rest)

@@ -36,6 +36,8 @@ from .qcore import (
     RandomStream,
     random_pure_state,
     random_unitary,
+    require_hermitian,
+    require_unitary,
     tensor_product,
 )
 
@@ -138,8 +140,7 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
     dim = q.shape[0]
     if q.ndim != 2 or q.shape[1] != dim:
         raise ValueError("POVM element must be a square matrix")
-    if np.max(np.abs(q - q.conj().T)) > 1e-9:
-        raise ValueError("POVM element must be Hermitian")
+    require_hermitian(q, "POVM element must be Hermitian")
     vals = np.linalg.eigvalsh(q)
     if vals[0] < -1e-9 or vals[-1] > 1.0 + 1e-9:
         raise ValueError("POVM element must satisfy 0 <= Q <= I")
@@ -221,8 +222,7 @@ def compose_unitary(f: OPF, unitary: np.ndarray) -> OPF:
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (f.space.total_dim, f.space.total_dim):
         raise ValueError("unitary dimension does not match the OPF's space")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-9:
-        raise ValueError("matrix is not unitary within tolerance")
+    require_unitary(u)
     operator = None if f.operator is None else u.conj().T @ f.operator @ u
 
     def evaluate(psi: PureState) -> float:

@@ -41,7 +41,7 @@ class FactorSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_factors(self) -> int:
@@ -72,6 +72,26 @@ def _normalize_subset(space: FactorSpace, subset: Union[int, Sequence[int]]) -> 
     return out
 
 
+def require_hermitian(matrix: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) unless the matrix is Hermitian within
+    ``HERMITIAN_ATOL``; a non-finite entry is never Hermitian."""
+    if not np.max(np.abs(matrix - matrix.conj().T)) <= HERMITIAN_ATOL:
+        raise ValueError(message)
+
+
+def require_unitary(matrix: np.ndarray) -> None:
+    """Raise ValueError unless U^dagger U = I within ``NORM_ATOL``."""
+    if not np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))) <= NORM_ATOL:
+        raise ValueError("matrix is not unitary within tolerance")
+
+
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm of a 1-D complex vector, exactly as np.linalg.norm
+    computes it, without its dispatch."""
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 class PureState:
     """Normalized complex amplitude vector over a declared factorization.
 
@@ -84,15 +104,15 @@ class PureState:
     __slots__ = ("space", "amplitudes")
 
     def __init__(self, space: FactorSpace, amplitudes):
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != space.total_dim:
             raise ValueError(
                 f"amplitude vector of length {amps.size} does not match total_dim {space.total_dim}"
             )
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_ATOL:
+        nrm = _norm(amps)
+        if not abs(nrm - 1.0) <= NORM_ATOL:  # also rejects non-finite amplitudes
             raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_ATOL}")
-        amps = amps / nrm
+        amps = amps / nrm  # a private copy: the input is never aliased
         amps.setflags(write=False)
         self.space = space
         self.amplitudes = amps
@@ -101,9 +121,11 @@ class PureState:
     def normalized(cls, space: FactorSpace, amplitudes) -> "PureState":
         """Construct from any nonzero vector, dividing out its norm."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        nrm = float(np.linalg.norm(amps))
+        nrm = _norm(amps)
         if nrm <= 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if not math.isfinite(nrm):
+            raise ValueError(f"cannot normalize a vector of norm {nrm}")
         return cls(space, amps / nrm)
 
     @classmethod
@@ -149,8 +171,7 @@ class DensityMatrix:
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        require_hermitian(mat, "density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
@@ -233,8 +254,7 @@ class HermitianObservable:
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"observable must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
-            raise ValueError("observable is not Hermitian within tolerance")
+        require_hermitian(mat, "observable is not Hermitian within tolerance")
         mat.setflags(write=False)
         self.dim = mat.shape[0]
         self.entries = mat
@@ -287,8 +307,7 @@ class POVMSet:
             mat = np.array(a, dtype=complex)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError("POVM elements must be square matrices")
-            if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
-                raise ValueError("POVM element is not Hermitian within tolerance")
+            require_hermitian(mat, "POVM element is not Hermitian within tolerance")
             if float(np.linalg.eigvalsh(mat)[0]) < -NORM_ATOL:
                 raise ValueError("POVM element has a negative eigenvalue beyond tolerance")
             mat.setflags(write=False)
@@ -422,7 +441,7 @@ def random_density_matrix(dim: int, rng: RandomStream, rank: int | None = None) 
 def tensor_product(a: PureState, b: PureState) -> PureState:
     """Joint state on the concatenated factorization; Kronecker amplitudes."""
     space = FactorSpace(a.space.dims + b.space.dims)
-    return PureState(space, np.kron(a.amplitudes, b.amplitudes))
+    return PureState(space, np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
 def apply_on_factors(amplitudes: np.ndarray, dims: Sequence[int], op: np.ndarray,
@@ -431,8 +450,8 @@ def apply_on_factors(amplitudes: np.ndarray, dims: Sequence[int], op: np.ndarray
     n = len(dims)
     subset = tuple(subset)
     rest = tuple(i for i in range(n) if i not in set(subset))
-    d_sub = int(np.prod([dims[i] for i in subset]))
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    d_sub = math.prod(dims[i] for i in subset)
+    d_rest = math.prod(dims[i] for i in rest)
     tensor = amplitudes.reshape(dims)
     tensor = np.transpose(tensor, subset + rest).reshape(d_sub, d_rest)
     tensor = op @ tensor
@@ -445,14 +464,13 @@ def apply_unitary(state: PureState, unitary: np.ndarray,
                   on: Union[int, Sequence[int], None] = None) -> PureState:
     """U|psi>, on the whole space or on the chosen factors only."""
     u = np.asarray(unitary, dtype=complex)
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > NORM_ATOL:
-        raise ValueError("matrix is not unitary within tolerance")
+    require_unitary(u)
     if on is None:
         if u.shape[0] != state.space.total_dim:
             raise ValueError("unitary dimension does not match the state")
         return PureState.normalized(state.space, u @ state.amplitudes)
     subset = _normalize_subset(state.space, on)
-    d_sub = int(np.prod([state.space.dims[i] for i in subset]))
+    d_sub = math.prod(state.space.dims[i] for i in subset)
     if u.shape[0] != d_sub:
         raise ValueError("unitary dimension does not match the chosen factors")
     amps = apply_on_factors(state.amplitudes, state.space.dims, u, subset)
@@ -502,8 +520,8 @@ def _bipartition(space: FactorSpace, keep) -> tuple[tuple[int, ...], tuple[int, 
     if len(keep_t) >= space.n_factors:
         raise ValueError("keep must be a proper subset of the subsystem indices")
     rest = space.complement(keep_t)
-    d_keep = int(np.prod([space.dims[i] for i in keep_t]))
-    d_rest = int(np.prod([space.dims[i] for i in rest]))
+    d_keep = math.prod(space.dims[i] for i in keep_t)
+    d_rest = math.prod(space.dims[i] for i in rest)
     return keep_t, rest, d_keep, d_rest
 
 
@@ -520,8 +538,8 @@ def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> Schmi
         raise ValueError("cut must be a proper subset of the subsystem indices")
     rest = space.complement(cut_t)
     dims = space.dims
-    d_left = int(np.prod([dims[i] for i in cut_t]))
-    d_right = int(np.prod([dims[i] for i in rest]))
+    d_left = math.prod(dims[i] for i in cut_t)
+    d_right = math.prod(dims[i] for i in rest)
 
     mat = state.amplitudes.reshape(dims)
     mat = np.transpose(mat, cut_t + rest).reshape(d_left, d_right)
@@ -563,7 +581,7 @@ def measure_projective(state: PureState, observable: HermitianObservable,
     below the selection floor are never chosen.
     """
     subset = _normalize_subset(state.space, on)
-    d_sub = int(np.prod([state.space.dims[i] for i in subset]))
+    d_sub = math.prod(state.space.dims[i] for i in subset)
     if observable.dim != d_sub:
         raise ValueError("observable dimension does not match the chosen factors")
     branches = []

@@ -5,7 +5,9 @@ traces are explicit index sums, entropies are scalar formulas applied to
 probability lists, quadratic forms are evaluated term by term.  The scalar
 forms of the library's vectorised paths live here too: Hermitian
 coordinates one basis matrix at a time, and device outcome probabilities
-one selected outcome at a time.
+one selected outcome at a time.  So does the original pure-state
+construction (np.linalg.norm, np.kron, np.prod), which the library's
+direct norm and outer product must match exactly.
 """
 
 import itertools
@@ -169,3 +171,26 @@ def wilson_interval(successes, trials, confidence):
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return center - half, center + half
+
+
+def pure_state_amplitudes(amplitudes):
+    """PureState amplitudes as the original construction made them: a
+    private copy, np.linalg.norm, one division."""
+    amps = np.array(amplitudes, dtype=complex).reshape(-1)
+    return amps / float(np.linalg.norm(amps))
+
+
+def normalized_amplitudes(amplitudes):
+    """PureState.normalized amplitudes: divide out the norm, then construct."""
+    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    return pure_state_amplitudes(amps / float(np.linalg.norm(amps)))
+
+
+def random_state_amplitudes(dims, rng):
+    """random_pure_state amplitudes: Gaussian draws of size np.prod(dims)."""
+    return normalized_amplitudes(rng.complex_normal(int(np.prod(dims))))
+
+
+def tensor_amplitudes(a, b):
+    """tensor_product amplitudes: the Kronecker product, then construct."""
+    return pure_state_amplitudes(np.kron(a, b))

@@ -400,6 +400,34 @@ class TestConfigurationExitCodes:
         assert main(["run", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_non_finite_amplitude_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.pq"
+        cfg.write_text('space.dims = [2, 2]\nstate.kind = "explicit"\n'
+                       'state.amplitudes = ["nan", 0, 0, 0]\naction.type = "device"\n'
+                       'action.device.kind = "EntropyMeter"\naction.target = [0]\n')
+        assert main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and "state.amplitudes" in captured.err
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("observable", "[1, 2, 0, 1]", "ExpectationReadout"),
+        ("observable", '["nan", 0, 0, 1]', "EigenvalueSampler"),
+        ("target_state", '["nan", 1]', "OverlapTest"),
+        ("target_state", "[0, 0]", "OverlapTest"),
+    ])
+    def test_unphysical_device_parameter_exits_two(self, key, value, kind, tmp_path, capsys):
+        extra = "action.device.threshold = 0.5\n" if kind == "OverlapTest" else ""
+        cfg = tmp_path / "device.pq"
+        cfg.write_text(f'space.dims = [2, 2]\nstate.kind = "bell"\naction.type = "device"\n'
+                       f'action.device.kind = "{kind}"\naction.target = [0]\n'
+                       f"action.device.{key} = {value}\n{extra}")
+        assert main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
+        assert f"action.device.{key}" in captured.err
+
     def test_unused_argument_is_not_validated(self, capsys):
         assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
                      "--samples", "5"]) == 0

@@ -31,7 +31,16 @@ from pqsim.qcore import (
     von_neumann_entropy,
 )
 
-from .oracles import naive_partial_trace, renyi_bits, shannon_bits, trace_probabilities
+from .oracles import (
+    naive_partial_trace,
+    normalized_amplitudes,
+    pure_state_amplitudes,
+    random_state_amplitudes,
+    renyi_bits,
+    shannon_bits,
+    tensor_amplitudes,
+    trace_probabilities,
+)
 
 QUBIT = FactorSpace((2,))
 TWO_QUBITS = FactorSpace((2, 2))
@@ -115,6 +124,114 @@ class TestTypes:
         obs = HermitianObservable(np.diag([3.0, -1.0, 3.0]))
         assert obs.eigenvalues == (pytest.approx(-1.0), pytest.approx(3.0))
         assert obs.projectors[1].trace() == pytest.approx(2.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFinite:
+    """NaN fails every ``x > tol`` test, so the checks are ``not x <= tol``."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_pure_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="deviates from 1"):
+            PureState(QUBIT, [bad, 0.0])
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm"):
+            PureState.normalized(QUBIT, [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_density_matrix_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix([[bad, 0], [0, 0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix([[0.5, bad], [bad, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_observable_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianObservable([[bad, 0], [0, 1]])
+
+    def test_povm_element_rejects_nan(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            POVMSet((np.diag([1.0, math.nan]), np.diag([0.0, 1.0])))
+
+    def test_unitary_check_rejects_nan(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_unitary(KET0, np.array([[1, 0], [0, math.nan]]))
+
+
+# Every space the construction oracle is checked on.
+ORACLE_SPACES = [(2,), (3,), (2, 2), (2, 3), (4, 4), (2, 2, 2)]
+
+
+def _amplitude_inputs(dim, seed, scale=1.0 + 3e-10):
+    """One vector of norm ``scale`` in every form a caller may pass: a list,
+    a real and a complex array, and non-contiguous real and complex views."""
+    g = np.random.default_rng(seed)
+    v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+    v *= scale / np.linalg.norm(v)
+    r = g.standard_normal(dim)
+    r *= scale / np.linalg.norm(r)
+    strided = np.zeros(3 * dim, dtype=complex)
+    strided[::3] = v
+    column = np.zeros((dim, 2))
+    column[:, 1] = r
+    return {"list": [complex(x) for x in v], "real": r, "complex": v,
+            "complex view": strided[::3], "real column": column[:, 1]}
+
+
+class TestConstructionOracle:
+    """The direct norm and outer product build exactly the amplitudes of the
+    original np.linalg.norm / np.kron / np.prod construction."""
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_pure_state(self, dims):
+        space = FactorSpace(dims)
+        for form, amps in _amplitude_inputs(space.total_dim, 1).items():
+            state = PureState(space, amps)
+            assert np.array_equal(state.amplitudes, pure_state_amplitudes(amps)), form
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_normalized(self, dims):
+        space = FactorSpace(dims)
+        for form, amps in _amplitude_inputs(space.total_dim, 2, scale=3.7).items():
+            state = PureState.normalized(space, amps)
+            assert np.array_equal(state.amplitudes, normalized_amplitudes(amps)), form
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_random_pure_state(self, dims):
+        for trial in range(20):
+            state = random_pure_state(FactorSpace(dims), RandomStream(3, trial=trial))
+            want = random_state_amplitudes(dims, RandomStream(3, trial=trial))
+            assert np.array_equal(state.amplitudes, want)
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_tensor_product(self, dims):
+        rng = RandomStream(5)
+        for trial in range(10):
+            a = random_pure_state(FactorSpace(dims), rng)
+            for other in ((2,), (3,)):
+                b = random_pure_state(FactorSpace(other), rng)
+                for left, right in ((a, b), (b, a)):
+                    joint = tensor_product(left, right)
+                    assert joint.space.dims == left.space.dims + right.space.dims
+                    assert np.array_equal(
+                        joint.amplitudes, tensor_amplitudes(left.amplitudes, right.amplitudes))
+
+    @pytest.mark.parametrize("build", [PureState, PureState.normalized])
+    def test_state_never_aliases_its_input(self, build):
+        for form, amps in _amplitude_inputs(4, 6).items():
+            source = np.asarray(amps) if form != "list" else amps
+            state = build(TWO_QUBITS, source)
+            before = state.amplitudes.copy()
+            source[0] = 99.0
+            assert np.array_equal(state.amplitudes, before), form
+            assert not state.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 1.0
+
+    def test_total_dim_is_a_python_int(self):
+        for dims in ORACLE_SPACES:
+            total = FactorSpace(dims).total_dim
+            assert type(total) is int and total == int(np.prod(dims))
 
 
 class TestTensorProduct:
