@@ -133,9 +133,12 @@ def _parse_scalar(token: str, key: str, line: int):
     if _INT_RE.match(token):
         return int(token)
     try:
-        return float(token)
+        number = float(token)
     except ValueError:
         raise ConfigError(f"cannot parse value {token!r}", key, line) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"non-finite value {token!r}", key, line)
+    return number
 
 
 def _parse_value(token: str, key: str, line: int):

@@ -428,6 +428,17 @@ class TestConfigurationExitCodes:
         assert "configuration error" in captured.err
         assert f"action.device.{key}" in captured.err
 
+    @pytest.mark.parametrize("line", [
+        "action.device.precision = nan",
+        "action.device.precision = inf",
+        "action.repetitions = [1, -inf]",
+    ])
+    def test_non_finite_number_is_a_config_error(self, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + line + "\n")
+        assert "non-finite value" in str(err.value)
+        assert line.split(" = ")[0] in str(err.value)
+
     def test_unused_argument_is_not_validated(self, capsys):
         assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
                      "--samples", "5"]) == 0

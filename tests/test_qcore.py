@@ -218,8 +218,7 @@ class TestConstructionOracle:
 
     @pytest.mark.parametrize("build", [PureState, PureState.normalized])
     def test_state_never_aliases_its_input(self, build):
-        for form, amps in _amplitude_inputs(4, 6).items():
-            source = np.asarray(amps) if form != "list" else amps
+        for form, source in _amplitude_inputs(4, 6).items():
             state = build(TWO_QUBITS, source)
             before = state.amplitudes.copy()
             source[0] = 99.0
