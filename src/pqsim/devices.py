@@ -33,6 +33,7 @@ from .qcore import (
     quantize,
     reduced_densities,
     spectrum_entropy,
+    stack_amplitudes,
 )
 
 BASIS_ATOL = 1e-8
@@ -130,7 +131,7 @@ def reduced_density_stack(states: Sequence[PureState], target) -> np.ndarray:
     if any(s.space.dims != space.dims for s in states):
         raise ValueError("stacked states must share one FactorSpace")
     subset = _normalize_subset(space, target)
-    amps = np.array([s.amplitudes for s in states])
+    amps = stack_amplitudes(states, space.total_dim)
     if len(subset) == space.n_factors:
         return amps[:, :, None] * amps.conj()[:, None, :]
     return reduced_densities(amps, space, subset)
@@ -698,12 +699,13 @@ def _selector_plausible(spec: DeviceSpec, selector: Outcome) -> bool:
 class OutcomeSelection:
     """A fixed list of selected outcomes of one device, read off its distributions.
 
-    ``probabilities(dist)[i]`` adds up, in distribution order, the
-    probabilities of the branches that match ``selectors[i]`` under
-    :func:`outcomes_equal`.  All selectors are matched in one pass over the
-    distribution, so a measurement with many outcomes needs one device
-    evaluation per state, not one per outcome.  A selector that matches no
-    branch must still be a legal outcome of the device kind.
+    ``matrix(distributions)[r, i]`` adds up, in branch order, the
+    probabilities of the branches of ``distributions[r]`` that match
+    ``selectors[i]`` under :func:`outcomes_equal`.  The branches of all the
+    distributions are matched against all selectors in one pass, so a
+    measurement with many outcomes needs one device evaluation per state,
+    not one per outcome.  A selector that matches no branch of a
+    distribution must still be a legal outcome of the device kind.
     """
 
     __slots__ = ("kind", "selectors", "atol", "_groups", "_values", "_may_miss")
@@ -723,27 +725,44 @@ class OutcomeSelection:
         self._may_miss = np.array([_selector_plausible(spec, s) for s in self.selectors],
                                   dtype=bool)
 
-    def _matches(self, outcome: Outcome) -> np.ndarray:
-        """Indices of the selectors equal to one outcome."""
-        idx = self._groups.get(type(outcome))
-        if idx is None:
-            return np.zeros(0, dtype=int)
-        if isinstance(outcome, RealValue):
-            return idx[np.abs(outcome.value - self._values[idx]) <= self.atol]
-        if isinstance(outcome, (IntegerLabel, Bit)):
-            return idx[self._values[idx] == outcome.value]
-        return np.array([i for i in idx
-                         if outcomes_equal(outcome, self.selectors[i], self.atol)], dtype=int)
+    def _hits(self, kind: type, outcomes: list, idx: np.ndarray) -> np.ndarray:
+        """(branches, selectors of idx) table of outcomes_equal for one outcome type."""
+        if kind is RealValue:
+            values = np.array([o.value for o in outcomes], dtype=float)
+            return np.abs(values[:, None] - self._values[idx]) <= self.atol
+        if kind in (IntegerLabel, Bit):
+            values = np.array([o.value for o in outcomes], dtype=float)
+            return values[:, None] == self._values[idx]
+        return np.array([[outcomes_equal(o, self.selectors[i], self.atol) for i in idx]
+                         for o in outcomes], dtype=bool).reshape(len(outcomes), len(idx))
+
+    def matrix(self, distributions: Sequence[list[tuple[Outcome, float]]]) -> np.ndarray:
+        """(n, k) probabilities of the k selectors under each of n distributions."""
+        branches: dict[type, tuple[list, list, list]] = {}
+        for r, distribution in enumerate(distributions):
+            for outcome, prob in distribution:
+                rows, outcomes, probs = branches.setdefault(type(outcome), ([], [], []))
+                rows.append(r)
+                outcomes.append(outcome)
+                probs.append(prob)
+        out = np.zeros((len(distributions), len(self.selectors)))
+        matched = np.zeros(out.shape, dtype=bool)
+        for kind, (rows, outcomes, probs) in branches.items():
+            idx = self._groups.get(kind)
+            if idx is None:
+                continue
+            # row-major nonzero keeps branch order, so add.at sums each cell
+            # in the order the branches come
+            branch, column = np.nonzero(self._hits(kind, outcomes, idx))
+            cells = (np.array(rows)[branch], idx[column])
+            np.add.at(out, cells, np.array(probs, dtype=float)[branch])
+            matched[cells] = True
+        illegal = np.argwhere(~(matched | self._may_miss))
+        if illegal.size:
+            raise ValueError(f"selector {self.selectors[illegal[0, 1]]!r} is not in the "
+                             f"outcome set of {self.kind}")
+        return out
 
     def probabilities(self, distribution: list[tuple[Outcome, float]]) -> np.ndarray:
-        probs = np.zeros(len(self.selectors))
-        matched = np.zeros(len(self.selectors), dtype=bool)
-        for outcome, prob in distribution:
-            hit = self._matches(outcome)
-            probs[hit] += prob
-            matched[hit] = True
-        illegal = np.flatnonzero(~(matched | self._may_miss))
-        if illegal.size:
-            raise ValueError(f"selector {self.selectors[illegal[0]]!r} is not in the "
-                             f"outcome set of {self.kind}")
-        return probs
+        """The selectors' probabilities under one distribution."""
+        return self.matrix([distribution])[0]

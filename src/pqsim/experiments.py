@@ -35,7 +35,9 @@ from .qcore import (
     RandomStream,
     fidelity,
     measure_projective,
+    normalized_states,
     random_pure_state,
+    random_pure_states,
     schmidt_decompose,
     tensor_product,
 )
@@ -169,11 +171,7 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
     outcome_count = len(measurement.outcomes)
     f0 = measurement.outcomes[0]
 
-    products = []
-    for trial in range(samples):
-        child = rng.derive(trial)
-        products.append(tensor_product(random_pure_state(factor, child),
-                                       random_pure_state(factor, child)))
+    products = random_pure_states((factor, factor), rng, samples)
     f0_products = measurement.probabilities(products)[:, 0]
     worst_product = float(np.max(np.abs(f0_products - 1.0), initial=0.0))
 
@@ -212,10 +210,10 @@ def _product_probe_residual(f, d: int) -> float:
             factor_probes.append((eye[j] - eye[k]) / math.sqrt(2))
             factor_probes.append((eye[j] + 1j * eye[k]) / math.sqrt(2))
     space = FactorSpace((d, d))
-    probes = [PureState.normalized(space, np.kron(a, b))
-              for a in factor_probes for b in factor_probes]
+    probes = normalized_states(space, [np.kron(a, b) for a in factor_probes
+                                       for b in factor_probes])
     design = hermitian_coords(np.array([p.density() for p in probes]))
-    values = np.array([f(p) for p in probes])
+    values = f.values(probes)
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     return float(np.max(np.abs(values - design @ coeffs)))
 

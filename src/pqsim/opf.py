@@ -12,6 +12,7 @@ for linear post-measurement update maps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -34,11 +35,15 @@ from .qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    normalized_states,
     random_pure_state,
+    random_pure_states,
     random_unitary,
     require_hermitian,
     require_unitary,
-    tensor_product,
+    stack_amplitudes,
+    tensor_products,
+    unitary_images,
 )
 
 RANGE_ATOL = 1e-9
@@ -51,13 +56,17 @@ MAX_OUTCOME_LIST = 64
 class OPF:
     """Evaluatable outcome probability function on pure states.
 
-    ``operator`` is set when the OPF is known to have the quantum quadratic
-    form <psi|Q|psi>; the closure constructors propagate it.
+    ``evaluator`` maps a list of n states on ``space`` to the (n,) vector of
+    values; ``values`` checks the states' space and calls it, and calling
+    the OPF on one state is the one-state case.  ``operator`` is set when
+    the OPF is known to have the quantum quadratic form <psi|Q|psi>; the
+    closure constructors propagate it.
     """
 
     __slots__ = ("space", "evaluator", "provenance", "operator")
 
-    def __init__(self, space: FactorSpace, evaluator: Callable[[PureState], float],
+    def __init__(self, space: FactorSpace,
+                 evaluator: Callable[[Sequence[PureState]], np.ndarray],
                  provenance: str, operator: np.ndarray | None = None):
         self.space = space
         self.evaluator = evaluator
@@ -67,14 +76,29 @@ class OPF:
             operator.setflags(write=False)
         self.operator = operator
 
-    def __call__(self, state: PureState) -> float:
-        if state.space.dims != self.space.dims:
+    def values(self, states: Sequence[PureState]) -> np.ndarray:
+        """(n,) values on a list of states on the OPF's space."""
+        if any(psi.space.dims != self.space.dims for psi in states):
             raise ValueError("state space does not match the OPF's space")
-        return float(self.evaluator(state))
+        return self.evaluator(states)
+
+    def __call__(self, state: PureState) -> float:
+        return float(self.values([state])[0])
+
+    def on_ensembles(self, ensembles: Sequence[Ensemble]) -> list[float]:
+        """Expected values sum_r p_r f(psi_r) on proper mixtures, summed in
+        member order, from one evaluation of all their members."""
+        values = self.values([s for ens in ensembles for s, _ in ens.members]).tolist()
+        out, start = [], 0
+        for ens in ensembles:
+            stop = start + len(ens.members)
+            out.append(float(sum(w * v for (_, w), v in zip(ens.members, values[start:stop]))))
+            start = stop
+        return out
 
     def on_ensemble(self, ensemble: Ensemble) -> float:
         """Expected value sum_r p_r f(psi_r) on a proper mixture."""
-        return float(sum(w * self(s) for s, w in ensemble.members))
+        return self.on_ensembles([ensemble])[0]
 
     def __repr__(self):
         return f"OPF(dims={self.space.dims}, provenance={self.provenance!r})"
@@ -85,9 +109,10 @@ class FullMeasurement:
     """Finite list of OPFs that should sum to 1 on every pure state.
 
     ``evaluator``, when set, maps a list of n states to the (n, k) matrix
-    of outcome vectors, and each OPF in ``outcomes`` is an index into that
-    vector: a device-backed measurement runs its device once per state,
-    not once per outcome.  Without it the outcomes are evaluated one by one.
+    of outcome vectors in one pass: a device-backed measurement runs its
+    device once per state, not once per outcome, and each OPF in
+    ``outcomes`` is an index into that matrix.  Without it each outcome
+    evaluates the whole list and supplies one column.
     """
 
     outcomes: tuple[OPF, ...]
@@ -101,8 +126,7 @@ class FullMeasurement:
     def probabilities(self, states: Sequence[PureState]) -> np.ndarray:
         """(n, k) matrix: the k outcome probabilities on each of the n states."""
         if self.evaluator is None:
-            return np.array([[f(psi) for f in self.outcomes] for psi in states],
-                            dtype=float).reshape(len(states), len(self.outcomes))
+            return np.column_stack([f.values(states) for f in self.outcomes])
         if any(psi.space.dims != self.space.dims for psi in states):
             raise ValueError("state space does not match the measurement's space")
         return self.evaluator(states)
@@ -112,7 +136,9 @@ class FullMeasurement:
 
     @classmethod
     def from_povm(cls, povm: POVMSet, space: FactorSpace) -> "FullMeasurement":
-        return cls(tuple(opf_from_quantum(q, space) for q in povm.elements))
+        outcomes = tuple(opf_from_quantum(q, space) for q in povm.elements)
+        elements = np.array([f.operator for f in outcomes])
+        return cls(outcomes, lambda states: _quadratic_forms(elements, states))
 
 
 def _completeness_violation(probs: np.ndarray) -> float:
@@ -121,12 +147,25 @@ def _completeness_violation(probs: np.ndarray) -> float:
     return float(np.max(np.abs(totals - 1.0), initial=0.0))
 
 
+def _quadratic_forms(operators: np.ndarray, states: Sequence[PureState]) -> np.ndarray:
+    """(n, k) values <psi|Q|psi> of each state under each of k stacked operators.
+
+    Every (state, operator) item is one BLAS matrix-vector product and one
+    dot product, exactly np.vdot(psi, Q @ psi); forms like ``a @ Q.T`` or
+    ``einsum`` sum in another order and differ in the last bits.
+    """
+    amps = stack_amplitudes(states, operators.shape[-1])[:, None, :, None]
+    images = np.matmul(operators, amps)
+    return np.matmul(amps.conj().swapaxes(-1, -2), images)[:, :, 0, 0].real
+
+
 def _indexed_outcomes(space: FactorSpace,
                       evaluate: Callable[[Sequence[PureState]], np.ndarray],
                       provenance: str, operators: Sequence[np.ndarray | None]
                       ) -> tuple[OPF, ...]:
-    """One OPF per column of an outcome-vector evaluator."""
-    return tuple(OPF(space, lambda psi, i=i: evaluate([psi])[0, i], provenance, operator=op)
+    """One OPF per column of an outcome-matrix evaluator."""
+    return tuple(OPF(space, lambda states, i=i: evaluate(states)[:, i], provenance,
+                     operator=op)
                  for i, op in enumerate(operators))
 
 
@@ -148,29 +187,36 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
         space = FactorSpace((dim,))
     elif space.total_dim != dim:
         raise ValueError("declared space does not match the element's dimension")
-
-    def evaluate(psi: PureState) -> float:
-        return float(np.real(np.vdot(psi.amplitudes, q @ psi.amplitudes)))
-
-    return OPF(space, evaluate, "quantum", operator=q)
+    single = q[None]
+    return OPF(space, lambda states: _quadratic_forms(single, states)[:, 0], "quantum",
+               operator=q)
 
 
 def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: FactorSpace,
                        target) -> FullMeasurement:
     """One OPF per selected device outcome, evaluated analytically (never by sampling).
 
-    All outcomes are read off one device distribution per state, and the
-    selectors are checked against a single probe state.
+    The measurement reads all outcomes off one device distribution per
+    state, and the selectors are checked against a single probe state.  An
+    outcome's own OPF reads only its selector, so evaluating one outcome on
+    many states never builds the full (n, k) matrix.
     """
     selection = OutcomeSelection(spec, selectors)
 
     def evaluate(states: Sequence[PureState]) -> np.ndarray:
-        rows = [selection.probabilities(dist) for dist in spec.distributions(states, target)]
-        return np.array(rows, dtype=float).reshape(len(states), len(selection.selectors))
+        return selection.matrix(spec.distributions(states, target))
+
+    @functools.cache
+    def single(i: int) -> OutcomeSelection:
+        """Outcome i's own selection, built when its OPF is first evaluated."""
+        return OutcomeSelection(spec, selection.selectors[i:i + 1])
+
+    def evaluate_one(states: Sequence[PureState], i: int) -> np.ndarray:
+        return single(i).matrix(spec.distributions(states, target))[:, 0]
 
     evaluate([PureState.basis_state(space, 0)])  # validates selector kinds early
-    outcomes = _indexed_outcomes(space, evaluate, f"device:{spec.kind}",
-                                 [None] * len(selection.selectors))
+    outcomes = tuple(OPF(space, functools.partial(evaluate_one, i=i), f"device:{spec.kind}")
+                     for i in range(len(selection.selectors)))
     return FullMeasurement(outcomes, evaluate)
 
 
@@ -191,7 +237,7 @@ def readout_opf(phi: PureState) -> OPF:
 def constant_opf(space: FactorSpace, value: float) -> OPF:
     if not -RANGE_ATOL <= value <= 1.0 + RANGE_ATOL:
         raise ValueError("constant OPF value must lie in [0, 1]")
-    return OPF(space, lambda psi: value, "constant",
+    return OPF(space, lambda states: np.full(len(states), float(value)), "constant",
                operator=value * np.eye(space.total_dim))
 
 
@@ -211,8 +257,11 @@ def mix(opfs: Sequence[OPF], weights: Sequence[float]) -> OPF:
     if all(f.operator is not None for f in opfs):
         operator = sum(wi * f.operator for wi, f in zip(w, opfs))
 
-    def evaluate(psi: PureState) -> float:
-        return float(sum(wi * f(psi) for wi, f in zip(w, opfs)))
+    def evaluate(states: Sequence[PureState]) -> np.ndarray:
+        total = np.zeros(len(states))  # summed left to right from 0, like sum()
+        for wi, f in zip(w, opfs):
+            total = total + wi * f.values(states)
+        return total
 
     return OPF(opfs[0].space, evaluate, "mixture", operator=operator)
 
@@ -224,11 +273,8 @@ def compose_unitary(f: OPF, unitary: np.ndarray) -> OPF:
         raise ValueError("unitary dimension does not match the OPF's space")
     require_unitary(u)
     operator = None if f.operator is None else u.conj().T @ f.operator @ u
-
-    def evaluate(psi: PureState) -> float:
-        return f(PureState.normalized(f.space, u @ psi.amplitudes))
-
-    return OPF(f.space, evaluate, "unitary-composed", operator=operator)
+    return OPF(f.space, lambda states: f.values(unitary_images(states, u)),
+               "unitary-composed", operator=operator)
 
 
 def compose_system(g: OPF, phi: PureState) -> OPF:
@@ -248,11 +294,8 @@ def compose_system(g: OPF, phi: PureState) -> OPF:
         d, b = lead.total_dim, phi.space.total_dim
         q4 = g.operator.reshape(d, b, d, b)
         operator = np.einsum("k,ikjl,l->ij", phi.amplitudes.conj(), q4, phi.amplitudes)
-
-    def evaluate(psi: PureState) -> float:
-        return g(tensor_product(psi, phi))
-
-    return OPF(lead, evaluate, "system-composed", operator=operator)
+    return OPF(lead, lambda states: g.values(tensor_products(states, phi)),
+               "system-composed", operator=operator)
 
 
 def mix_measurements(first: FullMeasurement, second: FullMeasurement, weight: float,
@@ -382,7 +425,7 @@ def check_closure(measurement: FullMeasurement, samples: int,
     if samples < 1:
         raise ValueError("samples must be positive")
     space = measurement.space
-    states = [random_pure_state(space, rng.derive(t)) for t in range(samples)]
+    states = random_pure_states((space,), rng, samples)
     values = measurement.probabilities(states)
     completeness = _completeness_violation(values)
 
@@ -399,8 +442,7 @@ def check_closure(measurement: FullMeasurement, samples: int,
     unitary_violation = 0.0
     for _ in range(10):
         u = random_unitary(space.total_dim, aux)
-        rotated = measurement.probabilities(
-            [PureState.normalized(space, u @ psi.amplitudes) for psi in probes])
+        rotated = measurement.probabilities(unitary_images(probes, u))
         unitary_violation = max(unitary_violation, _completeness_violation(rotated),
                                 _range_violation(rotated[:10]))
 
@@ -412,8 +454,7 @@ def check_closure(measurement: FullMeasurement, samples: int,
         lead_probes = [random_pure_state(lead, aux) for _ in range(10)]
         for _ in range(10):
             phi = random_pure_state(back, aux)
-            joint = measurement.probabilities([tensor_product(psi, phi)
-                                               for psi in lead_probes])
+            joint = measurement.probabilities(tensor_products(lead_probes, phi))
             composition_violation = max(composition_violation,
                                         _completeness_violation(joint),
                                         _range_violation(joint))
@@ -556,11 +597,12 @@ def product_form_witness(f: OPF, extra_probes: Sequence[PureState] = ()
     dim = f.space.total_dim
     if dim > 16:
         raise ValueError("quadratic-form witness supports total dimension <= 16")
-    probes = [PureState.normalized(f.space, v) for v in _witness_probe_states(dim)]
+    probes = normalized_states(f.space, np.array(_witness_probe_states(dim)))
     probes.extend(extra_probes)
 
-    design = hermitian_coords(np.array([psi.density() for psi in probes]))
-    values = np.array([f(psi) for psi in probes])
+    values = f.values(probes)
+    amps = stack_amplitudes(probes, dim)
+    design = hermitian_coords(amps[:, :, None] * amps.conj()[:, None, :])  # |psi><psi|
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     fitted = design @ coeffs
     residual = float(np.max(np.abs(values - fitted)))
@@ -697,10 +739,12 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
         outcomes = _ic_outcomes(family, dim)
         # evidence: worst reconstruction error of random mixed states from
         # the outcome values alone
+        ensembles = [_random_ensemble(space, rng.derive(trial), members=3)
+                     for trial in range(20)]
+        per_outcome = [f.on_ensembles(ensembles) for f in outcomes]
         worst = 0.0
-        for trial in range(20):
-            ens = _random_ensemble(space, rng.derive(trial), members=3)
-            values = [f.on_ensemble(ens) for f in outcomes]
+        for trial, ens in enumerate(ensembles):
+            values = [v[trial] for v in per_outcome]
             rho = density_from_projector_values(ic_projector_states(dim), values, dim)
             worst = max(worst, float(np.max(np.abs(rho - ens.density().entries))))
         return EstimationVerdict(family, dim, "SATISFIED", outcomes=outcomes,
@@ -708,7 +752,7 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
 
     if family == "entropy_meter":
         measurement = entropy_meter_measurement(space, space.indices(), precision=4)
-        states = [random_pure_state(space, rng.derive(trial)) for trial in range(100)]
+        states = random_pure_states((space,), rng, 100)
         worst = float(np.max(np.abs(measurement.probabilities(states)[:, 0] - 1.0)))
         return EstimationVerdict(family, dim, "SATISFIED-TRIVIALLY", outcomes=(),
                                  evidence=worst)
@@ -722,13 +766,12 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
         unitary = np.eye(dim, dtype=complex) if attempt == 0 else random_unitary(
             dim, rng.derive(1000 + attempt))
         ens_a, ens_b = _readout_witness_pair(dim, unitary)
-        agreement = max(
-            (abs(f.on_ensemble(ens_a) - f.on_ensemble(ens_b)) for f in supplied),
-            default=0.0)
+        pairs = [f.on_ensembles((ens_a, ens_b)) for f in supplied]
+        agreement = max((abs(va - vb) for va, vb in pairs), default=0.0)
         if agreement > 1e-9:
             continue  # a supplied outcome separates this pair; rotate and retry
         separator = readout_opf(ens_a.members[0][0])
-        va, vb = separator.on_ensemble(ens_a), separator.on_ensemble(ens_b)
+        va, vb = separator.on_ensembles((ens_a, ens_b))
         if abs(va - vb) < 0.25:
             continue
         witness = EstimationWitness(ens_a, ens_b, separator, va, vb,

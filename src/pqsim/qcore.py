@@ -74,8 +74,10 @@ def _normalize_subset(space: FactorSpace, subset: Union[int, Sequence[int]]) -> 
 
 def require_hermitian(matrix: np.ndarray, message: str) -> None:
     """Raise ValueError(message) unless the matrix is Hermitian within
-    ``HERMITIAN_ATOL``; a non-finite entry is never Hermitian."""
-    if not np.max(np.abs(matrix - matrix.conj().T)) <= HERMITIAN_ATOL:
+    ``HERMITIAN_ATOL``; a non-finite entry is never Hermitian (and is
+    rejected before ``inf - inf`` can raise a floating-point warning)."""
+    if not (np.isfinite(matrix).all()
+            and np.abs(matrix - matrix.conj().T).max() <= HERMITIAN_ATOL):
         raise ValueError(message)
 
 
@@ -90,6 +92,14 @@ def _norm(amps: np.ndarray) -> float:
     computes it, without its dispatch."""
     re, im = amps.real, amps.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _row_norms(amps: np.ndarray) -> np.ndarray:
+    """``_norm`` of every row of an (n, D) complex stack, bit for bit: each
+    row's two dot products are the same BLAS calls on the same strides."""
+    re, im = amps.real, amps.imag
+    return np.sqrt(np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+                   + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0])
 
 
 class PureState:
@@ -127,6 +137,15 @@ class PureState:
         if not math.isfinite(nrm):
             raise ValueError(f"cannot normalize a vector of norm {nrm}")
         return cls(space, amps / nrm)
+
+    @classmethod
+    def _trusted(cls, space: FactorSpace, amplitudes: np.ndarray) -> "PureState":
+        """A state on amplitudes a stacked constructor below has already
+        validated, normalized and made read-only."""
+        state = cls.__new__(cls)
+        state.space = space
+        state.amplitudes = amplitudes
+        return state
 
     @classmethod
     def basis_state(cls, space: FactorSpace, labels: Union[int, Sequence[int]]) -> "PureState":
@@ -440,8 +459,106 @@ def random_density_matrix(dim: int, rng: RandomStream, rank: int | None = None) 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
     """Joint state on the concatenated factorization; Kronecker amplitudes."""
-    space = FactorSpace(a.space.dims + b.space.dims)
-    return PureState(space, np.multiply.outer(a.amplitudes, b.amplitudes))
+    return tensor_products([a], b)[0]
+
+
+# ---------------------------------------------------------------------------
+# Stacks of pure states
+# ---------------------------------------------------------------------------
+#
+# These build a list of states from one (n, D) amplitude array.  Each row
+# goes through the same floating-point operations as one state built on its
+# own by PureState or PureState.normalized (the same BLAS dot products for
+# the norm, the same divisions, products and matrix-vector products), so the
+# amplitudes are bit-identical to the per-state loop.  The rows are
+# read-only views of one private array.
+
+def stack_amplitudes(states: Sequence[PureState], dim: int) -> np.ndarray:
+    """(n, dim) array of the states' amplitude vectors; n may be 0."""
+    return np.array([psi.amplitudes for psi in states],
+                    dtype=complex).reshape(len(states), dim)
+
+
+def _checked_rows(amps: np.ndarray) -> np.ndarray:
+    """``PureState``'s norm check and division, on every row of a stack."""
+    nrm = _row_norms(amps)
+    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= NORM_ATOL))  # also non-finite rows
+    if bad.size:
+        raise ValueError(f"state norm {nrm[bad[0]]} deviates from 1 by more than {NORM_ATOL}")
+    amps = amps / nrm[:, None]
+    amps.setflags(write=False)
+    return amps
+
+
+def _normalized_rows(amps: np.ndarray) -> np.ndarray:
+    """``PureState.normalized`` on every row of a stack."""
+    nrm = _row_norms(amps)
+    bad = np.flatnonzero(~((nrm > 0.0) & np.isfinite(nrm)))
+    if bad.size:
+        if nrm[bad[0]] <= 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        raise ValueError(f"cannot normalize a vector of norm {nrm[bad[0]]}")
+    return _checked_rows(amps / nrm[:, None])
+
+
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of each row of a with the matching (or only) row of b."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
+def _states(space: FactorSpace, rows: np.ndarray) -> list[PureState]:
+    return [PureState._trusted(space, row) for row in rows]
+
+
+def normalized_states(space: FactorSpace, amplitudes) -> list[PureState]:
+    """``PureState.normalized(space, row)`` for every row of an (n, D) array."""
+    amps = np.ascontiguousarray(amplitudes, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != space.total_dim:
+        raise ValueError(f"amplitude stack of shape {amps.shape} does not match "
+                         f"total_dim {space.total_dim}")
+    return _states(space, _normalized_rows(amps))
+
+
+def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
+                       trials: int) -> list[PureState]:
+    """One state per trial t: the tensor product, left to right, of a
+    ``random_pure_state`` on each space, all drawn in turn from ``rng.derive(t)``.
+
+    Equal to the loop of derive, random_pure_state and tensor_product.  Each
+    trial's stream is dropped once its normals are drawn; the normalisations
+    and products then run on stacks.
+    """
+    blocks = [np.empty((trials, s.total_dim), dtype=complex) for s in spaces]
+    for t in range(trials):
+        child = rng.derive(t)
+        for block in blocks:
+            block[t] = child.complex_normal(block.shape[1])
+    joint = _normalized_rows(blocks[0])
+    for block in blocks[1:]:
+        joint = _checked_rows(_outer_rows(joint, _normalized_rows(block)))
+    return _states(FactorSpace(sum((s.dims for s in spaces), ())), joint)
+
+
+def tensor_products(states: Sequence[PureState], phi: PureState) -> list[PureState]:
+    """The joint state psi (x) phi, on the concatenated factorization, for
+    every state psi of one space: Kronecker amplitudes, norm-checked and
+    divided by their norm like ``PureState``."""
+    if not states:
+        return []
+    space = states[0].space
+    amps = stack_amplitudes(states, space.total_dim)
+    return _states(FactorSpace(space.dims + phi.space.dims),
+                   _checked_rows(_outer_rows(amps, phi.amplitudes[None, :])))
+
+
+def unitary_images(states: Sequence[PureState], unitary: np.ndarray) -> list[PureState]:
+    """``PureState.normalized(space, unitary @ psi.amplitudes)`` for every state
+    of one space; the unitary is not checked."""
+    if not states:
+        return []
+    space = states[0].space
+    amps = stack_amplitudes(states, space.total_dim)
+    return _states(space, _normalized_rows(np.matmul(unitary, amps[:, :, None])[:, :, 0]))
 
 
 def apply_on_factors(amplitudes: np.ndarray, dims: Sequence[int], op: np.ndarray,
@@ -468,7 +585,7 @@ def apply_unitary(state: PureState, unitary: np.ndarray,
     if on is None:
         if u.shape[0] != state.space.total_dim:
             raise ValueError("unitary dimension does not match the state")
-        return PureState.normalized(state.space, u @ state.amplitudes)
+        return unitary_images([state], u)[0]
     subset = _normalize_subset(state.space, on)
     d_sub = math.prod(state.space.dims[i] for i in subset)
     if u.shape[0] != d_sub:

@@ -7,7 +7,9 @@ forms of the library's vectorised paths live here too: Hermitian
 coordinates one basis matrix at a time, and device outcome probabilities
 one selected outcome at a time.  So does the original pure-state
 construction (np.linalg.norm, np.kron, np.prod), which the library's
-direct norm and outer product must match exactly.
+direct norm and outer product must match exactly, and the original
+one-state quantum OPF evaluator and per-distribution outcome selection,
+which the library's stacked forms must match exactly.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import math
 import numpy as np
 import scipy.stats
 
-from pqsim.devices import outcomes_equal
+from pqsim.devices import _selector_plausible, outcomes_equal
 from pqsim.opf import hermitian_basis
 
 
@@ -152,6 +154,30 @@ def entropy_reading(amplitudes, dims, keep, alpha, precision=None):
     if precision is not None:
         value = math.ldexp(float(round(math.ldexp(value, precision))), -precision)
     return value
+
+
+def quadratic_value(q, amplitudes):
+    """Quantum OPF value of one state as the original evaluator computed it:
+    np.vdot(psi, Q @ psi)."""
+    amplitudes = np.asarray(amplitudes)
+    return float(np.real(np.vdot(amplitudes, q @ amplitudes)))
+
+
+def selection_probabilities(spec, selectors, distribution, atol=1e-9):
+    """Selected-outcome probabilities under one distribution: the original
+    loop over branches, adding each matching branch in order, then the
+    check that every missed selector is a legal outcome of the device."""
+    probs = np.zeros(len(selectors))
+    matched = [False] * len(selectors)
+    for outcome, prob in distribution:
+        for i, selector in enumerate(selectors):
+            if outcomes_equal(outcome, selector, atol):
+                probs[i] += prob
+                matched[i] = True
+    for selector, hit in zip(selectors, matched):
+        if not hit and not _selector_plausible(spec, selector):
+            raise ValueError(f"selector {selector!r} is not in the outcome set of {spec.kind}")
+    return probs
 
 
 def selected_probability(spec, state, target, selector):

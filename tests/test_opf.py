@@ -6,8 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from pqsim.devices import Bit, DeviceSpec, IntegerLabel, RealValue, entropy_meter_readings
+from pqsim.devices import (
+    Bit,
+    DeviceSpec,
+    IntegerLabel,
+    MatrixDescription,
+    OutcomeSelection,
+    Overflow,
+    RealValue,
+    entropy_meter_readings,
+)
 from pqsim.opf import (
+    OPF,
     QUBIT_PROBE_STATES,
     FullMeasurement,
     check_closure,
@@ -668,3 +678,219 @@ class TestDistributionCounts:
         values = measurement.probabilities(states)
         assert len(evaluated) == 1 + len(states)
         assert np.max(np.abs(values.sum(axis=1) - 1.0)) < 1e-12
+
+
+class TestStackedQuadraticForm:
+    """A list of states goes through one stacked <psi|Q|psi> that equals the
+    original one-state np.vdot(psi, Q @ psi) exactly, through every closure
+    constructor that builds on it."""
+
+    @staticmethod
+    def _setup(dim, seed):
+        rng = RandomStream(seed)
+        space = FactorSpace((dim,))
+        elements = [random_povm_element(dim, rng, scale) for scale in (0.8, 0.5, 0.3)]
+        states = [random_pure_state(space, rng) for _ in range(40)]
+        return rng, space, elements, states
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_quantum_opf_and_from_povm(self, dim):
+        rng, space, (b, _, _), states = self._setup(dim, 500 + dim)
+        elements = (b, np.eye(dim) - b)
+        measurement = FullMeasurement.from_povm(POVMSet(elements), space)
+        want = np.array([[oracles.quadratic_value(q, psi.amplitudes) for q in elements]
+                         for psi in states])
+        assert np.array_equal(measurement.probabilities(states), want)
+        for j, f in enumerate(measurement.outcomes):
+            assert np.array_equal(f.values(states), want[:, j])
+            assert [f(psi) for psi in states] == want[:, j].tolist()
+        assert np.array_equal(FullMeasurement(measurement.outcomes).probabilities(states), want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_mixture(self, dim):
+        rng, space, elements, states = self._setup(dim, 510 + dim)
+        weights = [0.2, 0.5, 0.3]
+        mixed = mix([opf_from_quantum(q, space) for q in elements], weights)
+        w = np.asarray(weights, dtype=float)
+        want = [float(sum(wi * oracles.quadratic_value(q, psi.amplitudes)
+                          for wi, q in zip(w, elements))) for psi in states]
+        assert mixed.values(states).tolist() == want
+        assert [mixed(psi) for psi in states] == want
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_unitary_composition(self, dim):
+        rng, space, (q, _, _), states = self._setup(dim, 520 + dim)
+        u = random_unitary(dim, rng)
+        composed = compose_unitary(opf_from_quantum(q, space), u)
+        want = [oracles.quadratic_value(q, oracles.normalized_amplitudes(u @ psi.amplitudes))
+                for psi in states]
+        assert composed.values(states).tolist() == want
+        assert [composed(psi) for psi in states] == want
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_system_composition(self, dim):
+        rng, space, _, states = self._setup(dim, 530 + dim)
+        q = random_povm_element(2 * dim, rng)
+        phi = random_pure_state(QUBIT, rng)
+        composed = compose_system(opf_from_quantum(q, FactorSpace((dim, 2))), phi)
+        want = [oracles.quadratic_value(q, oracles.tensor_amplitudes(psi.amplitudes,
+                                                                     phi.amplitudes))
+                for psi in states]
+        assert composed.space == space
+        assert composed.values(states).tolist() == want
+        assert [composed(psi) for psi in states] == want
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_on_ensemble(self, dim):
+        rng, space, (q, _, _), states = self._setup(dim, 540 + dim)
+        f = opf_from_quantum(q, space)
+        ensembles = [Ensemble(tuple(zip(states[i:i + 3], (0.2, 0.3, 0.5))))
+                     for i in range(0, 30, 3)]
+        want = [sum(w * oracles.quadratic_value(q, s.amplitudes) for s, w in ens.members)
+                for ens in ensembles]
+        assert f.on_ensembles(ensembles) == want
+        assert [f.on_ensemble(ens) for ens in ensembles] == want
+
+    def test_values_reject_a_state_on_a_foreign_space(self):
+        for f in (opf_from_quantum(PROJ0), constant_opf(QUBIT, 0.5),
+                  entropy_meter_measurement(QUBIT, (0,), precision=2).outcomes[0]):
+            with pytest.raises(ValueError, match="state space does not match"):
+                f.values([KET0, BELL])
+            with pytest.raises(ValueError, match="state space does not match"):
+                f(BELL)
+            assert f.values([]).shape == (0,)
+
+
+class TestOutcomeSelectionMatrix:
+    """The (n, k) matrix equals the original per-distribution loop exactly,
+    including the order in which repeated branches are added."""
+
+    @staticmethod
+    def _check(spec, selectors, distributions):
+        selection = OutcomeSelection(spec, selectors)
+        want = np.array([oracles.selection_probabilities(spec, selectors, dist)
+                         for dist in distributions]).reshape(len(distributions), -1)
+        assert np.array_equal(selection.matrix(distributions), want)
+        for dist, row in zip(distributions, want):
+            assert np.array_equal(selection.probabilities(dist), row)
+
+    def test_multi_branch_and_mixed_type_distributions(self):
+        spec = DeviceSpec("EigenvalueSampler", {"observable": np.diag([0.0, 1.0])})
+        selectors = [IntegerLabel(1), IntegerLabel(2), Overflow(), RealValue(0.25), Bit(1),
+                     RealValue(0.5), RealValue(123.0)]
+        gen = np.random.default_rng(5)
+        outcomes = [IntegerLabel(1), IntegerLabel(2), IntegerLabel(7), Overflow(0.3),
+                    RealValue(0.25), RealValue(0.25 + 5e-10), RealValue(0.5), Bit(1), Bit(0)]
+        distributions = [
+            # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): the order of addition shows
+            [(IntegerLabel(1), 0.1), (IntegerLabel(1), 0.2), (IntegerLabel(1), 0.3),
+             (Overflow(0.4), 0.4)],
+            [(RealValue(0.25), 0.7), (RealValue(0.25 + 5e-10), 0.1), (RealValue(0.5), 0.2)],
+            [(Bit(1), 1.0)],
+            [],
+        ] + [[(outcomes[i], float(p)) for i, p in zip(gen.integers(0, len(outcomes), 12),
+                                                       gen.dirichlet(np.ones(12)))]
+             for _ in range(30)]
+        self._check(spec, selectors, distributions)
+
+    def test_device_distributions(self):
+        rng = RandomStream(601)
+        space = FactorSpace((2, 3))
+        states = [random_pure_state(space, rng) for _ in range(20)]
+        obs = np.diag([0.0, 0.1, 0.3])
+        povm = POVMSet((np.diag([0.5, 0.5, 0.0]), np.diag([0.5, 0.25, 0.5]),
+                        np.diag([0.0, 0.25, 0.5])))
+        cases = [
+            (DeviceSpec("EigenvalueSampler", {"observable": obs, "precision": 1}),
+             [RealValue(0.0), RealValue(0.5), RealValue(7.0)]),  # 0 and 0.1 both read 0
+            (DeviceSpec("EigenvalueSampler", {"observable": obs, "variant": "finite",
+                                              "max_label": 1}),
+             [IntegerLabel(0), IntegerLabel(1), Overflow(), RealValue(0.3)]),
+            (DeviceSpec("PovmSampler", {"povm": povm, "max_label": 2}),
+             [IntegerLabel(2), Overflow(), IntegerLabel(1)]),
+            (DeviceSpec("BasisSelect", {"sharpness": 2.0}),
+             [IntegerLabel(i) for i in range(3)]),
+            (DeviceSpec("Readout"),
+             [MatrixDescription(states[0].density()), MatrixDescription(np.eye(6) / 6)]),
+        ]
+        for spec, selectors in cases:
+            target = (1,) if spec.kind != "Readout" else (0, 1)
+            self._check(spec, selectors, spec.distributions(states, target))
+
+    def test_illegal_selector_raises_the_same_message(self):
+        spec = DeviceSpec("PovmSampler", {"povm": POVMSet((np.eye(2) / 2, np.eye(2) / 2))})
+        selectors = [IntegerLabel(1), Bit(0), RealValue(0.5)]
+        distributions = spec.distributions([KET0, PLUS], (0,))
+        with pytest.raises(ValueError) as want:
+            oracles.selection_probabilities(spec, selectors, distributions[0])
+        with pytest.raises(ValueError) as got:
+            OutcomeSelection(spec, selectors).matrix(distributions)
+        assert str(got.value) == str(want.value)
+        assert "Bit(value=0)" in str(got.value)
+
+
+class TestStackedCallers:
+    """Checkers evaluate whole probe lists, on the states the old loops built."""
+
+    def test_closure_states_equal_the_per_state_loop(self):
+        b = random_povm_element(4, RandomStream(607))
+        base = FullMeasurement.from_povm(POVMSet((b, np.eye(4) - b)), TWO_QUBITS)
+        seen = []
+
+        def record(states):
+            seen.append([psi.amplitudes for psi in states])
+            return base.probabilities(states)
+
+        samples, rng = 60, RandomStream(613, 3)
+        report = check_closure(FullMeasurement(base.outcomes, record), samples, rng)
+        assert report.passed
+
+        # the original loop: per-trial states, rotated probes, background products
+        want = [[random_pure_state(TWO_QUBITS, rng.derive(t)) for t in range(samples)]]
+        aux = rng.derive(samples + 1)
+        probes = want[0][:50]
+        for _ in range(10):
+            aux.generator.dirichlet(np.ones(2))
+        for _ in range(10):
+            u = random_unitary(4, aux)
+            want.append([PureState.normalized(TWO_QUBITS, u @ psi.amplitudes) for psi in probes])
+        lead_probes = [random_pure_state(QUBIT, aux) for _ in range(10)]
+        for _ in range(10):
+            phi = random_pure_state(QUBIT, aux)
+            want.append([tensor_product(psi, phi) for psi in lead_probes])
+        assert len(seen) == len(want)
+        for got_list, want_list in zip(seen, want):
+            assert len(got_list) == len(want_list)
+            for got, state in zip(got_list, want_list):
+                assert np.array_equal(got, state.amplitudes)
+
+    def test_product_form_witness_reads_the_meter_once(self, monkeypatch):
+        f0 = entropy_meter_measurement(TWO_QUBITS, (0,), precision=3).outcomes[0]
+        calls = []
+        stacked = DeviceSpec.distributions
+
+        def distributions(self, states, target):
+            calls.append(len(states))
+            return stacked(self, states, target)
+
+        monkeypatch.setattr(DeviceSpec, "distributions", distributions)
+        cert = product_form_witness(f0)
+        assert cert.verdict == "VIOLATION"
+        assert calls == [cert.probe_count]
+        with pytest.raises(ValueError, match="state space does not match"):
+            product_form_witness(f0, extra_probes=[KET0])
+
+    def test_povm_closure_makes_no_single_state_calls(self, monkeypatch):
+        calls = []
+        single = OPF.__call__
+
+        def call(self, state):
+            calls.append(state)
+            return single(self, state)
+
+        monkeypatch.setattr(OPF, "__call__", call)
+        povm = POVMSet(tuple(np.diag(row).astype(complex) for row in np.eye(4)))
+        report = check_closure(FullMeasurement.from_povm(povm, TWO_QUBITS), 100,
+                               RandomStream(617, 3))
+        assert report.passed
+        assert calls == []

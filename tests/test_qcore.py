@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqsim import qcore
 from pqsim.qcore import (
     DensityMatrix,
     Ensemble,
@@ -20,14 +21,18 @@ from pqsim.qcore import (
     entropy,
     fidelity,
     measure_projective,
+    normalized_states,
     partial_trace,
     quantize,
     random_density_matrix,
     random_pure_state,
+    random_pure_states,
     random_unitary,
     renyi_entropy,
     schmidt_decompose,
     tensor_product,
+    tensor_products,
+    unitary_images,
     von_neumann_entropy,
 )
 
@@ -126,7 +131,6 @@ class TestTypes:
         assert obs.projectors[1].trace() == pytest.approx(2.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestNonFinite:
     """NaN fails every ``x > tol`` test, so the checks are ``not x <= tol``."""
 
@@ -231,6 +235,109 @@ class TestConstructionOracle:
         for dims in ORACLE_SPACES:
             total = FactorSpace(dims).total_dim
             assert type(total) is int and total == int(np.prod(dims))
+
+
+class TestStackedStates:
+    """Stacked construction equals the per-state loop bit for bit: the
+    library's scalar path and the original construction in the oracles."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 0x5EED])
+    def test_random_product_states_equal_per_trial_loop(self, d, seed):
+        factor = FactorSpace((d,))
+        rng = RandomStream(seed, 10)
+        states = random_pure_states((factor, factor), rng, 60)
+        assert len(states) == 60
+        for t, state in enumerate(states):
+            child = rng.derive(t)
+            scalar = tensor_product(random_pure_state(factor, child),
+                                    random_pure_state(factor, child))
+            child = rng.derive(t)
+            original = tensor_amplitudes(random_state_amplitudes((d,), child),
+                                         random_state_amplitudes((d,), child))
+            assert state.space.dims == (d, d)
+            assert np.array_equal(state.amplitudes, scalar.amplitudes)
+            assert np.array_equal(state.amplitudes, original)
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_random_states_on_one_space_equal_per_trial_loop(self, dims):
+        space = FactorSpace(dims)
+        rng = RandomStream(17, 3)
+        for t, state in enumerate(random_pure_states((space,), rng, 30)):
+            assert state.space == space
+            assert np.array_equal(state.amplitudes,
+                                  random_state_amplitudes(dims, rng.derive(t)))
+            assert np.array_equal(state.amplitudes,
+                                  random_pure_state(space, rng.derive(t)).amplitudes)
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_normalized_states_equal_oracle(self, dims):
+        space = FactorSpace(dims)
+        g = np.random.default_rng(len(dims) * 10 + space.total_dim)
+        complex_rows = (g.standard_normal((25, space.total_dim))
+                        + 1j * g.standard_normal((25, space.total_dim))) * 3.7
+        real_rows = g.standard_normal((25, space.total_dim))
+        for rows in (complex_rows, real_rows, [list(r) for r in complex_rows]):
+            states = normalized_states(space, rows)
+            for state, row in zip(states, rows):
+                assert np.array_equal(state.amplitudes, normalized_amplitudes(row))
+                assert np.array_equal(state.amplitudes,
+                                      PureState.normalized(space, row).amplitudes)
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_tensor_products_equal_oracle(self, dims):
+        rng = RandomStream(19)
+        states = [random_pure_state(FactorSpace(dims), rng) for _ in range(15)]
+        for other in ((2,), (3,), (2, 2)):
+            phi = random_pure_state(FactorSpace(other), rng)
+            joint = tensor_products(states, phi)
+            for psi, state in zip(states, joint):
+                assert state.space.dims == dims + other
+                assert np.array_equal(state.amplitudes,
+                                      tensor_amplitudes(psi.amplitudes, phi.amplitudes))
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_unitary_images_equal_oracle(self, dims):
+        space = FactorSpace(dims)
+        rng = RandomStream(23)
+        states = [random_pure_state(space, rng) for _ in range(15)]
+        u = random_unitary(space.total_dim, rng)
+        for psi, state in zip(states, unitary_images(states, u)):
+            assert state.space == space
+            assert np.array_equal(state.amplitudes, normalized_amplitudes(u @ psi.amplitudes))
+
+    def test_rows_are_read_only_and_never_alias_the_input(self):
+        rows = np.array([[1.0, 1.0j, 0.0, 2.0], [0.5, 0.0, 0.0, 0.0]], dtype=complex)
+        states = normalized_states(TWO_QUBITS, rows)
+        before = [s.amplitudes.copy() for s in states]
+        rows[:] = 7.0
+        for state, want in zip(states, before):
+            assert np.array_equal(state.amplitudes, want)
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 1.0
+        for state in random_pure_states((QUBIT, QUBIT), RandomStream(3), 4):
+            assert not state.amplitudes.flags.writeable
+
+    def test_every_row_is_norm_checked(self):
+        good = np.array([1.0, 0.0], dtype=complex)
+        for bad in ([1.0 + 1e-6, 0.0], [math.nan, 0.0], [math.inf, 0.0]):
+            rows = np.array([good, np.array(bad, dtype=complex)])
+            with pytest.raises(ValueError, match="deviates from 1"):
+                qcore._checked_rows(rows)
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            normalized_states(QUBIT, [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm nan"):
+            normalized_states(QUBIT, [[1.0, 0.0], [math.nan, 1.0]])
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm inf"):
+            normalized_states(QUBIT, [[math.inf, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="does not match total_dim"):
+            normalized_states(QUBIT, [[1.0, 0.0, 0.0]])
+
+    def test_empty_stacks(self):
+        assert random_pure_states((QUBIT,), RandomStream(1), 0) == []
+        assert tensor_products([], KET0) == []
+        assert unitary_images([], np.eye(2)) == []
+        assert normalized_states(QUBIT, np.zeros((0, 2))) == []
 
 
 class TestTensorProduct:
