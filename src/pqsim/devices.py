@@ -128,10 +128,8 @@ def reduced_density_stack(states: Sequence[PureState], target) -> np.ndarray:
     revalidation.
     """
     space = states[0].space
-    if any(s.space.dims != space.dims for s in states):
-        raise ValueError("stacked states must share one FactorSpace")
     subset = _normalize_subset(space, target)
-    amps = stack_amplitudes(states, space.total_dim)
+    amps = stack_amplitudes(states, space)
     if len(subset) == space.n_factors:
         return amps[:, :, None] * amps.conj()[:, None, :]
     return reduced_densities(amps, space, subset)
@@ -729,7 +727,8 @@ class OutcomeSelection:
         """(branches, selectors of idx) table of outcomes_equal for one outcome type."""
         if kind is RealValue:
             values = np.array([o.value for o in outcomes], dtype=float)
-            return np.abs(values[:, None] - self._values[idx]) <= self.atol
+            distance = values[:, None] - self._values[idx]
+            return np.abs(distance, out=distance) <= self.atol
         if kind in (IntegerLabel, Bit):
             values = np.array([o.value for o in outcomes], dtype=float)
             return values[:, None] == self._values[idx]
@@ -745,18 +744,23 @@ class OutcomeSelection:
                 rows.append(r)
                 outcomes.append(outcome)
                 probs.append(prob)
-        out = np.zeros((len(distributions), len(self.selectors)))
-        matched = np.zeros(out.shape, dtype=bool)
+        k = len(self.selectors)
+        hits = []  # (flat cell index, probability) of every matching branch, per type
         for kind, (rows, outcomes, probs) in branches.items():
             idx = self._groups.get(kind)
             if idx is None:
                 continue
-            # row-major nonzero keeps branch order, so add.at sums each cell
-            # in the order the branches come
+            # row-major nonzero keeps branch order, so add.at below sums each
+            # cell in the order the branches come
             branch, column = np.nonzero(self._hits(kind, outcomes, idx))
-            cells = (np.array(rows)[branch], idx[column])
-            np.add.at(out, cells, np.array(probs, dtype=float)[branch])
-            matched[cells] = True
+            hits.append((np.array(rows)[branch] * k + idx[column],
+                         np.array(probs, dtype=float)[branch]))
+        # allocated once the (branches, selectors) tables above are freed
+        out = np.zeros((len(distributions), k))
+        matched = np.zeros(out.shape, dtype=bool)
+        for cells, probs in hits:
+            np.add.at(out.reshape(-1), cells, probs)
+            matched.reshape(-1)[cells] = True
         illegal = np.argwhere(~(matched | self._may_miss))
         if illegal.size:
             raise ValueError(f"selector {self.selectors[illegal[0, 1]]!r} is not in the "

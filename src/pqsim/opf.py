@@ -12,7 +12,6 @@ for linear post-measurement update maps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -57,10 +56,13 @@ class OPF:
     """Evaluatable outcome probability function on pure states.
 
     ``evaluator`` maps a list of n states on ``space`` to the (n,) vector of
-    values; ``values`` checks the states' space and calls it, and calling
-    the OPF on one state is the one-state case.  ``operator`` is set when
-    the OPF is known to have the quantum quadratic form <psi|Q|psi>; the
-    closure constructors propagate it.
+    values.  Every evaluation goes through ``__call__``, which checks the
+    states' space and calls it: ``f(psi)`` is the value on one state,
+    ``f(states)`` and ``f.values(states)`` the vector on a list.  One entry
+    point means a wrapper on ``OPF.__call__``, such as the benchmark's
+    tracer, sees every evaluation.  ``operator`` is set when the OPF is
+    known to have the quantum quadratic form <psi|Q|psi>; the closure
+    constructors propagate it.
     """
 
     __slots__ = ("space", "evaluator", "provenance", "operator")
@@ -76,14 +78,18 @@ class OPF:
             operator.setflags(write=False)
         self.operator = operator
 
+    def __call__(self, states: PureState | Sequence[PureState]) -> float | np.ndarray:
+        """The value on one state, or the (n,) values on a list of states."""
+        one = isinstance(states, PureState)
+        batch = (states,) if one else states
+        if any(psi.space.dims != self.space.dims for psi in batch):
+            raise ValueError("state space does not match the OPF's space")
+        values = self.evaluator(batch)
+        return float(values[0]) if one else values
+
     def values(self, states: Sequence[PureState]) -> np.ndarray:
         """(n,) values on a list of states on the OPF's space."""
-        if any(psi.space.dims != self.space.dims for psi in states):
-            raise ValueError("state space does not match the OPF's space")
-        return self.evaluator(states)
-
-    def __call__(self, state: PureState) -> float:
-        return float(self.values([state])[0])
+        return self(list(states))
 
     def on_ensembles(self, ensembles: Sequence[Ensemble]) -> list[float]:
         """Expected values sum_r p_r f(psi_r) on proper mixtures, summed in
@@ -136,9 +142,7 @@ class FullMeasurement:
 
     @classmethod
     def from_povm(cls, povm: POVMSet, space: FactorSpace) -> "FullMeasurement":
-        outcomes = tuple(opf_from_quantum(q, space) for q in povm.elements)
-        elements = np.array([f.operator for f in outcomes])
-        return cls(outcomes, lambda states: _quadratic_forms(elements, states))
+        return cls(tuple(opf_from_quantum(q, space) for q in povm.elements))
 
 
 def _completeness_violation(probs: np.ndarray) -> float:
@@ -147,24 +151,25 @@ def _completeness_violation(probs: np.ndarray) -> float:
     return float(np.max(np.abs(totals - 1.0), initial=0.0))
 
 
-def _quadratic_forms(operators: np.ndarray, states: Sequence[PureState]) -> np.ndarray:
-    """(n, k) values <psi|Q|psi> of each state under each of k stacked operators.
+def _quadratic_forms(q: np.ndarray, states: Sequence[PureState],
+                     space: FactorSpace) -> np.ndarray:
+    """(n,) values <psi|Q|psi> of n states on ``space``.
 
-    Every (state, operator) item is one BLAS matrix-vector product and one
-    dot product, exactly np.vdot(psi, Q @ psi); forms like ``a @ Q.T`` or
-    ``einsum`` sum in another order and differ in the last bits.
+    Every state is one BLAS matrix-vector product and one dot product,
+    exactly np.vdot(psi, Q @ psi); forms like ``a @ Q.T`` or ``einsum`` sum
+    in another order and differ in the last bits.
     """
-    amps = stack_amplitudes(states, operators.shape[-1])[:, None, :, None]
-    images = np.matmul(operators, amps)
-    return np.matmul(amps.conj().swapaxes(-1, -2), images)[:, :, 0, 0].real
+    amps = stack_amplitudes(states, space)[:, :, None]
+    return np.matmul(amps.conj().swapaxes(-1, -2), np.matmul(q, amps))[:, 0, 0].real
 
 
 def _indexed_outcomes(space: FactorSpace,
                       evaluate: Callable[[Sequence[PureState]], np.ndarray],
                       provenance: str, operators: Sequence[np.ndarray | None]
                       ) -> tuple[OPF, ...]:
-    """One OPF per column of an outcome-matrix evaluator."""
-    return tuple(OPF(space, lambda states, i=i: evaluate(states)[:, i], provenance,
+    """One OPF per column of an outcome-matrix evaluator; each returns a copy
+    of its column, so the (n, k) matrix is freed once it is read."""
+    return tuple(OPF(space, lambda states, i=i: evaluate(states)[:, i].copy(), provenance,
                      operator=op)
                  for i, op in enumerate(operators))
 
@@ -187,8 +192,7 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
         space = FactorSpace((dim,))
     elif space.total_dim != dim:
         raise ValueError("declared space does not match the element's dimension")
-    single = q[None]
-    return OPF(space, lambda states: _quadratic_forms(single, states)[:, 0], "quantum",
+    return OPF(space, lambda states: _quadratic_forms(q, states, space), "quantum",
                operator=q)
 
 
@@ -197,26 +201,16 @@ def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: Fa
     """One OPF per selected device outcome, evaluated analytically (never by sampling).
 
     The measurement reads all outcomes off one device distribution per
-    state, and the selectors are checked against a single probe state.  An
-    outcome's own OPF reads only its selector, so evaluating one outcome on
-    many states never builds the full (n, k) matrix.
+    state, and the selectors are checked against a single probe state.
     """
     selection = OutcomeSelection(spec, selectors)
 
     def evaluate(states: Sequence[PureState]) -> np.ndarray:
         return selection.matrix(spec.distributions(states, target))
 
-    @functools.cache
-    def single(i: int) -> OutcomeSelection:
-        """Outcome i's own selection, built when its OPF is first evaluated."""
-        return OutcomeSelection(spec, selection.selectors[i:i + 1])
-
-    def evaluate_one(states: Sequence[PureState], i: int) -> np.ndarray:
-        return single(i).matrix(spec.distributions(states, target))[:, 0]
-
     evaluate([PureState.basis_state(space, 0)])  # validates selector kinds early
-    outcomes = tuple(OPF(space, functools.partial(evaluate_one, i=i), f"device:{spec.kind}")
-                     for i in range(len(selection.selectors)))
+    outcomes = _indexed_outcomes(space, evaluate, f"device:{spec.kind}",
+                                 [None] * len(selection.selectors))
     return FullMeasurement(outcomes, evaluate)
 
 
@@ -601,7 +595,7 @@ def product_form_witness(f: OPF, extra_probes: Sequence[PureState] = ()
     probes.extend(extra_probes)
 
     values = f.values(probes)
-    amps = stack_amplitudes(probes, dim)
+    amps = stack_amplitudes(probes, f.space)
     design = hermitian_coords(amps[:, :, None] * amps.conj()[:, None, :])  # |psi><psi|
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     fitted = design @ coeffs

@@ -102,6 +102,22 @@ def _row_norms(amps: np.ndarray) -> np.ndarray:
                    + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0])
 
 
+def _require_unit_norm(nrm: float) -> None:
+    """The norm check of every pure state, built alone or in a stack: raise
+    ValueError unless ``nrm`` lies within ``NORM_ATOL`` of 1.  A non-finite
+    norm never does."""
+    if not abs(nrm - 1.0) <= NORM_ATOL:
+        raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_ATOL}")
+
+
+def _require_normalizable(nrm: float) -> None:
+    """Raise ValueError unless a vector of norm ``nrm`` can be divided by it."""
+    if nrm <= 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    if not math.isfinite(nrm):
+        raise ValueError(f"cannot normalize a vector of norm {nrm}")
+
+
 class PureState:
     """Normalized complex amplitude vector over a declared factorization.
 
@@ -120,8 +136,7 @@ class PureState:
                 f"amplitude vector of length {amps.size} does not match total_dim {space.total_dim}"
             )
         nrm = _norm(amps)
-        if not abs(nrm - 1.0) <= NORM_ATOL:  # also rejects non-finite amplitudes
-            raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_ATOL}")
+        _require_unit_norm(nrm)
         amps = amps / nrm  # a private copy: the input is never aliased
         amps.setflags(write=False)
         self.space = space
@@ -132,10 +147,7 @@ class PureState:
         """Construct from any nonzero vector, dividing out its norm."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         nrm = _norm(amps)
-        if nrm <= 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        if not math.isfinite(nrm):
-            raise ValueError(f"cannot normalize a vector of norm {nrm}")
+        _require_normalizable(nrm)
         return cls(space, amps / nrm)
 
     @classmethod
@@ -470,21 +482,22 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
 # goes through the same floating-point operations as one state built on its
 # own by PureState or PureState.normalized (the same BLAS dot products for
 # the norm, the same divisions, products and matrix-vector products), so the
-# amplitudes are bit-identical to the per-state loop.  The rows are
-# read-only views of one private array.
+# amplitudes are bit-identical to the per-state loop, and each row's norm
+# passes the same checks.  The rows are read-only views of one private array.
 
-def stack_amplitudes(states: Sequence[PureState], dim: int) -> np.ndarray:
-    """(n, dim) array of the states' amplitude vectors; n may be 0."""
+def stack_amplitudes(states: Sequence[PureState], space: FactorSpace) -> np.ndarray:
+    """(n, D) array of the amplitude vectors of n states on ``space``; n may be 0."""
+    if any(psi.space.dims != space.dims for psi in states):
+        raise ValueError("stacked states must share one FactorSpace")
     return np.array([psi.amplitudes for psi in states],
-                    dtype=complex).reshape(len(states), dim)
+                    dtype=complex).reshape(len(states), space.total_dim)
 
 
 def _checked_rows(amps: np.ndarray) -> np.ndarray:
     """``PureState``'s norm check and division, on every row of a stack."""
     nrm = _row_norms(amps)
-    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= NORM_ATOL))  # also non-finite rows
-    if bad.size:
-        raise ValueError(f"state norm {nrm[bad[0]]} deviates from 1 by more than {NORM_ATOL}")
+    for value in nrm.tolist():
+        _require_unit_norm(value)
     amps = amps / nrm[:, None]
     amps.setflags(write=False)
     return amps
@@ -493,11 +506,8 @@ def _checked_rows(amps: np.ndarray) -> np.ndarray:
 def _normalized_rows(amps: np.ndarray) -> np.ndarray:
     """``PureState.normalized`` on every row of a stack."""
     nrm = _row_norms(amps)
-    bad = np.flatnonzero(~((nrm > 0.0) & np.isfinite(nrm)))
-    if bad.size:
-        if nrm[bad[0]] <= 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        raise ValueError(f"cannot normalize a vector of norm {nrm[bad[0]]}")
+    for value in nrm.tolist():
+        _require_normalizable(value)
     return _checked_rows(amps / nrm[:, None])
 
 
@@ -541,23 +551,23 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
 
 def tensor_products(states: Sequence[PureState], phi: PureState) -> list[PureState]:
     """The joint state psi (x) phi, on the concatenated factorization, for
-    every state psi of one space: Kronecker amplitudes, norm-checked and
-    divided by their norm like ``PureState``."""
+    every state psi, all on one space: Kronecker amplitudes, norm-checked
+    and divided by their norm like ``PureState``."""
     if not states:
         return []
     space = states[0].space
-    amps = stack_amplitudes(states, space.total_dim)
+    amps = stack_amplitudes(states, space)
     return _states(FactorSpace(space.dims + phi.space.dims),
                    _checked_rows(_outer_rows(amps, phi.amplitudes[None, :])))
 
 
 def unitary_images(states: Sequence[PureState], unitary: np.ndarray) -> list[PureState]:
-    """``PureState.normalized(space, unitary @ psi.amplitudes)`` for every state
-    of one space; the unitary is not checked."""
+    """``PureState.normalized(space, unitary @ psi.amplitudes)`` for every
+    state, all on one space; the unitary is not checked."""
     if not states:
         return []
     space = states[0].space
-    amps = stack_amplitudes(states, space.total_dim)
+    amps = stack_amplitudes(states, space)
     return _states(space, _normalized_rows(np.matmul(unitary, amps[:, :, None])[:, :, 0]))
 
 

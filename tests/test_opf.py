@@ -758,7 +758,19 @@ class TestStackedQuadraticForm:
                 f.values([KET0, BELL])
             with pytest.raises(ValueError, match="state space does not match"):
                 f(BELL)
+            with pytest.raises(ValueError, match="state space does not match"):
+                f([KET0, BELL])
             assert f.values([]).shape == (0,)
+
+    def test_calling_on_a_list_is_values(self):
+        rng, space, (q, _, _), states = self._setup(4, 547)
+        for f in (opf_from_quantum(q, space), constant_opf(space, 0.25),
+                  entropy_meter_measurement(space, (0,), precision=2).outcomes[1]):
+            want = f.values(states)
+            assert np.array_equal(f(states), want)
+            assert np.array_equal(f(tuple(states)), want)
+            one = f(states[3])
+            assert type(one) is float and one == want[3]
 
 
 class TestOutcomeSelectionMatrix:
@@ -882,15 +894,17 @@ class TestStackedCallers:
 
     def test_povm_closure_makes_no_single_state_calls(self, monkeypatch):
         calls = []
-        single = OPF.__call__
+        evaluate = OPF.__call__
 
-        def call(self, state):
-            calls.append(state)
-            return single(self, state)
+        def call(self, states):
+            calls.append(states)
+            return evaluate(self, states)
 
         monkeypatch.setattr(OPF, "__call__", call)
         povm = POVMSet(tuple(np.diag(row).astype(complex) for row in np.eye(4)))
         report = check_closure(FullMeasurement.from_povm(povm, TWO_QUBITS), 100,
                                RandomStream(617, 3))
         assert report.passed
-        assert calls == []
+        # each outcome once per list: the random states, 10 rotations, 10 backgrounds
+        assert [len(states) for states in calls] == [100] * 4 + [50] * 40 + [10] * 40
+        assert not any(isinstance(states, PureState) for states in calls)

@@ -333,6 +333,31 @@ class TestStackedStates:
         with pytest.raises(ValueError, match="does not match total_dim"):
             normalized_states(QUBIT, [[1.0, 0.0, 0.0]])
 
+    def test_row_messages_equal_the_single_state_messages(self):
+        for bad in ([1.0 + 1e-6, 0.0], [math.nan, 0.0]):
+            with pytest.raises(ValueError) as want:
+                PureState(QUBIT, bad)
+            with pytest.raises(ValueError) as got:
+                qcore._checked_rows(np.array([[1.0, 0.0], bad], dtype=complex))
+            assert str(got.value) == str(want.value)
+        for bad in ([0.0, 0.0], [math.inf, 1.0]):
+            with pytest.raises(ValueError) as want:
+                PureState.normalized(QUBIT, bad)
+            with pytest.raises(ValueError) as got:
+                normalized_states(QUBIT, [[1.0, 0.0], bad])
+            assert str(got.value) == str(want.value)
+
+    def test_stacks_reject_states_of_another_space(self):
+        # (2, 2) and (4,) have one total dimension but are different spaces
+        mixed = [random_pure_state(TWO_QUBITS, RandomStream(5)),
+                 random_pure_state(FactorSpace((4,)), RandomStream(6))]
+        with pytest.raises(ValueError, match="must share one FactorSpace"):
+            tensor_products(mixed, KET0)
+        with pytest.raises(ValueError, match="must share one FactorSpace"):
+            unitary_images(mixed, np.eye(4))
+        with pytest.raises(ValueError, match="must share one FactorSpace"):
+            qcore.stack_amplitudes(mixed[:1], FactorSpace((4,)))
+
     def test_empty_stacks(self):
         assert random_pure_states((QUBIT,), RandomStream(1), 0) == []
         assert tensor_products([], KET0) == []
