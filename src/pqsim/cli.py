@@ -27,6 +27,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,23 +46,18 @@ from .qcore import Ensemble, FactorSpace, POVMSet, PureState, RandomStream, requ
 
 DEFAULT_SEED = 0x5EED
 
-# stream namespaces, so state preparation, repetitions, and experiments
-# never share a RandomStream
+# stream namespaces, so state preparation and repetitions never share a
+# RandomStream with each other or with an experiment or check
 _STATE_STREAM = 2
 _DEVICE_STREAM = 1
-_CHECK_STREAM = 3
-_EXPERIMENT_STREAMS = {
-    "fpvnem": 10, "spod-update": 11, "no-signalling": 12, "cloning": 13,
-    "tomography": 14, "ensemble-readout": 15, "ensemble-overlap": 16,
-}
-
-DEMO_NAMES = tuple(_EXPERIMENT_STREAMS)
+_DEVICE_PREFIX = "action.device."
 
 
 class ConfigError(Exception):
     """Fatal configuration problem, pointing at the offending key and line."""
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
+        self.reason = message
         self.key = key
         self.line = line
         where = ""
@@ -209,17 +205,12 @@ class RunConfig:
             rendered = [format_value(a) for a in self.state_amplitudes]
             lines.append(f"state.amplitudes = {_render(rendered, quote=True)}")
         lines.append(f'action.type = "{self.action_type}"')
+        prefix = f"action.{self.action_type}."
+        name = self.device_kind or self.experiment_id or self.check_kind
+        lines.append(f'{prefix}{_NAME_KEYS[self.action_type]} = "{name}"')
         if self.action_type == "device":
-            lines.append(f'action.device.kind = "{self.device_kind}"')
             lines.append(f"action.target = {_render(list(self.target))}")
             lines.append(f"action.repetitions = {self.repetitions}")
-            prefix = "action.device."
-        elif self.action_type == "experiment":
-            lines.append(f'action.experiment.id = "{self.experiment_id}"')
-            prefix = "action.experiment."
-        else:
-            lines.append(f'action.check.kind = "{self.check_kind}"')
-            prefix = "action.check."
         for key, value in self.params:
             lines.append(f"{prefix}{key} = {_render(value)}")
         if self.output_path:
@@ -242,39 +233,7 @@ def _render(value, quote: bool = False) -> str:
 
 
 _STATE_KINDS = ("bell", "ghz", "product", "random", "explicit")
-_ACTION_TYPES = ("device", "experiment", "check")
-_CHECK_KINDS = ("closure", "product_form", "estimation_assumption")
-
-_DEVICE_PARAM_KEYS = {
-    "Readout": {"basis", "precision"},
-    "FunctionReadout": {"exponent", "basis", "precision"},
-    "ExpectationReadout": {"observable", "precision"},
-    "EigenvalueSampler": {"observable", "variant", "precision", "max_label",
-                          "label_offset"},
-    "UncertaintySampler": {"observable", "precision"},
-    "PovmSampler": {"povm", "max_label"},
-    "OverlapTest": {"target_state", "threshold", "sharpness"},
-    "BasisSelect": {"basis", "sharpness"},
-    "EntropyMeter": {"alpha", "precision"},
-    "EntropyCertifier": {"alpha", "entropy_threshold", "sharpness"},
-    "EntanglementAnalyse": {"basis", "precision"},
-}
-
-_EXPERIMENT_PARAM_KEYS = {
-    "fpvnem": {"d", "m", "samples", "include_entangled"},
-    "spod-update": {"element"},
-    "no-signalling": {"weights"},
-    "cloning": {"d", "precision", "trials"},
-    "tomography": {"n", "confidence", "threshold"},
-    "ensemble-readout": {"n", "weights", "precisions", "threshold"},
-    "ensemble-overlap": {"n", "weights", "epsilons", "threshold"},
-}
-
-_CHECK_PARAM_KEYS = {
-    "closure": {"family", "samples", "m"},
-    "product_form": {"family", "d", "m"},
-    "estimation_assumption": {"family", "d"},
-}
+_NAME_KEYS = {"device": "kind", "experiment": "id", "check": "kind"}  # action.<type>.<key>
 
 
 def parse_config(text: str) -> RunConfig:
@@ -293,190 +252,173 @@ def parse_config(text: str) -> RunConfig:
     def line_of(key):
         return pairs[key][1] if key in pairs else None
 
+    def fail(message, key):
+        raise ConfigError(message, key, line_of(key))
+
     seed = take("seed")
     if seed is None:
         seed = _env_seed()
     if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer", "seed", line_of("seed"))
+        fail("seed must be an integer", "seed")
 
     dims = take("space.dims", required=True)
     if not isinstance(dims, tuple) or not all(isinstance(d, int) for d in dims):
-        raise ConfigError("space.dims must be a list of integers", "space.dims",
-                          line_of("space.dims"))
+        fail("space.dims must be a list of integers", "space.dims")
     try:
         space = FactorSpace(dims)
     except ValueError as err:
-        raise ConfigError(str(err), "space.dims", line_of("space.dims")) from None
+        fail(str(err), "space.dims")
 
     state_kind = take("state.kind", required=True)
     if state_kind not in _STATE_KINDS:
-        raise ConfigError(f"state.kind must be one of {_STATE_KINDS}", "state.kind",
-                          line_of("state.kind"))
+        fail(f"state.kind must be one of {_STATE_KINDS}", "state.kind")
     labels = take("state.labels", ())
     amplitudes_raw = take("state.amplitudes", ())
     state_labels: tuple[int, ...] = ()
     state_amplitudes: tuple[complex, ...] = ()
     if state_kind == "product":
-        if not labels or not all(isinstance(x, int) for x in labels):
-            raise ConfigError("product state needs integer state.labels",
-                              "state.labels", line_of("state.labels"))
+        if not isinstance(labels, tuple) or not labels or not all(
+                isinstance(x, int) for x in labels):
+            fail("product state needs integer state.labels", "state.labels")
         if len(labels) != space.n_factors:
-            raise ConfigError("state.labels needs one label per factor",
-                              "state.labels", line_of("state.labels"))
+            fail("state.labels needs one label per factor", "state.labels")
         state_labels = tuple(labels)
     elif state_kind == "explicit":
         if not amplitudes_raw:
-            raise ConfigError("explicit state needs state.amplitudes",
-                              "state.amplitudes", line_of("state.amplitudes"))
+            fail("explicit state needs state.amplitudes", "state.amplitudes")
         try:
-            state_amplitudes = tuple(
-                parse_complex(a) if isinstance(a, str) else complex(a)
-                for a in amplitudes_raw)
-        except ValueError:
-            raise ConfigError("unparseable amplitude", "state.amplitudes",
-                              line_of("state.amplitudes")) from None
+            state_amplitudes = tuple(_complex_entries(amplitudes_raw, "state.amplitudes"))
+        except ConfigError as err:
+            fail(err.reason, "state.amplitudes")
         if len(state_amplitudes) != space.total_dim:
-            raise ConfigError(
-                f"state.amplitudes has length {len(state_amplitudes)}, "
-                f"expected {space.total_dim}", "state.amplitudes",
-                line_of("state.amplitudes"))
+            fail(f"state.amplitudes has length {len(state_amplitudes)}, "
+                 f"expected {space.total_dim}", "state.amplitudes")
         norm = float(np.linalg.norm(np.array(state_amplitudes)))
         if not abs(norm - 1.0) <= 1e-6:  # also rejects non-finite amplitudes
-            raise ConfigError(f"amplitudes norm {norm} deviates from 1 beyond 1e-6",
-                              "state.amplitudes", line_of("state.amplitudes"))
+            fail(f"amplitudes norm {norm} deviates from 1 beyond 1e-6", "state.amplitudes")
     elif state_kind in ("bell", "ghz"):
         if space.n_factors < 2 or len(set(space.dims)) != 1:
-            raise ConfigError(f"{state_kind} state needs at least two equal factors",
-                              "state.kind", line_of("state.kind"))
+            fail(f"{state_kind} state needs at least two equal factors", "state.kind")
         if state_kind == "bell" and space.n_factors != 2:
-            raise ConfigError("bell state needs exactly two factors", "state.kind",
-                              line_of("state.kind"))
+            fail("bell state needs exactly two factors", "state.kind")
 
     action_type = take("action.type", required=True)
-    if action_type not in _ACTION_TYPES:
-        raise ConfigError(f"action.type must be one of {_ACTION_TYPES}", "action.type",
-                          line_of("action.type"))
+    if action_type not in _NAME_KEYS:
+        fail(f"action.type must be one of {tuple(_NAME_KEYS)}", "action.type")
+    prefix = f"action.{action_type}."
+    name_key = prefix + _NAME_KEYS[action_type]
+    name = take(name_key, required=True)
+    records = {"device": dev.DEVICE_KINDS, "experiment": EXPERIMENTS, "check": CHECKS}
+    if name not in records[action_type]:
+        fail(f"{name_key} must be one of {tuple(records[action_type])}, got {name!r}",
+             name_key)
+    record = records[action_type][name]
+    accepted = record.names if action_type == "device" else record.params
+    params = []
+    for key in pairs:
+        if key.startswith(prefix) and key != name_key:
+            if key[len(prefix):] not in accepted:
+                fail(f"parameter {key[len(prefix):]!r} not accepted by {name}", key)
+            params.append((key[len(prefix):], take(key)))
 
-    device_kind = ""
     target: tuple[int, ...] = ()
     repetitions = 1
-    experiment_id = ""
-    check_kind = ""
-    params: list[tuple[str, object]] = []
-
     if action_type == "device":
-        device_kind = take("action.device.kind", required=True)
-        if device_kind not in dev.DEVICE_CATALOG:
-            raise ConfigError(f"unknown device kind {device_kind!r}",
-                              "action.device.kind", line_of("action.device.kind"))
-        raw_target = take("action.target", required=True)
-        if not isinstance(raw_target, tuple) or not all(
-                isinstance(i, int) for i in raw_target):
-            raise ConfigError("action.target must be a list of factor indices",
-                              "action.target", line_of("action.target"))
-        if not raw_target or not set(raw_target) <= set(range(space.n_factors)):
-            raise ConfigError("action.target indices out of range", "action.target",
-                              line_of("action.target"))
-        target = tuple(raw_target)
+        target = take("action.target", required=True)
+        if not isinstance(target, tuple) or not all(isinstance(i, int) for i in target):
+            fail("action.target must be a list of factor indices", "action.target")
+        if not target or not set(target) <= set(range(space.n_factors)):
+            fail("action.target indices out of range", "action.target")
+        if len(set(target)) != len(target):
+            fail("action.target indices must be distinct", "action.target")
+        if record.single_factor and len(target) != 1:
+            fail(f"{name} acts on a single factor", "action.target")
         repetitions = take("action.repetitions", 1)
         if not isinstance(repetitions, int) or repetitions < 1:
-            raise ConfigError("action.repetitions must be a positive integer",
-                              "action.repetitions", line_of("action.repetitions"))
-        allowed = _DEVICE_PARAM_KEYS[device_kind]
-        prefix = "action.device."
-        for key in pairs:
-            if key.startswith(prefix) and key != "action.device.kind":
-                name = key[len(prefix):]
-                if name not in allowed:
-                    raise ConfigError(
-                        f"parameter {name!r} not accepted by {device_kind}",
-                        key, line_of(key))
-                params.append((name, take(key)))
-        _validate_device_params(device_kind, dict(params), space, target,
-                                line_of, prefix)
-    elif action_type == "experiment":
-        experiment_id = take("action.experiment.id", required=True)
-        if experiment_id not in _EXPERIMENT_PARAM_KEYS:
-            raise ConfigError(f"unknown experiment {experiment_id!r}",
-                              "action.experiment.id", line_of("action.experiment.id"))
-        prefix = "action.experiment."
-        for key in pairs:
-            if key.startswith(prefix) and key != "action.experiment.id":
-                name = key[len(prefix):]
-                if name not in _EXPERIMENT_PARAM_KEYS[experiment_id]:
-                    raise ConfigError(
-                        f"parameter {name!r} not accepted by {experiment_id}",
-                        key, line_of(key))
-                params.append((name, take(key)))
-    else:
-        check_kind = take("action.check.kind", required=True)
-        if check_kind not in _CHECK_KINDS:
-            raise ConfigError(f"check kind must be one of {_CHECK_KINDS}",
-                              "action.check.kind", line_of("action.check.kind"))
-        prefix = "action.check."
-        for key in pairs:
-            if key.startswith(prefix) and key != "action.check.kind":
-                name = key[len(prefix):]
-                if name not in _CHECK_PARAM_KEYS[check_kind]:
-                    raise ConfigError(f"parameter {name!r} not accepted by {check_kind}",
-                                      key, line_of(key))
-                params.append((name, take(key)))
+            fail("action.repetitions must be a positive integer", "action.repetitions")
+        _device_params(name, dict(params), dev.target_dimension(space, target), line_of)
 
     output_path = take("output.path", "")
     output_format = take("output.format", "records")
     if output_format not in ("text", "records"):
-        raise ConfigError("output.format must be 'text' or 'records'", "output.format",
-                          line_of("output.format"))
+        fail("output.format must be 'text' or 'records'", "output.format")
 
     unknown = set(pairs) - consumed
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError("unknown key", key, line_of(key))
+        fail("unknown key", sorted(unknown)[0])
 
     return RunConfig(
         seed=seed, dims=space.dims, state_kind=state_kind,
         state_labels=state_labels, state_amplitudes=state_amplitudes,
-        action_type=action_type, device_kind=device_kind, target=target,
-        repetitions=repetitions, experiment_id=experiment_id,
-        check_kind=check_kind, params=tuple(sorted(params)),
+        action_type=action_type, device_kind=name if action_type == "device" else "",
+        target=target, repetitions=repetitions,
+        experiment_id=name if action_type == "experiment" else "",
+        check_kind=name if action_type == "check" else "", params=tuple(sorted(params)),
         output_path=output_path, output_format=output_format,
     )
 
 
-def _validate_device_params(kind, params, space, target, line_of, prefix):
-    d_target = math.prod(space.dims[i] for i in set(target))
-    if kind == "EntropyCertifier":
-        threshold = params.get("entropy_threshold")
-        if threshold is None:
-            raise ConfigError("missing required key", prefix + "entropy_threshold")
-        limit = math.log2(d_target)
-        if not 0 < float(threshold) < limit:
-            raise ConfigError(
-                f"entropy_threshold {threshold} outside allowed range 0 < E < {limit:g}",
-                prefix + "entropy_threshold", line_of(prefix + "entropy_threshold"))
-    if kind == "OverlapTest":
-        if "target_state" not in params or "threshold" not in params:
-            raise ConfigError("OverlapTest needs target_state and threshold",
-                              prefix + "threshold")
-        if not 0 < float(params["threshold"]) < 1:
-            raise ConfigError("threshold must lie in (0, 1)", prefix + "threshold",
-                              line_of(prefix + "threshold"))
-    if kind in ("ExpectationReadout", "EigenvalueSampler", "UncertaintySampler"):
-        if "observable" not in params:
-            raise ConfigError("missing required key", prefix + "observable")
-    if kind == "PovmSampler" and "povm" not in params:
-        raise ConfigError("missing required key", prefix + "povm")
-
-
 # ---------------------------------------------------------------------------
-# Config-to-object resolution
+# Parameter bounds and device parameters
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter's default and bounds: a value out of ``choices``, or a
+    number of ``type`` in [low, high] (in (low, high) when ``open``).  A
+    ``many`` parameter is a nonempty list of such values; a single value
+    counts as a list of one."""
+
+    type: type
+    default: Any = None
+    low: float = -math.inf
+    high: float = math.inf
+    open: bool = False
+    choices: tuple = ()
+    many: bool = False
+
+    def parse(self, value, key: str):
+        """The checked value, or a ConfigError naming the key."""
+        if not self.many:
+            return self._one(value, key)
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if not items:
+            raise ConfigError(f"{key} must be nonempty", key)
+        return [self._one(item, key) for item in items]
+
+    def _one(self, value, key: str):
+        if self.choices:
+            if not any(value == c and type(value) is type(c) for c in self.choices):
+                raise ConfigError(f"{key} must be one of {self.choices}, got {value!r}", key)
+            return value
+        try:
+            number = self.type(value)
+        except (TypeError, ValueError, OverflowError):
+            noun = "an integer" if self.type is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {value!r}", key) from None
+        inside = (self.low < number < self.high if self.open
+                  else self.low <= number <= self.high)
+        if not (inside and math.isfinite(number)):
+            left, right = "()" if self.open else "[]"
+            raise ConfigError(f"{key} must lie in {left}{self.low:g}, {self.high:g}{right}, "
+                              f"got {number}", key)
+        return number
+
 
 _NAMED_OBSERVABLES = {
     "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
     "pauli_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _complex_entries(value, key: str) -> list[complex]:
+    if not isinstance(value, tuple):
+        raise ConfigError(f"{key} must be a list of numbers", key)
+    try:
+        return [parse_complex(v) if isinstance(v, str) else complex(v) for v in value]
+    except (TypeError, ValueError):
+        raise ConfigError(f"unparseable entry in {key}", key) from None
 
 
 def _resolve_matrix(value, dim: int, key: str):
@@ -490,50 +432,97 @@ def _resolve_matrix(value, dim: int, key: str):
                                   key)
             return mat
         raise ConfigError(f"unknown named observable {value!r}", key)
-    entries = [parse_complex(v) if isinstance(v, str) else complex(v) for v in value]
+    entries = _complex_entries(value, key)
     if len(entries) != dim * dim:
         raise ConfigError(f"observable needs {dim * dim} row-major entries", key)
     return np.array(entries, dtype=complex).reshape(dim, dim)
 
 
+def _resolve_observable(value, dim: int, key: str):
+    mat = _resolve_matrix(value, dim, key)
+    require_hermitian(mat, "observable is not Hermitian within tolerance")
+    return mat
+
+
 def _resolve_state_vector(value, dim: int, key: str) -> PureState:
-    entries = [parse_complex(v) if isinstance(v, str) else complex(v) for v in value]
+    entries = _complex_entries(value, key)
     if len(entries) != dim:
         raise ConfigError(f"state vector needs {dim} entries", key)
-    try:
-        return PureState.normalized(FactorSpace((dim,)), np.array(entries))
-    except ValueError as err:
-        raise ConfigError(str(err), key) from None
+    return PureState.normalized(FactorSpace((dim,)), np.array(entries))
+
+
+def _resolve_basis(value, dim: int, key: str):
+    if value == "computational":
+        return None
+    rows = list(_resolve_matrix(value, dim, key))
+    dev.basis_matrix(rows, dim)  # raises unless orthonormal
+    return rows
+
+
+def _computational_povm(dim: int) -> POVMSet:
+    eye = np.eye(dim, dtype=complex)
+    return POVMSet(tuple(np.outer(eye[i], eye[i]) for i in range(dim)))
+
+
+def _resolve_povm(value, dim: int, key: str) -> POVMSet:
+    if value != "computational":
+        raise ConfigError("povm supports the named set 'computational'", key)
+    return _computational_povm(dim)
+
+
+def _resolve_entropy_threshold(value, dim: int, key: str) -> float:
+    limit = math.log2(dim)
+    threshold = Param(float).parse(value, key)
+    if not 0 < threshold < limit:
+        raise ConfigError(
+            f"entropy_threshold {threshold} outside allowed range 0 < E < {limit:g}", key)
+    return threshold
+
+
+def _bounded(param: Param):
+    return lambda value, dim, key: param.parse(value, key)
+
+
+# Every device parameter means the same in every kind that takes it, so it
+# is resolved and checked by name: (value, target dimension, key) -> value.
+# A resolver raises ConfigError, or ValueError where the library rejects it.
+_DEVICE_PARAMS = {
+    "observable": _resolve_observable,
+    "target_state": _resolve_state_vector,
+    "basis": _resolve_basis,
+    "povm": _resolve_povm,
+    "entropy_threshold": _resolve_entropy_threshold,
+    "threshold": _bounded(Param(float, low=0.0, high=1.0, open=True)),
+    "precision": _bounded(Param(int, low=1)),
+    "exponent": _bounded(Param(int, low=1)),
+    "max_label": _bounded(Param(int, low=0)),
+    "label_offset": _bounded(Param(int)),
+    "variant": _bounded(Param(str, choices=("value", "integer_label", "finite", "bit"))),
+    "alpha": _bounded(Param(float, low=0.0)),
+    "sharpness": _bounded(Param(float, low=0.0, open=True)),
+}
+
+
+def _device_params(kind: str, raw: dict, dim: int, line_of=lambda key: None) -> dict:
+    """The device parameters resolved by name, or a ConfigError naming the key."""
+    for name in dev.DEVICE_KINDS[kind].required:
+        if name not in raw:
+            raise ConfigError("missing required key", _DEVICE_PREFIX + name)
+    if raw.get("variant") == "finite" and "max_label" not in raw:
+        raise ConfigError("variant 'finite' needs max_label", _DEVICE_PREFIX + "max_label")
+    params = {}
+    for name, value in raw.items():
+        key = _DEVICE_PREFIX + name
+        try:
+            params[name] = _DEVICE_PARAMS[name](value, dim, key)
+        except (ConfigError, ValueError) as err:
+            raise ConfigError(getattr(err, "reason", str(err)), key, line_of(key)) from None
+    return params
 
 
 def _resolve_device_spec(config: RunConfig, space: FactorSpace) -> dev.DeviceSpec:
-    d_target = math.prod(space.dims[i] for i in set(config.target))
-    params: dict = {}
-    for key, value in config.params:
-        full_key = "action.device." + key
-        if key == "observable":
-            mat = _resolve_matrix(value, d_target, full_key)
-            try:
-                require_hermitian(mat, "observable is not Hermitian within tolerance")
-            except ValueError as err:
-                raise ConfigError(str(err), full_key) from None
-            params[key] = mat
-        elif key == "target_state":
-            params[key] = _resolve_state_vector(value, d_target, full_key)
-        elif key == "basis":
-            if value == "computational":
-                continue
-            mat = _resolve_matrix(value, d_target, full_key)
-            params[key] = [mat[i] for i in range(d_target)]
-        elif key == "povm":
-            if value == "computational":
-                eye = np.eye(d_target, dtype=complex)
-                params[key] = POVMSet(tuple(
-                    np.outer(eye[i], eye[i]) for i in range(d_target)))
-            else:
-                raise ConfigError("povm supports the named set 'computational'", full_key)
-        else:
-            params[key] = value
+    params = _device_params(config.device_kind, dict(config.params),
+                            dev.target_dimension(space, config.target))
     return dev.DeviceSpec(config.device_kind, params)
 
 
@@ -598,6 +587,41 @@ def _run_device(config: RunConfig) -> tuple[list[dict], int]:
     return records, 0
 
 
+# ---------------------------------------------------------------------------
+# Experiments and checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Action:
+    """One experiment or check: its names, stream, parameters and call.
+
+    ``call(read, rng)`` reads each parameter through ``read(name)``: the
+    default when absent, else the value checked against its bounds, so an
+    unused parameter is never checked.  An experiment returns its
+    certificate or report, a check its record fields and whether it passed.
+    ``m_param`` is the parameter the CLI flag ``--m`` feeds.
+    """
+
+    cli_name: str
+    config_name: str
+    stream: int
+    params: dict[str, Param]
+    call: Callable
+    m_param: str | None = None
+
+
+def _run_action(action: Action, params: dict, seed: int):
+    for name in params:
+        if name not in action.params:
+            raise ConfigError(f"{action.cli_name} takes no parameter {name!r}", name)
+
+    def read(name):
+        param = action.params[name]
+        return param.parse(params[name], name) if name in params else param.default
+
+    return action.call(read, RandomStream(seed, experiment=action.stream))
+
+
 def _default_ensemble() -> Ensemble:
     space = FactorSpace((2,))
     ket0 = PureState.basis_state(space, 0)
@@ -606,60 +630,98 @@ def _default_ensemble() -> Ensemble:
     return Ensemble(((ket0, 0.5), (ket1, 0.3), (plus, 0.2)))
 
 
-def _bounded_int(value, key: str, low: int, high: int | None = None) -> int:
-    """An integer parameter within [low, high], or a ConfigError naming the key."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}", key) from None
-    if number < low or (high is not None and number > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{key} must be {bounds}, got {number}", key)
-    return number
+def _closure(read, rng):
+    family = read("family")
+    space = FactorSpace((2, 2))
+    if family == "quantum_povm":
+        measurement = FullMeasurement.from_povm(_computational_povm(4), space)
+    else:  # entropy_meter, fpvnem
+        measurement = entropy_meter_measurement(space, (0,), precision=read("m"))
+    report = check_closure(measurement, read("samples"), rng)
+    return dict(report.record_fields(), family=family), report.passed
+
+
+def _product_form(read, rng):
+    family = read("family")
+    # the witness fits operators on a space of total dimension <= 16
+    space = FactorSpace((read("d"),) * 2)
+    if family == "fpvnem":
+        opf = entropy_meter_measurement(space, (0,), precision=read("m")).outcomes[0]
+        expected = "VIOLATION"
+    else:  # quantum
+        opf = opf_from_quantum(np.diag(np.linspace(0.1, 0.9, space.total_dim)), space)
+        expected = "QUADRATIC"
+    cert = product_form_witness(opf)
+    return dict(cert.record_fields(), family=family, expected=expected), \
+        cert.verdict == expected
+
+
+_D = Param(int, 2, 2, 4)
+_THRESHOLD = Param(float, 0.05, low=0.0, open=True)
+
+EXPERIMENTS = {a.config_name: a for a in (
+    Action("fpvnem", "fpvnem", 10, {
+        "d": _D, "m": Param(int, 3, 1, 8), "samples": Param(int, 1000, 1),
+        "include_entangled": Param(bool, True, choices=(True, False))},
+        lambda read, rng: exp.fpvnem_refutation(
+            read("d"), read("m"), read("samples"), rng,
+            include_entangled=read("include_entangled")),
+        m_param="m"),
+    Action("spod-update", "spod-update", 11, {
+        "element": Param(str, "projector0", choices=tuple(exp.SPOD_ELEMENTS))},
+        lambda read, rng: exp.spod_update_refutation(rng, element=read("element"))),
+    Action("no-signalling", "no-signalling", 12, {
+        "weights": Param(float, (0.5, 0.5), 0.0, 1.0, many=True)},
+        lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights"))),
+    Action("cloning", "cloning", 13, {
+        "d": _D, "precision": Param(int, None, 1), "trials": Param(int, 100, 1)},
+        lambda read, rng: exp.cloning_demo(read("d"), rng, precision=read("precision"),
+                                           trials=read("trials")),
+        m_param="precision"),
+    Action("tomography", "tomography", 14, {
+        "n": Param(int, 100_000, 100), "confidence": Param(float, 0.95, 0.0, 1.0, open=True),
+        "threshold": Param(float, 0.02, low=0.0, open=True)},
+        lambda read, rng: exp.tomography_estimate(
+            PureState.basis_state(FactorSpace((2,)), 0), read("n"), rng,
+            confidence=read("confidence"), threshold=read("threshold"))),
+    Action("ensemble-readout", "ensemble-readout", 15, {
+        "n": Param(int, 10_000, 100), "precisions": Param(int, None, 1, many=True),
+        "threshold": _THRESHOLD},
+        lambda read, rng: exp.ensemble_estimate_readout(
+            _default_ensemble(), read("n"), rng, precision_schedule=read("precisions"),
+            threshold=read("threshold")),
+        m_param="precisions"),
+    Action("ensemble-overlap", "ensemble-overlap", 16, {
+        "n": Param(int, 2000, 1),
+        "epsilons": Param(float, (0.05, 0.01), 0.0, 1.0, open=True, many=True),
+        "threshold": _THRESHOLD},
+        lambda read, rng: exp.ensemble_estimate_overlap(
+            _default_ensemble(), read("epsilons"), read("n"), rng,
+            threshold=read("threshold"))),
+)}
+
+CHECKS = {a.config_name: a for a in (
+    Action("closure", "closure", 3, {
+        "family": Param(str, "quantum_povm",
+                        choices=("quantum_povm", "entropy_meter", "fpvnem")),
+        "samples": Param(int, 100, 1), "m": Param(int, 3, 1)},
+        _closure, m_param="m"),
+    Action("product-form", "product_form", 3, {
+        "family": Param(str, "fpvnem", choices=("fpvnem", "quantum")),
+        "d": _D, "m": Param(int, 3, 1)},
+        _product_form, m_param="m"),
+    Action("estimation", "estimation_assumption", 3, {
+        "family": Param(str, "readout", choices=ESTIMATION_FAMILIES), "d": _D},
+        lambda read, rng: (check_estimation_assumption(read("family"), read("d"), rng)
+                           .record_fields(), True)),
+)}
+
+DEMO_NAMES = tuple(a.cli_name for a in EXPERIMENTS.values())
 
 
 def run_experiment(experiment_id: str, params: dict, seed: int):
-    """Dispatch one named experiment and return its certificate or report."""
-    rng = RandomStream(seed, experiment=_EXPERIMENT_STREAMS[experiment_id])
-    if experiment_id == "fpvnem":
-        return exp.fpvnem_refutation(
-            _bounded_int(params.get("d", 2), "d", 2, 4),
-            _bounded_int(params.get("m", 3), "m", 1, 8),
-            int(params.get("samples", 1000)), rng,
-            include_entangled=bool(params.get("include_entangled", True)))
-    if experiment_id == "spod-update":
-        return exp.spod_update_refutation(rng, element=params.get("element",
-                                                                  "projector0"))
-    if experiment_id == "no-signalling":
-        weights = params.get("weights", (0.5, 0.5))
-        return exp.no_signalling_demo(rng, schmidt_weights=weights)
-    if experiment_id == "cloning":
-        precision = params.get("precision")
-        return exp.cloning_demo(_bounded_int(params.get("d", 2), "d", 2, 4), rng,
-                                precision=(None if precision is None
-                                           else _bounded_int(precision, "precision", 1)),
-                                trials=_bounded_int(params.get("trials", 100), "trials", 1))
-    if experiment_id == "tomography":
-        source = PureState.basis_state(FactorSpace((2,)), 0)
-        return exp.tomography_estimate(source,
-                                       _bounded_int(params.get("n", 100_000), "n", 100), rng,
-                                       threshold=float(params.get("threshold", 0.02)))
-    if experiment_id == "ensemble-readout":
-        precisions = params.get("precisions")
-        if precisions is not None:
-            if len(precisions) == 0:
-                raise ConfigError("precisions must be nonempty", "precisions")
-            precisions = [_bounded_int(m, "precisions", 1) for m in precisions]
-        return exp.ensemble_estimate_readout(
-            _default_ensemble(), _bounded_int(params.get("n", 10_000), "n", 100), rng,
-            precision_schedule=precisions,
-            threshold=float(params.get("threshold", 0.05)))
-    if experiment_id == "ensemble-overlap":
-        epsilons = params.get("epsilons", (0.05, 0.01))
-        return exp.ensemble_estimate_overlap(
-            _default_ensemble(), epsilons, int(params.get("n", 2000)), rng,
-            threshold=float(params.get("threshold", 0.05)))
-    raise ConfigError(f"unknown experiment {experiment_id!r}")
+    """Run one named experiment and return its certificate or report."""
+    return _run_action(EXPERIMENTS[experiment_id], params, seed)
 
 
 def _experiment_exit(result) -> int:
@@ -669,52 +731,8 @@ def _experiment_exit(result) -> int:
 
 
 def _run_check(check_kind: str, params: dict, seed: int) -> tuple[list[dict], int]:
-    rng = RandomStream(seed, experiment=_CHECK_STREAM)
-    if check_kind == "closure":
-        family = params.get("family", "quantum_povm")
-        samples = _bounded_int(params.get("samples", 100), "samples", 1)
-        space = FactorSpace((2, 2))
-        if family == "quantum_povm":
-            eye = np.eye(4, dtype=complex)
-            povm = POVMSet(tuple(np.outer(eye[i], eye[i]) for i in range(4)))
-            measurement = FullMeasurement.from_povm(povm, space)
-        elif family in ("entropy_meter", "fpvnem"):
-            measurement = entropy_meter_measurement(
-                space, (0,), precision=_bounded_int(params.get("m", 3), "m", 1))
-        else:
-            raise ConfigError(f"unknown closure family {family!r}")
-        report = check_closure(measurement, samples, rng)
-        fields = report.record_fields()
-        fields["family"] = family
-        return [fields], 0 if report.passed else 1
-    if check_kind == "product_form":
-        family = params.get("family", "fpvnem")
-        # the witness fits operators on a space of total dimension <= 16
-        space = FactorSpace((_bounded_int(params.get("d", 2), "d", 2, 4),) * 2)
-        if family == "fpvnem":
-            measurement = entropy_meter_measurement(
-                space, (0,), precision=_bounded_int(params.get("m", 3), "m", 1))
-            opf = measurement.outcomes[0]
-            expected = "VIOLATION"
-        elif family == "quantum":
-            dim = space.total_dim
-            opf = opf_from_quantum(np.diag(np.linspace(0.1, 0.9, dim)), space)
-            expected = "QUADRATIC"
-        else:
-            raise ConfigError(f"unknown product-form family {family!r}")
-        cert = product_form_witness(opf)
-        fields = cert.record_fields()
-        fields["family"] = family
-        fields["expected"] = expected
-        return [fields], 0 if cert.verdict == expected else 1
-    # estimation_assumption
-    family = params.get("family", "readout")
-    if family not in ESTIMATION_FAMILIES:
-        raise ConfigError(f"unknown estimation family {family!r}; "
-                          f"expected one of {ESTIMATION_FAMILIES}")
-    verdict = check_estimation_assumption(family, _bounded_int(params.get("d", 2), "d", 2, 4),
-                                          rng)
-    return [verdict.record_fields()], 0
+    fields, passed = _run_action(CHECKS[check_kind], params, seed)
+    return [fields], 0 if passed else 1
 
 
 def run(config: RunConfig) -> int:
@@ -756,19 +774,19 @@ def _as_text(fields: dict) -> str:
 
 def list_devices(as_json: bool = False, pattern: str = "") -> str:
     entries = {
-        kind: entry for kind, entry in dev.DEVICE_CATALOG.items()
+        kind: entry for kind, entry in dev.DEVICE_KINDS.items()
         if pattern.lower() in kind.lower()
     }
     if as_json:
         return json.dumps({
-            kind: {"aliases": e.aliases, "summary": e.summary, "params": e.params,
+            kind: {"aliases": e.aliases, "summary": e.summary, "params": ", ".join(e.params),
                    "stochastic": e.stochastic}
             for kind, e in entries.items()
         }, indent=2, sort_keys=True)
     width = max((len(k) for k in entries), default=10)
     lines = [f"{'kind':<{width}}  {'tag':<36}  parameters"]
     for kind, e in sorted(entries.items()):
-        lines.append(f"{kind:<{width}}  {e.aliases:<36}  {e.params}")
+        lines.append(f"{kind:<{width}}  {e.aliases:<36}  {', '.join(e.params)}")
         lines.append(f"{'':<{width}}  {e.summary}")
     return "\n".join(lines)
 
@@ -802,21 +820,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a built-in demonstration")
     p_demo.add_argument("name", choices=DEMO_NAMES)
-    p_demo.add_argument("--d", type=int, default=None, help="subsystem dimension")
-    p_demo.add_argument("--m", type=int, default=None, help="binary output precision")
-    p_demo.add_argument("--seed", type=int, default=None)
+    p_demo.add_argument("--d", type=int, help="subsystem dimension")
+    p_demo.add_argument("--m", type=int, help="binary output precision")
+    p_demo.add_argument("--seed", type=int)
 
     p_list = sub.add_parser("list-devices", help="show the device catalog")
     p_list.add_argument("filter", nargs="?", default="")
     p_list.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="run a standalone checker")
-    p_check.add_argument("kind", choices=("closure", "product-form", "estimation"))
-    p_check.add_argument("--family", default=None)
-    p_check.add_argument("--d", type=int, default=2)
-    p_check.add_argument("--m", type=int, default=3)
-    p_check.add_argument("--samples", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("name", metavar="kind", choices=[a.cli_name for a in CHECKS.values()])
+    p_check.add_argument("--family")
+    p_check.add_argument("--d", type=int)
+    p_check.add_argument("--m", type=int)
+    p_check.add_argument("--samples", type=int)
+    p_check.add_argument("--seed", type=int)
     return parser
 
 
@@ -827,31 +845,22 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
             return run(parse_config(text))
-        if args.command == "demo":
-            seed = _seed_from(args)
-            params: dict = {}
-            if args.d is not None:
-                params["d"] = args.d
-            if args.m is not None:
-                params["m"] = args.m
-                if args.name == "cloning":
-                    params["precision"] = params.pop("m")
-                if args.name == "ensemble-readout":
-                    params["precisions"] = [params.pop("m")]
-            result = run_experiment(args.name, params, seed)
-            print(format_record(result.record_fields()))
-            return _experiment_exit(result)
         if args.command == "list-devices":
             print(list_devices(as_json=args.json, pattern=args.filter))
             return 0
-        # check
+        # demo or check: the flags given feed the action's parameters
         seed = _seed_from(args)
-        kind = {"closure": "closure", "product-form": "product_form",
-                "estimation": "estimation_assumption"}[args.kind]
-        params = {"d": args.d, "m": args.m, "samples": args.samples}
-        if args.family:
-            params["family"] = args.family
-        records, status = _run_check(kind, params, seed)
+        actions = EXPERIMENTS if args.command == "demo" else CHECKS
+        action = next(a for a in actions.values() if a.cli_name == args.name)
+        params = {flag: getattr(args, flag) for flag in ("family", "d", "m", "samples")
+                  if getattr(args, flag, None) is not None}
+        if "m" in params and action.m_param is not None:
+            params[action.m_param] = params.pop("m")
+        if args.command == "demo":
+            result = run_experiment(action.config_name, params, seed)
+            print(format_record(result.record_fields()))
+            return _experiment_exit(result)
+        records, status = _run_check(action.config_name, params, seed)
         for fields in records:
             print(format_record(fields))
         return status

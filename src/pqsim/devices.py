@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def quantize_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
     return quantizer(matrix.real) + 1j * quantizer(matrix.imag)
 
 
-def _basis_matrix(basis, dim: int) -> np.ndarray:
+def basis_matrix(basis, dim: int) -> np.ndarray:
     """Column matrix of basis states from a row list (None = computational)."""
     if basis is None:
         return np.eye(dim, dtype=complex)
@@ -171,6 +171,25 @@ def _as_povm(povm) -> POVMSet:
     return POVMSet(tuple(povm))
 
 
+def _described(matrix: np.ndarray, basis, precision: int | None) -> MatrixDescription:
+    """Description of a matrix in an orthonormal basis, at a precision."""
+    b = basis_matrix(basis, matrix.shape[0])
+    mat = b.conj().T @ matrix @ b
+    if precision is not None:
+        mat = quantize_matrix(mat, precision)
+    return MatrixDescription(mat, precision)
+
+
+def _observed(state: PureState, target, observable
+              ) -> tuple[HermitianObservable, DensityMatrix]:
+    """The observable and the reduced density matrix it acts on."""
+    obs = _as_observable(observable)
+    rho = reduced_density(state, target)
+    if obs.dim != rho.dim:
+        raise ValueError("observable dimension does not match the target factors")
+    return obs, rho
+
+
 def _projector_weight(rho: DensityMatrix, vector: np.ndarray) -> float:
     """Tr(P_phi rho) for a normalized vector phi."""
     return float(np.real(np.vdot(vector, rho.entries @ vector)))
@@ -188,6 +207,48 @@ def _draw(distribution: list[tuple[Outcome, float]], rng: RandomStream) -> Outco
     return distribution[rng.choose(probs)][0]
 
 
+def _outcome(distribution: list[tuple[Outcome, float]], rng: RandomStream | None,
+             device: str) -> Outcome:
+    """One run of a device: the only outcome of a one-point distribution, a
+    draw from ``rng``, or without one the outcome of probability 1."""
+    if len(distribution) == 1:
+        return distribution[0][0]
+    if rng is not None:
+        return _draw(distribution, rng)
+    sure = [o for o, prob in distribution if prob >= 1.0 - 1e-12]
+    if not sure:
+        raise ValueError(f"{device} needs a RandomStream")
+    return sure[0]
+
+
+def _with_overflow(labelled, max_label: int) -> list[tuple[Outcome, float]]:
+    """The (label, probability) pairs with |label| <= max_label, then one
+    Overflow outcome carrying the excluded mass."""
+    kept: list[tuple[Outcome, float]] = []
+    excluded = 0.0
+    for label, p in labelled:
+        if abs(label) <= max_label:
+            kept.append((IntegerLabel(label), float(p)))
+        else:
+            excluded += float(p)
+    kept.append((Overflow(excluded), excluded))
+    return kept
+
+
+def _threshold_bit(value: float, threshold: float,
+                   sharpness: float | None) -> list[tuple[Outcome, float]]:
+    """Bit distribution of a threshold test: hard (no sharpness), 1 iff the
+    value exceeds the threshold; smoothed, 1 with logistic probability
+    1/(1 + exp(-k (value - threshold)))."""
+    if sharpness is None:
+        hit = 1.0 if value > threshold else 0.0
+        return [(Bit(1), hit), (Bit(0), 1.0 - hit)]
+    if sharpness <= 0:
+        raise ValueError("sharpness must be positive")
+    p1 = _logistic(sharpness * (value - threshold))
+    return [(Bit(1), p1), (Bit(0), 1.0 - p1)]
+
+
 # ---------------------------------------------------------------------------
 # Readout devices
 # ---------------------------------------------------------------------------
@@ -200,12 +261,7 @@ def readout_density(state: PureState, target, basis=None,
     by default) and, when ``precision`` is supplied, each entry's real and
     imaginary parts are reported to the nearest multiple of 2^-precision.
     """
-    rho = reduced_density(state, target)
-    b = _basis_matrix(basis, rho.dim)
-    mat = b.conj().T @ rho.entries @ b
-    if precision is not None:
-        mat = quantize_matrix(mat, precision)
-    return MatrixDescription(mat, precision)
+    return _described(reduced_density(state, target).entries, basis, precision)
 
 
 def function_readout(state: PureState, target, exponent: int = 1, basis=None,
@@ -215,20 +271,13 @@ def function_readout(state: PureState, target, exponent: int = 1, basis=None,
     if exponent < 1:
         raise ValueError("supported matrix functions are positive integer powers")
     rho = reduced_density(state, target)
-    b = _basis_matrix(basis, rho.dim)
-    mat = b.conj().T @ np.linalg.matrix_power(rho.entries, exponent) @ b
-    if precision is not None:
-        mat = quantize_matrix(mat, precision)
-    return MatrixDescription(mat, precision)
+    return _described(np.linalg.matrix_power(rho.entries, exponent), basis, precision)
 
 
 def expectation_readout(state: PureState, target, observable,
                         precision: int | None = None) -> RealValue:
     """Expectation value Tr(A rho_1), optionally quantized."""
-    obs = _as_observable(observable)
-    rho = reduced_density(state, target)
-    if obs.dim != rho.dim:
-        raise ValueError("observable dimension does not match the target factors")
+    obs, rho = _observed(state, target, observable)
     value = float(np.trace(obs.entries @ rho.entries).real)
     if precision is not None:
         value = quantize(value, precision)
@@ -262,10 +311,7 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
       - ``bit``            for projector-valued observables only: the
                            eigenvalue itself as a 0/1 bit
     """
-    obs = _as_observable(observable)
-    rho = reduced_density(state, target)
-    if obs.dim != rho.dim:
-        raise ValueError("observable dimension does not match the target factors")
+    obs, rho = _observed(state, target, observable)
     probs = _cluster_probabilities(rho, obs)
 
     if variant == "value":
@@ -279,16 +325,7 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
     if variant == "finite":
         if max_label is None:
             raise ValueError("finite variant needs max_label")
-        kept: list[tuple[Outcome, float]] = []
-        excluded = 0.0
-        for i, p in enumerate(probs):
-            label = i + label_offset
-            if abs(label) <= max_label:
-                kept.append((IntegerLabel(label), float(p)))
-            else:
-                excluded += float(p)
-        kept.append((Overflow(excluded), excluded))
-        return kept
+        return _with_overflow(((i + label_offset, p) for i, p in enumerate(probs)), max_label)
     if variant == "bit":
         values = sorted(obs.eigenvalues)
         if any(min(abs(v), abs(v - 1.0)) > 1e-9 for v in values):
@@ -301,10 +338,8 @@ def sample_eigenvalue(state: PureState, target, observable, rng: RandomStream,
                       variant: str = "value", precision: int | None = None,
                       max_label: int | None = None, label_offset: int = 0) -> Outcome:
     """Draw one eigenvalue-sampler outcome; the global state is unchanged."""
-    dist = eigenvalue_distribution(state, target, observable, variant=variant,
-                                   precision=precision, max_label=max_label,
-                                   label_offset=label_offset)
-    return _draw(dist, rng)
+    return _draw(eigenvalue_distribution(state, target, observable, variant, precision,
+                                         max_label, label_offset), rng)
 
 
 def sample_projection(state: PureState, target, phi: PureState, rng: RandomStream) -> Bit:
@@ -321,10 +356,7 @@ def uncertainty_distribution(state: PureState, target, observable,
     Only the reported value is quantized; the expectation shift and the
     Born probabilities stay at full precision.
     """
-    obs = _as_observable(observable)
-    rho = reduced_density(state, target)
-    if obs.dim != rho.dim:
-        raise ValueError("observable dimension does not match the target factors")
+    obs, rho = _observed(state, target, observable)
     mean = float(np.trace(obs.entries @ rho.entries).real)
     probs = _cluster_probabilities(rho, obs)
     outcomes = []
@@ -350,15 +382,7 @@ def povm_distribution(state: PureState, target, povm,
     probs = born_probabilities(rho, povm)
     if max_label is None:
         return [(IntegerLabel(i + 1), float(p)) for i, p in enumerate(probs)]
-    kept: list[tuple[Outcome, float]] = []
-    excluded = 0.0
-    for i, p in enumerate(probs):
-        if i + 1 <= max_label:
-            kept.append((IntegerLabel(i + 1), float(p)))
-        else:
-            excluded += float(p)
-    kept.append((Overflow(excluded), excluded))
-    return kept
+    return _with_overflow(((i + 1, p) for i, p in enumerate(probs)), max_label)
 
 
 def sample_povm(state: PureState, target, povm, rng: RandomStream,
@@ -384,31 +408,20 @@ def overlap_distribution(state: PureState, target, phi: PureState, threshold: fl
     rho = reduced_density(state, target)
     if phi.space.total_dim != rho.dim:
         raise ValueError("target state dimension does not match the target factors")
-    w = _projector_weight(rho, phi.amplitudes)
-    if sharpness is None:
-        hit = 1.0 if w > threshold else 0.0
-        return [(Bit(1), hit), (Bit(0), 1.0 - hit)]
-    if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
-    p1 = _logistic(sharpness * (w - threshold))
-    return [(Bit(1), p1), (Bit(0), 1.0 - p1)]
+    return _threshold_bit(_projector_weight(rho, phi.amplitudes), threshold, sharpness)
 
 
 def overlap_test(state: PureState, target, phi: PureState, threshold: float,
                  rng: RandomStream | None = None, sharpness: float | None = None) -> Bit:
     """Run the overlap test; rng is required only for the smoothed version."""
     dist = overlap_distribution(state, target, phi, threshold, sharpness)
-    if sharpness is None:
-        return max(dist, key=lambda pair: pair[1])[0]
-    if rng is None:
-        raise ValueError("smoothed overlap test needs a RandomStream")
-    return _draw(dist, rng)
+    return _outcome(dist, None if sharpness is None else rng, "smoothed overlap test")
 
 
 def basis_weights(state: PureState, target, basis=None) -> np.ndarray:
     """Tr(P_{phi_i} rho_1) for every basis state."""
     rho = reduced_density(state, target)
-    b = _basis_matrix(basis, rho.dim)
+    b = basis_matrix(basis, rho.dim)
     return np.real(np.einsum("ij,ji->i", b.conj().T @ rho.entries, b)).clip(0.0, None)
 
 
@@ -439,12 +452,7 @@ def basis_select(state: PureState, target, basis=None, rng: RandomStream | None 
                  sharpness: float | None = None) -> IntegerLabel:
     """Pick the basis state of maximal weight (or its softmax smoothing)."""
     dist = basis_select_distribution(state, target, basis, sharpness)
-    if rng is None:
-        nonzero = [pair for pair in dist if pair[1] > 0.0]
-        if sharpness is None and len(nonzero) == 1:
-            return nonzero[0][0]
-        raise ValueError("stochastic basis selection needs a RandomStream")
-    return _draw(dist, rng)
+    return _outcome(dist, rng, "stochastic basis selection")
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +492,7 @@ def certify_distribution(state: PureState, target, alpha: float, threshold: floa
         raise ValueError(
             f"entropy threshold {threshold} outside allowed range 0 < E < {limit}"
         )
-    s = entropy(reduced_density(state, target), alpha)
-    if sharpness is None:
-        hit = 1.0 if s > threshold else 0.0
-        return [(Bit(1), hit), (Bit(0), 1.0 - hit)]
-    if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
-    p1 = _logistic(sharpness * (s - threshold))
-    return [(Bit(1), p1), (Bit(0), 1.0 - p1)]
+    return _threshold_bit(entropy(reduced_density(state, target), alpha), threshold, sharpness)
 
 
 def entropy_certify(state: PureState, target, alpha: float, threshold: float,
@@ -499,28 +500,27 @@ def entropy_certify(state: PureState, target, alpha: float, threshold: float,
                     sharpness: float | None = None) -> Bit:
     """Certify S_alpha(rho_1) > E, hard or logistically smoothed."""
     dist = certify_distribution(state, target, alpha, threshold, sharpness)
-    if sharpness is None:
-        return max(dist, key=lambda pair: pair[1])[0]
-    if rng is None:
-        raise ValueError("smoothed entropy certifier needs a RandomStream")
-    return _draw(dist, rng)
+    return _outcome(dist, None if sharpness is None else rng, "smoothed entropy certifier")
 
 
-def entanglement_analyse(state: PureState, target_single: int, basis=None,
+def entanglement_analyse(state: PureState, target_single, basis=None,
                          precision: int | None = None) -> MatrixDescription:
     """Gram matrix M_ij = <phi_i|phi_j> of the partial inner products.
 
     Here phi_i is the complement-space vector obtained by contracting the
-    i-th basis vector against the single target factor.  M equals the
-    transpose of the reduced density matrix in the same basis.
+    i-th basis vector against the single target factor (an index, or a
+    one-index set).  M equals the transpose of the reduced density matrix
+    in the same basis.
     """
-    target = int(target_single)
     space = state.space
-    _normalize_subset(space, target)
+    subset = _normalize_subset(space, target_single)
+    if len(subset) != 1:
+        raise ValueError("EntanglementAnalyse acts on a single factor")
+    target = subset[0]
     if space.n_factors < 2:
         raise ValueError("entanglement analysis needs at least two factors")
     d_t = space.dims[target]
-    b = _basis_matrix(basis, d_t)
+    b = basis_matrix(basis, d_t)
     rest = space.complement((target,))
     d_rest = math.prod(space.dims[i] for i in rest)
 
@@ -534,51 +534,97 @@ def entanglement_analyse(state: PureState, target_single: int, basis=None,
 
 
 # ---------------------------------------------------------------------------
-# Device specifications
+# Device kinds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CatalogEntry:
+class DeviceKind:
+    """One device kind: its catalog entry, distribution and outcome set.
+
+    ``params`` are in catalog order, a trailing ``?`` marking an optional
+    one.  ``distribution(state, target, params)`` (and ``stacked``, for a
+    list of states in one pass) calls the kind's module function by its
+    global name, so a wrapper bound over that name sees every call.
+    ``may_miss``: the selector types that may match no branch, as outcome
+    values of readouts and meters depend on the state; a label or bit
+    device has a fixed alphabet, so a miss there is a caller error.  A kind
+    with ``deterministic_without`` is stochastic only when that parameter
+    is set; a ``single_factor`` kind acts on one factor.
+    """
+
     aliases: str
     summary: str
-    params: str
+    params: tuple[str, ...]
     stochastic: bool
+    distribution: Callable[[PureState, Any, Mapping[str, Any]], list]
+    may_miss: tuple[type, ...] = ()
+    deterministic_without: str | None = None
+    stacked: Callable[[Sequence[PureState], Any, Mapping[str, Any]], list] | None = None
+    single_factor: bool = False
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        return tuple(p for p in self.params if not p.endswith("?"))
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(p.rstrip("?") for p in self.params)
 
 
-DEVICE_CATALOG: dict[str, CatalogEntry] = {
-    "Readout": CatalogEntry(
+_SAMPLED_VALUES = (RealValue, IntegerLabel, Bit, Overflow)
+
+DEVICE_KINDS: dict[str, DeviceKind] = {
+    "Readout": DeviceKind(
         "RD/FPRD", "classical description of the reduced density matrix",
-        "basis?, precision?", False),
-    "FunctionReadout": CatalogEntry(
+        ("basis?", "precision?"), False,
+        lambda s, t, p: [(readout_density(s, t, **p), 1.0)], (MatrixDescription,)),
+    "FunctionReadout": DeviceKind(
         "FRD/FFRD", "description of a matrix power of the reduced density matrix",
-        "exponent, basis?, precision?", False),
-    "ExpectationReadout": CatalogEntry(
+        ("exponent", "basis?", "precision?"), False,
+        lambda s, t, p: [(function_readout(s, t, **p), 1.0)], (MatrixDescription,)),
+    "ExpectationReadout": DeviceKind(
         "ERD/FERD", "expectation value of a Hermitian observable",
-        "observable, precision?", False),
-    "EigenvalueSampler": CatalogEntry(
+        ("observable", "precision?"), False,
+        lambda s, t, p: [(expectation_readout(s, t, **p), 1.0)], (RealValue,)),
+    "EigenvalueSampler": DeviceKind(
         "SEVRD/FSEVRD/ISEVRD/FISEVRD/SPRD", "Born-rule eigenvalue draw without disturbance",
-        "observable, variant?, precision?, max_label?, label_offset?", True),
-    "UncertaintySampler": CatalogEntry(
+        ("observable", "variant?", "precision?", "max_label?", "label_offset?"), True,
+        lambda s, t, p: eigenvalue_distribution(s, t, **p), _SAMPLED_VALUES),
+    "UncertaintySampler": DeviceKind(
         "SURD/FSURD", "eigenvalue draw of the mean-shifted observable",
-        "observable, precision?", True),
-    "PovmSampler": CatalogEntry(
+        ("observable", "precision?"), True,
+        lambda s, t, p: uncertainty_distribution(s, t, **p), _SAMPLED_VALUES),
+    "PovmSampler": DeviceKind(
         "SPOD/FSPOD", "Born-rule POVM label draw without disturbance",
-        "povm, max_label?", True),
-    "OverlapTest": CatalogEntry(
+        ("povm", "max_label?"), True,
+        lambda s, t, p: povm_distribution(s, t, **p)),
+    "OverlapTest": DeviceKind(
         "SOD/SSOD", "threshold test on the overlap with a target state",
-        "target_state, threshold, sharpness?", True),
-    "BasisSelect": CatalogEntry(
+        ("target_state", "threshold", "sharpness?"), True,
+        lambda s, t, p: overlap_distribution(s, t, p["target_state"], p["threshold"],
+                                             p.get("sharpness")),
+        deterministic_without="sharpness"),
+    "BasisSelect": DeviceKind(
         "BSD/SBSD", "index of the basis state of maximal weight",
-        "basis?, sharpness?", True),
-    "EntropyMeter": CatalogEntry(
+        ("basis?", "sharpness?"), True,
+        lambda s, t, p: basis_select_distribution(s, t, **p)),
+    "EntropyMeter": DeviceKind(
         "VNEM/REM/UEM + finite precision", "entanglement entropy of order alpha, in bits",
-        "alpha?, precision?", False),
-    "EntropyCertifier": CatalogEntry(
+        ("alpha?", "precision?"), False,
+        lambda s, t, p: [(entropy_meter(s, t, **p), 1.0)], (RealValue,),
+        stacked=lambda states, t, p: [[(out, 1.0)]
+                                      for out in entropy_meter_readings(states, t, **p)]),
+    "EntropyCertifier": DeviceKind(
         "UEC/smoothed UEC", "threshold test on the order-alpha entropy",
-        "alpha?, entropy_threshold, sharpness?", True),
-    "EntanglementAnalyse": CatalogEntry(
+        ("alpha?", "entropy_threshold", "sharpness?"), True,
+        lambda s, t, p: certify_distribution(s, t, p.get("alpha", 1.0),
+                                             p["entropy_threshold"], p.get("sharpness")),
+        deterministic_without="sharpness"),
+    "EntanglementAnalyse": DeviceKind(
         "EA/FPEA", "Gram matrix of partial inner products against a basis",
-        "basis?, precision?", False),
+        ("basis?", "precision?"), False,
+        lambda s, t, p: [(entanglement_analyse(s, t, **p), 1.0)], (MatrixDescription,),
+        single_factor=True),
 }
 
 
@@ -590,108 +636,40 @@ class DeviceSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in DEVICE_CATALOG:
+        if self.kind not in DEVICE_KINDS:
             raise ValueError(f"unknown device kind {self.kind!r}")
+        unknown = set(self.params) - set(DEVICE_KINDS[self.kind].names)
+        if unknown:
+            raise ValueError(f"{self.kind} takes no parameter {sorted(unknown)[0]!r}")
         object.__setattr__(self, "params", dict(self.params))
 
     @property
     def stochastic(self) -> bool:
-        if self.kind in ("OverlapTest", "EntropyCertifier"):
-            return self.params.get("sharpness") is not None
-        return DEVICE_CATALOG[self.kind].stochastic
-
-    def _get(self, key, default=None):
-        return self.params.get(key, default)
+        kind = DEVICE_KINDS[self.kind]
+        switch = kind.deterministic_without
+        return kind.stochastic and (switch is None or self.params.get(switch) is not None)
 
     def distribution(self, state: PureState, target) -> list[tuple[Outcome, float]]:
         """Exact outcome distribution (deterministic devices give one point)."""
-        p = self.params
-        kind = self.kind
-        if kind == "Readout":
-            out = readout_density(state, target, p.get("basis"), p.get("precision"))
-            return [(out, 1.0)]
-        if kind == "FunctionReadout":
-            out = function_readout(state, target, p.get("exponent", 1),
-                                   p.get("basis"), p.get("precision"))
-            return [(out, 1.0)]
-        if kind == "ExpectationReadout":
-            out = expectation_readout(state, target, p["observable"], p.get("precision"))
-            return [(out, 1.0)]
-        if kind == "EigenvalueSampler":
-            return eigenvalue_distribution(
-                state, target, p["observable"], variant=p.get("variant", "value"),
-                precision=p.get("precision"), max_label=p.get("max_label"),
-                label_offset=p.get("label_offset", 0))
-        if kind == "UncertaintySampler":
-            return uncertainty_distribution(state, target, p["observable"],
-                                            p.get("precision"))
-        if kind == "PovmSampler":
-            return povm_distribution(state, target, p["povm"], p.get("max_label"))
-        if kind == "OverlapTest":
-            return overlap_distribution(state, target, p["target_state"],
-                                        p["threshold"], p.get("sharpness"))
-        if kind == "BasisSelect":
-            return basis_select_distribution(state, target, p.get("basis"),
-                                             p.get("sharpness"))
-        if kind == "EntropyMeter":
-            out = entropy_meter(state, target, p.get("alpha", 1.0), p.get("precision"))
-            return [(out, 1.0)]
-        if kind == "EntropyCertifier":
-            return certify_distribution(state, target, p.get("alpha", 1.0),
-                                        p["entropy_threshold"], p.get("sharpness"))
-        if kind == "EntanglementAnalyse":
-            subset = _normalize_subset(state.space, target)
-            if len(subset) != 1:
-                raise ValueError("EntanglementAnalyse acts on a single factor")
-            out = entanglement_analyse(state, subset[0], p.get("basis"),
-                                       p.get("precision"))
-            return [(out, 1.0)]
-        raise AssertionError(kind)
+        return DEVICE_KINDS[self.kind].distribution(state, target, self.params)
 
     def distributions(self, states: Sequence[PureState], target
                       ) -> list[list[tuple[Outcome, float]]]:
-        """``distribution`` of each state; entropy meters take the list in one stacked pass."""
-        if self.kind == "EntropyMeter":
-            p = self.params
-            readings = entropy_meter_readings(states, target, p.get("alpha", 1.0),
-                                              p.get("precision"))
-            return [[(out, 1.0)] for out in readings]
+        """``distribution`` of each state, in one stacked pass where the kind has one."""
+        stacked = DEVICE_KINDS[self.kind].stacked
+        if stacked is not None:
+            return stacked(states, target, self.params)
         return [self.distribution(state, target) for state in states]
 
     def apply(self, state: PureState, target, rng: RandomStream | None = None) -> Outcome:
         """Run the device once.  Stochastic kinds require a RandomStream."""
-        dist = self.distribution(state, target)
-        if len(dist) == 1:
-            return dist[0][0]
-        deterministic = [o for o, prob in dist if prob >= 1.0 - 1e-12]
-        if deterministic and rng is None:
-            return deterministic[0]
-        if rng is None:
-            raise ValueError(f"device kind {self.kind} needs a RandomStream")
-        return _draw(dist, rng)
+        return _outcome(self.distribution(state, target), rng, f"device kind {self.kind}")
 
     def probability_of(self, state: PureState, target, selector: Outcome,
                        atol: float = OUTCOME_ATOL) -> float:
         """Analytic probability that the device yields the selected outcome."""
         selection = OutcomeSelection(self, (selector,), atol)
         return float(selection.probabilities(self.distribution(state, target))[0])
-
-
-def _selector_plausible(spec: DeviceSpec, selector: Outcome) -> bool:
-    """Whether a selector that missed every branch is still a legal outcome.
-
-    Devices with state-dependent outcome values (readouts, meters) can
-    legitimately miss: the selected description simply has probability 0
-    on this state.  Label/bit devices have a fixed outcome alphabet, so a
-    miss there is a caller error.
-    """
-    if spec.kind in ("Readout", "FunctionReadout", "EntanglementAnalyse"):
-        return isinstance(selector, MatrixDescription)
-    if spec.kind in ("ExpectationReadout", "EntropyMeter"):
-        return isinstance(selector, RealValue)
-    if spec.kind in ("EigenvalueSampler", "UncertaintySampler"):
-        return isinstance(selector, (RealValue, IntegerLabel, Bit, Overflow))
-    return False
 
 
 class OutcomeSelection:
@@ -720,7 +698,8 @@ class OutcomeSelection:
         # scalar payloads of RealValue/IntegerLabel/Bit selectors, NaN elsewhere
         self._values = np.array([getattr(s, "value", math.nan) for s in self.selectors],
                                 dtype=float)
-        self._may_miss = np.array([_selector_plausible(spec, s) for s in self.selectors],
+        may_miss = DEVICE_KINDS[spec.kind].may_miss
+        self._may_miss = np.array([isinstance(s, may_miss) for s in self.selectors],
                                   dtype=bool)
 
     def _hits(self, kind: type, outcomes: list, idx: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ from .devices import entropy_meter, overlap_test, readout_density, sample_povm
 from .opf import (
     QUBIT_PROBE_STATES,
     entropy_meter_measurement,
-    hermitian_coords,
     product_form_witness,
+    quadratic_fit,
     update_map_feasibility,
 )
 from .qcore import (
@@ -39,6 +39,7 @@ from .qcore import (
     random_pure_state,
     random_pure_states,
     schmidt_decompose,
+    stack_amplitudes,
     tensor_product,
 )
 
@@ -212,13 +213,10 @@ def _product_probe_residual(f, d: int) -> float:
     space = FactorSpace((d, d))
     probes = normalized_states(space, [np.kron(a, b) for a in factor_probes
                                        for b in factor_probes])
-    design = hermitian_coords(np.array([p.density() for p in probes]))
-    values = f.values(probes)
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return float(np.max(np.abs(values - design @ coeffs)))
+    return quadratic_fit(stack_amplitudes(probes, space), f.values(probes))[0]
 
 
-_SPOD_ELEMENTS = {
+SPOD_ELEMENTS = {
     "projector0": np.array([[1, 0], [0, 0]], dtype=complex),
     "half_identity": np.eye(2, dtype=complex) / 2,
     "zero": np.zeros((2, 2), dtype=complex),
@@ -233,8 +231,8 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     linear map reproduces it; the half-identity and zero controls remain
     feasible.
     """
-    if element not in _SPOD_ELEMENTS:
-        raise ValueError(f"element must be one of {sorted(_SPOD_ELEMENTS)}")
+    if element not in SPOD_ELEMENTS:
+        raise ValueError(f"element must be one of {sorted(SPOD_ELEMENTS)}")
     space = FactorSpace((2, 2))
     min_update_fidelity = 1.0
     for trial in range(100):
@@ -246,8 +244,8 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
         after = DensityMatrix.from_pure(psi)  # devices never touch the state
         min_update_fidelity = min(min_update_fidelity, fidelity(before, after))
 
-    cert = update_map_feasibility(_SPOD_ELEMENTS[element], QUBIT_PROBE_STATES)
-    control = update_map_feasibility(_SPOD_ELEMENTS["half_identity"], QUBIT_PROBE_STATES)
+    cert = update_map_feasibility(SPOD_ELEMENTS[element], QUBIT_PROBE_STATES)
+    control = update_map_feasibility(SPOD_ELEMENTS["half_identity"], QUBIT_PROBE_STATES)
 
     evidence = {
         "element": element,

@@ -39,6 +39,7 @@ from .qcore import (
     random_pure_states,
     random_unitary,
     require_hermitian,
+    require_psd,
     require_unitary,
     stack_amplitudes,
     tensor_products,
@@ -185,8 +186,7 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
     if q.ndim != 2 or q.shape[1] != dim:
         raise ValueError("POVM element must be a square matrix")
     require_hermitian(q, "POVM element must be Hermitian")
-    vals = np.linalg.eigvalsh(q)
-    if vals[0] < -1e-9 or vals[-1] > 1.0 + 1e-9:
+    if require_psd(q, "POVM element must satisfy 0 <= Q <= I")[-1] > 1.0 + 1e-9:
         raise ValueError("POVM element must satisfy 0 <= Q <= I")
     if space is None:
         space = FactorSpace((dim,))
@@ -579,6 +579,15 @@ class ProductFormCertificate:
         }
 
 
+def quadratic_fit(amps: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least-squares fit of values[i] = <psi_i|Q|psi_i> over an (n, d)
+    amplitude stack: the worst absolute deviation and Q's Hermitian
+    coordinates."""
+    design = hermitian_coords(amps[:, :, None] * amps.conj()[:, None, :])  # |psi><psi|
+    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    return float(np.max(np.abs(values - design @ coeffs))), coeffs
+
+
 def product_form_witness(f: OPF, extra_probes: Sequence[PureState] = ()
                          ) -> ProductFormCertificate:
     """Fit a single operator Q with f(psi) = <psi|Q|psi> over a spanning probe set.
@@ -595,11 +604,7 @@ def product_form_witness(f: OPF, extra_probes: Sequence[PureState] = ()
     probes.extend(extra_probes)
 
     values = f.values(probes)
-    amps = stack_amplitudes(probes, f.space)
-    design = hermitian_coords(amps[:, :, None] * amps.conj()[:, None, :])  # |psi><psi|
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    fitted = design @ coeffs
-    residual = float(np.max(np.abs(values - fitted)))
+    residual, coeffs = quadratic_fit(stack_amplitudes(probes, f.space), values)
     return ProductFormCertificate(residual, hermitian_from_coords(coeffs), len(probes))
 
 
@@ -863,10 +868,4 @@ def update_map_feasibility(element: np.ndarray, probe_states: Sequence[PureState
 
 
 QUBIT_PROBE_STATES = tuple(
-    PureState.normalized(FactorSpace((2,)), v) for v in (
-        np.array([1.0, 0.0]),
-        np.array([0.0, 1.0]),
-        np.array([1.0, 1.0]) / math.sqrt(2.0),
-        np.array([1.0, 1j]) / math.sqrt(2.0),
-    )
-)
+    PureState.normalized(FactorSpace((2,)), v) for v in canonical_probe_states(2))

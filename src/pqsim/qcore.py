@@ -81,6 +81,15 @@ def require_hermitian(matrix: np.ndarray, message: str) -> None:
         raise ValueError(message)
 
 
+def require_psd(matrix: np.ndarray, message: str) -> np.ndarray:
+    """The ascending eigenvalues of a Hermitian matrix; raise
+    ValueError(message) if the smallest lies below -``NORM_ATOL``."""
+    vals = np.linalg.eigvalsh(matrix)
+    if float(vals[0]) < -NORM_ATOL:
+        raise ValueError(message)
+    return vals
+
+
 def require_unitary(matrix: np.ndarray) -> None:
     """Raise ValueError unless U^dagger U = I within ``NORM_ATOL``."""
     if not np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))) <= NORM_ATOL:
@@ -206,9 +215,7 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        vals = np.linalg.eigvalsh(mat)
-        if float(vals[0]) < -NORM_ATOL:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        vals = require_psd(mat, "density matrix has a negative eigenvalue beyond tolerance")
         mat.setflags(write=False)
         vals.setflags(write=False)
         self.dim = mat.shape[0]
@@ -339,8 +346,7 @@ class POVMSet:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError("POVM elements must be square matrices")
             require_hermitian(mat, "POVM element is not Hermitian within tolerance")
-            if float(np.linalg.eigvalsh(mat)[0]) < -NORM_ATOL:
-                raise ValueError("POVM element has a negative eigenvalue beyond tolerance")
+            require_psd(mat, "POVM element has a negative eigenvalue beyond tolerance")
             mat.setflags(write=False)
             elems.append(mat)
         if len(elems) == 0:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import scipy.stats
 
-from pqsim.devices import _selector_plausible, outcomes_equal
+from pqsim.devices import DEVICE_KINDS, outcomes_equal
 from pqsim.opf import hermitian_basis
 
 
@@ -175,7 +175,7 @@ def selection_probabilities(spec, selectors, distribution, atol=1e-9):
                 probs[i] += prob
                 matched[i] = True
     for selector, hit in zip(selectors, matched):
-        if not hit and not _selector_plausible(spec, selector):
+        if not hit and not isinstance(selector, DEVICE_KINDS[spec.kind].may_miss):
             raise ValueError(f"selector {selector!r} is not in the outcome set of {spec.kind}")
     return probs
 

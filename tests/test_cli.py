@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pqsim.devices import DEVICE_KINDS
 from pqsim.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -474,3 +475,130 @@ class TestListDevices:
         assert main(["list-devices", "--json", "entropy"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == ["EntropyCertifier", "EntropyMeter"]
+
+
+def _run_config(tmp_path, text):
+    cfg = tmp_path / "run.pq"
+    cfg.write_text(text)
+    return main(["run", str(cfg)])
+
+
+def _device_config(kind, target, lines):
+    return ('space.dims = [2, 2]\nstate.kind = "bell"\naction.type = "device"\n'
+            f'action.device.kind = "{kind}"\naction.target = {target}\n'
+            + "".join(f"action.device.{line}\n" for line in lines))
+
+
+class TestDeviceParameterExitCodes:
+    """Malformed device parameters exit 2 and name the offending key."""
+
+    @pytest.mark.parametrize("kind,lines,key", [
+        ("EigenvalueSampler", ['observable = "pauli_z"', 'variant = "nope"'], "variant"),
+        ("EigenvalueSampler", ['observable = "pauli_z"', 'variant = "finite"'], "max_label"),
+        ("EntropyMeter", ["alpha = -1"], "alpha"),
+        ("EntropyCertifier", ["alpha = -1", "entropy_threshold = 0.5"], "alpha"),
+        ("Readout", ['precision = "x"'], "precision"),
+        ("Readout", ["precision = -3"], "precision"),
+        ("FunctionReadout", ["exponent = 0"], "exponent"),
+        ("BasisSelect", ["sharpness = -1"], "sharpness"),
+        ("OverlapTest", ["target_state = [1, 0]", "threshold = 0.5", "sharpness = 0"],
+         "sharpness"),
+        ("Readout", ["basis = [1, 1, 0, 1]"], "basis"),
+        ("EntropyCertifier", ['entropy_threshold = "x"'], "entropy_threshold"),
+        ("OverlapTest", ["target_state = [1, 0]", 'threshold = "x"'], "threshold"),
+        ("PovmSampler", ['povm = "computational"', 'max_label = "x"'], "max_label"),
+    ])
+    def test_malformed_parameter_exits_two(self, kind, lines, key, tmp_path, capsys):
+        assert _run_config(tmp_path, _device_config(kind, "[0]", lines)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
+        assert f"action.device.{key}" in captured.err
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("action.target = [0]", "action.target = [0, 0]", "action.target"),
+        ('state.kind = "bell"', 'state.kind = "product"\nstate.labels = 3', "state.labels"),
+        ('state.kind = "bell"', 'state.kind = "explicit"\nstate.amplitudes = 3',
+         "state.amplitudes"),
+        ('"EntropyMeter"', '"ExpectationReadout"\naction.device.observable = 3',
+         "action.device.observable"),
+    ])
+    def test_malformed_value_exits_two(self, old, new, key, tmp_path, capsys):
+        assert _run_config(tmp_path, MINIMAL.replace("action.device.alpha = 1\n", "")
+                           .replace(old, new)) == 2
+        assert key in capsys.readouterr().err
+
+    def test_entanglement_analyse_needs_a_single_factor(self, tmp_path, capsys):
+        assert _run_config(tmp_path, _device_config("EntanglementAnalyse", "[0, 1]", [])) == 2
+        assert "action.target" in capsys.readouterr().err
+
+    def test_function_readout_requires_exponent(self, tmp_path, capsys):
+        assert _run_config(tmp_path, _device_config("FunctionReadout", "[0]", [])) == 2
+        assert "action.device.exponent" in capsys.readouterr().err
+        assert _run_config(tmp_path, _device_config("FunctionReadout", "[0]",
+                                                    ["exponent = 2"])) == 0
+
+
+# a valid value of every required device parameter, on a qubit target
+REQUIRED_VALUES = {
+    "observable": '"pauli_z"', "povm": '"computational"', "target_state": "[1, 0]",
+    "threshold": "0.5", "entropy_threshold": "0.5", "exponent": "2",
+}
+
+
+@pytest.mark.parametrize("kind,missing", [
+    (kind, name) for kind, record in DEVICE_KINDS.items() for name in record.required])
+def test_missing_required_device_parameter_exits_two(kind, missing, tmp_path, capsys):
+    lines = [f"{name} = {REQUIRED_VALUES[name]}"
+             for name in DEVICE_KINDS[kind].required if name != missing]
+    assert _run_config(tmp_path, _device_config(kind, "[0]", lines)) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert f"action.device.{missing}" in captured.err
+    complete = lines + [f"{missing} = {REQUIRED_VALUES[missing]}"]
+    assert _run_config(tmp_path, _device_config(kind, "[0]", complete)) == 0
+
+
+class TestExperimentParameterExitCodes:
+    @pytest.mark.parametrize("experiment,line", [
+        ("fpvnem", "samples = 0"),
+        ("fpvnem", 'samples = "x"'),
+        ("ensemble-overlap", "n = 0"),
+        ("spod-update", 'element = "nope"'),
+        ("tomography", 'threshold = "x"'),
+        ("ensemble-overlap", "epsilons = [2]"),
+        ("ensemble-readout", "weights = [0.5, 0.5]"),
+        ("ensemble-overlap", "weights = [0.5, 0.5]"),
+    ])
+    def test_malformed_or_unread_parameter_exits_two(self, experiment, line, tmp_path,
+                                                     capsys):
+        text = ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
+                f'action.experiment.id = "{experiment}"\naction.experiment.{line}\n')
+        assert _run_config(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert line.split(" = ")[0] in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "tomography", "--d", "3"],
+        ["demo", "spod-update", "--d", "3"],
+        ["demo", "no-signalling", "--m", "3"],
+        ["check", "closure", "--d", "3"],
+        ["check", "estimation", "--m", "3"],
+    ])
+    def test_flag_the_action_does_not_take_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"takes no parameter '{argv[2][2:]}'" in captured.err
+
+    def test_tomography_reads_confidence(self):
+        report = run_experiment("tomography", {"n": 1000, "confidence": 0.9}, seed=3)
+        assert report.record_fields()["confidence"] == 0.9
+        default = run_experiment("tomography", {"n": 1000}, seed=3)
+        assert default.record_fields()["confidence"] == 0.95
+
+    def test_m_feeds_the_records_parameter(self, capsys):
+        assert main(["demo", "ensemble-readout", "--m", "4", "--seed", "3"]) == 0
+        expected = run_experiment("ensemble-readout", {"precisions": [4]}, seed=3)
+        assert capsys.readouterr().out == format_record(expected.record_fields()) + "\n"

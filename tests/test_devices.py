@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from pqsim import devices
 from pqsim.devices import (
+    DEVICE_KINDS,
     Bit,
     DeviceSpec,
     IntegerLabel,
@@ -552,6 +554,42 @@ class TestDeviceSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DeviceSpec("Telepathy")
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ValueError, match="takes no parameter 'phi'"):
+            DeviceSpec("OverlapTest", {"phi": KET0, "threshold": 0.5})
+
+    def test_distribution_calls_the_kind_function_by_its_global_name(self, monkeypatch):
+        calls = []
+        original = devices.readout_density
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(devices, "readout_density", spy)
+        DeviceSpec("Readout").distribution(BELL, (0,))
+        assert len(calls) == 1
+
+    def test_catalog_params_name_the_required_ones(self):
+        kind = DEVICE_KINDS["EigenvalueSampler"]
+        assert kind.required == ("observable",)
+        assert kind.names == ("observable", "variant", "precision", "max_label",
+                              "label_offset")
+        assert DEVICE_KINDS["FunctionReadout"].required == ("exponent",)
+
+    def test_hard_threshold_devices_leave_the_stream_alone(self):
+        rng, fresh = RandomStream(5), RandomStream(5)
+        assert overlap_test(BELL, (0,), KET0, 0.3, rng) == Bit(1)
+        assert entropy_certify(BELL, (0,), 1.0, 0.5, rng) == Bit(1)
+        assert rng.uniform() == fresh.uniform()
+
+    def test_apply_draws_whenever_it_gets_a_stream(self):
+        spec = DeviceSpec("BasisSelect")
+        rng, fresh = RandomStream(5), RandomStream(5)
+        assert spec.apply(KET0, (0,), rng) == IntegerLabel(0)
+        fresh.uniform()
+        assert rng.uniform() == fresh.uniform()
 
     def test_apply_deterministic_without_rng(self):
         spec = DeviceSpec("EntropyMeter", {"alpha": 1.0})
