@@ -21,6 +21,7 @@ seed; an explicit ``--seed`` flag or config entry wins over it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -336,7 +337,7 @@ def parse_config(text: str) -> RunConfig:
         repetitions = take("action.repetitions", 1)
         if not isinstance(repetitions, int) or repetitions < 1:
             fail("action.repetitions must be a positive integer", "action.repetitions")
-        _device_params(name, dict(params), dev.target_dimension(space, target), line_of)
+        _device_spec(name, dict(params), dev.target_dimension(space, target), line_of)
 
     output_path = take("output.path", "")
     output_format = take("output.format", "records")
@@ -503,13 +504,12 @@ _DEVICE_PARAMS = {
 }
 
 
-def _device_params(kind: str, raw: dict, dim: int, line_of=lambda key: None) -> dict:
-    """The device parameters resolved by name, or a ConfigError naming the key."""
+def _device_spec(kind: str, raw: dict, dim: int, line_of=lambda key: None) -> dev.DeviceSpec:
+    """The device with its parameters resolved by name and checked together
+    by its kind, or a ConfigError naming the key."""
     for name in dev.DEVICE_KINDS[kind].required:
         if name not in raw:
             raise ConfigError("missing required key", _DEVICE_PREFIX + name)
-    if raw.get("variant") == "finite" and "max_label" not in raw:
-        raise ConfigError("variant 'finite' needs max_label", _DEVICE_PREFIX + "max_label")
     params = {}
     for name, value in raw.items():
         key = _DEVICE_PREFIX + name
@@ -517,13 +517,11 @@ def _device_params(kind: str, raw: dict, dim: int, line_of=lambda key: None) -> 
             params[name] = _DEVICE_PARAMS[name](value, dim, key)
         except (ConfigError, ValueError) as err:
             raise ConfigError(getattr(err, "reason", str(err)), key, line_of(key)) from None
-    return params
-
-
-def _resolve_device_spec(config: RunConfig, space: FactorSpace) -> dev.DeviceSpec:
-    params = _device_params(config.device_kind, dict(config.params),
-                            dev.target_dimension(space, config.target))
-    return dev.DeviceSpec(config.device_kind, params)
+    try:
+        return dev.DeviceSpec(kind, params)
+    except dev.ParameterError as err:
+        key = _DEVICE_PREFIX + err.name
+        raise ConfigError(str(err), key, line_of(key)) from None
 
 
 def build_state(config: RunConfig) -> PureState:
@@ -570,11 +568,15 @@ def _outcome_fields(outcome) -> dict:
 def _run_device(config: RunConfig) -> tuple[list[dict], int]:
     space = FactorSpace(config.dims)
     state = build_state(config)
-    spec = _resolve_device_spec(config, space)
+    spec = _device_spec(config.device_kind, dict(config.params),
+                        dev.target_dimension(space, config.target))
+    reps = range(config.repetitions)
+    # repetition r of a stochastic device draws from stream (seed, _DEVICE_STREAM, r)
+    streams = (RandomStream(config.seed, experiment=_DEVICE_STREAM).derive_many(reps)
+               if spec.stochastic else itertools.repeat(None))
     records = []
-    for rep in range(config.repetitions):
-        rng = RandomStream(config.seed, experiment=_DEVICE_STREAM, trial=rep)
-        outcome = spec.apply(state, config.target, rng if spec.stochastic else None)
+    for rep, rng in zip(reps, streams):
+        outcome = spec.apply(state, config.target, rng)
         fields = {"record": "repetition", "repetition": rep}
         fields.update(_outcome_fields(outcome))
         records.append(fields)
@@ -599,7 +601,9 @@ class Action:
     default when absent, else the value checked against its bounds, so an
     unused parameter is never checked.  An experiment returns its
     certificate or report, a check its record fields and whether it passed.
-    ``m_param`` is the parameter the CLI flag ``--m`` feeds.
+    ``m_param`` is the parameter the CLI flag ``--m`` feeds.  ``check(read)``,
+    where set, runs before the call and raises ParameterError when
+    parameters that each pass their bounds do not fit together.
     """
 
     cli_name: str
@@ -608,18 +612,34 @@ class Action:
     params: dict[str, Param]
     call: Callable
     m_param: str | None = None
+    check: Callable | None = None
 
 
-def _run_action(action: Action, params: dict, seed: int):
+def _run_action(action: Action, params: dict, seed: int, prefix: str = ""):
+    """Run an action on the given parameters; a ConfigError names the
+    parameter's key, ``prefix`` + its name."""
     for name in params:
         if name not in action.params:
-            raise ConfigError(f"{action.cli_name} takes no parameter {name!r}", name)
+            raise ConfigError(f"{action.cli_name} takes no parameter {name!r}", prefix + name)
 
     def read(name):
         param = action.params[name]
-        return param.parse(params[name], name) if name in params else param.default
+        return param.parse(params[name], prefix + name) if name in params else param.default
 
+    if action.check is not None:
+        try:
+            action.check(read)
+        except dev.ParameterError as err:
+            raise ConfigError(str(err), prefix + err.name) from None
     return action.call(read, RandomStream(seed, experiment=action.stream))
+
+
+def _no_signalling_weights(read) -> None:
+    """The no-signalling weights are one or two numbers summing to 1."""
+    try:
+        exp.checked_schmidt_weights(read("weights"))
+    except ValueError as err:
+        raise dev.ParameterError("weights", str(err)) from None
 
 
 def _default_ensemble() -> Ensemble:
@@ -672,7 +692,8 @@ EXPERIMENTS = {a.config_name: a for a in (
         lambda read, rng: exp.spod_update_refutation(rng, element=read("element"))),
     Action("no-signalling", "no-signalling", 12, {
         "weights": Param(float, (0.5, 0.5), 0.0, 1.0, many=True)},
-        lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights"))),
+        lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights")),
+        check=_no_signalling_weights),
     Action("cloning", "cloning", 13, {
         "d": _D, "precision": Param(int, None, 1), "trials": Param(int, 100, 1)},
         lambda read, rng: exp.cloning_demo(read("d"), rng, precision=read("precision"),
@@ -730,22 +751,20 @@ def _experiment_exit(result) -> int:
     return 0 if result.status == "OK" and result.passed else 1
 
 
-def _run_check(check_kind: str, params: dict, seed: int) -> tuple[list[dict], int]:
-    fields, passed = _run_action(CHECKS[check_kind], params, seed)
-    return [fields], 0 if passed else 1
-
-
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit status."""
+    prefix = f"action.{config.action_type}."
     if config.action_type == "device":
         records, status = _run_device(config)
     elif config.action_type == "experiment":
-        result = run_experiment(config.experiment_id, dict(config.params), config.seed)
+        result = _run_action(EXPERIMENTS[config.experiment_id], dict(config.params),
+                             config.seed, prefix)
         records = [result.record_fields()]
         status = _experiment_exit(result)
     else:
-        records, status = _run_check(config.check_kind, dict(config.params),
-                                     config.seed)
+        fields, passed = _run_action(CHECKS[config.check_kind], dict(config.params),
+                                     config.seed, prefix)
+        records, status = [fields], 0 if passed else 1
 
     lines = [format_record(fields) for fields in records]
     if config.output_format == "text":
@@ -860,10 +879,9 @@ def main(argv: list[str] | None = None) -> int:
             result = run_experiment(action.config_name, params, seed)
             print(format_record(result.record_fields()))
             return _experiment_exit(result)
-        records, status = _run_check(action.config_name, params, seed)
-        for fields in records:
-            print(format_record(fields))
-        return status
+        fields, passed = _run_action(action, params, seed)
+        print(format_record(fields))
+        return 0 if passed else 1
     except ConfigError as err:
         print(f"pqsim: configuration error: {err}", file=sys.stderr)
         return 2

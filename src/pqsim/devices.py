@@ -93,6 +93,15 @@ class Overflow:
 Outcome = Union[RealValue, IntegerLabel, Bit, MatrixDescription, Overflow]
 
 
+class ParameterError(ValueError):
+    """Parameters that each pass their own checks but do not fit together;
+    ``name`` is the parameter to change."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 def outcomes_equal(a: Outcome, b: Outcome, atol: float = OUTCOME_ATOL) -> bool:
     """Tolerant outcome comparison; Overflow matches Overflow regardless of mass."""
     if type(a) is not type(b):
@@ -312,6 +321,7 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
                            eigenvalue itself as a 0/1 bit
     """
     obs, rho = _observed(state, target, observable)
+    _require_variant_inputs(variant, obs, max_label)
     probs = _cluster_probabilities(rho, obs)
 
     if variant == "value":
@@ -323,15 +333,20 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
     if variant == "integer_label":
         return [(IntegerLabel(i + label_offset), float(p)) for i, p in enumerate(probs)]
     if variant == "finite":
-        if max_label is None:
-            raise ValueError("finite variant needs max_label")
         return _with_overflow(((i + label_offset, p) for i, p in enumerate(probs)), max_label)
     if variant == "bit":
-        values = sorted(obs.eigenvalues)
-        if any(min(abs(v), abs(v - 1.0)) > 1e-9 for v in values):
-            raise ValueError("bit variant needs a projector-valued observable")
         return [(Bit(int(round(lam))), float(p)) for lam, p in zip(obs.eigenvalues, probs)]
     raise ValueError(f"unknown eigenvalue sampler variant {variant!r}")
+
+
+def _require_variant_inputs(variant: str, observable, max_label: int | None) -> None:
+    """Raise ParameterError where an eigenvalue-sampler variant lacks what it
+    needs: ``finite`` a max_label, ``bit`` a projector-valued observable."""
+    if variant == "finite" and max_label is None:
+        raise ParameterError("max_label", "finite variant needs max_label")
+    if variant == "bit" and any(min(abs(v), abs(v - 1.0)) > 1e-9
+                                for v in _as_observable(observable).eigenvalues):
+        raise ParameterError("variant", "bit variant needs a projector-valued observable")
 
 
 def sample_eigenvalue(state: PureState, target, observable, rng: RandomStream,
@@ -549,7 +564,9 @@ class DeviceKind:
     values of readouts and meters depend on the state; a label or bit
     device has a fixed alphabet, so a miss there is a caller error.  A kind
     with ``deterministic_without`` is stochastic only when that parameter
-    is set; a ``single_factor`` kind acts on one factor.
+    is set; a ``single_factor`` kind acts on one factor.  ``check(params)``,
+    where set, raises ParameterError when parameters that each pass their
+    own checks do not fit together; ``DeviceSpec`` runs it.
     """
 
     aliases: str
@@ -561,6 +578,7 @@ class DeviceKind:
     deterministic_without: str | None = None
     stacked: Callable[[Sequence[PureState], Any, Mapping[str, Any]], list] | None = None
     single_factor: bool = False
+    check: Callable[[Mapping[str, Any]], None] | None = None
 
     @property
     def required(self) -> tuple[str, ...]:
@@ -589,7 +607,9 @@ DEVICE_KINDS: dict[str, DeviceKind] = {
     "EigenvalueSampler": DeviceKind(
         "SEVRD/FSEVRD/ISEVRD/FISEVRD/SPRD", "Born-rule eigenvalue draw without disturbance",
         ("observable", "variant?", "precision?", "max_label?", "label_offset?"), True,
-        lambda s, t, p: eigenvalue_distribution(s, t, **p), _SAMPLED_VALUES),
+        lambda s, t, p: eigenvalue_distribution(s, t, **p), _SAMPLED_VALUES,
+        check=lambda p: _require_variant_inputs(p.get("variant", "value"),
+                                                p.get("observable"), p.get("max_label"))),
     "UncertaintySampler": DeviceKind(
         "SURD/FSURD", "eigenvalue draw of the mean-shifted observable",
         ("observable", "precision?"), True,
@@ -638,9 +658,12 @@ class DeviceSpec:
     def __post_init__(self):
         if self.kind not in DEVICE_KINDS:
             raise ValueError(f"unknown device kind {self.kind!r}")
-        unknown = set(self.params) - set(DEVICE_KINDS[self.kind].names)
+        kind = DEVICE_KINDS[self.kind]
+        unknown = set(self.params) - set(kind.names)
         if unknown:
             raise ValueError(f"{self.kind} takes no parameter {sorted(unknown)[0]!r}")
+        if kind.check is not None:
+            kind.check(self.params)
         object.__setattr__(self, "params", dict(self.params))
 
     @property

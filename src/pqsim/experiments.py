@@ -235,8 +235,7 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
         raise ValueError(f"element must be one of {sorted(SPOD_ELEMENTS)}")
     space = FactorSpace((2, 2))
     min_update_fidelity = 1.0
-    for trial in range(100):
-        child = rng.derive(trial)
+    for child in rng.derive_many(range(100)):
         psi = random_pure_state(space, child)
         before = DensityMatrix.from_pure(psi)
         b = np.diag([0.2 + 0.6 * child.uniform(), 0.2 + 0.6 * child.uniform()])
@@ -265,6 +264,17 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     return Certificate("spod-update", verdict, evidence, rng.seed)
 
 
+def checked_schmidt_weights(values: Sequence[float]) -> np.ndarray:
+    """The Schmidt weights of the no-signalling state as an array: one or two
+    nonnegative numbers summing to 1, else ValueError."""
+    weights = np.asarray(values, dtype=float)
+    if weights.size not in (1, 2) or np.any(weights < 0):
+        raise ValueError("Schmidt weights must be one or two nonnegative numbers")
+    if abs(weights.sum() - 1.0) > 1e-9:
+        raise ValueError("Schmidt weights must sum to 1")
+    return weights
+
+
 def no_signalling_demo(rng: RandomStream,
                        schmidt_weights: Sequence[float] = (0.5, 0.5)) -> Certificate:
     """Remote measurement made visible through a local entropy meter.
@@ -274,11 +284,7 @@ def no_signalling_demo(rng: RandomStream,
     in the Schmidt basis, and reads the entropy again.  Any change is a
     signal that quantum measurements alone could never produce.
     """
-    weights = np.asarray(schmidt_weights, dtype=float)
-    if weights.size not in (1, 2) or np.any(weights < 0):
-        raise ValueError("schmidt_weights must be one or two nonnegative numbers")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("schmidt_weights must sum to 1")
+    weights = checked_schmidt_weights(schmidt_weights)
     space = FactorSpace((2, 2))
     amps = np.zeros(4)
     amps[0] = math.sqrt(weights[0])
@@ -338,8 +344,7 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
     threshold = 1.0 - 1e-9 if precision is None else 1.0 - 10.0 * 2.0 ** (-precision)
 
     fidelities = []
-    for trial in range(trials):
-        child = rng.derive(trial)
+    for trial, child in enumerate(rng.derive_many(range(trials))):
         psi = random_pure_state(factor, child)
         joint = tensor_product(psi, blank)
         description = readout_density(joint, (0,), precision=precision)

@@ -738,8 +738,8 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
         outcomes = _ic_outcomes(family, dim)
         # evidence: worst reconstruction error of random mixed states from
         # the outcome values alone
-        ensembles = [_random_ensemble(space, rng.derive(trial), members=3)
-                     for trial in range(20)]
+        ensembles = [_random_ensemble(space, child, members=3)
+                     for child in rng.derive_many(range(20))]
         per_outcome = [f.on_ensembles(ensembles) for f in outcomes]
         worst = 0.0
         for trial, ens in enumerate(ensembles):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -406,6 +406,34 @@ class RandomStream:
         exp = self.experiment if experiment is None else experiment
         return RandomStream(self.seed, experiment=exp, trial=trial)
 
+    def derive_many(self, trials: range) -> Iterator["RandomStream"]:
+        """The streams ``self.derive(t)`` for t in ``trials``, in order, made lazily.
+
+        Each stream is bit-identical to ``derive``'s.  The seeding words of
+        the trials in [0, 2^32) come from vectorised passes of numpy's
+        SeedSequence mixing, one per block of ``_seedwords.BLOCK`` trials;
+        any other trial goes through the constructor.
+        """
+        # imported on first use: it imports numpy.random, which importing
+        # pqsim does not
+        from . import _seedwords
+
+        lo, hi = _seedwords.one_word_span(trials)
+        for t in trials[:lo]:
+            yield self.derive(t)
+        pcg64, generator = np.random.PCG64, np.random.Generator
+        for start in range(lo, hi, _seedwords.BLOCK):
+            block = trials[start:min(start + _seedwords.BLOCK, hi)]
+            for t, words in zip(block, _seedwords.seed_words(self.seed, self.experiment, block)):
+                stream = RandomStream.__new__(RandomStream)
+                stream.seed = self.seed
+                stream.experiment = self.experiment
+                stream.trial = t
+                stream._gen = generator(pcg64(_seedwords.SeedWords(words)))
+                yield stream
+        for t in trials[hi:]:
+            yield self.derive(t)
+
     @property
     def generator(self) -> np.random.Generator:
         """Underlying numpy generator, for bulk draws (binomial etc.)."""
@@ -540,13 +568,12 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
     """One state per trial t: the tensor product, left to right, of a
     ``random_pure_state`` on each space, all drawn in turn from ``rng.derive(t)``.
 
-    Equal to the loop of derive, random_pure_state and tensor_product.  Each
-    trial's stream is dropped once its normals are drawn; the normalisations
-    and products then run on stacks.
+    Equal to the loop of derive, random_pure_state and tensor_product.  The
+    trials' streams come from ``derive_many``, each dropped once its normals
+    are drawn; the normalisations and products then run on stacks.
     """
     blocks = [np.empty((trials, s.total_dim), dtype=complex) for s in spaces]
-    for t in range(trials):
-        child = rng.derive(t)
+    for t, child in enumerate(rng.derive_many(range(trials))):
         for block in blocks:
             block[t] = child.complex_normal(block.shape[1])
     joint = _normalized_rows(blocks[0])

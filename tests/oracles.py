@@ -9,7 +9,10 @@ one selected outcome at a time.  So does the original pure-state
 construction (np.linalg.norm, np.kron, np.prod), which the library's
 direct norm and outer product must match exactly, and the original
 one-state quantum OPF evaluator and per-distribution outcome selection,
-which the library's stacked forms must match exactly.
+which the library's stacked forms must match exactly.  The per-trial loop
+of RandomStream constructions, numpy's own SeedSequence, is the oracle of
+``RandomStream.derive_many``, and each caller's old per-trial loop is
+kept here as the oracle of that caller.
 """
 
 import itertools
@@ -18,8 +21,16 @@ import math
 import numpy as np
 import scipy.stats
 
-from pqsim.devices import DEVICE_KINDS, outcomes_equal
-from pqsim.opf import hermitian_basis
+from pqsim.devices import DEVICE_KINDS, outcomes_equal, readout_density, sample_povm
+from pqsim.opf import _random_ensemble, hermitian_basis
+from pqsim.qcore import (
+    FactorSpace,
+    POVMSet,
+    PureState,
+    RandomStream,
+    random_pure_state,
+    tensor_product,
+)
 
 
 def naive_partial_trace(amplitudes, dims, keep):
@@ -220,3 +231,53 @@ def random_state_amplitudes(dims, rng):
 def tensor_amplitudes(a, b):
     """tensor_product amplitudes: the Kronecker product, then construct."""
     return pure_state_amplitudes(np.kron(a, b))
+
+
+def derived_streams(seed, experiment, trials):
+    """The streams of a trial range, one RandomStream construction each."""
+    return [RandomStream(seed, experiment, t) for t in trials]
+
+
+def spod_update_draws(rng):
+    """(state, first POVM element, outcome) of each of spod_update_refutation's
+    100 trials, drawn by its per-trial loop."""
+    space = FactorSpace((2, 2))
+    draws = []
+    for child in derived_streams(rng.seed, rng.experiment, range(100)):
+        psi = random_pure_state(space, child)
+        b = np.diag([0.2 + 0.6 * child.uniform(), 0.2 + 0.6 * child.uniform()])
+        povm = POVMSet((b, np.eye(2) - b))
+        draws.append((psi.amplitudes.tobytes(), povm.elements[0].tobytes(),
+                      sample_povm(psi, (0,), povm, child)))
+    return draws
+
+
+def cloning_trials(d, rng, precision, trials):
+    """(readout description, copy fidelity) of each trial of cloning_demo,
+    by its per-trial loop."""
+    factor = FactorSpace((d,))
+    blank = PureState.basis_state(FactorSpace((2,)), 0)
+    out = []
+    for child in derived_streams(rng.seed, rng.experiment, range(trials)):
+        psi = random_pure_state(factor, child)
+        description = readout_density(tensor_product(psi, blank), (0,), precision=precision)
+        copy = PureState.normalized(factor, np.linalg.eigh(description.matrix)[1][:, -1])
+        out.append((description.matrix.tobytes(),
+                    abs(np.vdot(copy.amplitudes, psi.amplitudes)) ** 2))
+    return out
+
+
+def estimation_ensembles(space, rng):
+    """check_estimation_assumption's 20 random ensembles, by its per-trial loop."""
+    return [_random_ensemble(space, child, members=3)
+            for child in derived_streams(rng.seed, rng.experiment, range(20))]
+
+
+def device_run_outcomes(spec, state, target, seed, repetitions):
+    """The outcomes of a config's device run, by the runner's old loop: a
+    RandomStream per repetition, passed to stochastic devices only."""
+    outcomes = []
+    for rep in range(repetitions):
+        rng = RandomStream(seed, experiment=1, trial=rep)
+        outcomes.append(spec.apply(state, target, rng if spec.stochastic else None))
+    return outcomes

@@ -14,6 +14,8 @@ from pqsim.devices import DEVICE_KINDS
 from pqsim.cli import (
     ConfigError,
     DEFAULT_SEED,
+    _device_spec,
+    _outcome_fields,
     build_state,
     format_record,
     format_value,
@@ -24,6 +26,9 @@ from pqsim.cli import (
     run,
     run_experiment,
 )
+from pqsim.qcore import RandomStream
+
+from . import oracles
 
 MINIMAL = """
 # minimal Bell-state entropy meter
@@ -280,6 +285,39 @@ action.repetitions = 20
                   for line in lines if "record=repetition" in line}
         assert values == {"1", "-1"}  # both Born branches appear over 20 draws
 
+    @pytest.mark.parametrize("kind,lines,target", [
+        ("EigenvalueSampler", ['observable = "pauli_x"'], "[1]"),
+        ("BasisSelect", ["sharpness = 3.0"], "[0]"),
+        ("EntropyMeter", [], "[0]"),
+    ])
+    def test_device_run_equals_per_repetition_loop(self, kind, lines, target, capsys):
+        text = ('seed = 13\nspace.dims = [2, 2]\nstate.kind = "random"\n'
+                f'action.type = "device"\naction.device.kind = "{kind}"\n'
+                + "".join(f"action.device.{line}\n" for line in lines)
+                + f"action.target = {target}\naction.repetitions = 300\n")
+        config = parse_config(text)
+        assert run(config) == 0
+        records = capsys.readouterr().out.splitlines()[:-1]
+        spec = _device_spec(kind, dict(config.params), 2)
+        outcomes = oracles.device_run_outcomes(spec, build_state(config), config.target,
+                                               13, 300)
+        assert records == [format_record({"record": "repetition", "repetition": rep,
+                                          **_outcome_fields(outcome)})
+                           for rep, outcome in enumerate(outcomes)]
+
+    def test_deterministic_device_builds_no_stream(self, capsys, monkeypatch):
+        built = []
+        init = RandomStream.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, "__init__", counting_init)
+        assert run(parse_config(MINIMAL + "action.repetitions = 300\n")) == 0
+        assert built == []
+        assert capsys.readouterr().out.count("record=repetition") == 300
+
     def test_text_format(self, capsys):
         text = MINIMAL + 'output.format = "text"\n'
         run(parse_config(text))
@@ -453,6 +491,16 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_numpy_random():
+    """numpy.random loads when the first stream is made, so list-devices and
+    deterministic runs never pay for its import."""
+    code = "import sys, pqsim.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestListDevices:
     def test_catalog_has_eleven_kinds(self):
         text = list_devices()
@@ -507,6 +555,7 @@ class TestDeviceParameterExitCodes:
         ("EntropyCertifier", ['entropy_threshold = "x"'], "entropy_threshold"),
         ("OverlapTest", ["target_state = [1, 0]", 'threshold = "x"'], "threshold"),
         ("PovmSampler", ['povm = "computational"', 'max_label = "x"'], "max_label"),
+        ("EigenvalueSampler", ['observable = "pauli_x"', 'variant = "bit"'], "variant"),
     ])
     def test_malformed_parameter_exits_two(self, kind, lines, key, tmp_path, capsys):
         assert _run_config(tmp_path, _device_config(kind, "[0]", lines)) == 2
@@ -569,6 +618,8 @@ class TestExperimentParameterExitCodes:
         ("ensemble-overlap", "epsilons = [2]"),
         ("ensemble-readout", "weights = [0.5, 0.5]"),
         ("ensemble-overlap", "weights = [0.5, 0.5]"),
+        ("no-signalling", "weights = [0.7, 0.7]"),
+        ("no-signalling", "weights = [0.2, 0.3, 0.5]"),
     ])
     def test_malformed_or_unread_parameter_exits_two(self, experiment, line, tmp_path,
                                                      capsys):
@@ -577,7 +628,7 @@ class TestExperimentParameterExitCodes:
         assert _run_config(tmp_path, text) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert line.split(" = ")[0] in captured.err
+        assert f"action.experiment.{line.split(' = ')[0]}" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["demo", "tomography", "--d", "3"],

@@ -13,6 +13,7 @@ from pqsim.devices import (
     IntegerLabel,
     MatrixDescription,
     Overflow,
+    ParameterError,
     RealValue,
     basis_select,
     basis_select_distribution,
@@ -558,6 +559,20 @@ class TestDeviceSpec:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="takes no parameter 'phi'"):
             DeviceSpec("OverlapTest", {"phi": KET0, "threshold": 0.5})
+
+    @pytest.mark.parametrize("params,name", [
+        ({"observable": np.array([[0, 1], [1, 0]]), "variant": "bit"}, "variant"),
+        ({"observable": np.diag([1.0, -1.0]), "variant": "bit"}, "variant"),
+        ({"observable": np.diag([1.0, -1.0]), "variant": "finite"}, "max_label"),
+    ])
+    def test_eigenvalue_sampler_parameters_are_checked_together(self, params, name):
+        with pytest.raises(ParameterError) as err:
+            DeviceSpec("EigenvalueSampler", params)
+        assert err.value.name == name
+        with pytest.raises(ParameterError, match=str(err.value)):
+            eigenvalue_distribution(KET0, (0,), **params)
+        DeviceSpec("EigenvalueSampler", {"observable": np.diag([1.0, 0.0]), "variant": "bit"})
+        DeviceSpec("EigenvalueSampler", {**params, "variant": "finite", "max_label": 1})
 
     def test_distribution_calls_the_kind_function_by_its_global_name(self, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pqsim.devices import readout_density, sample_povm
 from pqsim.experiments import (
     CONSISTENT,
     FAIL,
@@ -150,6 +151,47 @@ class TestCloningDemo:
 
     def test_deterministic(self):
         assert cloning_demo(2, RandomStream(15)) == cloning_demo(2, RandomStream(15))
+
+
+class TestDeriveManyCallers:
+    """The experiments that draw a stream per trial from ``derive_many`` give
+    what their per-trial loops of RandomStream constructions gave."""
+
+    def test_spod_update_draws_equal_per_trial_loop(self, monkeypatch):
+        from pqsim import experiments
+
+        draws = []
+
+        def spy(psi, target, povm, rng):
+            outcome = sample_povm(psi, target, povm, rng)
+            draws.append((psi.amplitudes.tobytes(), povm.elements[0].tobytes(), outcome))
+            return outcome
+
+        monkeypatch.setattr(experiments, "sample_povm", spy)
+        rng = RandomStream(41, 11)
+        spod_update_refutation(rng)
+        assert draws == oracles.spod_update_draws(rng)
+
+    @pytest.mark.parametrize("d,precision", [(2, None), (3, 6), (4, 8)])
+    def test_cloning_equals_per_trial_loop(self, d, precision, monkeypatch):
+        from pqsim import experiments
+
+        descriptions = []
+
+        def spy(*args, **kwargs):
+            description = readout_density(*args, **kwargs)
+            descriptions.append(description.matrix.tobytes())
+            return description
+
+        monkeypatch.setattr(experiments, "readout_density", spy)
+        rng = RandomStream(43, 13)
+        cert = cloning_demo(d, rng, precision=precision, trials=40)
+        want = oracles.cloning_trials(d, rng, precision, 40)
+        assert descriptions == [description for description, _ in want]
+        fidelities = [fidelity for _, fidelity in want]
+        assert cert.evidence["min_fidelity"] == min(fidelities)
+        threshold = cert.evidence["fidelity_threshold"]
+        assert cert.evidence["successes"] == sum(f >= threshold for f in fidelities)
 
 
 class TestTomography:

@@ -16,6 +16,7 @@ from pqsim.devices import (
     RealValue,
     entropy_meter_readings,
 )
+from pqsim import opf
 from pqsim.opf import (
     OPF,
     QUBIT_PROBE_STATES,
@@ -423,6 +424,23 @@ class TestEstimationAssumption:
         # witness members dodge the supplied readout targets
         for f in supplied[-2:]:
             assert f.on_ensemble(verdict.witness.ensemble_a) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("family", ["quantum_povm", "spod", "erd_sevrd"])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_random_ensembles_equal_per_trial_loop(self, family, dim, monkeypatch):
+        made = []
+
+        def spy(space, rng, members):
+            made.append(original(space, rng, members))
+            return made[-1]
+
+        original = opf._random_ensemble
+        monkeypatch.setattr(opf, "_random_ensemble", spy)
+        rng = RandomStream(353, 3)
+        check_estimation_assumption(family, dim, rng)
+        want = oracles.estimation_ensembles(FactorSpace((dim,)), rng)
+        assert [[(s.amplitudes.tobytes(), w) for s, w in e.members] for e in made] == \
+            [[(s.amplitudes.tobytes(), w) for s, w in e.members] for e in want]
 
     def test_outcome_list_bound(self):
         supplied = [readout_opf(KET0)] * 65

@@ -1,13 +1,15 @@
 """Core state representation, linear algebra, and randomness contract."""
 
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsim import qcore
+from pqsim import _seedwords, qcore
 from pqsim.qcore import (
     DensityMatrix,
     Ensemble,
@@ -37,6 +39,7 @@ from pqsim.qcore import (
 )
 
 from .oracles import (
+    derived_streams,
     naive_partial_trace,
     normalized_amplitudes,
     pure_state_amplitudes,
@@ -694,6 +697,90 @@ class TestRandomStream:
     def test_unitary_is_unitary(self):
         u = random_unitary(4, RandomStream(73))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+
+
+def assert_same_stream(a, b):
+    """Same key, same PCG64 state words, same first draws of each kind."""
+    assert (a.seed, a.experiment, a.trial) == (b.seed, b.experiment, b.trial)
+    assert a.generator.bit_generator.state == b.generator.bit_generator.state
+    assert a.normal(4).tolist() == b.normal(4).tolist()
+    assert a.uniform() == b.uniform()
+    assert a.generator.dirichlet(np.ones(3)).tolist() == \
+        b.generator.dirichlet(np.ones(3)).tolist()
+
+
+def _ranges():
+    """Trial ranges on both sides of the 2^32 word boundary, in either
+    direction; none holds a negative trial."""
+    edge = st.integers(min_value=2**32 - 8, max_value=2**32 + 8)
+    low = st.integers(min_value=40, max_value=10_000)
+    return st.one_of(
+        st.just(range(2**32 - 2, 2**32 + 2)),
+        st.builds(range, st.integers(0, 6)),
+        st.builds(lambda start, n, step: range(start, start + n * step, step),
+                  st.one_of(edge, low), st.integers(0, 6),
+                  st.sampled_from([1, 2, 3, -1, -3])),
+    )
+
+
+class TestDeriveMany:
+    """``derive_many`` equals the per-trial loop of RandomStream constructions,
+    whose SeedSequence is numpy's own."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+                          st.integers(min_value=0, max_value=2**64 - 1),
+                          st.integers(min_value=-2**70, max_value=2**70)),
+           experiment=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**33]),
+                                st.integers(min_value=0, max_value=2**70)),
+           trials=_ranges())
+    def test_equals_per_trial_loop(self, seed, experiment, trials):
+        streams = list(RandomStream(seed, experiment).derive_many(trials))
+        oracle = derived_streams(seed, experiment, trials)
+        assert len(streams) == len(oracle) == len(trials)
+        for stream, want in zip(streams, oracle):
+            assert_same_stream(stream, want)
+
+    @pytest.mark.parametrize("trials", [
+        range(0), range(5, 5), range(1), range(7, 19), range(0, 5000),
+        range(2**32 - 2, 2**32 + 2), range(2**32 + 3, 2**32 - 4, -1), range(0, 2**64, 2**63),
+    ])
+    def test_edge_ranges(self, trials):
+        rng = RandomStream(0x5EED, 10)
+        streams = list(rng.derive_many(trials))
+        assert len(streams) == len(trials)
+        for stream, t in zip(streams, trials):
+            assert_same_stream(stream, rng.derive(t))
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        monkeypatch.setattr(_seedwords, "BLOCK", 3)
+        trials = range(2**32 - 7, 2**32 + 2, 1)
+        for stream, want in zip(RandomStream(9, 2).derive_many(trials),
+                                derived_streams(9, 2, trials), strict=True):
+            assert_same_stream(stream, want)
+
+    def test_negative_trial_fails_as_derive_does_when_reached(self):
+        rng = RandomStream(3)
+        with pytest.raises(ValueError) as want:
+            [rng.derive(t) for t in range(2, -2, -1)]
+        streams = rng.derive_many(range(2, -2, -1))  # lazy: nothing built yet
+        assert [s.trial for s in itertools.islice(streams, 3)] == [2, 1, 0]
+        with pytest.raises(ValueError) as got:
+            next(streams)
+        assert str(got.value) == str(want.value)
+
+    def test_streams_pickle_as_derive_streams_do(self):
+        stream = next(RandomStream(6, 2).derive_many(range(5, 6)))
+        stream.normal(3)
+        copy = pickle.loads(pickle.dumps(stream))
+        assert_same_stream(copy, stream)
+
+    def test_streams_are_made_one_at_a_time(self):
+        streams = RandomStream(4).derive_many(range(10))
+        first = next(streams)
+        draws = first.normal(8)
+        assert_same_stream(next(streams), RandomStream(4, trial=1))
+        assert draws.tolist() == RandomStream(4, trial=0).normal(8).tolist()
 
 
 class TestApplyUnitary:
