@@ -43,7 +43,7 @@ from .opf import (
     opf_from_quantum,
     product_form_witness,
 )
-from .qcore import Ensemble, FactorSpace, POVMSet, PureState, RandomStream, require_hermitian
+from .qcore import Ensemble, FactorSpace, POVMSet, PureState, RandomStream
 
 DEFAULT_SEED = 0x5EED
 
@@ -256,11 +256,8 @@ def parse_config(text: str) -> RunConfig:
     def fail(message, key):
         raise ConfigError(message, key, line_of(key))
 
-    seed = take("seed")
-    if seed is None:
-        seed = _env_seed()
-    if not isinstance(seed, int):
-        fail("seed must be an integer", "seed")
+    seed = (_checked_seed(take("seed"), "seed", line_of("seed")) if "seed" in pairs
+            else _env_seed())
 
     dims = take("space.dims", required=True)
     if not isinstance(dims, tuple) or not all(isinstance(d, int) for d in dims):
@@ -278,12 +275,13 @@ def parse_config(text: str) -> RunConfig:
     state_labels: tuple[int, ...] = ()
     state_amplitudes: tuple[complex, ...] = ()
     if state_kind == "product":
-        if not isinstance(labels, tuple) or not labels or not all(
-                isinstance(x, int) for x in labels):
+        if not isinstance(labels, tuple) or not all(isinstance(x, int) for x in labels):
             fail("product state needs integer state.labels", "state.labels")
-        if len(labels) != space.n_factors:
-            fail("state.labels needs one label per factor", "state.labels")
-        state_labels = tuple(labels)
+        try:
+            PureState.basis_state(space, labels)  # the constructor build_state uses
+        except ValueError as err:
+            fail(str(err), "state.labels")
+        state_labels = labels
     elif state_kind == "explicit":
         if not amplitudes_raw:
             fail("explicit state needs state.amplitudes", "state.amplitudes")
@@ -328,16 +326,23 @@ def parse_config(text: str) -> RunConfig:
         target = take("action.target", required=True)
         if not isinstance(target, tuple) or not all(isinstance(i, int) for i in target):
             fail("action.target must be a list of factor indices", "action.target")
-        if not target or not set(target) <= set(range(space.n_factors)):
-            fail("action.target indices out of range", "action.target")
-        if len(set(target)) != len(target):
-            fail("action.target indices must be distinct", "action.target")
+        try:
+            dim = dev.target_dimension(space, target)
+        except ValueError as err:
+            fail(str(err), "action.target")
         if record.single_factor and len(target) != 1:
             fail(f"{name} acts on a single factor", "action.target")
         repetitions = take("action.repetitions", 1)
         if not isinstance(repetitions, int) or repetitions < 1:
             fail("action.repetitions must be a positive integer", "action.repetitions")
-        _device_spec(name, dict(params), dev.target_dimension(space, target), line_of)
+        spec = _device_spec(name, dict(params), dim, line_of)
+        # one evaluation on a basis state runs the library's checks of the
+        # parameters against the space and draws nothing; a ParameterError
+        # names the parameter, any other ValueError is the kind's
+        try:
+            spec.distribution(PureState.basis_state(space, 0), target)
+        except ValueError as err:
+            fail(str(err), _DEVICE_PREFIX + getattr(err, "name", "kind"))
 
     output_path = take("output.path", "")
     output_format = take("output.format", "records")
@@ -427,11 +432,7 @@ def _resolve_matrix(value, dim: int, key: str):
         if value == "number":
             return np.diag(np.arange(dim, dtype=complex))
         if value in _NAMED_OBSERVABLES:
-            mat = _NAMED_OBSERVABLES[value]
-            if mat.shape[0] != dim:
-                raise ConfigError(f"{value} is a qubit observable, target has dim {dim}",
-                                  key)
-            return mat
+            return _NAMED_OBSERVABLES[value]
         raise ConfigError(f"unknown named observable {value!r}", key)
     entries = _complex_entries(value, key)
     if len(entries) != dim * dim:
@@ -439,25 +440,13 @@ def _resolve_matrix(value, dim: int, key: str):
     return np.array(entries, dtype=complex).reshape(dim, dim)
 
 
-def _resolve_observable(value, dim: int, key: str):
-    mat = _resolve_matrix(value, dim, key)
-    require_hermitian(mat, "observable is not Hermitian within tolerance")
-    return mat
-
-
 def _resolve_state_vector(value, dim: int, key: str) -> PureState:
     entries = _complex_entries(value, key)
-    if len(entries) != dim:
-        raise ConfigError(f"state vector needs {dim} entries", key)
-    return PureState.normalized(FactorSpace((dim,)), np.array(entries))
+    return PureState.normalized(FactorSpace((len(entries),)), np.array(entries))
 
 
 def _resolve_basis(value, dim: int, key: str):
-    if value == "computational":
-        return None
-    rows = list(_resolve_matrix(value, dim, key))
-    dev.basis_matrix(rows, dim)  # raises unless orthonormal
-    return rows
+    return None if value == "computational" else list(_resolve_matrix(value, dim, key))
 
 
 def _computational_povm(dim: int) -> POVMSet:
@@ -471,36 +460,31 @@ def _resolve_povm(value, dim: int, key: str) -> POVMSet:
     return _computational_povm(dim)
 
 
-def _resolve_entropy_threshold(value, dim: int, key: str) -> float:
-    limit = math.log2(dim)
-    threshold = Param(float).parse(value, key)
-    if not 0 < threshold < limit:
-        raise ConfigError(
-            f"entropy_threshold {threshold} outside allowed range 0 < E < {limit:g}", key)
-    return threshold
-
-
 def _bounded(param: Param):
     return lambda value, dim, key: param.parse(value, key)
 
 
+_NUMBER, _INTEGER = _bounded(Param(float)), _bounded(Param(int))
+
 # Every device parameter means the same in every kind that takes it, so it
-# is resolved and checked by name: (value, target dimension, key) -> value.
-# A resolver raises ConfigError, or ValueError where the library rejects it.
+# is converted by name: (value, target dimension, key) -> value.  The library
+# checks the values when parse_config runs the device once; bounds stay here
+# only where that run cannot see them (precision, which the integer-label
+# variants ignore, and max_label, which no kind checks).
 _DEVICE_PARAMS = {
-    "observable": _resolve_observable,
+    "observable": _resolve_matrix,
     "target_state": _resolve_state_vector,
     "basis": _resolve_basis,
     "povm": _resolve_povm,
-    "entropy_threshold": _resolve_entropy_threshold,
-    "threshold": _bounded(Param(float, low=0.0, high=1.0, open=True)),
+    "entropy_threshold": _NUMBER,
+    "threshold": _NUMBER,
     "precision": _bounded(Param(int, low=1)),
-    "exponent": _bounded(Param(int, low=1)),
+    "exponent": _INTEGER,
     "max_label": _bounded(Param(int, low=0)),
-    "label_offset": _bounded(Param(int)),
-    "variant": _bounded(Param(str, choices=("value", "integer_label", "finite", "bit"))),
-    "alpha": _bounded(Param(float, low=0.0)),
-    "sharpness": _bounded(Param(float, low=0.0, open=True)),
+    "label_offset": _INTEGER,
+    "variant": lambda value, dim, key: value,  # the library names the choices
+    "alpha": _NUMBER,
+    "sharpness": _NUMBER,
 }
 
 
@@ -810,20 +794,29 @@ def list_devices(as_json: bool = False, pattern: str = "") -> str:
     return "\n".join(lines)
 
 
+def _checked_seed(seed, source: str, line: int | None = None) -> int:
+    """``seed`` if it is an integer in [0, 2^64), else a ConfigError naming
+    its ``source``.  RandomStream reduces seeds modulo 2^64, so a seed
+    outside that range would silently repeat the records of one inside."""
+    if isinstance(seed, int) and 0 <= seed < 2 ** 64:
+        return seed
+    raise ConfigError(f"{source} must be an integer in [0, 2^64), got {seed!r}", line=line)
+
+
 def _env_seed() -> int:
     """The seed from PQSIM_SEED, or DEFAULT_SEED when it is unset or empty."""
     text = os.environ.get("PQSIM_SEED")
     if not text:
         return DEFAULT_SEED
     try:
-        return int(text)
+        return _checked_seed(int(text), "PQSIM_SEED")
     except ValueError:
         raise ConfigError(f"PQSIM_SEED must be an integer, got {text!r}") from None
 
 
 def _seed_from(args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _checked_seed(args.seed, "--seed")
     return _env_seed()
 
 

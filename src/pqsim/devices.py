@@ -39,6 +39,7 @@ from .qcore import (
 BASIS_ATOL = 1e-8
 TIE_ATOL = 1e-9  # two basis weights tie when they differ by less than this
 OUTCOME_ATOL = 1e-9
+_VARIANTS = ("value", "integer_label", "finite", "bit")  # of the eigenvalue sampler
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +162,22 @@ def basis_matrix(basis, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     rows = np.array(basis, dtype=complex)
     if rows.shape != (dim, dim):
-        raise ValueError(f"basis must list {dim} vectors of length {dim}")
+        raise ParameterError("basis", f"basis must list {dim} vectors of length {dim}")
     b = rows.T
-    if np.max(np.abs(b.conj().T @ b - np.eye(dim))) > BASIS_ATOL:
-        raise ValueError("basis is not orthonormal within tolerance")
+    # NaN fails <=, and a non-finite entry is rejected before inf - inf can warn
+    if not (np.isfinite(b).all()
+            and np.max(np.abs(b.conj().T @ b - np.eye(dim))) <= BASIS_ATOL):
+        raise ParameterError("basis", "basis is not orthonormal within tolerance")
     return b
 
 
 def _as_observable(observable) -> HermitianObservable:
     if isinstance(observable, HermitianObservable):
         return observable
-    return HermitianObservable(observable)
+    try:
+        return HermitianObservable(observable)
+    except ValueError as err:
+        raise ParameterError("observable", str(err)) from None
 
 
 def _as_povm(povm) -> POVMSet:
@@ -195,7 +201,8 @@ def _observed(state: PureState, target, observable
     obs = _as_observable(observable)
     rho = reduced_density(state, target)
     if obs.dim != rho.dim:
-        raise ValueError("observable dimension does not match the target factors")
+        raise ParameterError("observable",
+                             "observable dimension does not match the target factors")
     return obs, rho
 
 
@@ -253,7 +260,7 @@ def _threshold_bit(value: float, threshold: float,
         hit = 1.0 if value > threshold else 0.0
         return [(Bit(1), hit), (Bit(0), 1.0 - hit)]
     if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
+        raise ParameterError("sharpness", "sharpness must be positive")
     p1 = _logistic(sharpness * (value - threshold))
     return [(Bit(1), p1), (Bit(0), 1.0 - p1)]
 
@@ -278,7 +285,8 @@ def function_readout(state: PureState, target, exponent: int = 1, basis=None,
     """Description of rho^n for a positive integer n (n=1 is the identity map)."""
     exponent = int(exponent)
     if exponent < 1:
-        raise ValueError("supported matrix functions are positive integer powers")
+        raise ParameterError("exponent",
+                             "supported matrix functions are positive integer powers")
     rho = reduced_density(state, target)
     return _described(np.linalg.matrix_power(rho.entries, exponent), basis, precision)
 
@@ -334,14 +342,15 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
         return [(IntegerLabel(i + label_offset), float(p)) for i, p in enumerate(probs)]
     if variant == "finite":
         return _with_overflow(((i + label_offset, p) for i, p in enumerate(probs)), max_label)
-    if variant == "bit":
-        return [(Bit(int(round(lam))), float(p)) for lam, p in zip(obs.eigenvalues, probs)]
-    raise ValueError(f"unknown eigenvalue sampler variant {variant!r}")
+    return [(Bit(int(round(lam))), float(p)) for lam, p in zip(obs.eigenvalues, probs)]
 
 
 def _require_variant_inputs(variant: str, observable, max_label: int | None) -> None:
-    """Raise ParameterError where an eigenvalue-sampler variant lacks what it
-    needs: ``finite`` a max_label, ``bit`` a projector-valued observable."""
+    """Raise ParameterError for an unknown eigenvalue-sampler variant or one
+    that lacks what it needs: ``finite`` a max_label, ``bit`` a
+    projector-valued observable."""
+    if variant not in _VARIANTS:
+        raise ParameterError("variant", f"variant must be one of {_VARIANTS}, got {variant!r}")
     if variant == "finite" and max_label is None:
         raise ParameterError("max_label", "finite variant needs max_label")
     if variant == "bit" and any(min(abs(v), abs(v - 1.0)) > 1e-9
@@ -419,10 +428,11 @@ def overlap_distribution(state: PureState, target, phi: PureState, threshold: fl
     1/(1 + exp(-k (overlap - threshold))).
     """
     if not 0.0 < threshold < 1.0:
-        raise ValueError("overlap threshold must lie in (0, 1)")
+        raise ParameterError("threshold", "overlap threshold must lie in (0, 1)")
     rho = reduced_density(state, target)
     if phi.space.total_dim != rho.dim:
-        raise ValueError("target state dimension does not match the target factors")
+        raise ParameterError("target_state",
+                             "target state dimension does not match the target factors")
     return _threshold_bit(_projector_weight(rho, phi.amplitudes), threshold, sharpness)
 
 
@@ -456,7 +466,7 @@ def basis_select_distribution(state: PureState, target, basis=None,
         return [(IntegerLabel(i), share if i in winners else 0.0)
                 for i in range(len(weights))]
     if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
+        raise ParameterError("sharpness", "sharpness must be positive")
     logits = sharpness * (weights - np.max(weights))
     probs = np.exp(logits)
     probs /= probs.sum()
@@ -484,7 +494,7 @@ def entropy_meter_readings(states: Sequence[PureState], target, alpha: float = 1
                            precision: int | None = None) -> list[RealValue]:
     """Entropy-meter outputs for states on one space, from one stacked eigensolve."""
     if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+        raise ParameterError("alpha", "alpha must be nonnegative")
     if len(states) == 0:
         return []
     readings = []
@@ -500,13 +510,11 @@ def certify_distribution(state: PureState, target, alpha: float, threshold: floa
                          sharpness: float | None = None) -> list[tuple[Outcome, float]]:
     """Bit distribution of the entropy certifier S_alpha(rho_1) vs threshold."""
     if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    dim = target_dimension(state.space, target)
-    limit = math.log2(dim)
+        raise ParameterError("alpha", "alpha must be nonnegative")
+    limit = math.log2(target_dimension(state.space, target))
     if not 0.0 < threshold < limit:
-        raise ValueError(
-            f"entropy threshold {threshold} outside allowed range 0 < E < {limit}"
-        )
+        raise ParameterError("entropy_threshold", f"entropy threshold {threshold} outside "
+                             f"allowed range 0 < E < {limit:g}")
     return _threshold_bit(entropy(reduced_density(state, target), alpha), threshold, sharpness)
 
 

@@ -46,6 +46,7 @@ from .qcore import (
 VIOLATION_CERTIFIED = "VIOLATION_CERTIFIED"
 CONSISTENT = "CONSISTENT"
 FAIL = "FAIL"
+CLONING_SUCCESS_QUOTA = 0.95  # share of trials a finite-precision readout must clone
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -328,14 +329,14 @@ def _complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]
 
 
 def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
-                 trials: int = 100, success_quota: float = 0.95) -> Certificate:
+                 trials: int = 100) -> Certificate:
     """State readout as a cloning machine for unknown pure states.
 
     Each trial reads out the reduced density matrix of an unknown state,
     reconstructs the state from the rank-1 description, and prepares two
     copies.  Infinite precision demands copy fidelity >= 1 - 1e-9 on every
     trial; at finite precision m the quota is fidelity >= 1 - 10*2^-m on
-    at least ``success_quota`` of the trials.
+    at least ``CLONING_SUCCESS_QUOTA`` of the trials.
     """
     if not 2 <= d <= 4:
         raise ValueError("cloning demo runs at 2 <= d <= 4")
@@ -360,7 +361,7 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
         fidelities.append(min(overlap, overlap2))
 
     successes = sum(f >= threshold for f in fidelities)
-    required = trials if precision is None else math.ceil(success_quota * trials)
+    required = trials if precision is None else math.ceil(CLONING_SUCCESS_QUOTA * trials)
     evidence = {
         "d": d, "trials": trials,
         "precision": -1 if precision is None else precision,

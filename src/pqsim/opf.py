@@ -34,6 +34,7 @@ from .qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    _row_norms,
     normalized_states,
     random_pure_state,
     random_pure_states,
@@ -50,6 +51,7 @@ RANGE_ATOL = 1e-9
 CLOSURE_TOL = 1e-8
 QUADRATIC_RESIDUAL_TOL = 1e-6
 VIOLATION_THRESHOLD = 0.1
+UPDATE_MAP_TOL = 1e-8
 MAX_OUTCOME_LIST = 64
 
 
@@ -152,15 +154,14 @@ def _completeness_violation(probs: np.ndarray) -> float:
     return float(np.max(np.abs(totals - 1.0), initial=0.0))
 
 
-def _quadratic_forms(q: np.ndarray, states: Sequence[PureState],
-                     space: FactorSpace) -> np.ndarray:
-    """(n,) values <psi|Q|psi> of n states on ``space``.
+def _quadratic_forms(q: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """(n,) values <psi|Q|psi> of the rows psi of an (n, D) amplitude stack.
 
-    Every state is one BLAS matrix-vector product and one dot product,
+    Every row is one BLAS matrix-vector product and one dot product,
     exactly np.vdot(psi, Q @ psi); forms like ``a @ Q.T`` or ``einsum`` sum
     in another order and differ in the last bits.
     """
-    amps = stack_amplitudes(states, space)[:, :, None]
+    amps = amps[:, :, None]
     return np.matmul(amps.conj().swapaxes(-1, -2), np.matmul(q, amps))[:, 0, 0].real
 
 
@@ -192,8 +193,8 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
         space = FactorSpace((dim,))
     elif space.total_dim != dim:
         raise ValueError("declared space does not match the element's dimension")
-    return OPF(space, lambda states: _quadratic_forms(q, states, space), "quantum",
-               operator=q)
+    return OPF(space, lambda states: _quadratic_forms(q, stack_amplitudes(states, space)),
+               "quantum", operator=q)
 
 
 def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: FactorSpace,
@@ -241,7 +242,7 @@ def mix(opfs: Sequence[OPF], weights: Sequence[float]) -> OPF:
     w = np.asarray(weights, dtype=float)
     if len(opfs) != w.size or len(opfs) == 0:
         raise ValueError("need one weight per OPF")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+    if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("weights must be nonnegative and sum to 1")
     dims = opfs[0].space.dims
     if any(f.space.dims != dims for f in opfs):
@@ -371,7 +372,6 @@ class ClosureReport:
     mixture_violation: float
     unitary_violation: float
     composition_violation: float | None
-    tolerance: float = CLOSURE_TOL
 
     @property
     def max_violation(self) -> float:
@@ -383,7 +383,7 @@ class ClosureReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_violation < self.tolerance
+        return self.max_violation < CLOSURE_TOL
 
     def record_fields(self) -> dict:
         return {
@@ -559,14 +559,12 @@ class ProductFormCertificate:
     residual: float
     operator: np.ndarray
     probe_count: int
-    quadratic_tol: float = QUADRATIC_RESIDUAL_TOL
-    violation_threshold: float = VIOLATION_THRESHOLD
 
     @property
     def verdict(self) -> str:
-        if self.residual < self.quadratic_tol:
+        if self.residual < QUADRATIC_RESIDUAL_TOL:
             return "QUADRATIC"
-        if self.residual > self.violation_threshold:
+        if self.residual > VIOLATION_THRESHOLD:
             return "VIOLATION"
         return "INCONCLUSIVE"
 
@@ -816,11 +814,10 @@ class UpdateMapCertificate:
     dimension: int
     residual: float
     candidate: CPMapCandidate
-    feasible_tol: float = 1e-8
 
     @property
     def feasible(self) -> bool:
-        return self.residual < self.feasible_tol
+        return self.residual < UPDATE_MAP_TOL
 
     def record_fields(self) -> dict:
         return {
@@ -841,30 +838,28 @@ def update_map_feasibility(element: np.ndarray, probe_states: Sequence[PureState
     """
     a = np.asarray(element, dtype=complex)
     dim = a.shape[0]
+    n = len(probe_states)
 
-    probe_vecs = [np.asarray(p.amplitudes) for p in probe_states]
-    design = hermitian_coords(np.array([np.outer(v, v.conj()) for v in probe_vecs]))
+    # the probes, then the validation states: canonical and random ones
+    extra = RandomStream(0x51D, experiment=dim)
+    vecs = np.array([p.amplitudes for p in probe_states]
+                    + canonical_probe_states(dim)
+                    + [random_pure_state(FactorSpace((dim,)), extra).amplitudes
+                       for _ in range(2 * dim)])
+    projs = vecs[:, :, None] * vecs.conj()[:, None, :]
+    coords = hermitian_coords(projs)
+    design = coords[:n]
     if np.linalg.matrix_rank(design, tol=1e-9) < dim * dim:
         raise ValueError("probe states do not span the Hermitian operator space")
 
-    weights = np.array([float(np.real(np.vdot(v, a @ v))) for v in probe_vecs])
-    targets = weights[:, None] * design
-    solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    weights = _quadratic_forms(a, vecs)  # <phi|A|phi>
+    solution, *_ = np.linalg.lstsq(design, weights[:n, None] * design, rcond=None)
     lmap = solution.T  # acts on Hermitian coordinates from the left
 
-    candidate = CPMapCandidate(dim, lmap)
-    validation = probe_vecs + canonical_probe_states(dim)
-    space = FactorSpace((dim,))
-    extra = RandomStream(0x51D, experiment=dim)
-    validation = validation + [random_pure_state(space, extra).amplitudes
-                               for _ in range(2 * dim)]
-    residual = 0.0
-    for v in validation:
-        proj = np.outer(v, v.conj())
-        want = float(np.real(np.vdot(v, a @ v))) * proj
-        got = candidate.apply(proj)
-        residual = max(residual, float(np.linalg.norm(got - want)))
-    return UpdateMapCertificate(dim, residual, candidate)
+    got = hermitian_from_coords(np.matmul(lmap, coords[:, :, None])[:, :, 0])
+    misfit = (got - weights[:, None, None] * projs).reshape(len(vecs), -1)
+    residual = float(np.max(_row_norms(misfit), initial=0.0))  # Frobenius norms
+    return UpdateMapCertificate(dim, residual, CPMapCandidate(dim, lmap))
 
 
 QUBIT_PROBE_STATES = tuple(

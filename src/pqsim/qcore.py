@@ -256,10 +256,10 @@ class Ensemble:
         members = tuple((s, float(w)) for s, w in self.members)
         if len(members) == 0:
             raise ValueError("ensemble must have at least one member")
-        if any(w <= 0.0 for _, w in members):
+        if not all(w > 0.0 for _, w in members):  # NaN is not positive either
             raise ValueError("ensemble weights must be positive")
         total = sum(w for _, w in members)
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"ensemble weights sum to {total}, not 1")
         dims0 = members[0][0].space.dims
         if any(s.space.dims != dims0 for s, _ in members):
@@ -401,10 +401,9 @@ class RandomStream:
     def stream_id(self) -> tuple[int, int]:
         return (self.experiment, self.trial)
 
-    def derive(self, trial: int, experiment: int | None = None) -> "RandomStream":
+    def derive(self, trial: int) -> "RandomStream":
         """Fresh stream for a sub-task; never reuses this stream's state."""
-        exp = self.experiment if experiment is None else experiment
-        return RandomStream(self.seed, experiment=exp, trial=trial)
+        return RandomStream(self.seed, experiment=self.experiment, trial=trial)
 
     def derive_many(self, trials: range) -> Iterator["RandomStream"]:
         """The streams ``self.derive(t)`` for t in ``trials``, in order, made lazily.

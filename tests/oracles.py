@@ -12,7 +12,8 @@ one-state quantum OPF evaluator and per-distribution outcome selection,
 which the library's stacked forms must match exactly.  The per-trial loop
 of RandomStream constructions, numpy's own SeedSequence, is the oracle of
 ``RandomStream.derive_many``, and each caller's old per-trial loop is
-kept here as the oracle of that caller.
+kept here as the oracle of that caller.  So is the per-probe loop of
+``update_map_feasibility``, the oracle of its stacked form.
 """
 
 import itertools
@@ -22,7 +23,13 @@ import numpy as np
 import scipy.stats
 
 from pqsim.devices import DEVICE_KINDS, outcomes_equal, readout_density, sample_povm
-from pqsim.opf import _random_ensemble, hermitian_basis
+from pqsim.opf import (
+    _random_ensemble,
+    canonical_probe_states,
+    hermitian_basis,
+    hermitian_coords as stacked_hermitian_coords,
+    hermitian_from_coords,
+)
 from pqsim.qcore import (
     FactorSpace,
     POVMSet,
@@ -281,3 +288,26 @@ def device_run_outcomes(spec, state, target, seed, repetitions):
         rng = RandomStream(seed, experiment=1, trial=rep)
         outcomes.append(spec.apply(state, target, rng if spec.stochastic else None))
     return outcomes
+
+
+def update_map_fit(element, probe_states):
+    """(residual, map matrix) of update_map_feasibility, by its per-probe loop:
+    a np.vdot per weight, the map applied to one projector at a time, and
+    np.linalg.norm per validation state."""
+    a = np.asarray(element, dtype=complex)
+    dim = a.shape[0]
+    probe_vecs = [np.asarray(p.amplitudes) for p in probe_states]
+    design = stacked_hermitian_coords(np.array([np.outer(v, v.conj()) for v in probe_vecs]))
+    weights = np.array([float(np.real(np.vdot(v, a @ v))) for v in probe_vecs])
+    solution, *_ = np.linalg.lstsq(design, weights[:, None] * design, rcond=None)
+    lmap = solution.T
+    extra = RandomStream(0x51D, experiment=dim)
+    validation = probe_vecs + canonical_probe_states(dim) + [
+        random_pure_state(FactorSpace((dim,)), extra).amplitudes for _ in range(2 * dim)]
+    residual = 0.0
+    for v in validation:
+        proj = np.outer(v, v.conj())
+        want = float(np.real(np.vdot(v, a @ v))) * proj
+        got = hermitian_from_coords(lmap @ stacked_hermitian_coords(proj))
+        residual = max(residual, float(np.linalg.norm(got - want)))
+    return residual, lmap

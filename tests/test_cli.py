@@ -478,6 +478,21 @@ class TestConfigurationExitCodes:
         assert "non-finite value" in str(err.value)
         assert line.split(" = ")[0] in str(err.value)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1])
+    def test_seed_outside_64_bits_exits_two(self, seed, tmp_path, capsys, monkeypatch):
+        assert main(["demo", "cloning", "--m", "6", "--seed", str(seed)]) == 2
+        assert "--seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        assert _run_config(tmp_path, f"seed = {seed}\n" + MINIMAL) == 2
+        assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        monkeypatch.setenv("PQSIM_SEED", str(seed))
+        assert main(["demo", "cloning", "--m", "6"]) == 2
+        assert _run_config(tmp_path, MINIMAL) == 2
+        assert capsys.readouterr().err.count("PQSIM_SEED must be an integer") == 2
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert main(["demo", "cloning", "--m", "6", "--seed", str(2 ** 64 - 1)]) == 0
+        assert f"seed={2 ** 64 - 1} " in capsys.readouterr().out
+
     def test_unused_argument_is_not_validated(self, capsys):
         assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
                      "--samples", "5"]) == 0
@@ -576,6 +591,32 @@ class TestDeviceParameterExitCodes:
         assert _run_config(tmp_path, MINIMAL.replace("action.device.alpha = 1\n", "")
                            .replace(old, new)) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims,kind,lines,key", [
+        ("[2, 2]", "Readout", ['basis = ["nan", 0, 0, 1]'], "action.device.basis"),
+        ("[2]", "EntanglementAnalyse", [], "action.device.kind"),
+        ("[3, 2]", "ExpectationReadout", ['observable = "pauli_x"'],
+         "action.device.observable"),
+        ("[2, 2]", "OverlapTest", ["target_state = [1, 0, 0]", "threshold = 0.5"],
+         "action.device.target_state"),
+    ])
+    def test_library_rejects_parameters_at_parse_time(self, dims, kind, lines, key,
+                                                      tmp_path, capsys):
+        text = (f'space.dims = {dims}\nstate.kind = "random"\naction.type = "device"\n'
+                f'action.device.kind = "{kind}"\naction.target = [0]\n'
+                + "".join(f"action.device.{line}\n" for line in lines))
+        assert _run_config(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and key in captured.err
+
+    def test_product_labels_out_of_range_exit_two(self, tmp_path, capsys):
+        text = MINIMAL.replace('state.kind = "bell"', 'state.kind = "product"\n'
+                               "state.labels = [5, 0]")
+        assert _run_config(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "state.labels" in captured.err and "out of range" in captured.err
 
     def test_entanglement_analyse_needs_a_single_factor(self, tmp_path, capsys):
         assert _run_config(tmp_path, _device_config("EntanglementAnalyse", "[0, 1]", [])) == 2

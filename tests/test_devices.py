@@ -137,6 +137,13 @@ class TestReadout:
         with pytest.raises(ValueError):
             readout_density(BELL, (0,), basis=[[1, 0], [1, 0]])
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_basis(self, entry):
+        for device in (readout_density, basis_select):
+            with pytest.raises(ParameterError, match="not orthonormal") as err:
+                device(BELL, (0,), basis=[[entry, 0], [0, 1]])
+            assert err.value.name == "basis"
+
     def test_full_system_target(self):
         out = readout_density(PLUS, (0,))
         np.testing.assert_allclose(out.matrix, PLUS.density(), atol=1e-12)

@@ -166,6 +166,12 @@ class TestMix:
         with pytest.raises(ValueError):
             mix([f, f], [0.5, 0.6])
 
+    @pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.inf, 0.0]])
+    def test_non_finite_weights_rejected(self, weights):
+        f = opf_from_quantum(PROJ0)
+        with pytest.raises(ValueError, match="weights must be nonnegative and sum to 1"):
+            mix([f, f], weights)
+
 
 class TestComposeUnitary:
     def test_identity_leaves_opf_unchanged(self):
@@ -506,6 +512,20 @@ class TestUpdateMapFeasibility:
     def test_insufficient_span_rejected(self):
         with pytest.raises(ValueError):
             update_map_feasibility(PROJ0, QUBIT_PROBE_STATES[:3])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_equals_per_probe_loop(self, dim):
+        rng = RandomStream(367, experiment=dim)
+        space = FactorSpace((dim,))
+        canonical = [PureState.normalized(space, v) for v in opf.canonical_probe_states(dim)]
+        for case in range(30):
+            element = random_density_matrix(dim, rng.derive(case)).entries * (case % 3) / 2
+            extra = [random_pure_state(space, rng.derive(100 + case)) for _ in range(case % 4)]
+            probes = canonical + extra
+            cert = update_map_feasibility(element, probes)
+            residual, matrix = oracles.update_map_fit(element, probes)
+            assert cert.residual == residual
+            assert cert.candidate.matrix.tobytes() == matrix.tobytes()
 
     def test_candidate_map_is_linear_by_representation(self):
         cert = update_map_feasibility(np.eye(2) / 2, QUBIT_PROBE_STATES)

@@ -117,6 +117,11 @@ class TestTypes:
         ens = Ensemble(((KET0, 0.5), (KET1, 0.5)))
         np.testing.assert_allclose(ens.density().entries, np.eye(2) / 2, atol=1e-12)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_ensemble_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="ensemble weights"):
+            Ensemble(((KET0, weight),))
+
     def test_povm_must_resolve_identity(self):
         with pytest.raises(ValueError):
             POVMSet((np.eye(2) / 2, np.eye(2) / 3))
