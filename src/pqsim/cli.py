@@ -43,7 +43,7 @@ from .opf import (
     opf_from_quantum,
     product_form_witness,
 )
-from .qcore import Ensemble, FactorSpace, POVMSet, PureState, RandomStream
+from .qcore import Ensemble, FactorSpace, HermitianObservable, POVMSet, PureState, RandomStream
 
 DEFAULT_SEED = 0x5EED
 
@@ -117,6 +117,11 @@ def parse_complex(text: str) -> complex:
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def _is_int(value) -> bool:
+    """Whether a config value is an integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_scalar(token: str, key: str, line: int):
@@ -238,7 +243,12 @@ _NAME_KEYS = {"device": "kind", "experiment": "id", "check": "kind"}  # action.<
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a run configuration, or raise ConfigError."""
+    """Parse and validate a run configuration, or raise ConfigError.
+
+    The space, state, target and device are checked here, the device by
+    running it once on a basis state.  An experiment's or check's
+    parameters are checked against their bounds when ``run`` reads them.
+    """
     pairs = _read_pairs(text)
     consumed: set[str] = set()
 
@@ -260,7 +270,7 @@ def parse_config(text: str) -> RunConfig:
             else _env_seed())
 
     dims = take("space.dims", required=True)
-    if not isinstance(dims, tuple) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, tuple) or not all(_is_int(d) for d in dims):
         fail("space.dims must be a list of integers", "space.dims")
     try:
         space = FactorSpace(dims)
@@ -275,7 +285,7 @@ def parse_config(text: str) -> RunConfig:
     state_labels: tuple[int, ...] = ()
     state_amplitudes: tuple[complex, ...] = ()
     if state_kind == "product":
-        if not isinstance(labels, tuple) or not all(isinstance(x, int) for x in labels):
+        if not isinstance(labels, tuple) or not all(_is_int(x) for x in labels):
             fail("product state needs integer state.labels", "state.labels")
         try:
             PureState.basis_state(space, labels)  # the constructor build_state uses
@@ -324,7 +334,7 @@ def parse_config(text: str) -> RunConfig:
     repetitions = 1
     if action_type == "device":
         target = take("action.target", required=True)
-        if not isinstance(target, tuple) or not all(isinstance(i, int) for i in target):
+        if not isinstance(target, tuple) or not all(_is_int(i) for i in target):
             fail("action.target must be a list of factor indices", "action.target")
         try:
             dim = dev.target_dimension(space, target)
@@ -333,7 +343,7 @@ def parse_config(text: str) -> RunConfig:
         if record.single_factor and len(target) != 1:
             fail(f"{name} acts on a single factor", "action.target")
         repetitions = take("action.repetitions", 1)
-        if not isinstance(repetitions, int) or repetitions < 1:
+        if not _is_int(repetitions) or repetitions < 1:
             fail("action.repetitions must be a positive integer", "action.repetitions")
         spec = _device_spec(name, dict(params), dim, line_of)
         # one evaluation on a basis state runs the library's checks of the
@@ -371,9 +381,10 @@ def parse_config(text: str) -> RunConfig:
 @dataclass(frozen=True)
 class Param:
     """One parameter's default and bounds: a value out of ``choices``, or a
-    number of ``type`` in [low, high] (in (low, high) when ``open``).  A
-    ``many`` parameter is a nonempty list of such values; a single value
-    counts as a list of one."""
+    number of ``type`` in [low, high] (in (low, high) when ``open``).  An
+    ``int`` parameter takes integers only, a ``float`` one integers or
+    floats, and neither takes a bool.  A ``many`` parameter is a nonempty
+    list of such values; a single value counts as a list of one."""
 
     type: type
     default: Any = None
@@ -397,29 +408,24 @@ class Param:
             if not any(value == c and type(value) is type(c) for c in self.choices):
                 raise ConfigError(f"{key} must be one of {self.choices}, got {value!r}", key)
             return value
-        try:
-            number = self.type(value)
-        except (TypeError, ValueError, OverflowError):
+        if not (_is_int(value) or (self.type is float and isinstance(value, float))):
             noun = "an integer" if self.type is int else "a number"
-            raise ConfigError(f"{key} must be {noun}, got {value!r}", key) from None
-        inside = (self.low < number < self.high if self.open
-                  else self.low <= number <= self.high)
-        if not (inside and math.isfinite(number)):
+            raise ConfigError(f"{key} must be {noun}, got {value!r}", key)
+        inside = (self.low < value < self.high if self.open
+                  else self.low <= value <= self.high)
+        # the magnitude bound rejects NaN, infinities and ints no float can hold
+        if not (inside and abs(value) <= sys.float_info.max):
             left, right = "()" if self.open else "[]"
             raise ConfigError(f"{key} must lie in {left}{self.low:g}, {self.high:g}{right}, "
-                              f"got {number}", key)
-        return number
+                              f"got {value}", key)
+        return float(value) if self.type is float else value
 
 
-_NAMED_OBSERVABLES = {
-    "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "pauli_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_NAMED_OBSERVABLES = dict(zip(("pauli_x", "pauli_y", "pauli_z"), exp.PAULI))
 
 
 def _complex_entries(value, key: str) -> list[complex]:
-    if not isinstance(value, tuple):
+    if not isinstance(value, tuple) or any(isinstance(v, bool) for v in value):
         raise ConfigError(f"{key} must be a list of numbers", key)
     try:
         return [parse_complex(v) if isinstance(v, str) else complex(v) for v in value]
@@ -470,9 +476,10 @@ _NUMBER, _INTEGER = _bounded(Param(float)), _bounded(Param(int))
 # is converted by name: (value, target dimension, key) -> value.  The library
 # checks the values when parse_config runs the device once; bounds stay here
 # only where that run cannot see them (precision, which the integer-label
-# variants ignore, and max_label, which no kind checks).
+# variants ignore, and max_label, which no kind checks).  An observable is
+# diagonalised here, once, not on every repetition.
 _DEVICE_PARAMS = {
-    "observable": _resolve_matrix,
+    "observable": lambda value, dim, key: HermitianObservable(_resolve_matrix(value, dim, key)),
     "target_state": _resolve_state_vector,
     "basis": _resolve_basis,
     "povm": _resolve_povm,
@@ -798,7 +805,7 @@ def _checked_seed(seed, source: str, line: int | None = None) -> int:
     """``seed`` if it is an integer in [0, 2^64), else a ConfigError naming
     its ``source``.  RandomStream reduces seeds modulo 2^64, so a seed
     outside that range would silently repeat the records of one inside."""
-    if isinstance(seed, int) and 0 <= seed < 2 ** 64:
+    if _is_int(seed) and 0 <= seed < 2 ** 64:
         return seed
     raise ConfigError(f"{source} must be an integer in [0, 2^64), got {seed!r}", line=line)
 

@@ -28,7 +28,6 @@ from .qcore import (
     RandomStream,
     _normalize_subset,
     born_probabilities,
-    entropy,
     partial_trace,
     quantize,
     reduced_densities,
@@ -186,15 +185,6 @@ def _as_povm(povm) -> POVMSet:
     return POVMSet(tuple(povm))
 
 
-def _described(matrix: np.ndarray, basis, precision: int | None) -> MatrixDescription:
-    """Description of a matrix in an orthonormal basis, at a precision."""
-    b = basis_matrix(basis, matrix.shape[0])
-    mat = b.conj().T @ matrix @ b
-    if precision is not None:
-        mat = quantize_matrix(mat, precision)
-    return MatrixDescription(mat, precision)
-
-
 def _observed(state: PureState, target, observable
               ) -> tuple[HermitianObservable, DensityMatrix]:
     """The observable and the reduced density matrix it acts on."""
@@ -251,6 +241,12 @@ def _with_overflow(labelled, max_label: int) -> list[tuple[Outcome, float]]:
     return kept
 
 
+def _require_sharpness(sharpness: float) -> None:
+    """Raise ParameterError unless a smoothing sharpness is positive (NaN is not)."""
+    if not sharpness > 0:
+        raise ParameterError("sharpness", "sharpness must be positive")
+
+
 def _threshold_bit(value: float, threshold: float,
                    sharpness: float | None) -> list[tuple[Outcome, float]]:
     """Bit distribution of a threshold test: hard (no sharpness), 1 iff the
@@ -259,8 +255,7 @@ def _threshold_bit(value: float, threshold: float,
     if sharpness is None:
         hit = 1.0 if value > threshold else 0.0
         return [(Bit(1), hit), (Bit(0), 1.0 - hit)]
-    if sharpness <= 0:
-        raise ParameterError("sharpness", "sharpness must be positive")
+    _require_sharpness(sharpness)
     p1 = _logistic(sharpness * (value - threshold))
     return [(Bit(1), p1), (Bit(0), 1.0 - p1)]
 
@@ -277,7 +272,7 @@ def readout_density(state: PureState, target, basis=None,
     by default) and, when ``precision`` is supplied, each entry's real and
     imaginary parts are reported to the nearest multiple of 2^-precision.
     """
-    return _described(reduced_density(state, target).entries, basis, precision)
+    return function_readout(state, target, 1, basis, precision)
 
 
 def function_readout(state: PureState, target, exponent: int = 1, basis=None,
@@ -288,7 +283,11 @@ def function_readout(state: PureState, target, exponent: int = 1, basis=None,
         raise ParameterError("exponent",
                              "supported matrix functions are positive integer powers")
     rho = reduced_density(state, target)
-    return _described(np.linalg.matrix_power(rho.entries, exponent), basis, precision)
+    b = basis_matrix(basis, rho.dim)
+    mat = b.conj().T @ np.linalg.matrix_power(rho.entries, exponent) @ b
+    if precision is not None:
+        mat = quantize_matrix(mat, precision)
+    return MatrixDescription(mat, precision)
 
 
 def expectation_readout(state: PureState, target, observable,
@@ -465,8 +464,7 @@ def basis_select_distribution(state: PureState, target, basis=None,
         share = 1.0 / len(winners)
         return [(IntegerLabel(i), share if i in winners else 0.0)
                 for i in range(len(weights))]
-    if sharpness <= 0:
-        raise ParameterError("sharpness", "sharpness must be positive")
+    _require_sharpness(sharpness)
     logits = sharpness * (weights - np.max(weights))
     probs = np.exp(logits)
     probs /= probs.sum()
@@ -493,7 +491,7 @@ def entropy_meter(state: PureState, target, alpha: float = 1.0,
 def entropy_meter_readings(states: Sequence[PureState], target, alpha: float = 1.0,
                            precision: int | None = None) -> list[RealValue]:
     """Entropy-meter outputs for states on one space, from one stacked eigensolve."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN is not either
         raise ParameterError("alpha", "alpha must be nonnegative")
     if len(states) == 0:
         return []
@@ -508,14 +506,14 @@ def entropy_meter_readings(states: Sequence[PureState], target, alpha: float = 1
 
 def certify_distribution(state: PureState, target, alpha: float, threshold: float,
                          sharpness: float | None = None) -> list[tuple[Outcome, float]]:
-    """Bit distribution of the entropy certifier S_alpha(rho_1) vs threshold."""
-    if alpha < 0:
-        raise ParameterError("alpha", "alpha must be nonnegative")
+    """Bit distribution of the entropy certifier: the entropy meter's reading
+    S_alpha(rho_1) vs threshold."""
+    value = entropy_meter(state, target, alpha).value
     limit = math.log2(target_dimension(state.space, target))
     if not 0.0 < threshold < limit:
         raise ParameterError("entropy_threshold", f"entropy threshold {threshold} outside "
                              f"allowed range 0 < E < {limit:g}")
-    return _threshold_bit(entropy(reduced_density(state, target), alpha), threshold, sharpness)
+    return _threshold_bit(value, threshold, sharpness)
 
 
 def entropy_certify(state: PureState, target, alpha: float, threshold: float,
@@ -696,10 +694,9 @@ class DeviceSpec:
         """Run the device once.  Stochastic kinds require a RandomStream."""
         return _outcome(self.distribution(state, target), rng, f"device kind {self.kind}")
 
-    def probability_of(self, state: PureState, target, selector: Outcome,
-                       atol: float = OUTCOME_ATOL) -> float:
+    def probability_of(self, state: PureState, target, selector: Outcome) -> float:
         """Analytic probability that the device yields the selected outcome."""
-        selection = OutcomeSelection(self, (selector,), atol)
+        selection = OutcomeSelection(self, (selector,))
         return float(selection.probabilities(self.distribution(state, target))[0])
 
 
@@ -715,13 +712,11 @@ class OutcomeSelection:
     distribution must still be a legal outcome of the device kind.
     """
 
-    __slots__ = ("kind", "selectors", "atol", "_groups", "_values", "_may_miss")
+    __slots__ = ("kind", "selectors", "_groups", "_values", "_may_miss")
 
-    def __init__(self, spec: DeviceSpec, selectors: Sequence[Outcome],
-                 atol: float = OUTCOME_ATOL):
+    def __init__(self, spec: DeviceSpec, selectors: Sequence[Outcome]):
         self.kind = spec.kind
         self.selectors = tuple(selectors)
-        self.atol = atol
         groups: dict[type, list[int]] = {}
         for i, selector in enumerate(self.selectors):
             groups.setdefault(type(selector), []).append(i)
@@ -738,11 +733,11 @@ class OutcomeSelection:
         if kind is RealValue:
             values = np.array([o.value for o in outcomes], dtype=float)
             distance = values[:, None] - self._values[idx]
-            return np.abs(distance, out=distance) <= self.atol
+            return np.abs(distance, out=distance) <= OUTCOME_ATOL
         if kind in (IntegerLabel, Bit):
             values = np.array([o.value for o in outcomes], dtype=float)
             return values[:, None] == self._values[idx]
-        return np.array([[outcomes_equal(o, self.selectors[i], self.atol) for i in idx]
+        return np.array([[outcomes_equal(o, self.selectors[i]) for i in idx]
                          for o in outcomes], dtype=bool).reshape(len(outcomes), len(idx))
 
     def matrix(self, distributions: Sequence[list[tuple[Outcome, float]]]) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .devices import entropy_meter, overlap_test, readout_density, sample_povm
 from .opf import (
     QUBIT_PROBE_STATES,
+    _pair_probes,
     entropy_meter_measurement,
     product_form_witness,
     quadratic_fit,
@@ -47,6 +48,7 @@ VIOLATION_CERTIFIED = "VIOLATION_CERTIFIED"
 CONSISTENT = "CONSISTENT"
 FAIL = "FAIL"
 CLONING_SUCCESS_QUOTA = 0.95  # share of trials a finite-precision readout must clone
+SAME_STATE_ATOL = 1e-6  # recovered states closer than this (up to phase) are one state
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -204,13 +206,7 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
 
 def _product_probe_residual(f, d: int) -> float:
     """Best quadratic-form fit of an OPF restricted to product states."""
-    eye = np.eye(d, dtype=complex)
-    factor_probes = [eye[j] for j in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            factor_probes.append((eye[j] + eye[k]) / math.sqrt(2))
-            factor_probes.append((eye[j] - eye[k]) / math.sqrt(2))
-            factor_probes.append((eye[j] + 1j * eye[k]) / math.sqrt(2))
+    factor_probes = _pair_probes(d, (1, -1, 1j))
     space = FactorSpace((d, d))
     probes = normalized_states(space, [np.kron(a, b) for a in factor_probes
                                        for b in factor_probes])
@@ -377,12 +373,6 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
 # Estimation protocols
 # ---------------------------------------------------------------------------
 
-def _source_density(source: Union[Ensemble, PureState]) -> np.ndarray:
-    if isinstance(source, Ensemble):
-        return source.density().entries
-    return source.density()
-
-
 def tomography_estimate(source: Union[Ensemble, PureState], n_trials: int,
                         rng: RandomStream, confidence: float = 0.95,
                         threshold: float = 0.02) -> EstimationReport:
@@ -393,13 +383,13 @@ def tomography_estimate(source: Union[Ensemble, PureState], n_trials: int,
     projects the linear-inversion estimate onto the physical cone
     (eigenvalue clipping plus trace renormalization).
     """
-    space = source.space if isinstance(source, Ensemble) else source.space
+    space = source.space
     if space.total_dim != 2:
         raise ValueError("tomography protocol is implemented for d = 2")
     if n_trials < 100:
         raise ValueError("need at least 100 trials for the confidence recipe")
 
-    rho_true = _source_density(source)
+    rho_true = source.density().entries if isinstance(source, Ensemble) else source.density()
     budgets = [n_trials // 3 + (1 if i < n_trials % 3 else 0) for i in range(3)]
     stats = []
     bloch = np.zeros(3)
@@ -537,12 +527,11 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
     )
 
 
-def recovered_supports_disjoint(a: EstimationReport, b: EstimationReport,
-                                atol: float = 1e-6) -> bool:
+def recovered_supports_disjoint(a: EstimationReport, b: EstimationReport) -> bool:
     """Whether two ensemble estimates share no recovered state (up to phase)."""
     for state_a, _ in a.recovered:
         for state_b, _ in b.recovered:
-            if _state_distance(state_a, state_b) < atol:
+            if _state_distance(state_a, state_b) < SAME_STATE_ATOL:
                 return False
     return True
 

@@ -35,6 +35,7 @@ from .qcore import (
     PureState,
     RandomStream,
     _row_norms,
+    _square_matrix,
     normalized_states,
     random_pure_state,
     random_pure_states,
@@ -182,10 +183,8 @@ def _indexed_outcomes(space: FactorSpace,
 
 def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> OPF:
     """OPF of a quantum POVM element: f(psi) = <psi|Q|psi>, with 0 <= Q <= I."""
-    q = np.array(element, dtype=complex)
+    q = _square_matrix(element, "POVM element must be a square matrix")
     dim = q.shape[0]
-    if q.ndim != 2 or q.shape[1] != dim:
-        raise ValueError("POVM element must be a square matrix")
     require_hermitian(q, "POVM element must be Hermitian")
     if require_psd(q, "POVM element must satisfy 0 <= Q <= I")[-1] > 1.0 + 1e-9:
         raise ValueError("POVM element must satisfy 0 <= Q <= I")
@@ -514,26 +513,25 @@ def hermitian_from_coords(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def canonical_probe_states(dim: int) -> list[np.ndarray]:
-    """d^2 pure-state vectors whose projectors span the Hermitian space."""
+def _pair_probes(dim: int, phases: Sequence[complex]) -> list[np.ndarray]:
+    """The basis vectors e_j, then (e_j + c e_k)/sqrt2 for each pair j < k
+    (row-major) and each phase c in turn."""
     eye = np.eye(dim, dtype=complex)
-    probes = [eye[j] for j in range(dim)]
+    probes = list(eye)
     for j in range(dim):
         for k in range(j + 1, dim):
-            probes.append((eye[j] + eye[k]) / math.sqrt(2.0))
-            probes.append((eye[j] + 1j * eye[k]) / math.sqrt(2.0))
+            probes.extend((eye[j] + c * eye[k]) / math.sqrt(2.0) for c in phases)
     return probes
+
+
+def canonical_probe_states(dim: int) -> list[np.ndarray]:
+    """d^2 pure-state vectors whose projectors span the Hermitian space."""
+    return _pair_probes(dim, (1, 1j))
 
 
 def _witness_probe_states(dim: int) -> list[np.ndarray]:
     """Deterministic overcomplete probe set for quadratic-form fitting."""
-    eye = np.eye(dim, dtype=complex)
-    probes = [eye[j] for j in range(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            for sign in (1.0, -1.0):
-                probes.append((eye[j] + sign * eye[k]) / math.sqrt(2.0))
-                probes.append((eye[j] + sign * 1j * eye[k]) / math.sqrt(2.0))
+    probes = _pair_probes(dim, (1, 1j, -1, -1j))
     probes.append(np.ones(dim, dtype=complex) / math.sqrt(dim))
     salt = RandomStream(0x9E3779B9, experiment=dim)
     for _ in range(2 * dim):
@@ -577,11 +575,18 @@ class ProductFormCertificate:
         }
 
 
+def _projector_design(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projectors |psi><psi| of the rows of an (n, d) amplitude stack, as
+    an (n, d, d) stack, and their (n, d^2) Hermitian coordinates."""
+    projs = amps[:, :, None] * amps.conj()[:, None, :]
+    return projs, hermitian_coords(projs)
+
+
 def quadratic_fit(amps: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
     """Least-squares fit of values[i] = <psi_i|Q|psi_i> over an (n, d)
     amplitude stack: the worst absolute deviation and Q's Hermitian
     coordinates."""
-    design = hermitian_coords(amps[:, :, None] * amps.conj()[:, None, :])  # |psi><psi|
+    design = _projector_design(amps)[1]
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     return float(np.max(np.abs(values - design @ coeffs))), coeffs
 
@@ -670,10 +675,9 @@ def ic_projector_states(dim: int) -> list[np.ndarray]:
 def density_from_projector_values(states: Sequence[np.ndarray], values: Sequence[float],
                                   dim: int) -> np.ndarray:
     """Reconstruct rho from Tr(P_a rho) values plus the unit-trace constraint."""
-    operators = [np.outer(s, s.conj()) for s in states] + [np.eye(dim, dtype=complex)]
-    rhs = list(values) + [1.0]
-    coeffs, *_ = np.linalg.lstsq(hermitian_coords(np.array(operators)), np.array(rhs),
-                                 rcond=None)
+    design = np.vstack([_projector_design(np.array(states))[1],
+                        hermitian_coords(np.eye(dim, dtype=complex))])
+    coeffs, *_ = np.linalg.lstsq(design, np.array(list(values) + [1.0]), rcond=None)
     return hermitian_from_coords(coeffs)
 
 
@@ -846,8 +850,7 @@ def update_map_feasibility(element: np.ndarray, probe_states: Sequence[PureState
                     + canonical_probe_states(dim)
                     + [random_pure_state(FactorSpace((dim,)), extra).amplitudes
                        for _ in range(2 * dim)])
-    projs = vecs[:, :, None] * vecs.conj()[:, None, :]
-    coords = hermitian_coords(projs)
+    projs, coords = _projector_design(vecs)
     design = coords[:n]
     if np.linalg.matrix_rank(design, tol=1e-9) < dim * dim:
         raise ValueError("probe states do not span the Hermitian operator space")

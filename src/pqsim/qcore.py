@@ -72,6 +72,15 @@ def _normalize_subset(space: FactorSpace, subset: Union[int, Sequence[int]]) -> 
     return out
 
 
+def _square_matrix(entries, message: str) -> np.ndarray:
+    """A complex copy of a square matrix; otherwise raise ValueError(message),
+    with ``{shape}`` in it replaced by the input's shape."""
+    mat = np.array(entries, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(message.format(shape=mat.shape))
+    return mat
+
+
 def require_hermitian(matrix: np.ndarray, message: str) -> None:
     """Raise ValueError(message) unless the matrix is Hermitian within
     ``HERMITIAN_ATOL``; a non-finite entry is never Hermitian (and is
@@ -208,9 +217,7 @@ class DensityMatrix:
     __slots__ = ("dim", "entries", "_eigenvalues")
 
     def __init__(self, entries):
-        mat = np.array(entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+        mat = _square_matrix(entries, "density matrix must be square, got shape {shape}")
         require_hermitian(mat, "density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
@@ -289,9 +296,7 @@ class HermitianObservable:
     __slots__ = ("dim", "entries", "eigenvalues", "projectors")
 
     def __init__(self, entries):
-        mat = np.array(entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"observable must be square, got shape {mat.shape}")
+        mat = _square_matrix(entries, "observable must be square, got shape {shape}")
         require_hermitian(mat, "observable is not Hermitian within tolerance")
         mat.setflags(write=False)
         self.dim = mat.shape[0]
@@ -342,9 +347,7 @@ class POVMSet:
     def __post_init__(self):
         elems = []
         for a in self.elements:
-            mat = np.array(a, dtype=complex)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError("POVM elements must be square matrices")
+            mat = _square_matrix(a, "POVM elements must be square matrices")
             require_hermitian(mat, "POVM element is not Hermitian within tolerance")
             require_psd(mat, "POVM element has a negative eigenvalue beyond tolerance")
             mat.setflags(write=False)
@@ -674,10 +677,11 @@ def reduced_densities(amplitudes: np.ndarray, space: FactorSpace,
 
 
 def _bipartition(space: FactorSpace, keep) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """Kept and traced-out factors of a partial trace, with their dimensions."""
+    """The two sides of a bipartition, with their dimensions: the kept and the
+    traced-out factors of a partial trace, or a Schmidt cut and the rest."""
     keep_t = _normalize_subset(space, keep)
     if len(keep_t) >= space.n_factors:
-        raise ValueError("keep must be a proper subset of the subsystem indices")
+        raise ValueError("a bipartition needs a proper subset of the subsystem indices")
     rest = space.complement(keep_t)
     d_keep = math.prod(space.dims[i] for i in keep_t)
     d_rest = math.prod(space.dims[i] for i in rest)
@@ -692,16 +696,8 @@ def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> Schmi
     genuinely occupied Schmidt vectors.
     """
     space = state.space
-    cut_t = _normalize_subset(space, cut)
-    if len(cut_t) >= space.n_factors:
-        raise ValueError("cut must be a proper subset of the subsystem indices")
-    rest = space.complement(cut_t)
-    dims = space.dims
-    d_left = math.prod(dims[i] for i in cut_t)
-    d_right = math.prod(dims[i] for i in rest)
-
-    mat = state.amplitudes.reshape(dims)
-    mat = np.transpose(mat, cut_t + rest).reshape(d_left, d_right)
+    cut_t, rest, d_left, d_right = _bipartition(space, cut)
+    mat = np.transpose(state.amplitudes.reshape(space.dims), cut_t + rest).reshape(d_left, d_right)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
 
     left_space = space.subspace(cut_t)
@@ -798,7 +794,7 @@ def spectrum_entropy(eigenvalues: np.ndarray, alpha: float = 1.0) -> float:
     is the von Neumann entropy, any other alpha >= 0 the Renyi entropy.
     """
     alpha = float(alpha)
-    if alpha < 0.0:
+    if not alpha >= 0.0:  # NaN is not either
         raise ValueError("alpha must be nonnegative")
     vals = eigenvalues[eigenvalues > EIGENVALUE_FLOOR]
     if abs(alpha - 1.0) <= 1e-9:

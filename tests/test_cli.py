@@ -26,7 +26,7 @@ from pqsim.cli import (
     run,
     run_experiment,
 )
-from pqsim.qcore import RandomStream
+from pqsim.qcore import HermitianObservable, RandomStream
 
 from . import oracles
 
@@ -628,6 +628,75 @@ class TestDeviceParameterExitCodes:
         assert _run_config(tmp_path, _device_config("FunctionReadout", "[0]",
                                                     ["exponent = 2"])) == 0
 
+
+def _experiment_config(experiment, line):
+    return ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
+            f'action.experiment.id = "{experiment}"\naction.experiment.{line}\n')
+
+
+# configs with a bool, float or string where an integer or number belongs
+_NON_INTEGERS = [
+    ("seed = true\n" + MINIMAL, "seed"),
+    (_experiment_config("cloning", "d = 2.7"), "action.experiment.d"),
+    (_experiment_config("cloning", 'trials = "5"'), "action.experiment.trials"),
+    (_experiment_config("cloning", "precision = true"), "action.experiment.precision"),
+    (_device_config("EigenvalueSampler", "[0]", [
+        'observable = "pauli_z"', 'variant = "finite"', "max_label = 0.5"]),
+     "action.device.max_label"),
+    (_device_config("Readout", "[0]", ["precision = true"]), "action.device.precision"),
+    (MINIMAL.replace("alpha = 1", "alpha = true"), "action.device.alpha"),
+    (MINIMAL.replace("action.target = [0]", "action.target = [true]"), "action.target"),
+    (MINIMAL + "action.repetitions = true\n", "action.repetitions"),
+    (MINIMAL.replace("space.dims = [2, 2]", "space.dims = [2, 2.0]"), "space.dims"),
+    (MINIMAL.replace('state.kind = "bell"',
+                     'state.kind = "product"\nstate.labels = [true, false]'),
+     "state.labels"),
+    (MINIMAL.replace('state.kind = "bell"',
+                     'state.kind = "explicit"\nstate.amplitudes = [true, 0, 0, 0]'),
+     "state.amplitudes"),
+]
+
+
+class TestStrictIntegers:
+    """A config integer is an int that is not a bool; a number is an int or a
+    float.  Booleans, floats and strings in their place exit 2 naming the key."""
+
+    @pytest.mark.parametrize("text,key", _NON_INTEGERS, ids=[k for _, k in _NON_INTEGERS])
+    def test_non_integer_exits_two_naming_key(self, text, key, tmp_path, capsys):
+        assert _run_config(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and key in captured.err
+
+    @pytest.mark.parametrize("line", ["trials = 1" + "0" * 400, "d = -1" + "0" * 400],
+                             ids=["trials", "d"])
+    def test_integer_beyond_float_range_exits_two(self, line, tmp_path, capsys):
+        assert _run_config(tmp_path, _experiment_config("cloning", line)) == 2
+        key = "action.experiment." + line.split(" = ")[0]
+        assert key in capsys.readouterr().err
+
+    def test_number_parameter_takes_an_integer_as_a_float(self):
+        report = run_experiment("tomography", {"n": 1000, "threshold": 1}, seed=3)
+        assert type(report.threshold) is float and report.threshold == 1.0
+
+
+@pytest.mark.parametrize("kind", ["EigenvalueSampler", "ExpectationReadout",
+                                  "UncertaintySampler"])
+def test_config_run_diagonalises_the_observable_once(kind, capsys, monkeypatch):
+    """The observable is resolved once per DeviceSpec, not once per repetition."""
+    built = []
+    init = HermitianObservable.__init__
+
+    def counting(self, entries):
+        built.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(HermitianObservable, "__init__", counting)
+    config = parse_config(_device_config(kind, "[1]", ['observable = "pauli_x"'])
+                          + "action.repetitions = 300\n")
+    assert run(config) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 301
+    assert len(built) <= 2
 
 # a valid value of every required device parameter, on a qubit target
 REQUIRED_VALUES = {

@@ -442,6 +442,23 @@ class TestEntropyCertifier:
                                                            rng, sharpness=2.0))
 
 
+def test_certifier_thresholds_the_meter_reading():
+    """The certifier's bit is a function of the entropy meter's reading, bit for
+    bit, and alpha is checked before the threshold."""
+    space = FactorSpace((2, 3))
+    for child in RandomStream(5).derive_many(range(10)):
+        psi = random_pure_state(space, child)
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            value = entropy_meter(psi, (1,), alpha).value
+            smooth = certify_distribution(psi, (1,), alpha, 0.8, sharpness=3.0)
+            assert smooth[0] == (Bit(1), devices._logistic(3.0 * (value - 0.8)))
+            assert certify_distribution(psi, (1,), alpha, value)[0] == (Bit(1), 0.0)
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(ParameterError) as err:
+            certify_distribution(BELL, (0,), alpha, 5.0)
+        assert err.value.name == "alpha"
+
+
 class TestEntanglementAnalyse:
     def test_bell_matches_partial_inner_product_oracle(self):
         out = entanglement_analyse(BELL, 0)

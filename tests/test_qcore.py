@@ -640,6 +640,11 @@ class TestEntropies:
         with pytest.raises(ValueError):
             renyi_entropy(DensityMatrix.maximally_mixed(2), 1.0)
 
+    @pytest.mark.parametrize("alpha", [-0.5, math.nan])
+    def test_entropy_rejects_negative_or_nan_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            entropy(DensityMatrix.maximally_mixed(2), alpha)
+
     def test_entropy_dispatcher_continuity_at_alpha_one(self):
         rng = RandomStream(47)
         for trial in range(10):
