@@ -21,13 +21,14 @@ seed; an explicit ``--seed`` flag or config entry wins over it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -193,6 +194,8 @@ class RunConfig:
     params: tuple[tuple[str, object], ...] = ()
     output_path: str = ""
     output_format: str = "records"
+    # the device parse_config built and checked from ``params``; run uses it
+    device: dev.DeviceSpec | None = field(default=None, compare=False, repr=False)
 
     def param(self, key, default=None):
         for k, v in self.params:
@@ -332,6 +335,7 @@ def parse_config(text: str) -> RunConfig:
 
     target: tuple[int, ...] = ()
     repetitions = 1
+    spec = None
     if action_type == "device":
         target = take("action.target", required=True)
         if not isinstance(target, tuple) or not all(_is_int(i) for i in target):
@@ -370,7 +374,7 @@ def parse_config(text: str) -> RunConfig:
         target=target, repetitions=repetitions,
         experiment_id=name if action_type == "experiment" else "",
         check_kind=name if action_type == "check" else "", params=tuple(sorted(params)),
-        output_path=output_path, output_format=output_format,
+        output_path=output_path, output_format=output_format, device=spec,
     )
 
 
@@ -556,28 +560,25 @@ def _outcome_fields(outcome) -> dict:
             "excluded_probability": outcome.excluded_probability}
 
 
-def _run_device(config: RunConfig) -> tuple[list[dict], int]:
-    space = FactorSpace(config.dims)
+def _device_records(config: RunConfig):
+    """The records of a device run, each made when it is asked for: one per
+    repetition, then the summary."""
     state = build_state(config)
-    spec = _device_spec(config.device_kind, dict(config.params),
-                        dev.target_dimension(space, config.target))
+    spec = config.device
     reps = range(config.repetitions)
     # repetition r of a stochastic device draws from stream (seed, _DEVICE_STREAM, r)
     streams = (RandomStream(config.seed, experiment=_DEVICE_STREAM).derive_many(reps)
                if spec.stochastic else itertools.repeat(None))
-    records = []
     for rep, rng in zip(reps, streams):
         outcome = spec.apply(state, config.target, rng)
         fields = {"record": "repetition", "repetition": rep}
         fields.update(_outcome_fields(outcome))
-        records.append(fields)
-    summary = {
+        yield fields
+    yield {
         "record": "summary", "action": "device", "kind": config.device_kind,
         "target": list(config.target), "repetitions": config.repetitions,
         "seed": config.seed,
     }
-    records.append(summary)
-    return records, 0
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +747,7 @@ def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit status."""
     prefix = f"action.{config.action_type}."
     if config.action_type == "device":
-        records, status = _run_device(config)
+        records, status = _device_records(config), 0
     elif config.action_type == "experiment":
         result = _run_action(EXPERIMENTS[config.experiment_id], dict(config.params),
                              config.seed, prefix)
@@ -757,15 +758,11 @@ def run(config: RunConfig) -> int:
                                      config.seed, prefix)
         records, status = [fields], 0 if passed else 1
 
-    lines = [format_record(fields) for fields in records]
-    if config.output_format == "text":
-        lines = [_as_text(fields) for fields in records]
-    payload = "\n".join(lines) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    render = _as_text if config.output_format == "text" else format_record
+    with (open(config.output_path, "w", encoding="utf-8") if config.output_path
+          else contextlib.nullcontext(sys.stdout)) as out:
+        for fields in records:  # a device run's records are written as they are made
+            out.write(render(fields) + "\n")
     return status
 
 

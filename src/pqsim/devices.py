@@ -31,7 +31,7 @@ from .qcore import (
     partial_trace,
     quantize,
     reduced_densities,
-    spectrum_entropy,
+    spectrum_entropies,
     stack_amplitudes,
 )
 
@@ -151,8 +151,7 @@ def target_dimension(space: FactorSpace, target: Union[int, Sequence[int]]) -> i
 
 def quantize_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
     """Quantize real and imaginary parts independently to multiples of 2^-m."""
-    quantizer = np.vectorize(lambda x: quantize(x, m))
-    return quantizer(matrix.real) + 1j * quantizer(matrix.imag)
+    return quantize(matrix.real, m) + 1j * quantize(matrix.imag, m)
 
 
 def basis_matrix(basis, dim: int) -> np.ndarray:
@@ -332,11 +331,9 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
     probs = _cluster_probabilities(rho, obs)
 
     if variant == "value":
-        outcomes: list[tuple[Outcome, float]] = []
-        for lam, p in zip(obs.eigenvalues, probs):
-            value = quantize(lam, precision) if precision is not None else lam
-            outcomes.append((RealValue(value), float(p)))
-        return outcomes
+        values = (obs.eigenvalues if precision is None
+                  else quantize(np.array(obs.eigenvalues), precision).tolist())
+        return [(RealValue(value), float(p)) for value, p in zip(values, probs)]
     if variant == "integer_label":
         return [(IntegerLabel(i + label_offset), float(p)) for i, p in enumerate(probs)]
     if variant == "finite":
@@ -382,13 +379,10 @@ def uncertainty_distribution(state: PureState, target, observable,
     obs, rho = _observed(state, target, observable)
     mean = float(np.trace(obs.entries @ rho.entries).real)
     probs = _cluster_probabilities(rho, obs)
-    outcomes = []
-    for lam, p in zip(obs.eigenvalues, probs):
-        value = lam - mean
-        if precision is not None:
-            value = quantize(value, precision)
-        outcomes.append((RealValue(value), float(p)))
-    return outcomes
+    values = np.array(obs.eigenvalues) - mean
+    if precision is not None:
+        values = quantize(values, precision)
+    return [(RealValue(value), float(p)) for value, p in zip(values.tolist(), probs)]
 
 
 def sample_uncertainty(state: PureState, target, observable, rng: RandomStream,
@@ -490,18 +484,16 @@ def entropy_meter(state: PureState, target, alpha: float = 1.0,
 
 def entropy_meter_readings(states: Sequence[PureState], target, alpha: float = 1.0,
                            precision: int | None = None) -> list[RealValue]:
-    """Entropy-meter outputs for states on one space, from one stacked eigensolve."""
+    """Entropy-meter outputs for states on one space, from one stacked eigensolve,
+    one entropy pass and one quantize pass."""
     if not alpha >= 0:  # NaN is not either
         raise ParameterError("alpha", "alpha must be nonnegative")
     if len(states) == 0:
         return []
-    readings = []
-    for vals in np.linalg.eigvalsh(reduced_density_stack(states, target)):
-        value = spectrum_entropy(vals, alpha)
-        if precision is not None:
-            value = quantize(value, precision)
-        readings.append(RealValue(value))
-    return readings
+    values = spectrum_entropies(np.linalg.eigvalsh(reduced_density_stack(states, target)), alpha)
+    if precision is not None:
+        values = quantize(values, precision)
+    return [RealValue(value) for value in values.tolist()]
 
 
 def certify_distribution(state: PureState, target, alpha: float, threshold: float,

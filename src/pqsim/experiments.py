@@ -17,7 +17,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .devices import entropy_meter, overlap_test, readout_density, sample_povm
+from .devices import (
+    entropy_meter,
+    overlap_test,
+    readout_density,
+    reduced_density_stack,
+    sample_povm,
+)
 from .opf import (
     QUBIT_PROBE_STATES,
     _pair_probes,
@@ -27,18 +33,18 @@ from .opf import (
     update_map_feasibility,
 )
 from .qcore import (
-    DensityMatrix,
     Ensemble,
     FactorSpace,
     HermitianObservable,
     POVMSet,
     PureState,
     RandomStream,
-    fidelity,
+    fidelities,
     measure_projective,
     normalized_states,
     random_pure_state,
     random_pure_states,
+    require_density,
     schmidt_decompose,
     stack_amplitudes,
     tensor_product,
@@ -185,23 +191,34 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
         "max_product_deviation": worst_product,
     }
 
+    clauses = {"outcome_bound": outcome_count <= bound,
+               "product_deviation": worst_product <= 1e-9}
+
     if not include_entangled:
         residual = _product_probe_residual(f0, d)
         evidence["residual"] = residual
-        verdict = CONSISTENT if (outcome_count <= bound and worst_product <= 1e-9
-                                 and residual < 1e-6) else FAIL
-        return Certificate("fpvnem", verdict, evidence, rng.seed)
+        clauses["residual"] = residual < 1e-6
+        return Certificate("fpvnem", _judge(evidence, CONSISTENT, clauses), evidence, rng.seed)
 
     bell_amps = np.eye(d).reshape(-1) / math.sqrt(d)
     bell = PureState(space, bell_amps)
     f0_bell = f0(bell)
     witness = product_form_witness(f0)
     evidence.update({"f0_bell": f0_bell, "residual": witness.residual})
-
-    ok = (outcome_count <= bound and worst_product <= 1e-9
-          and f0_bell == 0.0 and witness.residual > 0.1)
-    return Certificate("fpvnem", VIOLATION_CERTIFIED if ok else FAIL,
+    clauses.update({"f0_bell": f0_bell == 0.0, "residual": witness.residual > 0.1})
+    return Certificate("fpvnem", _judge(evidence, VIOLATION_CERTIFIED, clauses),
                        evidence, rng.seed)
+
+
+def _judge(evidence: dict, verdict: str, clauses: dict[str, bool]) -> str:
+    """``verdict`` when every named clause holds; otherwise FAIL, with the
+    names of the clauses that fail added to the evidence as
+    ``failed_checks``, so a FAIL record says why."""
+    failed = [name for name, holds in clauses.items() if not holds]
+    if not failed:
+        return verdict
+    evidence["failed_checks"] = failed
+    return FAIL
 
 
 def _product_probe_residual(f, d: int) -> float:
@@ -231,14 +248,21 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     if element not in SPOD_ELEMENTS:
         raise ValueError(f"element must be one of {sorted(SPOD_ELEMENTS)}")
     space = FactorSpace((2, 2))
-    min_update_fidelity = 1.0
-    for child in rng.derive_many(range(100)):
-        psi = random_pure_state(space, child)
-        before = DensityMatrix.from_pure(psi)
+    dim = space.total_dim
+    normals = np.empty((100, 2 * dim))
+    trials = []
+    for row, child in zip(normals, rng.derive_many(range(100))):
+        child.generator.standard_normal(out=row)  # random_pure_state's draw
         b = np.diag([0.2 + 0.6 * child.uniform(), 0.2 + 0.6 * child.uniform()])
-        sample_povm(psi, (0,), POVMSet((b, np.eye(2) - b)), child)
-        after = DensityMatrix.from_pure(psi)  # devices never touch the state
-        min_update_fidelity = min(min_update_fidelity, fidelity(before, after))
+        trials.append((POVMSet((b, np.eye(2) - b)), child))
+    states = normalized_states(space, normals[:, :dim] + 1j * normals[:, dim:])
+    before = reduced_density_stack(states, space.indices())
+    require_density(before)
+    for psi, (povm, child) in zip(states, trials):
+        sample_povm(psi, (0,), povm, child)
+    after = reduced_density_stack(states, space.indices())  # devices never touch the state
+    require_density(after)
+    min_update_fidelity = min(1.0, *fidelities(before, after).tolist())
 
     cert = update_map_feasibility(SPOD_ELEMENTS[element], QUBIT_PROBE_STATES)
     control = update_map_feasibility(SPOD_ELEMENTS["half_identity"], QUBIT_PROBE_STATES)
@@ -249,15 +273,11 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
         "residual": cert.residual,
         "control_residual": control.residual,
     }
-    trivial_ok = min_update_fidelity >= 1.0 - 1e-12
-    if not trivial_ok or control.residual >= 1e-10:
-        verdict = FAIL
-    elif cert.residual > 0.1:
-        verdict = VIOLATION_CERTIFIED
-    elif cert.feasible:
-        verdict = CONSISTENT
-    else:
-        verdict = FAIL
+    verdict = _judge(evidence, VIOLATION_CERTIFIED if cert.residual > 0.1 else CONSISTENT, {
+        "trivial_update": min_update_fidelity >= 1.0 - 1e-12,
+        "control_residual": control.residual < 1e-10,
+        "certified_or_feasible": cert.residual > 0.1 or cert.feasible,
+    })
     return Certificate("spod-update", verdict, evidence, rng.seed)
 
 

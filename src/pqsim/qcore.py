@@ -82,21 +82,36 @@ def _square_matrix(entries, message: str) -> np.ndarray:
 
 
 def require_hermitian(matrix: np.ndarray, message: str) -> None:
-    """Raise ValueError(message) unless the matrix is Hermitian within
-    ``HERMITIAN_ATOL``; a non-finite entry is never Hermitian (and is
-    rejected before ``inf - inf`` can raise a floating-point warning)."""
+    """Raise ValueError(message) unless the matrix, or every matrix of a
+    (..., d, d) stack, is Hermitian within ``HERMITIAN_ATOL``; a non-finite
+    entry is never Hermitian (and is rejected before ``inf - inf`` can raise
+    a floating-point warning)."""
     if not (np.isfinite(matrix).all()
-            and np.abs(matrix - matrix.conj().T).max() <= HERMITIAN_ATOL):
+            and np.abs(matrix - matrix.swapaxes(-1, -2).conj()).max() <= HERMITIAN_ATOL):
         raise ValueError(message)
 
 
 def require_psd(matrix: np.ndarray, message: str) -> np.ndarray:
-    """The ascending eigenvalues of a Hermitian matrix; raise
-    ValueError(message) if the smallest lies below -``NORM_ATOL``."""
+    """The ascending eigenvalues of a Hermitian matrix, or of every matrix
+    of a (..., d, d) stack; raise ValueError(message) if the smallest of
+    them lies below -``NORM_ATOL``."""
     vals = np.linalg.eigvalsh(matrix)
-    if float(vals[0]) < -NORM_ATOL:
+    if vals[..., 0].min() < -NORM_ATOL:
         raise ValueError(message)
     return vals
+
+
+def require_density(matrix: np.ndarray) -> np.ndarray:
+    """``DensityMatrix``'s checks on a square matrix, or on every matrix of
+    a (..., d, d) stack: Hermitian, unit trace within ``TRACE_ATOL`` and
+    positive semi-definite.  Returns the ascending eigenvalues."""
+    require_hermitian(matrix, "density matrix is not Hermitian within tolerance")
+    traces = matrix.trace(axis1=-2, axis2=-1)
+    off = abs(traces - 1.0) > TRACE_ATOL
+    if off.any():
+        raise ValueError(f"density matrix trace {complex(np.extract(off, traces)[0])} "
+                         "deviates from 1")
+    return require_psd(matrix, "density matrix has a negative eigenvalue beyond tolerance")
 
 
 def require_unitary(matrix: np.ndarray) -> None:
@@ -218,11 +233,7 @@ class DensityMatrix:
 
     def __init__(self, entries):
         mat = _square_matrix(entries, "density matrix must be square, got shape {shape}")
-        require_hermitian(mat, "density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {tr} deviates from 1")
-        vals = require_psd(mat, "density matrix has a negative eigenvalue beyond tolerance")
+        vals = require_density(mat)
         mat.setflags(write=False)
         vals.setflags(write=False)
         self.dim = mat.shape[0]
@@ -571,16 +582,23 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
     ``random_pure_state`` on each space, all drawn in turn from ``rng.derive(t)``.
 
     Equal to the loop of derive, random_pure_state and tensor_product.  The
-    trials' streams come from ``derive_many``, each dropped once its normals
-    are drawn; the normalisations and products then run on stacks.
+    trials' streams come from ``derive_many``, each dropped once it has
+    filled its row of normals with one draw: a generator's normals do not
+    depend on how a run of them is split into calls, so the row holds each
+    space's ``complex_normal`` draw in turn.  The complex blocks, the
+    normalisations and the products then run on stacks.
     """
-    blocks = [np.empty((trials, s.total_dim), dtype=complex) for s in spaces]
-    for t, child in enumerate(rng.derive_many(range(trials))):
-        for block in blocks:
-            block[t] = child.complex_normal(block.shape[1])
-    joint = _normalized_rows(blocks[0])
-    for block in blocks[1:]:
-        joint = _checked_rows(_outer_rows(joint, _normalized_rows(block)))
+    sizes = [s.total_dim for s in spaces]
+    normals = np.empty((trials, 2 * sum(sizes)))
+    for row, child in zip(normals, rng.derive_many(range(trials))):
+        child.generator.standard_normal(out=row)
+    joint = None
+    start = 0
+    for size in sizes:
+        block = normals[:, start:start + size] + 1j * normals[:, start + size:start + 2 * size]
+        start += 2 * size
+        factor = _normalized_rows(block)
+        joint = factor if joint is None else _checked_rows(_outer_rows(joint, factor))
     return _states(FactorSpace(sum((s.dims for s in spaces), ())), joint)
 
 
@@ -754,20 +772,30 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr(sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
     if rho.dim != sigma.dim:
         raise ValueError("fidelity needs matrices of equal dimension")
-    w, v = np.linalg.eigh(rho.entries)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    inner = sqrt_rho @ sigma.entries @ sqrt_rho
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    root = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
-    return min(root * root, 1.0)
+    return float(fidelities(rho.entries[None], sigma.entries[None])[0])
 
 
-def quantize(x: float, m: int) -> float:
-    """Nearest multiple of 2^-m, ties rounded to the even multiple."""
+def fidelities(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """``fidelity`` of each pair of two (n, d, d) stacks of density matrices,
+    which are not revalidated.  Each pair goes through the same LAPACK and
+    BLAS calls as it would alone, so every value is bit-identical."""
+    w, v = np.linalg.eigh(rhos)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    inner = sqrt_rho @ sigmas @ sqrt_rho
+    vals = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
+    root = np.sum(np.sqrt(np.clip(vals, 0.0, None)), axis=-1)
+    return np.minimum(root * root, 1.0)
+
+
+def quantize(x: float | np.ndarray, m: int) -> float | np.ndarray:
+    """Nearest multiple of 2^-m, ties rounded to the even multiple, of a
+    number (returned as a float) or of every entry of an array."""
     m = int(m)
     if m < 1:
         raise ValueError("precision m must be a positive integer")
-    return math.ldexp(float(round(math.ldexp(float(x), m))), -m)
+    # + 0.0 turns the -0.0 that rint gives for small negatives into 0.0
+    q = np.ldexp(np.rint(np.ldexp(np.asarray(x, dtype=float), m)), -m) + 0.0
+    return float(q) if np.ndim(q) == 0 else q
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -793,13 +821,31 @@ def spectrum_entropy(eigenvalues: np.ndarray, alpha: float = 1.0) -> float:
     Eigenvalues at or below ``EIGENVALUE_FLOOR`` are dropped; alpha = 1
     is the von Neumann entropy, any other alpha >= 0 the Renyi entropy.
     """
+    return float(spectrum_entropies(np.asarray(eigenvalues)[None], alpha)[0])
+
+
+def spectrum_entropies(eigenvalues: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """``spectrum_entropy`` of each row of an (n, d) array of eigenvalues.
+
+    The rows are summed in groups with the same number of eigenvalues above
+    the floor, with the others left out: ``np.sum`` adds a row of 8 or more
+    pairwise, so a zero in place of a dropped eigenvalue would regroup the
+    additions and change the last bits.
+    """
     alpha = float(alpha)
     if not alpha >= 0.0:  # NaN is not either
         raise ValueError("alpha must be nonnegative")
-    vals = eigenvalues[eigenvalues > EIGENVALUE_FLOOR]
-    if abs(alpha - 1.0) <= 1e-9:
-        value = float(-np.sum(vals * np.log2(vals)))
-    else:
-        value = float(np.log2(np.sum(vals ** alpha)) / (1.0 - alpha))
+    von_neumann = abs(alpha - 1.0) <= 1e-9
+    vals = np.asarray(eigenvalues, dtype=float)
+    kept = vals > EIGENVALUE_FLOOR
+    counts = kept.sum(axis=1)
+    values = np.empty(len(vals))
+    for count in set(counts.tolist()):
+        rows = counts == count
+        group = vals[kept & rows[:, None]].reshape(np.count_nonzero(rows), count)
+        if von_neumann:
+            values[rows] = -(group * np.log2(group)).sum(axis=1)
+        else:
+            values[rows] = np.log2((group ** alpha).sum(axis=1)) / (1.0 - alpha)
     # + 0.0 normalizes -0.0, which would leak into record output
-    return max(value, 0.0) + 0.0
+    return np.maximum(values, 0.0) + 0.0

@@ -13,7 +13,9 @@ which the library's stacked forms must match exactly.  The per-trial loop
 of RandomStream constructions, numpy's own SeedSequence, is the oracle of
 ``RandomStream.derive_many``, and each caller's old per-trial loop is
 kept here as the oracle of that caller.  So is the per-probe loop of
-``update_map_feasibility``, the oracle of its stacked form.
+``update_map_feasibility``, the oracle of its stacked form, and the
+one-row bodies of the stacked entropy, quantizer and fidelity with the old
+per-trial loop of ``spod_update_refutation`` built on them.
 """
 
 import itertools
@@ -31,6 +33,8 @@ from pqsim.opf import (
     hermitian_from_coords,
 )
 from pqsim.qcore import (
+    EIGENVALUE_FLOOR,
+    DensityMatrix,
     FactorSpace,
     POVMSet,
     PureState,
@@ -259,6 +263,48 @@ def spod_update_draws(rng):
     return draws
 
 
+def spod_update_fidelity(rng):
+    """min_update_fidelity of spod_update_refutation, by its per-trial loop:
+    a DensityMatrix before and after each draw and one fidelity per trial."""
+    space = FactorSpace((2, 2))
+    min_update_fidelity = 1.0
+    for child in derived_streams(rng.seed, rng.experiment, range(100)):
+        psi = random_pure_state(space, child)
+        before = DensityMatrix.from_pure(psi)
+        b = np.diag([0.2 + 0.6 * child.uniform(), 0.2 + 0.6 * child.uniform()])
+        sample_povm(psi, (0,), POVMSet((b, np.eye(2) - b)), child)
+        after = DensityMatrix.from_pure(psi)
+        min_update_fidelity = min(min_update_fidelity, fidelity(before.entries, after.entries))
+    return min_update_fidelity
+
+
+def fidelity(rho, sigma):
+    """Uhlmann fidelity of two density matrices, one pair: one eigh for
+    sqrt(rho), then one eigvalsh of the symmetrised sqrt(rho) sigma sqrt(rho)."""
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = sqrt_rho @ sigma @ sqrt_rho
+    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    root = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
+    return min(root * root, 1.0)
+
+
+def spectrum_entropy(eigenvalues, alpha):
+    """Entropy of order alpha in bits of one row of eigenvalues, those at or
+    below the floor filtered out."""
+    vals = eigenvalues[eigenvalues > EIGENVALUE_FLOOR]
+    if abs(alpha - 1.0) <= 1e-9:
+        value = float(-np.sum(vals * np.log2(vals)))
+    else:
+        value = float(np.log2(np.sum(vals ** alpha)) / (1.0 - alpha))
+    return max(value, 0.0) + 0.0
+
+
+def quantize(x, m):
+    """Nearest multiple of 2^-m of one number, by Python's round."""
+    return math.ldexp(float(round(math.ldexp(float(x), m))), -m)
+
+
 def cloning_trials(d, rng, precision, trials):
     """(readout description, copy fidelity) of each trial of cloning_demo,
     by its per-trial loop."""
@@ -288,6 +334,22 @@ def device_run_outcomes(spec, state, target, seed, repetitions):
         rng = RandomStream(seed, experiment=1, trial=rep)
         outcomes.append(spec.apply(state, target, rng if spec.stochastic else None))
     return outcomes
+
+
+def device_run_output(config, state):
+    """The output of a config's device run as the runner wrote it before it
+    streamed: every record made by the old loop, then joined and written at once."""
+    from pqsim.cli import _as_text, _outcome_fields, format_record
+
+    outcomes = device_run_outcomes(config.device, state, config.target, config.seed,
+                                   config.repetitions)
+    records = [{"record": "repetition", "repetition": rep, **_outcome_fields(outcome)}
+               for rep, outcome in enumerate(outcomes)]
+    records.append({"record": "summary", "action": "device", "kind": config.device_kind,
+                    "target": list(config.target), "repetitions": config.repetitions,
+                    "seed": config.seed})
+    render = _as_text if config.output_format == "text" else format_record
+    return "\n".join(render(fields) for fields in records) + "\n"
 
 
 def update_map_fit(element, probe_states):

@@ -1,5 +1,6 @@
 """Config parsing, record output, and command-line behavior."""
 
+import io
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqsim.devices import DEVICE_KINDS
+from pqsim import cli
+from pqsim.devices import DEVICE_KINDS, DeviceSpec
 from pqsim.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -697,6 +699,62 @@ def test_config_run_diagonalises_the_observable_once(kind, capsys, monkeypatch):
     assert run(config) == 0
     assert len(capsys.readouterr().out.splitlines()) == 301
     assert len(built) <= 2
+
+
+@pytest.mark.parametrize("kind", ["EigenvalueSampler", "ExpectationReadout",
+                                  "UncertaintySampler"])
+def test_config_run_resolves_the_device_once(kind, capsys, monkeypatch):
+    """run uses the device parse_config built and checked: one resolution of
+    the parameters, one observable."""
+    resolved, built = [], []
+    device_spec, init = cli._device_spec, HermitianObservable.__init__
+
+    def counting_spec(*args, **kwargs):
+        resolved.append(1)
+        return device_spec(*args, **kwargs)
+
+    def counting_init(self, entries):
+        built.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(cli, "_device_spec", counting_spec)
+    monkeypatch.setattr(HermitianObservable, "__init__", counting_init)
+    config = parse_config(_device_config(kind, "[1]", ['observable = "pauli_x"'])
+                          + "action.repetitions = 300\n")
+    assert run(config) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 301
+    assert (len(resolved), len(built)) == (1, 1)
+
+
+@pytest.mark.parametrize("fmt", ["records", "text"])
+def test_device_records_are_written_as_made(fmt, tmp_path, monkeypatch):
+    """Each repetition's record is written before the next repetition runs,
+    and stdout and file outputs are the bytes the runner wrote when it
+    joined all records at the end."""
+    text = ('seed = 13\nspace.dims = [2, 2]\nstate.kind = "random"\naction.type = "device"\n'
+            'action.device.kind = "EigenvalueSampler"\naction.device.observable = "pauli_x"\n'
+            f'action.target = [1]\naction.repetitions = 300\noutput.format = "{fmt}"\n')
+    config = parse_config(text)
+    want = oracles.device_run_output(config, build_state(config))
+
+    out = io.StringIO()
+    lines_before_draw = []
+    apply = DeviceSpec.apply
+
+    def spy(self, *args):
+        lines_before_draw.append(out.getvalue().count("\n"))
+        return apply(self, *args)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(DeviceSpec, "apply", spy)
+    assert run(config) == 0
+    assert lines_before_draw == list(range(300))
+    assert out.getvalue() == want
+
+    path = tmp_path / "records.out"
+    assert run(parse_config(text + f'output.path = "{path}"\n')) == 0
+    assert path.read_text(encoding="utf-8") == want
+    assert out.getvalue() == want  # nothing more went to stdout
 
 # a valid value of every required device parameter, on a qubit target
 REQUIRED_VALUES = {

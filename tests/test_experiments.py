@@ -1,12 +1,15 @@
 """Counterexample experiments and estimation protocols."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pqsim import cli, experiments
 from pqsim.devices import readout_density, sample_povm
 from pqsim.experiments import (
+    SPOD_ELEMENTS,
     CONSISTENT,
     FAIL,
     VIOLATION_CERTIFIED,
@@ -86,6 +89,91 @@ class TestSpodUpdateRefutation:
     def test_unknown_element_rejected(self):
         with pytest.raises(ValueError):
             spod_update_refutation(RandomStream(7), element="hadamard")
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_min_update_fidelity_equals_per_trial_loop(self, seed):
+        rng = RandomStream(1000 + 7 * seed, 11)
+        cert = spod_update_refutation(rng)
+        assert cert.evidence["min_update_fidelity"] == oracles.spod_update_fidelity(rng)
+
+
+def _fails_naming(cert, clause):
+    """The certificate is a FAIL whose record names exactly the one clause."""
+    assert cert.verdict == FAIL
+    assert cert.evidence["failed_checks"] == [clause]
+    assert f"failed_checks=[{clause}]" in cli.format_record(cert.record_fields())
+
+
+class TestFailedChecks:
+    """Each clause of the two refutations, forced to fail alone, is named in
+    ``failed_checks``; a passing run has no such field."""
+
+    def test_passing_runs_name_no_clause(self):
+        for cert in (fpvnem_refutation(2, 3, 50, RandomStream(1)),
+                     fpvnem_refutation(2, 3, 50, RandomStream(1), include_entangled=False),
+                     spod_update_refutation(RandomStream(2)),
+                     spod_update_refutation(RandomStream(2), element="zero")):
+            assert cert.verdict != FAIL
+            assert "failed_checks" not in cert.evidence
+
+    def test_fpvnem_outcome_bound(self, monkeypatch):
+        measure = experiments.entropy_meter_measurement
+
+        def doubled(*args, **kwargs):
+            measurement = measure(*args, **kwargs)
+            return dataclasses.replace(measurement, outcomes=measurement.outcomes * 2)
+
+        monkeypatch.setattr(experiments, "entropy_meter_measurement", doubled)
+        _fails_naming(fpvnem_refutation(2, 3, 50, RandomStream(1)), "outcome_bound")
+
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_fpvnem_product_deviation(self, monkeypatch, entangled):
+        bell = PureState(FactorSpace((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))
+        monkeypatch.setattr(experiments, "random_pure_states",
+                            lambda spaces, rng, trials: [bell] * trials)
+        _fails_naming(fpvnem_refutation(2, 3, 50, RandomStream(1), include_entangled=entangled),
+                      "product_deviation")
+
+    def test_fpvnem_f0_bell(self, monkeypatch):
+        monkeypatch.setattr(experiments, "PureState",
+                            lambda space, amplitudes: PureState.basis_state(space, 0))
+        cert = fpvnem_refutation(2, 3, 50, RandomStream(1))
+        assert cert.evidence["f0_bell"] == 1.0
+        _fails_naming(cert, "f0_bell")
+
+    def test_fpvnem_residual(self, monkeypatch):
+        witness = experiments.product_form_witness
+        monkeypatch.setattr(experiments, "product_form_witness", lambda f: (
+            dataclasses.replace(witness(f), residual=0.05)))
+        _fails_naming(fpvnem_refutation(2, 3, 50, RandomStream(1)), "residual")
+
+    def test_fpvnem_product_only_residual(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_product_probe_residual", lambda f, d: 1e-3)
+        _fails_naming(fpvnem_refutation(2, 3, 50, RandomStream(1), include_entangled=False),
+                      "residual")
+
+    def test_spod_trivial_update(self, monkeypatch):
+        monkeypatch.setattr(experiments, "fidelities", lambda a, b: np.full(len(a), 0.5))
+        cert = spod_update_refutation(RandomStream(2))
+        assert cert.evidence["min_update_fidelity"] == 0.5
+        _fails_naming(cert, "trivial_update")
+
+    @pytest.mark.parametrize("clause,element,residual", [
+        ("control_residual", "half_identity", 1e-3),
+        ("certified_or_feasible", "projector0", 0.05),
+    ])
+    def test_spod_update_map_clauses(self, monkeypatch, clause, element, residual):
+        fit = experiments.update_map_feasibility
+
+        def forced(a, probes):
+            cert = fit(a, probes)
+            if np.array_equal(a, SPOD_ELEMENTS[element]):
+                return dataclasses.replace(cert, residual=residual)
+            return cert
+
+        monkeypatch.setattr(experiments, "update_map_feasibility", forced)
+        _fails_naming(spod_update_refutation(RandomStream(2)), clause)
 
 
 class TestNoSignallingDemo:

@@ -1,5 +1,6 @@
-"""Properties of every device kind on 1-3 factors of dimension 2-4, every
-nonempty target and seeded random states."""
+"""Properties of every device kind and of full measurements on 1-3 factors
+of dimension 2-4, every nonempty target and seeded random states, and the
+round trip of a record through its text format."""
 
 import itertools
 import math
@@ -9,8 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsim.devices import DEVICE_KINDS, DeviceSpec, MatrixDescription, Overflow
-from pqsim.qcore import FactorSpace, POVMSet, RandomStream, random_pure_state
+from pqsim.cli import format_record, parse_complex
+from pqsim.devices import DEVICE_KINDS, DeviceSpec, IntegerLabel, MatrixDescription, Overflow
+from pqsim.opf import FullMeasurement, device_measurement, entropy_meter_measurement
+from pqsim.qcore import (
+    FactorSpace,
+    POVMSet,
+    RandomStream,
+    random_pure_state,
+    random_pure_states,
+    random_unitary,
+)
 
 
 def _variants(kind: str, dim: int, rng: RandomStream) -> list[dict]:
@@ -97,3 +107,69 @@ def test_device_properties_across_shapes(kind, data):
     hits = [p for key, p in zip(_keys(one), probs) if key[:2] == _keys([(outcome, 0.0)])[0][:2]]
     assert hits and max(hits) > 0.0
 
+
+
+@st.composite
+def _spaces(draw):
+    """(space, nonempty target) over 1-3 factors of dimension 2-4."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    targets = [t for r in range(1, len(dims) + 1)
+               for t in itertools.combinations(range(len(dims)), r)]
+    return FactorSpace(dims), draw(st.sampled_from(targets))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=_spaces(), seed=st.integers(0, 2 ** 32 - 1), precision=st.integers(1, 4),
+       alpha=st.sampled_from([0.5, 1.0, 2.0]))
+def test_full_measurements_are_complete_across_shapes(shape, seed, precision, alpha):
+    """The outcome probabilities of an entropy meter, a rank-1 POVM on the
+    whole space and a smoothed basis selection sum to 1 on every state."""
+    space, target = shape
+    rng = RandomStream(seed)
+    dim = math.prod(space.dims[i] for i in target)
+    unitary = random_unitary(space.total_dim, rng.derive(0))
+    povm = POVMSet(tuple(np.outer(u, u.conj()) for u in unitary.T))
+    measurements = [
+        entropy_meter_measurement(space, target, precision, alpha),
+        FullMeasurement.from_povm(povm, space),
+        device_measurement(DeviceSpec("BasisSelect", {"sharpness": 4.0}),
+                           [IntegerLabel(i) for i in range(dim)], space, target),
+    ]
+    states = random_pure_states((space,), rng.derive(1), 8)
+    for measurement in measurements:
+        assert measurement.completeness_violation(states) <= 1e-12
+
+
+_FINITE = st.floats(allow_nan=False)
+_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(), _FINITE,
+    st.complex_numbers(allow_nan=False), st.text("abcxyz_", min_size=1, max_size=8),
+    st.lists(_FINITE, max_size=4))
+
+
+def _parse_field(text: str, like):
+    """The value of one record field, read back as the type it was written from."""
+    if isinstance(like, bool):
+        return {"true": True, "false": False}[text]
+    if isinstance(like, int):
+        return int(text)
+    if isinstance(like, str):
+        return text
+    if isinstance(like, list):
+        inner = text[1:-1]
+        return [parse_complex(item).real for item in inner.split(",")] if inner else []
+    value = parse_complex(text)
+    return value.real if isinstance(like, float) else value
+
+
+@settings(max_examples=50, deadline=None)
+@given(fields=st.dictionaries(st.from_regex(r"[a-z][a-z_]{0,9}", fullmatch=True), _VALUES,
+                              min_size=1, max_size=6))
+def test_record_round_trips_through_its_text(fields):
+    """format_record writes the fields sorted by key, and parse_complex reads
+    every number back exactly."""
+    tokens = format_record(fields).split(" ")
+    assert [token.split("=", 1)[0] for token in tokens] == sorted(fields)
+    for token in tokens:
+        key, text = token.split("=", 1)
+        assert _parse_field(text, fields[key]) == fields[key]

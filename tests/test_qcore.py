@@ -21,6 +21,7 @@ from pqsim.qcore import (
     apply_unitary,
     born_probabilities,
     entropy,
+    fidelities,
     fidelity,
     measure_projective,
     normalized_states,
@@ -31,13 +32,17 @@ from pqsim.qcore import (
     random_pure_states,
     random_unitary,
     renyi_entropy,
+    require_density,
     schmidt_decompose,
+    spectrum_entropies,
+    spectrum_entropy,
     tensor_product,
     tensor_products,
     unitary_images,
     von_neumann_entropy,
 )
 
+from . import oracles
 from .oracles import (
     derived_streams,
     naive_partial_trace,
@@ -585,6 +590,57 @@ class TestFidelity:
             rho, sigma = random_density_matrix(3, rng), random_density_matrix(3, rng)
             assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) < 1e-8
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_equals_one_pair_oracle(self, d):
+        """fidelities of pure and mixed pairs, rank 1 to d, equals the old
+        per-pair body exactly."""
+        rng = RandomStream(43, d)
+        space = FactorSpace((d,))
+        rhos, sigmas = [], []
+        for t, child in enumerate(rng.derive_many(range(24))):
+            pure = DensityMatrix.from_pure(random_pure_state(space, child)).entries
+            mixed = random_density_matrix(d, child, rank=1 + t % d).entries
+            rhos += [pure, mixed, pure, mixed]
+            sigmas += [mixed, pure, pure, mixed]
+        got = fidelities(np.array(rhos), np.array(sigmas))
+        want = [oracles.fidelity(a, b) for a, b in zip(rhos, sigmas)]
+        assert got.tolist() == want
+        assert [fidelity(DensityMatrix(a), DensityMatrix(b))
+                for a, b in zip(rhos, sigmas)] == want
+
+    def test_rejects_unequal_dimensions(self):
+        with pytest.raises(ValueError, match="equal dimension"):
+            fidelity(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
+
+
+class TestDensityStack:
+    """require_density checks every row of a stack with DensityMatrix's code."""
+
+    BAD = {
+        "non-Hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+        "wrong trace": np.diag([0.6, 0.6]),
+        "negative": np.diag([1.5, -0.5]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_bad_row_raises_the_density_matrix_message(self, kind, row):
+        stack = np.array([DensityMatrix.maximally_mixed(2).entries,
+                          DensityMatrix.from_pure(PLUS).entries,
+                          DensityMatrix.from_pure(KET1).entries])
+        stack[row] = self.BAD[kind]
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(self.BAD[kind])
+        with pytest.raises(ValueError) as stacked:
+            require_density(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_valid_stack_gives_each_rows_eigenvalues(self):
+        rhos = [random_density_matrix(3, child)
+                for child in RandomStream(3).derive_many(range(5))]
+        vals = require_density(np.array([rho.entries for rho in rhos]))
+        assert vals.tobytes() == np.array([rho.eigenvalues() for rho in rhos]).tobytes()
+
 
 class TestQuantize:
     def test_basic_arithmetic(self):
@@ -600,6 +656,18 @@ class TestQuantize:
     def test_rejects_nonpositive_precision(self):
         with pytest.raises(ValueError):
             quantize(0.3, 0)
+
+    def test_array_equals_scalar_oracle_at_ties(self):
+        """Ties k/2^m + 2^-(m+1) round to the even multiple, and a small
+        negative rounds to +0.0, as Python's round gives."""
+        for m in range(1, 9):
+            ties = (np.arange(-40, 40) + 0.5) * 2.0 ** -m
+            xs = np.concatenate([ties, -ties / 2 ** m, [0.0, -0.0, 0.3, -1e-300]])
+            got = quantize(xs, m)
+            want = [oracles.quantize(x, m) for x in xs.tolist()]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert [quantize(x, m) for x in xs.tolist()] == want
+        assert type(quantize(0.3, 2)) is float
 
     @given(st.floats(min_value=-64.0, max_value=64.0), st.integers(min_value=1, max_value=20))
     def test_idempotent(self, x, m):
@@ -644,6 +712,22 @@ class TestEntropies:
     def test_entropy_rejects_negative_or_nan_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be nonnegative"):
             entropy(DensityMatrix.maximally_mixed(2), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 1.0 - 1e-10, 1.0 + 1e-10])
+    def test_stack_equals_filtered_rows(self, alpha):
+        """spectrum_entropies equals spectrum_entropy and the old filtering
+        body row by row, with eigenvalues at, below and above the floor in
+        rows of 2 to 12, so rows of 8 or more drop some of theirs."""
+        rng = np.random.default_rng(7)
+        floor = qcore.EIGENVALUE_FLOOR
+        for d in range(2, 13):
+            vals = rng.dirichlet(np.ones(d), size=40)
+            low = rng.random((40, d)) < 0.4
+            vals[low] = rng.choice([floor, floor / 2, 0.0, -1e-15, 2 * floor], size=low.sum())
+            vals[:, -1] += 1e-3  # every row keeps at least one
+            got = spectrum_entropies(vals, alpha)
+            assert got.tolist() == [spectrum_entropy(row, alpha) for row in vals]
+            assert got.tolist() == [oracles.spectrum_entropy(row, alpha) for row in vals]
 
     def test_entropy_dispatcher_continuity_at_alpha_one(self):
         rng = RandomStream(47)
