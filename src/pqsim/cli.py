@@ -44,7 +44,8 @@ from .opf import (
     opf_from_quantum,
     product_form_witness,
 )
-from .qcore import Ensemble, FactorSpace, HermitianObservable, POVMSet, PureState, RandomStream
+from .qcore import (Ensemble, FactorSpace, HermitianObservable, POVMSet, PureState, RandomStream,
+                    normalized_states)
 
 DEFAULT_SEED = 0x5EED
 
@@ -635,10 +636,7 @@ def _no_signalling_weights(read) -> None:
 
 
 def _default_ensemble() -> Ensemble:
-    space = FactorSpace((2,))
-    ket0 = PureState.basis_state(space, 0)
-    ket1 = PureState.basis_state(space, 1)
-    plus = PureState(space, np.array([1, 1]) / math.sqrt(2.0))
+    ket0, ket1, plus = normalized_states(FactorSpace((2,)), [[1, 0], [0, 1], [1, 1]])
     return Ensemble(((ket0, 0.5), (ket1, 0.3), (plus, 0.2)))
 
 

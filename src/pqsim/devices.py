@@ -26,13 +26,13 @@ from .qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    StateStack,
     _normalize_subset,
     born_probabilities,
     partial_trace,
     quantize,
     reduced_densities,
     spectrum_entropies,
-    stack_amplitudes,
 )
 
 BASIS_ATOL = 1e-8
@@ -127,21 +127,6 @@ def reduced_density(state: PureState, target: Union[int, Sequence[int]]) -> Dens
     if len(subset) == state.space.n_factors:
         return DensityMatrix.from_pure(state)
     return partial_trace(state, subset)
-
-
-def reduced_density_stack(states: Sequence[PureState], target) -> np.ndarray:
-    """Reduced density matrices of the target factors of states on one space.
-
-    Returns an (n, d, d) stack whose entries equal ``reduced_density`` of
-    each state; the states are unit vectors, so the stack needs no
-    revalidation.
-    """
-    space = states[0].space
-    subset = _normalize_subset(space, target)
-    amps = stack_amplitudes(states, space)
-    if len(subset) == space.n_factors:
-        return amps[:, :, None] * amps.conj()[:, None, :]
-    return reduced_densities(amps, space, subset)
 
 
 def target_dimension(space: FactorSpace, target: Union[int, Sequence[int]]) -> int:
@@ -479,18 +464,16 @@ def basis_select(state: PureState, target, basis=None, rng: RandomStream | None 
 def entropy_meter(state: PureState, target, alpha: float = 1.0,
                   precision: int | None = None) -> RealValue:
     """Entanglement entropy of order alpha of the target subsystem, in bits."""
-    return entropy_meter_readings([state], target, alpha, precision)[0]
+    return entropy_meter_readings(state, target, alpha, precision)[0]
 
 
-def entropy_meter_readings(states: Sequence[PureState], target, alpha: float = 1.0,
-                           precision: int | None = None) -> list[RealValue]:
+def entropy_meter_readings(states: StateStack | Sequence[PureState], target,
+                           alpha: float = 1.0, precision: int | None = None) -> list[RealValue]:
     """Entropy-meter outputs for states on one space, from one stacked eigensolve,
     one entropy pass and one quantize pass."""
     if not alpha >= 0:  # NaN is not either
         raise ParameterError("alpha", "alpha must be nonnegative")
-    if len(states) == 0:
-        return []
-    values = spectrum_entropies(np.linalg.eigvalsh(reduced_density_stack(states, target)), alpha)
+    values = spectrum_entropies(np.linalg.eigvalsh(reduced_densities(states, target)), alpha)
     if precision is not None:
         values = quantize(values, precision)
     return [RealValue(value) for value in values.tolist()]
@@ -556,7 +539,7 @@ class DeviceKind:
 
     ``params`` are in catalog order, a trailing ``?`` marking an optional
     one.  ``distribution(state, target, params)`` (and ``stacked``, for a
-    list of states in one pass) calls the kind's module function by its
+    stack of states in one pass) calls the kind's module function by its
     global name, so a wrapper bound over that name sees every call.
     ``may_miss``: the selector types that may match no branch, as outcome
     values of readouts and meters depend on the state; a label or bit
@@ -574,7 +557,7 @@ class DeviceKind:
     distribution: Callable[[PureState, Any, Mapping[str, Any]], list]
     may_miss: tuple[type, ...] = ()
     deterministic_without: str | None = None
-    stacked: Callable[[Sequence[PureState], Any, Mapping[str, Any]], list] | None = None
+    stacked: Callable[[StateStack, Any, Mapping[str, Any]], list] | None = None
     single_factor: bool = False
     check: Callable[[Mapping[str, Any]], None] | None = None
 
@@ -674,13 +657,14 @@ class DeviceSpec:
         """Exact outcome distribution (deterministic devices give one point)."""
         return DEVICE_KINDS[self.kind].distribution(state, target, self.params)
 
-    def distributions(self, states: Sequence[PureState], target
+    def distributions(self, states: StateStack | Sequence[PureState], target
                       ) -> list[list[tuple[Outcome, float]]]:
-        """``distribution`` of each state, in one stacked pass where the kind has one."""
+        """``distribution`` of each state of a stack or list, in one pass where the kind can."""
+        stack = StateStack.of(states)
         stacked = DEVICE_KINDS[self.kind].stacked
         if stacked is not None:
-            return stacked(states, target, self.params)
-        return [self.distribution(state, target) for state in states]
+            return stacked(stack, target, self.params)
+        return [self.distribution(state, target) for state in stack]
 
     def apply(self, state: PureState, target, rng: RandomStream | None = None) -> Outcome:
         """Run the device once.  Stochastic kinds require a RandomStream."""

@@ -21,7 +21,6 @@ from .devices import (
     entropy_meter,
     overlap_test,
     readout_density,
-    reduced_density_stack,
     sample_povm,
 )
 from .opf import (
@@ -42,12 +41,11 @@ from .qcore import (
     fidelities,
     measure_projective,
     normalized_states,
-    random_pure_state,
     random_pure_states,
+    reduced_densities,
     require_density,
     schmidt_decompose,
-    stack_amplitudes,
-    tensor_product,
+    tensor_products,
 )
 
 VIOLATION_CERTIFIED = "VIOLATION_CERTIFIED"
@@ -224,10 +222,9 @@ def _judge(evidence: dict, verdict: str, clauses: dict[str, bool]) -> str:
 def _product_probe_residual(f, d: int) -> float:
     """Best quadratic-form fit of an OPF restricted to product states."""
     factor_probes = _pair_probes(d, (1, -1, 1j))
-    space = FactorSpace((d, d))
-    probes = normalized_states(space, [np.kron(a, b) for a in factor_probes
-                                       for b in factor_probes])
-    return quadratic_fit(stack_amplitudes(probes, space), f.values(probes))[0]
+    probes = normalized_states(FactorSpace((d, d)), [np.kron(a, b) for a in factor_probes
+                                                     for b in factor_probes])
+    return quadratic_fit(probes.amplitudes, f.values(probes))[0]
 
 
 SPOD_ELEMENTS = {
@@ -256,11 +253,11 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
         b = np.diag([0.2 + 0.6 * child.uniform(), 0.2 + 0.6 * child.uniform()])
         trials.append((POVMSet((b, np.eye(2) - b)), child))
     states = normalized_states(space, normals[:, :dim] + 1j * normals[:, dim:])
-    before = reduced_density_stack(states, space.indices())
+    before = reduced_densities(states, space.indices())
     require_density(before)
     for psi, (povm, child) in zip(states, trials):
         sample_povm(psi, (0,), povm, child)
-    after = reduced_density_stack(states, space.indices())  # devices never touch the state
+    after = reduced_densities(states, space.indices())  # devices never touch the state
     require_density(after)
     min_update_fidelity = min(1.0, *fidelities(before, after).tolist())
 
@@ -360,21 +357,17 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
     blank = PureState.basis_state(FactorSpace((2,)), 0)
     threshold = 1.0 - 1e-9 if precision is None else 1.0 - 10.0 * 2.0 ** (-precision)
 
+    states = random_pure_states((factor,), rng, trials)
     fidelities = []
-    for trial, child in enumerate(rng.derive_many(range(trials))):
-        psi = random_pure_state(factor, child)
-        joint = tensor_product(psi, blank)
+    for trial, (psi, joint) in enumerate(zip(states, tensor_products(states, blank))):
         description = readout_density(joint, (0,), precision=precision)
         vals, vecs = np.linalg.eigh(description.matrix)
         if precision is None and (vals[-1] < 1.0 - 1e-9 or vals[-2] > 1e-9):
-            return Certificate("cloning", FAIL,
-                               {"d": d, "trial": trial, "rank_defect": float(vals[-2])},
-                               rng.seed)
-        reconstructed = PureState.normalized(factor, vecs[:, -1])
-        copies = (reconstructed, PureState.normalized(factor, vecs[:, -1]))
-        overlap = abs(np.vdot(copies[0].amplitudes, psi.amplitudes)) ** 2
-        overlap2 = abs(np.vdot(copies[1].amplitudes, psi.amplitudes)) ** 2
-        fidelities.append(min(overlap, overlap2))
+            evidence = {"d": d, "trial": trial, "rank_defect": float(vals[-2])}
+            return Certificate("cloning", _judge(evidence, VIOLATION_CERTIFIED,
+                                                 {"rank_defect": False}), evidence, rng.seed)
+        copy = PureState.normalized(factor, vecs[:, -1])
+        fidelities.append(abs(np.vdot(copy.amplitudes, psi.amplitudes)) ** 2)
 
     successes = sum(f >= threshold for f in fidelities)
     required = trials if precision is None else math.ceil(CLONING_SUCCESS_QUOTA * trials)
@@ -385,7 +378,7 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
         "min_fidelity": min(fidelities),
         "successes": successes,
     }
-    verdict = VIOLATION_CERTIFIED if successes >= required else FAIL
+    verdict = _judge(evidence, VIOLATION_CERTIFIED, {"successes": successes >= required})
     return Certificate("cloning", verdict, evidence, rng.seed)
 
 
@@ -426,12 +419,19 @@ def tomography_estimate(source: Union[Ensemble, PureState], n_trials: int,
            + bloch[0] * PAULI[0] + bloch[1] * PAULI[1] + bloch[2] * PAULI[2]) / 2.0
     estimate = _project_to_physical(raw)
     metric = trace_distance(estimate, rho_true)
+    extras = {}
     return EstimationReport(
         protocol="tomography", outcome_stats=tuple(stats),
         metric_name="trace_distance", metric_value=metric,
         confidence=confidence, threshold=threshold,
-        passed=metric < threshold, seed=rng.seed, estimate_matrix=estimate,
+        passed=_below_threshold(extras, metric, threshold), seed=rng.seed,
+        estimate_matrix=estimate, extras=extras,
     )
+
+
+def _below_threshold(extras: dict, metric: float, threshold: float) -> bool:
+    """metric < threshold, judged by ``_judge``: a failure goes into ``failed_checks``."""
+    return _judge(extras, "OK", {"metric_below_threshold": metric < threshold}) != FAIL
 
 
 def _project_to_physical(matrix: np.ndarray) -> np.ndarray:
@@ -535,15 +535,15 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
             ghost_mass += weight
     total_variation = sum(abs(weights[r] - estimated[r]) for r in estimated) + ghost_mass
 
+    extras = {"members": len(members), "draws": n_draws,
+              "max_member_deviation": max_member_deviation,
+              "finite_precision": precision_schedule is not None}
     return EstimationReport(
         protocol="ensemble-readout", outcome_stats=stats,
         metric_name="total_variation", metric_value=total_variation,
         confidence=confidence, threshold=threshold,
-        passed=total_variation < threshold, seed=rng.seed,
-        recovered=recovered,
-        extras={"members": len(members), "draws": n_draws,
-                "max_member_deviation": max_member_deviation,
-                "finite_precision": precision_schedule is not None},
+        passed=_below_threshold(extras, total_variation, threshold), seed=rng.seed,
+        recovered=recovered, extras=extras,
     )
 
 
@@ -623,12 +623,13 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
     for round_idx, eps in enumerate(schedule):
         size = _net_size_for(eps)
         if size > net_cap:
+            extras = {"net_cap": net_cap, "requested_net": size, "epsilon": eps}
             return EstimationReport(
                 protocol="ensemble-overlap", outcome_stats=(),
                 metric_name="total_variation", metric_value=0.0,
                 confidence=confidence, threshold=threshold, passed=False,
-                seed=rng.seed, status=FAIL,
-                extras={"net_cap": net_cap, "requested_net": size, "epsilon": eps})
+                seed=rng.seed, status=_judge(extras, "OK", {"net_cap": False}),
+                extras=extras)
         net = [PureState(space, v) for v in fibonacci_net(size)]
         rounds.append({"epsilon": eps, "net_size": size})
 
@@ -679,14 +680,13 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
             ghost_mass += weight
     total_variation = sum(abs(weights[r] - estimated[r]) for r in estimated) + ghost_mass
 
+    extras = {"rounds": len(rounds), "final_epsilon": final_eps,
+              "final_net_size": rounds[-1]["net_size"],
+              "min_matched_overlap": worst_overlap, "draws": n_draws}
     return EstimationReport(
         protocol="ensemble-overlap", outcome_stats=stats,
         metric_name="total_variation", metric_value=total_variation,
         confidence=confidence, threshold=threshold,
-        passed=total_variation < threshold, seed=rng.seed,
-        recovered=recovered,
-        extras={"rounds": len(rounds), "final_epsilon": final_eps,
-                "final_net_size": rounds[-1]["net_size"],
-                "min_matched_overlap": worst_overlap,
-                "draws": n_draws},
+        passed=_below_threshold(extras, total_variation, threshold), seed=rng.seed,
+        recovered=recovered, extras=extras,
     )

@@ -34,6 +34,7 @@ from .qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    StateStack,
     _row_norms,
     _square_matrix,
     normalized_states,
@@ -43,7 +44,6 @@ from .qcore import (
     require_hermitian,
     require_psd,
     require_unitary,
-    stack_amplitudes,
     tensor_products,
     unitary_images,
 )
@@ -59,20 +59,20 @@ MAX_OUTCOME_LIST = 64
 class OPF:
     """Evaluatable outcome probability function on pure states.
 
-    ``evaluator`` maps a list of n states on ``space`` to the (n,) vector of
-    values.  Every evaluation goes through ``__call__``, which checks the
-    states' space and calls it: ``f(psi)`` is the value on one state,
-    ``f(states)`` and ``f.values(states)`` the vector on a list.  One entry
-    point means a wrapper on ``OPF.__call__``, such as the benchmark's
-    tracer, sees every evaluation.  ``operator`` is set when the OPF is
-    known to have the quantum quadratic form <psi|Q|psi>; the closure
-    constructors propagate it.
+    ``evaluator`` maps a ``StateStack`` of n states on ``space`` to the (n,)
+    vector of values.  Every evaluation goes through ``__call__``, which
+    makes the states a stack on the OPF's space and calls it: ``f(psi)`` is
+    the value on one state, ``f(states)`` and ``f.values(states)`` the
+    vector on a stack or a list.  One entry point means a wrapper on
+    ``OPF.__call__``, such as the benchmark's tracer, sees every evaluation.
+    ``operator`` is set when the OPF is known to have the quantum quadratic
+    form <psi|Q|psi>; the closure constructors propagate it.
     """
 
     __slots__ = ("space", "evaluator", "provenance", "operator")
 
     def __init__(self, space: FactorSpace,
-                 evaluator: Callable[[Sequence[PureState]], np.ndarray],
+                 evaluator: Callable[[StateStack], np.ndarray],
                  provenance: str, operator: np.ndarray | None = None):
         self.space = space
         self.evaluator = evaluator
@@ -82,29 +82,21 @@ class OPF:
             operator.setflags(write=False)
         self.operator = operator
 
-    def __call__(self, states: PureState | Sequence[PureState]) -> float | np.ndarray:
-        """The value on one state, or the (n,) values on a list of states."""
-        one = isinstance(states, PureState)
-        batch = (states,) if one else states
-        if any(psi.space.dims != self.space.dims for psi in batch):
-            raise ValueError("state space does not match the OPF's space")
-        values = self.evaluator(batch)
-        return float(values[0]) if one else values
+    def __call__(self, states) -> float | np.ndarray:
+        """The value on one ``PureState``, or the (n,) values on a stack or a list."""
+        values = self.evaluator(StateStack.of(states, self.space,
+                                              "state space does not match the OPF's space"))
+        return float(values[0]) if isinstance(states, PureState) else values
 
-    def values(self, states: Sequence[PureState]) -> np.ndarray:
-        """(n,) values on a list of states on the OPF's space."""
-        return self(list(states))
+    def values(self, states: StateStack | Sequence[PureState]) -> np.ndarray:
+        """(n,) values on a stack or a list of states on the OPF's space."""
+        return self(states)
 
     def on_ensembles(self, ensembles: Sequence[Ensemble]) -> list[float]:
         """Expected values sum_r p_r f(psi_r) on proper mixtures, summed in
         member order, from one evaluation of all their members."""
-        values = self.values([s for ens in ensembles for s, _ in ens.members]).tolist()
-        out, start = [], 0
-        for ens in ensembles:
-            stop = start + len(ens.members)
-            out.append(float(sum(w * v for (_, w), v in zip(ens.members, values[start:stop]))))
-            start = stop
-        return out
+        values = iter(self.values([s for ens in ensembles for s, _ in ens.members]).tolist())
+        return [float(sum(w * next(values) for _, w in ens.members)) for ens in ensembles]
 
     def on_ensemble(self, ensemble: Ensemble) -> float:
         """Expected value sum_r p_r f(psi_r) on a proper mixture."""
@@ -118,30 +110,30 @@ class OPF:
 class FullMeasurement:
     """Finite list of OPFs that should sum to 1 on every pure state.
 
-    ``evaluator``, when set, maps a list of n states to the (n, k) matrix
-    of outcome vectors in one pass: a device-backed measurement runs its
-    device once per state, not once per outcome, and each OPF in
+    ``evaluator``, when set, maps a ``StateStack`` of n states to the (n, k)
+    matrix of outcome vectors in one pass: a device-backed measurement runs
+    its device once per state, not once per outcome, and each OPF in
     ``outcomes`` is an index into that matrix.  Without it each outcome
-    evaluates the whole list and supplies one column.
+    evaluates the whole stack and supplies one column.
     """
 
     outcomes: tuple[OPF, ...]
-    evaluator: Callable[[Sequence[PureState]], np.ndarray] | None = field(
+    evaluator: Callable[[StateStack], np.ndarray] | None = field(
         default=None, compare=False, repr=False)
 
     @property
     def space(self) -> FactorSpace:
         return self.outcomes[0].space
 
-    def probabilities(self, states: Sequence[PureState]) -> np.ndarray:
+    def probabilities(self, states: StateStack | Sequence[PureState]) -> np.ndarray:
         """(n, k) matrix: the k outcome probabilities on each of the n states."""
         if self.evaluator is None:
-            return np.column_stack([f.values(states) for f in self.outcomes])
-        if any(psi.space.dims != self.space.dims for psi in states):
-            raise ValueError("state space does not match the measurement's space")
-        return self.evaluator(states)
+            stack = StateStack.of(states, self.space, "state space does not match the OPF's space")
+            return np.column_stack([f.values(stack) for f in self.outcomes])
+        return self.evaluator(StateStack.of(
+            states, self.space, "state space does not match the measurement's space"))
 
-    def completeness_violation(self, states: Sequence[PureState]) -> float:
+    def completeness_violation(self, states: StateStack | Sequence[PureState]) -> float:
         return _completeness_violation(self.probabilities(states))
 
     @classmethod
@@ -167,7 +159,7 @@ def _quadratic_forms(q: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _indexed_outcomes(space: FactorSpace,
-                      evaluate: Callable[[Sequence[PureState]], np.ndarray],
+                      evaluate: Callable[[StateStack], np.ndarray],
                       provenance: str, operators: Sequence[np.ndarray | None]
                       ) -> tuple[OPF, ...]:
     """One OPF per column of an outcome-matrix evaluator; each returns a copy
@@ -192,8 +184,8 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
         space = FactorSpace((dim,))
     elif space.total_dim != dim:
         raise ValueError("declared space does not match the element's dimension")
-    return OPF(space, lambda states: _quadratic_forms(q, stack_amplitudes(states, space)),
-               "quantum", operator=q)
+    return OPF(space, lambda states: _quadratic_forms(q, states.amplitudes), "quantum",
+               operator=q)
 
 
 def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: FactorSpace,
@@ -205,10 +197,10 @@ def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: Fa
     """
     selection = OutcomeSelection(spec, selectors)
 
-    def evaluate(states: Sequence[PureState]) -> np.ndarray:
+    def evaluate(states: StateStack) -> np.ndarray:
         return selection.matrix(spec.distributions(states, target))
 
-    evaluate([PureState.basis_state(space, 0)])  # validates selector kinds early
+    evaluate(StateStack.of(PureState.basis_state(space, 0)))  # validates selector kinds early
     outcomes = _indexed_outcomes(space, evaluate, f"device:{spec.kind}",
                                  [None] * len(selection.selectors))
     return FullMeasurement(outcomes, evaluate)
@@ -251,7 +243,7 @@ def mix(opfs: Sequence[OPF], weights: Sequence[float]) -> OPF:
     if all(f.operator is not None for f in opfs):
         operator = sum(wi * f.operator for wi, f in zip(w, opfs))
 
-    def evaluate(states: Sequence[PureState]) -> np.ndarray:
+    def evaluate(states: StateStack) -> np.ndarray:
         total = np.zeros(len(states))  # summed left to right from 0, like sum()
         for wi, f in zip(w, opfs):
             total = total + wi * f.values(states)
@@ -314,7 +306,7 @@ def mix_measurements(first: FullMeasurement, second: FullMeasurement, weight: fl
     only_i = [i for i in range(len(first.outcomes)) if i not in used_i]
     only_j = [j for j in range(len(second.outcomes)) if j not in used_j]
 
-    def evaluate(states: Sequence[PureState]) -> np.ndarray:
+    def evaluate(states: StateStack) -> np.ndarray:
         a = first.probabilities(states)
         b = second.probabilities(states)
         return np.concatenate([weight * a[:, paired_i] + (1.0 - weight) * b[:, paired_j],
@@ -424,7 +416,7 @@ def check_closure(measurement: FullMeasurement, samples: int,
 
     n_out = len(measurement.outcomes)
     aux = rng.derive(samples + 1)
-    probes = states[: min(len(states), 50)]
+    probes = states[:50]
 
     mixture_violation = 0.0
     for _ in range(10):
@@ -444,7 +436,7 @@ def check_closure(measurement: FullMeasurement, samples: int,
         composition_violation = 0.0
         lead = FactorSpace(space.dims[:-1])
         back = FactorSpace((space.dims[-1],))
-        lead_probes = [random_pure_state(lead, aux) for _ in range(10)]
+        lead_probes = StateStack.of([random_pure_state(lead, aux) for _ in range(10)])
         for _ in range(10):
             phi = random_pure_state(back, aux)
             joint = measurement.probabilities(tensor_products(lead_probes, phi))
@@ -591,7 +583,7 @@ def quadratic_fit(amps: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarr
     return float(np.max(np.abs(values - design @ coeffs))), coeffs
 
 
-def product_form_witness(f: OPF, extra_probes: Sequence[PureState] = ()
+def product_form_witness(f: OPF, extra_probes: StateStack | Sequence[PureState] = ()
                          ) -> ProductFormCertificate:
     """Fit a single operator Q with f(psi) = <psi|Q|psi> over a spanning probe set.
 
@@ -604,11 +596,11 @@ def product_form_witness(f: OPF, extra_probes: Sequence[PureState] = ()
     if dim > 16:
         raise ValueError("quadratic-form witness supports total dimension <= 16")
     probes = normalized_states(f.space, np.array(_witness_probe_states(dim)))
-    probes.extend(extra_probes)
-
-    values = f.values(probes)
-    residual, coeffs = quadratic_fit(stack_amplitudes(probes, f.space), values)
-    return ProductFormCertificate(residual, hermitian_from_coords(coeffs), len(probes))
+    extra = StateStack.of(extra_probes, f.space, "state space does not match the OPF's space")
+    amps = np.concatenate([probes.amplitudes, extra.amplitudes])
+    amps.setflags(write=False)
+    residual, coeffs = quadratic_fit(amps, f.values(StateStack._trusted(f.space, amps)))
+    return ProductFormCertificate(residual, hermitian_from_coords(coeffs), len(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -704,17 +696,10 @@ def _ic_outcomes(family: str, dim: int) -> tuple[OPF, ...]:
 
 def _readout_witness_pair(dim: int, unitary: np.ndarray) -> tuple[Ensemble, Ensemble]:
     """Same-density ensembles {u0, u1} vs {(u0+u1)/sqrt2, (u0-u1)/sqrt2}."""
-    space = FactorSpace((dim,))
     u0, u1 = unitary[:, 0], unitary[:, 1]
-    a = Ensemble((
-        (PureState.normalized(space, u0), 0.5),
-        (PureState.normalized(space, u1), 0.5),
-    ))
-    b = Ensemble((
-        (PureState.normalized(space, (u0 + u1) / math.sqrt(2.0)), 0.5),
-        (PureState.normalized(space, (u0 - u1) / math.sqrt(2.0)), 0.5),
-    ))
-    return a, b
+    a0, a1, b0, b1 = normalized_states(FactorSpace((dim,)), [
+        u0, u1, (u0 + u1) / math.sqrt(2.0), (u0 - u1) / math.sqrt(2.0)])
+    return Ensemble(((a0, 0.5), (a1, 0.5))), Ensemble(((b0, 0.5), (b1, 0.5)))
 
 
 def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
@@ -832,7 +817,8 @@ class UpdateMapCertificate:
         }
 
 
-def update_map_feasibility(element: np.ndarray, probe_states: Sequence[PureState]
+def update_map_feasibility(element: np.ndarray,
+                           probe_states: StateStack | Sequence[PureState]
                            ) -> UpdateMapCertificate:
     """Solve for a linear update map consistent with the trivial update.
 
@@ -842,14 +828,14 @@ def update_map_feasibility(element: np.ndarray, probe_states: Sequence[PureState
     """
     a = np.asarray(element, dtype=complex)
     dim = a.shape[0]
-    n = len(probe_states)
+    probes = StateStack.of(probe_states)
+    n = len(probes)
 
     # the probes, then the validation states: canonical and random ones
     extra = RandomStream(0x51D, experiment=dim)
-    vecs = np.array([p.amplitudes for p in probe_states]
-                    + canonical_probe_states(dim)
-                    + [random_pure_state(FactorSpace((dim,)), extra).amplitudes
-                       for _ in range(2 * dim)])
+    vecs = np.concatenate([probes.amplitudes, np.array(
+        canonical_probe_states(dim)
+        + [random_pure_state(FactorSpace((dim,)), extra).amplitudes for _ in range(2 * dim)])])
     projs, coords = _projector_design(vecs)
     design = coords[:n]
     if np.linalg.matrix_rank(design, tol=1e-9) < dim * dim:
@@ -865,5 +851,4 @@ def update_map_feasibility(element: np.ndarray, probe_states: Sequence[PureState
     return UpdateMapCertificate(dim, residual, CPMapCandidate(dim, lmap))
 
 
-QUBIT_PROBE_STATES = tuple(
-    PureState.normalized(FactorSpace((2,)), v) for v in canonical_probe_states(2))
+QUBIT_PROBE_STATES = normalized_states(FactorSpace((2,)), canonical_probe_states(2))

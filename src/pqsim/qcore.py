@@ -9,6 +9,7 @@ is confined to explicit :class:`RandomStream` arguments.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -185,8 +186,8 @@ class PureState:
 
     @classmethod
     def _trusted(cls, space: FactorSpace, amplitudes: np.ndarray) -> "PureState":
-        """A state on amplitudes a stacked constructor below has already
-        validated, normalized and made read-only."""
+        """A state on amplitudes that are already validated, normalized and
+        read-only: a row of a ``StateStack``."""
         state = cls.__new__(cls)
         state.space = space
         state.amplitudes = amplitudes
@@ -518,33 +519,28 @@ def random_density_matrix(dim: int, rng: RandomStream, rank: int | None = None) 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
     """Joint state on the concatenated factorization; Kronecker amplitudes."""
-    return tensor_products([a], b)[0]
+    return tensor_products(a, b)[0]
 
 
 # ---------------------------------------------------------------------------
 # Stacks of pure states
 # ---------------------------------------------------------------------------
-#
-# These build a list of states from one (n, D) amplitude array.  Each row
-# goes through the same floating-point operations as one state built on its
-# own by PureState or PureState.normalized (the same BLAS dot products for
-# the norm, the same divisions, products and matrix-vector products), so the
-# amplitudes are bit-identical to the per-state loop, and each row's norm
-# passes the same checks.  The rows are read-only views of one private array.
 
-def stack_amplitudes(states: Sequence[PureState], space: FactorSpace) -> np.ndarray:
-    """(n, D) array of the amplitude vectors of n states on ``space``; n may be 0."""
-    if any(psi.space.dims != space.dims for psi in states):
-        raise ValueError("stacked states must share one FactorSpace")
-    return np.array([psi.amplitudes for psi in states],
-                    dtype=complex).reshape(len(states), space.total_dim)
+def _amplitude_stack(space: FactorSpace, amplitudes) -> np.ndarray:
+    """A complex (n, D) array of amplitude rows for ``space``; n may be 0."""
+    amps = np.ascontiguousarray(amplitudes, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != space.total_dim:
+        raise ValueError(f"amplitude stack of shape {amps.shape} does not match "
+                         f"total_dim {space.total_dim}")
+    return amps
 
 
 def _checked_rows(amps: np.ndarray) -> np.ndarray:
     """``PureState``'s norm check and division, on every row of a stack."""
     nrm = _row_norms(amps)
-    for value in nrm.tolist():
-        _require_unit_norm(value)
+    bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)  # NaN is bad too
+    if bad.any():
+        _require_unit_norm(float(nrm[bad.argmax()]))
     amps = amps / nrm[:, None]
     amps.setflags(write=False)
     return amps
@@ -553,40 +549,89 @@ def _checked_rows(amps: np.ndarray) -> np.ndarray:
 def _normalized_rows(amps: np.ndarray) -> np.ndarray:
     """``PureState.normalized`` on every row of a stack."""
     nrm = _row_norms(amps)
-    for value in nrm.tolist():
-        _require_normalizable(value)
+    bad = ~((nrm > 0.0) & np.isfinite(nrm))
+    if bad.any():
+        _require_normalizable(float(nrm[bad.argmax()]))
     return _checked_rows(amps / nrm[:, None])
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of each row of a with the matching (or only) row of b."""
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], a.shape[1] * b.shape[1])
 
 
-def _states(space: FactorSpace, rows: np.ndarray) -> list[PureState]:
-    return [PureState._trusted(space, row) for row in rows]
+@dataclass(frozen=True, eq=False, repr=False)
+class StateStack:
+    """n pure states on one FactorSpace, as one read-only (n, D) array.
+
+    Each row gets the floating-point operations of one ``PureState`` (or
+    ``PureState.normalized``), so it is bit-identical to one.  The norms are
+    checked in one vectorised pass; the first bad row raises one state's
+    message.  An index or iteration gives ``PureState`` row views, a slice a stack.
+    """
+
+    space: FactorSpace
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "amplitudes",
+                           _checked_rows(_amplitude_stack(self.space, self.amplitudes)))
+
+    @classmethod
+    def _trusted(cls, space: FactorSpace, amplitudes: np.ndarray) -> "StateStack":
+        """A stack on rows that are already validated, normalized and read-only."""
+        stack = object.__new__(cls)
+        object.__setattr__(stack, "space", space)
+        object.__setattr__(stack, "amplitudes", amplitudes)
+        return stack
+
+    @classmethod
+    def of(cls, states, space: FactorSpace | None = None,
+           message: str = "stacked states must share one FactorSpace") -> "StateStack":
+        """A stack (passed through), a state (a one-row view) or a list (packed
+        once) as a stack on ``space``, by default the first state's; raise
+        ValueError(message) for a state on another."""
+        if isinstance(states, PureState):
+            states = cls._trusted(states.space, states.amplitudes[None])
+        if not isinstance(states, StateStack):
+            if space is None and len(states) == 0:
+                raise ValueError("an empty list of states names no FactorSpace")
+            space = space or states[0].space
+            if any(psi.space.dims != space.dims for psi in states):
+                raise ValueError(message)
+            amps = np.array([psi.amplitudes for psi in states],
+                            dtype=complex).reshape(len(states), space.total_dim)
+            amps.setflags(write=False)
+            return cls._trusted(space, amps)
+        if space is not None and states.space.dims != space.dims:
+            raise ValueError(message)
+        return states
+
+    def __len__(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def __iter__(self) -> Iterator[PureState]:
+        return (PureState._trusted(self.space, row) for row in self.amplitudes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return StateStack._trusted(self.space, self.amplitudes[index])
+        return PureState._trusted(self.space, self.amplitudes[operator.index(index)])
 
 
-def normalized_states(space: FactorSpace, amplitudes) -> list[PureState]:
+def normalized_states(space: FactorSpace, amplitudes) -> StateStack:
     """``PureState.normalized(space, row)`` for every row of an (n, D) array."""
-    amps = np.ascontiguousarray(amplitudes, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] != space.total_dim:
-        raise ValueError(f"amplitude stack of shape {amps.shape} does not match "
-                         f"total_dim {space.total_dim}")
-    return _states(space, _normalized_rows(amps))
+    return StateStack._trusted(space, _normalized_rows(_amplitude_stack(space, amplitudes)))
 
 
 def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
-                       trials: int) -> list[PureState]:
+                       trials: int) -> StateStack:
     """One state per trial t: the tensor product, left to right, of a
     ``random_pure_state`` on each space, all drawn in turn from ``rng.derive(t)``.
 
-    Equal to the loop of derive, random_pure_state and tensor_product.  The
-    trials' streams come from ``derive_many``, each dropped once it has
-    filled its row of normals with one draw: a generator's normals do not
-    depend on how a run of them is split into calls, so the row holds each
-    space's ``complex_normal`` draw in turn.  The complex blocks, the
-    normalisations and the products then run on stacks.
+    Each trial's stream (from ``derive_many``) fills its row of normals in
+    one draw, as a generator's normals do not depend on how a run of them
+    is split into calls; the rest runs on stacks.
     """
     sizes = [s.total_dim for s in spaces]
     normals = np.empty((trials, 2 * sum(sizes)))
@@ -599,29 +644,24 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
         start += 2 * size
         factor = _normalized_rows(block)
         joint = factor if joint is None else _checked_rows(_outer_rows(joint, factor))
-    return _states(FactorSpace(sum((s.dims for s in spaces), ())), joint)
+    return StateStack._trusted(FactorSpace(sum((s.dims for s in spaces), ())), joint)
 
 
-def tensor_products(states: Sequence[PureState], phi: PureState) -> list[PureState]:
-    """The joint state psi (x) phi, on the concatenated factorization, for
-    every state psi, all on one space: Kronecker amplitudes, norm-checked
-    and divided by their norm like ``PureState``."""
-    if not states:
-        return []
-    space = states[0].space
-    amps = stack_amplitudes(states, space)
-    return _states(FactorSpace(space.dims + phi.space.dims),
-                   _checked_rows(_outer_rows(amps, phi.amplitudes[None, :])))
+def tensor_products(states, phi: PureState) -> StateStack:
+    """The joint state psi (x) phi, on the concatenated factorization, of
+    every state of a stack or list: Kronecker amplitudes, norm-checked and
+    divided by their norm like ``PureState``."""
+    stack = StateStack.of(states)
+    return StateStack._trusted(FactorSpace(stack.space.dims + phi.space.dims), _checked_rows(
+        _outer_rows(stack.amplitudes, phi.amplitudes[None, :])))
 
 
-def unitary_images(states: Sequence[PureState], unitary: np.ndarray) -> list[PureState]:
+def unitary_images(states, unitary: np.ndarray) -> StateStack:
     """``PureState.normalized(space, unitary @ psi.amplitudes)`` for every
-    state, all on one space; the unitary is not checked."""
-    if not states:
-        return []
-    space = states[0].space
-    amps = stack_amplitudes(states, space)
-    return _states(space, _normalized_rows(np.matmul(unitary, amps[:, :, None])[:, :, 0]))
+    state of a stack or list; the unitary is not checked."""
+    stack = StateStack.of(states)
+    return StateStack._trusted(stack.space, _normalized_rows(
+        np.matmul(unitary, stack.amplitudes[:, :, None])[:, :, 0]))
 
 
 def apply_on_factors(amplitudes: np.ndarray, dims: Sequence[int], op: np.ndarray,
@@ -648,7 +688,7 @@ def apply_unitary(state: PureState, unitary: np.ndarray,
     if on is None:
         if u.shape[0] != state.space.total_dim:
             raise ValueError("unitary dimension does not match the state")
-        return unitary_images([state], u)[0]
+        return unitary_images(state, u)[0]
     subset = _normalize_subset(state.space, on)
     d_sub = math.prod(state.space.dims[i] for i in subset)
     if u.shape[0] != d_sub:
@@ -666,7 +706,8 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep: Union[int, Seque
     For a :class:`DensityMatrix` input the factorization must be supplied.
     """
     if isinstance(state, PureState):
-        return DensityMatrix(reduced_densities(state.amplitudes[None], state.space, keep)[0])
+        _bipartition(state.space, keep)  # rejects the trivial cases
+        return DensityMatrix(reduced_densities(state, keep)[0])
     if space is None:
         raise ValueError("partial_trace of a DensityMatrix needs an explicit FactorSpace")
     keep_t, rest, d_keep, d_rest = _bipartition(space, keep)
@@ -678,18 +719,17 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep: Union[int, Seque
     return DensityMatrix((rho + rho.conj().T) / 2.0)
 
 
-def reduced_densities(amplitudes: np.ndarray, space: FactorSpace,
-                      keep: Union[int, Sequence[int]]) -> np.ndarray:
-    """Reduced density matrices, on the kept factors, of a stack of pure states.
-
-    ``amplitudes`` holds one normalized amplitude vector per row; the
-    result has shape (n, d_keep, d_keep) and is Hermitian by construction.
-    ``keep`` must be a nonempty proper subset of the subsystem indices.
-    """
+def reduced_densities(states, keep: Union[int, Sequence[int]]) -> np.ndarray:
+    """Reduced density matrices, on the kept factors, of the states of a stack
+    or list: an (n, d_keep, d_keep) stack, Hermitian by construction, equal
+    to ``partial_trace`` of each state, or with every factor kept |psi><psi|."""
+    stack = StateStack.of(states)
+    space, amps, n = stack.space, stack.amplitudes, len(stack)
+    if len(_normalize_subset(space, keep)) == space.n_factors:
+        return amps[:, :, None] * amps.conj()[:, None, :]
     keep_t, rest, d_keep, d_rest = _bipartition(space, keep)
-    n = amplitudes.shape[0]
     axes = (0,) + tuple(1 + i for i in keep_t + rest)
-    mat = np.transpose(amplitudes.reshape((n,) + space.dims), axes).reshape(n, d_keep, d_rest)
+    mat = np.transpose(amps.reshape((n,) + space.dims), axes).reshape(n, d_keep, d_rest)
     rho = mat @ mat.conj().transpose(0, 2, 1)
     return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
 
@@ -718,17 +758,10 @@ def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> Schmi
     mat = np.transpose(state.amplitudes.reshape(space.dims), cut_t + rest).reshape(d_left, d_right)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
 
-    left_space = space.subspace(cut_t)
-    right_space = space.subspace(rest)
-    weights, lefts, rights = [], [], []
-    for i, sv in enumerate(s):
-        p = float(sv * sv)
-        if p <= EIGENVALUE_FLOOR:
-            continue
-        weights.append(p)
-        lefts.append(PureState.normalized(left_space, u[:, i]))
-        rights.append(PureState.normalized(right_space, vh[i, :]))
-    return SchmidtDecomposition(tuple(weights), tuple(lefts), tuple(rights))
+    kept = s * s > EIGENVALUE_FLOOR
+    return SchmidtDecomposition(tuple((s[kept] * s[kept]).tolist()),
+                                tuple(normalized_states(space.subspace(cut_t), u.T[kept])),
+                                tuple(normalized_states(space.subspace(rest), vh[kept])))
 
 
 def born_probabilities(rho: DensityMatrix, povm: POVMSet) -> np.ndarray:

@@ -15,7 +15,8 @@ of RandomStream constructions, numpy's own SeedSequence, is the oracle of
 kept here as the oracle of that caller.  So is the per-probe loop of
 ``update_map_feasibility``, the oracle of its stacked form, and the
 one-row bodies of the stacked entropy, quantizer and fidelity with the old
-per-trial loop of ``spod_update_refutation`` built on them.
+per-trial loop of ``spod_update_refutation`` built on them, and the
+per-vector loop of ``schmidt_decompose``.
 """
 
 import itertools
@@ -373,3 +374,24 @@ def update_map_fit(element, probe_states):
         got = hermitian_from_coords(lmap @ stacked_hermitian_coords(proj))
         residual = max(residual, float(np.linalg.norm(got - want)))
     return residual, lmap
+
+
+def schmidt_terms(state, cut):
+    """(weights, left amplitudes, right amplitudes) of schmidt_decompose, by
+    its per-vector loop: one PureState.normalized per kept singular vector."""
+    space = state.space
+    cut = tuple(sorted(cut))
+    rest = tuple(i for i in range(space.n_factors) if i not in cut)
+    d_left = int(np.prod([space.dims[i] for i in cut]))
+    mat = np.transpose(state.amplitudes.reshape(space.dims), cut + rest).reshape(d_left, -1)
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    left, right = space.subspace(cut), space.subspace(rest)
+    weights, lefts, rights = [], [], []
+    for i, sv in enumerate(s):
+        p = float(sv * sv)
+        if p <= EIGENVALUE_FLOOR:
+            continue
+        weights.append(p)
+        lefts.append(PureState.normalized(left, u[:, i]).amplitudes.tobytes())
+        rights.append(PureState.normalized(right, vh[i, :]).amplitudes.tobytes())
+    return weights, lefts, rights

@@ -28,7 +28,7 @@ from pqsim.cli import (
     run,
     run_experiment,
 )
-from pqsim.qcore import HermitianObservable, RandomStream
+from pqsim.qcore import FactorSpace, HermitianObservable, PureState, RandomStream
 
 from . import oracles
 
@@ -498,6 +498,15 @@ class TestConfigurationExitCodes:
     def test_unused_argument_is_not_validated(self, capsys):
         assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
                      "--samples", "5"]) == 0
+
+
+def test_default_ensemble_equals_its_per_state_construction():
+    qubit = FactorSpace((2,))
+    want = [(PureState.basis_state(qubit, 0), 0.5), (PureState.basis_state(qubit, 1), 0.3),
+            (PureState(qubit, np.array([1, 1]) / math.sqrt(2.0)), 0.2)]
+    got = cli._default_ensemble().members
+    assert [(s.space, s.amplitudes.tobytes(), w) for s, w in got] == [
+        (s.space, s.amplitudes.tobytes(), w) for s, w in want]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pqsim import cli, experiments
-from pqsim.devices import readout_density, sample_povm
+from pqsim.devices import MatrixDescription, readout_density, sample_povm
 from pqsim.experiments import (
     SPOD_ELEMENTS,
     CONSISTENT,
@@ -26,7 +26,7 @@ from pqsim.experiments import (
     trace_distance,
     wilson_interval,
 )
-from pqsim.qcore import Ensemble, FactorSpace, PureState, RandomStream
+from pqsim.qcore import Ensemble, FactorSpace, PureState, RandomStream, tensor_product
 
 from . import oracles
 from .oracles import shannon_bits
@@ -174,6 +174,76 @@ class TestFailedChecks:
 
         monkeypatch.setattr(experiments, "update_map_feasibility", forced)
         _fails_naming(spod_update_refutation(RandomStream(2)), clause)
+
+
+def _report_fails_naming(report, clause):
+    """The estimation report did not pass, and its record names exactly the one clause."""
+    assert not report.passed
+    assert report.extras["failed_checks"] == [clause]
+    assert f"failed_checks=[{clause}]" in cli.format_record(report.record_fields())
+
+
+class TestReportFailedChecks:
+    """The cloning demo and the estimation reports name the clause of a FAIL
+    in ``failed_checks``; a passing run has no such field."""
+
+    ENSEMBLE = Ensemble(((KET0, 0.5), (KET1, 0.3), (PLUS, 0.2)))
+
+    def test_passing_runs_name_no_clause(self):
+        assert "failed_checks" not in cloning_demo(2, RandomStream(12)).evidence
+        assert "failed_checks" not in cloning_demo(2, RandomStream(14), precision=8).evidence
+        for report in (tomography_estimate(KET0, 100_000, RandomStream(16)),
+                       ensemble_estimate_readout(self.ENSEMBLE, 10_000, RandomStream(22)),
+                       ensemble_estimate_overlap(Ensemble(((KET0, 0.5), (KET1, 0.5))),
+                                                 [0.05, 0.01], 10_000, RandomStream(30))):
+            assert report.passed
+            assert "failed_checks" not in report.record_fields()
+
+    def test_cloning_rank_defect(self, monkeypatch):
+        # a readout that reports the maximally mixed state has no rank-1 description
+        monkeypatch.setattr(experiments, "readout_density",
+                            lambda state, target, precision=None: MatrixDescription(
+                                np.eye(2) / 2, precision))
+        cert = cloning_demo(2, RandomStream(12))
+        _fails_naming(cert, "rank_defect")
+        assert cert.evidence["rank_defect"] == 0.5
+
+    def test_cloning_successes(self, monkeypatch):
+        # a readout that always describes |0> copies most states badly
+        monkeypatch.setattr(experiments, "readout_density",
+                            lambda state, target, precision=None: readout_density(
+                                tensor_product(KET0, KET0), (0,), precision=precision))
+        cert = cloning_demo(2, RandomStream(14), precision=8)
+        _fails_naming(cert, "successes")
+        assert cert.evidence["successes"] < 95
+
+    def test_tomography_metric(self):
+        # 1000 trials estimate |+> to about 0.026 in trace distance, above 0.02
+        _report_fails_naming(tomography_estimate(PLUS, 1000, RandomStream(18)),
+                             "metric_below_threshold")
+        _report_fails_naming(tomography_estimate(KET0, 100_000, RandomStream(16),
+                                                 threshold=1e-9), "metric_below_threshold")
+
+    def test_ensemble_readout_metric(self):
+        # at precision 1 the three members' descriptions merge
+        _report_fails_naming(ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(26),
+                                                       precision_schedule=[1]),
+                             "metric_below_threshold")
+        _report_fails_naming(ensemble_estimate_readout(self.ENSEMBLE, 10_000, RandomStream(22),
+                                                       threshold=1e-9),
+                             "metric_below_threshold")
+
+    def test_ensemble_overlap_metric(self):
+        report = ensemble_estimate_overlap(Ensemble(((KET0, 0.5), (KET1, 0.5))), [0.05, 0.01],
+                                           101, RandomStream(30), threshold=1e-9)
+        assert report.status == "OK"
+        _report_fails_naming(report, "metric_below_threshold")
+
+    def test_ensemble_overlap_net_cap(self):
+        report = ensemble_estimate_overlap(Ensemble(((KET0, 1.0),)), [1e-4], 100,
+                                           RandomStream(32), net_cap=100)
+        assert report.status == FAIL
+        _report_fails_naming(report, "net_cap")
 
 
 class TestNoSignallingDemo:

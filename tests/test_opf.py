@@ -47,6 +47,7 @@ from pqsim.qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    StateStack,
     random_density_matrix,
     random_pure_state,
     random_unitary,
@@ -390,6 +391,17 @@ class TestEstimationAssumption:
             assert len(verdict.outcomes) == 3
             assert verdict.evidence < 1e-9
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_readout_witness_pair_equals_per_state_loop(self, dim):
+        space = FactorSpace((dim,))
+        for trial in range(20):
+            u = random_unitary(dim, RandomStream(311, dim, trial))
+            a, b = opf._readout_witness_pair(dim, u)
+            u0, u1 = u[:, 0], u[:, 1]
+            want = [PureState.normalized(space, v).amplitudes.tobytes()
+                    for v in (u0, u1, (u0 + u1) / math.sqrt(2.0), (u0 - u1) / math.sqrt(2.0))]
+            assert [s.amplitudes.tobytes() for s, _ in a.members + b.members] == want
+
     def test_qubit_outcomes_are_pauli_derived(self):
         verdict = check_estimation_assumption("quantum_povm", 2, RandomStream(307))
         pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
@@ -719,9 +731,9 @@ class TestDistributionCounts:
 
 
 class TestStackedQuadraticForm:
-    """A list of states goes through one stacked <psi|Q|psi> that equals the
-    original one-state np.vdot(psi, Q @ psi) exactly, through every closure
-    constructor that builds on it."""
+    """A list or a stack of states goes through one stacked <psi|Q|psi> that
+    equals the original one-state np.vdot(psi, Q @ psi) exactly, through
+    every closure constructor that builds on it."""
 
     @staticmethod
     def _setup(dim, seed):
@@ -733,50 +745,55 @@ class TestStackedQuadraticForm:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_quantum_opf_and_from_povm(self, dim):
-        rng, space, (b, _, _), states = self._setup(dim, 500 + dim)
-        elements = (b, np.eye(dim) - b)
-        measurement = FullMeasurement.from_povm(POVMSet(elements), space)
-        want = np.array([[oracles.quadratic_value(q, psi.amplitudes) for q in elements]
-                         for psi in states])
-        assert np.array_equal(measurement.probabilities(states), want)
-        for j, f in enumerate(measurement.outcomes):
-            assert np.array_equal(f.values(states), want[:, j])
-            assert [f(psi) for psi in states] == want[:, j].tolist()
-        assert np.array_equal(FullMeasurement(measurement.outcomes).probabilities(states), want)
+        rng, space, (b, _, _), listed = self._setup(dim, 500 + dim)
+        for states in (listed, StateStack.of(listed)):  # a list, then a stack
+            elements = (b, np.eye(dim) - b)
+            measurement = FullMeasurement.from_povm(POVMSet(elements), space)
+            want = np.array([[oracles.quadratic_value(q, psi.amplitudes) for q in elements]
+                             for psi in states])
+            assert np.array_equal(measurement.probabilities(states), want)
+            for j, f in enumerate(measurement.outcomes):
+                assert np.array_equal(f.values(states), want[:, j])
+                assert [f(psi) for psi in states] == want[:, j].tolist()
+            assert np.array_equal(FullMeasurement(measurement.outcomes).probabilities(states),
+                                  want)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_mixture(self, dim):
-        rng, space, elements, states = self._setup(dim, 510 + dim)
-        weights = [0.2, 0.5, 0.3]
-        mixed = mix([opf_from_quantum(q, space) for q in elements], weights)
-        w = np.asarray(weights, dtype=float)
-        want = [float(sum(wi * oracles.quadratic_value(q, psi.amplitudes)
-                          for wi, q in zip(w, elements))) for psi in states]
-        assert mixed.values(states).tolist() == want
-        assert [mixed(psi) for psi in states] == want
+        rng, space, elements, listed = self._setup(dim, 510 + dim)
+        for states in (listed, StateStack.of(listed)):  # a list, then a stack
+            weights = [0.2, 0.5, 0.3]
+            mixed = mix([opf_from_quantum(q, space) for q in elements], weights)
+            w = np.asarray(weights, dtype=float)
+            want = [float(sum(wi * oracles.quadratic_value(q, psi.amplitudes)
+                              for wi, q in zip(w, elements))) for psi in states]
+            assert mixed.values(states).tolist() == want
+            assert [mixed(psi) for psi in states] == want
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_unitary_composition(self, dim):
-        rng, space, (q, _, _), states = self._setup(dim, 520 + dim)
-        u = random_unitary(dim, rng)
-        composed = compose_unitary(opf_from_quantum(q, space), u)
-        want = [oracles.quadratic_value(q, oracles.normalized_amplitudes(u @ psi.amplitudes))
-                for psi in states]
-        assert composed.values(states).tolist() == want
-        assert [composed(psi) for psi in states] == want
+        rng, space, (q, _, _), listed = self._setup(dim, 520 + dim)
+        for states in (listed, StateStack.of(listed)):  # a list, then a stack
+            u = random_unitary(dim, rng)
+            composed = compose_unitary(opf_from_quantum(q, space), u)
+            want = [oracles.quadratic_value(
+                q, oracles.normalized_amplitudes(u @ psi.amplitudes)) for psi in states]
+            assert composed.values(states).tolist() == want
+            assert [composed(psi) for psi in states] == want
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_system_composition(self, dim):
-        rng, space, _, states = self._setup(dim, 530 + dim)
-        q = random_povm_element(2 * dim, rng)
-        phi = random_pure_state(QUBIT, rng)
-        composed = compose_system(opf_from_quantum(q, FactorSpace((dim, 2))), phi)
-        want = [oracles.quadratic_value(q, oracles.tensor_amplitudes(psi.amplitudes,
-                                                                     phi.amplitudes))
-                for psi in states]
-        assert composed.space == space
-        assert composed.values(states).tolist() == want
-        assert [composed(psi) for psi in states] == want
+        rng, space, _, listed = self._setup(dim, 530 + dim)
+        for states in (listed, StateStack.of(listed)):  # a list, then a stack
+            q = random_povm_element(2 * dim, rng)
+            phi = random_pure_state(QUBIT, rng)
+            composed = compose_system(opf_from_quantum(q, FactorSpace((dim, 2))), phi)
+            want = [oracles.quadratic_value(q, oracles.tensor_amplitudes(psi.amplitudes,
+                                                                         phi.amplitudes))
+                    for psi in states]
+            assert composed.space == space
+            assert composed.values(states).tolist() == want
+            assert [composed(psi) for psi in states] == want
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_on_ensemble(self, dim):
@@ -798,7 +815,10 @@ class TestStackedQuadraticForm:
                 f(BELL)
             with pytest.raises(ValueError, match="state space does not match"):
                 f([KET0, BELL])
+            with pytest.raises(ValueError, match="state space does not match"):
+                f(StateStack.of([BELL]))
             assert f.values([]).shape == (0,)
+            assert f.values(StateStack.of([], QUBIT)).shape == (0,)
 
     def test_calling_on_a_list_is_values(self):
         rng, space, (q, _, _), states = self._setup(4, 547)
@@ -946,3 +966,22 @@ class TestStackedCallers:
         # each outcome once per list: the random states, 10 rotations, 10 backgrounds
         assert [len(states) for states in calls] == [100] * 4 + [50] * 40 + [10] * 40
         assert not any(isinstance(states, PureState) for states in calls)
+
+    def test_povm_closure_builds_no_row_states(self, monkeypatch):
+        # the stacks flow from the constructors to the quadratic forms as
+        # arrays: no state is taken out of a stack as a PureState row
+        rows = []
+        trusted = PureState._trusted
+
+        def spy(cls, space, amplitudes):
+            rows.append(amplitudes)
+            return trusted(space, amplitudes)
+
+        monkeypatch.setattr(PureState, "_trusted", classmethod(spy))
+        povm = POVMSet(tuple(np.diag(row).astype(complex) for row in np.eye(4)))
+        report = check_closure(FullMeasurement.from_povm(povm, TWO_QUBITS), 100,
+                               RandomStream(1, 3))
+        assert report.passed
+        assert rows == []
+        list(StateStack.of([KET0, KET1]))  # the spy sees rows that are made
+        assert len(rows) == 2

@@ -1,5 +1,6 @@
 """Core state representation, linear algebra, and randomness contract."""
 
+import dataclasses
 import itertools
 import math
 import pickle
@@ -18,6 +19,7 @@ from pqsim.qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    StateStack,
     apply_unitary,
     born_probabilities,
     entropy,
@@ -303,11 +305,13 @@ class TestStackedStates:
         states = [random_pure_state(FactorSpace(dims), rng) for _ in range(15)]
         for other in ((2,), (3,), (2, 2)):
             phi = random_pure_state(FactorSpace(other), rng)
-            joint = tensor_products(states, phi)
-            for psi, state in zip(states, joint):
-                assert state.space.dims == dims + other
-                assert np.array_equal(state.amplitudes,
-                                      tensor_amplitudes(psi.amplitudes, phi.amplitudes))
+            for pack in (list, StateStack.of):
+                joint = tensor_products(pack(states), phi)
+                assert len(joint) == len(states)
+                for psi, state in zip(states, joint):
+                    assert state.space.dims == dims + other
+                    assert np.array_equal(state.amplitudes,
+                                          tensor_amplitudes(psi.amplitudes, phi.amplitudes))
 
     @pytest.mark.parametrize("dims", ORACLE_SPACES)
     def test_unitary_images_equal_oracle(self, dims):
@@ -315,9 +319,13 @@ class TestStackedStates:
         rng = RandomStream(23)
         states = [random_pure_state(space, rng) for _ in range(15)]
         u = random_unitary(space.total_dim, rng)
-        for psi, state in zip(states, unitary_images(states, u)):
-            assert state.space == space
-            assert np.array_equal(state.amplitudes, normalized_amplitudes(u @ psi.amplitudes))
+        for pack in (list, StateStack.of):
+            images = unitary_images(pack(states), u)
+            assert len(images) == len(states)
+            for psi, state in zip(states, images):
+                assert state.space == space
+                assert np.array_equal(state.amplitudes,
+                                      normalized_amplitudes(u @ psi.amplitudes))
 
     def test_rows_are_read_only_and_never_alias_the_input(self):
         rows = np.array([[1.0, 1.0j, 0.0, 2.0], [0.5, 0.0, 0.0, 0.0]], dtype=complex)
@@ -336,7 +344,7 @@ class TestStackedStates:
         for bad in ([1.0 + 1e-6, 0.0], [math.nan, 0.0], [math.inf, 0.0]):
             rows = np.array([good, np.array(bad, dtype=complex)])
             with pytest.raises(ValueError, match="deviates from 1"):
-                qcore._checked_rows(rows)
+                StateStack(QUBIT, rows)
         with pytest.raises(ValueError, match="cannot normalize the zero vector"):
             normalized_states(QUBIT, [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="cannot normalize a vector of norm nan"):
@@ -351,7 +359,7 @@ class TestStackedStates:
             with pytest.raises(ValueError) as want:
                 PureState(QUBIT, bad)
             with pytest.raises(ValueError) as got:
-                qcore._checked_rows(np.array([[1.0, 0.0], bad], dtype=complex))
+                StateStack(QUBIT, np.array([[1.0, 0.0], bad], dtype=complex))
             assert str(got.value) == str(want.value)
         for bad in ([0.0, 0.0], [math.inf, 1.0]):
             with pytest.raises(ValueError) as want:
@@ -369,13 +377,105 @@ class TestStackedStates:
         with pytest.raises(ValueError, match="must share one FactorSpace"):
             unitary_images(mixed, np.eye(4))
         with pytest.raises(ValueError, match="must share one FactorSpace"):
-            qcore.stack_amplitudes(mixed[:1], FactorSpace((4,)))
+            StateStack.of(mixed[:1], FactorSpace((4,)))
 
     def test_empty_stacks(self):
-        assert random_pure_states((QUBIT,), RandomStream(1), 0) == []
-        assert tensor_products([], KET0) == []
-        assert unitary_images([], np.eye(2)) == []
-        assert normalized_states(QUBIT, np.zeros((0, 2))) == []
+        assert len(random_pure_states((QUBIT,), RandomStream(1), 0)) == 0
+        assert len(tensor_products(StateStack.of([], QUBIT), KET0)) == 0
+        assert len(unitary_images(StateStack.of([], QUBIT), np.eye(2))) == 0
+        assert len(normalized_states(QUBIT, np.zeros((0, 2)))) == 0
+        # an empty list names no space for the result to live on
+        with pytest.raises(ValueError, match="names no FactorSpace"):
+            tensor_products([], KET0)
+        with pytest.raises(ValueError, match="names no FactorSpace"):
+            unitary_images([], np.eye(2))
+        assert tensor_products(StateStack.of([], QUBIT), KET0).space == TWO_QUBITS
+
+
+class TestStateStack:
+    """One validated (n, D) array: rows checked once, viewed as states."""
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_construction_equals_per_state_loop(self, dims):
+        space = FactorSpace(dims)
+        g = np.random.default_rng(space.total_dim)
+        rows = [pure_state_amplitudes(g.standard_normal(space.total_dim)
+                                      + 1j * g.standard_normal(space.total_dim))
+                for _ in range(20)]
+        stack = StateStack(space, rows)
+        assert len(stack) == 20 and stack.space == space
+        for state, row in zip(stack, rows):
+            assert np.array_equal(state.amplitudes, PureState(space, row).amplitudes)
+            assert np.array_equal(state.amplitudes, pure_state_amplitudes(row))
+
+    def test_rows_are_views_and_slices_are_stacks(self):
+        stack = random_pure_states((QUBIT, QUBIT), RandomStream(29), 6)
+        rows = list(stack)
+        assert len(rows) == 6
+        for i, state in enumerate(rows):
+            assert type(state) is PureState and state.space == TWO_QUBITS
+            assert np.shares_memory(state.amplitudes, stack.amplitudes)
+            assert np.array_equal(state.amplitudes, stack[i].amplitudes)
+        assert np.array_equal(stack[-1].amplitudes, rows[5].amplitudes)
+        assert np.array_equal(stack[np.int64(2)].amplitudes, rows[2].amplitudes)
+        part = stack[1:4]
+        assert type(part) is StateStack and part.space == TWO_QUBITS and len(part) == 3
+        assert np.shares_memory(part.amplitudes, stack.amplitudes)
+        assert not stack.amplitudes.flags.writeable and not part.amplitudes.flags.writeable
+        with pytest.raises(TypeError):
+            stack[[0, 1]]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stack.space = QUBIT
+
+    def test_of_converts_once(self):
+        stack = random_pure_states((TWO_QUBITS,), RandomStream(31), 5)
+        assert StateStack.of(stack) is stack
+        assert StateStack.of(stack, FactorSpace((2, 2))) is stack
+        one = StateStack.of(BELL)
+        assert len(one) == 1 and one.space == TWO_QUBITS
+        assert np.shares_memory(one.amplitudes, BELL.amplitudes)
+        packed = StateStack.of(list(stack))
+        assert packed.space == TWO_QUBITS and not packed.amplitudes.flags.writeable
+        assert np.array_equal(packed.amplitudes, stack.amplitudes)
+        assert StateStack.of(tuple(stack), TWO_QUBITS).amplitudes.tobytes() \
+            == stack.amplitudes.tobytes()
+        assert len(StateStack.of([], QUBIT)) == 0
+        for states in (stack, BELL, [BELL], [KET0, BELL]):
+            with pytest.raises(ValueError, match="^elsewhere$"):
+                StateStack.of(states, QUBIT, "elsewhere")
+        with pytest.raises(ValueError, match="must share one FactorSpace"):
+            StateStack.of([BELL, KET0])
+
+    @pytest.mark.parametrize("bad_rows", [(0,), (2,), (1, 3), (3, 1, 2), (0, 1, 2, 3)])
+    def test_first_bad_row_raises_the_single_state_message(self, bad_rows):
+        good = [1.0, 0.0]
+        kinds = ([1.0 + 1e-6, 0.0], [math.nan, 0.0], [math.inf, 0.0], [0.5, 0.0])
+        for shift in range(len(kinds)):
+            rows = [good] * 4
+            for j, i in enumerate(bad_rows):
+                rows[i] = kinds[(shift + j) % len(kinds)]
+            first = rows[min(bad_rows)]
+            with pytest.raises(ValueError) as want:
+                PureState(QUBIT, first)
+            with pytest.raises(ValueError) as got:
+                StateStack(QUBIT, rows)
+            assert str(got.value) == str(want.value)
+        kinds = ([0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], [-math.inf, 0.0])
+        for shift in range(len(kinds)):
+            rows = [good] * 4
+            for j, i in enumerate(bad_rows):
+                rows[i] = kinds[(shift + j) % len(kinds)]
+            first = rows[min(bad_rows)]
+            with pytest.raises(ValueError) as want:
+                PureState.normalized(QUBIT, first)
+            with pytest.raises(ValueError) as got:
+                normalized_states(QUBIT, rows)
+            assert str(got.value) == str(want.value)
+
+    def test_rejects_a_wrong_shape(self):
+        for rows in ([1.0, 0.0], [[1.0, 0.0, 0.0]], np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError, match="does not match total_dim 2"):
+                StateStack(QUBIT, rows)
 
 
 class TestTensorProduct:
@@ -463,6 +563,28 @@ class TestSchmidt:
         state = PureState(TWO_QUBITS, amps)
         dec = schmidt_decompose(state, (0,))
         np.testing.assert_allclose(dec.weights, [0.64, 0.36], atol=1e-12)
+
+    @pytest.mark.parametrize("dims,cut", [((2, 2), (0,)), ((2, 3), (1,)), ((3, 2), (0,)),
+                                          ((2, 2, 3), (0, 1)), ((4, 4), (0,)),
+                                          ((2, 3, 2), (2, 0))])
+    def test_equals_per_vector_oracle(self, dims, cut):
+        space = FactorSpace(dims)
+        rng = RandomStream(53)
+        lead = FactorSpace(tuple(dims[i] for i in sorted(cut)))
+        states = [random_pure_state(space, rng) for _ in range(10)]
+        # rank-deficient ones too: a product state across the cut, reordered
+        product = tensor_product(random_pure_state(lead, rng), random_pure_state(
+            FactorSpace(tuple(d for i, d in enumerate(dims) if i not in cut)), rng))
+        order = np.argsort(tuple(sorted(cut)) + space.complement(cut))
+        states.append(PureState(space, np.transpose(
+            product.amplitudes.reshape(product.space.dims), order).reshape(-1)))
+        for state in states:
+            dec = schmidt_decompose(state, cut)
+            weights, lefts, rights = oracles.schmidt_terms(state, cut)
+            assert list(dec.weights) == weights
+            assert [psi.amplitudes.tobytes() for psi in dec.left_states] == lefts
+            assert [psi.amplitudes.tobytes() for psi in dec.right_states] == rights
+        assert schmidt_decompose(states[-1], cut).rank == 1
 
     def test_weights_match_reduced_spectrum_and_reconstruction(self):
         rng = RandomStream(17)

@@ -1,18 +1,24 @@
-"""Every name the benchmark's tracer wraps still exists.
+"""Every name the benchmark's tracer wraps still exists, and a traced run passes.
 
 ``perfbench/tracing.py`` wraps pqsim's functions and methods by name, and
 its self-tests are not collected with this suite.  This test loads the
 tracer module by path, without installing it, and resolves each target the
 way ``install`` does, so deleting or renaming a wrapped name fails here.
+A short traced benchmark run also fails when a layer the workload must
+exercise records no calls, as when a stacked path replaces the last call
+of a traced per-state function.
 """
 
 import importlib
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _targets():
@@ -28,3 +34,11 @@ def test_target_resolves(layer, attr):
         assert callable(vars(getattr(module, cls_name)).get(method))
     else:
         assert callable(getattr(module, attr, None))
+
+
+def test_short_traced_opf_checks_run_succeeds():
+    run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                          "--workload", "opf-checks", "--seed", "3", "--trace", "1", "--short"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert '"correct": true' in run.stdout.strip().splitlines()[-1]
