@@ -35,12 +35,12 @@ from .qcore import (
     Ensemble,
     FactorSpace,
     HermitianObservable,
-    POVMSet,
     PureState,
     RandomStream,
     fidelities,
     measure_projective,
     normalized_states,
+    povm_sets,
     random_pure_states,
     reduced_densities,
     require_density,
@@ -247,15 +247,19 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     space = FactorSpace((2, 2))
     dim = space.total_dim
     normals = np.empty((100, 2 * dim))
-    trials = []
-    for row, child in zip(normals, rng.derive_many(range(100))):
+    uniforms = np.empty((100, 2))
+    children = []
+    for row, pair, child in zip(normals, uniforms, rng.derive_many(range(100))):
         child.generator.standard_normal(out=row)  # random_pure_state's draw
-        b = np.diag([0.2 + 0.6 * child.uniform(), 0.2 + 0.6 * child.uniform()])
-        trials.append((POVMSet((b, np.eye(2) - b)), child))
+        pair[:] = child.uniform(), child.uniform()
+        children.append(child)
     states = normalized_states(space, normals[:, :dim] + 1j * normals[:, dim:])
+    b = np.zeros((100, 2, 2))
+    b[:, [0, 1], [0, 1]] = 0.2 + 0.6 * uniforms
+    povms = povm_sets(np.stack([b, np.eye(2) - b], axis=1))
     before = reduced_densities(states, space.indices())
     require_density(before)
-    for psi, (povm, child) in zip(states, trials):
+    for psi, povm, child in zip(states, povms, children):
         sample_povm(psi, (0,), povm, child)
     after = reduced_densities(states, space.indices())  # devices never touch the state
     require_density(after)

@@ -37,10 +37,13 @@ from .qcore import (
     StateStack,
     _row_norms,
     _square_matrix,
+    ensemble_densities,
     normalized_states,
     random_pure_state,
     random_pure_states,
     random_unitary,
+    require_density,
+    require_ensemble_weights,
     require_hermitian,
     require_psd,
     require_unitary,
@@ -664,13 +667,23 @@ def ic_projector_states(dim: int) -> list[np.ndarray]:
     return canonical_probe_states(dim)[1:]
 
 
-def density_from_projector_values(states: Sequence[np.ndarray], values: Sequence[float],
-                                  dim: int) -> np.ndarray:
-    """Reconstruct rho from Tr(P_a rho) values plus the unit-trace constraint."""
+def density_from_projector_values(states: Sequence[np.ndarray], values, dim: int) -> np.ndarray:
+    """Reconstruct rho from Tr(P_a rho) values plus the unit-trace constraint:
+    one (d, d) matrix from m values, or an (n, d, d) stack from an (n, m)
+    stack of value rows.
+
+    The design is built once.  The fit stays one ``lstsq`` per row: a single
+    ``lstsq`` on all rows as right-hand sides rounds differently (by up to
+    4e-16 on d = 4), which would move the estimation checker's evidence.
+    """
     design = np.vstack([_projector_design(np.array(states))[1],
                         hermitian_coords(np.eye(dim, dtype=complex))])
-    coeffs, *_ = np.linalg.lstsq(design, np.array(list(values) + [1.0]), rcond=None)
-    return hermitian_from_coords(coeffs)
+    rows = np.asarray(values, dtype=float)
+    targets = np.atleast_2d(rows)
+    targets = np.concatenate([targets, np.ones((len(targets), 1))], axis=1)
+    coeffs = np.array([np.linalg.lstsq(design, target, rcond=None)[0] for target in targets])
+    rhos = hermitian_from_coords(coeffs)
+    return rhos if rows.ndim == 2 else rhos[0]
 
 
 def _ic_outcomes(family: str, dim: int) -> tuple[OPF, ...]:
@@ -725,16 +738,19 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
         outcomes = _ic_outcomes(family, dim)
         # evidence: worst reconstruction error of random mixed states from
         # the outcome values alone
-        ensembles = [_random_ensemble(space, child, members=3)
-                     for child in rng.derive_many(range(20))]
-        per_outcome = [f.on_ensembles(ensembles) for f in outcomes]
-        worst = 0.0
-        for trial, ens in enumerate(ensembles):
-            values = [v[trial] for v in per_outcome]
-            rho = density_from_projector_values(ic_projector_states(dim), values, dim)
-            worst = max(worst, float(np.max(np.abs(rho - ens.density().entries))))
+        weights, members = _random_ensembles(space, rng, trials=20, members=3)
+        values = np.zeros((len(weights), len(outcomes)))
+        for column, f in zip(values.T, outcomes):
+            # sum_r p_r f(psi_r), added in member order as ``on_ensembles`` does
+            weighted = weights * f(members).reshape(weights.shape)
+            for term in weighted.T:
+                column += term
+        rhos = density_from_projector_values(ic_projector_states(dim), values, dim)
+        densities = ensemble_densities(weights, members.amplitudes.reshape(
+            weights.shape + (dim,)))
+        require_density(densities)
         return EstimationVerdict(family, dim, "SATISFIED", outcomes=outcomes,
-                                 evidence=worst)
+                                 evidence=float(np.max(np.abs(rhos - densities))))
 
     if family == "entropy_meter":
         measurement = entropy_meter_measurement(space, space.indices(), precision=4)
@@ -767,11 +783,25 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
     raise ValueError("could not build a witness pair the supplied list cannot separate")
 
 
-def _random_ensemble(space: FactorSpace, rng: RandomStream, members: int) -> Ensemble:
-    weights = rng.generator.dirichlet(np.ones(members))
-    return Ensemble(tuple(
-        (random_pure_state(space, rng), float(w)) for w in weights
-    ))
+def _random_ensembles(space: FactorSpace, rng: RandomStream, trials: int,
+                      members: int) -> tuple[np.ndarray, StateStack]:
+    """One random ensemble per trial t, drawn from ``rng.derive(t)``: Dirichlet
+    weights, then ``members`` ``random_pure_state`` draws.  Returns the
+    (trials, members) weights, checked as ``Ensemble`` checks them, and the
+    trials * members states in trial-major order.
+
+    Each trial's normals come in one draw, as a generator's normals do not
+    depend on how a run of them is split into calls.
+    """
+    dim = space.total_dim
+    weights = np.empty((trials, members))
+    normals = np.empty((trials, members, 2, dim))
+    for row, block, child in zip(weights, normals, rng.derive_many(range(trials))):
+        row[:] = child.generator.dirichlet(np.ones(members))
+        child.generator.standard_normal(out=block.reshape(-1))
+    require_ensemble_weights(weights)
+    amps = normals[:, :, 0] + 1j * normals[:, :, 1]
+    return weights, normalized_states(space, amps.reshape(trials * members, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -247,11 +247,8 @@ class DensityMatrix:
 
     @classmethod
     def from_ensemble(cls, ensemble: "Ensemble") -> "DensityMatrix":
-        dim = ensemble.members[0][0].space.total_dim
-        rho = np.zeros((dim, dim), dtype=complex)
-        for state, weight in ensemble.members:
-            rho += weight * state.density()
-        return cls(rho)
+        amps = np.array([[state.amplitudes for state, _ in ensemble.members]])
+        return cls(ensemble_densities(ensemble.weights[None], amps)[0])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -275,11 +272,7 @@ class Ensemble:
         members = tuple((s, float(w)) for s, w in self.members)
         if len(members) == 0:
             raise ValueError("ensemble must have at least one member")
-        if not all(w > 0.0 for _, w in members):  # NaN is not positive either
-            raise ValueError("ensemble weights must be positive")
-        total = sum(w for _, w in members)
-        if not abs(total - 1.0) <= NORM_ATOL:
-            raise ValueError(f"ensemble weights sum to {total}, not 1")
+        require_ensemble_weights(np.array([[w for _, w in members]]))
         dims0 = members[0][0].space.dims
         if any(s.space.dims != dims0 for s, _ in members):
             raise ValueError("all ensemble members must share one FactorSpace")
@@ -295,6 +288,35 @@ class Ensemble:
 
     def density(self) -> DensityMatrix:
         return DensityMatrix.from_ensemble(self)
+
+
+def require_ensemble_weights(weights: np.ndarray) -> None:
+    """``Ensemble``'s weight checks on every row of an (n, m) array, m >= 1:
+    all weights positive, and their sum, added in member order, within
+    ``NORM_ATOL`` of 1.  The first bad row raises one ensemble's message."""
+    positive = (weights > 0.0).all(axis=1)  # NaN is not positive either
+    totals = np.zeros(len(weights))
+    for column in weights.T:  # the order of Python's sum over the members
+        totals += column
+    bad = ~positive | ~(np.abs(totals - 1.0) <= NORM_ATOL)
+    if bad.any():
+        row = bad.argmax()
+        if not positive[row]:
+            raise ValueError("ensemble weights must be positive")
+        raise ValueError(f"ensemble weights sum to {float(totals[row])}, not 1")
+
+
+def ensemble_densities(weights: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """sum_r p_r |psi_r><psi_r| for every row of an (n, m) weight array and an
+    (n, m, D) amplitude array, as an (n, D, D) stack, not validated.  The
+    terms are added in member order, the order of ``DensityMatrix.from_ensemble``,
+    its one-row case."""
+    n, members, dim = amplitudes.shape
+    rho = np.zeros((n, dim, dim), dtype=complex)
+    for r in range(members):
+        amps = amplitudes[:, r]
+        rho += weights[:, r, None, None] * (amps[:, :, None] * amps.conj()[:, None, :])
+    return rho
 
 
 class HermitianObservable:
@@ -350,6 +372,45 @@ class HermitianObservable:
         return f"HermitianObservable(dim={self.dim}, clusters={self.n_clusters})"
 
 
+def _require_povms(elements: np.ndarray) -> None:
+    """``POVMSet``'s checks on every POVM of an (n, k, d, d) stack, k >= 1: each
+    element Hermitian, then positive semi-definite, in element order; then
+    the elements summing to the identity.  The first bad POVM raises one
+    POVM's message, for its first bad element."""
+    finite = np.isfinite(elements).all(axis=(-2, -1))
+    if not finite.all():  # zeros in their place keep inf - inf and LAPACK off NaN
+        elements = np.where(finite[..., None, None], elements, 0.0)
+    hermitian = finite & (np.abs(elements - elements.swapaxes(-1, -2).conj()).max(
+        axis=(-2, -1)) <= HERMITIAN_ATOL)
+    element_bad = ~hermitian | (np.linalg.eigvalsh(elements)[..., 0] < -NORM_ATOL)
+    incomplete = np.abs(elements.sum(axis=1) - np.eye(elements.shape[-1])).max(
+        axis=(-2, -1)) > NORM_ATOL
+    bad = element_bad.any(axis=1) | incomplete
+    if bad.any():
+        row = bad.argmax()
+        if not element_bad[row].any():
+            raise ValueError("POVM elements do not sum to the identity")
+        if not hermitian[row, element_bad[row].argmax()]:
+            raise ValueError("POVM element is not Hermitian within tolerance")
+        raise ValueError("POVM element has a negative eigenvalue beyond tolerance")
+
+
+def povm_sets(elements) -> tuple["POVMSet", ...]:
+    """One ``POVMSet`` per row of an (n, k, d, d) stack of elements, validated
+    by one stacked pass of ``POVMSet``'s checks.  The rows are read-only views
+    of one complex copy, equal to the ``POVMSet`` of each row."""
+    stack = np.array(elements, dtype=complex)
+    if stack.ndim != 4:
+        raise ValueError(f"POVM stack of shape {stack.shape} is not (n, k, d, d)")
+    if stack.shape[2] != stack.shape[3]:
+        raise ValueError("POVM elements must be square matrices")
+    if stack.shape[1] == 0:
+        raise ValueError("POVM must have at least one element")
+    _require_povms(stack)
+    stack.setflags(write=False)
+    return tuple(POVMSet._trusted(row) for row in stack)
+
+
 @dataclass(frozen=True)
 class POVMSet:
     """Finite list of positive semi-definite operators summing to identity."""
@@ -357,22 +418,25 @@ class POVMSet:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        elems = []
-        for a in self.elements:
-            mat = _square_matrix(a, "POVM elements must be square matrices")
-            require_hermitian(mat, "POVM element is not Hermitian within tolerance")
-            require_psd(mat, "POVM element has a negative eigenvalue beyond tolerance")
-            mat.setflags(write=False)
-            elems.append(mat)
+        elems = [_square_matrix(a, "POVM elements must be square matrices")
+                 for a in self.elements]
         if len(elems) == 0:
             raise ValueError("POVM must have at least one element")
         dim = elems[0].shape[0]
         if any(e.shape[0] != dim for e in elems):
             raise ValueError("POVM elements must share one dimension")
-        total = sum(elems)
-        if np.max(np.abs(total - np.eye(dim))) > NORM_ATOL:
-            raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(elems))
+        stack = np.array(elems)
+        _require_povms(stack[None])
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
+
+    @classmethod
+    def _trusted(cls, elements: np.ndarray) -> "POVMSet":
+        """A POVM on a read-only (k, d, d) stack that is already validated:
+        a row of ``povm_sets``."""
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "elements", tuple(elements))
+        return povm
 
     @property
     def dim(self) -> int:

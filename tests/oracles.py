@@ -12,7 +12,9 @@ one-state quantum OPF evaluator and per-distribution outcome selection,
 which the library's stacked forms must match exactly.  The per-trial loop
 of RandomStream constructions, numpy's own SeedSequence, is the oracle of
 ``RandomStream.derive_many``, and each caller's old per-trial loop is
-kept here as the oracle of that caller.  So is the per-probe loop of
+kept here as the oracle of that caller, among them the estimation
+checker's per-trial ensembles and reconstructions, with the
+one-member-at-a-time ensemble density.  So is the per-probe loop of
 ``update_map_feasibility``, the oracle of its stacked form, and the
 one-row bodies of the stacked entropy, quantizer and fidelity with the old
 per-trial loop of ``spod_update_refutation`` built on them, and the
@@ -27,15 +29,18 @@ import scipy.stats
 
 from pqsim.devices import DEVICE_KINDS, outcomes_equal, readout_density, sample_povm
 from pqsim.opf import (
-    _random_ensemble,
+    _ic_outcomes,
     canonical_probe_states,
+    density_from_projector_values,
     hermitian_basis,
     hermitian_coords as stacked_hermitian_coords,
     hermitian_from_coords,
+    ic_projector_states,
 )
 from pqsim.qcore import (
     EIGENVALUE_FLOOR,
     DensityMatrix,
+    Ensemble,
     FactorSpace,
     POVMSet,
     PureState,
@@ -321,10 +326,43 @@ def cloning_trials(d, rng, precision, trials):
     return out
 
 
+def random_ensemble(space, rng, members):
+    """One random ensemble from one stream: Dirichlet weights, then a
+    random_pure_state per member."""
+    weights = rng.generator.dirichlet(np.ones(members))
+    return Ensemble(tuple(
+        (random_pure_state(space, rng), float(w)) for w in weights
+    ))
+
+
 def estimation_ensembles(space, rng):
     """check_estimation_assumption's 20 random ensembles, by its per-trial loop."""
-    return [_random_ensemble(space, child, members=3)
+    return [random_ensemble(space, child, members=3)
             for child in derived_streams(rng.seed, rng.experiment, range(20))]
+
+
+def estimation_evidence(family, dim, rng):
+    """The evidence of check_estimation_assumption for a POVM-statistics
+    family, by its per-trial loop: the outcomes on each ensemble, one
+    reconstruction and one ensemble density per trial."""
+    outcomes = _ic_outcomes(family, dim)
+    ensembles = estimation_ensembles(FactorSpace((dim,)), rng)
+    per_outcome = [f.on_ensembles(ensembles) for f in outcomes]
+    worst = 0.0
+    for trial, ens in enumerate(ensembles):
+        values = [v[trial] for v in per_outcome]
+        rho = density_from_projector_values(ic_projector_states(dim), values, dim)
+        worst = max(worst, float(np.max(np.abs(rho - ens.density().entries))))
+    return worst
+
+
+def ensemble_density(ensemble):
+    """sum_r p_r |psi_r><psi_r| of an ensemble, one member at a time."""
+    dim = ensemble.members[0][0].space.total_dim
+    rho = np.zeros((dim, dim), dtype=complex)
+    for state, weight in ensemble.members:
+        rho += weight * state.density()
+    return rho
 
 
 def device_run_outcomes(spec, state, target, seed, repetitions):

@@ -42,12 +42,14 @@ from pqsim.opf import (
     update_map_feasibility,
 )
 from pqsim.qcore import (
+    DensityMatrix,
     Ensemble,
     FactorSpace,
     POVMSet,
     PureState,
     RandomStream,
     StateStack,
+    ensemble_densities,
     random_density_matrix,
     random_pure_state,
     random_unitary,
@@ -448,17 +450,38 @@ class TestEstimationAssumption:
     def test_random_ensembles_equal_per_trial_loop(self, family, dim, monkeypatch):
         made = []
 
-        def spy(space, rng, members):
-            made.append(original(space, rng, members))
+        def spy(*args, **kwargs):
+            made.append(original(*args, **kwargs))
             return made[-1]
 
-        original = opf._random_ensemble
-        monkeypatch.setattr(opf, "_random_ensemble", spy)
+        original = opf._random_ensembles
+        monkeypatch.setattr(opf, "_random_ensembles", spy)
         rng = RandomStream(353, 3)
         check_estimation_assumption(family, dim, rng)
+        (weights, members), = made
+        assert weights.shape == (20, 3) and len(members) == 60
+        got = [[(members[3 * t + r].amplitudes.tobytes(), float(weights[t, r]))
+                for r in range(3)] for t in range(20)]
         want = oracles.estimation_ensembles(FactorSpace((dim,)), rng)
-        assert [[(s.amplitudes.tobytes(), w) for s, w in e.members] for e in made] == \
-            [[(s.amplitudes.tobytes(), w) for s, w in e.members] for e in want]
+        assert got == [[(s.amplitudes.tobytes(), w) for s, w in e.members] for e in want]
+
+    @pytest.mark.parametrize("family", ["quantum_povm", "spod", "erd_sevrd"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [7, 353, 0x5EED])
+    def test_evidence_equals_per_trial_loop(self, family, dim, seed):
+        rng = RandomStream(seed, 3)
+        evidence = check_estimation_assumption(family, dim, rng).evidence
+        assert evidence == oracles.estimation_evidence(family, dim, rng)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stacked_ensemble_densities_equal_from_ensemble(self, dim):
+        space = FactorSpace((dim,))
+        rng = RandomStream(359, 3)
+        weights, members = opf._random_ensembles(space, rng, trials=20, members=3)
+        stacked = ensemble_densities(weights, members.amplitudes.reshape(20, 3, dim))
+        for row, ens in zip(stacked, oracles.estimation_ensembles(space, rng)):
+            assert row.tobytes() == DensityMatrix.from_ensemble(ens).entries.tobytes()
+            assert row.tobytes() == oracles.ensemble_density(ens).tobytes()
 
     def test_outcome_list_bound(self):
         supplied = [readout_opf(KET0)] * 65
@@ -483,6 +506,21 @@ class TestEstimationAssumption:
             va = np.array([np.trace(p @ rho.entries).real for p in projs])
             vb = np.array([np.trace(p @ sigma.entries).real for p in projs])
             assert np.max(np.abs(va - vb)) > 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_density_rows_equal_one_row_calls(self, dim):
+        rng = RandomStream(361)
+        states = ic_projector_states(dim)
+        projs = [np.outer(s, s.conj()) for s in states]
+        rhos = [random_density_matrix(dim, rng).entries for _ in range(7)]
+        rows = np.array([[np.trace(p @ rho).real for p in projs] for rho in rhos])
+        stacked = density_from_projector_values(states, rows, dim)
+        assert stacked.shape == (7, dim, dim)
+        for row, rebuilt, rho in zip(rows, stacked, rhos):
+            one = density_from_projector_values(states, list(row), dim)
+            assert one.shape == (dim, dim)
+            assert rebuilt.tobytes() == one.tobytes()
+            np.testing.assert_allclose(rebuilt, rho, atol=1e-9)
 
     def test_density_reconstruction_roundtrip(self):
         rng = RandomStream(349)

@@ -146,6 +146,125 @@ class TestTypes:
         assert obs.projectors[1].trace() == pytest.approx(2.0)
 
 
+def _two_element_povms(n):
+    """n POVMs {b, I - b} on a qubit, b diagonal with entries in (0.2, 0.8)."""
+    b = np.zeros((n, 2, 2), dtype=complex)
+    b[:, [0, 1], [0, 1]] = np.linspace(0.2, 0.8, 2 * n).reshape(n, 2)
+    return np.stack([b, np.eye(2) - b], axis=1)
+
+
+def _spoil(povm, kind):
+    """Make one valid qubit POVM of a stack fail the named POVMSet check."""
+    if kind in ("nan", "inf"):
+        povm[0, 0, 0] = math.nan if kind == "nan" else math.inf
+    elif kind == "non_hermitian":  # the sum stays I
+        povm[0, 0, 1] += 0.1
+        povm[1, 0, 1] -= 0.1
+    elif kind == "negative":
+        povm[0] = np.diag([-0.1, 0.5])
+        povm[1] = np.diag([1.1, 0.5])
+    else:  # incomplete
+        povm[1] *= 0.9
+
+
+def _message(build):
+    with pytest.raises(ValueError) as caught:
+        build()
+    return str(caught.value)
+
+
+class TestPovmSets:
+    """``povm_sets`` validates a stack of POVMs as ``POVMSet`` validates one."""
+
+    KINDS = ("nan", "inf", "non_hermitian", "negative", "incomplete")
+
+    def test_rows_equal_povms_built_one_at_a_time(self):
+        rng = RandomStream(367)
+        stack = np.empty((9, 3, 3, 3), dtype=complex)
+        for povm in stack:
+            u = random_unitary(3, rng)
+            weights = rng.generator.dirichlet(np.ones(3), size=3)
+            for element, w in zip(povm, weights.T):
+                element[:] = (u * w) @ u.conj().T
+        povms = qcore.povm_sets(stack)
+        assert len(povms) == 9
+        want = [[e.tobytes() for e in POVMSet(tuple(elements)).elements] for elements in stack]
+        stack[:] = 0.0  # the rows are a copy of the input
+        for povm, elements in zip(povms, want):
+            assert isinstance(povm, POVMSet) and len(povm) == 3 and povm.dim == 3
+            assert [e.tobytes() for e in povm.elements] == elements
+            for element in povm.elements:
+                with pytest.raises(ValueError, match="read-only"):
+                    element[0, 0] = 1.0
+
+    def test_one_povm_keeps_its_own_read_only_copy(self):
+        b = np.diag([0.3, 0.6])
+        povm = POVMSet((b, np.eye(2) - b))
+        b[0, 0] = 0.9
+        assert povm.elements[0][0, 0] == 0.3
+        with pytest.raises(ValueError, match="read-only"):
+            povm.elements[1][0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rows", [(0,), (2,), (1, 3)])
+    def test_first_bad_povm_raises_the_one_povm_message(self, kind, rows):
+        stack = _two_element_povms(5)
+        for row in rows:
+            _spoil(stack[row], kind)
+        want = _message(lambda: POVMSet(tuple(stack[rows[0]])))
+        assert _message(lambda: qcore.povm_sets(stack)) == want
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(KINDS, 2))
+    def test_the_earlier_of_two_bad_povms_names_the_failure(self, first, second):
+        stack = _two_element_povms(5)
+        _spoil(stack[1], first)
+        _spoil(stack[3], second)
+        want = _message(lambda: POVMSet(tuple(stack[1])))
+        assert _message(lambda: qcore.povm_sets(stack)) == want
+
+    @pytest.mark.parametrize("order", ["psd_first", "hermitian_first"])
+    def test_elements_are_checked_in_order(self, order):
+        negative = np.diag([-0.1, 1.1]).astype(complex)
+        skew = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
+        elements = (negative, skew) if order == "psd_first" else (skew, negative)
+        want = ("negative eigenvalue" if order == "psd_first" else "not Hermitian")
+        assert want in _message(lambda: POVMSet(elements))
+        stack = _two_element_povms(3)
+        stack[1] = elements
+        assert _message(lambda: qcore.povm_sets(stack)) == _message(lambda: POVMSet(elements))
+
+    def test_shape_failures_raise_the_one_povm_message(self):
+        assert _message(lambda: qcore.povm_sets(np.zeros((4, 2, 2, 3)))) == \
+            _message(lambda: POVMSet((np.zeros((2, 3)), np.zeros((2, 3)))))
+        assert _message(lambda: qcore.povm_sets(np.zeros((4, 0, 2, 2)))) == \
+            _message(lambda: POVMSet(()))
+        with pytest.raises(ValueError, match="is not \\(n, k, d, d\\)"):
+            qcore.povm_sets(np.zeros((2, 2, 2)))
+        assert qcore.povm_sets(np.zeros((0, 2, 2, 2))) == ()
+
+
+class TestEnsembleWeightRows:
+    @pytest.mark.parametrize("weights, first_bad, message", [
+        ([[0.5, 0.5], [0.5, 0.0]], 1, "must be positive"),
+        ([[math.nan, 1.0], [0.5, 0.5]], 0, "must be positive"),
+        ([[0.5, 0.5], [0.5, 0.6], [0.5, -0.1]], 1, "sum to 1.1, not 1"),
+        ([[0.5, 0.5], [0.5, -0.1], [0.5, 0.6]], 1, "must be positive"),
+        ([[0.2, 0.3, 0.5], [0.25, 0.25, 0.25]], 1, "sum to 0.75, not 1"),
+    ])
+    def test_first_bad_row_raises_the_ensemble_message(self, weights, first_bad, message):
+        want = _message(lambda: Ensemble(tuple((KET0, w) for w in weights[first_bad])))
+        assert message in want
+        assert _message(lambda: qcore.require_ensemble_weights(np.array(weights))) == want
+
+    def test_totals_are_added_in_member_order(self):
+        # ((w0 + w1) + w2) + w3 is 1.0000001; (w0 + w1) + (w2 + w3) is 1.0000000999999998
+        weights = [0.394695223262884, 0.0010904773937420085, 0.23061365768478997,
+                   0.37360074165858403]
+        want = _message(lambda: Ensemble(tuple((KET0, w) for w in weights)))
+        assert "sum to 1.0000001, not 1" in want
+        assert _message(lambda: qcore.require_ensemble_weights(np.array([weights]))) == want
+
+
 class TestNonFinite:
     """NaN fails every ``x > tol`` test, so the checks are ``not x <= tol``."""
 
