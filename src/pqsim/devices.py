@@ -6,15 +6,19 @@ untouched (the trivial post-measurement update).  Stochastic devices draw
 from Born-rule distributions that are always computed at full floating
 precision; only declared outputs are quantized.
 
-Each stochastic operation comes in two layers: a ``*_distribution``
-function returning the exact outcome distribution, and the sampling
-operation that draws from it through a :class:`~pqsim.qcore.RandomStream`.
+Each device kind has one table body, which maps an (n, d, d) stack of
+reduced densities to a :class:`DistributionTable`: the outcome values and
+(n, branches) probabilities of all n states in one pass.
+``DeviceSpec.table`` feeds it a whole stack.  The per-kind functions
+(``povm_distribution``, ``entropy_meter``, ...) are its one-row case, on
+the density ``reduced_density`` gives one state, and the sampling
+operations draw from that row through a :class:`~pqsim.qcore.RandomStream`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -28,11 +32,13 @@ from .qcore import (
     RandomStream,
     StateStack,
     _normalize_subset,
-    born_probabilities,
+    born_probability_rows,
     partial_trace,
     quantize,
     reduced_densities,
+    require_density,
     spectrum_entropies,
+    _traced_products,
 )
 
 BASIS_ATOL = 1e-8
@@ -117,6 +123,54 @@ def outcomes_equal(a: Outcome, b: Outcome, atol: float = OUTCOME_ATOL) -> bool:
     return True  # Overflow
 
 
+@dataclass(frozen=True, eq=False)
+class DistributionTable:
+    """The outcome distributions of one device on n states, as arrays.
+
+    Branch j has the outcome type ``types[j]`` on every row, and
+    ``probabilities`` is the (n, branches) array.  ``values[r, j]`` is the
+    payload of branch j on row r, or ``values[0, j]`` on every row when
+    ``values`` has one row for a fixed alphabet: a float for RealValue, an
+    int for IntegerLabel and Bit, a placeholder for Overflow, whose outcome
+    carries its own probability.  A readout's one MatrixDescription branch
+    keeps the (n, d, d) matrices in ``values`` instead, described at
+    ``precision``.
+    """
+
+    types: tuple[type, ...]
+    values: np.ndarray
+    probabilities: np.ndarray
+    precision: int | None = None
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def rows(self) -> list[list[tuple[Outcome, float]]]:
+        """The list view: each row's (outcome, probability) branches, in order."""
+        probs = self.probabilities.tolist()
+        if self.types == (MatrixDescription,):
+            return [[(MatrixDescription(m, self.precision), row[0])]
+                    for m, row in zip(self.values, probs)]
+        values = self.values.tolist()
+        if len(values) == 1:
+            values *= len(probs)
+        return [[(Overflow(p) if kind is Overflow else kind(v), p)
+                 for kind, v, p in zip(self.types, row_values, row)]
+                for row_values, row in zip(values, probs)]
+
+
+def _scalar_table(kind: type, values, probs: np.ndarray) -> DistributionTable:
+    """A table with one branch of ``kind`` per column of probs; ``values`` is
+    (n, branches), or the one row of a fixed alphabet."""
+    return DistributionTable((kind,) * probs.shape[1],
+                             np.asarray(values).reshape(-1, probs.shape[1]), probs)
+
+
+def _only(table: DistributionTable) -> Outcome:
+    """The one outcome of a deterministic device's one-row table."""
+    return table.rows()[0][0][0]
+
+
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
@@ -127,6 +181,12 @@ def reduced_density(state: PureState, target: Union[int, Sequence[int]]) -> Dens
     if len(subset) == state.space.n_factors:
         return DensityMatrix.from_pure(state)
     return partial_trace(state, subset)
+
+
+def _density_row(state: PureState, target) -> np.ndarray:
+    """The reduced density of one state, from ``reduced_density``, as a
+    one-row stack for a table body."""
+    return reduced_density(state, target).entries[None]
 
 
 def target_dimension(space: FactorSpace, target: Union[int, Sequence[int]]) -> int:
@@ -163,26 +223,26 @@ def _as_observable(observable) -> HermitianObservable:
         raise ParameterError("observable", str(err)) from None
 
 
+def _observable(observable, dim: int) -> HermitianObservable:
+    """The observable, which must act on the target's dimension."""
+    obs = _as_observable(observable)
+    if obs.dim != dim:
+        raise ParameterError("observable",
+                             "observable dimension does not match the target factors")
+    return obs
+
+
 def _as_povm(povm) -> POVMSet:
     if isinstance(povm, POVMSet):
         return povm
     return POVMSet(tuple(povm))
 
 
-def _observed(state: PureState, target, observable
-              ) -> tuple[HermitianObservable, DensityMatrix]:
-    """The observable and the reduced density matrix it acts on."""
-    obs = _as_observable(observable)
-    rho = reduced_density(state, target)
-    if obs.dim != rho.dim:
-        raise ParameterError("observable",
-                             "observable dimension does not match the target factors")
-    return obs, rho
-
-
-def _projector_weight(rho: DensityMatrix, vector: np.ndarray) -> float:
-    """Tr(P_phi rho) for a normalized vector phi."""
-    return float(np.real(np.vdot(vector, rho.entries @ vector)))
+def _projector_weights(rhos: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Tr(P_phi rho) of every density of a stack, for a normalized vector phi:
+    per row the BLAS products of np.vdot(phi, rho @ phi)."""
+    column = vector[:, None]
+    return np.matmul(column.conj().T, np.matmul(rhos, column))[:, 0, 0].real
 
 
 def _logistic(x: float) -> float:
@@ -211,18 +271,21 @@ def _outcome(distribution: list[tuple[Outcome, float]], rng: RandomStream | None
     return sure[0]
 
 
-def _with_overflow(labelled, max_label: int) -> list[tuple[Outcome, float]]:
-    """The (label, probability) pairs with |label| <= max_label, then one
-    Overflow outcome carrying the excluded mass."""
-    kept: list[tuple[Outcome, float]] = []
-    excluded = 0.0
-    for label, p in labelled:
-        if abs(label) <= max_label:
-            kept.append((IntegerLabel(label), float(p)))
-        else:
-            excluded += float(p)
-    kept.append((Overflow(excluded), excluded))
-    return kept
+def _label_table(labels: list[int], probs: np.ndarray,
+                 max_label: int | None) -> DistributionTable:
+    """IntegerLabel branches for the columns of probs; with ``max_label``, only
+    those with |label| <= max_label, then one Overflow branch carrying the
+    excluded mass, added in label order."""
+    if max_label is None:
+        return _scalar_table(IntegerLabel, labels, probs)
+    kept = [j for j, label in enumerate(labels) if abs(label) <= max_label]
+    excluded = np.zeros(len(probs))
+    for j, label in enumerate(labels):
+        if abs(label) > max_label:
+            excluded = excluded + probs[:, j]
+    probs = np.column_stack([probs[:, kept], excluded])
+    values = np.array([[labels[j] for j in kept] + [0]])  # 0 holds the Overflow place
+    return DistributionTable((IntegerLabel,) * len(kept) + (Overflow,), values, probs)
 
 
 def _require_sharpness(sharpness: float) -> None:
@@ -231,22 +294,39 @@ def _require_sharpness(sharpness: float) -> None:
         raise ParameterError("sharpness", "sharpness must be positive")
 
 
-def _threshold_bit(value: float, threshold: float,
-                   sharpness: float | None) -> list[tuple[Outcome, float]]:
-    """Bit distribution of a threshold test: hard (no sharpness), 1 iff the
-    value exceeds the threshold; smoothed, 1 with logistic probability
-    1/(1 + exp(-k (value - threshold)))."""
+def _threshold_table(values: np.ndarray, threshold: float,
+                     sharpness: float | None) -> DistributionTable:
+    """Bit distributions of a threshold test on each value: hard (no
+    sharpness), 1 iff the value exceeds the threshold; smoothed, 1 with
+    logistic probability 1/(1 + exp(-k (value - threshold)))."""
     if sharpness is None:
-        hit = 1.0 if value > threshold else 0.0
-        return [(Bit(1), hit), (Bit(0), 1.0 - hit)]
-    _require_sharpness(sharpness)
-    p1 = _logistic(sharpness * (value - threshold))
-    return [(Bit(1), p1), (Bit(0), 1.0 - p1)]
+        p1 = np.where(values > threshold, 1.0, 0.0)
+    else:
+        _require_sharpness(sharpness)
+        # math.exp per row, as numpy's exp may round the last bit differently
+        p1 = np.array([_logistic(x) for x in (sharpness * (values - threshold)).tolist()],
+                      dtype=float)
+    return _scalar_table(Bit, [1, 0], np.column_stack([p1, 1.0 - p1]))
 
 
 # ---------------------------------------------------------------------------
 # Readout devices
 # ---------------------------------------------------------------------------
+
+def _power_table(rhos: np.ndarray, exponent: int = 1, basis=None,
+                 precision: int | None = None) -> DistributionTable:
+    """Descriptions of rho^n in the basis, one sure branch per density."""
+    exponent = int(exponent)
+    if exponent < 1:
+        raise ParameterError("exponent",
+                             "supported matrix functions are positive integer powers")
+    b = basis_matrix(basis, rhos.shape[-1])
+    mats = b.conj().T @ np.linalg.matrix_power(rhos, exponent) @ b
+    if precision is not None:
+        precision = int(precision)
+        mats = quantize_matrix(mats, precision)
+    return DistributionTable((MatrixDescription,), mats, np.ones((len(mats), 1)), precision)
+
 
 def readout_density(state: PureState, target, basis=None,
                     precision: int | None = None) -> MatrixDescription:
@@ -262,35 +342,46 @@ def readout_density(state: PureState, target, basis=None,
 def function_readout(state: PureState, target, exponent: int = 1, basis=None,
                      precision: int | None = None) -> MatrixDescription:
     """Description of rho^n for a positive integer n (n=1 is the identity map)."""
-    exponent = int(exponent)
-    if exponent < 1:
-        raise ParameterError("exponent",
-                             "supported matrix functions are positive integer powers")
-    rho = reduced_density(state, target)
-    b = basis_matrix(basis, rho.dim)
-    mat = b.conj().T @ np.linalg.matrix_power(rho.entries, exponent) @ b
+    return _only(_power_table(_density_row(state, target), exponent, basis, precision))
+
+
+def _expectation_table(rhos: np.ndarray, observable,
+                       precision: int | None = None) -> DistributionTable:
+    values = _traced_products((_observable(observable, rhos.shape[-1]).entries,), rhos)[:, 0]
     if precision is not None:
-        mat = quantize_matrix(mat, precision)
-    return MatrixDescription(mat, precision)
+        values = quantize(values, precision)
+    return _scalar_table(RealValue, values[:, None], np.ones((len(values), 1)))
 
 
 def expectation_readout(state: PureState, target, observable,
                         precision: int | None = None) -> RealValue:
     """Expectation value Tr(A rho_1), optionally quantized."""
-    obs, rho = _observed(state, target, observable)
-    value = float(np.trace(obs.entries @ rho.entries).real)
-    if precision is not None:
-        value = quantize(value, precision)
-    return RealValue(value)
+    return _only(_expectation_table(_density_row(state, target), observable, precision))
 
 
 # ---------------------------------------------------------------------------
 # Stochastic eigenvalue and POVM samplers
 # ---------------------------------------------------------------------------
 
-def _cluster_probabilities(rho: DensityMatrix, obs: HermitianObservable) -> np.ndarray:
-    probs = np.array([float(np.trace(p @ rho.entries).real) for p in obs.projectors])
-    return np.clip(probs, 0.0, None)
+def _cluster_probabilities(rhos: np.ndarray, obs: HermitianObservable) -> np.ndarray:
+    """(n, clusters) Born weights Tr(P_i rho), clipped at 0."""
+    return np.clip(_traced_products(obs.projectors, rhos), 0.0, None)
+
+
+def _eigenvalue_table(rhos: np.ndarray, observable, variant: str = "value",
+                      precision: int | None = None, max_label: int | None = None,
+                      label_offset: int = 0) -> DistributionTable:
+    obs = _observable(observable, rhos.shape[-1])
+    _require_variant_inputs(variant, obs, max_label)
+    probs = _cluster_probabilities(rhos, obs)
+    if variant == "value":
+        values = np.array(obs.eigenvalues)
+        return _scalar_table(RealValue, values if precision is None
+                             else quantize(values, precision), probs)
+    if variant == "bit":
+        return _scalar_table(Bit, [int(round(lam)) for lam in obs.eigenvalues], probs)
+    labels = [i + label_offset for i in range(obs.n_clusters)]
+    return _label_table(labels, probs, max_label if variant == "finite" else None)
 
 
 def eigenvalue_distribution(state: PureState, target, observable, variant: str = "value",
@@ -311,19 +402,8 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
       - ``bit``            for projector-valued observables only: the
                            eigenvalue itself as a 0/1 bit
     """
-    obs, rho = _observed(state, target, observable)
-    _require_variant_inputs(variant, obs, max_label)
-    probs = _cluster_probabilities(rho, obs)
-
-    if variant == "value":
-        values = (obs.eigenvalues if precision is None
-                  else quantize(np.array(obs.eigenvalues), precision).tolist())
-        return [(RealValue(value), float(p)) for value, p in zip(values, probs)]
-    if variant == "integer_label":
-        return [(IntegerLabel(i + label_offset), float(p)) for i, p in enumerate(probs)]
-    if variant == "finite":
-        return _with_overflow(((i + label_offset, p) for i, p in enumerate(probs)), max_label)
-    return [(Bit(int(round(lam))), float(p)) for lam, p in zip(obs.eigenvalues, probs)]
+    return _eigenvalue_table(_density_row(state, target), observable, variant, precision,
+                             max_label, label_offset).rows()[0]
 
 
 def _require_variant_inputs(variant: str, observable, max_label: int | None) -> None:
@@ -349,9 +429,18 @@ def sample_eigenvalue(state: PureState, target, observable, rng: RandomStream,
 
 def sample_projection(state: PureState, target, phi: PureState, rng: RandomStream) -> Bit:
     """Bit 1 with probability Tr(P_phi rho_1): the projector special case."""
-    rho = reduced_density(state, target)
-    w = _projector_weight(rho, phi.amplitudes)
+    w = float(_projector_weights(_density_row(state, target), phi.amplitudes)[0])
     return Bit(1) if rng.choose([1.0 - w, w]) == 1 else Bit(0)
+
+
+def _uncertainty_table(rhos: np.ndarray, observable,
+                       precision: int | None = None) -> DistributionTable:
+    obs = _observable(observable, rhos.shape[-1])
+    means = _traced_products((obs.entries,), rhos)[:, 0]
+    values = np.array(obs.eigenvalues) - means[:, None]
+    if precision is not None:
+        values = quantize(values, precision)
+    return _scalar_table(RealValue, values, _cluster_probabilities(rhos, obs))
 
 
 def uncertainty_distribution(state: PureState, target, observable,
@@ -361,13 +450,7 @@ def uncertainty_distribution(state: PureState, target, observable,
     Only the reported value is quantized; the expectation shift and the
     Born probabilities stay at full precision.
     """
-    obs, rho = _observed(state, target, observable)
-    mean = float(np.trace(obs.entries @ rho.entries).real)
-    probs = _cluster_probabilities(rho, obs)
-    values = np.array(obs.eigenvalues) - mean
-    if precision is not None:
-        values = quantize(values, precision)
-    return [(RealValue(value), float(p)) for value, p in zip(values.tolist(), probs)]
+    return _uncertainty_table(_density_row(state, target), observable, precision).rows()[0]
 
 
 def sample_uncertainty(state: PureState, target, observable, rng: RandomStream,
@@ -376,15 +459,16 @@ def sample_uncertainty(state: PureState, target, observable, rng: RandomStream,
     return _draw(uncertainty_distribution(state, target, observable, precision), rng)
 
 
+def _povm_table(rhos: np.ndarray, povm, max_label: int | None = None) -> DistributionTable:
+    povm = _as_povm(povm)
+    return _label_table(list(range(1, len(povm) + 1)), born_probability_rows(rhos, povm),
+                        max_label)
+
+
 def povm_distribution(state: PureState, target, povm,
                       max_label: int | None = None) -> list[tuple[Outcome, float]]:
     """Distribution over 1-based POVM element labels, with optional overflow."""
-    povm = _as_povm(povm)
-    rho = reduced_density(state, target)
-    probs = born_probabilities(rho, povm)
-    if max_label is None:
-        return [(IntegerLabel(i + 1), float(p)) for i, p in enumerate(probs)]
-    return _with_overflow(((i + 1, p) for i, p in enumerate(probs)), max_label)
+    return _povm_table(_density_row(state, target), povm, max_label).rows()[0]
 
 
 def sample_povm(state: PureState, target, povm, rng: RandomStream,
@@ -397,6 +481,17 @@ def sample_povm(state: PureState, target, povm, rng: RandomStream,
 # Overlap, basis selection
 # ---------------------------------------------------------------------------
 
+def _overlap_table(rhos: np.ndarray, target_state: PureState, threshold: float,
+                   sharpness: float | None = None) -> DistributionTable:
+    if not 0.0 < threshold < 1.0:
+        raise ParameterError("threshold", "overlap threshold must lie in (0, 1)")
+    if target_state.space.total_dim != rhos.shape[-1]:
+        raise ParameterError("target_state",
+                             "target state dimension does not match the target factors")
+    return _threshold_table(_projector_weights(rhos, target_state.amplitudes), threshold,
+                            sharpness)
+
+
 def overlap_distribution(state: PureState, target, phi: PureState, threshold: float,
                          sharpness: float | None = None) -> list[tuple[Outcome, float]]:
     """Bit distribution of the overlap test Tr(P_phi rho_1) vs threshold.
@@ -405,13 +500,7 @@ def overlap_distribution(state: PureState, target, phi: PureState, threshold: fl
     the threshold.  Smoothed version: 1 with logistic probability
     1/(1 + exp(-k (overlap - threshold))).
     """
-    if not 0.0 < threshold < 1.0:
-        raise ParameterError("threshold", "overlap threshold must lie in (0, 1)")
-    rho = reduced_density(state, target)
-    if phi.space.total_dim != rho.dim:
-        raise ParameterError("target_state",
-                             "target state dimension does not match the target factors")
-    return _threshold_bit(_projector_weight(rho, phi.amplitudes), threshold, sharpness)
+    return _overlap_table(_density_row(state, target), phi, threshold, sharpness).rows()[0]
 
 
 def overlap_test(state: PureState, target, phi: PureState, threshold: float,
@@ -421,11 +510,30 @@ def overlap_test(state: PureState, target, phi: PureState, threshold: float,
     return _outcome(dist, None if sharpness is None else rng, "smoothed overlap test")
 
 
+def _basis_weights(rhos: np.ndarray, basis) -> np.ndarray:
+    """(n, d) weights Tr(P_{phi_i} rho) of every basis state, clipped at 0."""
+    b = basis_matrix(basis, rhos.shape[-1])
+    return np.real(np.einsum("nij,ji->ni", b.conj().T @ rhos, b)).clip(0.0, None)
+
+
 def basis_weights(state: PureState, target, basis=None) -> np.ndarray:
     """Tr(P_{phi_i} rho_1) for every basis state."""
-    rho = reduced_density(state, target)
-    b = basis_matrix(basis, rho.dim)
-    return np.real(np.einsum("ij,ji->i", b.conj().T @ rho.entries, b)).clip(0.0, None)
+    return _basis_weights(_density_row(state, target), basis)[0]
+
+
+def _basis_select_table(rhos: np.ndarray, basis=None,
+                        sharpness: float | None = None) -> DistributionTable:
+    weights = _basis_weights(rhos, basis)
+    top = weights.max(axis=1, keepdims=True)
+    if sharpness is None:
+        winners = top - weights < TIE_ATOL
+        share = 1.0 / winners.sum(axis=1, keepdims=True)
+        probs = np.where(winners, share, 0.0)
+    else:
+        _require_sharpness(sharpness)
+        probs = np.exp(sharpness * (weights - top))
+        probs /= probs.sum(axis=1, keepdims=True)
+    return _scalar_table(IntegerLabel, list(range(weights.shape[1])), probs)
 
 
 def basis_select_distribution(state: PureState, target, basis=None,
@@ -436,18 +544,7 @@ def basis_select_distribution(state: PureState, target, basis=None,
     maximal weight.  Smoothed version: probabilities proportional to
     exp(k * weight).
     """
-    weights = basis_weights(state, target, basis)
-    if sharpness is None:
-        top = float(np.max(weights))
-        winners = [i for i, w in enumerate(weights) if top - w < TIE_ATOL]
-        share = 1.0 / len(winners)
-        return [(IntegerLabel(i), share if i in winners else 0.0)
-                for i in range(len(weights))]
-    _require_sharpness(sharpness)
-    logits = sharpness * (weights - np.max(weights))
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    return [(IntegerLabel(i), float(p)) for i, p in enumerate(probs)]
+    return _basis_select_table(_density_row(state, target), basis, sharpness).rows()[0]
 
 
 def basis_select(state: PureState, target, basis=None, rng: RandomStream | None = None,
@@ -461,34 +558,48 @@ def basis_select(state: PureState, target, basis=None, rng: RandomStream | None 
 # Entropy meters, certifiers, entanglement analyser
 # ---------------------------------------------------------------------------
 
+def _spectrum_row(state: PureState, target) -> np.ndarray:
+    """The ascending eigenvalues of one state's reduced density, which
+    ``reduced_density`` computes to check it, as a one-row stack."""
+    return reduced_density(state, target).eigenvalues()[None]
+
+
+def _entropy_values(spectra: np.ndarray, alpha: float) -> np.ndarray:
+    """Order-alpha entropies in bits of (n, d) density spectra, in one pass."""
+    if not alpha >= 0:  # NaN is not either
+        raise ParameterError("alpha", "alpha must be nonnegative")
+    return spectrum_entropies(spectra, alpha)
+
+
+def _entropy_table(spectra: np.ndarray, alpha: float = 1.0,
+                   precision: int | None = None) -> DistributionTable:
+    values = _entropy_values(spectra, alpha)
+    if precision is not None:
+        values = quantize(values, precision)
+    return _scalar_table(RealValue, values[:, None], np.ones((len(values), 1)))
+
+
 def entropy_meter(state: PureState, target, alpha: float = 1.0,
                   precision: int | None = None) -> RealValue:
     """Entanglement entropy of order alpha of the target subsystem, in bits."""
-    return entropy_meter_readings(state, target, alpha, precision)[0]
+    return _only(_entropy_table(_spectrum_row(state, target), alpha, precision))
 
 
-def entropy_meter_readings(states: StateStack | Sequence[PureState], target,
-                           alpha: float = 1.0, precision: int | None = None) -> list[RealValue]:
-    """Entropy-meter outputs for states on one space, from one stacked eigensolve,
-    one entropy pass and one quantize pass."""
-    if not alpha >= 0:  # NaN is not either
-        raise ParameterError("alpha", "alpha must be nonnegative")
-    values = spectrum_entropies(np.linalg.eigvalsh(reduced_densities(states, target)), alpha)
-    if precision is not None:
-        values = quantize(values, precision)
-    return [RealValue(value) for value in values.tolist()]
+def _certify_table(spectra: np.ndarray, entropy_threshold: float, alpha: float = 1.0,
+                   sharpness: float | None = None) -> DistributionTable:
+    values = _entropy_values(spectra, alpha)
+    limit = math.log2(spectra.shape[-1])
+    if not 0.0 < entropy_threshold < limit:
+        raise ParameterError("entropy_threshold", f"entropy threshold {entropy_threshold} "
+                             f"outside allowed range 0 < E < {limit:g}")
+    return _threshold_table(values, entropy_threshold, sharpness)
 
 
 def certify_distribution(state: PureState, target, alpha: float, threshold: float,
                          sharpness: float | None = None) -> list[tuple[Outcome, float]]:
     """Bit distribution of the entropy certifier: the entropy meter's reading
     S_alpha(rho_1) vs threshold."""
-    value = entropy_meter(state, target, alpha).value
-    limit = math.log2(target_dimension(state.space, target))
-    if not 0.0 < threshold < limit:
-        raise ParameterError("entropy_threshold", f"entropy threshold {threshold} outside "
-                             f"allowed range 0 < E < {limit:g}")
-    return _threshold_bit(value, threshold, sharpness)
+    return _certify_table(_spectrum_row(state, target), threshold, alpha, sharpness).rows()[0]
 
 
 def entropy_certify(state: PureState, target, alpha: float, threshold: float,
@@ -499,6 +610,23 @@ def entropy_certify(state: PureState, target, alpha: float, threshold: float,
     return _outcome(dist, None if sharpness is None else rng, "smoothed entropy certifier")
 
 
+def _analysed_factor(space: FactorSpace, target_single) -> int:
+    """The one factor an entanglement analysis acts on, in a space of at
+    least two factors."""
+    subset = _normalize_subset(space, target_single)
+    if len(subset) != 1:
+        raise ValueError("EntanglementAnalyse acts on a single factor")
+    if space.n_factors < 2:
+        raise ValueError("entanglement analysis needs at least two factors")
+    return subset[0]
+
+
+def _analyse_table(rhos: np.ndarray, basis=None,
+                   precision: int | None = None) -> DistributionTable:
+    readout = _power_table(rhos, 1, basis, precision)
+    return replace(readout, values=readout.values.swapaxes(-1, -2))
+
+
 def entanglement_analyse(state: PureState, target_single, basis=None,
                          precision: int | None = None) -> MatrixDescription:
     """Gram matrix M_ij = <phi_i|phi_j> of the partial inner products.
@@ -506,27 +634,10 @@ def entanglement_analyse(state: PureState, target_single, basis=None,
     Here phi_i is the complement-space vector obtained by contracting the
     i-th basis vector against the single target factor (an index, or a
     one-index set).  M equals the transpose of the reduced density matrix
-    in the same basis.
+    in the same basis, which is how it is computed.
     """
-    space = state.space
-    subset = _normalize_subset(space, target_single)
-    if len(subset) != 1:
-        raise ValueError("EntanglementAnalyse acts on a single factor")
-    target = subset[0]
-    if space.n_factors < 2:
-        raise ValueError("entanglement analysis needs at least two factors")
-    d_t = space.dims[target]
-    b = basis_matrix(basis, d_t)
-    rest = space.complement((target,))
-    d_rest = math.prod(space.dims[i] for i in rest)
-
-    tensor = state.amplitudes.reshape(space.dims)
-    tensor = np.moveaxis(tensor, target, 0).reshape(d_t, d_rest)
-    partials = b.conj().T @ tensor  # row i holds <phi_i|psi>
-    m = partials.conj() @ partials.T
-    if precision is not None:
-        m = quantize_matrix(m, precision)
-    return MatrixDescription(m, precision)
+    factor = _analysed_factor(state.space, target_single)
+    return _only(_analyse_table(_density_row(state, factor), basis, precision))
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +646,15 @@ def entanglement_analyse(state: PureState, target_single, basis=None,
 
 @dataclass(frozen=True)
 class DeviceKind:
-    """One device kind: its catalog entry, distribution and outcome set.
+    """One device kind: its catalog entry, distribution, table and outcome set.
 
     ``params`` are in catalog order, a trailing ``?`` marking an optional
-    one.  ``distribution(state, target, params)`` (and ``stacked``, for a
-    stack of states in one pass) calls the kind's module function by its
-    global name, so a wrapper bound over that name sees every call.
+    one.  ``table(densities, **params)`` maps an (n, d, d) stack of reduced
+    densities to their ``DistributionTable``; a ``spectral`` kind's table
+    reads their (n, d) ascending eigenvalues instead, which validating the
+    densities computes.  ``distribution(state, target, params)`` is its
+    one-row case: it calls the kind's module function by its global name, so
+    a wrapper bound over that name sees every call.
     ``may_miss``: the selector types that may match no branch, as outcome
     values of readouts and meters depend on the state; a label or bit
     device has a fixed alphabet, so a miss there is a caller error.  A kind
@@ -555,11 +669,12 @@ class DeviceKind:
     params: tuple[str, ...]
     stochastic: bool
     distribution: Callable[[PureState, Any, Mapping[str, Any]], list]
+    table: Callable[..., DistributionTable]
     may_miss: tuple[type, ...] = ()
     deterministic_without: str | None = None
-    stacked: Callable[[StateStack, Any, Mapping[str, Any]], list] | None = None
     single_factor: bool = False
     check: Callable[[Mapping[str, Any]], None] | None = None
+    spectral: bool = False
 
     @property
     def required(self) -> tuple[str, ...]:
@@ -576,56 +691,60 @@ DEVICE_KINDS: dict[str, DeviceKind] = {
     "Readout": DeviceKind(
         "RD/FPRD", "classical description of the reduced density matrix",
         ("basis?", "precision?"), False,
-        lambda s, t, p: [(readout_density(s, t, **p), 1.0)], (MatrixDescription,)),
+        lambda s, t, p: [(readout_density(s, t, **p), 1.0)],
+        lambda rhos, **p: _power_table(rhos, 1, **p), (MatrixDescription,)),
     "FunctionReadout": DeviceKind(
         "FRD/FFRD", "description of a matrix power of the reduced density matrix",
         ("exponent", "basis?", "precision?"), False,
-        lambda s, t, p: [(function_readout(s, t, **p), 1.0)], (MatrixDescription,)),
+        lambda s, t, p: [(function_readout(s, t, **p), 1.0)], _power_table,
+        (MatrixDescription,)),
     "ExpectationReadout": DeviceKind(
         "ERD/FERD", "expectation value of a Hermitian observable",
         ("observable", "precision?"), False,
-        lambda s, t, p: [(expectation_readout(s, t, **p), 1.0)], (RealValue,)),
+        lambda s, t, p: [(expectation_readout(s, t, **p), 1.0)], _expectation_table,
+        (RealValue,)),
     "EigenvalueSampler": DeviceKind(
         "SEVRD/FSEVRD/ISEVRD/FISEVRD/SPRD", "Born-rule eigenvalue draw without disturbance",
         ("observable", "variant?", "precision?", "max_label?", "label_offset?"), True,
-        lambda s, t, p: eigenvalue_distribution(s, t, **p), _SAMPLED_VALUES,
+        lambda s, t, p: eigenvalue_distribution(s, t, **p), _eigenvalue_table,
+        _SAMPLED_VALUES,
         check=lambda p: _require_variant_inputs(p.get("variant", "value"),
                                                 p.get("observable"), p.get("max_label"))),
     "UncertaintySampler": DeviceKind(
         "SURD/FSURD", "eigenvalue draw of the mean-shifted observable",
         ("observable", "precision?"), True,
-        lambda s, t, p: uncertainty_distribution(s, t, **p), _SAMPLED_VALUES),
+        lambda s, t, p: uncertainty_distribution(s, t, **p), _uncertainty_table,
+        _SAMPLED_VALUES),
     "PovmSampler": DeviceKind(
         "SPOD/FSPOD", "Born-rule POVM label draw without disturbance",
         ("povm", "max_label?"), True,
-        lambda s, t, p: povm_distribution(s, t, **p)),
+        lambda s, t, p: povm_distribution(s, t, **p), _povm_table),
     "OverlapTest": DeviceKind(
         "SOD/SSOD", "threshold test on the overlap with a target state",
         ("target_state", "threshold", "sharpness?"), True,
         lambda s, t, p: overlap_distribution(s, t, p["target_state"], p["threshold"],
-                                             p.get("sharpness")),
+                                             p.get("sharpness")), _overlap_table,
         deterministic_without="sharpness"),
     "BasisSelect": DeviceKind(
         "BSD/SBSD", "index of the basis state of maximal weight",
         ("basis?", "sharpness?"), True,
-        lambda s, t, p: basis_select_distribution(s, t, **p)),
+        lambda s, t, p: basis_select_distribution(s, t, **p), _basis_select_table),
     "EntropyMeter": DeviceKind(
         "VNEM/REM/UEM + finite precision", "entanglement entropy of order alpha, in bits",
         ("alpha?", "precision?"), False,
-        lambda s, t, p: [(entropy_meter(s, t, **p), 1.0)], (RealValue,),
-        stacked=lambda states, t, p: [[(out, 1.0)]
-                                      for out in entropy_meter_readings(states, t, **p)]),
+        lambda s, t, p: [(entropy_meter(s, t, **p), 1.0)], _entropy_table, (RealValue,),
+        spectral=True),
     "EntropyCertifier": DeviceKind(
         "UEC/smoothed UEC", "threshold test on the order-alpha entropy",
         ("alpha?", "entropy_threshold", "sharpness?"), True,
         lambda s, t, p: certify_distribution(s, t, p.get("alpha", 1.0),
                                              p["entropy_threshold"], p.get("sharpness")),
-        deterministic_without="sharpness"),
+        _certify_table, deterministic_without="sharpness", spectral=True),
     "EntanglementAnalyse": DeviceKind(
         "EA/FPEA", "Gram matrix of partial inner products against a basis",
         ("basis?", "precision?"), False,
-        lambda s, t, p: [(entanglement_analyse(s, t, **p), 1.0)], (MatrixDescription,),
-        single_factor=True),
+        lambda s, t, p: [(entanglement_analyse(s, t, **p), 1.0)], _analyse_table,
+        (MatrixDescription,), single_factor=True),
 }
 
 
@@ -657,14 +776,22 @@ class DeviceSpec:
         """Exact outcome distribution (deterministic devices give one point)."""
         return DEVICE_KINDS[self.kind].distribution(state, target, self.params)
 
+    def table(self, states: StateStack | Sequence[PureState] | PureState, target
+              ) -> DistributionTable:
+        """The distributions of a state, a stack or a list of states in one
+        pass: their reduced densities, validated once, through the kind's table."""
+        stack = StateStack.of(states)
+        kind = DEVICE_KINDS[self.kind]
+        if kind.single_factor:
+            _analysed_factor(stack.space, target)
+        rhos = reduced_densities(stack, target)
+        spectra = require_density(rhos)
+        return kind.table(spectra if kind.spectral else rhos, **self.params)
+
     def distributions(self, states: StateStack | Sequence[PureState], target
                       ) -> list[list[tuple[Outcome, float]]]:
-        """``distribution`` of each state of a stack or list, in one pass where the kind can."""
-        stack = StateStack.of(states)
-        stacked = DEVICE_KINDS[self.kind].stacked
-        if stacked is not None:
-            return stacked(stack, target, self.params)
-        return [self.distribution(state, target) for state in stack]
+        """``distribution`` of each state of a stack or list: the list view of one table."""
+        return self.table(states, target).rows()
 
     def apply(self, state: PureState, target, rng: RandomStream | None = None) -> Outcome:
         """Run the device once.  Stochastic kinds require a RandomStream."""
@@ -673,22 +800,26 @@ class DeviceSpec:
     def probability_of(self, state: PureState, target, selector: Outcome) -> float:
         """Analytic probability that the device yields the selected outcome."""
         selection = OutcomeSelection(self, (selector,))
-        return float(selection.probabilities(self.distribution(state, target))[0])
+        return float(selection.matrix(self.table(state, target))[0, 0])
+
+
+_SCALARS = (RealValue, IntegerLabel, Bit)
 
 
 class OutcomeSelection:
-    """A fixed list of selected outcomes of one device, read off its distributions.
+    """A fixed list of selected outcomes of one device, read off its tables.
 
-    ``matrix(distributions)[r, i]`` adds up, in branch order, the
-    probabilities of the branches of ``distributions[r]`` that match
-    ``selectors[i]`` under :func:`outcomes_equal`.  The branches of all the
-    distributions are matched against all selectors in one pass, so a
-    measurement with many outcomes needs one device evaluation per state,
-    not one per outcome.  A selector that matches no branch of a
-    distribution must still be a legal outcome of the device kind.
+    ``matrix(table)[r, i]`` adds up, in branch order, the probabilities of
+    the branches of row r that match ``selectors[i]`` under
+    :func:`outcomes_equal`, so a measurement with many outcomes needs one
+    table per stack of states, not one per outcome.  The scalar selectors of
+    each type are sorted once; each branch value finds its candidates by a
+    binary search, and |value - selector| <= ``OUTCOME_ATOL`` (equality for
+    labels and bits) decides each match.  A selector that matches no branch
+    of a row must still be a legal outcome of the device kind.
     """
 
-    __slots__ = ("kind", "selectors", "_groups", "_values", "_may_miss")
+    __slots__ = ("kind", "selectors", "_groups", "_sorted", "_may_miss")
 
     def __init__(self, spec: DeviceSpec, selectors: Sequence[Outcome]):
         self.kind = spec.kind
@@ -696,58 +827,73 @@ class OutcomeSelection:
         groups: dict[type, list[int]] = {}
         for i, selector in enumerate(self.selectors):
             groups.setdefault(type(selector), []).append(i)
-        self._groups = {kind: np.array(idx) for kind, idx in groups.items()}
-        # scalar payloads of RealValue/IntegerLabel/Bit selectors, NaN elsewhere
-        self._values = np.array([getattr(s, "value", math.nan) for s in self.selectors],
-                                dtype=float)
+        self._groups = groups
+        # per scalar type: its selectors' values in ascending order, and their indices
+        self._sorted = {}
+        for kind in _SCALARS:
+            if kind in groups:
+                idx = np.array(groups[kind])
+                values = np.array([self.selectors[i].value for i in idx], dtype=float)
+                order = np.argsort(values, kind="stable")
+                self._sorted[kind] = (values[order], idx[order])
         may_miss = DEVICE_KINDS[spec.kind].may_miss
         self._may_miss = np.array([isinstance(s, may_miss) for s in self.selectors],
                                   dtype=bool)
 
-    def _hits(self, kind: type, outcomes: list, idx: np.ndarray) -> np.ndarray:
-        """(branches, selectors of idx) table of outcomes_equal for one outcome type."""
-        if kind is RealValue:
-            values = np.array([o.value for o in outcomes], dtype=float)
-            distance = values[:, None] - self._values[idx]
-            return np.abs(distance, out=distance) <= OUTCOME_ATOL
-        if kind in (IntegerLabel, Bit):
-            values = np.array([o.value for o in outcomes], dtype=float)
-            return values[:, None] == self._values[idx]
-        return np.array([[outcomes_equal(o, self.selectors[i]) for i in idx]
-                         for o in outcomes], dtype=bool).reshape(len(outcomes), len(idx))
+    def _scalar_matches(self, kind: type, values: np.ndarray,
+                        k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flat (n, k) cell and the flat ``values`` entry of every match of
+        an (n, c) block of branch values against the selectors of one scalar
+        type, in row-major entry order."""
+        sel_values, sel_index = self._sorted[kind]
+        v = np.asarray(values, dtype=float).reshape(-1)
+        atol = OUTCOME_ATOL if kind is RealValue else 0.0
+        # the window is twice the tolerance wide on each side, so rounding in
+        # v -+ 2 atol cannot leave a match out; the exact test below decides
+        lo = np.searchsorted(sel_values, v - 2.0 * atol, "left")
+        counts = np.searchsorted(sel_values, v + 2.0 * atol, "right") - lo
+        entry = np.repeat(np.arange(v.size), counts)
+        pos = np.arange(entry.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        hit = np.abs(v[entry] - sel_values[pos]) <= atol
+        entry, pos = entry[hit], pos[hit]
+        return entry // values.shape[1] * k + sel_index[pos], entry
 
-    def matrix(self, distributions: Sequence[list[tuple[Outcome, float]]]) -> np.ndarray:
-        """(n, k) probabilities of the k selectors under each of n distributions."""
-        branches: dict[type, tuple[list, list, list]] = {}
-        for r, distribution in enumerate(distributions):
-            for outcome, prob in distribution:
-                rows, outcomes, probs = branches.setdefault(type(outcome), ([], [], []))
-                rows.append(r)
-                outcomes.append(outcome)
-                probs.append(prob)
-        k = len(self.selectors)
-        hits = []  # (flat cell index, probability) of every matching branch, per type
-        for kind, (rows, outcomes, probs) in branches.items():
-            idx = self._groups.get(kind)
-            if idx is None:
+    def matrix(self, table: DistributionTable) -> np.ndarray:
+        """(n, k) probabilities of the k selectors on each of the n rows of a table."""
+        n, k = len(table), len(self.selectors)
+        out = np.zeros((n, k))
+        matched = np.zeros((n, k), dtype=bool)
+        columns: dict[type, list[int]] = {}
+        for j, kind in enumerate(table.types):
+            columns.setdefault(kind, []).append(j)
+        for kind, cols in columns.items():
+            if kind not in self._groups:
                 continue
-            # row-major nonzero keeps branch order, so add.at below sums each
-            # cell in the order the branches come
-            branch, column = np.nonzero(self._hits(kind, outcomes, idx))
-            hits.append((np.array(rows)[branch] * k + idx[column],
-                         np.array(probs, dtype=float)[branch]))
-        # allocated once the (branches, selectors) tables above are freed
-        out = np.zeros((len(distributions), k))
-        matched = np.zeros(out.shape, dtype=bool)
-        for cells, probs in hits:
-            np.add.at(out.reshape(-1), cells, probs)
-            matched.reshape(-1)[cells] = True
+            probs = table.probabilities[:, cols]
+            if kind in self._sorted:
+                # row-major entries keep branch order, so add.at sums each
+                # cell in the order the branches come
+                cells, entries = self._scalar_matches(
+                    kind, np.broadcast_to(table.values[:, cols], probs.shape), k)
+                np.add.at(out.reshape(-1), cells, probs.reshape(-1)[entries])
+                matched.reshape(-1)[cells] = True
+                continue
+            for i in self._groups[kind]:
+                hit = (self._matrix_hits(table, self.selectors[i]) if kind is MatrixDescription
+                       else np.ones(n, dtype=bool))  # Overflow matches whatever its mass
+                for column in probs.T:
+                    out[:, i] += np.where(hit, column, 0.0)
+                matched[:, i] |= hit
         illegal = np.argwhere(~(matched | self._may_miss))
         if illegal.size:
             raise ValueError(f"selector {self.selectors[illegal[0, 1]]!r} is not in the "
                              f"outcome set of {self.kind}")
         return out
 
-    def probabilities(self, distribution: list[tuple[Outcome, float]]) -> np.ndarray:
-        """The selectors' probabilities under one distribution."""
-        return self.matrix([distribution])[0]
+    @staticmethod
+    def _matrix_hits(table: DistributionTable, selector: MatrixDescription) -> np.ndarray:
+        """(n,) outcomes_equal of each row's matrix and a MatrixDescription selector."""
+        mats = table.values
+        if selector.precision != table.precision or selector.matrix.shape != mats.shape[1:]:
+            return np.zeros(len(mats), dtype=bool)
+        return np.abs(mats - selector.matrix).max(axis=(1, 2)) <= OUTCOME_ATOL

@@ -12,6 +12,7 @@ for linear post-measurement update maps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -178,7 +179,7 @@ def _indexed_outcomes(space: FactorSpace,
 
 def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> OPF:
     """OPF of a quantum POVM element: f(psi) = <psi|Q|psi>, with 0 <= Q <= I."""
-    q = _square_matrix(element, "POVM element must be a square matrix")
+    q = _square_matrix(element, "POVM element")
     dim = q.shape[0]
     require_hermitian(q, "POVM element must be Hermitian")
     if require_psd(q, "POVM element must satisfy 0 <= Q <= I")[-1] > 1.0 + 1e-9:
@@ -195,13 +196,13 @@ def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: Fa
                        target) -> FullMeasurement:
     """One OPF per selected device outcome, evaluated analytically (never by sampling).
 
-    The measurement reads all outcomes off one device distribution per
-    state, and the selectors are checked against a single probe state.
+    The measurement reads all outcomes of a stack of states off one device
+    table, and the selectors are checked against a single probe state.
     """
     selection = OutcomeSelection(spec, selectors)
 
     def evaluate(states: StateStack) -> np.ndarray:
-        return selection.matrix(spec.distributions(states, target))
+        return selection.matrix(spec.table(states, target))
 
     evaluate(StateStack.of(PureState.basis_state(space, 0)))  # validates selector kinds early
     outcomes = _indexed_outcomes(space, evaluate, f"device:{spec.kind}",
@@ -535,6 +536,17 @@ def _witness_probe_states(dim: int) -> list[np.ndarray]:
     return probes
 
 
+@functools.cache
+def _witness_design(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The witness's probe amplitudes on a space of total dimension dim, each
+    row normalized as ``PureState.normalized`` does it, and their projector
+    design: fixed per dimension, so built once, on first use, read-only."""
+    amps = normalized_states(FactorSpace((dim,)), np.array(_witness_probe_states(dim))).amplitudes
+    design = _projector_design(amps)[1]
+    design.setflags(write=False)
+    return amps, design
+
+
 # ---------------------------------------------------------------------------
 # Product-form (quadratic) witness
 # ---------------------------------------------------------------------------
@@ -581,7 +593,11 @@ def quadratic_fit(amps: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarr
     """Least-squares fit of values[i] = <psi_i|Q|psi_i> over an (n, d)
     amplitude stack: the worst absolute deviation and Q's Hermitian
     coordinates."""
-    design = _projector_design(amps)[1]
+    return _design_fit(_projector_design(amps)[1], values)
+
+
+def _design_fit(design: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
+    """``quadratic_fit`` on the rows of its projector design."""
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     return float(np.max(np.abs(values - design @ coeffs))), coeffs
 
@@ -598,12 +614,14 @@ def product_form_witness(f: OPF, extra_probes: StateStack | Sequence[PureState] 
     dim = f.space.total_dim
     if dim > 16:
         raise ValueError("quadratic-form witness supports total dimension <= 16")
-    probes = normalized_states(f.space, np.array(_witness_probe_states(dim)))
+    probes, design = _witness_design(dim)
     extra = StateStack.of(extra_probes, f.space, "state space does not match the OPF's space")
-    amps = np.concatenate([probes.amplitudes, extra.amplitudes])
-    amps.setflags(write=False)
-    residual, coeffs = quadratic_fit(amps, f.values(StateStack._trusted(f.space, amps)))
-    return ProductFormCertificate(residual, hermitian_from_coords(coeffs), len(amps))
+    if len(extra):  # the design is row-wise, so the extra rows add their own
+        probes = np.concatenate([probes, extra.amplitudes])
+        probes.setflags(write=False)
+        design = np.concatenate([design, _projector_design(extra.amplitudes)[1]])
+    residual, coeffs = _design_fit(design, f.values(StateStack._trusted(f.space, probes)))
+    return ProductFormCertificate(residual, hermitian_from_coords(coeffs), len(probes))
 
 
 # ---------------------------------------------------------------------------

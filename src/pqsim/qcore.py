@@ -73,12 +73,17 @@ def _normalize_subset(space: FactorSpace, subset: Union[int, Sequence[int]]) -> 
     return out
 
 
-def _square_matrix(entries, message: str) -> np.ndarray:
-    """A complex copy of a square matrix; otherwise raise ValueError(message),
-    with ``{shape}`` in it replaced by the input's shape."""
+def _require_square(shape: tuple[int, ...], what: str) -> None:
+    """Raise a ValueError naming ``what`` and the shape unless it is a
+    nonempty square matrix's."""
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise ValueError(f"{what} must be a nonempty square matrix, got shape {shape}")
+
+
+def _square_matrix(entries, what: str) -> np.ndarray:
+    """A complex copy of a nonempty square matrix (``_require_square``)."""
     mat = np.array(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(message.format(shape=mat.shape))
+    _require_square(mat.shape, what)
     return mat
 
 
@@ -86,18 +91,19 @@ def require_hermitian(matrix: np.ndarray, message: str) -> None:
     """Raise ValueError(message) unless the matrix, or every matrix of a
     (..., d, d) stack, is Hermitian within ``HERMITIAN_ATOL``; a non-finite
     entry is never Hermitian (and is rejected before ``inf - inf`` can raise
-    a floating-point warning)."""
+    a floating-point warning).  An empty stack passes."""
     if not (np.isfinite(matrix).all()
-            and np.abs(matrix - matrix.swapaxes(-1, -2).conj()).max() <= HERMITIAN_ATOL):
+            and np.abs(matrix - matrix.swapaxes(-1, -2).conj()).max(initial=0.0)
+            <= HERMITIAN_ATOL):
         raise ValueError(message)
 
 
 def require_psd(matrix: np.ndarray, message: str) -> np.ndarray:
     """The ascending eigenvalues of a Hermitian matrix, or of every matrix
     of a (..., d, d) stack; raise ValueError(message) if the smallest of
-    them lies below -``NORM_ATOL``."""
+    them lies below -``NORM_ATOL``.  An empty stack passes."""
     vals = np.linalg.eigvalsh(matrix)
-    if vals[..., 0].min() < -NORM_ATOL:
+    if vals[..., 0].min(initial=0.0) < -NORM_ATOL:
         raise ValueError(message)
     return vals
 
@@ -233,7 +239,7 @@ class DensityMatrix:
     __slots__ = ("dim", "entries", "_eigenvalues")
 
     def __init__(self, entries):
-        mat = _square_matrix(entries, "density matrix must be square, got shape {shape}")
+        mat = _square_matrix(entries, "density matrix")
         vals = require_density(mat)
         mat.setflags(write=False)
         vals.setflags(write=False)
@@ -330,7 +336,7 @@ class HermitianObservable:
     __slots__ = ("dim", "entries", "eigenvalues", "projectors")
 
     def __init__(self, entries):
-        mat = _square_matrix(entries, "observable must be square, got shape {shape}")
+        mat = _square_matrix(entries, "observable")
         require_hermitian(mat, "observable is not Hermitian within tolerance")
         mat.setflags(write=False)
         self.dim = mat.shape[0]
@@ -402,8 +408,7 @@ def povm_sets(elements) -> tuple["POVMSet", ...]:
     stack = np.array(elements, dtype=complex)
     if stack.ndim != 4:
         raise ValueError(f"POVM stack of shape {stack.shape} is not (n, k, d, d)")
-    if stack.shape[2] != stack.shape[3]:
-        raise ValueError("POVM elements must be square matrices")
+    _require_square(stack.shape[2:], "POVM element")
     if stack.shape[1] == 0:
         raise ValueError("POVM must have at least one element")
     _require_povms(stack)
@@ -418,8 +423,7 @@ class POVMSet:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        elems = [_square_matrix(a, "POVM elements must be square matrices")
-                 for a in self.elements]
+        elems = [_square_matrix(a, "POVM element") for a in self.elements]
         if len(elems) == 0:
             raise ValueError("POVM must have at least one element")
         dim = elems[0].shape[0]
@@ -830,15 +834,28 @@ def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> Schmi
 
 def born_probabilities(rho: DensityMatrix, povm: POVMSet) -> np.ndarray:
     """Outcome probabilities Tr(A_i rho), clamped at tiny negatives."""
-    if povm.dim != rho.dim:
-        raise ValueError(f"POVM dimension {povm.dim} does not match state dimension {rho.dim}")
-    probs = np.array([float(np.trace(a @ rho.entries).real) for a in povm.elements])
-    if np.min(probs) < -1e-12:
+    return born_probability_rows(rho.entries[None], povm)[0]
+
+
+def born_probability_rows(rhos: np.ndarray, povm: POVMSet) -> np.ndarray:
+    """``born_probabilities`` of every density of an (n, d, d) stack, which is
+    not revalidated, as an (n, k) array; any bad row raises its message."""
+    dim = rhos.shape[-1]
+    if povm.dim != dim:
+        raise ValueError(f"POVM dimension {povm.dim} does not match state dimension {dim}")
+    probs = _traced_products(povm.elements, rhos)
+    if probs.min(initial=0.0) < -1e-12:  # NaN is not below either
         raise ValueError("Born probability below tolerance; invalid POVM or state")
     probs = np.clip(probs, 0.0, None)
-    if abs(float(np.sum(probs)) - 1.0) > NORM_ATOL:
+    if np.abs(probs.sum(axis=-1) - 1.0).max(initial=0.0) > NORM_ATOL:
         raise ValueError("Born probabilities do not sum to 1 within tolerance")
     return probs
+
+
+def _traced_products(operators: Sequence[np.ndarray], rhos: np.ndarray) -> np.ndarray:
+    """(n, k) values Re Tr(A_j rho_r) of k operators on an (n, d, d) stack, in
+    one matmul and one trace; each equals np.trace(A_j @ rho_r) of the pair alone."""
+    return np.matmul(np.array(operators), rhos[:, None]).trace(axis1=-2, axis2=-1).real
 
 
 def measure_projective(state: PureState, observable: HermitianObservable,

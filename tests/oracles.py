@@ -18,7 +18,10 @@ one-member-at-a-time ensemble density.  So is the per-probe loop of
 ``update_map_feasibility``, the oracle of its stacked form, and the
 one-row bodies of the stacked entropy, quantizer and fidelity with the old
 per-trial loop of ``spod_update_refutation`` built on them, and the
-per-vector loop of ``schmidt_decompose``.
+per-vector loop of ``schmidt_decompose``.  Each device kind's per-state
+body, from before the kinds got one table body each, is the oracle of
+that kind's table rows and draws, and the tuple walk that read lists of
+distributions is the oracle of ``OutcomeSelection.matrix`` on a table.
 """
 
 import itertools
@@ -27,6 +30,7 @@ import math
 import numpy as np
 import scipy.stats
 
+from pqsim import devices
 from pqsim.devices import DEVICE_KINDS, outcomes_equal, readout_density, sample_povm
 from pqsim.opf import (
     _ic_outcomes,
@@ -45,7 +49,11 @@ from pqsim.qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    _normalize_subset,
+    quantize as quantize_value,
     random_pure_state,
+    reduced_densities,
+    spectrum_entropies,
     tensor_product,
 )
 
@@ -433,3 +441,285 @@ def schmidt_terms(state, cut):
         lefts.append(PureState.normalized(left, u[:, i]).amplitudes.tobytes())
         rights.append(PureState.normalized(right, vh[i, :]).amplitudes.tobytes())
     return weights, lefts, rights
+
+
+# ---------------------------------------------------------------------------
+# Per-state device bodies and the tuple walk of outcome selection
+# ---------------------------------------------------------------------------
+# The device kinds' per-state bodies as they were before each kind got one
+# table body, verbatim apart from their names, with the helpers they called.
+# A table row must equal the matching body's distribution exactly wherever
+# the operations are the same.
+
+def _observed(state, target, observable):
+    obs = devices._as_observable(observable)
+    rho = devices.reduced_density(state, target)
+    if obs.dim != rho.dim:
+        raise devices.ParameterError(
+            "observable", "observable dimension does not match the target factors")
+    return obs, rho
+
+
+def _projector_weight(rho, vector):
+    return float(np.real(np.vdot(vector, rho.entries @ vector)))
+
+
+def _with_overflow(labelled, max_label):
+    kept = []
+    excluded = 0.0
+    for label, p in labelled:
+        if abs(label) <= max_label:
+            kept.append((devices.IntegerLabel(label), float(p)))
+        else:
+            excluded += float(p)
+    kept.append((devices.Overflow(excluded), excluded))
+    return kept
+
+
+def _threshold_bit(value, threshold, sharpness):
+    Bit = devices.Bit
+    if sharpness is None:
+        hit = 1.0 if value > threshold else 0.0
+        return [(Bit(1), hit), (Bit(0), 1.0 - hit)]
+    devices._require_sharpness(sharpness)
+    p1 = devices._logistic(sharpness * (value - threshold))
+    return [(Bit(1), p1), (Bit(0), 1.0 - p1)]
+
+
+def _cluster_probabilities(rho, obs):
+    probs = np.array([float(np.trace(p @ rho.entries).real) for p in obs.projectors])
+    return np.clip(probs, 0.0, None)
+
+
+def born_probabilities(rho, povm):
+    if povm.dim != rho.dim:
+        raise ValueError(f"POVM dimension {povm.dim} does not match state dimension {rho.dim}")
+    probs = np.array([float(np.trace(a @ rho.entries).real) for a in povm.elements])
+    if np.min(probs) < -1e-12:
+        raise ValueError("Born probability below tolerance; invalid POVM or state")
+    probs = np.clip(probs, 0.0, None)
+    if abs(float(np.sum(probs)) - 1.0) > 1e-9:
+        raise ValueError("Born probabilities do not sum to 1 within tolerance")
+    return probs
+
+
+def function_readout(state, target, exponent=1, basis=None, precision=None):
+    exponent = int(exponent)
+    if exponent < 1:
+        raise devices.ParameterError(
+            "exponent", "supported matrix functions are positive integer powers")
+    rho = devices.reduced_density(state, target)
+    b = devices.basis_matrix(basis, rho.dim)
+    mat = b.conj().T @ np.linalg.matrix_power(rho.entries, exponent) @ b
+    if precision is not None:
+        mat = devices.quantize_matrix(mat, precision)
+    return devices.MatrixDescription(mat, precision)
+
+
+def expectation_readout(state, target, observable, precision=None):
+    obs, rho = _observed(state, target, observable)
+    value = float(np.trace(obs.entries @ rho.entries).real)
+    if precision is not None:
+        value = quantize_value(value, precision)
+    return devices.RealValue(value)
+
+
+def eigenvalue_distribution(state, target, observable, variant="value", precision=None,
+                            max_label=None, label_offset=0):
+    obs, rho = _observed(state, target, observable)
+    devices._require_variant_inputs(variant, obs, max_label)
+    probs = _cluster_probabilities(rho, obs)
+
+    if variant == "value":
+        values = (obs.eigenvalues if precision is None
+                  else quantize_value(np.array(obs.eigenvalues), precision).tolist())
+        return [(devices.RealValue(value), float(p)) for value, p in zip(values, probs)]
+    if variant == "integer_label":
+        return [(devices.IntegerLabel(i + label_offset), float(p)) for i, p in enumerate(probs)]
+    if variant == "finite":
+        return _with_overflow(((i + label_offset, p) for i, p in enumerate(probs)), max_label)
+    return [(devices.Bit(int(round(lam))), float(p)) for lam, p in zip(obs.eigenvalues, probs)]
+
+
+def uncertainty_distribution(state, target, observable, precision=None):
+    obs, rho = _observed(state, target, observable)
+    mean = float(np.trace(obs.entries @ rho.entries).real)
+    probs = _cluster_probabilities(rho, obs)
+    values = np.array(obs.eigenvalues) - mean
+    if precision is not None:
+        values = quantize_value(values, precision)
+    return [(devices.RealValue(value), float(p)) for value, p in zip(values.tolist(), probs)]
+
+
+def povm_distribution(state, target, povm, max_label=None):
+    povm = devices._as_povm(povm)
+    rho = devices.reduced_density(state, target)
+    probs = born_probabilities(rho, povm)
+    if max_label is None:
+        return [(devices.IntegerLabel(i + 1), float(p)) for i, p in enumerate(probs)]
+    return _with_overflow(((i + 1, p) for i, p in enumerate(probs)), max_label)
+
+
+def overlap_distribution(state, target, phi, threshold, sharpness=None):
+    if not 0.0 < threshold < 1.0:
+        raise devices.ParameterError("threshold", "overlap threshold must lie in (0, 1)")
+    rho = devices.reduced_density(state, target)
+    if phi.space.total_dim != rho.dim:
+        raise devices.ParameterError(
+            "target_state", "target state dimension does not match the target factors")
+    return _threshold_bit(_projector_weight(rho, phi.amplitudes), threshold, sharpness)
+
+
+def basis_weights(state, target, basis=None):
+    rho = devices.reduced_density(state, target)
+    b = devices.basis_matrix(basis, rho.dim)
+    return np.real(np.einsum("ij,ji->i", b.conj().T @ rho.entries, b)).clip(0.0, None)
+
+
+def basis_select_distribution(state, target, basis=None, sharpness=None):
+    weights = basis_weights(state, target, basis)
+    if sharpness is None:
+        top = float(np.max(weights))
+        winners = [i for i, w in enumerate(weights) if top - w < 1e-9]
+        share = 1.0 / len(winners)
+        return [(devices.IntegerLabel(i), share if i in winners else 0.0)
+                for i in range(len(weights))]
+    devices._require_sharpness(sharpness)
+    logits = sharpness * (weights - np.max(weights))
+    probs = np.exp(logits)
+    probs /= probs.sum()
+    return [(devices.IntegerLabel(i), float(p)) for i, p in enumerate(probs)]
+
+
+def entropy_meter(state, target, alpha=1.0, precision=None):
+    if not alpha >= 0:
+        raise devices.ParameterError("alpha", "alpha must be nonnegative")
+    values = spectrum_entropies(np.linalg.eigvalsh(reduced_densities([state], target)), alpha)
+    if precision is not None:
+        values = quantize_value(values, precision)
+    return devices.RealValue(values.tolist()[0])
+
+
+def certify_distribution(state, target, alpha, threshold, sharpness=None):
+    value = entropy_meter(state, target, alpha).value
+    limit = math.log2(devices.target_dimension(state.space, target))
+    if not 0.0 < threshold < limit:
+        raise devices.ParameterError("entropy_threshold", f"entropy threshold {threshold} "
+                                     f"outside allowed range 0 < E < {limit:g}")
+    return _threshold_bit(value, threshold, sharpness)
+
+
+def entanglement_analyse(state, target_single, basis=None, precision=None):
+    space = state.space
+    subset = _normalize_subset(space, target_single)
+    if len(subset) != 1:
+        raise ValueError("EntanglementAnalyse acts on a single factor")
+    target = subset[0]
+    if space.n_factors < 2:
+        raise ValueError("entanglement analysis needs at least two factors")
+    d_t = space.dims[target]
+    b = devices.basis_matrix(basis, d_t)
+    rest = space.complement((target,))
+    d_rest = math.prod(space.dims[i] for i in rest)
+
+    tensor = state.amplitudes.reshape(space.dims)
+    tensor = np.moveaxis(tensor, target, 0).reshape(d_t, d_rest)
+    partials = b.conj().T @ tensor  # row i holds <phi_i|psi>
+    m = partials.conj() @ partials.T
+    if precision is not None:
+        m = devices.quantize_matrix(m, precision)
+    return devices.MatrixDescription(m, precision)
+
+
+DEVICE_BODIES = {
+    "Readout": lambda s, t, p: [(function_readout(s, t, 1, **p), 1.0)],
+    "FunctionReadout": lambda s, t, p: [(function_readout(s, t, **p), 1.0)],
+    "ExpectationReadout": lambda s, t, p: [(expectation_readout(s, t, **p), 1.0)],
+    "EigenvalueSampler": lambda s, t, p: eigenvalue_distribution(s, t, **p),
+    "UncertaintySampler": lambda s, t, p: uncertainty_distribution(s, t, **p),
+    "PovmSampler": lambda s, t, p: povm_distribution(s, t, **p),
+    "OverlapTest": lambda s, t, p: overlap_distribution(s, t, p["target_state"],
+                                                        p["threshold"], p.get("sharpness")),
+    "BasisSelect": lambda s, t, p: basis_select_distribution(s, t, **p),
+    "EntropyMeter": lambda s, t, p: [(entropy_meter(s, t, **p), 1.0)],
+    "EntropyCertifier": lambda s, t, p: certify_distribution(
+        s, t, p.get("alpha", 1.0), p["entropy_threshold"], p.get("sharpness")),
+    "EntanglementAnalyse": lambda s, t, p: [(entanglement_analyse(s, t, **p), 1.0)],
+}
+
+
+def device_distribution(spec, state, target):
+    """The distribution of one state by its kind's per-state body."""
+    return DEVICE_BODIES[spec.kind](state, target, spec.params)
+
+
+def device_apply(spec, state, target, rng=None):
+    """One run of a device on its per-state distribution, as ``DeviceSpec.apply`` does it."""
+    return devices._outcome(device_distribution(spec, state, target), rng,
+                            f"device kind {spec.kind}")
+
+
+def selection_matrix(spec, selectors, distributions):
+    """The (n, k) selected-outcome probabilities by the tuple walk that read
+    lists of distributions before tables: every branch gathered per outcome
+    type in a Python loop, matched against all selectors of its type at once,
+    and added into its cell in branch order."""
+    selectors = tuple(selectors)
+    groups = {}
+    for i, selector in enumerate(selectors):
+        groups.setdefault(type(selector), []).append(i)
+    groups = {kind: np.array(idx) for kind, idx in groups.items()}
+    sel_values = np.array([getattr(s, "value", math.nan) for s in selectors], dtype=float)
+    may_miss = devices.DEVICE_KINDS[spec.kind].may_miss
+    may_miss = np.array([isinstance(s, may_miss) for s in selectors], dtype=bool)
+
+    def hits(kind, outcomes, idx):
+        if kind is devices.RealValue:
+            values = np.array([o.value for o in outcomes], dtype=float)
+            distance = values[:, None] - sel_values[idx]
+            return np.abs(distance, out=distance) <= 1e-9
+        if kind in (devices.IntegerLabel, devices.Bit):
+            values = np.array([o.value for o in outcomes], dtype=float)
+            return values[:, None] == sel_values[idx]
+        return np.array([[outcomes_equal(o, selectors[i]) for i in idx]
+                         for o in outcomes], dtype=bool).reshape(len(outcomes), len(idx))
+
+    branches = {}
+    for r, distribution in enumerate(distributions):
+        for outcome, prob in distribution:
+            rows, outcomes, probs = branches.setdefault(type(outcome), ([], [], []))
+            rows.append(r)
+            outcomes.append(outcome)
+            probs.append(prob)
+    k = len(selectors)
+    out = np.zeros((len(distributions), k))
+    matched = np.zeros(out.shape, dtype=bool)
+    for kind, (rows, outcomes, probs) in branches.items():
+        idx = groups.get(kind)
+        if idx is None:
+            continue
+        branch, column = np.nonzero(hits(kind, outcomes, idx))
+        cells = np.array(rows)[branch] * k + idx[column]
+        np.add.at(out.reshape(-1), cells, np.array(probs, dtype=float)[branch])
+        matched.reshape(-1)[cells] = True
+    illegal = np.argwhere(~(matched | may_miss))
+    if illegal.size:
+        raise ValueError(f"selector {selectors[illegal[0, 1]]!r} is not in the "
+                         f"outcome set of {spec.kind}")
+    return out
+
+
+def product_form_fit(f, extra_probes=()):
+    """(residual, operator, probe count) of ``product_form_witness`` by its
+    body from before the probe design was kept per dimension: the probes
+    redrawn, normalized and designed on every call."""
+    from pqsim.opf import _witness_probe_states, quadratic_fit
+    from pqsim.qcore import StateStack, normalized_states
+
+    dim = f.space.total_dim
+    probes = normalized_states(f.space, np.array(_witness_probe_states(dim)))
+    extra = StateStack.of(extra_probes, f.space, "state space does not match the OPF's space")
+    amps = np.concatenate([probes.amplitudes, extra.amplitudes])
+    amps.setflags(write=False)
+    residual, coeffs = quadratic_fit(amps, f.values(StateStack._trusted(f.space, amps)))
+    return residual, hermitian_from_coords(coeffs), len(amps)

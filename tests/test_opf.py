@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +13,13 @@ import pytest
 from pqsim.devices import (
     Bit,
     DeviceSpec,
+    DistributionTable,
     IntegerLabel,
     MatrixDescription,
     OutcomeSelection,
     Overflow,
     RealValue,
-    entropy_meter_readings,
+    quantize_matrix,
 )
 from pqsim import opf
 from pqsim.opf import (
@@ -59,6 +64,7 @@ from pqsim.qcore import (
 from . import oracles
 from .oracles import quadratic_form
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 QUBIT = FactorSpace((2,))
 TWO_QUBITS = FactorSpace((2, 2))
 KET0 = PureState.basis_state(QUBIT, 0)
@@ -366,6 +372,45 @@ class TestProductFormWitness:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             product_form_witness(constant_opf(FactorSpace((5, 4)), 1.0))
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2), (4, 4)], ids=str)
+    def test_equals_the_per_call_probe_design(self, dims):
+        """The certificate equals the one of the old body, which drew,
+        normalized and designed the probes on every call, byte for byte,
+        with and without extra probes."""
+        space = FactorSpace(dims)
+        rng = RandomStream(289, len(dims), math.prod(dims))
+        opfs = [opf_from_quantum(random_povm_element(space.total_dim, rng), space),
+                entropy_meter_measurement(space, (0,), precision=3).outcomes[1]
+                if len(dims) > 1 else constant_opf(space, 0.25)]
+        extras = [random_pure_state(space, rng.derive(t)) for t in range(5)]
+        for f in opfs:
+            for extra in ((), extras, StateStack.of(extras[:1])):
+                cert = product_form_witness(f, extra_probes=extra)
+                residual, operator, count = oracles.product_form_fit(f, extra)
+                assert cert.residual == residual
+                assert cert.operator.tobytes() == operator.tobytes()
+                assert cert.probe_count == count
+
+    def test_probe_design_is_built_once_per_dimension_read_only(self):
+        first = opf._witness_design(4)
+        product_form_witness(constant_opf(TWO_QUBITS, 0.5))
+        product_form_witness(constant_opf(FactorSpace((4,)), 0.5), extra_probes=[
+            random_pure_state(FactorSpace((4,)), RandomStream(293))])
+        again = opf._witness_design(4)
+        assert all(a is b for a, b in zip(first, again))
+        for array in again:
+            assert not array.flags.writeable
+        amps, design = again
+        assert design.shape == (len(amps), 16)
+
+    def test_importing_builds_no_probe_design(self):
+        code = ("import pqsim.cli, pqsim.experiments, pqsim.opf; "
+                "print(pqsim.opf._witness_design.cache_info().currsize)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+        assert run.stdout.strip() == "0"
 
 
 class TestEntropyOutcomeValues:
@@ -701,44 +746,50 @@ class TestStackedEntropyMeter:
         states = _states(space, 461)
         for n in range(1, space.n_factors + 1):
             for target in itertools.combinations(range(space.n_factors), n):
-                got = entropy_meter_readings(states, target, alpha, precision)
+                spec = DeviceSpec("EntropyMeter", {"alpha": alpha, "precision": precision})
+                got = spec.table(states, target)
                 want = [oracles.entropy_reading(psi.amplitudes, space.dims, target,
                                                 alpha, precision) for psi in states]
-                assert [r.value for r in got] == want
-                spec = DeviceSpec("EntropyMeter", {"alpha": alpha, "precision": precision})
+                assert got.types == (RealValue,)
+                assert got.values[:, 0].tolist() == want
                 assert spec.distributions(states, target) == [
                     spec.distribution(psi, target) for psi in states]
 
     def test_mixed_spaces_rejected(self):
         with pytest.raises(ValueError):
-            entropy_meter_readings([BELL, random_pure_state(FactorSpace((2, 3)),
-                                                             RandomStream(1))], (0,))
+            DeviceSpec("EntropyMeter").table(
+                [BELL, random_pure_state(FactorSpace((2, 3)), RandomStream(1))], (0,))
 
 
 class TestDistributionCounts:
     """A device-backed measurement evaluates its device once per state.
 
-    Entropy meters pass whole lists of states to ``DeviceSpec.distributions``
-    (one stacked eigensolve); other kinds call ``DeviceSpec.distribution``
-    once per state.  The counters record every state either one evaluates.
+    Every kind passes whole stacks of states to ``DeviceSpec.table``, one
+    call per stack; a per-state ``DeviceSpec.distribution`` call would be
+    counted too.  The counters record every state either one evaluates, and
+    ``tables`` the size of each stack.
     """
 
     @pytest.fixture
-    def evaluated(self, monkeypatch):
+    def tables(self):
+        return []
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch, tables):
         seen = []
-        single, stacked = DeviceSpec.distribution, DeviceSpec.distributions
+        single, stacked = DeviceSpec.distribution, DeviceSpec.table
 
         def distribution(self, state, target):
             seen.append(state.amplitudes.tobytes())
             return single(self, state, target)
 
-        def distributions(self, states, target):
-            if self.kind == "EntropyMeter":
-                seen.extend(psi.amplitudes.tobytes() for psi in states)
+        def table(self, states, target):
+            seen.extend(psi.amplitudes.tobytes() for psi in states)
+            tables.append(len(states))
             return stacked(self, states, target)
 
         monkeypatch.setattr(DeviceSpec, "distribution", distribution)
-        monkeypatch.setattr(DeviceSpec, "distributions", distributions)
+        monkeypatch.setattr(DeviceSpec, "table", table)
         return seen
 
     def test_meter_construction_evaluates_one_probe(self, evaluated):
@@ -756,7 +807,7 @@ class TestDistributionCounts:
         assert len(evaluated) == samples + 10 * samples + 10 * 10
         assert len(set(evaluated)) == len(evaluated)
 
-    def test_povm_measurement_runs_its_device_once_per_state(self, evaluated):
+    def test_povm_measurement_runs_its_device_once_per_state(self, evaluated, tables):
         spec = DeviceSpec("PovmSampler", {"povm": POVMSet(tuple(
             np.diag(row).astype(complex) for row in np.eye(4)))})
         selectors = [IntegerLabel(i) for i in range(1, 5)]
@@ -765,7 +816,22 @@ class TestDistributionCounts:
         states = _states(TWO_QUBITS, 457)
         values = measurement.probabilities(states)
         assert len(evaluated) == 1 + len(states)
+        assert tables == [1, len(states)]
         assert np.max(np.abs(values.sum(axis=1) - 1.0)) < 1e-12
+
+    def test_closure_on_a_povm_device_makes_one_table_call_per_stack(self, evaluated,
+                                                                     tables):
+        b = random_povm_element(2, RandomStream(459))
+        spec = DeviceSpec("PovmSampler", {"povm": POVMSet((b, np.eye(2) - b))})
+        measurement = device_measurement(spec, [IntegerLabel(1), IntegerLabel(2)],
+                                         TWO_QUBITS, (0,))
+        tables.clear()
+        evaluated.clear()
+        report = check_closure(measurement, 30, RandomStream(461))
+        assert report.passed
+        # the sampled states, 10 rotations of 30 probes, 10 backgrounds of 10
+        assert tables == [30] + [30] * 10 + [10] * 10
+        assert len(evaluated) == sum(tables)
 
 
 class TestStackedQuadraticForm:
@@ -869,37 +935,57 @@ class TestStackedQuadraticForm:
             assert type(one) is float and one == want[3]
 
 
+def _table(types, values, probs, precision=None):
+    return DistributionTable(tuple(types), np.array(values), np.array(probs, dtype=float),
+                             precision)
+
+
 class TestOutcomeSelectionMatrix:
-    """The (n, k) matrix equals the original per-distribution loop exactly,
-    including the order in which repeated branches are added."""
+    """The (n, k) matrix read off a table equals the tuple walk that read the
+    table's list view, byte for byte, and the original per-distribution loop
+    exactly, including the order in which repeated branches are added."""
 
     @staticmethod
-    def _check(spec, selectors, distributions):
+    def _check(spec, selectors, table):
         selection = OutcomeSelection(spec, selectors)
+        rows = table.rows()
         want = np.array([oracles.selection_probabilities(spec, selectors, dist)
-                         for dist in distributions]).reshape(len(distributions), -1)
-        assert np.array_equal(selection.matrix(distributions), want)
-        for dist, row in zip(distributions, want):
-            assert np.array_equal(selection.probabilities(dist), row)
+                         for dist in rows]).reshape(len(rows), -1)
+        got = selection.matrix(table)
+        assert got.tobytes() == oracles.selection_matrix(spec, selectors, rows).tobytes()
+        assert np.array_equal(got, want)
+        for r in range(len(table)):  # each row alone, as a one-row table
+            values = table.values if len(table.values) == 1 else table.values[r:r + 1]
+            row = DistributionTable(table.types, values, table.probabilities[r:r + 1],
+                                    table.precision)
+            assert selection.matrix(row)[0].tobytes() == got[r].tobytes()
 
     def test_multi_branch_and_mixed_type_distributions(self):
         spec = DeviceSpec("EigenvalueSampler", {"observable": np.diag([0.0, 1.0])})
         selectors = [IntegerLabel(1), IntegerLabel(2), Overflow(), RealValue(0.25), Bit(1),
-                     RealValue(0.5), RealValue(123.0)]
+                     RealValue(0.5), RealValue(123.0), RealValue(0.5 + 8e-10),
+                     RealValue(0.25 + 1e-9), RealValue(math.nan), IntegerLabel(7)]
+        # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): the order of addition shows
+        self._check(spec, selectors, _table(
+            [IntegerLabel] * 3 + [Overflow], [[1, 1, 1, 0], [2, 1, 2, 0]],
+            [[0.1, 0.2, 0.3, 0.4], [0.3, 0.2, 0.1, 0.4]]))
+        # 0.25 + 5e-10 is within the tolerance of two selectors, and 0.5 + 4e-10 too
+        self._check(spec, selectors, _table(
+            [RealValue] * 3, [[0.25, 0.25 + 5e-10, 0.5], [0.5 + 4e-10, 0.5 - 1e-9, 0.25]],
+            [[0.7, 0.1, 0.2], [0.3, 0.3, 0.4]]))
+        self._check(spec, selectors, _table([Bit], [[1], [0]], [[1.0], [1.0]]))
+        self._check(spec, selectors, _table([], np.zeros((2, 0)), np.zeros((2, 0))))
         gen = np.random.default_rng(5)
-        outcomes = [IntegerLabel(1), IntegerLabel(2), IntegerLabel(7), Overflow(0.3),
-                    RealValue(0.25), RealValue(0.25 + 5e-10), RealValue(0.5), Bit(1), Bit(0)]
-        distributions = [
-            # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): the order of addition shows
-            [(IntegerLabel(1), 0.1), (IntegerLabel(1), 0.2), (IntegerLabel(1), 0.3),
-             (Overflow(0.4), 0.4)],
-            [(RealValue(0.25), 0.7), (RealValue(0.25 + 5e-10), 0.1), (RealValue(0.5), 0.2)],
-            [(Bit(1), 1.0)],
-            [],
-        ] + [[(outcomes[i], float(p)) for i, p in zip(gen.integers(0, len(outcomes), 12),
-                                                       gen.dirichlet(np.ones(12)))]
-             for _ in range(30)]
-        self._check(spec, selectors, distributions)
+        pool = {RealValue: [0.25, 0.25 + 5e-10, 0.25 + 1e-9, 0.25 + 2e-9, 0.5, 0.5 + 8e-10,
+                            0.5 + 9e-10, 123.0 - 1e-9, 7.0],
+                IntegerLabel: [1, 2, 7, -3], Bit: [0, 1], Overflow: [0]}
+        kinds = list(pool)
+        for _ in range(20):
+            types = [kinds[i] for i in gen.integers(0, len(kinds), 12)]
+            values = [[pool[t][gen.integers(len(pool[t]))] for t in types] for _ in range(3)]
+            values = np.array(values, dtype=object if IntegerLabel in types else float)
+            probs = gen.dirichlet(np.ones(12), size=3)
+            self._check(spec, selectors, DistributionTable(tuple(types), values, probs))
 
     def test_device_distributions(self):
         rng = RandomStream(601)
@@ -910,31 +996,57 @@ class TestOutcomeSelectionMatrix:
                         np.diag([0.0, 0.25, 0.5])))
         cases = [
             (DeviceSpec("EigenvalueSampler", {"observable": obs, "precision": 1}),
-             [RealValue(0.0), RealValue(0.5), RealValue(7.0)]),  # 0 and 0.1 both read 0
+             [RealValue(0.0), RealValue(0.5), RealValue(7.0)], (1,)),  # 0 and 0.1 read 0
             (DeviceSpec("EigenvalueSampler", {"observable": obs, "variant": "finite",
                                               "max_label": 1}),
-             [IntegerLabel(0), IntegerLabel(1), Overflow(), RealValue(0.3)]),
+             [IntegerLabel(0), IntegerLabel(1), Overflow(), RealValue(0.3)], (1,)),
             (DeviceSpec("PovmSampler", {"povm": povm, "max_label": 2}),
-             [IntegerLabel(2), Overflow(), IntegerLabel(1)]),
+             [IntegerLabel(2), Overflow(), IntegerLabel(1)], (1,)),
             (DeviceSpec("BasisSelect", {"sharpness": 2.0}),
-             [IntegerLabel(i) for i in range(3)]),
+             [IntegerLabel(i) for i in range(3)], (1,)),
             (DeviceSpec("Readout"),
-             [MatrixDescription(states[0].density()), MatrixDescription(np.eye(6) / 6)]),
+             [MatrixDescription(states[0].density()), MatrixDescription(np.eye(6) / 6),
+              MatrixDescription(states[1].density() + 5e-10),
+              MatrixDescription(states[2].density(), precision=3)], (0, 1)),
+            (DeviceSpec("Readout", {"precision": 2}),
+             [MatrixDescription(quantize_matrix(states[3].density(), 2), precision=2),
+              MatrixDescription(np.eye(3) / 3, precision=2)], (0, 1)),
+            (DeviceSpec("EntropyMeter", {"precision": 3}),
+             [RealValue(v) for v in entropy_outcome_values(2, 3)] + [RealValue(0.0625)],
+             (0,)),
         ]
-        for spec, selectors in cases:
-            target = (1,) if spec.kind != "Readout" else (0, 1)
-            self._check(spec, selectors, spec.distributions(states, target))
+        for spec, selectors, target in cases:
+            self._check(spec, selectors, spec.table(states, target))
 
     def test_illegal_selector_raises_the_same_message(self):
         spec = DeviceSpec("PovmSampler", {"povm": POVMSet((np.eye(2) / 2, np.eye(2) / 2))})
-        selectors = [IntegerLabel(1), Bit(0), RealValue(0.5)]
-        distributions = spec.distributions([KET0, PLUS], (0,))
-        with pytest.raises(ValueError) as want:
-            oracles.selection_probabilities(spec, selectors, distributions[0])
-        with pytest.raises(ValueError) as got:
-            OutcomeSelection(spec, selectors).matrix(distributions)
-        assert str(got.value) == str(want.value)
-        assert "Bit(value=0)" in str(got.value)
+        for selectors in ([IntegerLabel(1), Bit(0), RealValue(0.5)],
+                          [IntegerLabel(1), IntegerLabel(3), Bit(0)],
+                          [Overflow(), IntegerLabel(2)],
+                          [MatrixDescription(np.eye(2) / 2), IntegerLabel(1)]):
+            table = spec.table([KET0, PLUS], (0,))
+            with pytest.raises(ValueError) as want:
+                oracles.selection_probabilities(spec, selectors, table.rows()[0])
+            with pytest.raises(ValueError) as walk:
+                oracles.selection_matrix(spec, selectors, table.rows())
+            with pytest.raises(ValueError) as got:
+                OutcomeSelection(spec, selectors).matrix(table)
+            assert str(got.value) == str(want.value) == str(walk.value)
+        assert "Bit(value=0)" in str(
+            pytest.raises(ValueError, OutcomeSelection(spec, [Bit(0)]).matrix,
+                          spec.table(KET0, (0,))).value)
+
+    def test_513_outcome_meter_equals_the_tuple_walk(self):
+        """A 513-outcome meter on 300 states: one table, one matrix."""
+        space = FactorSpace((4, 4))
+        meter = entropy_meter_measurement(space, (0,), precision=8)
+        states = StateStack.of([random_pure_state(space, RandomStream(617, 0, t))
+                                for t in range(300)])
+        spec = DeviceSpec("EntropyMeter", {"alpha": 1.0, "precision": 8})
+        selectors = [RealValue(v) for v in entropy_outcome_values(4, 8)]
+        table = spec.table(states, (0,))
+        want = oracles.selection_matrix(spec, selectors, table.rows())
+        assert meter.probabilities(states).tobytes() == want.tobytes()
 
 
 class TestStackedCallers:
@@ -975,13 +1087,13 @@ class TestStackedCallers:
     def test_product_form_witness_reads_the_meter_once(self, monkeypatch):
         f0 = entropy_meter_measurement(TWO_QUBITS, (0,), precision=3).outcomes[0]
         calls = []
-        stacked = DeviceSpec.distributions
+        stacked = DeviceSpec.table
 
-        def distributions(self, states, target):
+        def table(self, states, target):
             calls.append(len(states))
             return stacked(self, states, target)
 
-        monkeypatch.setattr(DeviceSpec, "distributions", distributions)
+        monkeypatch.setattr(DeviceSpec, "table", table)
         cert = product_form_witness(f0)
         assert cert.verdict == "VIOLATION"
         assert calls == [cert.probe_count]

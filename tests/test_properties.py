@@ -22,6 +22,8 @@ from pqsim.qcore import (
     random_unitary,
 )
 
+from . import oracles
+
 
 def _variants(kind: str, dim: int, rng: RandomStream) -> list[dict]:
     """Parameter sets of a device kind that are valid on a target of dimension dim."""
@@ -107,6 +109,49 @@ def test_device_properties_across_shapes(kind, data):
     hits = [p for key, p in zip(_keys(one), probs) if key[:2] == _keys([(outcome, 0.0)])[0][:2]]
     assert hits and max(hits) > 0.0
 
+
+_KIND_VARIANTS = [(kind, i) for kind in sorted(DEVICE_KINDS)
+                  for i in range(len(_variants(kind, 2, RandomStream(0))))]
+
+
+def _same_branches(got, want, kind):
+    """Equal list views: exactly, or within 1e-12 for the entanglement
+    analyser, whose table reads the reduced density where its per-state body
+    contracted the amplitudes, in another order of operations."""
+    if kind != "EntanglementAnalyse":
+        return _keys(got) == _keys(want)
+    (a, p), (b, q) = got[0], want[0]
+    return (len(got) == len(want) == 1 and p == q == 1.0 and a.precision == b.precision
+            and a.matrix.shape == b.matrix.shape
+            and np.max(np.abs(a.matrix - b.matrix)) <= 1e-12)
+
+
+@pytest.mark.parametrize("kind,variant", _KIND_VARIANTS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_table_rows_and_draws_equal_the_per_state_bodies(kind, variant, data):
+    """Each row of a table, and each one-row distribution, equals the kind's
+    per-state body in ``tests/oracles.py``; a draw gives the body's outcome
+    and leaves its stream where the body's draw leaves it."""
+    space, target, seed, _ = data.draw(_cases(kind))
+    rng = RandomStream(seed)
+    dim = math.prod(space.dims[i] for i in target)
+    spec = DeviceSpec(kind, _variants(kind, dim, rng.derive(0))[variant])
+    states = random_pure_states((space,), rng.derive(1), 4)
+    table = spec.table(states, target)
+    assert table.probabilities.shape == (4, len(table.types))
+    rows = table.rows()
+    assert [_keys(d) for d in spec.distributions(states, target)] == [_keys(r) for r in rows]
+    for t, (psi, row) in enumerate(zip(states, rows)):
+        want = oracles.device_distribution(spec, psi, target)
+        assert _same_branches(row, want, kind)
+        assert _same_branches(spec.distribution(psi, target), want, kind)
+        stream, oracle_stream = rng.derive(10 + t), rng.derive(10 + t)
+        outcome = spec.apply(psi, target, stream)
+        assert _same_branches([(outcome, 1.0)],
+                              [(oracles.device_apply(spec, psi, target, oracle_stream), 1.0)],
+                              kind)
+        assert stream.uniform() == oracle_stream.uniform()
 
 
 @st.composite

@@ -243,6 +243,33 @@ class TestPovmSets:
         assert qcore.povm_sets(np.zeros((0, 2, 2, 2))) == ()
 
 
+class TestEmptyMatrices:
+    """A 0 x 0 matrix is square but empty: each constructor raises its own
+    ValueError naming the shape, not numpy's zero-size reduction error."""
+
+    def test_density_matrix(self):
+        with pytest.raises(ValueError, match=r"density matrix .* shape \(0, 0\)"):
+            DensityMatrix(np.zeros((0, 0)))
+
+    def test_hermitian_observable(self):
+        with pytest.raises(ValueError, match=r"observable .* shape \(0, 0\)"):
+            HermitianObservable(np.zeros((0, 0)))
+
+    def test_povm_set(self):
+        with pytest.raises(ValueError, match=r"POVM element .* shape \(0, 0\)"):
+            POVMSet((np.zeros((0, 0)),))
+
+    def test_povm_sets(self):
+        message = _message(lambda: qcore.povm_sets(np.zeros((3, 2, 0, 0))))
+        assert message == _message(lambda: POVMSet((np.zeros((0, 0)), np.zeros((0, 0)))))
+        assert "shape (0, 0)" in message
+
+    def test_empty_stacks_pass_the_stacked_checks(self):
+        for check in (lambda m: qcore.require_hermitian(m, "not Hermitian"),
+                      lambda m: qcore.require_psd(m, "not PSD"), qcore.require_density):
+            check(np.zeros((0, 3, 3), dtype=complex))
+
+
 class TestEnsembleWeightRows:
     @pytest.mark.parametrize("weights, first_bad, message", [
         ([[0.5, 0.5], [0.5, 0.0]], 1, "must be positive"),
@@ -772,6 +799,32 @@ class TestBornProbabilities:
         povm = POVMSet((np.eye(2),))
         with pytest.raises(ValueError):
             born_probabilities(DensityMatrix.maximally_mixed(3), povm)
+
+    @pytest.mark.parametrize("dim,k", [(2, 2), (3, 3), (4, 9), (8, 12)])
+    def test_rows_equal_the_one_density_body(self, dim, k):
+        """Each row of the stacked form equals the original one-density
+        body bit for bit, and the one-density call is its one-row case."""
+        rng = RandomStream(31 + dim)
+        rhos = [random_density_matrix(dim, rng) for _ in range(6)]
+        b = 0.8 * random_density_matrix(dim, rng).entries
+        weights = rng.generator.dirichlet(np.ones(k - 1))
+        povm = POVMSet((b,) + tuple(w * (np.eye(dim) - b) for w in weights))
+        got = qcore.born_probability_rows(np.array([rho.entries for rho in rhos]), povm)
+        assert got.shape == (6, k)
+        for row, rho in zip(got, rhos):
+            assert row.tobytes() == oracles.born_probabilities(rho, povm).tobytes()
+            assert row.tobytes() == born_probabilities(rho, povm).tobytes()
+
+    def test_rows_raise_the_one_density_messages(self):
+        povm = POVMSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        good = DensityMatrix.maximally_mixed(2).entries
+        for bad, message in ((np.diag([1.5, -0.5]), "below tolerance"),
+                             (np.diag([0.7, 0.7]), "do not sum to 1")):
+            with pytest.raises(ValueError, match=message):
+                qcore.born_probability_rows(np.array([good, bad, good]), povm)
+        with pytest.raises(ValueError, match="POVM dimension 2 does not match state "
+                                             "dimension 3"):
+            qcore.born_probability_rows(np.zeros((0, 3, 3)), povm)
 
 
 class TestMeasureProjective:

@@ -4,9 +4,9 @@
 its self-tests are not collected with this suite.  This test loads the
 tracer module by path, without installing it, and resolves each target the
 way ``install`` does, so deleting or renaming a wrapped name fails here.
-A short traced benchmark run also fails when a layer the workload must
-exercise records no calls, as when a stacked path replaces the last call
-of a traced per-state function.
+A short traced benchmark run of each of the two workloads also fails
+when a layer the workload must exercise records no calls, as when a
+stacked path replaces the last call of a traced per-state function.
 """
 
 import importlib
@@ -36,9 +36,20 @@ def test_target_resolves(layer, attr):
         assert callable(getattr(module, attr, None))
 
 
-def test_short_traced_opf_checks_run_succeeds():
-    run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
-                          "--workload", "opf-checks", "--seed", "3", "--trace", "1", "--short"],
+def _traced_short_run(*args):
+    run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), *args,
+                          "--trace", "1", "--short"],
                          cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     assert '"correct": true' in run.stdout.strip().splitlines()[-1]
+
+
+def test_short_traced_opf_checks_run_succeeds():
+    _traced_short_run("--workload", "opf-checks", "--seed", "3")
+
+
+def test_short_traced_cli_demos_run_succeeds():
+    """``run device`` reaches the per-state chain from ``DeviceSpec.apply``
+    through ``DeviceSpec.distribution`` to ``partial_trace``, which the
+    cli-demos workload requires to record calls."""
+    _traced_short_run("--workload", "cli-demos")
