@@ -32,6 +32,7 @@ from .qcore import (
     RandomStream,
     StateStack,
     _normalize_subset,
+    _subset_plan,
     born_probability_rows,
     partial_trace,
     quantize,
@@ -190,8 +191,7 @@ def _density_row(state: PureState, target) -> np.ndarray:
 
 
 def target_dimension(space: FactorSpace, target: Union[int, Sequence[int]]) -> int:
-    subset = _normalize_subset(space, target)
-    return math.prod(space.dims[i] for i in subset)
+    return _subset_plan(space, target).d_keep
 
 
 def quantize_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
@@ -481,15 +481,29 @@ def sample_povm(state: PureState, target, povm, rng: RandomStream,
 # Overlap, basis selection
 # ---------------------------------------------------------------------------
 
-def _overlap_table(rhos: np.ndarray, target_state: PureState, threshold: float,
-                   sharpness: float | None = None) -> DistributionTable:
+def _require_overlap(rhos: np.ndarray, target_space: FactorSpace, threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ParameterError("threshold", "overlap threshold must lie in (0, 1)")
-    if target_state.space.total_dim != rhos.shape[-1]:
+    if target_space.total_dim != rhos.shape[-1]:
         raise ParameterError("target_state",
                              "target state dimension does not match the target factors")
+
+
+def _overlap_table(rhos: np.ndarray, target_state: PureState, threshold: float,
+                   sharpness: float | None = None) -> DistributionTable:
+    _require_overlap(rhos, target_state.space, threshold)
     return _threshold_table(_projector_weights(rhos, target_state.amplitudes), threshold,
                             sharpness)
+
+
+def overlap_bits(rhos: np.ndarray, targets: StateStack, threshold: float) -> np.ndarray:
+    """(n, N) hard overlap tests of an (n, d, d) density stack against each of
+    N target states, in one pass: True where ``overlap_test`` gives 1.  Each
+    weight gets the products of ``_projector_weights`` for its one pair."""
+    _require_overlap(rhos, targets.space, threshold)
+    columns = targets.amplitudes[:, :, None]
+    weights = np.matmul(columns.conj().transpose(0, 2, 1), np.matmul(rhos[:, None], columns))
+    return weights[:, :, 0, 0].real > threshold
 
 
 def overlap_distribution(state: PureState, target, phi: PureState, threshold: float,

@@ -10,21 +10,24 @@ CLI's record format through ``record_fields``.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .devices import (
     entropy_meter,
-    overlap_test,
+    overlap_bits,
     readout_density,
     sample_povm,
 )
 from .opf import (
     QUBIT_PROBE_STATES,
+    FullMeasurement,
+    UpdateMapCertificate,
     _pair_probes,
     entropy_meter_measurement,
     product_form_witness,
@@ -37,6 +40,7 @@ from .qcore import (
     HermitianObservable,
     PureState,
     RandomStream,
+    StateStack,
     fidelities,
     measure_projective,
     normalized_states,
@@ -166,46 +170,76 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
     maximally entangled state, and (iv) no single operator Q reproduces it
     as <psi|Q|psi> (large least-squares residual).  With
     ``include_entangled=False`` only product states are probed, and no
-    violation is observable.
+    violation is observable.  Only check (ii) depends on the seed; the rest
+    is computed once per (d, m, include_entangled), on first use.
     """
-    if not 2 <= d <= 4:
-        raise ValueError("refutation runs at 2 <= d <= 4")
-    if m > 8:
-        raise ValueError("precision capped at m <= 8 for outcome enumeration")
-    space = FactorSpace((d, d))
-    factor = FactorSpace((d,))
-    measurement = entropy_meter_measurement(space, (0,), precision=m)
+    d = _checked_int(d, "d", 2, 4)
+    m = _checked_int(m, "m", 1, 8)
+    samples = _checked_int(samples, "samples", 1)
+    facts = _fpvnem_facts(d, m, bool(include_entangled))
     bound = math.ceil(2 ** m * math.log2(d)) + 1
-    outcome_count = len(measurement.outcomes)
-    f0 = measurement.outcomes[0]
+    factor = FactorSpace((d,))
 
     products = random_pure_states((factor, factor), rng, samples)
-    f0_products = measurement.probabilities(products)[:, 0]
+    f0_products = facts.measurement.probabilities(products)[:, 0]
     worst_product = float(np.max(np.abs(f0_products - 1.0), initial=0.0))
 
     evidence = {
         "d": d, "m": m, "samples": samples,
-        "outcome_count": outcome_count, "outcome_bound": bound,
+        "outcome_count": facts.outcome_count, "outcome_bound": bound,
         "max_product_deviation": worst_product,
     }
 
-    clauses = {"outcome_bound": outcome_count <= bound,
+    clauses = {"outcome_bound": facts.outcome_count <= bound,
                "product_deviation": worst_product <= 1e-9}
 
     if not include_entangled:
-        residual = _product_probe_residual(f0, d)
-        evidence["residual"] = residual
-        clauses["residual"] = residual < 1e-6
+        evidence["residual"] = facts.residual
+        clauses["residual"] = facts.residual < 1e-6
         return Certificate("fpvnem", _judge(evidence, CONSISTENT, clauses), evidence, rng.seed)
 
-    bell_amps = np.eye(d).reshape(-1) / math.sqrt(d)
-    bell = PureState(space, bell_amps)
-    f0_bell = f0(bell)
-    witness = product_form_witness(f0)
-    evidence.update({"f0_bell": f0_bell, "residual": witness.residual})
-    clauses.update({"f0_bell": f0_bell == 0.0, "residual": witness.residual > 0.1})
+    evidence.update({"f0_bell": facts.f0_bell, "residual": facts.residual})
+    clauses.update({"f0_bell": facts.f0_bell == 0.0, "residual": facts.residual > 0.1})
     return Certificate("fpvnem", _judge(evidence, VIOLATION_CERTIFIED, clauses),
                        evidence, rng.seed)
+
+
+def _checked_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (not a bool) in [low, high];
+    else ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {span}, got {value}")
+    return int(value)
+
+
+class _FpvnemFacts(NamedTuple):
+    """The seed-free half of ``fpvnem_refutation`` at one (d, m): the meter's
+    full measurement, its outcome count, f0 on the Bell state (None when
+    only product states are probed) and the quadratic-form fit's residual."""
+
+    measurement: FullMeasurement
+    outcome_count: int
+    f0_bell: float | None
+    residual: float
+
+
+@functools.cache
+def _fpvnem_facts(d: int, m: int, include_entangled: bool) -> _FpvnemFacts:
+    """``_FpvnemFacts`` per validated (d, m, include_entangled), built on first
+    use.  The largest entry, d=4, m=8 with its 513-outcome measurement,
+    holds about 0.25 MB."""
+    space = FactorSpace((d, d))
+    measurement = entropy_meter_measurement(space, (0,), precision=m)
+    f0 = measurement.outcomes[0]
+    if not include_entangled:
+        return _FpvnemFacts(measurement, len(measurement.outcomes), None,
+                            _product_probe_residual(f0, d))
+    bell = PureState(space, np.eye(d).reshape(-1) / math.sqrt(d))
+    return _FpvnemFacts(measurement, len(measurement.outcomes), f0(bell),
+                        product_form_witness(f0).residual)
 
 
 def _judge(evidence: dict, verdict: str, clauses: dict[str, bool]) -> str:
@@ -232,6 +266,17 @@ SPOD_ELEMENTS = {
     "half_identity": np.eye(2, dtype=complex) / 2,
     "zero": np.zeros((2, 2), dtype=complex),
 }
+for _element in SPOD_ELEMENTS.values():  # read-only: their fits are kept per name
+    _element.setflags(write=False)
+
+
+@functools.cache
+def _update_map_certificates(element: str) -> tuple[UpdateMapCertificate, UpdateMapCertificate]:
+    """The seed-free half of ``spod_update_refutation`` for a named element:
+    the update-map fits of the element and of the half-identity control,
+    each made once, on first use."""
+    return (update_map_feasibility(SPOD_ELEMENTS[element], QUBIT_PROBE_STATES),
+            update_map_feasibility(SPOD_ELEMENTS["half_identity"], QUBIT_PROBE_STATES))
 
 
 def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Certificate:
@@ -240,7 +285,8 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     First confirms the trivial update across repeated applications, then
     certifies (for a generic POVM element) that no state-independent
     linear map reproduces it; the half-identity and zero controls remain
-    feasible.
+    feasible.  The two fits depend on the element only, so they are made
+    once per element, on first use.
     """
     if element not in SPOD_ELEMENTS:
         raise ValueError(f"element must be one of {sorted(SPOD_ELEMENTS)}")
@@ -265,8 +311,7 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     require_density(after)
     min_update_fidelity = min(1.0, *fidelities(before, after).tolist())
 
-    cert = update_map_feasibility(SPOD_ELEMENTS[element], QUBIT_PROBE_STATES)
-    control = update_map_feasibility(SPOD_ELEMENTS["half_identity"], QUBIT_PROBE_STATES)
+    cert, control = _update_map_certificates(element)
 
     evidence = {
         "element": element,
@@ -621,6 +666,10 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
     weights = source.weights
     counts = rng.derive(0).generator.multinomial(n_draws, weights)
     space = source.space
+    drawn = [r for r, count in enumerate(counts) if count > 0]
+    rhos = reduced_densities(StateStack.of([members[r][0] for r in drawn], space),
+                             space.indices())
+    require_density(rhos)
 
     rounds = []
     final_clusters: dict[frozenset, dict] = {}
@@ -634,30 +683,22 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
                 confidence=confidence, threshold=threshold, passed=False,
                 seed=rng.seed, status=_judge(extras, "OK", {"net_cap": False}),
                 extras=extras)
-        net = [PureState(space, v) for v in fibonacci_net(size)]
+        net = StateStack(space, np.array(fibonacci_net(size)))
         rounds.append({"epsilon": eps, "net_size": size})
 
-        pattern_cache: dict[bytes, frozenset] = {}
         clusters: dict[frozenset, dict] = {}
-        for r, count in enumerate(counts):
-            if count == 0:
-                continue
-            state = members[r][0]
-            key = state.amplitudes.tobytes()
-            if key not in pattern_cache:
-                pattern_cache[key] = frozenset(
-                    j for j, phi in enumerate(net)
-                    if overlap_test(state, state.space.indices(), phi, 1.0 - eps).value == 1)
-            fired = pattern_cache[key]
+        for r, bits in zip(drawn, overlap_bits(rhos, net, 1.0 - eps)):
+            # ascending, as the set's iteration order (the centroid's sum order) follows it
+            fired = frozenset(np.flatnonzero(bits).tolist())
             if not fired:
                 fired = frozenset({-1})  # net failed to cover: ghost cluster
             entry = clusters.setdefault(fired, {"count": 0})
-            entry["count"] += int(count)
+            entry["count"] += int(counts[r])
         for fired, entry in clusters.items():
             if -1 in fired:
                 entry["state"] = None
                 continue
-            centroid = np.sum([_bloch_vector(net[j].amplitudes) for j in fired], axis=0)
+            centroid = np.sum([_bloch_vector(net.amplitudes[j]) for j in fired], axis=0)
             entry["state"] = _phase_fixed(_bloch_state(centroid))
         final_clusters = clusters
 

@@ -8,10 +8,11 @@ is confined to explicit :class:`RandomStream` arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -59,18 +60,54 @@ class FactorSpace:
         return FactorSpace(tuple(self.dims[i] for i in subset))
 
 
-def _normalize_subset(space: FactorSpace, subset: Union[int, Sequence[int]]) -> tuple[int, ...]:
-    """Validate a subsystem index set and return it as a sorted tuple."""
+class _SubsetPlan(NamedTuple):
+    """A validated subsystem index set, ``keep``, as a sorted tuple; the other
+    factors, ``rest``; their dimensions; and the axes that put a stack of
+    amplitude tensors in (row, keep, rest) order."""
+
+    keep: tuple[int, ...]
+    rest: tuple[int, ...]
+    d_keep: int
+    d_rest: int
+    axes: tuple[int, ...]
+
+
+def _build_plan(dims: tuple[int, ...], subset) -> _SubsetPlan:
     if isinstance(subset, (int, np.integer)):
         subset = (int(subset),)
-    out = tuple(sorted(int(i) for i in subset))
-    if len(out) == 0:
+    keep = tuple(sorted(int(i) for i in subset))
+    if len(keep) == 0:
         raise ValueError("subsystem index set must be nonempty")
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate subsystem indices in {out}")
-    if out[0] < 0 or out[-1] >= space.n_factors:
-        raise ValueError(f"subsystem indices {out} out of range for {space.n_factors} factors")
-    return out
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"duplicate subsystem indices in {keep}")
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"subsystem indices {keep} out of range for {len(dims)} factors")
+    rest = tuple(i for i in range(len(dims)) if i not in keep)
+    return _SubsetPlan(keep, rest, math.prod(dims[i] for i in keep),
+                       math.prod(dims[i] for i in rest),
+                       (0,) + tuple(1 + i for i in keep + rest))
+
+
+# Bounded, as float entries make many keys for one index set.
+_cached_plan = functools.lru_cache(maxsize=1024)(_build_plan)
+
+
+def _subset_plan(space: FactorSpace, subset: Union[int, Sequence[int]]) -> _SubsetPlan:
+    """The plan of a subsystem index set on ``space``, kept per (dims, subset)
+    for an int or a tuple of hashable entries, built anew for anything else
+    (a list, or an iterator that one build consumes).  A bad subset raises
+    its message on every call: an exception is never kept."""
+    if isinstance(subset, (int, np.integer, tuple)):
+        try:
+            return _cached_plan(space.dims, subset)
+        except TypeError:  # an unhashable entry; a build error raises again below
+            pass
+    return _build_plan(space.dims, subset)
+
+
+def _normalize_subset(space: FactorSpace, subset: Union[int, Sequence[int]]) -> tuple[int, ...]:
+    """Validate a subsystem index set and return it as a sorted tuple."""
+    return _subset_plan(space, subset).keep
 
 
 def _require_square(shape: tuple[int, ...], what: str) -> None:
@@ -757,8 +794,7 @@ def apply_unitary(state: PureState, unitary: np.ndarray,
         if u.shape[0] != state.space.total_dim:
             raise ValueError("unitary dimension does not match the state")
         return unitary_images(state, u)[0]
-    subset = _normalize_subset(state.space, on)
-    d_sub = math.prod(state.space.dims[i] for i in subset)
+    subset, _, d_sub, _, _ = _subset_plan(state.space, on)
     if u.shape[0] != d_sub:
         raise ValueError("unitary dimension does not match the chosen factors")
     amps = apply_on_factors(state.amplitudes, state.space.dims, u, subset)
@@ -774,11 +810,11 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep: Union[int, Seque
     For a :class:`DensityMatrix` input the factorization must be supplied.
     """
     if isinstance(state, PureState):
-        _bipartition(state.space, keep)  # rejects the trivial cases
-        return DensityMatrix(reduced_densities(state, keep)[0])
+        plan = _bipartition(state.space, keep)  # rejects the trivial cases
+        return DensityMatrix(_reduced_rows(state.amplitudes[None], state.space.dims, plan)[0])
     if space is None:
         raise ValueError("partial_trace of a DensityMatrix needs an explicit FactorSpace")
-    keep_t, rest, d_keep, d_rest = _bipartition(space, keep)
+    keep_t, rest, d_keep, d_rest, _ = _bipartition(space, keep)
     perm = keep_t + rest
     tensor = state.entries.reshape(space.dims + space.dims)
     order = perm + tuple(space.n_factors + i for i in perm)
@@ -792,26 +828,28 @@ def reduced_densities(states, keep: Union[int, Sequence[int]]) -> np.ndarray:
     or list: an (n, d_keep, d_keep) stack, Hermitian by construction, equal
     to ``partial_trace`` of each state, or with every factor kept |psi><psi|."""
     stack = StateStack.of(states)
-    space, amps, n = stack.space, stack.amplitudes, len(stack)
-    if len(_normalize_subset(space, keep)) == space.n_factors:
+    plan = _subset_plan(stack.space, keep)
+    amps = stack.amplitudes
+    if not plan.rest:
         return amps[:, :, None] * amps.conj()[:, None, :]
-    keep_t, rest, d_keep, d_rest = _bipartition(space, keep)
-    axes = (0,) + tuple(1 + i for i in keep_t + rest)
-    mat = np.transpose(amps.reshape((n,) + space.dims), axes).reshape(n, d_keep, d_rest)
+    return _reduced_rows(amps, stack.space.dims, plan)
+
+
+def _reduced_rows(amps: np.ndarray, dims: tuple[int, ...], plan: _SubsetPlan) -> np.ndarray:
+    """The reduced densities of (n, D) amplitude rows across a proper bipartition."""
+    n = len(amps)
+    mat = np.transpose(amps.reshape((n,) + dims), plan.axes).reshape(n, plan.d_keep, plan.d_rest)
     rho = mat @ mat.conj().transpose(0, 2, 1)
     return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _bipartition(space: FactorSpace, keep) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+def _bipartition(space: FactorSpace, keep) -> _SubsetPlan:
     """The two sides of a bipartition, with their dimensions: the kept and the
     traced-out factors of a partial trace, or a Schmidt cut and the rest."""
-    keep_t = _normalize_subset(space, keep)
-    if len(keep_t) >= space.n_factors:
+    plan = _subset_plan(space, keep)
+    if not plan.rest:
         raise ValueError("a bipartition needs a proper subset of the subsystem indices")
-    rest = space.complement(keep_t)
-    d_keep = math.prod(space.dims[i] for i in keep_t)
-    d_rest = math.prod(space.dims[i] for i in rest)
-    return keep_t, rest, d_keep, d_rest
+    return plan
 
 
 def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> SchmidtDecomposition:
@@ -822,7 +860,7 @@ def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> Schmi
     genuinely occupied Schmidt vectors.
     """
     space = state.space
-    cut_t, rest, d_left, d_right = _bipartition(space, cut)
+    cut_t, rest, d_left, d_right, _ = _bipartition(space, cut)
     mat = np.transpose(state.amplitudes.reshape(space.dims), cut_t + rest).reshape(d_left, d_right)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
 
@@ -867,8 +905,7 @@ def measure_projective(state: PureState, observable: HermitianObservable,
     post-measurement state (P_i x I)|psi>.  Clusters with probability
     below the selection floor are never chosen.
     """
-    subset = _normalize_subset(state.space, on)
-    d_sub = math.prod(state.space.dims[i] for i in subset)
+    subset, _, d_sub, _, _ = _subset_plan(state.space, on)
     if observable.dim != d_sub:
         raise ValueError("observable dimension does not match the chosen factors")
     branches = []

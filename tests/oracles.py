@@ -22,6 +22,10 @@ per-vector loop of ``schmidt_decompose``.  Each device kind's per-state
 body, from before the kinds got one table body each, is the oracle of
 that kind's table rows and draws, and the tuple walk that read lists of
 distributions is the oracle of ``OutcomeSelection.matrix`` on a table.
+The two refutations' bodies from before their seed-free halves were kept
+per key are the oracles of the kept form, and the per-point
+``overlap_test`` loop of ``ensemble_estimate_overlap`` is the oracle of its
+stacked overlap pass.
 """
 
 import itertools
@@ -723,3 +727,202 @@ def product_form_fit(f, extra_probes=()):
     amps.setflags(write=False)
     residual, coeffs = quadratic_fit(amps, f.values(StateStack._trusted(f.space, amps)))
     return residual, hermitian_from_coords(coeffs), len(amps)
+
+
+def fpvnem_refutation(d, m, samples, rng, include_entangled=True):
+    """``experiments.fpvnem_refutation``'s body from before its seed-free half
+    was kept per (d, m): the measurement, the Bell value and the witness fit
+    made anew on every call."""
+    from pqsim.experiments import (
+        CONSISTENT, VIOLATION_CERTIFIED, Certificate, _judge, _product_probe_residual)
+    from pqsim.opf import entropy_meter_measurement, product_form_witness
+    from pqsim.qcore import random_pure_states
+
+    if not 2 <= d <= 4:
+        raise ValueError("refutation runs at 2 <= d <= 4")
+    if m > 8:
+        raise ValueError("precision capped at m <= 8 for outcome enumeration")
+    space = FactorSpace((d, d))
+    factor = FactorSpace((d,))
+    measurement = entropy_meter_measurement(space, (0,), precision=m)
+    bound = math.ceil(2 ** m * math.log2(d)) + 1
+    outcome_count = len(measurement.outcomes)
+    f0 = measurement.outcomes[0]
+
+    products = random_pure_states((factor, factor), rng, samples)
+    f0_products = measurement.probabilities(products)[:, 0]
+    worst_product = float(np.max(np.abs(f0_products - 1.0), initial=0.0))
+
+    evidence = {
+        "d": d, "m": m, "samples": samples,
+        "outcome_count": outcome_count, "outcome_bound": bound,
+        "max_product_deviation": worst_product,
+    }
+
+    clauses = {"outcome_bound": outcome_count <= bound,
+               "product_deviation": worst_product <= 1e-9}
+
+    if not include_entangled:
+        residual = _product_probe_residual(f0, d)
+        evidence["residual"] = residual
+        clauses["residual"] = residual < 1e-6
+        return Certificate("fpvnem", _judge(evidence, CONSISTENT, clauses), evidence, rng.seed)
+
+    bell_amps = np.eye(d).reshape(-1) / math.sqrt(d)
+    bell = PureState(space, bell_amps)
+    f0_bell = f0(bell)
+    witness = product_form_witness(f0)
+    evidence.update({"f0_bell": f0_bell, "residual": witness.residual})
+    clauses.update({"f0_bell": f0_bell == 0.0, "residual": witness.residual > 0.1})
+    return Certificate("fpvnem", _judge(evidence, VIOLATION_CERTIFIED, clauses),
+                       evidence, rng.seed)
+
+
+def spod_update_refutation(rng, element="projector0"):
+    """``experiments.spod_update_refutation``'s body from before its update-map
+    fits were kept per element: both fits made anew on every call."""
+    from pqsim.experiments import (
+        CONSISTENT, SPOD_ELEMENTS, VIOLATION_CERTIFIED, Certificate, _judge)
+    from pqsim.opf import QUBIT_PROBE_STATES, update_map_feasibility
+    from pqsim.qcore import fidelities, normalized_states, povm_sets, require_density
+
+    if element not in SPOD_ELEMENTS:
+        raise ValueError(f"element must be one of {sorted(SPOD_ELEMENTS)}")
+    space = FactorSpace((2, 2))
+    dim = space.total_dim
+    normals = np.empty((100, 2 * dim))
+    uniforms = np.empty((100, 2))
+    children = []
+    for row, pair, child in zip(normals, uniforms, rng.derive_many(range(100))):
+        child.generator.standard_normal(out=row)  # random_pure_state's draw
+        pair[:] = child.uniform(), child.uniform()
+        children.append(child)
+    states = normalized_states(space, normals[:, :dim] + 1j * normals[:, dim:])
+    b = np.zeros((100, 2, 2))
+    b[:, [0, 1], [0, 1]] = 0.2 + 0.6 * uniforms
+    povms = povm_sets(np.stack([b, np.eye(2) - b], axis=1))
+    before = reduced_densities(states, space.indices())
+    require_density(before)
+    for psi, povm, child in zip(states, povms, children):
+        sample_povm(psi, (0,), povm, child)
+    after = reduced_densities(states, space.indices())  # devices never touch the state
+    require_density(after)
+    min_update_fidelity = min(1.0, *fidelities(before, after).tolist())
+
+    cert = update_map_feasibility(SPOD_ELEMENTS[element], QUBIT_PROBE_STATES)
+    control = update_map_feasibility(SPOD_ELEMENTS["half_identity"], QUBIT_PROBE_STATES)
+
+    evidence = {
+        "element": element,
+        "min_update_fidelity": min_update_fidelity,
+        "residual": cert.residual,
+        "control_residual": control.residual,
+    }
+    verdict = _judge(evidence, VIOLATION_CERTIFIED if cert.residual > 0.1 else CONSISTENT, {
+        "trivial_update": min_update_fidelity >= 1.0 - 1e-12,
+        "control_residual": control.residual < 1e-10,
+        "certified_or_feasible": cert.residual > 0.1 or cert.feasible,
+    })
+    return Certificate("spod-update", verdict, evidence, rng.seed)
+
+
+def overlap_fired(state, net, eps):
+    """The net points whose hard overlap test fires on a state, one
+    ``overlap_test`` per point, each rebuilding the state's density."""
+    return frozenset(j for j, phi in enumerate(net)
+                     if devices.overlap_test(state, state.space.indices(), phi,
+                                             1.0 - eps).value == 1)
+
+
+def ensemble_estimate_overlap(source, epsilon_schedule, n_draws, rng, confidence=0.95,
+                              threshold=0.05, net_cap=4000):
+    """``experiments.ensemble_estimate_overlap``'s body from before its overlap
+    tests ran in one stacked pass: ``overlap_fired`` per drawn member and
+    round, with the fired sets kept per member amplitudes."""
+    from pqsim.experiments import (
+        EstimationReport, OutcomeStat, _below_threshold, _bloch_state, _bloch_vector,
+        _judge, _net_size_for, _phase_fixed, fibonacci_net, wilson_interval)
+
+    if source.space.total_dim != 2:
+        raise ValueError("overlap estimation is implemented for d = 2")
+    schedule = [float(e) for e in epsilon_schedule]
+    if len(schedule) == 0:
+        raise ValueError("epsilon schedule must be nonempty")
+    if any(not 0.0 < e < 1.0 for e in schedule):
+        raise ValueError("epsilon values must lie in (0, 1)")
+
+    members = source.members
+    weights = source.weights
+    counts = rng.derive(0).generator.multinomial(n_draws, weights)
+    space = source.space
+
+    rounds = []
+    final_clusters = {}
+    for round_idx, eps in enumerate(schedule):
+        size = _net_size_for(eps)
+        if size > net_cap:
+            extras = {"net_cap": net_cap, "requested_net": size, "epsilon": eps}
+            return EstimationReport(
+                protocol="ensemble-overlap", outcome_stats=(),
+                metric_name="total_variation", metric_value=0.0,
+                confidence=confidence, threshold=threshold, passed=False,
+                seed=rng.seed, status=_judge(extras, "OK", {"net_cap": False}),
+                extras=extras)
+        net = [PureState(space, v) for v in fibonacci_net(size)]
+        rounds.append({"epsilon": eps, "net_size": size})
+
+        pattern_cache = {}
+        clusters = {}
+        for r, count in enumerate(counts):
+            if count == 0:
+                continue
+            state = members[r][0]
+            key = state.amplitudes.tobytes()
+            if key not in pattern_cache:
+                pattern_cache[key] = overlap_fired(state, net, eps)
+            fired = pattern_cache[key]
+            if not fired:
+                fired = frozenset({-1})  # net failed to cover: ghost cluster
+            entry = clusters.setdefault(fired, {"count": 0})
+            entry["count"] += int(count)
+        for fired, entry in clusters.items():
+            if -1 in fired:
+                entry["state"] = None
+                continue
+            centroid = np.sum([_bloch_vector(net[j].amplitudes) for j in fired], axis=0)
+            entry["state"] = _phase_fixed(_bloch_state(centroid))
+        final_clusters = clusters
+
+    recovered = tuple((entry["state"], entry["count"] / n_draws)
+                      for entry in final_clusters.values()
+                      if entry["state"] is not None)
+    stats = tuple(
+        OutcomeStat(entry["count"] / n_draws,
+                    wilson_interval(entry["count"], n_draws, confidence), n_draws)
+        for entry in final_clusters.values())
+
+    final_eps = schedule[-1]
+    estimated = {r: 0.0 for r in range(len(members))}
+    ghost_mass = sum(entry["count"] / n_draws for entry in final_clusters.values()
+                     if entry["state"] is None)
+    worst_overlap = 1.0
+    for state, weight in recovered:
+        overlaps = [abs(np.vdot(state, mem.amplitudes)) ** 2 for mem, _ in members]
+        best = int(np.argmax(overlaps))
+        if overlaps[best] > 1.0 - final_eps:
+            estimated[best] += weight
+            worst_overlap = min(worst_overlap, overlaps[best])
+        else:
+            ghost_mass += weight
+    total_variation = sum(abs(weights[r] - estimated[r]) for r in estimated) + ghost_mass
+
+    extras = {"rounds": len(rounds), "final_epsilon": final_eps,
+              "final_net_size": rounds[-1]["net_size"],
+              "min_matched_overlap": worst_overlap, "draws": n_draws}
+    return EstimationReport(
+        protocol="ensemble-overlap", outcome_stats=stats,
+        metric_name="total_variation", metric_value=total_variation,
+        confidence=confidence, threshold=threshold,
+        passed=_below_threshold(extras, total_variation, threshold), seed=rng.seed,
+        recovered=recovered, extras=extras,
+    )

@@ -1,19 +1,31 @@
 """Counterexample experiments and estimation protocols."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pqsim import cli, experiments
-from pqsim.devices import MatrixDescription, readout_density, sample_povm
+from pqsim import cli, devices, experiments
+from pqsim.devices import (
+    MatrixDescription,
+    ParameterError,
+    overlap_bits,
+    readout_density,
+    sample_povm,
+)
 from pqsim.experiments import (
     SPOD_ELEMENTS,
     CONSISTENT,
     FAIL,
     VIOLATION_CERTIFIED,
     OutcomeStat,
+    _net_size_for,
     cloning_demo,
     ensemble_estimate_overlap,
     ensemble_estimate_readout,
@@ -26,12 +38,24 @@ from pqsim.experiments import (
     trace_distance,
     wilson_interval,
 )
-from pqsim.qcore import Ensemble, FactorSpace, PureState, RandomStream, tensor_product
+from pqsim.qcore import (
+    DensityMatrix,
+    Ensemble,
+    FactorSpace,
+    PureState,
+    RandomStream,
+    StateStack,
+    random_pure_states,
+    reduced_densities,
+    tensor_product,
+)
 
 from . import oracles
 from .oracles import shannon_bits
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 QUBIT = FactorSpace((2,))
+TWO_QUBITS = FactorSpace((2, 2))
 KET0 = PureState.basis_state(QUBIT, 0)
 KET1 = PureState.basis_state(QUBIT, 1)
 PLUS = PureState(QUBIT, np.array([1, 1]) / np.sqrt(2))
@@ -98,6 +122,115 @@ class TestSpodUpdateRefutation:
         assert cert.evidence["min_update_fidelity"] == oracles.spod_update_fidelity(rng)
 
 
+GOLDEN_OPF = json.loads((Path(__file__).resolve().parent / "golden" / "records.json")
+                        .read_text(encoding="utf-8"))["opf"]
+
+
+def _record(cert) -> str:
+    return cli.format_record(cert.record_fields())
+
+
+class TestPatchedRunsLeaveNoKeptValue:
+    """A patched test of ``TestFailedChecks`` fills the caches with patched
+    values; once its fixture clears them, an unpatched run prints the golden
+    record again."""
+
+    @pytest.mark.parametrize("test,args,label", [
+        ("test_fpvnem_outcome_bound", (), "fpvnem d=2 m=3"),
+        ("test_fpvnem_f0_bell", (), "fpvnem d=2 m=3"),
+        ("test_fpvnem_residual", (), "fpvnem d=2 m=3"),
+        ("test_spod_update_map_clauses", ("control_residual", "half_identity", 1e-3),
+         "spod-update projector0"),
+        ("test_spod_update_map_clauses", ("certified_or_feasible", "projector0", 0.05),
+         "spod-update projector0"),
+    ])
+    def test_an_unpatched_run_after_a_patched_one_prints_the_golden_record(
+            self, test, args, label):
+        run = {"fpvnem d=2 m=3": lambda: fpvnem_refutation(
+                   2, 3, 1000, RandomStream(cli.DEFAULT_SEED, 10)),
+               "spod-update projector0": lambda: spod_update_refutation(
+                   RandomStream(cli.DEFAULT_SEED, 11))}[label]
+        _clear_refutation_caches()
+        with pytest.MonkeyPatch.context() as patch:
+            getattr(TestFailedChecks(), test)(patch, *args)
+        assert _record(run()) != GOLDEN_OPF[label]  # the patched value is still kept
+        _clear_refutation_caches()  # what the fixture does after each test
+        assert _record(run()) == GOLDEN_OPF[label]
+
+
+class TestKeptSeedFreeHalves:
+    """fpvnem's seed-free half is kept per (d, m, include_entangled) and
+    spod-update's fits per element: a cold call, a warm call and the body
+    from before (``tests/oracles.py``) print the same record."""
+
+    @pytest.mark.parametrize("entangled", [True, False])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fpvnem_records(self, d, m, entangled):
+        _clear_refutation_caches()
+        for seed in (1, 7, 0x5EED):  # cold at seed 1, then warm
+            def run(refutation):
+                return _record(refutation(d, m, 20, RandomStream(seed, 10),
+                                          include_entangled=entangled))
+            assert run(fpvnem_refutation) == run(oracles.fpvnem_refutation)
+            assert run(fpvnem_refutation) == run(oracles.fpvnem_refutation)
+        assert experiments._fpvnem_facts.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("element", sorted(SPOD_ELEMENTS))
+    def test_spod_update_records(self, element):
+        _clear_refutation_caches()
+        for seed in (1, 7, 0x5EED):
+            def run(refutation):
+                return _record(refutation(RandomStream(seed, 11), element=element))
+            assert run(spod_update_refutation) == run(oracles.spod_update_refutation)
+            assert run(spod_update_refutation) == run(oracles.spod_update_refutation)
+        assert experiments._update_map_certificates.cache_info().currsize == 1
+
+    def test_spod_elements_are_read_only(self):
+        for element in SPOD_ELEMENTS.values():
+            with pytest.raises(ValueError):
+                element[0, 0] = 0.5
+
+    @pytest.mark.parametrize("args,message", [
+        ((2, 2.5, 10), "m must be an integer, got 2.5"),
+        ((2, True, 10), "m must be an integer, got True"),
+        ((2, 0, 10), r"m must be in \[1, 8\], got 0"),
+        ((2, 9, 10), r"m must be in \[1, 8\], got 9"),
+        ((2, 3, 0), "samples must be at least 1, got 0"),
+        ((2, 3, 10.0), "samples must be an integer, got 10.0"),
+        ((2, 3, False), "samples must be an integer, got False"),
+        ((3.0, 3, 10), "d must be an integer, got 3.0"),
+        ((5, 3, 10), r"d must be in \[2, 4\], got 5"),
+    ])
+    def test_fpvnem_argument_checks(self, args, message):
+        _clear_refutation_caches()
+        with pytest.raises(ValueError, match=message):
+            fpvnem_refutation(*args, RandomStream(3))
+        assert experiments._fpvnem_facts.cache_info().currsize == 0
+
+    def test_numpy_integers_share_the_int_key(self):
+        _clear_refutation_caches()
+        ints = fpvnem_refutation(2, 3, 20, RandomStream(3))
+        numpy_ints = fpvnem_refutation(np.int64(2), np.int64(3), np.int64(20), RandomStream(3))
+        assert _record(ints) == _record(numpy_ints)
+        assert experiments._fpvnem_facts.cache_info().currsize == 1
+
+    def test_importing_fills_no_cache(self):
+        code = ("import pqsim, pqsim.cli; from pqsim import experiments, opf, qcore; "
+                "print([f.cache_info().currsize for f in (experiments._fpvnem_facts, "
+                "experiments._update_map_certificates, opf._witness_design, "
+                "qcore._cached_plan)])")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+        assert run.stdout.strip() == "[0, 0, 0, 0]"
+
+
+def _clear_refutation_caches():
+    experiments._fpvnem_facts.cache_clear()
+    experiments._update_map_certificates.cache_clear()
+
+
 def _fails_naming(cert, clause):
     """The certificate is a FAIL whose record names exactly the one clause."""
     assert cert.verdict == FAIL
@@ -108,6 +241,15 @@ def _fails_naming(cert, clause):
 class TestFailedChecks:
     """Each clause of the two refutations, forced to fail alone, is named in
     ``failed_checks``; a passing run has no such field."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        """The refutations keep their seed-free halves, built by the module
+        globals these tests patch: each test starts cold, so its patch is
+        seen, and leaves cold, so no patched value outlives it."""
+        _clear_refutation_caches()
+        yield
+        _clear_refutation_caches()
 
     def test_passing_runs_name_no_clause(self):
         for cert in (fpvnem_refutation(2, 3, 50, RandomStream(1)),
@@ -435,6 +577,65 @@ class TestEnsembleReadout:
                                                RandomStream(28, trial=rep))
             hits += report.metric_value < 0.05
         assert hits == 20
+
+
+class TestOverlapPass:
+    """The overlap estimate tests every drawn member against the whole net in
+    one stacked pass; its fired sets and its reports equal the per-point
+    ``overlap_test`` loop's."""
+
+    @pytest.mark.parametrize("eps", [0.3, 0.05, 0.01])
+    def test_fired_sets_equal_the_per_point_loop(self, eps):
+        size = _net_size_for(eps)
+        net_states = [PureState(QUBIT, v) for v in fibonacci_net(size)]
+        net = StateStack(QUBIT, np.array(fibonacci_net(size)))
+        states = (list(random_pure_states((QUBIT,), RandomStream(40), 40))
+                  + net_states[:: max(size // 7, 1)] + [KET0, KET1, PLUS, MINUS])
+        rhos = reduced_densities(StateStack.of(states), (0,))
+        for state, bits in zip(states, overlap_bits(rhos, net, 1.0 - eps)):
+            assert (frozenset(np.flatnonzero(bits).tolist())
+                    == oracles.overlap_fired(state, net_states, eps))
+
+    def test_weights_equal_the_per_point_products_bit_for_bit(self):
+        # a threshold at the per-point weight itself never fires; one ulp below it does
+        net = StateStack(QUBIT, np.array(fibonacci_net(12)))
+        states = random_pure_states((QUBIT,), RandomStream(41), 8)
+        rhos = reduced_densities(states, (0,))
+        for rho, state in zip(rhos, states):
+            for j, phi in enumerate(net):
+                weight = devices._projector_weights(
+                    DensityMatrix.from_pure(state).entries[None], phi.amplitudes)[0]
+                if not 0.0 < np.nextafter(weight, 0.0) < weight < 1.0:
+                    continue
+                assert not overlap_bits(rho[None], net, weight)[0, j]
+                assert overlap_bits(rho[None], net, np.nextafter(weight, 0.0))[0, j]
+
+    def test_overlap_bits_keeps_the_per_call_checks(self):
+        rhos = reduced_densities([KET0], (0,))
+        net = StateStack(QUBIT, np.array(fibonacci_net(8)))
+        for threshold in (0.0, 1.0):
+            with pytest.raises(ParameterError, match="overlap threshold must lie in"):
+                overlap_bits(rhos, net, threshold)
+        with pytest.raises(ParameterError, match="target state dimension does not match"):
+            overlap_bits(rhos, StateStack(TWO_QUBITS, np.eye(4)[:1]), 0.5)
+
+    @pytest.mark.parametrize("members,schedule,n_draws,seed", [
+        (((KET0, 0.5), (KET1, 0.3), (PLUS, 0.2)), [0.05, 0.01], 10_000, 42),
+        (((KET0, 0.5), (KET0, 0.5)), [0.05], 300, 43),  # one state twice
+        (((KET0, 0.999), (MINUS, 0.001)), [0.2, 0.05], 100, 44),  # a member never drawn
+        (((PLUS, 1.0),), [0.05], 0, 45),  # no draws at all
+        (((PLUS, 0.6), (MINUS, 0.4)), [0.3], 1000, 46),
+        (((KET0, 1.0),), [1e-4], 100, 47),  # net cap
+    ])
+    def test_reports_equal_the_per_point_loop(self, members, schedule, n_draws, seed):
+        source = Ensemble(members)
+        got = ensemble_estimate_overlap(source, schedule, n_draws, RandomStream(seed),
+                                        net_cap=2000)
+        want = oracles.ensemble_estimate_overlap(source, schedule, n_draws,
+                                                 RandomStream(seed), net_cap=2000)
+        assert _record(got) == _record(want)
+        assert ([state.tobytes() for state, _ in got.recovered]
+                == [state.tobytes() for state, _ in want.recovered])
 
 
 class TestEnsembleOverlap:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsim import _seedwords, qcore
+from pqsim.devices import reduced_density
 from pqsim.qcore import (
     DensityMatrix,
     Ensemble,
@@ -33,6 +34,7 @@ from pqsim.qcore import (
     random_pure_state,
     random_pure_states,
     random_unitary,
+    reduced_densities,
     renyi_entropy,
     require_density,
     schmidt_decompose,
@@ -689,6 +691,83 @@ class TestPartialTrace:
             keep = (trial % space.n_factors,)
             rho = partial_trace(state, keep)  # DensityMatrix constructor validates
             assert rho.dim == space.dims[keep[0]]
+
+
+class TestSubsetPlans:
+    """Subset and bipartition plans are kept per (dims, subset) for an int or a
+    tuple; every spelling of one index set gives the same bytes, and a bad
+    one raises its message on every call."""
+
+    SPACE = FactorSpace((2, 3, 2))
+
+    @pytest.mark.parametrize("spellings", [
+        (1, (1,), [1], np.int64(1), (np.int64(1),), True),
+        ((0, 2), (2, 0), [2, 0], (np.int64(2), 0), range(0, 3, 2)),
+    ])
+    def test_every_spelling_gives_identical_matrices(self, spellings):
+        state = random_pure_state(self.SPACE, RandomStream(21))
+        stack = random_pure_states((self.SPACE,), RandomStream(22), 5)
+        got = [(partial_trace(state, keep).entries.tobytes(),
+                reduced_density(state, keep).entries.tobytes(),
+                reduced_densities(stack, keep).tobytes()) for keep in spellings]
+        assert all(g == got[0] for g in got)
+        want = naive_partial_trace(state.amplitudes, self.SPACE.dims, qcore._normalize_subset(
+            self.SPACE, spellings[0]))
+        np.testing.assert_allclose(partial_trace(state, spellings[0]).entries, want, atol=1e-12)
+
+    def test_pure_partial_trace_equals_the_stacked_row(self):
+        # before the plans were kept, partial_trace of a state was reduced_densities' one row
+        rng = RandomStream(23)
+        for dims in [(2, 2), (2, 3), (3, 2, 2), (2, 2, 2, 2)]:
+            space = FactorSpace(dims)
+            state = random_pure_state(space, rng)
+            for size in range(1, len(dims)):
+                for keep in itertools.combinations(range(len(dims)), size):
+                    assert (partial_trace(state, keep).entries.tobytes()
+                            == reduced_densities(state, keep)[0].tobytes())
+
+    def test_kept_plan_equals_a_fresh_one(self):
+        for dims in [(2,), (2, 3), (3, 2, 4)]:
+            space = FactorSpace(dims)
+            for size in range(1, len(dims) + 1):
+                for keep in itertools.permutations(range(len(dims)), size):
+                    plan = qcore._subset_plan(space, keep)
+                    assert plan == qcore._build_plan(dims, list(keep))
+                    assert qcore._subset_plan(space, keep) is plan
+
+    @pytest.mark.parametrize("keep,message", [
+        ((), "subsystem index set must be nonempty"),
+        ([], "subsystem index set must be nonempty"),
+        ((1, 1), r"duplicate subsystem indices in \(1, 1\)"),
+        ([0, 0], r"duplicate subsystem indices in \(0, 0\)"),
+        ((3,), r"subsystem indices \(3,\) out of range for 3 factors"),
+        (-1, r"subsystem indices \(-1,\) out of range for 3 factors"),
+        ((0, 1, 2), "a bipartition needs a proper subset"),
+    ])
+    def test_a_bad_subset_raises_its_message_every_time(self, keep, message):
+        state = random_pure_state(self.SPACE, RandomStream(24))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                partial_trace(state, keep)
+            if keep != (0, 1, 2):  # every factor kept is a valid reduced density
+                with pytest.raises(ValueError, match=message):
+                    reduced_density(state, keep)
+                with pytest.raises(ValueError, match=message):
+                    reduced_densities(state, keep)
+
+    def test_an_iterator_is_consumed_by_each_call(self):
+        # an iterator is never a key: a second look at a spent one sees it empty
+        state = random_pure_state(self.SPACE, RandomStream(25))
+        keep = iter((0,))
+        partial_trace(state, keep)
+        with pytest.raises(ValueError, match="must be nonempty"):
+            partial_trace(state, keep)
+
+    def test_unhashable_entries_are_built_each_time(self):
+        state = random_pure_state(self.SPACE, RandomStream(26))
+        keep = (np.array(0),)
+        assert (partial_trace(state, keep).entries.tobytes()
+                == partial_trace(state, (0,)).entries.tobytes())
 
 
 class TestSchmidt:
