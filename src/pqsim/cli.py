@@ -503,9 +503,6 @@ _DEVICE_PARAMS = {
 def _device_spec(kind: str, raw: dict, dim: int, line_of=lambda key: None) -> dev.DeviceSpec:
     """The device with its parameters resolved by name and checked together
     by its kind, or a ConfigError naming the key."""
-    for name in dev.DEVICE_KINDS[kind].required:
-        if name not in raw:
-            raise ConfigError("missing required key", _DEVICE_PREFIX + name)
     params = {}
     for name, value in raw.items():
         key = _DEVICE_PREFIX + name
@@ -735,26 +732,30 @@ def run_experiment(experiment_id: str, params: dict, seed: int):
     return _run_action(EXPERIMENTS[experiment_id], params, seed)
 
 
-def _experiment_exit(result) -> int:
-    if isinstance(result, exp.Certificate):
-        return 0 if result.verdict in (exp.VIOLATION_CERTIFIED, exp.CONSISTENT) else 1
-    return 0 if result.status == "OK" and result.passed else 1
+def _action_record(action: Action, params: dict, seed: int,
+                   prefix: str = "") -> tuple[dict, int]:
+    """Run an experiment or a check: its record fields and exit status."""
+    result = _run_action(action, params, seed, prefix)
+    if isinstance(result, tuple):  # a check's fields and whether it passed
+        fields, passed = result
+    elif isinstance(result, exp.Certificate):
+        fields = result.record_fields()
+        passed = result.verdict in (exp.VIOLATION_CERTIFIED, exp.CONSISTENT)
+    else:
+        fields, passed = result.record_fields(), result.status == "OK" and result.passed
+    return fields, 0 if passed else 1
 
 
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit status."""
-    prefix = f"action.{config.action_type}."
     if config.action_type == "device":
         records, status = _device_records(config), 0
-    elif config.action_type == "experiment":
-        result = _run_action(EXPERIMENTS[config.experiment_id], dict(config.params),
-                             config.seed, prefix)
-        records = [result.record_fields()]
-        status = _experiment_exit(result)
     else:
-        fields, passed = _run_action(CHECKS[config.check_kind], dict(config.params),
-                                     config.seed, prefix)
-        records, status = [fields], 0 if passed else 1
+        action = (EXPERIMENTS[config.experiment_id] if config.action_type == "experiment"
+                  else CHECKS[config.check_kind])
+        fields, status = _action_record(action, dict(config.params), config.seed,
+                                        f"action.{config.action_type}.")
+        records = [fields]
 
     render = _as_text if config.output_format == "text" else format_record
     with (open(config.output_path, "w", encoding="utf-8") if config.output_path
@@ -870,13 +871,9 @@ def main(argv: list[str] | None = None) -> int:
                   if getattr(args, flag, None) is not None}
         if "m" in params and action.m_param is not None:
             params[action.m_param] = params.pop("m")
-        if args.command == "demo":
-            result = run_experiment(action.config_name, params, seed)
-            print(format_record(result.record_fields()))
-            return _experiment_exit(result)
-        fields, passed = _run_action(action, params, seed)
+        fields, status = _action_record(action, params, seed)
         print(format_record(fields))
-        return 0 if passed else 1
+        return status
     except ConfigError as err:
         print(f"pqsim: configuration error: {err}", file=sys.stderr)
         return 2

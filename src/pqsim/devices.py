@@ -9,10 +9,11 @@ precision; only declared outputs are quantized.
 Each device kind has one table body, which maps an (n, d, d) stack of
 reduced densities to a :class:`DistributionTable`: the outcome values and
 (n, branches) probabilities of all n states in one pass.
-``DeviceSpec.table`` feeds it a whole stack.  The per-kind functions
-(``povm_distribution``, ``entropy_meter``, ...) are its one-row case, on
-the density ``reduced_density`` gives one state, and the sampling
-operations draw from that row through a :class:`~pqsim.qcore.RandomStream`.
+``DeviceSpec.table`` feeds it a whole stack.  ``DeviceSpec.distribution``
+and the per-kind functions (``povm_distribution``, ``entropy_meter``, ...)
+are its one-row case, on the density ``reduced_density`` gives one state,
+and the sampling operations draw from that row through a
+:class:`~pqsim.qcore.RandomStream`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .qcore import (
     _subset_plan,
     born_probability_rows,
     partial_trace,
+    quadratic_forms,
     quantize,
     reduced_densities,
     require_density,
@@ -238,13 +240,6 @@ def _as_povm(povm) -> POVMSet:
     return POVMSet(tuple(povm))
 
 
-def _projector_weights(rhos: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Tr(P_phi rho) of every density of a stack, for a normalized vector phi:
-    per row the BLAS products of np.vdot(phi, rho @ phi)."""
-    column = vector[:, None]
-    return np.matmul(column.conj().T, np.matmul(rhos, column))[:, 0, 0].real
-
-
 def _logistic(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -429,7 +424,7 @@ def sample_eigenvalue(state: PureState, target, observable, rng: RandomStream,
 
 def sample_projection(state: PureState, target, phi: PureState, rng: RandomStream) -> Bit:
     """Bit 1 with probability Tr(P_phi rho_1): the projector special case."""
-    w = float(_projector_weights(_density_row(state, target), phi.amplitudes)[0])
+    w = float(quadratic_forms(_density_row(state, target), phi.amplitudes)[0])
     return Bit(1) if rng.choose([1.0 - w, w]) == 1 else Bit(0)
 
 
@@ -492,18 +487,16 @@ def _require_overlap(rhos: np.ndarray, target_space: FactorSpace, threshold: flo
 def _overlap_table(rhos: np.ndarray, target_state: PureState, threshold: float,
                    sharpness: float | None = None) -> DistributionTable:
     _require_overlap(rhos, target_state.space, threshold)
-    return _threshold_table(_projector_weights(rhos, target_state.amplitudes), threshold,
+    return _threshold_table(quadratic_forms(rhos, target_state.amplitudes), threshold,
                             sharpness)
 
 
 def overlap_bits(rhos: np.ndarray, targets: StateStack, threshold: float) -> np.ndarray:
     """(n, N) hard overlap tests of an (n, d, d) density stack against each of
     N target states, in one pass: True where ``overlap_test`` gives 1.  Each
-    weight gets the products of ``_projector_weights`` for its one pair."""
+    weight gets the products ``overlap_test`` computes for its one pair."""
     _require_overlap(rhos, targets.space, threshold)
-    columns = targets.amplitudes[:, :, None]
-    weights = np.matmul(columns.conj().transpose(0, 2, 1), np.matmul(rhos[:, None], columns))
-    return weights[:, :, 0, 0].real > threshold
+    return quadratic_forms(rhos[:, None], targets.amplitudes) > threshold
 
 
 def overlap_distribution(state: PureState, target, phi: PureState, threshold: float,
@@ -660,15 +653,14 @@ def entanglement_analyse(state: PureState, target_single, basis=None,
 
 @dataclass(frozen=True)
 class DeviceKind:
-    """One device kind: its catalog entry, distribution, table and outcome set.
+    """One device kind: its catalog entry, table and outcome set.
 
     ``params`` are in catalog order, a trailing ``?`` marking an optional
     one.  ``table(densities, **params)`` maps an (n, d, d) stack of reduced
     densities to their ``DistributionTable``; a ``spectral`` kind's table
     reads their (n, d) ascending eigenvalues instead, which validating the
-    densities computes.  ``distribution(state, target, params)`` is its
-    one-row case: it calls the kind's module function by its global name, so
-    a wrapper bound over that name sees every call.
+    densities computes.  The table is the kind's one statement of how its
+    parameters map states to outcomes.
     ``may_miss``: the selector types that may match no branch, as outcome
     values of readouts and meters depend on the state; a label or bit
     device has a fixed alphabet, so a miss there is a caller error.  A kind
@@ -682,7 +674,6 @@ class DeviceKind:
     summary: str
     params: tuple[str, ...]
     stochastic: bool
-    distribution: Callable[[PureState, Any, Mapping[str, Any]], list]
     table: Callable[..., DistributionTable]
     may_miss: tuple[type, ...] = ()
     deterministic_without: str | None = None
@@ -705,66 +696,50 @@ DEVICE_KINDS: dict[str, DeviceKind] = {
     "Readout": DeviceKind(
         "RD/FPRD", "classical description of the reduced density matrix",
         ("basis?", "precision?"), False,
-        lambda s, t, p: [(readout_density(s, t, **p), 1.0)],
         lambda rhos, **p: _power_table(rhos, 1, **p), (MatrixDescription,)),
     "FunctionReadout": DeviceKind(
         "FRD/FFRD", "description of a matrix power of the reduced density matrix",
-        ("exponent", "basis?", "precision?"), False,
-        lambda s, t, p: [(function_readout(s, t, **p), 1.0)], _power_table,
-        (MatrixDescription,)),
+        ("exponent", "basis?", "precision?"), False, _power_table, (MatrixDescription,)),
     "ExpectationReadout": DeviceKind(
         "ERD/FERD", "expectation value of a Hermitian observable",
-        ("observable", "precision?"), False,
-        lambda s, t, p: [(expectation_readout(s, t, **p), 1.0)], _expectation_table,
-        (RealValue,)),
+        ("observable", "precision?"), False, _expectation_table, (RealValue,)),
     "EigenvalueSampler": DeviceKind(
         "SEVRD/FSEVRD/ISEVRD/FISEVRD/SPRD", "Born-rule eigenvalue draw without disturbance",
         ("observable", "variant?", "precision?", "max_label?", "label_offset?"), True,
-        lambda s, t, p: eigenvalue_distribution(s, t, **p), _eigenvalue_table,
-        _SAMPLED_VALUES,
+        _eigenvalue_table, _SAMPLED_VALUES,
         check=lambda p: _require_variant_inputs(p.get("variant", "value"),
-                                                p.get("observable"), p.get("max_label"))),
+                                                p["observable"], p.get("max_label"))),
     "UncertaintySampler": DeviceKind(
         "SURD/FSURD", "eigenvalue draw of the mean-shifted observable",
-        ("observable", "precision?"), True,
-        lambda s, t, p: uncertainty_distribution(s, t, **p), _uncertainty_table,
-        _SAMPLED_VALUES),
+        ("observable", "precision?"), True, _uncertainty_table, _SAMPLED_VALUES),
     "PovmSampler": DeviceKind(
         "SPOD/FSPOD", "Born-rule POVM label draw without disturbance",
-        ("povm", "max_label?"), True,
-        lambda s, t, p: povm_distribution(s, t, **p), _povm_table),
+        ("povm", "max_label?"), True, _povm_table),
     "OverlapTest": DeviceKind(
         "SOD/SSOD", "threshold test on the overlap with a target state",
-        ("target_state", "threshold", "sharpness?"), True,
-        lambda s, t, p: overlap_distribution(s, t, p["target_state"], p["threshold"],
-                                             p.get("sharpness")), _overlap_table,
+        ("target_state", "threshold", "sharpness?"), True, _overlap_table,
         deterministic_without="sharpness"),
     "BasisSelect": DeviceKind(
         "BSD/SBSD", "index of the basis state of maximal weight",
-        ("basis?", "sharpness?"), True,
-        lambda s, t, p: basis_select_distribution(s, t, **p), _basis_select_table),
+        ("basis?", "sharpness?"), True, _basis_select_table),
     "EntropyMeter": DeviceKind(
         "VNEM/REM/UEM + finite precision", "entanglement entropy of order alpha, in bits",
-        ("alpha?", "precision?"), False,
-        lambda s, t, p: [(entropy_meter(s, t, **p), 1.0)], _entropy_table, (RealValue,),
-        spectral=True),
+        ("alpha?", "precision?"), False, _entropy_table, (RealValue,), spectral=True),
     "EntropyCertifier": DeviceKind(
         "UEC/smoothed UEC", "threshold test on the order-alpha entropy",
-        ("alpha?", "entropy_threshold", "sharpness?"), True,
-        lambda s, t, p: certify_distribution(s, t, p.get("alpha", 1.0),
-                                             p["entropy_threshold"], p.get("sharpness")),
-        _certify_table, deterministic_without="sharpness", spectral=True),
+        ("alpha?", "entropy_threshold", "sharpness?"), True, _certify_table,
+        deterministic_without="sharpness", spectral=True),
     "EntanglementAnalyse": DeviceKind(
         "EA/FPEA", "Gram matrix of partial inner products against a basis",
-        ("basis?", "precision?"), False,
-        lambda s, t, p: [(entanglement_analyse(s, t, **p), 1.0)], _analyse_table,
-        (MatrixDescription,), single_factor=True),
+        ("basis?", "precision?"), False, _analyse_table, (MatrixDescription,),
+        single_factor=True),
 }
 
 
 @dataclass(frozen=True)
 class DeviceSpec:
-    """Tagged description of one catalog device with its classical inputs."""
+    """Tagged description of one catalog device with its classical inputs; a
+    missing required parameter raises ParameterError naming it."""
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -776,6 +751,9 @@ class DeviceSpec:
         unknown = set(self.params) - set(kind.names)
         if unknown:
             raise ValueError(f"{self.kind} takes no parameter {sorted(unknown)[0]!r}")
+        for name in kind.required:
+            if name not in self.params:
+                raise ParameterError(name, f"{self.kind} needs the parameter {name!r}")
         if kind.check is not None:
             kind.check(self.params)
         object.__setattr__(self, "params", dict(self.params))
@@ -787,8 +765,13 @@ class DeviceSpec:
         return kind.stochastic and (switch is None or self.params.get(switch) is not None)
 
     def distribution(self, state: PureState, target) -> list[tuple[Outcome, float]]:
-        """Exact outcome distribution (deterministic devices give one point)."""
-        return DEVICE_KINDS[self.kind].distribution(state, target, self.params)
+        """Exact outcome distribution (deterministic devices give one point):
+        the kind's table on the one row of the state's reduced density."""
+        kind = DEVICE_KINDS[self.kind]
+        if kind.single_factor:
+            target = _analysed_factor(state.space, target)
+        row = (_spectrum_row if kind.spectral else _density_row)(state, target)
+        return kind.table(row, **self.params).rows()[0]
 
     def table(self, states: StateStack | Sequence[PureState] | PureState, target
               ) -> DistributionTable:

@@ -40,6 +40,7 @@ from .qcore import (
     _square_matrix,
     ensemble_densities,
     normalized_states,
+    quadratic_forms,
     random_pure_state,
     random_pure_states,
     random_unitary,
@@ -151,17 +152,6 @@ def _completeness_violation(probs: np.ndarray) -> float:
     return float(np.max(np.abs(totals - 1.0), initial=0.0))
 
 
-def _quadratic_forms(q: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """(n,) values <psi|Q|psi> of the rows psi of an (n, D) amplitude stack.
-
-    Every row is one BLAS matrix-vector product and one dot product,
-    exactly np.vdot(psi, Q @ psi); forms like ``a @ Q.T`` or ``einsum`` sum
-    in another order and differ in the last bits.
-    """
-    amps = amps[:, :, None]
-    return np.matmul(amps.conj().swapaxes(-1, -2), np.matmul(q, amps))[:, 0, 0].real
-
-
 def _indexed_outcomes(space: FactorSpace,
                       evaluate: Callable[[StateStack], np.ndarray],
                       provenance: str, operators: Sequence[np.ndarray | None]
@@ -188,7 +178,7 @@ def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> O
         space = FactorSpace((dim,))
     elif space.total_dim != dim:
         raise ValueError("declared space does not match the element's dimension")
-    return OPF(space, lambda states: _quadratic_forms(q, states.amplitudes), "quantum",
+    return OPF(space, lambda states: quadratic_forms(q, states.amplitudes), "quantum",
                operator=q)
 
 
@@ -889,7 +879,7 @@ def update_map_feasibility(element: np.ndarray,
     if np.linalg.matrix_rank(design, tol=1e-9) < dim * dim:
         raise ValueError("probe states do not span the Hermitian operator space")
 
-    weights = _quadratic_forms(a, vecs)  # <phi|A|phi>
+    weights = quadratic_forms(a, vecs)  # <phi|A|phi>
     solution, *_ = np.linalg.lstsq(design, weights[:n, None] * design, rcond=None)
     lmap = solution.T  # acts on Hermitian coordinates from the left
 

@@ -896,6 +896,18 @@ def _traced_products(operators: Sequence[np.ndarray], rhos: np.ndarray) -> np.nd
     return np.matmul(np.array(operators), rhos[:, None]).trace(axis1=-2, axis2=-1).real
 
 
+def quadratic_forms(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Re <v|M|v> of (..., d, d) matrices and (..., d) vectors, broadcast.
+
+    Every pair is one BLAS matrix-vector product and one dot product,
+    exactly np.vdot(v, M @ v); forms like ``v @ M.T`` or ``einsum`` sum in
+    another order and differ in the last bits.
+    """
+    columns = vectors[..., :, None]
+    return np.matmul(columns.conj().swapaxes(-1, -2),
+                     np.matmul(matrices, columns))[..., 0, 0].real
+
+
 def measure_projective(state: PureState, observable: HermitianObservable,
                        on: Union[int, Sequence[int]], rng: RandomStream
                        ) -> tuple[int, PureState]:

@@ -25,7 +25,8 @@ distributions is the oracle of ``OutcomeSelection.matrix`` on a table.
 The two refutations' bodies from before their seed-free halves were kept
 per key are the oracles of the kept form, and the per-point
 ``overlap_test`` loop of ``ensemble_estimate_overlap`` is the oracle of its
-stacked overlap pass.
+stacked overlap pass, and the per-pair ``np.vdot(v, M @ v)`` loop is the
+oracle of ``qcore.quadratic_forms`` on every broadcast shape.
 """
 
 import itertools
@@ -201,6 +202,19 @@ def quadratic_value(q, amplitudes):
     np.vdot(psi, Q @ psi)."""
     amplitudes = np.asarray(amplitudes)
     return float(np.real(np.vdot(amplitudes, q @ amplitudes)))
+
+
+def quadratic_forms(matrices, vectors):
+    """Re <v|M|v> of broadcast (..., d, d) matrices and (..., d) vectors, one
+    pair at a time by ``quadratic_value``."""
+    matrices, vectors = np.asarray(matrices), np.asarray(vectors)
+    shape = np.broadcast_shapes(matrices.shape[:-2], vectors.shape[:-1])
+    matrices = np.broadcast_to(matrices, shape + matrices.shape[-2:])
+    vectors = np.broadcast_to(vectors, shape + vectors.shape[-1:])
+    out = np.empty(shape)
+    for index in np.ndindex(shape):
+        out[index] = quadratic_value(matrices[index], vectors[index])
+    return out
 
 
 def selection_probabilities(spec, selectors, distribution, atol=1e-9):

@@ -60,6 +60,66 @@ PLUS = PureState(QUBIT, np.array([1, 1]) / np.sqrt(2))
 BELL = PureState(TWO_QUBITS, np.array([1, 0, 0, 1]) / np.sqrt(2))
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+HADAMARD_ROWS = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
+COMPUTATIONAL = POVMSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+# a valid value of every required device parameter, on a qubit target
+REQUIRED_VALUES = {
+    "observable": PAULI_Z, "povm": COMPUTATIONAL, "target_state": PLUS,
+    "threshold": 0.5, "entropy_threshold": 0.5, "exponent": 2,
+}
+
+# every kind, with its optional parameters set where that changes its body
+SPEC_CASES = [
+    ("Readout", {"basis": HADAMARD_ROWS, "precision": 3}),
+    ("FunctionReadout", {"exponent": 2, "precision": 4}),
+    ("ExpectationReadout", {"observable": PAULI_Z, "precision": 2}),
+    ("EigenvalueSampler", {"observable": PAULI_Z, "precision": 2}),
+    ("EigenvalueSampler", {"observable": PAULI_Z, "variant": "finite", "max_label": 0,
+                           "label_offset": -1}),
+    ("UncertaintySampler", {"observable": PAULI_Z, "precision": 3}),
+    ("PovmSampler", {"povm": COMPUTATIONAL, "max_label": 1}),
+    ("OverlapTest", {"target_state": PLUS, "threshold": 0.4}),
+    ("OverlapTest", {"target_state": PLUS, "threshold": 0.4, "sharpness": 6.0}),
+    ("BasisSelect", {"basis": HADAMARD_ROWS, "sharpness": 5.0}),
+    ("EntropyMeter", {"alpha": 2.0, "precision": 4}),
+    ("EntropyCertifier", {"entropy_threshold": 0.3}),
+    ("EntropyCertifier", {"alpha": 2.0, "entropy_threshold": 0.3, "sharpness": 4.0}),
+    ("EntanglementAnalyse", {"basis": HADAMARD_ROWS, "precision": 4}),
+]
+
+# the public per-kind function of each kind, as a (state, target, params) call
+PER_KIND_FUNCTIONS = {
+    "Readout": lambda s, t, p: [(readout_density(s, t, **p), 1.0)],
+    "FunctionReadout": lambda s, t, p: [(function_readout(s, t, **p), 1.0)],
+    "ExpectationReadout": lambda s, t, p: [(expectation_readout(s, t, **p), 1.0)],
+    "EigenvalueSampler": lambda s, t, p: eigenvalue_distribution(s, t, **p),
+    "UncertaintySampler": lambda s, t, p: uncertainty_distribution(s, t, **p),
+    "PovmSampler": lambda s, t, p: povm_distribution(s, t, **p),
+    "OverlapTest": lambda s, t, p: overlap_distribution(s, t, p["target_state"],
+                                                        p["threshold"], p.get("sharpness")),
+    "BasisSelect": lambda s, t, p: basis_select_distribution(s, t, **p),
+    "EntropyMeter": lambda s, t, p: [(entropy_meter(s, t, **p), 1.0)],
+    "EntropyCertifier": lambda s, t, p: certify_distribution(
+        s, t, p.get("alpha", 1.0), p["entropy_threshold"], p.get("sharpness")),
+    "EntanglementAnalyse": lambda s, t, p: [(entanglement_analyse(s, t, **p), 1.0)],
+}
+
+
+def _branch_keys(distribution) -> list:
+    """Each branch as exact data: outcome type, payload bytes, probability."""
+    keys = []
+    for outcome, prob in distribution:
+        if isinstance(outcome, MatrixDescription):
+            payload = (outcome.matrix.shape, outcome.matrix.tobytes(), outcome.precision)
+        elif isinstance(outcome, Overflow):
+            payload = outcome.excluded_probability
+        else:
+            payload = outcome.value
+        keys.append((type(outcome), payload, prob))
+    return keys
+
+
 CHI2_DRAWS = 10_000
 CHI2_P = 0.001
 
@@ -598,17 +658,33 @@ class TestDeviceSpec:
         DeviceSpec("EigenvalueSampler", {"observable": np.diag([1.0, 0.0]), "variant": "bit"})
         DeviceSpec("EigenvalueSampler", {**params, "variant": "finite", "max_label": 1})
 
-    def test_distribution_calls_the_kind_function_by_its_global_name(self, monkeypatch):
+    @pytest.mark.parametrize("kind,params", SPEC_CASES)
+    def test_distribution_is_one_partial_trace_and_the_kind_functions_row(
+            self, kind, params, monkeypatch):
+        # each per-state evaluation traces the state once, through the
+        # module's partial_trace, and gives what the per-kind function gives
+        state = random_pure_state(TWO_QUBITS, RandomStream(197))
         calls = []
-        original = devices.readout_density
+        original = devices.partial_trace
 
         def spy(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(devices, "readout_density", spy)
-        DeviceSpec("Readout").distribution(BELL, (0,))
+        monkeypatch.setattr(devices, "partial_trace", spy)
+        got = DeviceSpec(kind, params).distribution(state, (1,))
         assert len(calls) == 1
+        want = PER_KIND_FUNCTIONS[kind](state, (1,), params)
+        assert _branch_keys(got) == _branch_keys(want)
+
+    @pytest.mark.parametrize("kind,missing", [
+        (kind, name) for kind, record in DEVICE_KINDS.items() for name in record.required])
+    def test_missing_required_parameter_is_named(self, kind, missing):
+        complete = {name: REQUIRED_VALUES[name] for name in DEVICE_KINDS[kind].required}
+        DeviceSpec(kind, complete)
+        with pytest.raises(ParameterError) as err:
+            DeviceSpec(kind, {k: v for k, v in complete.items() if k != missing})
+        assert err.value.name == missing
 
     def test_catalog_params_name_the_required_ones(self):
         kind = DEVICE_KINDS["EigenvalueSampler"]

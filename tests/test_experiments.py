@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqsim import cli, devices, experiments
+from pqsim import cli, experiments
 from pqsim.devices import (
     MatrixDescription,
     ParameterError,
@@ -45,6 +45,7 @@ from pqsim.qcore import (
     PureState,
     RandomStream,
     StateStack,
+    quadratic_forms,
     random_pure_states,
     reduced_densities,
     tensor_product,
@@ -603,7 +604,7 @@ class TestOverlapPass:
         rhos = reduced_densities(states, (0,))
         for rho, state in zip(rhos, states):
             for j, phi in enumerate(net):
-                weight = devices._projector_weights(
+                weight = quadratic_forms(
                     DensityMatrix.from_pure(state).entries[None], phi.amplitudes)[0]
                 if not 0.0 < np.nextafter(weight, 0.0) < weight < 1.0:
                     continue

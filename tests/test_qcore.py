@@ -906,6 +906,34 @@ class TestBornProbabilities:
             qcore.born_probability_rows(np.zeros((0, 3, 3)), povm)
 
 
+class TestQuadraticForms:
+    """One kernel for every <v|M|v>: each broadcast pair equals
+    np.vdot(v, M @ v) of the pair alone, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    def test_every_shape_equals_the_per_pair_loop(self, dim):
+        rng = RandomStream(37 + dim)
+        matrices = np.array([random_density_matrix(dim, rng).entries for _ in range(5)])
+        vectors = np.array([random_pure_state(FactorSpace((dim,)), rng).amplitudes
+                            for _ in range(7)])
+        for m, v, shape in ((matrices, vectors[0], (5,)),  # a stack against one vector
+                            (matrices[:, None], vectors, (5, 7)),  # against a stack
+                            (matrices[0], vectors, (7,))):  # one matrix against a stack
+            got = qcore.quadratic_forms(m, v)
+            assert got.shape == shape
+            assert got.tobytes() == oracles.quadratic_forms(m, v).tobytes()
+
+    def test_strided_inputs_equal_the_per_pair_loop(self):
+        rng = RandomStream(43)
+        wide = rng.complex_normal(6 * 8 * 8).reshape(6, 8, 8)
+        matrices = wide[::2, 1::2, ::2].swapaxes(-1, -2)  # (3, 4, 4), no unit stride
+        vectors = rng.complex_normal(5 * 12).reshape(5, 12)[:, ::3]  # (5, 4)
+        for m, v in ((matrices, vectors[2]), (matrices[:, None], vectors),
+                     (matrices[1], vectors)):
+            assert (qcore.quadratic_forms(m, v).tobytes()
+                    == oracles.quadratic_forms(m, v).tobytes())
+
+
 class TestMeasureProjective:
     def test_bell_schmidt_basis_outcomes(self):
         z_second = HermitianObservable(PAULI_Z)
