@@ -234,6 +234,20 @@ def _observable(observable, dim: int) -> HermitianObservable:
     return obs
 
 
+def _as_target_state(target_state) -> PureState:
+    """A state as given; a 1-D amplitude sequence as a one-factor state."""
+    if isinstance(target_state, PureState):
+        return target_state
+    try:
+        amps = np.asarray(target_state, dtype=complex)
+        if amps.ndim != 1:
+            raise ValueError(f"target state must be a 1-D amplitude vector, got shape "
+                             f"{amps.shape}")
+        return PureState(FactorSpace((amps.size,)), amps)
+    except (TypeError, ValueError) as err:
+        raise ParameterError("target_state", str(err)) from None
+
+
 def _as_povm(povm) -> POVMSet:
     if isinstance(povm, POVMSet):
         return povm
@@ -486,6 +500,7 @@ def _require_overlap(rhos: np.ndarray, target_space: FactorSpace, threshold: flo
 
 def _overlap_table(rhos: np.ndarray, target_state: PureState, threshold: float,
                    sharpness: float | None = None) -> DistributionTable:
+    target_state = _as_target_state(target_state)
     _require_overlap(rhos, target_state.space, threshold)
     return _threshold_table(quadratic_forms(rhos, target_state.amplitudes), threshold,
                             sharpness)

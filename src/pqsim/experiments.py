@@ -41,6 +41,7 @@ from .qcore import (
     PureState,
     RandomStream,
     StateStack,
+    _checked_int,
     fidelities,
     measure_projective,
     normalized_states,
@@ -202,17 +203,6 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
     clauses.update({"f0_bell": facts.f0_bell == 0.0, "residual": facts.residual > 0.1})
     return Certificate("fpvnem", _judge(evidence, VIOLATION_CERTIFIED, clauses),
                        evidence, rng.seed)
-
-
-def _checked_int(value, name: str, low: int, high: int | None = None) -> int:
-    """``value`` as an int, if it is an integer (not a bool) in [low, high];
-    else ValueError naming the argument."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
-        span = f"at least {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be {span}, got {value}")
-    return int(value)
 
 
 class _FpvnemFacts(NamedTuple):

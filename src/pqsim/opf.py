@@ -36,6 +36,7 @@ from .qcore import (
     PureState,
     RandomStream,
     StateStack,
+    _checked_int,
     _row_norms,
     _square_matrix,
     ensemble_densities,
@@ -43,6 +44,7 @@ from .qcore import (
     quadratic_forms,
     random_pure_state,
     random_pure_states,
+    random_unitaries,
     random_unitary,
     require_density,
     require_ensemble_weights,
@@ -139,17 +141,18 @@ class FullMeasurement:
             states, self.space, "state space does not match the measurement's space"))
 
     def completeness_violation(self, states: StateStack | Sequence[PureState]) -> float:
-        return _completeness_violation(self.probabilities(states))
+        return float(_completeness_violation(self.probabilities(states)))
 
     @classmethod
     def from_povm(cls, povm: POVMSet, space: FactorSpace) -> "FullMeasurement":
         return cls(tuple(opf_from_quantum(q, space) for q in povm.elements))
 
 
-def _completeness_violation(probs: np.ndarray) -> float:
-    """Worst |sum_i f_i - 1| over the rows, each summed left to right."""
-    totals = np.cumsum(probs, axis=1)[:, -1]
-    return float(np.max(np.abs(totals - 1.0), initial=0.0))
+def _completeness_violation(probs: np.ndarray) -> np.ndarray:
+    """Worst |sum_i f_i - 1| over the rows of an (n, k) matrix, each summed
+    left to right, as a 0-d array; of a (blocks, n, k) stack, each block's."""
+    totals = np.cumsum(probs, axis=-1)[..., -1]
+    return np.max(np.abs(totals - 1.0), axis=-1, initial=0.0)
 
 
 def _indexed_outcomes(space: FactorSpace,
@@ -384,9 +387,16 @@ class ClosureReport:
         }
 
 
-def _range_violation(values: np.ndarray) -> float:
-    """Worst distance of any value outside [0, 1]."""
-    return float(np.max(np.maximum(values - 1.0, -values), initial=0.0))
+def _range_violations(blocks: np.ndarray) -> np.ndarray:
+    """Worst distance of any value outside [0, 1], in each block of a stack."""
+    flat = blocks.reshape(len(blocks), -1)
+    return np.max(np.maximum(flat - 1.0, -flat), axis=1, initial=0.0)
+
+
+def _worst(*violations: np.ndarray) -> float:
+    """The largest of 0 and the blocks' violations; a NaN block never wins,
+    as it never did in a running ``max`` over the blocks."""
+    return max([0.0, *(v for block in violations for v in block.tolist())])
 
 
 def check_closure(measurement: FullMeasurement, samples: int,
@@ -400,43 +410,44 @@ def check_closure(measurement: FullMeasurement, samples: int,
     constructed OPF is evaluated through the measurement's outcome vectors,
     as mix, compose_unitary and compose_system define it: a weighted sum of
     the outcomes, the outcomes on U psi, the outcomes on psi (x) phi.
+
+    Each property draws its 10 weight vectors, unitaries or backgrounds in
+    turn and evaluates them as one stack, so the measurement is evaluated
+    once on the sampled states, once on all rotated probes and once on all
+    products; each block of a stack reads as the one evaluation it replaces.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    samples = _checked_int(samples, "samples", 1)
     space = measurement.space
     states = random_pure_states((space,), rng, samples)
     values = measurement.probabilities(states)
-    completeness = _completeness_violation(values)
+    completeness = float(_completeness_violation(values))
 
     n_out = len(measurement.outcomes)
     aux = rng.derive(samples + 1)
     probes = states[:50]
+    n_probes = len(probes)
 
-    mixture_violation = 0.0
-    for _ in range(10):
-        w = aux.generator.dirichlet(np.ones(n_out)) if n_out > 1 else np.ones(1)
-        mixed = np.cumsum(values[: len(probes)] * w, axis=1)[:, -1]
-        mixture_violation = max(mixture_violation, _range_violation(mixed))
+    weights = (aux.generator.dirichlet(np.ones(n_out), size=10) if n_out > 1
+               else np.ones((10, 1)))
+    mixed = np.cumsum(values[None, :n_probes] * weights[:, None, :], axis=2)[..., -1]
+    mixture_violation = _worst(_range_violations(mixed))
 
-    unitary_violation = 0.0
-    for _ in range(10):
-        u = random_unitary(space.total_dim, aux)
-        rotated = measurement.probabilities(unitary_images(probes, u))
-        unitary_violation = max(unitary_violation, _completeness_violation(rotated),
-                                _range_violation(rotated[:10]))
+    unitaries = random_unitaries(space.total_dim, aux, 10)
+    rotated = measurement.probabilities(unitary_images(probes, unitaries)).reshape(
+        10, n_probes, n_out)
+    unitary_violation = _worst(_completeness_violation(rotated),
+                               _range_violations(rotated[:, :10]))
 
     composition_violation: float | None = None
     if space.n_factors >= 2:
-        composition_violation = 0.0
         lead = FactorSpace(space.dims[:-1])
         back = FactorSpace((space.dims[-1],))
         lead_probes = StateStack.of([random_pure_state(lead, aux) for _ in range(10)])
-        for _ in range(10):
-            phi = random_pure_state(back, aux)
-            joint = measurement.probabilities(tensor_products(lead_probes, phi))
-            composition_violation = max(composition_violation,
-                                        _completeness_violation(joint),
-                                        _range_violation(joint))
+        backgrounds = StateStack.of([random_pure_state(back, aux) for _ in range(10)])
+        joint = measurement.probabilities(tensor_products(lead_probes, backgrounds)).reshape(
+            10, 10, n_out)
+        composition_violation = _worst(_completeness_violation(joint),
+                                       _range_violations(joint))
 
     return ClosureReport(samples, completeness, mixture_violation,
                          unitary_violation, composition_violation)

@@ -124,6 +124,17 @@ def _square_matrix(entries, what: str) -> np.ndarray:
     return mat
 
 
+def _checked_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (not a bool) in [low, high];
+    else ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {span}, got {value}")
+    return int(value)
+
+
 def require_hermitian(matrix: np.ndarray, message: str) -> None:
     """Raise ValueError(message) unless the matrix, or every matrix of a
     (..., d, d) stack, is Hermitian within ``HERMITIAN_ATOL``; a non-finite
@@ -602,12 +613,25 @@ def random_pure_state(space: FactorSpace, rng: RandomStream) -> PureState:
 
 
 def random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
-    """Haar-random unitary via QR with phase correction."""
-    g = rng.complex_normal(dim * dim).reshape(dim, dim)
+    """Haar-random unitary via QR with phase correction: the one-matrix
+    case of ``random_unitaries``."""
+    return random_unitaries(dim, rng, 1)[0]
+
+
+def random_unitaries(dim: int, rng: RandomStream, n: int) -> np.ndarray:
+    """n ``random_unitary`` draws in turn, as one (n, dim, dim) stack.
+
+    One normal draw fills every matrix's ``complex_normal`` block, laid out
+    (n, 2, dim^2); one stacked QR and phase fix then give each matrix the
+    LAPACK calls of its own draw, so the stack and the stream's next draw
+    are bit-identical to n calls.
+    """
+    normals = rng.normal((n, 2, dim * dim))
+    g = (normals[:, 0] + 1j * normals[:, 1]).reshape(n, dim, dim)
     q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[:, None, :]
 
 
 def random_density_matrix(dim: int, rng: RandomStream, rank: int | None = None) -> DensityMatrix:
@@ -752,21 +776,27 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
     return StateStack._trusted(FactorSpace(sum((s.dims for s in spaces), ())), joint)
 
 
-def tensor_products(states, phi: PureState) -> StateStack:
+def tensor_products(states, phi) -> StateStack:
     """The joint state psi (x) phi, on the concatenated factorization, of
     every state of a stack or list: Kronecker amplitudes, norm-checked and
-    divided by their norm like ``PureState``."""
-    stack = StateStack.of(states)
-    return StateStack._trusted(FactorSpace(stack.space.dims + phi.space.dims), _checked_rows(
-        _outer_rows(stack.amplitudes, phi.amplitudes[None, :])))
+    divided by their norm like ``PureState``.  For a stack of m backgrounds
+    phi the result holds m blocks of the products, one per phi in turn."""
+    stack, backgrounds = StateStack.of(states), StateStack.of(phi)
+    space = FactorSpace(stack.space.dims + backgrounds.space.dims)
+    products = stack.amplitudes[None, :, :, None] * backgrounds.amplitudes[:, None, None, :]
+    return StateStack._trusted(space, _checked_rows(
+        products.reshape(len(backgrounds) * len(stack), space.total_dim)))
 
 
 def unitary_images(states, unitary: np.ndarray) -> StateStack:
     """``PureState.normalized(space, unitary @ psi.amplitudes)`` for every
-    state of a stack or list; the unitary is not checked."""
+    state of a stack or list; the unitary is not checked.  For an (m, D, D)
+    stack of unitaries the result holds m blocks of images, one per unitary
+    in turn."""
     stack = StateStack.of(states)
+    images = np.matmul(np.asarray(unitary)[..., None, :, :], stack.amplitudes[:, :, None])
     return StateStack._trusted(stack.space, _normalized_rows(
-        np.matmul(unitary, stack.amplitudes[:, :, None])[:, :, 0]))
+        images.reshape(-1, stack.space.total_dim)))
 
 
 def apply_on_factors(amplitudes: np.ndarray, dims: Sequence[int], op: np.ndarray,

@@ -26,7 +26,10 @@ The two refutations' bodies from before their seed-free halves were kept
 per key are the oracles of the kept form, and the per-point
 ``overlap_test`` loop of ``ensemble_estimate_overlap`` is the oracle of its
 stacked overlap pass, and the per-pair ``np.vdot(v, M @ v)`` loop is the
-oracle of ``qcore.quadratic_forms`` on every broadcast shape.
+oracle of ``qcore.quadratic_forms`` on every broadcast shape.  The
+closure checker's per-property loop, one evaluation per weight draw,
+unitary and background, is the oracle of its one stack per property, and
+the one-matrix QR draw is the oracle of ``qcore.random_unitaries``.
 """
 
 import itertools
@@ -269,6 +272,16 @@ def normalized_amplitudes(amplitudes):
 def random_state_amplitudes(dims, rng):
     """random_pure_state amplitudes: Gaussian draws of size np.prod(dims)."""
     return normalized_amplitudes(rng.complex_normal(int(np.prod(dims))))
+
+
+def random_unitary(dim, rng):
+    """random_unitary as one draw made it: a complex_normal block, one 2-D QR
+    and the phase fix, before draws were stacked."""
+    g = rng.complex_normal(dim * dim).reshape(dim, dim)
+    q, r = np.linalg.qr(g)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
 
 
 def tensor_amplitudes(a, b):
@@ -790,6 +803,62 @@ def fpvnem_refutation(d, m, samples, rng, include_entangled=True):
     clauses.update({"f0_bell": f0_bell == 0.0, "residual": witness.residual > 0.1})
     return Certificate("fpvnem", _judge(evidence, VIOLATION_CERTIFIED, clauses),
                        evidence, rng.seed)
+
+
+def check_closure(measurement, samples, rng):
+    """``opf.check_closure``'s per-property loop from before each property
+    was drawn and evaluated as one stack: 10 weight draws, 10 unitaries (one
+    QR each) and 10 backgrounds, each evaluated on its own."""
+    from pqsim.opf import ClosureReport
+    from pqsim.qcore import (
+        StateStack, random_pure_states, random_unitary, tensor_products, unitary_images)
+
+    def completeness_violation(probs):
+        totals = np.cumsum(probs, axis=1)[:, -1]
+        return float(np.max(np.abs(totals - 1.0), initial=0.0))
+
+    def range_violation(values):
+        return float(np.max(np.maximum(values - 1.0, -values), initial=0.0))
+
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    space = measurement.space
+    states = random_pure_states((space,), rng, samples)
+    values = measurement.probabilities(states)
+    completeness = completeness_violation(values)
+
+    n_out = len(measurement.outcomes)
+    aux = rng.derive(samples + 1)
+    probes = states[:50]
+
+    mixture_violation = 0.0
+    for _ in range(10):
+        w = aux.generator.dirichlet(np.ones(n_out)) if n_out > 1 else np.ones(1)
+        mixed = np.cumsum(values[: len(probes)] * w, axis=1)[:, -1]
+        mixture_violation = max(mixture_violation, range_violation(mixed))
+
+    unitary_violation = 0.0
+    for _ in range(10):
+        u = random_unitary(space.total_dim, aux)
+        rotated = measurement.probabilities(unitary_images(probes, u))
+        unitary_violation = max(unitary_violation, completeness_violation(rotated),
+                                range_violation(rotated[:10]))
+
+    composition_violation = None
+    if space.n_factors >= 2:
+        composition_violation = 0.0
+        lead = FactorSpace(space.dims[:-1])
+        back = FactorSpace((space.dims[-1],))
+        lead_probes = StateStack.of([random_pure_state(lead, aux) for _ in range(10)])
+        for _ in range(10):
+            phi = random_pure_state(back, aux)
+            joint = measurement.probabilities(tensor_products(lead_probes, phi))
+            composition_violation = max(composition_violation,
+                                        completeness_violation(joint),
+                                        range_violation(joint))
+
+    return ClosureReport(samples, completeness, mixture_violation,
+                         unitary_violation, composition_violation)
 
 
 def spod_update_refutation(rng, element="projector0"):

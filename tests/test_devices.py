@@ -421,6 +421,31 @@ class TestOverlapTest:
         with pytest.raises(ValueError):
             overlap_test(KET0, (0,), KET0, 1.0)
 
+    @pytest.mark.parametrize("sharpness", [None, 5.0])
+    def test_amplitude_sequences_give_the_state_table(self, sharpness):
+        states = [random_pure_state(TWO_QUBITS, RandomStream(141, 0, t)) for t in range(20)]
+        amps = np.array([0.6, 0.8j])
+        tables = [DeviceSpec("OverlapTest", {"target_state": target, "threshold": 0.4,
+                                             "sharpness": sharpness}).table(states, (1,))
+                  for target in (amps.tolist(), amps, PureState(QUBIT, amps))]
+        for table in tables[:2]:
+            assert table.types == tables[2].types
+            assert table.values.tobytes() == tables[2].values.tobytes()
+            assert table.probabilities.tobytes() == tables[2].probabilities.tobytes()
+        listed, state = (DeviceSpec("OverlapTest", {"target_state": target, "threshold": 0.5})
+                         for target in ([1, 0], KET0))
+        assert listed.distribution(BELL, (0,)) == state.distribution(BELL, (0,))
+
+    @pytest.mark.parametrize("target_state", [
+        [1, 1], np.array([0.6, 0.8]) * 2, [[1, 0], [0, 0]], np.eye(2), [np.nan, 0],
+        [1.0, np.nan], [1], [], "ab", None,
+    ], ids=repr)
+    def test_invalid_target_state_is_named(self, target_state):
+        spec = DeviceSpec("OverlapTest", {"target_state": target_state, "threshold": 0.5})
+        with pytest.raises(ParameterError) as err:
+            spec.distribution(KET0, (0,))
+        assert err.value.name == "target_state"
+
     def test_chisquare_smoothed(self):
         state = random_pure_state(TWO_QUBITS, RandomStream(139))
         dist = overlap_distribution(state, (0,), KET0, 0.4, sharpness=5.0)

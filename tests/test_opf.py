@@ -829,8 +829,9 @@ class TestDistributionCounts:
         evaluated.clear()
         report = check_closure(measurement, 30, RandomStream(461))
         assert report.passed
-        # the sampled states, 10 rotations of 30 probes, 10 backgrounds of 10
-        assert tables == [30] + [30] * 10 + [10] * 10
+        # the sampled states, then one stack each of the 10 rotations of 30
+        # probes and of the 10 backgrounds of 10
+        assert tables == [30, 300, 100]
         assert len(evaluated) == sum(tables)
 
 
@@ -1065,24 +1066,27 @@ class TestStackedCallers:
         report = check_closure(FullMeasurement(base.outcomes, record), samples, rng)
         assert report.passed
 
-        # the original loop: per-trial states, rotated probes, background products
-        want = [[random_pure_state(TWO_QUBITS, rng.derive(t)) for t in range(samples)]]
+        # the original loop: per-trial states, rotated probes, background
+        # products; its 21 lists are the 3 stacks, concatenated in order
+        states = [random_pure_state(TWO_QUBITS, rng.derive(t)) for t in range(samples)]
         aux = rng.derive(samples + 1)
-        probes = want[0][:50]
+        probes = states[:50]
         for _ in range(10):
             aux.generator.dirichlet(np.ones(2))
+        rotated = []
         for _ in range(10):
             u = random_unitary(4, aux)
-            want.append([PureState.normalized(TWO_QUBITS, u @ psi.amplitudes) for psi in probes])
+            rotated += [PureState.normalized(TWO_QUBITS, u @ psi.amplitudes) for psi in probes]
         lead_probes = [random_pure_state(QUBIT, aux) for _ in range(10)]
+        products = []
         for _ in range(10):
             phi = random_pure_state(QUBIT, aux)
-            want.append([tensor_product(psi, phi) for psi in lead_probes])
+            products += [tensor_product(psi, phi) for psi in lead_probes]
+        want = [states, rotated, products]
         assert len(seen) == len(want)
         for got_list, want_list in zip(seen, want):
-            assert len(got_list) == len(want_list)
-            for got, state in zip(got_list, want_list):
-                assert np.array_equal(got, state.amplitudes)
+            assert b"".join(got.tobytes() for got in got_list) == b"".join(
+                state.amplitudes.tobytes() for state in want_list)
 
     def test_product_form_witness_reads_the_meter_once(self, monkeypatch):
         f0 = entropy_meter_measurement(TWO_QUBITS, (0,), precision=3).outcomes[0]
@@ -1113,8 +1117,9 @@ class TestStackedCallers:
         report = check_closure(FullMeasurement.from_povm(povm, TWO_QUBITS), 100,
                                RandomStream(617, 3))
         assert report.passed
-        # each outcome once per list: the random states, 10 rotations, 10 backgrounds
-        assert [len(states) for states in calls] == [100] * 4 + [50] * 40 + [10] * 40
+        # each outcome once per stack: the random states, the 10 rotations of
+        # 50 probes, the 10 backgrounds of 10
+        assert [len(states) for states in calls] == [100] * 4 + [500] * 4 + [100] * 4
         assert not any(isinstance(states, PureState) for states in calls)
 
     def test_povm_closure_builds_no_row_states(self, monkeypatch):
@@ -1135,3 +1140,85 @@ class TestStackedCallers:
         assert rows == []
         list(StateStack.of([KET0, KET1]))  # the spy sees rows that are made
         assert len(rows) == 2
+
+
+CLOSURE_SPACES = [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)]
+
+
+def _closure_measurements(space):
+    """A quantum POVM, the entropy meter, a PovmSampler device, a one-outcome
+    measurement, and the POVM stretched out of range, whose violations are
+    not zero, without and with NaN rows."""
+    dim, lead = space.total_dim, space.dims[0]
+    b = random_povm_element(dim, RandomStream(701, dim))
+    quantum = FullMeasurement.from_povm(POVMSet((b, np.eye(dim) - b)), space)
+    c = random_povm_element(lead, RandomStream(703, lead))
+    spec = DeviceSpec("PovmSampler", {"povm": POVMSet((c, np.eye(lead) - c))})
+
+    def stretched(states):
+        return 1.3 * quantum.probabilities(states) - 0.1
+
+    def with_nan(states):
+        values = stretched(states)
+        values[StateStack.of(states).amplitudes[:, 0].real > 0.6] = np.nan
+        return values
+
+    return {
+        "quantum": quantum,
+        "entropy_meter": entropy_meter_measurement(space, (0,), precision=3),
+        "povm_device": device_measurement(spec, [IntegerLabel(1), IntegerLabel(2)],
+                                          space, (0,)),
+        "one_outcome": FullMeasurement((opf_from_quantum(np.eye(dim), space),)),
+        "stretched": FullMeasurement(quantum.outcomes, stretched),
+        "with_nan": FullMeasurement(quantum.outcomes, with_nan),
+    }
+
+
+class TestStackedClosure:
+    """``check_closure`` evaluates each property as one stack, and reads the
+    same records off it as the per-property loop of ``oracles.check_closure``."""
+
+    @staticmethod
+    def _recorded(measurement):
+        seen = []
+
+        def evaluate(states):
+            seen.append(StateStack.of(states).amplitudes.tobytes())
+            return measurement.probabilities(states)
+
+        return FullMeasurement(measurement.outcomes, evaluate), seen
+
+    @pytest.mark.parametrize("samples", [1, 7, 50, 100])
+    @pytest.mark.parametrize("dims", CLOSURE_SPACES, ids=str)
+    def test_records_and_stacks_equal_the_loop(self, dims, samples):
+        from pqsim.cli import format_record
+
+        space = FactorSpace(dims)
+        for name, measurement in _closure_measurements(space).items():
+            stacked, stacked_seen = self._recorded(measurement)
+            looped, looped_seen = self._recorded(measurement)
+            got = check_closure(stacked, samples, RandomStream(709, samples))
+            want = oracles.check_closure(looped, samples, RandomStream(709, samples))
+            assert repr(got) == repr(want), name
+            assert format_record(got.record_fields()) == format_record(want.record_fields())
+            assert len(stacked_seen) == (3 if space.n_factors >= 2 else 2)
+            assert b"".join(stacked_seen) == b"".join(looped_seen), name
+
+    def test_stretched_measurement_reports_its_violations(self):
+        report = check_closure(_closure_measurements(TWO_QUBITS)["stretched"], 50,
+                               RandomStream(711))
+        assert min(report.completeness_violation, report.mixture_violation,
+                   report.unitary_violation, report.composition_violation) > 0.0
+        assert not report.passed
+
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "5", None, 0, -1])
+    def test_samples_must_be_a_positive_integer(self, samples):
+        measurement = FullMeasurement.from_povm(POVMSet((PROJ0, np.eye(2) - PROJ0)), QUBIT)
+        with pytest.raises(ValueError, match="^samples must be"):
+            check_closure(measurement, samples, RandomStream(713))
+
+    def test_numpy_integer_samples(self):
+        measurement = FullMeasurement.from_povm(POVMSet((PROJ0, np.eye(2) - PROJ0)), QUBIT)
+        got = check_closure(measurement, np.int64(3), RandomStream(717))
+        assert type(got.samples) is int
+        assert got == check_closure(measurement, 3, RandomStream(717))

@@ -33,6 +33,7 @@ from pqsim.qcore import (
     random_density_matrix,
     random_pure_state,
     random_pure_states,
+    random_unitaries,
     random_unitary,
     reduced_densities,
     renyi_entropy,
@@ -474,6 +475,22 @@ class TestStackedStates:
                 assert state.space == space
                 assert np.array_equal(state.amplitudes,
                                       normalized_amplitudes(u @ psi.amplitudes))
+
+    @pytest.mark.parametrize("dims", ORACLE_SPACES)
+    def test_stacked_backgrounds_and_unitaries_are_blocks_of_single_calls(self, dims):
+        space = FactorSpace(dims)
+        rng = RandomStream(29)
+        states = StateStack.of([random_pure_state(space, rng) for _ in range(7)])
+        phis = [random_pure_state(FactorSpace((3,)), rng) for _ in range(5)]
+        joint = tensor_products(states, StateStack.of(phis))
+        assert joint.space.dims == dims + (3,)
+        assert joint.amplitudes.tobytes() == b"".join(
+            tensor_products(states, phi).amplitudes.tobytes() for phi in phis)
+        unitaries = random_unitaries(space.total_dim, rng, 5)
+        images = unitary_images(states, unitaries)
+        assert images.space == space
+        assert images.amplitudes.tobytes() == b"".join(
+            unitary_images(states, u).amplitudes.tobytes() for u in unitaries)
 
     def test_rows_are_read_only_and_never_alias_the_input(self):
         rows = np.array([[1.0, 1.0j, 0.0, 2.0], [0.5, 0.0, 0.0, 0.0]], dtype=complex)
@@ -1192,6 +1209,17 @@ class TestRandomStream:
     def test_unitary_is_unitary(self):
         u = random_unitary(4, RandomStream(73))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_unitary_stack_equals_draws_in_turn(self, dim):
+        stacked, single, oracle = (RandomStream(79, dim) for _ in range(3))
+        got = random_unitaries(dim, stacked, 10)
+        assert got.shape == (10, dim, dim)
+        for want in ([random_unitary(dim, single) for _ in range(10)],
+                     [oracles.random_unitary(dim, oracle) for _ in range(10)]):
+            assert got.tobytes() == b"".join(u.tobytes() for u in want)
+        assert stacked.normal(3).tolist() == single.normal(3).tolist() \
+            == oracle.normal(3).tolist()
 
 
 def assert_same_stream(a, b):
