@@ -95,17 +95,6 @@ def seed_words(seed: int, experiment: int, trials: range) -> np.ndarray:
     return out.astype("<u4", order="C", copy=False).view("<u8").astype(np.uint64)
 
 
-def one_word_span(trials: range) -> tuple[int, int]:
-    """Indices [lo, hi) of the trials that lie in [0, 2^32), which form one
-    run of the range because it is monotonic."""
-    start, stop, step = trials.start, trials.stop, trials.step
-    if step > 0:
-        return (len(range(start, min(stop, 0), step)),
-                len(range(start, min(stop, _MASK32 + 1), step)))
-    return (len(range(start, max(stop, _MASK32), step)),
-            len(range(start, max(stop, -1), step)))
-
-
 class SeedWords(ISeedSequence):
     """A SeedSequence stand-in that hands PCG64 one row of ``seed_words``."""
 

@@ -32,7 +32,6 @@ from .qcore import (
     PureState,
     RandomStream,
     StateStack,
-    _normalize_subset,
     _subset_plan,
     born_probability_rows,
     partial_trace,
@@ -180,7 +179,7 @@ def _only(table: DistributionTable) -> Outcome:
 
 def reduced_density(state: PureState, target: Union[int, Sequence[int]]) -> DensityMatrix:
     """Reduced density matrix of the target factors (the whole state if all)."""
-    subset = _normalize_subset(state.space, target)
+    subset = _subset_plan(state.space, target).keep
     if len(subset) == state.space.n_factors:
         return DensityMatrix.from_pure(state)
     return partial_trace(state, subset)
@@ -216,42 +215,33 @@ def basis_matrix(basis, dim: int) -> np.ndarray:
     return b
 
 
-def _as_observable(observable) -> HermitianObservable:
-    if isinstance(observable, HermitianObservable):
-        return observable
+def _converted(name: str, value, cls: type, build: Callable[[Any], Any]):
+    """A parameter value of type ``cls`` as given, anything else through
+    ``build``; a TypeError or ValueError of the build is a ParameterError
+    naming the parameter."""
+    if isinstance(value, cls):
+        return value
     try:
-        return HermitianObservable(observable)
-    except ValueError as err:
-        raise ParameterError("observable", str(err)) from None
+        return build(value)
+    except (TypeError, ValueError) as err:
+        raise ParameterError(name, str(err)) from None
 
 
 def _observable(observable, dim: int) -> HermitianObservable:
     """The observable, which must act on the target's dimension."""
-    obs = _as_observable(observable)
+    obs = _converted("observable", observable, HermitianObservable, HermitianObservable)
     if obs.dim != dim:
         raise ParameterError("observable",
                              "observable dimension does not match the target factors")
     return obs
 
 
-def _as_target_state(target_state) -> PureState:
-    """A state as given; a 1-D amplitude sequence as a one-factor state."""
-    if isinstance(target_state, PureState):
-        return target_state
-    try:
-        amps = np.asarray(target_state, dtype=complex)
-        if amps.ndim != 1:
-            raise ValueError(f"target state must be a 1-D amplitude vector, got shape "
-                             f"{amps.shape}")
-        return PureState(FactorSpace((amps.size,)), amps)
-    except (TypeError, ValueError) as err:
-        raise ParameterError("target_state", str(err)) from None
-
-
-def _as_povm(povm) -> POVMSet:
-    if isinstance(povm, POVMSet):
-        return povm
-    return POVMSet(tuple(povm))
+def _one_factor_state(amplitudes) -> PureState:
+    """A 1-D amplitude sequence as a one-factor state."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 1:
+        raise ValueError(f"target state must be a 1-D amplitude vector, got shape {amps.shape}")
+    return PureState(FactorSpace((amps.size,)), amps)
 
 
 def _logistic(x: float) -> float:
@@ -261,11 +251,6 @@ def _logistic(x: float) -> float:
     return z / (1.0 + z)
 
 
-def _draw(distribution: list[tuple[Outcome, float]], rng: RandomStream) -> Outcome:
-    probs = [p for _, p in distribution]
-    return distribution[rng.choose(probs)][0]
-
-
 def _outcome(distribution: list[tuple[Outcome, float]], rng: RandomStream | None,
              device: str) -> Outcome:
     """One run of a device: the only outcome of a one-point distribution, a
@@ -273,7 +258,7 @@ def _outcome(distribution: list[tuple[Outcome, float]], rng: RandomStream | None
     if len(distribution) == 1:
         return distribution[0][0]
     if rng is not None:
-        return _draw(distribution, rng)
+        return distribution[rng.choose([p for _, p in distribution])][0]
     sure = [o for o, prob in distribution if prob >= 1.0 - 1e-12]
     if not sure:
         raise ValueError(f"{device} needs a RandomStream")
@@ -423,17 +408,18 @@ def _require_variant_inputs(variant: str, observable, max_label: int | None) -> 
         raise ParameterError("variant", f"variant must be one of {_VARIANTS}, got {variant!r}")
     if variant == "finite" and max_label is None:
         raise ParameterError("max_label", "finite variant needs max_label")
-    if variant == "bit" and any(min(abs(v), abs(v - 1.0)) > 1e-9
-                                for v in _as_observable(observable).eigenvalues):
-        raise ParameterError("variant", "bit variant needs a projector-valued observable")
+    if variant == "bit":
+        obs = _converted("observable", observable, HermitianObservable, HermitianObservable)
+        if any(min(abs(v), abs(v - 1.0)) > 1e-9 for v in obs.eigenvalues):
+            raise ParameterError("variant", "bit variant needs a projector-valued observable")
 
 
 def sample_eigenvalue(state: PureState, target, observable, rng: RandomStream,
                       variant: str = "value", precision: int | None = None,
                       max_label: int | None = None, label_offset: int = 0) -> Outcome:
     """Draw one eigenvalue-sampler outcome; the global state is unchanged."""
-    return _draw(eigenvalue_distribution(state, target, observable, variant, precision,
-                                         max_label, label_offset), rng)
+    return _outcome(eigenvalue_distribution(state, target, observable, variant, precision,
+                                            max_label, label_offset), rng, "eigenvalue sampler")
 
 
 def sample_projection(state: PureState, target, phi: PureState, rng: RandomStream) -> Bit:
@@ -465,11 +451,12 @@ def uncertainty_distribution(state: PureState, target, observable,
 def sample_uncertainty(state: PureState, target, observable, rng: RandomStream,
                        precision: int | None = None) -> Outcome:
     """Draw an eigenvalue of the mean-shifted observable A - <A>."""
-    return _draw(uncertainty_distribution(state, target, observable, precision), rng)
+    return _outcome(uncertainty_distribution(state, target, observable, precision), rng,
+                    "uncertainty sampler")
 
 
 def _povm_table(rhos: np.ndarray, povm, max_label: int | None = None) -> DistributionTable:
-    povm = _as_povm(povm)
+    povm = _converted("povm", povm, POVMSet, lambda elements: POVMSet(tuple(elements)))
     return _label_table(list(range(1, len(povm) + 1)), born_probability_rows(rhos, povm),
                         max_label)
 
@@ -483,7 +470,7 @@ def povm_distribution(state: PureState, target, povm,
 def sample_povm(state: PureState, target, povm, rng: RandomStream,
                 max_label: int | None = None) -> Outcome:
     """Draw a POVM label with probability Tr(A_i rho_1); state unchanged."""
-    return _draw(povm_distribution(state, target, povm, max_label), rng)
+    return _outcome(povm_distribution(state, target, povm, max_label), rng, "POVM sampler")
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +487,7 @@ def _require_overlap(rhos: np.ndarray, target_space: FactorSpace, threshold: flo
 
 def _overlap_table(rhos: np.ndarray, target_state: PureState, threshold: float,
                    sharpness: float | None = None) -> DistributionTable:
-    target_state = _as_target_state(target_state)
+    target_state = _converted("target_state", target_state, PureState, _one_factor_state)
     _require_overlap(rhos, target_state.space, threshold)
     return _threshold_table(quadratic_forms(rhos, target_state.amplitudes), threshold,
                             sharpness)
@@ -635,7 +622,7 @@ def entropy_certify(state: PureState, target, alpha: float, threshold: float,
 def _analysed_factor(space: FactorSpace, target_single) -> int:
     """The one factor an entanglement analysis acts on, in a space of at
     least two factors."""
-    subset = _normalize_subset(space, target_single)
+    subset = _subset_plan(space, target_single).keep
     if len(subset) != 1:
         raise ValueError("EntanglementAnalyse acts on a single factor")
     if space.n_factors < 2:

@@ -319,11 +319,11 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
 
 def checked_schmidt_weights(values: Sequence[float]) -> np.ndarray:
     """The Schmidt weights of the no-signalling state as an array: one or two
-    nonnegative numbers summing to 1, else ValueError."""
+    nonnegative numbers summing to 1 (a NaN does not), else ValueError."""
     weights = np.asarray(values, dtype=float)
     if weights.size not in (1, 2) or np.any(weights < 0):
         raise ValueError("Schmidt weights must be one or two nonnegative numbers")
-    if abs(weights.sum() - 1.0) > 1e-9:
+    if not abs(weights.sum() - 1.0) <= 1e-9:
         raise ValueError("Schmidt weights must sum to 1")
     return weights
 
@@ -553,32 +553,46 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
         if not placed:
             clusters.append({"state": reconstructed, "count": count, "tol": tol})
 
-    recovered = tuple((c["state"], c["count"] / n_draws) for c in clusters)
-    stats = tuple(
-        OutcomeStat(c["count"] / n_draws,
-                    wilson_interval(c["count"], n_draws, confidence), n_draws)
-        for c in clusters)
-
-    # match recovered clusters to true members for the metric
-    estimated = {r: 0.0 for r in range(len(members))}
-    ghost_mass = 0.0
-    max_member_deviation = 0.0
-    for state, weight in recovered:
-        distances = [_state_distance(state, mem.amplitudes) for mem, _ in members]
+    # match each cluster to the nearest true member, within a quantization cell
+    cell = max(2.0 ** (-(min(precision_schedule or [60]) - 1)), 1e-6)
+    matches, deviations = [], [0.0]
+    for cluster in clusters:
+        distances = [_state_distance(cluster["state"], mem.amplitudes) for mem, _ in members]
         best = int(np.argmin(distances))
-        cell = 2.0 ** (-(min(s for s in (precision_schedule or [60])) - 1))
-        if distances[best] < max(cell, 1e-6):
-            estimated[best] += weight
-            max_member_deviation = max(max_member_deviation, distances[best])
-        else:
-            ghost_mass += weight
-    total_variation = sum(abs(weights[r] - estimated[r]) for r in estimated) + ghost_mass
+        matches.append(best if distances[best] < cell else None)
+        if matches[-1] is not None:
+            deviations.append(distances[best])
 
     extras = {"members": len(members), "draws": n_draws,
-              "max_member_deviation": max_member_deviation,
+              "max_member_deviation": max(deviations),
               "finite_precision": precision_schedule is not None}
+    return _ensemble_report("ensemble-readout", source, clusters, matches, n_draws, rng,
+                            confidence, threshold, extras)
+
+
+def _ensemble_report(protocol: str, source: Ensemble, clusters: Sequence[dict],
+                     matches: Sequence[int | None], n_draws: int, rng: RandomStream,
+                     confidence: float, threshold: float, extras: dict) -> EstimationReport:
+    """The report of an ensemble estimate from its clusters, each a dict with
+    a ``count`` of draws and a recovered ``state`` (None for a ghost), and
+    the member each recovered state matched, or None.  The metric is the
+    total variation sum |p_i - p_i^e| against the true weights, plus the
+    ghost mass: the ghost clusters' and then the unmatched states' weights."""
+    recovered = tuple((c["state"], c["count"] / n_draws) for c in clusters
+                      if c["state"] is not None)
+    stats = tuple(OutcomeStat(c["count"] / n_draws,
+                              wilson_interval(c["count"], n_draws, confidence), n_draws)
+                  for c in clusters)
+    estimated = [0.0] * len(source.members)
+    ghost_mass = sum(c["count"] / n_draws for c in clusters if c["state"] is None)
+    for (_, weight), member in zip(recovered, matches):
+        if member is None:
+            ghost_mass += weight
+        else:
+            estimated[member] += weight
+    total_variation = sum(abs(w - e) for w, e in zip(source.weights, estimated)) + ghost_mass
     return EstimationReport(
-        protocol="ensemble-readout", outcome_stats=stats,
+        protocol=protocol, outcome_stats=stats,
         metric_name="total_variation", metric_value=total_variation,
         confidence=confidence, threshold=threshold,
         passed=_below_threshold(extras, total_variation, threshold), seed=rng.seed,
@@ -661,9 +675,7 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
                              space.indices())
     require_density(rhos)
 
-    rounds = []
-    final_clusters: dict[frozenset, dict] = {}
-    for round_idx, eps in enumerate(schedule):
+    for eps in schedule:
         size = _net_size_for(eps)
         if size > net_cap:
             extras = {"net_cap": net_cap, "requested_net": size, "epsilon": eps}
@@ -674,8 +686,6 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
                 seed=rng.seed, status=_judge(extras, "OK", {"net_cap": False}),
                 extras=extras)
         net = StateStack(space, np.array(fibonacci_net(size)))
-        rounds.append({"epsilon": eps, "net_size": size})
-
         clusters: dict[frozenset, dict] = {}
         for r, bits in zip(drawn, overlap_bits(rhos, net, 1.0 - eps)):
             # ascending, as the set's iteration order (the centroid's sum order) follows it
@@ -690,38 +700,18 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
                 continue
             centroid = np.sum([_bloch_vector(net.amplitudes[j]) for j in fired], axis=0)
             entry["state"] = _phase_fixed(_bloch_state(centroid))
-        final_clusters = clusters
 
-    recovered = tuple((entry["state"], entry["count"] / n_draws)
-                      for entry in final_clusters.values()
-                      if entry["state"] is not None)
-    stats = tuple(
-        OutcomeStat(entry["count"] / n_draws,
-                    wilson_interval(entry["count"], n_draws, confidence), n_draws)
-        for entry in final_clusters.values())
-
-    final_eps = schedule[-1]
-    estimated = {r: 0.0 for r in range(len(members))}
-    ghost_mass = sum(entry["count"] / n_draws for entry in final_clusters.values()
-                     if entry["state"] is None)
-    worst_overlap = 1.0
-    for state, weight in recovered:
+    # the final round's clusters: each recovered state matches the member of
+    # largest overlap, if that overlap exceeds 1 - eps
+    matches, overlaps_matched = [], [1.0]
+    for state in (c["state"] for c in clusters.values() if c["state"] is not None):
         overlaps = [abs(np.vdot(state, mem.amplitudes)) ** 2 for mem, _ in members]
         best = int(np.argmax(overlaps))
-        if overlaps[best] > 1.0 - final_eps:
-            estimated[best] += weight
-            worst_overlap = min(worst_overlap, overlaps[best])
-        else:
-            ghost_mass += weight
-    total_variation = sum(abs(weights[r] - estimated[r]) for r in estimated) + ghost_mass
+        matches.append(best if overlaps[best] > 1.0 - schedule[-1] else None)
+        if matches[-1] is not None:
+            overlaps_matched.append(overlaps[best])
 
-    extras = {"rounds": len(rounds), "final_epsilon": final_eps,
-              "final_net_size": rounds[-1]["net_size"],
-              "min_matched_overlap": worst_overlap, "draws": n_draws}
-    return EstimationReport(
-        protocol="ensemble-overlap", outcome_stats=stats,
-        metric_name="total_variation", metric_value=total_variation,
-        confidence=confidence, threshold=threshold,
-        passed=_below_threshold(extras, total_variation, threshold), seed=rng.seed,
-        recovered=recovered, extras=extras,
-    )
+    extras = {"rounds": len(schedule), "final_epsilon": schedule[-1], "final_net_size": size,
+              "min_matched_overlap": min(overlaps_matched), "draws": n_draws}
+    return _ensemble_report("ensemble-overlap", source, clusters.values(), matches, n_draws,
+                            rng, confidence, threshold, extras)

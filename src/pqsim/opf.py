@@ -353,7 +353,9 @@ def entropy_meter_measurement(space: FactorSpace, target, precision: int,
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Sampled verification of completeness and the three closure properties."""
+    """Sampled verification of completeness and the three closure properties.
+    A NaN in any evaluation makes its property's violation and
+    ``max_violation`` NaN, so the check fails."""
 
     samples: int
     completeness_violation: float
@@ -367,7 +369,7 @@ class ClosureReport:
                  self.unitary_violation]
         if self.composition_violation is not None:
             parts.append(self.composition_violation)
-        return max(parts)
+        return _nan_max(parts)
 
     @property
     def passed(self) -> bool:
@@ -393,10 +395,15 @@ def _range_violations(blocks: np.ndarray) -> np.ndarray:
     return np.max(np.maximum(flat - 1.0, -flat), axis=1, initial=0.0)
 
 
+def _nan_max(values: list[float]) -> float:
+    """The largest value by Python's left-to-right fold, or NaN if any is NaN:
+    a violation that cannot be computed fails the check."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _worst(*violations: np.ndarray) -> float:
-    """The largest of 0 and the blocks' violations; a NaN block never wins,
-    as it never did in a running ``max`` over the blocks."""
-    return max([0.0, *(v for block in violations for v in block.tolist())])
+    """``_nan_max`` of 0 and the blocks' violations."""
+    return _nan_max([0.0, *(v for block in violations for v in block.tolist())])
 
 
 def check_closure(measurement: FullMeasurement, samples: int,

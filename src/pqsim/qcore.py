@@ -105,11 +105,6 @@ def _subset_plan(space: FactorSpace, subset: Union[int, Sequence[int]]) -> _Subs
     return _build_plan(space.dims, subset)
 
 
-def _normalize_subset(space: FactorSpace, subset: Union[int, Sequence[int]]) -> tuple[int, ...]:
-    """Validate a subsystem index set and return it as a sorted tuple."""
-    return _subset_plan(space, subset).keep
-
-
 def _require_square(shape: tuple[int, ...], what: str) -> None:
     """Raise a ValueError naming ``what`` and the shape unless it is a
     nonempty square matrix's."""
@@ -170,8 +165,11 @@ def require_density(matrix: np.ndarray) -> np.ndarray:
 
 
 def require_unitary(matrix: np.ndarray) -> None:
-    """Raise ValueError unless U^dagger U = I within ``NORM_ATOL``."""
-    if not np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))) <= NORM_ATOL:
+    """Raise ValueError unless U^dagger U = I within ``NORM_ATOL``; a
+    non-finite entry never is, and is rejected before the product can warn."""
+    if not (np.isfinite(matrix).all()
+            and np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
+            <= NORM_ATOL):
         raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -539,21 +537,22 @@ class RandomStream:
     def derive_many(self, trials: range) -> Iterator["RandomStream"]:
         """The streams ``self.derive(t)`` for t in ``trials``, in order, made lazily.
 
-        Each stream is bit-identical to ``derive``'s.  The seeding words of
-        the trials in [0, 2^32) come from vectorised passes of numpy's
-        SeedSequence mixing, one per block of ``_seedwords.BLOCK`` trials;
-        any other trial goes through the constructor.
+        Each stream is bit-identical to ``derive``'s.  When both ends of the
+        range lie in [0, 2^32), so does every trial, and the seeding words
+        come from vectorised passes of numpy's SeedSequence mixing, one per
+        block of ``_seedwords.BLOCK`` trials; otherwise every trial goes
+        through ``derive``.
         """
+        if trials and not (0 <= trials[0] < 2**32 and 0 <= trials[-1] < 2**32):
+            yield from map(self.derive, trials)
+            return
         # imported on first use: it imports numpy.random, which importing
         # pqsim does not
         from . import _seedwords
 
-        lo, hi = _seedwords.one_word_span(trials)
-        for t in trials[:lo]:
-            yield self.derive(t)
         pcg64, generator = np.random.PCG64, np.random.Generator
-        for start in range(lo, hi, _seedwords.BLOCK):
-            block = trials[start:min(start + _seedwords.BLOCK, hi)]
+        for start in range(0, len(trials), _seedwords.BLOCK):
+            block = trials[start:start + _seedwords.BLOCK]
             for t, words in zip(block, _seedwords.seed_words(self.seed, self.experiment, block)):
                 stream = RandomStream.__new__(RandomStream)
                 stream.seed = self.seed
@@ -561,8 +560,6 @@ class RandomStream:
                 stream.trial = t
                 stream._gen = generator(pcg64(_seedwords.SeedWords(words)))
                 yield stream
-        for t in trials[hi:]:
-            yield self.derive(t)
 
     @property
     def generator(self) -> np.random.Generator:

@@ -29,7 +29,9 @@ stacked overlap pass, and the per-pair ``np.vdot(v, M @ v)`` loop is the
 oracle of ``qcore.quadratic_forms`` on every broadcast shape.  The
 closure checker's per-property loop, one evaluation per weight draw,
 unitary and background, is the oracle of its one stack per property, and
-the one-matrix QR draw is the oracle of ``qcore.random_unitaries``.
+the one-matrix QR draw is the oracle of ``qcore.random_unitaries``.  The
+two ensemble estimators' bodies from before they shared one
+score-and-report body are the oracles of their reports.
 """
 
 import itertools
@@ -54,10 +56,11 @@ from pqsim.qcore import (
     DensityMatrix,
     Ensemble,
     FactorSpace,
+    HermitianObservable,
     POVMSet,
     PureState,
     RandomStream,
-    _normalize_subset,
+    _subset_plan,
     quantize as quantize_value,
     random_pure_state,
     reduced_densities,
@@ -483,7 +486,7 @@ def schmidt_terms(state, cut):
 # the operations are the same.
 
 def _observed(state, target, observable):
-    obs = devices._as_observable(observable)
+    obs = devices._converted("observable", observable, HermitianObservable, HermitianObservable)
     rho = devices.reduced_density(state, target)
     if obs.dim != rho.dim:
         raise devices.ParameterError(
@@ -583,7 +586,7 @@ def uncertainty_distribution(state, target, observable, precision=None):
 
 
 def povm_distribution(state, target, povm, max_label=None):
-    povm = devices._as_povm(povm)
+    povm = devices._converted("povm", povm, POVMSet, lambda elements: POVMSet(tuple(elements)))
     rho = devices.reduced_density(state, target)
     probs = born_probabilities(rho, povm)
     if max_label is None:
@@ -642,7 +645,7 @@ def certify_distribution(state, target, alpha, threshold, sharpness=None):
 
 def entanglement_analyse(state, target_single, basis=None, precision=None):
     space = state.space
-    subset = _normalize_subset(space, target_single)
+    subset = _subset_plan(space, target_single).keep
     if len(subset) != 1:
         raise ValueError("EntanglementAnalyse acts on a single factor")
     target = subset[0]
@@ -808,7 +811,8 @@ def fpvnem_refutation(d, m, samples, rng, include_entangled=True):
 def check_closure(measurement, samples, rng):
     """``opf.check_closure``'s per-property loop from before each property
     was drawn and evaluated as one stack: 10 weight draws, 10 unitaries (one
-    QR each) and 10 backgrounds, each evaluated on its own."""
+    QR each) and 10 backgrounds, each evaluated on its own.  Its running max
+    of each property's violations is NaN from the first NaN violation on."""
     from pqsim.opf import ClosureReport
     from pqsim.qcore import (
         StateStack, random_pure_states, random_unitary, tensor_products, unitary_images)
@@ -819,6 +823,9 @@ def check_closure(measurement, samples, rng):
 
     def range_violation(values):
         return float(np.max(np.maximum(values - 1.0, -values), initial=0.0))
+
+    def worst(*violations):  # a running max, but NaN once any violation is NaN
+        return math.nan if any(math.isnan(v) for v in violations) else max(violations)
 
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -835,14 +842,14 @@ def check_closure(measurement, samples, rng):
     for _ in range(10):
         w = aux.generator.dirichlet(np.ones(n_out)) if n_out > 1 else np.ones(1)
         mixed = np.cumsum(values[: len(probes)] * w, axis=1)[:, -1]
-        mixture_violation = max(mixture_violation, range_violation(mixed))
+        mixture_violation = worst(mixture_violation, range_violation(mixed))
 
     unitary_violation = 0.0
     for _ in range(10):
         u = random_unitary(space.total_dim, aux)
         rotated = measurement.probabilities(unitary_images(probes, u))
-        unitary_violation = max(unitary_violation, completeness_violation(rotated),
-                                range_violation(rotated[:10]))
+        unitary_violation = worst(unitary_violation, completeness_violation(rotated),
+                                  range_violation(rotated[:10]))
 
     composition_violation = None
     if space.n_factors >= 2:
@@ -853,9 +860,9 @@ def check_closure(measurement, samples, rng):
         for _ in range(10):
             phi = random_pure_state(back, aux)
             joint = measurement.probabilities(tensor_products(lead_probes, phi))
-            composition_violation = max(composition_violation,
-                                        completeness_violation(joint),
-                                        range_violation(joint))
+            composition_violation = worst(composition_violation,
+                                          completeness_violation(joint),
+                                          range_violation(joint))
 
     return ClosureReport(samples, completeness, mixture_violation,
                          unitary_violation, composition_violation)
@@ -907,6 +914,89 @@ def spod_update_refutation(rng, element="projector0"):
         "certified_or_feasible": cert.residual > 0.1 or cert.feasible,
     })
     return Certificate("spod-update", verdict, evidence, rng.seed)
+
+
+def ensemble_estimate_readout(source, n_draws, rng, precision_schedule=None, confidence=0.95,
+                              threshold=0.05):
+    """``experiments.ensemble_estimate_readout``'s body from before the two
+    ensemble estimators shared one score-and-report body."""
+    from pqsim.experiments import (
+        EstimationReport, OutcomeStat, _below_threshold, _phase_fixed, _state_distance,
+        wilson_interval)
+
+    if n_draws < 100:
+        raise ValueError("need at least 100 draws")
+    members = source.members
+    weights = source.weights
+
+    if precision_schedule is not None and len(precision_schedule) == 0:
+        raise ValueError("precision schedule must be nonempty")
+
+    # group draws by (member, precision); the draw sequence is multinomial
+    groups = {}
+    if precision_schedule is None:
+        counts = rng.derive(0).generator.multinomial(n_draws, weights)
+        for r, c in enumerate(counts):
+            if c > 0:
+                groups[(r, None)] = int(c)
+    else:
+        schedule = list(precision_schedule)
+        member_draws = rng.derive(0).generator.choice(
+            len(members), size=n_draws, p=weights)
+        for t, r in enumerate(member_draws):
+            m_t = schedule[min(t, len(schedule) - 1)]
+            key = (int(r), int(m_t))
+            groups[key] = groups.get(key, 0) + 1
+
+    # one readout per distinct (member, precision) group
+    clusters = []
+    for (r, m_t), count in sorted(groups.items(), key=lambda kv: -kv[1]):
+        state = members[r][0]
+        description = readout_density(state, state.space.indices(), precision=m_t)
+        vals, vecs = np.linalg.eigh(description.matrix)
+        reconstructed = _phase_fixed(vecs[:, -1])
+        tol = 0.0 if m_t is None else 2.0 ** (-(m_t - 1))
+        placed = False
+        for cluster in clusters:
+            cell = max(tol, cluster["tol"], 1e-9)
+            if _state_distance(cluster["state"], reconstructed) < cell:
+                cluster["count"] += count
+                placed = True
+                break
+        if not placed:
+            clusters.append({"state": reconstructed, "count": count, "tol": tol})
+
+    recovered = tuple((c["state"], c["count"] / n_draws) for c in clusters)
+    stats = tuple(
+        OutcomeStat(c["count"] / n_draws,
+                    wilson_interval(c["count"], n_draws, confidence), n_draws)
+        for c in clusters)
+
+    # match recovered clusters to true members for the metric
+    estimated = {r: 0.0 for r in range(len(members))}
+    ghost_mass = 0.0
+    max_member_deviation = 0.0
+    for state, weight in recovered:
+        distances = [_state_distance(state, mem.amplitudes) for mem, _ in members]
+        best = int(np.argmin(distances))
+        cell = 2.0 ** (-(min(s for s in (precision_schedule or [60])) - 1))
+        if distances[best] < max(cell, 1e-6):
+            estimated[best] += weight
+            max_member_deviation = max(max_member_deviation, distances[best])
+        else:
+            ghost_mass += weight
+    total_variation = sum(abs(weights[r] - estimated[r]) for r in estimated) + ghost_mass
+
+    extras = {"members": len(members), "draws": n_draws,
+              "max_member_deviation": max_member_deviation,
+              "finite_precision": precision_schedule is not None}
+    return EstimationReport(
+        protocol="ensemble-readout", outcome_stats=stats,
+        metric_name="total_variation", metric_value=total_variation,
+        confidence=confidence, threshold=threshold,
+        passed=_below_threshold(extras, total_variation, threshold), seed=rng.seed,
+        recovered=recovered, extras=extras,
+    )
 
 
 def overlap_fired(state, net, eps):

@@ -724,6 +724,60 @@ class TestDeviceSpec:
         assert entropy_certify(BELL, (0,), 1.0, 0.5, rng) == Bit(1)
         assert rng.uniform() == fresh.uniform()
 
+    @pytest.mark.parametrize("kind,params", [
+        ("EigenvalueSampler", {"observable": PAULI_Z}),
+        ("EigenvalueSampler", {"observable": 2.0 * np.eye(2)}),  # one branch
+        ("EigenvalueSampler", {"observable": PAULI_Z, "variant": "integer_label",
+                               "label_offset": 3}),
+        ("EigenvalueSampler", {"observable": PAULI_Z, "variant": "finite", "max_label": 0}),
+        ("EigenvalueSampler", {"observable": np.diag([1.0, 0.0]), "variant": "bit"}),
+        ("EigenvalueSampler", {"observable": np.eye(2), "variant": "bit"}),  # one branch
+        ("UncertaintySampler", {"observable": PAULI_Z, "precision": 3}),
+        ("UncertaintySampler", {"observable": 0.5 * np.eye(2)}),  # one branch
+        ("PovmSampler", {"povm": COMPUTATIONAL}),
+        ("PovmSampler", {"povm": COMPUTATIONAL, "max_label": 1}),
+        ("PovmSampler", {"povm": POVMSet((np.eye(2),))}),  # one branch
+    ])
+    @pytest.mark.parametrize("state", [KET0, PLUS, BELL], ids=["ket0", "plus", "bell"])
+    def test_sample_functions_draw_as_apply(self, kind, params, state):
+        # the outcome and the stream's next uniform: a one-branch distribution
+        # draws nothing, in both
+        sampler, first = {"EigenvalueSampler": (sample_eigenvalue, "observable"),
+                          "UncertaintySampler": (sample_uncertainty, "observable"),
+                          "PovmSampler": (sample_povm, "povm")}[kind]
+        rest = {name: value for name, value in params.items() if name != first}
+        spec = DeviceSpec(kind, params)
+        for seed in range(6):
+            rng, fresh = RandomStream(seed), RandomStream(seed)
+            assert (sampler(state, (0,), params[first], rng, **rest)
+                    == spec.apply(state, (0,), fresh))
+            assert rng.uniform() == fresh.uniform()
+
+    def test_one_element_povm_leaves_the_stream_alone(self):
+        rng = RandomStream(5)
+        assert sample_povm(PLUS, (0,), POVMSet((np.eye(2),)), rng) == IntegerLabel(1)
+        assert rng.uniform() == RandomStream(5).uniform()
+
+    @pytest.mark.parametrize("povm", [
+        [0.5 * np.eye(2)],  # not complete
+        [np.ones((2, 3)) / 3],  # not square
+        ["ab", "cd"],
+        3,
+    ], ids=["incomplete", "non_square", "strings", "not_a_sequence"])
+    def test_malformed_povm_names_its_key(self, povm):
+        with pytest.raises(ParameterError) as err:
+            DeviceSpec("PovmSampler", {"povm": povm}).distribution(KET0, (0,))
+        assert err.value.name == "povm"
+        with pytest.raises(ParameterError) as err:
+            sample_povm(KET0, (0,), povm, RandomStream(1))
+        assert err.value.name == "povm"
+
+    def test_observable_that_cannot_be_built_names_its_key(self):
+        # numpy raises TypeError here, which the conversion names as it does a ValueError
+        with pytest.raises(ParameterError) as err:
+            DeviceSpec("ExpectationReadout", {"observable": object()}).distribution(KET0, (0,))
+        assert err.value.name == "observable"
+
     def test_apply_draws_whenever_it_gets_a_stream(self):
         spec = DeviceSpec("BasisSelect")
         rng, fresh = RandomStream(5), RandomStream(5)

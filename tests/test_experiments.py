@@ -409,6 +409,13 @@ class TestNoSignallingDemo:
         assert cert.evidence["entropy_before"] == pytest.approx(0.9427, abs=1e-3)
         assert cert.evidence["entropy_after"] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("weights", [[math.nan], [0.5, math.nan]])
+    def test_nan_weights_fail_the_sum_check(self, weights):
+        with pytest.raises(ValueError, match="^Schmidt weights must sum to 1$"):
+            experiments.checked_schmidt_weights(weights)
+        with pytest.raises(ValueError, match="^Schmidt weights must sum to 1$"):
+            no_signalling_demo(RandomStream(8), schmidt_weights=weights)
+
     def test_both_remote_outcomes_collapse_entropy(self):
         seen = set()
         for seed in range(20):
@@ -637,6 +644,51 @@ class TestOverlapPass:
         assert _record(got) == _record(want)
         assert ([state.tobytes() for state, _ in got.recovered]
                 == [state.tobytes() for state, _ in want.recovered])
+
+
+class TestEnsembleScore:
+    """The two ensemble estimators share one score-and-report body; each
+    report equals its estimator's body from before, kept in ``oracles``."""
+
+    SOURCES = (Ensemble(((KET0, 0.5), (KET1, 0.3), (PLUS, 0.2))),
+               Ensemble(((PLUS, 0.6), (MINUS, 0.4))))
+
+    @staticmethod
+    def _same(got, want):
+        assert _record(got) == _record(want)
+        assert repr(got.recovered) == repr(want.recovered)
+
+    @pytest.mark.parametrize("schedule", [None, [3], [6, 10]], ids=str)
+    def test_readout_reports_equal_the_old_body(self, schedule):
+        for source in self.SOURCES:
+            for seed in range(1, 21):
+                self._same(ensemble_estimate_readout(source, 2000, RandomStream(seed),
+                                                     precision_schedule=schedule),
+                           oracles.ensemble_estimate_readout(source, 2000, RandomStream(seed),
+                                                             precision_schedule=schedule))
+
+    @pytest.mark.parametrize("schedule", [[0.05], [0.05, 0.01]], ids=str)
+    def test_overlap_reports_equal_the_old_body(self, schedule):
+        for source in self.SOURCES:
+            for seed in range(1, 21):
+                self._same(ensemble_estimate_overlap(source, schedule, 2000, RandomStream(seed)),
+                           oracles.ensemble_estimate_overlap(source, schedule, 2000,
+                                                             RandomStream(seed)))
+
+
+    def test_ghost_mass_adds_ghost_clusters_then_unmatched_states(self):
+        # estimates of pure states rarely leave a ghost, so the body gets one here
+        source = Ensemble(((KET0, 0.7), (KET1, 0.3)))
+        clusters = [{"state": PLUS.amplitudes, "count": 3}, {"state": None, "count": 1},
+                    {"state": KET1.amplitudes, "count": 5}, {"state": None, "count": 7}]
+        report = experiments._ensemble_report("ensemble-overlap", source, clusters,
+                                              [None, 1], 11, RandomStream(2), 0.95, 0.05, {})
+        ghost = (1 / 11 + 7 / 11) + 3 / 11
+        assert report.metric_value == abs(0.7 - 0.0) + abs(0.3 - 5 / 11) + ghost
+        assert [w for _, w in report.recovered] == [3 / 11, 5 / 11]
+        assert [stat.frequency for stat in report.outcome_stats] == [3 / 11, 1 / 11, 5 / 11,
+                                                                     7 / 11]
+        assert report.extras == {"failed_checks": ["metric_below_threshold"]}
 
 
 class TestEnsembleOverlap:

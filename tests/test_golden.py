@@ -12,7 +12,9 @@ to make a change pass:
 The records are computed in a fresh interpreter with BLAS pinned to one
 thread, as the benchmark runs them: least-squares residuals move by ulps
 with the BLAS thread count.  Running this file as a script prints the
-records as JSON.
+records as JSON, and under ``opf_seeds`` each in-process op's record at
+pqsim seeds 1-10 and the default seed, which no test compares: two
+checkouts give byte-identical records when their outputs ``diff`` clean.
 
 A change that moves one byte of any of them fails here.  If a change is
 meant to move a record, say which field moved and why in ``CHANGES.md``.
@@ -82,6 +84,9 @@ OPF_OPS = {
 }
 
 
+OPF_SEEDS = (*range(1, 11), cli.DEFAULT_SEED)
+
+
 def cli_stdout(argv):
     """Exit status and stdout of one CLI command, run in this process."""
     out = io.StringIO()
@@ -100,6 +105,13 @@ def records() -> dict:
     opf_out = {label: cli.format_record(call(cli.DEFAULT_SEED).record_fields())
                for label, call in OPF_OPS.items()}
     return {"cli": cli_out, "opf": opf_out}
+
+
+def seed_records() -> dict:
+    """The ``format_record`` line of every in-process op at each of ``OPF_SEEDS``."""
+    return {label: {str(seed): cli.format_record(call(seed).record_fields())
+                    for seed in OPF_SEEDS}
+            for label, call in OPF_OPS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -133,5 +145,6 @@ def test_opf_record_is_byte_identical(label, golden, current):
 
 
 if __name__ == "__main__":
-    json.dump(records(), sys.stdout, indent=1, sort_keys=True)
+    json.dump({**records(), "opf_seeds": seed_records()}, sys.stdout, indent=1,
+              sort_keys=True)
     sys.stdout.write("\n")

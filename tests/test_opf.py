@@ -213,6 +213,12 @@ class TestComposeUnitary:
         with pytest.raises(ValueError):
             compose_unitary(opf_from_quantum(PROJ0), np.array([[1, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_unitary_without_a_warning(self, bad):
+        # every warning is an error here, so an inf - inf in the product fails the test
+        with pytest.raises(ValueError, match="^matrix is not unitary within tolerance$"):
+            compose_unitary(opf_from_quantum(PROJ0), np.array([[bad, 0], [0, 1]]))
+
 
 class TestComposeSystem:
     def test_product_operator_contracts_to_scaled_factor(self):
@@ -1210,6 +1216,42 @@ class TestStackedClosure:
         assert min(report.completeness_violation, report.mixture_violation,
                    report.unitary_violation, report.composition_violation) > 0.0
         assert not report.passed
+
+    @pytest.mark.parametrize("row", [3, 25, 260])
+    def test_nan_in_one_rotated_row_fails_the_check(self, row):
+        # rows 3 and 25 lie in the first rotation's block, 3 also among its
+        # range-checked probes; row 260 lies in the sixth block
+        from pqsim.cli import format_record
+
+        quantum = FullMeasurement.from_povm(POVMSet(tuple(np.diag(e) for e in np.eye(4))),
+                                            TWO_QUBITS)
+        calls = []
+
+        def evaluate(states):
+            values = quantum.probabilities(states).copy()
+            calls.append(len(values))
+            if len(calls) == 2:  # the rotated probes
+                values[row, 1] = np.nan
+            return values
+
+        report = check_closure(FullMeasurement(quantum.outcomes, evaluate), 100,
+                               RandomStream(5))
+        assert calls[1] == 500
+        assert report.completeness_violation < 1e-12
+        assert report.mixture_violation < 1e-12 and report.composition_violation < 1e-12
+        assert math.isnan(report.unitary_violation) and math.isnan(report.max_violation)
+        assert not report.passed
+        fields = format_record(report.record_fields()).split()
+        assert {"unitary_violation=nan", "max_violation=nan", "passed=false"} <= set(fields)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_max_violation_is_nan_wherever_the_nan_is(self, position):
+        parts = [0.0, 1e-12, 2e-12, 1e-13]
+        parts[position] = math.nan
+        report = opf.ClosureReport(10, *parts)
+        assert math.isnan(report.max_violation)
+        assert not report.passed
+        assert opf.ClosureReport(10, *parts[:3], None).passed == (position == 3)
 
     @pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "5", None, 0, -1])
     def test_samples_must_be_a_positive_integer(self, samples):

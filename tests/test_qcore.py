@@ -728,8 +728,8 @@ class TestSubsetPlans:
                 reduced_density(state, keep).entries.tobytes(),
                 reduced_densities(stack, keep).tobytes()) for keep in spellings]
         assert all(g == got[0] for g in got)
-        want = naive_partial_trace(state.amplitudes, self.SPACE.dims, qcore._normalize_subset(
-            self.SPACE, spellings[0]))
+        want = naive_partial_trace(state.amplitudes, self.SPACE.dims, qcore._subset_plan(
+            self.SPACE, spellings[0]).keep)
         np.testing.assert_allclose(partial_trace(state, spellings[0]).entries, want, atol=1e-12)
 
     def test_pure_partial_trace_equals_the_stacked_row(self):
@@ -1277,10 +1277,35 @@ class TestDeriveMany:
 
     def test_blocks_join_seamlessly(self, monkeypatch):
         monkeypatch.setattr(_seedwords, "BLOCK", 3)
-        trials = range(2**32 - 7, 2**32 + 2, 1)
-        for stream, want in zip(RandomStream(9, 2).derive_many(trials),
-                                derived_streams(9, 2, trials), strict=True):
-            assert_same_stream(stream, want)
+        # past 2^32 every trial goes through derive; in bounds, blocks of 3
+        for trials in (range(2**32 - 7, 2**32 + 2, 1), range(2**32 - 10, 2**32)):
+            for stream, want in zip(RandomStream(9, 2).derive_many(trials),
+                                    derived_streams(9, 2, trials), strict=True):
+                assert_same_stream(stream, want)
+
+    @pytest.mark.parametrize("trials,vectorised", [
+        (range(0, 5), True), (range(2**32 - 3, 2**32), True), (range(4, -1, -2), True),
+        (range(2**32 - 1, -1, -2**31), True), (range(0), True),
+        (range(2**32 - 2, 2**32 + 1), False), (range(2**32 + 2, 2**32 - 2, -1), False),
+        (range(2**32, 2**32 + 3), False), (range(0, 2**64, 2**63), False),
+        (range(3, -2, -1), False),
+    ])
+    def test_whole_range_is_vectorised_only_inside_one_word(self, monkeypatch, trials,
+                                                            vectorised):
+        # both ends in [0, 2^32): every trial's words come from seed_words;
+        # else none does.  Either way the first (up to) four streams are derive's.
+        seen = []
+        seed_words = _seedwords.seed_words
+
+        def spy(seed, experiment, block):
+            seen.extend(block)
+            return seed_words(seed, experiment, block)
+
+        monkeypatch.setattr(_seedwords, "seed_words", spy)
+        rng = RandomStream(8, 1)
+        for t, stream in zip(trials[:4], rng.derive_many(trials)):
+            assert_same_stream(stream, rng.derive(t))
+        assert seen == (list(trials) if vectorised else [])
 
     def test_negative_trial_fails_as_derive_does_when_reached(self):
         rng = RandomStream(3)
@@ -1310,6 +1335,12 @@ class TestApplyUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             apply_unitary(KET0, np.array([[1, 1], [0, 1]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_unitary_without_a_warning(self, bad):
+        # every warning is an error here, so an inf - inf in the product fails the test
+        with pytest.raises(ValueError, match="^matrix is not unitary within tolerance$"):
+            apply_unitary(KET0, np.array([[bad, 0], [0, 1]]))
 
     def test_local_application_matches_kron(self):
         rng = RandomStream(79)
