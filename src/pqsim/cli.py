@@ -185,13 +185,11 @@ class RunConfig:
     dims: tuple[int, ...]
     state_kind: str
     action_type: str  # device | experiment | check
+    name: str  # the device kind, experiment id or check kind: a key of _ACTIONS[action_type]
     state_labels: tuple[int, ...] = ()
     state_amplitudes: tuple[complex, ...] = ()
-    device_kind: str = ""
     target: tuple[int, ...] = ()
     repetitions: int = 1
-    experiment_id: str = ""
-    check_kind: str = ""
     params: tuple[tuple[str, object], ...] = ()
     output_path: str = ""
     output_format: str = "records"
@@ -216,8 +214,7 @@ class RunConfig:
             lines.append(f"state.amplitudes = {_render(rendered, quote=True)}")
         lines.append(f'action.type = "{self.action_type}"')
         prefix = f"action.{self.action_type}."
-        name = self.device_kind or self.experiment_id or self.check_kind
-        lines.append(f'{prefix}{_NAME_KEYS[self.action_type]} = "{name}"')
+        lines.append(f'{prefix}{_NAME_KEYS[self.action_type]} = "{self.name}"')
         if self.action_type == "device":
             lines.append(f"action.target = {_render(list(self.target))}")
             lines.append(f"action.repetitions = {self.repetitions}")
@@ -321,11 +318,10 @@ def parse_config(text: str) -> RunConfig:
     prefix = f"action.{action_type}."
     name_key = prefix + _NAME_KEYS[action_type]
     name = take(name_key, required=True)
-    records = {"device": dev.DEVICE_KINDS, "experiment": EXPERIMENTS, "check": CHECKS}
-    if name not in records[action_type]:
-        fail(f"{name_key} must be one of {tuple(records[action_type])}, got {name!r}",
-             name_key)
-    record = records[action_type][name]
+    records = _ACTIONS[action_type]
+    if name not in records:
+        fail(f"{name_key} must be one of {tuple(records)}, got {name!r}", name_key)
+    record = records[name]
     accepted = record.names if action_type == "device" else record.params
     params = []
     for key in pairs:
@@ -371,10 +367,8 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         seed=seed, dims=space.dims, state_kind=state_kind,
         state_labels=state_labels, state_amplitudes=state_amplitudes,
-        action_type=action_type, device_kind=name if action_type == "device" else "",
-        target=target, repetitions=repetitions,
-        experiment_id=name if action_type == "experiment" else "",
-        check_kind=name if action_type == "check" else "", params=tuple(sorted(params)),
+        action_type=action_type, name=name, target=target, repetitions=repetitions,
+        params=tuple(sorted(params)),
         output_path=output_path, output_format=output_format, device=spec,
     )
 
@@ -573,7 +567,7 @@ def _device_records(config: RunConfig):
         fields.update(_outcome_fields(outcome))
         yield fields
     yield {
-        "record": "summary", "action": "device", "kind": config.device_kind,
+        "record": "summary", "action": "device", "kind": config.name,
         "target": list(config.target), "repetitions": config.repetitions,
         "seed": config.seed,
     }
@@ -664,11 +658,12 @@ def _product_form(read, rng):
 
 
 _D = Param(int, 2, 2, 4)
+_M = Param(int, 3, 1, 8)  # the entropy meter's precision: 2^m log2(d) + 1 outcomes
 _THRESHOLD = Param(float, 0.05, low=0.0, open=True)
 
 EXPERIMENTS = {a.config_name: a for a in (
     Action("fpvnem", "fpvnem", 10, {
-        "d": _D, "m": Param(int, 3, 1, 8), "samples": Param(int, 1000, 1),
+        "d": _D, "m": _M, "samples": Param(int, 1000, 1),
         "include_entangled": Param(bool, True, choices=(True, False))},
         lambda read, rng: exp.fpvnem_refutation(
             read("d"), read("m"), read("samples"), rng,
@@ -712,11 +707,11 @@ CHECKS = {a.config_name: a for a in (
     Action("closure", "closure", 3, {
         "family": Param(str, "quantum_povm",
                         choices=("quantum_povm", "entropy_meter", "fpvnem")),
-        "samples": Param(int, 100, 1), "m": Param(int, 3, 1)},
+        "samples": Param(int, 100, 1), "m": _M},
         _closure, m_param="m"),
     Action("product-form", "product_form", 3, {
         "family": Param(str, "fpvnem", choices=("fpvnem", "quantum")),
-        "d": _D, "m": Param(int, 3, 1)},
+        "d": _D, "m": _M},
         _product_form, m_param="m"),
     Action("estimation", "estimation_assumption", 3, {
         "family": Param(str, "readout", choices=ESTIMATION_FAMILIES), "d": _D},
@@ -724,6 +719,8 @@ CHECKS = {a.config_name: a for a in (
                            .record_fields(), True)),
 )}
 
+# the record table of each action type, keyed by the name a config gives
+_ACTIONS = {"device": dev.DEVICE_KINDS, "experiment": EXPERIMENTS, "check": CHECKS}
 DEMO_NAMES = tuple(a.cli_name for a in EXPERIMENTS.values())
 
 
@@ -738,11 +735,8 @@ def _action_record(action: Action, params: dict, seed: int,
     result = _run_action(action, params, seed, prefix)
     if isinstance(result, tuple):  # a check's fields and whether it passed
         fields, passed = result
-    elif isinstance(result, exp.Certificate):
-        fields = result.record_fields()
-        passed = result.verdict in (exp.VIOLATION_CERTIFIED, exp.CONSISTENT)
-    else:
-        fields, passed = result.record_fields(), result.status == "OK" and result.passed
+    else:  # an experiment's certificate or report
+        fields, passed = result.record_fields(), result.passed
     return fields, 0 if passed else 1
 
 
@@ -751,9 +745,8 @@ def run(config: RunConfig) -> int:
     if config.action_type == "device":
         records, status = _device_records(config), 0
     else:
-        action = (EXPERIMENTS[config.experiment_id] if config.action_type == "experiment"
-                  else CHECKS[config.check_kind])
-        fields, status = _action_record(action, dict(config.params), config.seed,
+        fields, status = _action_record(_ACTIONS[config.action_type][config.name],
+                                        dict(config.params), config.seed,
                                         f"action.{config.action_type}.")
         records = [fields]
 

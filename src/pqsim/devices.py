@@ -131,12 +131,10 @@ class DistributionTable:
 
     Branch j has the outcome type ``types[j]`` on every row, and
     ``probabilities`` is the (n, branches) array.  ``values[r, j]`` is the
-    payload of branch j on row r, or ``values[0, j]`` on every row when
-    ``values`` has one row for a fixed alphabet: a float for RealValue, an
-    int for IntegerLabel and Bit, a placeholder for Overflow, whose outcome
-    carries its own probability.  A readout's one MatrixDescription branch
-    keeps the (n, d, d) matrices in ``values`` instead, described at
-    ``precision``.
+    payload of branch j on row r: a float for RealValue, an int for
+    IntegerLabel and Bit, a placeholder for Overflow, whose outcome carries
+    its own probability.  A readout's one MatrixDescription branch keeps the
+    (n, d, d) matrices in ``values`` instead, described at ``precision``.
     """
 
     types: tuple[type, ...]
@@ -153,19 +151,18 @@ class DistributionTable:
         if self.types == (MatrixDescription,):
             return [[(MatrixDescription(m, self.precision), row[0])]
                     for m, row in zip(self.values, probs)]
-        values = self.values.tolist()
-        if len(values) == 1:
-            values *= len(probs)
         return [[(Overflow(p) if kind is Overflow else kind(v), p)
                  for kind, v, p in zip(self.types, row_values, row)]
-                for row_values, row in zip(values, probs)]
+                for row_values, row in zip(self.values.tolist(), probs)]
 
 
 def _scalar_table(kind: type, values, probs: np.ndarray) -> DistributionTable:
     """A table with one branch of ``kind`` per column of probs; ``values`` is
-    (n, branches), or the one row of a fixed alphabet."""
-    return DistributionTable((kind,) * probs.shape[1],
-                             np.asarray(values).reshape(-1, probs.shape[1]), probs)
+    (n, branches), or the one row of a fixed alphabet, repeated to n rows."""
+    values = np.asarray(values).reshape(-1, probs.shape[1])
+    if len(values) != len(probs):
+        values = values.repeat(len(probs), axis=0)
+    return DistributionTable((kind,) * probs.shape[1], values, probs)
 
 
 def _only(table: DistributionTable) -> Outcome:
@@ -278,8 +275,8 @@ def _label_table(labels: list[int], probs: np.ndarray,
         if abs(label) > max_label:
             excluded = excluded + probs[:, j]
     probs = np.column_stack([probs[:, kept], excluded])
-    values = np.array([[labels[j] for j in kept] + [0]])  # 0 holds the Overflow place
-    return DistributionTable((IntegerLabel,) * len(kept) + (Overflow,), values, probs)
+    table = _scalar_table(IntegerLabel, [labels[j] for j in kept] + [0], probs)
+    return replace(table, types=table.types[:-1] + (Overflow,))  # the 0 is its placeholder
 
 
 def _require_sharpness(sharpness: float) -> None:
@@ -872,8 +869,7 @@ class OutcomeSelection:
             if kind in self._sorted:
                 # row-major entries keep branch order, so add.at sums each
                 # cell in the order the branches come
-                cells, entries = self._scalar_matches(
-                    kind, np.broadcast_to(table.values[:, cols], probs.shape), k)
+                cells, entries = self._scalar_matches(kind, table.values[:, cols], k)
                 np.add.at(out.reshape(-1), cells, probs.reshape(-1)[entries])
                 matched.reshape(-1)[cells] = True
                 continue

@@ -75,6 +75,11 @@ class Certificate:
     evidence: dict
     seed: int
 
+    @property
+    def passed(self) -> bool:
+        """Whether the run reproduced its claim: any verdict but FAIL."""
+        return self.verdict in (VIOLATION_CERTIFIED, CONSISTENT)
+
     def record_fields(self) -> dict:
         fields = {"experiment": self.experiment, "verdict": self.verdict,
                   "seed": self.seed}
@@ -382,16 +387,17 @@ def _complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]
 
 def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
                  trials: int = 100) -> Certificate:
-    """State readout as a cloning machine for unknown pure states.
+    """State readout as a cloning machine for unknown pure states, d in [2, 4].
 
     Each trial reads out the reduced density matrix of an unknown state,
     reconstructs the state from the rank-1 description, and prepares two
     copies.  Infinite precision demands copy fidelity >= 1 - 1e-9 on every
-    trial; at finite precision m the quota is fidelity >= 1 - 10*2^-m on
-    at least ``CLONING_SUCCESS_QUOTA`` of the trials.
+    trial; at finite precision m >= 1 the quota is fidelity >= 1 - 10*2^-m
+    on at least ``CLONING_SUCCESS_QUOTA`` of the ``trials`` >= 1.
     """
-    if not 2 <= d <= 4:
-        raise ValueError("cloning demo runs at 2 <= d <= 4")
+    d = _checked_int(d, "d", 2, 4)
+    trials = _checked_int(trials, "trials", 1)
+    precision = None if precision is None else _checked_int(precision, "precision", 1)
     factor = FactorSpace((d,))
     blank = PureState.basis_state(FactorSpace((2,)), 0)
     threshold = 1.0 - 1e-9 if precision is None else 1.0 - 10.0 * 2.0 ** (-precision)
@@ -438,8 +444,7 @@ def tomography_estimate(source: Union[Ensemble, PureState], n_trials: int,
     space = source.space
     if space.total_dim != 2:
         raise ValueError("tomography protocol is implemented for d = 2")
-    if n_trials < 100:
-        raise ValueError("need at least 100 trials for the confidence recipe")
+    n_trials = _checked_int(n_trials, "n_trials", 100)  # the confidence recipe's minimum
 
     rho_true = source.density().entries if isinstance(source, Ensemble) else source.density()
     budgets = [n_trials // 3 + (1 if i < n_trials % 3 else 0) for i in range(3)]
@@ -511,13 +516,13 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
     2^-(m-1), the quantization cell size.  The achieved metric is the
     total variation sum |p_i - p_i^e| against the true weights.
     """
-    if n_draws < 100:
-        raise ValueError("need at least 100 draws")
+    n_draws = _checked_int(n_draws, "n_draws", 100)
     members = source.members
     weights = source.weights
 
     if precision_schedule is not None and len(precision_schedule) == 0:
         raise ValueError("precision schedule must be nonempty")
+    schedule = [_checked_int(m, "precision_schedule entry", 1) for m in precision_schedule or ()]
 
     # group draws by (member, precision); the draw sequence is multinomial
     groups: dict[tuple[int, int | None], int] = {}
@@ -527,12 +532,10 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
             if c > 0:
                 groups[(r, None)] = int(c)
     else:
-        schedule = list(precision_schedule)
         member_draws = rng.derive(0).generator.choice(
             len(members), size=n_draws, p=weights)
         for t, r in enumerate(member_draws):
-            m_t = schedule[min(t, len(schedule) - 1)]
-            key = (int(r), int(m_t))
+            key = (int(r), schedule[min(t, len(schedule) - 1)])
             groups[key] = groups.get(key, 0) + 1
 
     # one readout per distinct (member, precision) group
@@ -554,7 +557,7 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
             clusters.append({"state": reconstructed, "count": count, "tol": tol})
 
     # match each cluster to the nearest true member, within a quantization cell
-    cell = max(2.0 ** (-(min(precision_schedule or [60]) - 1)), 1e-6)
+    cell = max(2.0 ** (-(min(schedule or [60]) - 1)), 1e-6)
     matches, deviations = [], [0.0]
     for cluster in clusters:
         distances = [_state_distance(cluster["state"], mem.amplitudes) for mem, _ in members]
@@ -652,11 +655,12 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
                               net_cap: int = 4000) -> EstimationReport:
     """Recover a qubit ensemble using only threshold overlap tests.
 
-    Each round probes every draw with the hard overlap device against a
+    A round probes every draw with the hard overlap device against a
     deterministic net of target states at acceptance threshold 1 - eps;
     the firing pattern identifies the drawn state to within the net
-    resolution.  Rounds run at decreasing eps; the final round's clusters
-    give the estimate (cluster state = Bloch centroid of firing targets).
+    resolution.  Rounds run at decreasing eps, each net within ``net_cap``;
+    the final round's clusters give the estimate (cluster state = Bloch
+    centroid of firing targets), so it is the one round that is run.
     """
     if source.space.total_dim != 2:
         raise ValueError("overlap estimation is implemented for d = 2")
@@ -665,17 +669,17 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
         raise ValueError("epsilon schedule must be nonempty")
     if any(not 0.0 < e < 1.0 for e in schedule):
         raise ValueError("epsilon values must lie in (0, 1)")
+    n_draws = _checked_int(n_draws, "n_draws", 0)
 
     members = source.members
-    weights = source.weights
-    counts = rng.derive(0).generator.multinomial(n_draws, weights)
+    counts = rng.derive(0).generator.multinomial(n_draws, source.weights)
     space = source.space
     drawn = [r for r, count in enumerate(counts) if count > 0]
     rhos = reduced_densities(StateStack.of([members[r][0] for r in drawn], space),
                              space.indices())
     require_density(rhos)
 
-    for eps in schedule:
+    for eps in schedule:  # every round's net must fit; eps and size end as the final round's
         size = _net_size_for(eps)
         if size > net_cap:
             extras = {"net_cap": net_cap, "requested_net": size, "epsilon": eps}
@@ -685,33 +689,33 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
                 confidence=confidence, threshold=threshold, passed=False,
                 seed=rng.seed, status=_judge(extras, "OK", {"net_cap": False}),
                 extras=extras)
-        net = StateStack(space, np.array(fibonacci_net(size)))
-        clusters: dict[frozenset, dict] = {}
-        for r, bits in zip(drawn, overlap_bits(rhos, net, 1.0 - eps)):
-            # ascending, as the set's iteration order (the centroid's sum order) follows it
-            fired = frozenset(np.flatnonzero(bits).tolist())
-            if not fired:
-                fired = frozenset({-1})  # net failed to cover: ghost cluster
-            entry = clusters.setdefault(fired, {"count": 0})
-            entry["count"] += int(counts[r])
-        for fired, entry in clusters.items():
-            if -1 in fired:
-                entry["state"] = None
-                continue
-            centroid = np.sum([_bloch_vector(net.amplitudes[j]) for j in fired], axis=0)
-            entry["state"] = _phase_fixed(_bloch_state(centroid))
+    net = StateStack(space, np.array(fibonacci_net(size)))
+    clusters: dict[frozenset, dict] = {}
+    for r, bits in zip(drawn, overlap_bits(rhos, net, 1.0 - eps)):
+        # ascending, as the set's iteration order (the centroid's sum order) follows it
+        fired = frozenset(np.flatnonzero(bits).tolist())
+        if not fired:
+            fired = frozenset({-1})  # net failed to cover: ghost cluster
+        entry = clusters.setdefault(fired, {"count": 0})
+        entry["count"] += int(counts[r])
+    for fired, entry in clusters.items():
+        if -1 in fired:
+            entry["state"] = None
+            continue
+        centroid = np.sum([_bloch_vector(net.amplitudes[j]) for j in fired], axis=0)
+        entry["state"] = _phase_fixed(_bloch_state(centroid))
 
-    # the final round's clusters: each recovered state matches the member of
-    # largest overlap, if that overlap exceeds 1 - eps
+    # each recovered state matches the member of largest overlap, if that
+    # overlap exceeds 1 - eps
     matches, overlaps_matched = [], [1.0]
     for state in (c["state"] for c in clusters.values() if c["state"] is not None):
         overlaps = [abs(np.vdot(state, mem.amplitudes)) ** 2 for mem, _ in members]
         best = int(np.argmax(overlaps))
-        matches.append(best if overlaps[best] > 1.0 - schedule[-1] else None)
+        matches.append(best if overlaps[best] > 1.0 - eps else None)
         if matches[-1] is not None:
             overlaps_matched.append(overlaps[best])
 
-    extras = {"rounds": len(schedule), "final_epsilon": schedule[-1], "final_net_size": size,
+    extras = {"rounds": len(schedule), "final_epsilon": eps, "final_net_size": size,
               "min_matched_overlap": min(overlaps_matched), "draws": n_draws}
     return _ensemble_report("ensemble-overlap", source, clusters.values(), matches, n_draws,
                             rng, confidence, threshold, extras)

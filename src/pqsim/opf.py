@@ -170,13 +170,19 @@ def _indexed_outcomes(space: FactorSpace,
 # Constructors
 # ---------------------------------------------------------------------------
 
-def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> OPF:
-    """OPF of a quantum POVM element: f(psi) = <psi|Q|psi>, with 0 <= Q <= I."""
+def _povm_element(element) -> np.ndarray:
+    """A complex copy of a POVM element: square, Hermitian, 0 <= Q <= I; else ValueError."""
     q = _square_matrix(element, "POVM element")
-    dim = q.shape[0]
     require_hermitian(q, "POVM element must be Hermitian")
     if require_psd(q, "POVM element must satisfy 0 <= Q <= I")[-1] > 1.0 + 1e-9:
         raise ValueError("POVM element must satisfy 0 <= Q <= I")
+    return q
+
+
+def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> OPF:
+    """OPF of a quantum POVM element: f(psi) = <psi|Q|psi>, with 0 <= Q <= I."""
+    q = _povm_element(element)
+    dim = q.shape[0]
     if space is None:
         space = FactorSpace((dim,))
     elif space.total_dim != dim:
@@ -285,23 +291,23 @@ def mix_measurements(first: FullMeasurement, second: FullMeasurement, weight: fl
                      pairing: Sequence[tuple[int, int]]) -> FullMeasurement:
     """Mixture of two full measurements under an explicit outcome pairing.
 
-    ``pairing`` lists (i, j) outcome indices that are declared identical;
-    unpaired outcomes survive with their single-branch weight.  There is no
-    canonical identification across outcome alphabets, so the caller must
-    supply one.
+    ``pairing`` lists (i, j) outcome indices, each naming an outcome of its
+    measurement, that are declared identical; unpaired outcomes survive with
+    their single-branch weight.  There is no canonical identification across
+    outcome alphabets, so the caller must supply one.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     if first.space.dims != second.space.dims:
         raise ValueError("measurements must share one space")
-    used_i = {i for i, _ in pairing}
-    used_j = {j for _, j in pairing}
-    if len(used_i) != len(pairing) or len(used_j) != len(pairing):
+    paired_i = [_checked_int(i, "first pairing index", 0, len(first.outcomes) - 1)
+                for i, _ in pairing]
+    paired_j = [_checked_int(j, "second pairing index", 0, len(second.outcomes) - 1)
+                for _, j in pairing]
+    if len(set(paired_i)) != len(pairing) or len(set(paired_j)) != len(pairing):
         raise ValueError("pairing must not repeat outcomes")
-    paired_i = [i for i, _ in pairing]
-    paired_j = [j for _, j in pairing]
-    only_i = [i for i in range(len(first.outcomes)) if i not in used_i]
-    only_j = [j for j in range(len(second.outcomes)) if j not in used_j]
+    only_i = [i for i in range(len(first.outcomes)) if i not in paired_i]
+    only_j = [j for j in range(len(second.outcomes)) if j not in paired_j]
 
     def evaluate(states: StateStack) -> np.ndarray:
         a = first.probabilities(states)
@@ -310,7 +316,7 @@ def mix_measurements(first: FullMeasurement, second: FullMeasurement, weight: fl
                                weight * a[:, only_i], (1.0 - weight) * b[:, only_j]], axis=1)
 
     operators = []
-    for i, j in pairing:
+    for i, j in zip(paired_i, paired_j):
         f, g = first.outcomes[i], second.outcomes[j]
         operators.append(None if f.operator is None or g.operator is None
                          else weight * f.operator + (1.0 - weight) * g.operator)
@@ -755,8 +761,7 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
     """
     if family not in ESTIMATION_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {ESTIMATION_FAMILIES}")
-    if not 2 <= dim <= 4:
-        raise ValueError("estimation checker supports 2 <= d <= 4")
+    dim = _checked_int(dim, "dim", 2, 4)
 
     space = FactorSpace((dim,))
 
@@ -878,13 +883,15 @@ def update_map_feasibility(element: np.ndarray,
                            ) -> UpdateMapCertificate:
     """Solve for a linear update map consistent with the trivial update.
 
-    ``probe_states`` must span the Hermitian operator space (d^2 states
-    suffice).  The fitted map is then validated on additional canonical
-    states; the certificate's residual is the worst violation seen.
+    ``probe_states`` must span the Hermitian operator space of the POVM
+    element's dimension (d^2 states suffice).  The fitted map is then validated
+    on additional canonical states; the residual is the worst violation seen.
     """
-    a = np.asarray(element, dtype=complex)
+    a = _povm_element(element)
     dim = a.shape[0]
     probes = StateStack.of(probe_states)
+    if probes.space.total_dim != dim:
+        raise ValueError("probe states do not match the element's dimension")
     n = len(probes)
 
     # the probes, then the validation states: canonical and random ones

@@ -632,8 +632,8 @@ def random_unitaries(dim: int, rng: RandomStream, n: int) -> np.ndarray:
 
 
 def random_density_matrix(dim: int, rng: RandomStream, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state from a normalized Wishart matrix."""
-    k = dim if rank is None else int(rank)
+    """Random mixed state from a normalized Wishart matrix of rank ``rank`` (or ``dim``)."""
+    k = dim if rank is None else _checked_int(rank, "rank", 1)
     g = rng.complex_normal(dim * k).reshape(dim, k)
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho))
@@ -797,35 +797,32 @@ def unitary_images(states, unitary: np.ndarray) -> StateStack:
 
 
 def apply_on_factors(amplitudes: np.ndarray, dims: Sequence[int], op: np.ndarray,
-                     subset: Sequence[int]) -> np.ndarray:
-    """Apply an operator to the chosen tensor factors of an amplitude vector."""
-    n = len(dims)
-    subset = tuple(subset)
-    rest = tuple(i for i in range(n) if i not in set(subset))
-    d_sub = math.prod(dims[i] for i in subset)
-    d_rest = math.prod(dims[i] for i in rest)
-    tensor = amplitudes.reshape(dims)
-    tensor = np.transpose(tensor, subset + rest).reshape(d_sub, d_rest)
-    tensor = op @ tensor
-    tensor = tensor.reshape([dims[i] for i in subset + rest])
-    inverse = np.argsort(subset + rest)
-    return np.transpose(tensor, inverse).reshape(-1)
+                     subset: Union[int, Sequence[int]]) -> np.ndarray:
+    """The (D,) image of an amplitude vector under a (d, d) operator on the
+    chosen factors, a validated subset read as a set; an (m, d, d) stack of
+    operators gives the (m, D) images, each row equal to its operator's."""
+    space = FactorSpace(tuple(dims))
+    plan = _subset_plan(space, subset)
+    images = np.asarray(op) @ _grouped(np.reshape(amplitudes, (1, -1)), space.dims, plan)[0]
+    grouped_dims = tuple(space.dims[i] for i in plan.keep + plan.rest)
+    tensor = np.transpose(images.reshape((-1,) + grouped_dims), np.argsort(plan.axes))
+    return tensor.reshape(images.shape[:-2] + (space.total_dim,))
 
 
 def apply_unitary(state: PureState, unitary: np.ndarray,
                   on: Union[int, Sequence[int], None] = None) -> PureState:
     """U|psi>, on the whole space or on the chosen factors only."""
-    u = np.asarray(unitary, dtype=complex)
+    u = _square_matrix(unitary, "unitary")
     require_unitary(u)
     if on is None:
         if u.shape[0] != state.space.total_dim:
             raise ValueError("unitary dimension does not match the state")
         return unitary_images(state, u)[0]
-    subset, _, d_sub, _, _ = _subset_plan(state.space, on)
-    if u.shape[0] != d_sub:
+    plan = _subset_plan(state.space, on)
+    if u.shape[0] != plan.d_keep:
         raise ValueError("unitary dimension does not match the chosen factors")
-    amps = apply_on_factors(state.amplitudes, state.space.dims, u, subset)
-    return PureState.normalized(state.space, amps)
+    return PureState.normalized(state.space, apply_on_factors(
+        state.amplitudes, state.space.dims, u, plan.keep))
 
 
 def partial_trace(state: Union[PureState, DensityMatrix], keep: Union[int, Sequence[int]],
@@ -864,10 +861,15 @@ def reduced_densities(states, keep: Union[int, Sequence[int]]) -> np.ndarray:
 
 def _reduced_rows(amps: np.ndarray, dims: tuple[int, ...], plan: _SubsetPlan) -> np.ndarray:
     """The reduced densities of (n, D) amplitude rows across a proper bipartition."""
-    n = len(amps)
-    mat = np.transpose(amps.reshape((n,) + dims), plan.axes).reshape(n, plan.d_keep, plan.d_rest)
+    mat = _grouped(amps, dims, plan)
     rho = mat @ mat.conj().transpose(0, 2, 1)
     return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _grouped(amps: np.ndarray, dims: tuple[int, ...], plan: _SubsetPlan) -> np.ndarray:
+    """(n, D) amplitude rows as (n, d_keep, d_rest) matrices: kept factors by the rest."""
+    n = len(amps)
+    return np.transpose(amps.reshape((n,) + dims), plan.axes).reshape(n, plan.d_keep, plan.d_rest)
 
 
 def _bipartition(space: FactorSpace, keep) -> _SubsetPlan:
@@ -887,14 +889,14 @@ def schmidt_decompose(state: PureState, cut: Union[int, Sequence[int]]) -> Schmi
     genuinely occupied Schmidt vectors.
     """
     space = state.space
-    cut_t, rest, d_left, d_right, _ = _bipartition(space, cut)
-    mat = np.transpose(state.amplitudes.reshape(space.dims), cut_t + rest).reshape(d_left, d_right)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    plan = _bipartition(space, cut)
+    u, s, vh = np.linalg.svd(_grouped(state.amplitudes[None], space.dims, plan)[0],
+                             full_matrices=False)
 
     kept = s * s > EIGENVALUE_FLOOR
     return SchmidtDecomposition(tuple((s[kept] * s[kept]).tolist()),
-                                tuple(normalized_states(space.subspace(cut_t), u.T[kept])),
-                                tuple(normalized_states(space.subspace(rest), vh[kept])))
+                                tuple(normalized_states(space.subspace(plan.keep), u.T[kept])),
+                                tuple(normalized_states(space.subspace(plan.rest), vh[kept])))
 
 
 def born_probabilities(rho: DensityMatrix, povm: POVMSet) -> np.ndarray:
@@ -944,18 +946,13 @@ def measure_projective(state: PureState, observable: HermitianObservable,
     post-measurement state (P_i x I)|psi>.  Clusters with probability
     below the selection floor are never chosen.
     """
-    subset, _, d_sub, _, _ = _subset_plan(state.space, on)
-    if observable.dim != d_sub:
+    plan = _subset_plan(state.space, on)
+    if observable.dim != plan.d_keep:
         raise ValueError("observable dimension does not match the chosen factors")
-    branches = []
-    probs = []
-    for proj in observable.projectors:
-        amps = apply_on_factors(state.amplitudes, state.space.dims, proj, subset)
-        branches.append(amps)
-        probs.append(float(np.real(np.vdot(amps, amps))))
-    idx = rng.choose(probs)
-    post = PureState.normalized(state.space, branches[idx])
-    return idx, post
+    branches = apply_on_factors(state.amplitudes, state.space.dims,
+                                np.array(observable.projectors), plan.keep)
+    idx = rng.choose([float(np.real(np.vdot(amps, amps))) for amps in branches])
+    return idx, PureState.normalized(state.space, branches[idx])
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

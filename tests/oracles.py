@@ -31,7 +31,11 @@ closure checker's per-property loop, one evaluation per weight draw,
 unitary and background, is the oracle of its one stack per property, and
 the one-matrix QR draw is the oracle of ``qcore.random_unitaries``.  The
 two ensemble estimators' bodies from before they shared one
-score-and-report body are the oracles of their reports.
+score-and-report body are the oracles of their reports.  The one-operator
+``apply_on_factors`` with its own permutation, and ``measure_projective``'s
+one call per projector on it, are the oracles of the stacked operator
+images, and the overlap estimate's body from before it ran only its final
+round is the oracle of that one round.
 """
 
 import itertools
@@ -60,10 +64,12 @@ from pqsim.qcore import (
     POVMSet,
     PureState,
     RandomStream,
+    StateStack,
     _subset_plan,
     quantize as quantize_value,
     random_pure_state,
     reduced_densities,
+    require_density,
     spectrum_entropies,
     tensor_product,
 )
@@ -426,7 +432,7 @@ def device_run_output(config, state):
                                    config.repetitions)
     records = [{"record": "repetition", "repetition": rep, **_outcome_fields(outcome)}
                for rep, outcome in enumerate(outcomes)]
-    records.append({"record": "summary", "action": "device", "kind": config.device_kind,
+    records.append({"record": "summary", "action": "device", "kind": config.name,
                     "target": list(config.target), "repetitions": config.repetitions,
                     "seed": config.seed})
     render = _as_text if config.output_format == "text" else format_record
@@ -1099,3 +1105,91 @@ def ensemble_estimate_overlap(source, epsilon_schedule, n_draws, rng, confidence
         passed=_below_threshold(extras, total_variation, threshold), seed=rng.seed,
         recovered=recovered, extras=extras,
     )
+
+
+def apply_on_factors(amplitudes, dims, op, subset):
+    """``qcore.apply_on_factors`` for one operator, by its own permutation of
+    the factors and its inverse, the subset taken in the order given."""
+    n = len(dims)
+    subset = tuple(subset)
+    rest = tuple(i for i in range(n) if i not in set(subset))
+    d_sub = math.prod(dims[i] for i in subset)
+    d_rest = math.prod(dims[i] for i in rest)
+    tensor = np.transpose(amplitudes.reshape(dims), subset + rest).reshape(d_sub, d_rest)
+    tensor = (op @ tensor).reshape([dims[i] for i in subset + rest])
+    return np.transpose(tensor, np.argsort(subset + rest)).reshape(-1)
+
+
+def measure_projective(state, observable, on, rng):
+    """``qcore.measure_projective`` by one ``apply_on_factors`` call per
+    cluster projector, on the sorted subset."""
+    subset = _subset_plan(state.space, on).keep
+    branches = [apply_on_factors(state.amplitudes, state.space.dims, proj, subset)
+                for proj in observable.projectors]
+    idx = rng.choose([float(np.real(np.vdot(amps, amps))) for amps in branches])
+    return idx, PureState.normalized(state.space, branches[idx])
+
+
+def ensemble_estimate_overlap_rounds(source, epsilon_schedule, n_draws, rng, confidence=0.95,
+                                     threshold=0.05, net_cap=4000):
+    """``experiments.ensemble_estimate_overlap``'s body from before it ran only
+    its final round: every round of the schedule builds its net, its overlap
+    bits and its clusters, and each round's overwrite the last's."""
+    from pqsim.experiments import (
+        EstimationReport, _bloch_state, _bloch_vector, _ensemble_report, _judge,
+        _net_size_for, _phase_fixed, fibonacci_net)
+
+    if source.space.total_dim != 2:
+        raise ValueError("overlap estimation is implemented for d = 2")
+    schedule = [float(e) for e in epsilon_schedule]
+    if len(schedule) == 0:
+        raise ValueError("epsilon schedule must be nonempty")
+    if any(not 0.0 < e < 1.0 for e in schedule):
+        raise ValueError("epsilon values must lie in (0, 1)")
+
+    members = source.members
+    weights = source.weights
+    counts = rng.derive(0).generator.multinomial(n_draws, weights)
+    space = source.space
+    drawn = [r for r, count in enumerate(counts) if count > 0]
+    rhos = reduced_densities(StateStack.of([members[r][0] for r in drawn], space),
+                             space.indices())
+    require_density(rhos)
+
+    for eps in schedule:
+        size = _net_size_for(eps)
+        if size > net_cap:
+            extras = {"net_cap": net_cap, "requested_net": size, "epsilon": eps}
+            return EstimationReport(
+                protocol="ensemble-overlap", outcome_stats=(),
+                metric_name="total_variation", metric_value=0.0,
+                confidence=confidence, threshold=threshold, passed=False,
+                seed=rng.seed, status=_judge(extras, "OK", {"net_cap": False}),
+                extras=extras)
+        net = StateStack(space, np.array(fibonacci_net(size)))
+        clusters = {}
+        for r, bits in zip(drawn, devices.overlap_bits(rhos, net, 1.0 - eps)):
+            fired = frozenset(np.flatnonzero(bits).tolist())
+            if not fired:
+                fired = frozenset({-1})
+            entry = clusters.setdefault(fired, {"count": 0})
+            entry["count"] += int(counts[r])
+        for fired, entry in clusters.items():
+            if -1 in fired:
+                entry["state"] = None
+                continue
+            centroid = np.sum([_bloch_vector(net.amplitudes[j]) for j in fired], axis=0)
+            entry["state"] = _phase_fixed(_bloch_state(centroid))
+
+    matches, overlaps_matched = [], [1.0]
+    for state in (c["state"] for c in clusters.values() if c["state"] is not None):
+        overlaps = [abs(np.vdot(state, mem.amplitudes)) ** 2 for mem, _ in members]
+        best = int(np.argmax(overlaps))
+        matches.append(best if overlaps[best] > 1.0 - schedule[-1] else None)
+        if matches[-1] is not None:
+            overlaps_matched.append(overlaps[best])
+
+    extras = {"rounds": len(schedule), "final_epsilon": schedule[-1], "final_net_size": size,
+              "min_matched_overlap": min(overlaps_matched), "draws": n_draws}
+    return _ensemble_report("ensemble-overlap", source, clusters.values(), matches, n_draws,
+                            rng, confidence, threshold, extras)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pqsim import cli
+from pqsim import experiments as exp
 from pqsim.devices import DEVICE_KINDS, DeviceSpec
 from pqsim.cli import (
     ConfigError,
@@ -48,7 +49,7 @@ class TestConfigParsing:
         config = parse_config(MINIMAL)
         assert config.dims == (2, 2)
         assert config.state_kind == "bell"
-        assert config.device_kind == "EntropyMeter"
+        assert config.name == "EntropyMeter"
         assert config.param("alpha") == 1
         assert config.param("precision") is None  # m absent: infinite precision
         assert config.seed == DEFAULT_SEED
@@ -153,6 +154,19 @@ output.path = "out.records"
         ):
             config = parse_config(text)
             assert parse_config(config.to_text()) == config
+
+
+    @pytest.mark.parametrize("action,name_line,name", [
+        ("device", 'action.device.kind = "EntropyMeter"\naction.target = [0]', "EntropyMeter"),
+        ("experiment", 'action.experiment.id = "spod-update"', "spod-update"),
+        ("check", 'action.check.kind = "product_form"', "product_form"),
+    ])
+    def test_name_round_trips_through_to_text(self, action, name_line, name):
+        text = f'space.dims = [2, 2]\nstate.kind = "bell"\naction.type = "{action}"\n{name_line}\n'
+        config = parse_config(text)
+        assert config.name == name
+        assert name_line.split("\n")[0] in config.to_text().splitlines()
+        assert parse_config(config.to_text()).name == name
 
 
 class TestStateConstruction:
@@ -498,6 +512,30 @@ class TestConfigurationExitCodes:
     def test_unused_argument_is_not_validated(self, capsys):
         assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
                      "--samples", "5"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "closure", "--family", "entropy_meter", "--m", "9"],
+        ["check", "closure", "--family", "fpvnem", "--m", "9"],
+        ["check", "product-form", "--family", "fpvnem", "--m", "9"],
+    ])
+    def test_meter_precision_is_bounded_before_the_meter_is_built(self, argv, capsys,
+                                                                 monkeypatch):
+        # the meter has 2^m log2(d) + 1 outcomes, so an unbounded m exhausts memory
+        def refuse(*args, **kwargs):
+            raise AssertionError("the meter was built")
+
+        monkeypatch.setattr(cli, "entropy_meter_measurement", refuse)
+        assert main(argv) == 2
+        assert "m must lie in [1, 8], got 9 (key 'm')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verdict,status", [
+    (exp.VIOLATION_CERTIFIED, 0), (exp.CONSISTENT, 0), (exp.FAIL, 1)])
+def test_certificate_passed_gives_the_exit_status(verdict, status):
+    cert = exp.Certificate("demo", verdict, {"evidence": 1.5}, 7)
+    assert cert.passed is (status == 0)
+    action = cli.Action("demo", "demo", 99, {}, lambda read, rng: cert)
+    assert cli._action_record(action, {}, 7) == (cert.record_fields(), status)
 
 
 def test_default_ensemble_equals_its_per_state_construction():

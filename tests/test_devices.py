@@ -702,6 +702,18 @@ class TestDeviceSpec:
         want = PER_KIND_FUNCTIONS[kind](state, (1,), params)
         assert _branch_keys(got) == _branch_keys(want)
 
+    @pytest.mark.parametrize("kind,params", SPEC_CASES)
+    def test_table_values_have_one_row_per_state(self, kind, params):
+        # a fixed alphabet's values are one row broadcast, not a second layout
+        states = [random_pure_state(TWO_QUBITS, RandomStream(199, trial=t)) for t in range(5)]
+        table = DeviceSpec(kind, params).table(states, (1,))
+        if table.types == (MatrixDescription,):
+            assert table.values.shape == (5, 2, 2)
+        else:
+            assert table.values.shape == table.probabilities.shape == (5, len(table.types))
+        assert [_branch_keys(row) for row in table.rows()] == [
+            _branch_keys(DeviceSpec(kind, params).table(psi, (1,)).rows()[0]) for psi in states]
+
     @pytest.mark.parametrize("kind,missing", [
         (kind, name) for kind, record in DEVICE_KINDS.items() for name in record.required])
     def test_missing_required_parameter_is_named(self, kind, missing):

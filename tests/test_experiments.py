@@ -734,6 +734,75 @@ class TestEnsembleOverlap:
                 assert best > 1.0 - eps
 
 
+class TestOverlapFinalRound:
+    """The overlap estimate runs only its final round: its reports equal the
+    body that ran every round of the schedule."""
+
+    @pytest.mark.parametrize("net_cap", [4000, 100])
+    @pytest.mark.parametrize("schedule", [[0.05, 0.01], [0.1, 0.05, 0.01], [0.2, 0.001]])
+    def test_reports_equal_the_every_round_body(self, schedule, net_cap):
+        source = cli._default_ensemble()
+        for seed in range(1, 21):
+            got = ensemble_estimate_overlap(source, schedule, 2000, RandomStream(seed, 16),
+                                            net_cap=net_cap)
+            want = oracles.ensemble_estimate_overlap_rounds(
+                source, schedule, 2000, RandomStream(seed, 16), net_cap=net_cap)
+            assert _record(got) == _record(want)
+            assert repr(got.recovered) == repr(want.recovered)
+            assert ([state.tobytes() for state, _ in got.recovered]
+                    == [state.tobytes() for state, _ in want.recovered])
+
+
+ENSEMBLE = Ensemble(((KET0, 0.5), (PLUS, 0.5)))
+INTEGER_ARGUMENTS = {
+    "cloning d": lambda v: cloning_demo(v, RandomStream(1), trials=5),
+    "cloning trials": lambda v: cloning_demo(2, RandomStream(1), trials=v),
+    "cloning precision": lambda v: cloning_demo(2, RandomStream(1), precision=v, trials=5),
+    "tomography n_trials": lambda v: tomography_estimate(KET0, v, RandomStream(1)),
+    "readout n_draws": lambda v: ensemble_estimate_readout(ENSEMBLE, v, RandomStream(1)),
+    "readout schedule": lambda v: ensemble_estimate_readout(
+        ENSEMBLE, 100, RandomStream(1), precision_schedule=[4, v]),
+    "overlap n_draws": lambda v: ensemble_estimate_overlap(ENSEMBLE, [0.05], v, RandomStream(1)),
+}
+
+
+@pytest.mark.parametrize("argument,value,message", [
+    ("cloning d", 2.0, "d must be an integer, got 2.0"),
+    ("cloning d", True, "d must be an integer, got True"),
+    ("cloning d", 5, r"d must be in \[2, 4\], got 5"),
+    ("cloning trials", 5.0, "trials must be an integer, got 5.0"),
+    ("cloning trials", True, "trials must be an integer, got True"),
+    ("cloning trials", 0, "trials must be at least 1, got 0"),
+    ("cloning precision", 6.0, "precision must be an integer, got 6.0"),
+    ("cloning precision", True, "precision must be an integer, got True"),
+    ("cloning precision", 0, "precision must be at least 1, got 0"),
+    ("tomography n_trials", 100.5, "n_trials must be an integer, got 100.5"),
+    ("tomography n_trials", True, "n_trials must be an integer, got True"),
+    ("tomography n_trials", 99, "n_trials must be at least 100, got 99"),
+    ("readout n_draws", 100.5, "n_draws must be an integer, got 100.5"),
+    ("readout n_draws", True, "n_draws must be an integer, got True"),
+    ("readout n_draws", 99, "n_draws must be at least 100, got 99"),
+    ("readout schedule", 4.0, "precision_schedule entry must be an integer, got 4.0"),
+    ("readout schedule", True, "precision_schedule entry must be an integer, got True"),
+    ("readout schedule", 0, "precision_schedule entry must be at least 1, got 0"),
+    ("overlap n_draws", 10.0, "n_draws must be an integer, got 10.0"),
+    ("overlap n_draws", True, "n_draws must be an integer, got True"),
+    ("overlap n_draws", -1, "n_draws must be at least 0, got -1"),
+])
+def test_integer_argument_rejected_by_name(argument, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        INTEGER_ARGUMENTS[argument](value)
+
+
+@pytest.mark.parametrize("argument,value", [
+    ("cloning d", 4), ("cloning trials", 1), ("cloning precision", 1),
+    ("tomography n_trials", 100), ("readout n_draws", 100), ("readout schedule", 1),
+    ("overlap n_draws", 0), ("cloning d", np.int64(2)),
+])
+def test_integer_argument_accepts_its_bounds(argument, value):
+    assert INTEGER_ARGUMENTS[argument](value).seed == 1
+
+
 class TestReportPlumbing:
     def test_outcome_stat_validates_interval(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,10 @@ The records are computed in a fresh interpreter with BLAS pinned to one
 thread, as the benchmark runs them: least-squares residuals move by ulps
 with the BLAS thread count.  Running this file as a script prints the
 records as JSON, and under ``opf_seeds`` each in-process op's record at
-pqsim seeds 1-10 and the default seed, which no test compares: two
-checkouts give byte-identical records when their outputs ``diff`` clean.
+pqsim seeds 1-10 and the default seed, and under ``estimation_seeds`` the
+records of the overlap estimate and the no-signalling demo at those seeds,
+which no test compares: two checkouts give byte-identical records when
+their outputs ``diff`` clean.
 
 A change that moves one byte of any of them fails here.  If a change is
 meant to move a record, say which field moved and why in ``CHANGES.md``.
@@ -86,6 +88,15 @@ OPF_OPS = {
 
 OPF_SEEDS = (*range(1, 11), cli.DEFAULT_SEED)
 
+# experiments run as the CLI runs them, on schedules and weights that reach
+# the overlap estimate's rounds and the factor kernels of the no-signalling demo
+ESTIMATION_RUNS = {
+    **{f"ensemble-overlap epsilons={list(s)}": ("ensemble-overlap", {"epsilons": s})
+       for s in ((0.05, 0.01), (0.1, 0.05, 0.01), (0.2, 0.001))},
+    **{f"no-signalling weights={list(w)}": ("no-signalling", {"weights": w})
+       for w in ((0.5, 0.5), (0.3, 0.7), (1.0,))},
+}
+
 
 def cli_stdout(argv):
     """Exit status and stdout of one CLI command, run in this process."""
@@ -112,6 +123,13 @@ def seed_records() -> dict:
     return {label: {str(seed): cli.format_record(call(seed).record_fields())
                     for seed in OPF_SEEDS}
             for label, call in OPF_OPS.items()}
+
+
+def estimation_seed_records() -> dict:
+    """The ``format_record`` line of each of ``ESTIMATION_RUNS`` at each of ``OPF_SEEDS``."""
+    return {label: {str(seed): cli.format_record(
+                cli.run_experiment(name, params, seed).record_fields()) for seed in OPF_SEEDS}
+            for label, (name, params) in ESTIMATION_RUNS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +163,7 @@ def test_opf_record_is_byte_identical(label, golden, current):
 
 
 if __name__ == "__main__":
-    json.dump({**records(), "opf_seeds": seed_records()}, sys.stdout, indent=1,
+    json.dump({**records(), "opf_seeds": seed_records(),
+               "estimation_seeds": estimation_seed_records()}, sys.stdout, indent=1,
               sort_keys=True)
     sys.stdout.write("\n")

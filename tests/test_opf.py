@@ -311,6 +311,19 @@ class TestFullMeasurementAndClosure:
         states = [random_pure_state(QUBIT, RandomStream(11, trial=t)) for t in range(20)]
         assert mixed.completeness_violation(states) < 1e-9
 
+    @pytest.mark.parametrize("pairing,message", [
+        ([(-1, 0)], r"first pairing index must be in \[0, 1\], got -1"),
+        ([(0, 2)], r"second pairing index must be in \[0, 1\], got 2"),
+        ([(0, 1), (1.0, 0)], "first pairing index must be an integer, got 1.0"),
+        ([(0, True)], "second pairing index must be an integer, got True"),
+    ])
+    def test_mix_measurements_rejects_pairings_outside_the_outcomes(self, pairing, message):
+        # (-1, 0) once paired the last outcome of the first measurement and
+        # still listed it as unpaired, so |1> had total probability 1.5
+        computational = FullMeasurement.from_povm(POVMSet((PROJ0, np.eye(2) - PROJ0)), QUBIT)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mix_measurements(computational, computational, 0.5, pairing)
+
 
 class TestRangeInvariant:
     def test_constructed_opfs_stay_in_range(self):
@@ -436,6 +449,16 @@ class TestEntropyOutcomeValues:
 
 
 class TestEstimationAssumption:
+    @pytest.mark.parametrize("dim,message", [
+        (2.5, "dim must be an integer, got 2.5"),
+        (True, "dim must be an integer, got True"),
+        (5, r"dim must be in \[2, 4\], got 5"),
+        (1, r"dim must be in \[2, 4\], got 1"),
+    ])
+    def test_dimension_rejected_by_name(self, dim, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_estimation_assumption("quantum_povm", dim, RandomStream(1))
+
     def test_satisfied_families_return_ic_outcomes(self):
         rng = RandomStream(293)
         for family in ("quantum_povm", "spod", "erd_sevrd"):
@@ -613,6 +636,22 @@ class TestUpdateMapFeasibility:
     def test_insufficient_span_rejected(self):
         with pytest.raises(ValueError):
             update_map_feasibility(PROJ0, QUBIT_PROBE_STATES[:3])
+
+    @pytest.mark.parametrize("element,message", [
+        ([[0, 1], [0, 0]], "POVM element must be Hermitian"),
+        (2 * np.eye(2), "POVM element must satisfy 0 <= Q <= I"),
+        (-0.1 * np.eye(2), "POVM element must satisfy 0 <= Q <= I"),
+        (np.ones((2, 3)), "POVM element must be a nonempty square matrix"),
+    ])
+    def test_element_takes_the_quantum_opf_checks(self, element, message):
+        for build in (lambda: update_map_feasibility(element, QUBIT_PROBE_STATES),
+                      lambda: opf_from_quantum(element)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_probes_must_match_the_element_dimension(self):
+        with pytest.raises(ValueError, match="probe states do not match the element's dimension"):
+            update_map_feasibility(np.eye(3) / 2, QUBIT_PROBE_STATES)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_equals_per_probe_loop(self, dim):

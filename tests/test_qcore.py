@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -1349,3 +1350,71 @@ class TestApplyUnitary:
         local = apply_unitary(state, u, on=(1,))
         full = apply_unitary(state, np.kron(np.eye(2), u))
         assert local.equals_up_to_phase(full, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_rejects_a_non_square_matrix_by_name(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unitary must be a nonempty square matrix, got shape {shape}")):
+            apply_unitary(KET0, np.ones(shape))
+
+
+class TestApplyOnFactors:
+    """apply_on_factors reads its subset through the subset plan, and a stack
+    of operators gives each operator's image, bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
+    def test_a_stack_equals_one_call_per_operator(self, dims):
+        gen = np.random.default_rng(len(dims))
+        space = FactorSpace(dims)
+        psi = random_pure_state(space, RandomStream(sum(dims)))
+        for size in range(1, len(dims) + 1):
+            for subset in itertools.combinations(range(len(dims)), size):
+                d = math.prod(dims[i] for i in subset)
+                ops = gen.standard_normal((3, d, d)) + 1j * gen.standard_normal((3, d, d))
+                stacked = qcore.apply_on_factors(psi.amplitudes, dims, ops, subset)
+                assert stacked.shape == (3, space.total_dim)
+                for op, row in zip(ops, stacked):
+                    one = qcore.apply_on_factors(psi.amplitudes, dims, op, subset)
+                    assert one.tobytes() == row.tobytes()
+                    assert one.tobytes() == oracles.apply_on_factors(
+                        psi.amplitudes, dims, op, subset).tobytes()
+
+    def test_the_subset_is_read_as_a_set(self):
+        psi = random_pure_state(FactorSpace((2, 3)), RandomStream(81))
+        op = random_unitary(6, RandomStream(82))
+        assert (qcore.apply_on_factors(psi.amplitudes, (2, 3), op, (1, 0)).tobytes()
+                == qcore.apply_on_factors(psi.amplitudes, (2, 3), op, (0, 1)).tobytes())
+
+    @pytest.mark.parametrize("subset,message", [
+        ((0, 0), r"duplicate subsystem indices in \(0, 0\)"),
+        ((3,), r"subsystem indices \(3,\) out of range for 3 factors"),
+        ((-1,), r"subsystem indices \(-1,\) out of range for 3 factors"),
+        ((), "subsystem index set must be nonempty"),
+    ])
+    def test_a_bad_subset_raises_the_plan_message(self, subset, message):
+        with pytest.raises(ValueError, match=message):
+            qcore.apply_on_factors(np.eye(8)[0], (2, 2, 2), np.eye(2), subset)
+
+    def test_measure_projective_equals_one_call_per_projector(self):
+        rng = RandomStream(83)
+        for dims, on in [((2, 2), (1,)), ((3, 2), 0), ((2, 3, 2), (2, 0)), ((2, 2, 2), (0, 1, 2))]:
+            space = FactorSpace(dims)
+            d = math.prod(dims[i] for i in np.atleast_1d(on))
+            obs = HermitianObservable(np.diag(np.arange(d) % 2).astype(complex))  # degenerate
+            for t in range(10):
+                psi = random_pure_state(space, rng.derive(t))
+                idx, post = measure_projective(psi, obs, on, RandomStream(84, trial=t))
+                want_idx, want = oracles.measure_projective(psi, obs, on,
+                                                            RandomStream(84, trial=t))
+                assert idx == want_idx
+                assert post.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("rank,message", [
+    (0, "rank must be at least 1, got 0"),
+    (2.0, "rank must be an integer, got 2.0"),
+    (True, "rank must be an integer, got True"),
+])
+def test_random_density_matrix_rejects_a_bad_rank_by_name(rank, message):
+    with pytest.raises(ValueError, match=message):
+        random_density_matrix(2, RandomStream(85), rank=rank)
