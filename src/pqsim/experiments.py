@@ -187,7 +187,7 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
     factor = FactorSpace((d,))
 
     products = random_pure_states((factor, factor), rng, samples)
-    f0_products = facts.measurement.probabilities(products)[:, 0]
+    f0_products = facts.measurement.outcomes[0].values(products)
     worst_product = float(np.max(np.abs(f0_products - 1.0), initial=0.0))
 
     evidence = {
@@ -213,7 +213,12 @@ def fpvnem_refutation(d: int, m: int, samples: int, rng: RandomStream,
 class _FpvnemFacts(NamedTuple):
     """The seed-free half of ``fpvnem_refutation`` at one (d, m): the meter's
     full measurement, its outcome count, f0 on the Bell state (None when
-    only product states are probed) and the quadratic-form fit's residual."""
+    only product states are probed) and the quadratic-form fit's residual.
+
+    The largest entry, d=4, m=8, holds about 0.25 MB under tracemalloc: its
+    513 outcome OPFs and the measurement's one selection.  Its first build
+    also keeps the d=16 witness design, 1.2 MB in ``opf._witness_design``,
+    and peaks at about 2 MB."""
 
     measurement: FullMeasurement
     outcome_count: int
@@ -224,8 +229,7 @@ class _FpvnemFacts(NamedTuple):
 @functools.cache
 def _fpvnem_facts(d: int, m: int, include_entangled: bool) -> _FpvnemFacts:
     """``_FpvnemFacts`` per validated (d, m, include_entangled), built on first
-    use.  The largest entry, d=4, m=8 with its 513-outcome measurement,
-    holds about 0.25 MB."""
+    use."""
     space = FactorSpace((d, d))
     measurement = entropy_meter_measurement(space, (0,), precision=m)
     f0 = measurement.outcomes[0]
@@ -522,7 +526,8 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
 
     if precision_schedule is not None and len(precision_schedule) == 0:
         raise ValueError("precision schedule must be nonempty")
-    schedule = [_checked_int(m, "precision_schedule entry", 1) for m in precision_schedule or ()]
+    schedule = [_checked_int(m, "precision_schedule entry", 1)
+                for m in (() if precision_schedule is None else precision_schedule)]
 
     # group draws by (member, precision); the draw sequence is multinomial
     groups: dict[tuple[int, int | None], int] = {}
@@ -670,6 +675,7 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
     if any(not 0.0 < e < 1.0 for e in schedule):
         raise ValueError("epsilon values must lie in (0, 1)")
     n_draws = _checked_int(n_draws, "n_draws", 0)
+    net_cap = _checked_int(net_cap, "net_cap", 1)
 
     members = source.members
     counts = rng.derive(0).generator.multinomial(n_draws, source.weights)

@@ -119,9 +119,9 @@ class FullMeasurement:
 
     ``evaluator``, when set, maps a ``StateStack`` of n states to the (n, k)
     matrix of outcome vectors in one pass: a device-backed measurement runs
-    its device once per state, not once per outcome, and each OPF in
-    ``outcomes`` is an index into that matrix.  Without it each outcome
-    evaluates the whole stack and supplies one column.
+    its device once per state, not once per outcome.  Without it each
+    outcome evaluates the whole stack and supplies one column.  An OPF in
+    ``outcomes`` evaluates only its own column either way.
     """
 
     outcomes: tuple[OPF, ...]
@@ -195,18 +195,25 @@ def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: Fa
                        target) -> FullMeasurement:
     """One OPF per selected device outcome, evaluated analytically (never by sampling).
 
-    The measurement reads all outcomes of a stack of states off one device
-    table, and the selectors are checked against a single probe state.
+    The measurement's ``probabilities`` reads all outcomes of a stack of
+    states off one device table; each outcome OPF reads only its own column,
+    through a one-selector selection made when it is evaluated, so no
+    all-outcomes matrix is built for one outcome and no per-outcome selection
+    is kept.  The selectors are checked against a single probe state.
     """
     selection = OutcomeSelection(spec, selectors)
 
     def evaluate(states: StateStack) -> np.ndarray:
         return selection.matrix(spec.table(states, target))
 
+    def column(selector: Outcome) -> Callable[[StateStack], np.ndarray]:
+        return lambda states: OutcomeSelection(spec, (selector,)).matrix(
+            spec.table(states, target))[:, 0]
+
     evaluate(StateStack.of(PureState.basis_state(space, 0)))  # validates selector kinds early
-    outcomes = _indexed_outcomes(space, evaluate, f"device:{spec.kind}",
-                                 [None] * len(selection.selectors))
-    return FullMeasurement(outcomes, evaluate)
+    provenance = f"device:{spec.kind}"
+    return FullMeasurement(tuple(OPF(space, column(s), provenance) for s in selection.selectors),
+                           evaluate)
 
 
 def opf_from_device(spec: DeviceSpec, selector: Outcome, space: FactorSpace,
@@ -503,7 +510,7 @@ def hermitian_coords(matrix: np.ndarray) -> np.ndarray:
     pairs = np.stack([c * lower.real + c * upper.real,
                       c * lower.imag - c * upper.imag], axis=-1)
     diagonal = np.diagonal(m, axis1=-2, axis2=-1).real
-    return np.concatenate([diagonal, pairs.reshape(m.shape[:-2] + (-1,))], axis=-1)
+    return np.concatenate([diagonal, pairs.reshape(m.shape[:-2] + (d * (d - 1),))], axis=-1)
 
 
 def hermitian_from_coords(coords: np.ndarray) -> np.ndarray:
@@ -556,7 +563,7 @@ def _witness_design(dim: int) -> tuple[np.ndarray, np.ndarray]:
     row normalized as ``PureState.normalized`` does it, and their projector
     design: fixed per dimension, so built once, on first use, read-only."""
     amps = normalized_states(FactorSpace((dim,)), np.array(_witness_probe_states(dim))).amplitudes
-    design = _projector_design(amps)[1]
+    design = _projector_design(amps)
     design.setflags(write=False)
     return amps, design
 
@@ -596,18 +603,31 @@ class ProductFormCertificate:
         }
 
 
-def _projector_design(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The projectors |psi><psi| of the rows of an (n, d) amplitude stack, as
-    an (n, d, d) stack, and their (n, d^2) Hermitian coordinates."""
-    projs = amps[:, :, None] * amps.conj()[:, None, :]
-    return projs, hermitian_coords(projs)
+_DESIGN_BLOCK = 32
+
+
+def _projector_design(amps: np.ndarray) -> np.ndarray:
+    """The (n, d^2) Hermitian coordinates of the projectors |psi><psi| of the
+    rows of an (n, d) amplitude stack.
+
+    The projectors are made ``_DESIGN_BLOCK`` rows at a time, so no (n, d, d)
+    stack is held; each row's coordinates depend on that row alone, so the
+    blocks give the bits of one stacked pass.
+    """
+    n, d = amps.shape
+    design = np.empty((n, d * d))
+    for start in range(0, n, _DESIGN_BLOCK):
+        rows = amps[start:start + _DESIGN_BLOCK]
+        design[start:start + len(rows)] = hermitian_coords(
+            rows[:, :, None] * rows.conj()[:, None, :])
+    return design
 
 
 def quadratic_fit(amps: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
     """Least-squares fit of values[i] = <psi_i|Q|psi_i> over an (n, d)
     amplitude stack: the worst absolute deviation and Q's Hermitian
     coordinates."""
-    return _design_fit(_projector_design(amps)[1], values)
+    return _design_fit(_projector_design(amps), values)
 
 
 def _design_fit(design: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
@@ -633,7 +653,7 @@ def product_form_witness(f: OPF, extra_probes: StateStack | Sequence[PureState] 
     if len(extra):  # the design is row-wise, so the extra rows add their own
         probes = np.concatenate([probes, extra.amplitudes])
         probes.setflags(write=False)
-        design = np.concatenate([design, _projector_design(extra.amplitudes)[1]])
+        design = np.concatenate([design, _projector_design(extra.amplitudes)])
     residual, coeffs = _design_fit(design, f.values(StateStack._trusted(f.space, probes)))
     return ProductFormCertificate(residual, hermitian_from_coords(coeffs), len(probes))
 
@@ -708,7 +728,7 @@ def density_from_projector_values(states: Sequence[np.ndarray], values, dim: int
     ``lstsq`` on all rows as right-hand sides rounds differently (by up to
     4e-16 on d = 4), which would move the estimation checker's evidence.
     """
-    design = np.vstack([_projector_design(np.array(states))[1],
+    design = np.vstack([_projector_design(np.array(states)),
                         hermitian_coords(np.eye(dim, dtype=complex))])
     rows = np.asarray(values, dtype=float)
     targets = np.atleast_2d(rows)
@@ -786,7 +806,7 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
     if family == "entropy_meter":
         measurement = entropy_meter_measurement(space, space.indices(), precision=4)
         states = random_pure_states((space,), rng, 100)
-        worst = float(np.max(np.abs(measurement.probabilities(states)[:, 0] - 1.0)))
+        worst = float(np.max(np.abs(measurement.outcomes[0].values(states) - 1.0)))
         return EstimationVerdict(family, dim, "SATISFIED-TRIVIALLY", outcomes=(),
                                  evidence=worst)
 
@@ -899,7 +919,8 @@ def update_map_feasibility(element: np.ndarray,
     vecs = np.concatenate([probes.amplitudes, np.array(
         canonical_probe_states(dim)
         + [random_pure_state(FactorSpace((dim,)), extra).amplitudes for _ in range(2 * dim)])])
-    projs, coords = _projector_design(vecs)
+    projs = vecs[:, :, None] * vecs.conj()[:, None, :]
+    coords = hermitian_coords(projs)
     design = coords[:n]
     if np.linalg.matrix_rank(design, tol=1e-9) < dim * dim:
         raise ValueError("probe states do not span the Hermitian operator space")

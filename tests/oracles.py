@@ -35,7 +35,8 @@ score-and-report body are the oracles of their reports.  The one-operator
 ``apply_on_factors`` with its own permutation, and ``measure_projective``'s
 one call per projector on it, are the oracles of the stacked operator
 images, and the overlap estimate's body from before it ran only its final
-round is the oracle of that one round.
+round is the oracle of that one round.  The one-stack projector design is
+the oracle of the design built in row blocks.
 """
 
 import itertools
@@ -747,6 +748,13 @@ def selection_matrix(spec, selectors, distributions):
         raise ValueError(f"selector {selectors[illegal[0, 1]]!r} is not in the "
                          f"outcome set of {spec.kind}")
     return out
+
+
+def projector_design(amps):
+    """``opf._projector_design`` from before it was built in row blocks: the
+    whole (n, d, d) projector stack, then its (n, d^2) Hermitian coordinates."""
+    projs = amps[:, :, None] * amps.conj()[:, None, :]
+    return stacked_hermitian_coords(projs)
 
 
 def product_form_fit(f, extra_probes=()):

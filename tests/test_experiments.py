@@ -577,6 +577,18 @@ class TestEnsembleReadout:
         with pytest.raises(ValueError):
             ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(27),
                                       precision_schedule=[])
+        with pytest.raises(ValueError, match="^precision schedule must be nonempty$"):
+            ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(27),
+                                      precision_schedule=np.array([], dtype=int))
+
+    @pytest.mark.parametrize("schedule", [[4, 6], [6], [8, 2, 12]])
+    def test_array_schedule_gives_the_list_record(self, schedule):
+        for seed in (1, 26, 27):
+            got = ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(seed),
+                                            precision_schedule=np.array(schedule))
+            want = ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(seed),
+                                             precision_schedule=schedule)
+            assert _record(got) == _record(want)
 
     def test_repetition_harness(self):
         hits = 0
@@ -763,6 +775,8 @@ INTEGER_ARGUMENTS = {
     "readout schedule": lambda v: ensemble_estimate_readout(
         ENSEMBLE, 100, RandomStream(1), precision_schedule=[4, v]),
     "overlap n_draws": lambda v: ensemble_estimate_overlap(ENSEMBLE, [0.05], v, RandomStream(1)),
+    "overlap net_cap": lambda v: ensemble_estimate_overlap(ENSEMBLE, [0.05], 10, RandomStream(1),
+                                                           net_cap=v),
 }
 
 
@@ -788,6 +802,9 @@ INTEGER_ARGUMENTS = {
     ("overlap n_draws", 10.0, "n_draws must be an integer, got 10.0"),
     ("overlap n_draws", True, "n_draws must be an integer, got True"),
     ("overlap n_draws", -1, "n_draws must be at least 0, got -1"),
+    ("overlap net_cap", True, "net_cap must be an integer, got True"),
+    ("overlap net_cap", 50.5, "net_cap must be an integer, got 50.5"),
+    ("overlap net_cap", 0, "net_cap must be at least 1, got 0"),
 ])
 def test_integer_argument_rejected_by_name(argument, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -797,7 +814,8 @@ def test_integer_argument_rejected_by_name(argument, value, message):
 @pytest.mark.parametrize("argument,value", [
     ("cloning d", 4), ("cloning trials", 1), ("cloning precision", 1),
     ("tomography n_trials", 100), ("readout n_draws", 100), ("readout schedule", 1),
-    ("overlap n_draws", 0), ("cloning d", np.int64(2)),
+    ("overlap n_draws", 0), ("overlap net_cap", 1), ("overlap net_cap", np.int64(4000)),
+    ("cloning d", np.int64(2)),
 ])
 def test_integer_argument_accepts_its_bounds(argument, value):
     assert INTEGER_ARGUMENTS[argument](value).seed == 1

@@ -13,10 +13,12 @@ The records are computed in a fresh interpreter with BLAS pinned to one
 thread, as the benchmark runs them: least-squares residuals move by ulps
 with the BLAS thread count.  Running this file as a script prints the
 records as JSON, and under ``opf_seeds`` each in-process op's record at
-pqsim seeds 1-10 and the default seed, and under ``estimation_seeds`` the
+pqsim seeds 1-10 and the default seed, under ``estimation_seeds`` the
 records of the overlap estimate and the no-signalling demo at those seeds,
-which no test compares: two checkouts give byte-identical records when
-their outputs ``diff`` clean.
+and under ``cli_d4`` the stdout of the CLI's d=4 fpvnem demo and
+product-form checks, which build the d=16 witness design and the
+513-outcome meter.  No test compares these: two checkouts give
+byte-identical records when their outputs ``diff`` clean.
 
 A change that moves one byte of any of them fails here.  If a change is
 meant to move a record, say which field moved and why in ``CHANGES.md``.
@@ -46,6 +48,14 @@ CLI_COMMANDS = {
     "check closure": ["check", "closure", "--family", "quantum_povm"],
     "check product-form": ["check", "product-form", "--family", "fpvnem"],
     "check estimation": ["check", "estimation", "--family", "readout"],
+}
+
+# printed by the script only
+CLI_D4_COMMANDS = {
+    "demo fpvnem --d 4 --m 8": ["demo", "fpvnem", "--d", "4", "--m", "8"],
+    **{f"check product-form --family {family} --d 4": [
+        "check", "product-form", "--family", family, "--d", "4"]
+       for family in ("quantum", "fpvnem")},
 }
 
 
@@ -106,13 +116,20 @@ def cli_stdout(argv):
     return status, out.getvalue()
 
 
+def cli_records(commands: dict) -> dict:
+    """The stdout of each command at the default seed, after its exit status
+    when that is not 0."""
+    os.environ.pop("PQSIM_SEED", None)
+    out = {}
+    for label, argv in commands.items():
+        status, stdout = cli_stdout(argv)
+        out[label] = stdout if status == 0 else f"exit status {status}\n{stdout}"
+    return out
+
+
 def records() -> dict:
     """Every golden record of this checkout, keyed as in records.json."""
-    os.environ.pop("PQSIM_SEED", None)
-    cli_out = {}
-    for label, argv in CLI_COMMANDS.items():
-        status, stdout = cli_stdout(argv)
-        cli_out[label] = stdout if status == 0 else f"exit status {status}\n{stdout}"
+    cli_out = cli_records(CLI_COMMANDS)
     opf_out = {label: cli.format_record(call(cli.DEFAULT_SEED).record_fields())
                for label, call in OPF_OPS.items()}
     return {"cli": cli_out, "opf": opf_out}
@@ -163,7 +180,7 @@ def test_opf_record_is_byte_identical(label, golden, current):
 
 
 if __name__ == "__main__":
-    json.dump({**records(), "opf_seeds": seed_records(),
-               "estimation_seeds": estimation_seed_records()}, sys.stdout, indent=1,
-              sort_keys=True)
+    json.dump({**records(), "cli_d4": cli_records(CLI_D4_COMMANDS),
+               "opf_seeds": seed_records(), "estimation_seeds": estimation_seed_records()},
+              sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

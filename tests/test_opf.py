@@ -1,10 +1,12 @@
 """Outcome probability functions: constructors, closure, witnesses, checkers."""
 
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,7 @@ from pqsim.qcore import (
     ensemble_densities,
     random_density_matrix,
     random_pure_state,
+    random_pure_states,
     random_unitary,
     tensor_product,
 )
@@ -1303,3 +1306,158 @@ class TestStackedClosure:
         got = check_closure(measurement, np.int64(3), RandomStream(717))
         assert type(got.samples) is int
         assert got == check_closure(measurement, 3, RandomStream(717))
+
+
+class TestBlockedProjectorDesign:
+    """The projector design, built ``_DESIGN_BLOCK`` rows at a time, equals
+    the one-stack design bit for bit, at every row count about a block edge."""
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_equals_the_one_stack_design(self, dim):
+        block = opf._DESIGN_BLOCK
+        gen = np.random.default_rng(dim)
+        for n in (0, 1, block - 1, block, block + 1, 529):
+            amps = gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim))
+            got = opf._projector_design(amps)
+            want = oracles.projector_design(amps)
+            assert got.shape == want.shape == (n, dim * dim)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 4, 9, 16])
+    def test_witness_design_equals_the_one_stack_design(self, dim):
+        amps, design = opf._witness_design(dim)
+        assert design.tobytes() == oracles.projector_design(amps).tobytes()
+
+
+def _columns_equal(measurement, states):
+    """Each outcome OPF's values equal its column of ``probabilities`` bit for bit."""
+    probs = measurement.probabilities(states)
+    assert probs.shape == (len(states), len(measurement.outcomes))
+    for column, f in zip(probs.T, measurement.outcomes):
+        assert f.values(states).tobytes() == column.tobytes()
+
+
+class TestOutcomeColumns:
+    """A device outcome OPF evaluates only its own column, through a
+    one-selector selection made when it is evaluated."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_entropy_meter(self, d, m):
+        factor, space = FactorSpace((d,)), FactorSpace((d, d))
+        rng = RandomStream(701, d, m)
+        meter = entropy_meter_measurement(space, (0,), precision=m)
+        bell = PureState(space, np.eye(d).reshape(-1) / math.sqrt(d))
+        products = random_pure_states((factor, factor), rng.derive(0), 16)
+        entangled = StateStack.of([bell, *random_pure_states((space,), rng.derive(1), 16)])
+        for states in (products, entangled):
+            _columns_equal(meter, states)
+
+    @pytest.mark.parametrize("family", ["spod", "erd_sevrd"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_ic_outcomes(self, family, dim):
+        space = FactorSpace((dim,))
+        states = random_pure_states((space,), RandomStream(703, dim), 30)
+        outcomes = opf._ic_outcomes(family, dim)
+        assert len(outcomes) == dim * dim - 1
+        for vec, f in zip(ic_projector_states(dim), outcomes):
+            proj = np.outer(vec, vec.conj())
+            if family == "spod":
+                spec = DeviceSpec("PovmSampler", {"povm": POVMSet((proj, np.eye(dim) - proj))})
+                selectors = [IntegerLabel(1), IntegerLabel(2)]
+            else:
+                spec = DeviceSpec("EigenvalueSampler", {"observable": proj, "variant": "bit"})
+                selectors = [Bit(1), Bit(0)]
+            measurement = device_measurement(spec, selectors, space, space.indices())
+            _columns_equal(measurement, states)
+            assert f.values(states).tobytes() == measurement.probabilities(
+                states)[:, 0].tobytes()
+
+    def test_readout(self):
+        space = FactorSpace((2, 3))
+        rng = RandomStream(707)
+        states = StateStack.of([random_pure_state(space, rng) for _ in range(12)])
+        _columns_equal(device_measurement(DeviceSpec("Readout"), [
+            MatrixDescription(states[0].density()), MatrixDescription(np.eye(6) / 6),
+            MatrixDescription(states[1].density() + 5e-10),
+            MatrixDescription(states[2].density(), precision=3)], space, (0, 1)), states)
+        rho = DeviceSpec("Readout", {"precision": 2}).distribution(states[3], (0,))[0][0]
+        _columns_equal(device_measurement(DeviceSpec("Readout", {"precision": 2}), [
+            rho, MatrixDescription(np.eye(2) / 2, precision=2)], space, (0,)), states)
+        phi = states[4]
+        want = device_measurement(DeviceSpec("Readout"), [MatrixDescription(phi.density())],
+                                  space, space.indices()).probabilities(states)[:, 0]
+        assert readout_opf(phi).values(states).tobytes() == want.tobytes()
+        assert readout_opf(phi)(phi) == 1.0
+
+    def test_povm_sampler_with_max_label(self):
+        povm = POVMSet((np.diag([0.5, 0.5, 0.0]), np.diag([0.5, 0.25, 0.5]),
+                        np.diag([0.0, 0.25, 0.5])))
+        spec = DeviceSpec("PovmSampler", {"povm": povm, "max_label": 2})
+        space = FactorSpace((2, 3))
+        states = random_pure_states((space,), RandomStream(709), 20)
+        measurement = device_measurement(
+            spec, [IntegerLabel(2), Overflow(), IntegerLabel(1)], space, (1,))
+        _columns_equal(measurement, states)
+        assert np.max(np.abs(measurement.probabilities(states).sum(axis=1) - 1.0)) < 1e-12
+
+    def test_illegal_selector_raises_the_selection_message(self):
+        spec = DeviceSpec("PovmSampler", {"povm": POVMSet((np.eye(2) / 2, np.eye(2) / 2))})
+        probe = spec.table(KET0, (0,))
+        # each list, and the illegal selector its message names
+        for selectors, illegal in (([IntegerLabel(1), Bit(0), RealValue(0.5)], 1),
+                                   ([IntegerLabel(1), IntegerLabel(3), Bit(0)], 1),
+                                   ([Overflow(), IntegerLabel(2)], 0),
+                                   ([MatrixDescription(np.eye(2) / 2), IntegerLabel(1)], 0)):
+            with pytest.raises(ValueError) as want:
+                OutcomeSelection(spec, selectors).matrix(probe)
+            with pytest.raises(ValueError) as got:
+                device_measurement(spec, selectors, QUBIT, (0,))
+            assert str(got.value) == str(want.value)
+            assert repr(selectors[illegal]) in str(want.value)
+            with pytest.raises(ValueError) as one:
+                opf_from_device(spec, selectors[illegal], QUBIT, (0,))
+            assert str(one.value) == str(want.value)
+
+
+def _traced(call):
+    """The result of one call, and the bytes tracemalloc counts as still held
+    after it and at its peak, in MB.  A first untraced call makes the imports
+    and caches the traced one needs."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept / 1e6, peak / 1e6
+
+
+class TestMemoryGuards:
+    """The transient work of the witness and of one meter outcome stays small:
+    it sets the opf-checks workload's peak resident memory."""
+
+    def test_witness_design_16_peak(self):
+        def build():
+            opf._witness_design.cache_clear()
+            return opf._witness_design(16)
+
+        (amps, design), _, peak = _traced(build)
+        assert design.shape == (529, 256)
+        assert peak <= 2.0  # a (529, 16, 16) projector stack took it to 7.5 MB
+
+    def test_meter_outcome_on_the_witness_probes_peak(self):
+        space = FactorSpace((4, 4))
+        meter = entropy_meter_measurement(space, (0,), precision=8)
+        probes = StateStack._trusted(space, opf._witness_design(16)[0])
+        values, _, peak = _traced(lambda: meter.outcomes[0].values(probes))
+        assert values.shape == (len(probes),)
+        assert peak <= 1.0  # the all-outcome (529, 513) matrix alone is 2.2 MB
+
+    def test_meter_keeps_no_selection_per_outcome(self):
+        meter, kept, _ = _traced(
+            lambda: entropy_meter_measurement(FactorSpace((4, 4)), (0,), 8))
+        assert len(meter.outcomes) == 513
+        assert kept <= 0.3  # one kept selection per outcome held 0.8 MB
