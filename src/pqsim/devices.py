@@ -176,10 +176,10 @@ def _only(table: DistributionTable) -> Outcome:
 
 def reduced_density(state: PureState, target: Union[int, Sequence[int]]) -> DensityMatrix:
     """Reduced density matrix of the target factors (the whole state if all)."""
-    subset = _subset_plan(state.space, target).keep
-    if len(subset) == state.space.n_factors:
+    plan = _subset_plan(state.space, target)
+    if not plan.rest:
         return DensityMatrix.from_pure(state)
-    return partial_trace(state, subset)
+    return partial_trace(state, plan)
 
 
 def _density_row(state: PureState, target) -> np.ndarray:

@@ -155,17 +155,6 @@ def _completeness_violation(probs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(totals - 1.0), axis=-1, initial=0.0)
 
 
-def _indexed_outcomes(space: FactorSpace,
-                      evaluate: Callable[[StateStack], np.ndarray],
-                      provenance: str, operators: Sequence[np.ndarray | None]
-                      ) -> tuple[OPF, ...]:
-    """One OPF per column of an outcome-matrix evaluator; each returns a copy
-    of its column, so the (n, k) matrix is freed once it is read."""
-    return tuple(OPF(space, lambda states, i=i: evaluate(states)[:, i].copy(), provenance,
-                     operator=op)
-                 for i, op in enumerate(operators))
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -301,7 +290,10 @@ def mix_measurements(first: FullMeasurement, second: FullMeasurement, weight: fl
     ``pairing`` lists (i, j) outcome indices, each naming an outcome of its
     measurement, that are declared identical; unpaired outcomes survive with
     their single-branch weight.  There is no canonical identification across
-    outcome alphabets, so the caller must supply one.
+    outcome alphabets, so the caller must supply one.  The measurement's
+    ``probabilities`` evaluates both measurements whole; each outcome OPF
+    evaluates only its one or two component outcomes, with the same
+    arithmetic as its column.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
@@ -322,19 +314,22 @@ def mix_measurements(first: FullMeasurement, second: FullMeasurement, weight: fl
         return np.concatenate([weight * a[:, paired_i] + (1.0 - weight) * b[:, paired_j],
                                weight * a[:, only_i], (1.0 - weight) * b[:, only_j]], axis=1)
 
-    operators = []
-    for i, j in zip(paired_i, paired_j):
-        f, g = first.outcomes[i], second.outcomes[j]
-        operators.append(None if f.operator is None or g.operator is None
-                         else weight * f.operator + (1.0 - weight) * g.operator)
-    for i in only_i:
-        op = first.outcomes[i].operator
-        operators.append(None if op is None else weight * op)
-    for j in only_j:
-        op = second.outcomes[j].operator
-        operators.append(None if op is None else (1.0 - weight) * op)
-    outcomes = _indexed_outcomes(first.space, evaluate, "mixture", operators)
-    return FullMeasurement(outcomes, evaluate)
+    terms = ([((weight, first.outcomes[i]), (1.0 - weight, second.outcomes[j]))
+              for i, j in zip(paired_i, paired_j)]
+             + [((weight, first.outcomes[i]),) for i in only_i]
+             + [((1.0 - weight, second.outcomes[j]),) for j in only_j])
+    return FullMeasurement(tuple(_weighted_outcome(first.space, t) for t in terms), evaluate)
+
+
+def _weighted_outcome(space: FactorSpace, terms: Sequence[tuple[float, OPF]]) -> OPF:
+    """The OPF w_1 f_1 + w_2 f_2 + ... of (w, f) terms, added left to right
+    from the first term; quantum, with the same sum of operators, when every
+    term is."""
+    operator = None
+    if all(f.operator is not None for _, f in terms):
+        operator = functools.reduce(np.add, (w * f.operator for w, f in terms))
+    return OPF(space, lambda states: functools.reduce(
+        np.add, (w * f.values(states) for w, f in terms)), "mixture", operator=operator)
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +842,9 @@ def _random_ensembles(space: FactorSpace, rng: RandomStream, trials: int,
     dim = space.total_dim
     weights = np.empty((trials, members))
     normals = np.empty((trials, members, 2, dim))
-    for row, block, child in zip(weights, normals, rng.derive_many(range(trials))):
-        row[:] = child.generator.dirichlet(np.ones(members))
-        child.generator.standard_normal(out=block.reshape(-1))
+    for row, block, gen in zip(weights, normals, rng._generators(range(trials))):
+        row[:] = gen.dirichlet(np.ones(members))
+        gen.standard_normal(out=block.reshape(-1))
     require_ensemble_weights(weights)
     amps = normals[:, :, 0] + 1j * normals[:, :, 1]
     return weights, normalized_states(space, amps.reshape(trials * members, dim))

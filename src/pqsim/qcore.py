@@ -8,7 +8,9 @@ is confined to explicit :class:`RandomStream` arguments.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -96,7 +98,10 @@ def _subset_plan(space: FactorSpace, subset: Union[int, Sequence[int]]) -> _Subs
     """The plan of a subsystem index set on ``space``, kept per (dims, subset)
     for an int or a tuple of hashable entries, built anew for anything else
     (a list, or an iterator that one build consumes).  A bad subset raises
-    its message on every call: an exception is never kept."""
+    its message on every call: an exception is never kept.  A plan that a
+    caller already holds for ``space`` is returned as it is."""
+    if type(subset) is _SubsetPlan:
+        return subset
     if isinstance(subset, (int, np.integer, tuple)):
         try:
             return _cached_plan(space.dims, subset)
@@ -464,7 +469,10 @@ def povm_sets(elements) -> tuple["POVMSet", ...]:
 
 @dataclass(frozen=True)
 class POVMSet:
-    """Finite list of positive semi-definite operators summing to identity."""
+    """Finite list of positive semi-definite operators summing to identity.
+
+    ``elements`` are read-only views of one (k, d, d) stack, which the Born
+    rule reads whole."""
 
     elements: tuple[np.ndarray, ...]
 
@@ -479,6 +487,7 @@ class POVMSet:
         _require_povms(stack[None])
         stack.setflags(write=False)
         object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def _trusted(cls, elements: np.ndarray) -> "POVMSet":
@@ -486,6 +495,7 @@ class POVMSet:
         a row of ``povm_sets``."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "elements", tuple(elements))
+        object.__setattr__(povm, "_stack", elements)
         return povm
 
     @property
@@ -535,31 +545,39 @@ class RandomStream:
         return RandomStream(self.seed, experiment=self.experiment, trial=trial)
 
     def derive_many(self, trials: range) -> Iterator["RandomStream"]:
-        """The streams ``self.derive(t)`` for t in ``trials``, in order, made lazily.
+        """The streams ``self.derive(t)`` for t in ``trials``, in order, made
+        lazily: each of ``_generators``' generators in its ``RandomStream``."""
+        for t, gen in zip(trials, self._generators(trials)):
+            stream = RandomStream.__new__(RandomStream)
+            stream.seed = self.seed
+            stream.experiment = self.experiment
+            stream.trial = t
+            stream._gen = gen
+            yield stream
 
-        Each stream is bit-identical to ``derive``'s.  When both ends of the
-        range lie in [0, 2^32), so does every trial, and the seeding words
-        come from vectorised passes of numpy's SeedSequence mixing, one per
-        block of ``_seedwords.BLOCK`` trials; otherwise every trial goes
-        through ``derive``.
+    def _generators(self, trials: range) -> Iterator[np.random.Generator]:
+        """The generators of the streams ``self.derive(t)`` for t in ``trials``,
+        in order, made lazily, for callers that read only ``generator``.
+
+        Each is bit-identical to ``derive``'s.  When both ends of the range
+        lie in [0, 2^32), so does every trial, and the seeding words come
+        from vectorised passes of numpy's SeedSequence mixing, one per block
+        of ``_seedwords.BLOCK`` trials; otherwise every trial goes through
+        ``derive``.
         """
         if trials and not (0 <= trials[0] < 2**32 and 0 <= trials[-1] < 2**32):
-            yield from map(self.derive, trials)
+            for t in trials:
+                yield self.derive(t)._gen
             return
         # imported on first use: it imports numpy.random, which importing
         # pqsim does not
         from . import _seedwords
 
-        pcg64, generator = np.random.PCG64, np.random.Generator
+        pcg64, generator, seed_words = np.random.PCG64, np.random.Generator, _seedwords.SeedWords
         for start in range(0, len(trials), _seedwords.BLOCK):
             block = trials[start:start + _seedwords.BLOCK]
-            for t, words in zip(block, _seedwords.seed_words(self.seed, self.experiment, block)):
-                stream = RandomStream.__new__(RandomStream)
-                stream.seed = self.seed
-                stream.experiment = self.experiment
-                stream.trial = t
-                stream._gen = generator(pcg64(_seedwords.SeedWords(words)))
-                yield stream
+            for words in _seedwords.seed_words(self.seed, self.experiment, block):
+                yield generator(pcg64(seed_words(words)))
 
     @property
     def generator(self) -> np.random.Generator:
@@ -576,24 +594,27 @@ class RandomStream:
         block = self._gen.standard_normal(2 * size)
         return block[:size] + 1j * block[size:]
 
-    def choose(self, probabilities) -> int:
-        """Inverse-CDF sample over a full-precision probability vector.
+    def choose(self, probabilities: list[float]) -> int:
+        """Inverse-CDF sample over a full-precision probability list.
 
-        Entries below ``SELECTION_FLOOR`` are never selected.  The vector
-        is used as-is; probabilities are not quantized before sampling.
+        Entries below ``SELECTION_FLOOR`` are never selected.  The list is
+        used as-is; probabilities are not quantized before sampling.  A
+        non-finite entry raises ValueError.  The running sums add left to
+        right and the search finds the first sum above ``u * total``, as
+        ``np.cumsum`` and ``np.searchsorted(side="right")`` do.
         """
-        p = np.asarray(probabilities, dtype=float)
-        if p.size == 0:
+        if not probabilities:
             raise ValueError("cannot sample from an empty probability vector")
-        p = np.where(p < SELECTION_FLOOR, 0.0, p)
-        cdf = np.cumsum(p)
+        if not all(map(math.isfinite, probabilities)):
+            raise ValueError("probabilities must be finite")
+        p = [x if x >= SELECTION_FLOOR else 0.0 for x in probabilities]
+        cdf = list(itertools.accumulate(p))
         total = cdf[-1]
         if total <= 0.0:
             raise ValueError("all probabilities are below the selection floor")
-        u = self.uniform() * total
-        idx = int(np.searchsorted(cdf, u, side="right"))
-        if idx >= p.size or p[idx] == 0.0:
-            idx = int(np.max(np.nonzero(p)[0]))
+        idx = bisect.bisect_right(cdf, self.uniform() * total)
+        if idx >= len(p) or p[idx] == 0.0:
+            idx = max(i for i, x in enumerate(p) if x)
         return idx
 
     def __repr__(self):
@@ -755,14 +776,14 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
     """One state per trial t: the tensor product, left to right, of a
     ``random_pure_state`` on each space, all drawn in turn from ``rng.derive(t)``.
 
-    Each trial's stream (from ``derive_many``) fills its row of normals in
-    one draw, as a generator's normals do not depend on how a run of them
-    is split into calls; the rest runs on stacks.
+    Each trial's generator (from ``RandomStream._generators``) fills its row
+    of normals in one draw, as a generator's normals do not depend on how a
+    run of them is split into calls; the rest runs on stacks.
     """
     sizes = [s.total_dim for s in spaces]
     normals = np.empty((trials, 2 * sum(sizes)))
-    for row, child in zip(normals, rng.derive_many(range(trials))):
-        child.generator.standard_normal(out=row)
+    for row, gen in zip(normals, rng._generators(range(trials))):
+        gen.standard_normal(out=row)
     joint = None
     start = 0
     for size in sizes:
@@ -910,19 +931,21 @@ def born_probability_rows(rhos: np.ndarray, povm: POVMSet) -> np.ndarray:
     dim = rhos.shape[-1]
     if povm.dim != dim:
         raise ValueError(f"POVM dimension {povm.dim} does not match state dimension {dim}")
-    probs = _traced_products(povm.elements, rhos)
+    probs = _traced_products(povm._stack, rhos)
     if probs.min(initial=0.0) < -1e-12:  # NaN is not below either
         raise ValueError("Born probability below tolerance; invalid POVM or state")
-    probs = np.clip(probs, 0.0, None)
-    if np.abs(probs.sum(axis=-1) - 1.0).max(initial=0.0) > NORM_ATOL:
+    probs = np.maximum(probs, 0.0)  # as np.clip(probs, 0.0, None), -0.0 to 0.0 too
+    if not np.abs(probs.sum(axis=-1) - 1.0).max(initial=0.0) <= NORM_ATOL:  # NaN fails
         raise ValueError("Born probabilities do not sum to 1 within tolerance")
     return probs
 
 
-def _traced_products(operators: Sequence[np.ndarray], rhos: np.ndarray) -> np.ndarray:
-    """(n, k) values Re Tr(A_j rho_r) of k operators on an (n, d, d) stack, in
-    one matmul and one trace; each equals np.trace(A_j @ rho_r) of the pair alone."""
-    return np.matmul(np.array(operators), rhos[:, None]).trace(axis1=-2, axis2=-1).real
+def _traced_products(operators: Sequence[np.ndarray] | np.ndarray, rhos: np.ndarray
+                     ) -> np.ndarray:
+    """(n, k) values Re Tr(A_j rho_r) of k operators, a sequence or a (k, d, d)
+    stack, on an (n, d, d) stack, in one matmul and one trace; each equals
+    np.trace(A_j @ rho_r) of the pair alone."""
+    return np.matmul(np.asarray(operators), rhos[:, None]).trace(axis1=-2, axis2=-1).real
 
 
 def quadratic_forms(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ direct norm and outer product must match exactly, and the original
 one-state quantum OPF evaluator and per-distribution outcome selection,
 which the library's stacked forms must match exactly.  The per-trial loop
 of RandomStream constructions, numpy's own SeedSequence, is the oracle of
-``RandomStream.derive_many``, and each caller's old per-trial loop is
-kept here as the oracle of that caller, among them the estimation
+``RandomStream.derive_many`` and of its bare generators, the numpy
+inverse CDF is the oracle of the pure-Python ``RandomStream.choose``, and
+each caller's old per-trial loop is kept here as the oracle of that caller, among them the estimation
 checker's per-trial ensembles and reconstructions, with the
 one-member-at-a-time ensemble density.  So is the per-probe loop of
 ``update_map_feasibility``, the oracle of its stacked form, and the
@@ -58,6 +59,7 @@ from pqsim.opf import (
 )
 from pqsim.qcore import (
     EIGENVALUE_FLOOR,
+    SELECTION_FLOOR,
     DensityMatrix,
     Ensemble,
     FactorSpace,
@@ -302,6 +304,24 @@ def tensor_amplitudes(a, b):
 def derived_streams(seed, experiment, trials):
     """The streams of a trial range, one RandomStream construction each."""
     return [RandomStream(seed, experiment, t) for t in trials]
+
+
+def choose(rng, probabilities):
+    """``RandomStream.choose``'s numpy body: the floor by np.where, the running
+    sums by np.cumsum and the search by np.searchsorted(side="right")."""
+    p = np.asarray(probabilities, dtype=float)
+    if p.size == 0:
+        raise ValueError("cannot sample from an empty probability vector")
+    p = np.where(p < SELECTION_FLOOR, 0.0, p)
+    cdf = np.cumsum(p)
+    total = cdf[-1]
+    if total <= 0.0:
+        raise ValueError("all probabilities are below the selection floor")
+    u = rng.uniform() * total
+    idx = int(np.searchsorted(cdf, u, side="right"))
+    if idx >= p.size or p[idx] == 0.0:
+        idx = int(np.max(np.nonzero(p)[0]))
+    return idx
 
 
 def spod_update_draws(rng):

@@ -314,6 +314,24 @@ class TestFullMeasurementAndClosure:
         states = [random_pure_state(QUBIT, RandomStream(11, trial=t)) for t in range(20)]
         assert mixed.completeness_violation(states) < 1e-9
 
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+    def test_mixed_outcomes_equal_their_columns_bit_for_bit(self, weight):
+        # paired, first-only and second-only outcomes of a device and a quantum
+        # measurement, each evaluating only its own component outcomes
+        space = FactorSpace((2, 2))
+        b = random_povm_element(4, RandomStream(273))
+        quantum = FullMeasurement.from_povm(POVMSet((b, np.eye(4) - b)), space)
+        meter = entropy_meter_measurement(space, (0,), precision=2)
+        for first, second, pairing in ((meter, quantum, [(0, 1)]), (quantum, meter, [(1, 2)]),
+                                       (quantum, quantum, [(0, 0), (1, 1)])):
+            mixed = mix_measurements(first, second, weight, pairing)
+            states = random_pure_states((space,), RandomStream(12), 25)
+            matrix = mixed.probabilities(states)
+            assert matrix.shape == (25, len(mixed.outcomes))
+            for i, f in enumerate(mixed.outcomes):
+                assert f.values(states).tobytes() == matrix[:, i].tobytes()
+                assert f(states[3]) == matrix[3, i]
+
     @pytest.mark.parametrize("pairing,message", [
         ([(-1, 0)], r"first pairing index must be in \[0, 1\], got -1"),
         ([(0, 2)], r"second pairing index must be in \[0, 1\], got 2"),
@@ -1461,3 +1479,12 @@ class TestMemoryGuards:
             lambda: entropy_meter_measurement(FactorSpace((4, 4)), (0,), 8))
         assert len(meter.outcomes) == 513
         assert kept <= 0.3  # one kept selection per outcome held 0.8 MB
+
+    def test_mixed_outcome_on_the_witness_probes_peak(self):
+        space = FactorSpace((4, 4))
+        meters = [entropy_meter_measurement(space, (0,), precision=8) for _ in range(2)]
+        mixed = mix_measurements(*meters, 0.5, pairing=[(i, i) for i in range(513)])
+        probes = StateStack._trusted(space, opf._witness_design(16)[0])
+        values, _, peak = _traced(lambda: mixed.outcomes[0].values(probes))
+        assert values.shape == (len(probes),)
+        assert peak <= 1.0  # a column of the whole mixed (529, 513) matrix took 10.9 MB

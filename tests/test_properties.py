@@ -154,6 +154,31 @@ def test_table_rows_and_draws_equal_the_per_state_bodies(kind, variant, data):
         assert stream.uniform() == oracle_stream.uniform()
 
 
+_STOCHASTIC_VARIANTS = [(kind, i) for kind, i in _KIND_VARIANTS
+                        if DeviceSpec(kind, _variants(kind, 2, RandomStream(0))[i]).stochastic]
+
+
+@pytest.mark.parametrize("kind,variant", _STOCHASTIC_VARIANTS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_draws_are_the_inverse_cdf_of_the_table_row(kind, variant, data):
+    """A draw picks the branch that the numpy inverse CDF in
+    ``tests/oracles.py`` picks over the state's table row, with the same
+    stream, and leaves the stream where that pick leaves it."""
+    space, target, seed, _ = data.draw(_cases(kind))
+    rng = RandomStream(seed)
+    dim = math.prod(space.dims[i] for i in target)
+    spec = DeviceSpec(kind, _variants(kind, dim, rng.derive(0))[variant])
+    states = random_pure_states((space,), rng.derive(1), 4)
+    for t, (psi, row) in enumerate(zip(states, spec.table(states, target).rows())):
+        stream, oracle_stream = rng.derive(10 + t), rng.derive(10 + t)
+        outcome = spec.apply(psi, target, stream)
+        want = row[0][0] if len(row) == 1 else row[oracles.choose(
+            oracle_stream, [p for _, p in row])][0]
+        assert _keys([(outcome, 1.0)]) == _keys([(want, 1.0)])
+        assert stream.uniform() == oracle_stream.uniform()
+
+
 @st.composite
 def _spaces(draw):
     """(space, nonempty target) over 1-3 factors of dimension 2-4."""

@@ -1,5 +1,6 @@
 """Core state representation, linear algebra, and randomness contract."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -781,6 +782,21 @@ class TestSubsetPlans:
         with pytest.raises(ValueError, match="must be nonempty"):
             partial_trace(state, keep)
 
+    def test_reduced_density_looks_its_plan_up_once(self, monkeypatch):
+        calls = []
+        cached = qcore._cached_plan
+
+        def spy(dims, subset):
+            calls.append(subset)
+            return cached(dims, subset)
+
+        monkeypatch.setattr(qcore, "_cached_plan", spy)
+        state = random_pure_state(self.SPACE, RandomStream(27))
+        for keep in ((2, 0), (0, 1, 2)):
+            calls.clear()
+            reduced_density(state, keep)
+            assert calls == [keep]
+
     def test_unhashable_entries_are_built_each_time(self):
         state = random_pure_state(self.SPACE, RandomStream(26))
         keep = (np.array(0),)
@@ -911,6 +927,27 @@ class TestBornProbabilities:
         for row, rho in zip(got, rhos):
             assert row.tobytes() == oracles.born_probabilities(rho, povm).tobytes()
             assert row.tobytes() == born_probabilities(rho, povm).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_a_non_finite_row_raises(self, bad, entry):
+        # a NaN in the probabilities passes a min check and a "> atol" sum check;
+        # an inf entry makes the matmul's 0 * inf a NaN, which numpy warns of
+        povm = POVMSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        rhos = np.array([np.eye(2), np.eye(2)], dtype=complex) / 2
+        rhos[1][entry] = bad
+        warns = (pytest.warns(RuntimeWarning, match="invalid value") if math.isinf(bad)
+                 else contextlib.nullcontext())
+        with pytest.raises(ValueError, match="^Born probabilities do not sum to 1"), warns:
+            qcore.born_probability_rows(rhos, povm)
+
+    def test_clamp_gives_zero_the_sign_clip_gave(self, monkeypatch):
+        raw = np.array([[1.0, -0.0], [-0.0, 1.0], [1.0 + 1e-13, -1e-13], [0.5, 0.5]])
+        monkeypatch.setattr(qcore, "_traced_products", lambda operators, rhos: raw.copy())
+        povm = POVMSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        got = qcore.born_probability_rows(np.zeros((4, 2, 2), dtype=complex), povm)
+        assert got.tobytes() == np.clip(raw, 0.0, None).tobytes()
+        assert not np.signbit(got).any()
 
     def test_rows_raise_the_one_density_messages(self):
         povm = POVMSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
@@ -1207,6 +1244,50 @@ class TestRandomStream:
         for _ in range(200):
             assert rng.choose([0.5, 1e-13, 0.5]) in (0, 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(probabilities=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1e-13, qcore.SELECTION_FLOOR, 0.25, 0.5, 1.0]),
+                  st.floats(-1e-12, 1.0), st.integers(0, 2)),
+        min_size=1, max_size=8),
+        seed=st.integers(0, 2**64 - 1))
+    def test_choose_equals_the_numpy_inverse_cdf(self, probabilities, seed):
+        """Floored entries, zeros and ties pick the index the numpy body picks
+        on the same stream, or raise its message, and leave the stream where
+        it leaves it."""
+        got, want = RandomStream(seed), RandomStream(seed)
+        for _ in range(3):
+            try:
+                index = oracles.choose(want, probabilities)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                    got.choose(probabilities)
+                break
+            assert got.choose(probabilities) == index
+        assert got.uniform() == want.uniform()
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 1.0 - 2**-53, 1.0])
+    @pytest.mark.parametrize("probabilities", [
+        [0.1, 0.2], [0.1, 0.2, 0.0, 1e-13], [1e-13, 0.7, 0.3], [0.5, 0.5], [1.0],
+        [0.1] * 10, [1 / 3, 1 / 3, 1 / 3, 0.0]])
+    def test_choose_equals_the_numpy_inverse_cdf_at_fixed_uniforms(self, u, probabilities):
+        # a stream's uniforms lie in [0, 1); u = 1.0 reaches the last-nonzero
+        # rule, which never picks a trailing floored entry
+
+        class Fixed(RandomStream):
+            def uniform(self):
+                return u
+
+        assert Fixed(0).choose(probabilities) == oracles.choose(Fixed(0), probabilities)
+
+    @pytest.mark.parametrize("probabilities", [
+        [math.nan, 0.5], [0.5, math.nan], [math.inf, 1.0], [0.5, -math.inf], [math.nan]])
+    def test_choose_rejects_a_non_finite_probability(self, probabilities):
+        # the numpy body returned 1 for the first three
+        rng = RandomStream(72)
+        with pytest.raises(ValueError, match="^probabilities must be finite$"):
+            rng.choose(probabilities)
+        assert rng.uniform() == RandomStream(72).uniform()  # no draw was made
+
     def test_unitary_is_unitary(self):
         u = random_unitary(4, RandomStream(73))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
@@ -1323,6 +1404,19 @@ class TestDeriveMany:
         stream.normal(3)
         copy = pickle.loads(pickle.dumps(stream))
         assert_same_stream(copy, stream)
+
+    @pytest.mark.parametrize("trials", [
+        range(0), range(7), range(5, 40, 3), range(4, -1, -2), range(2**32 - 3, 2**32),
+        range(2**32 - 2, 2**32 + 2), range(2**32 + 2, 2**32 - 2, -1), range(0, 2**64, 2**63),
+    ])
+    def test_bare_generators_equal_derive(self, trials):
+        rng = RandomStream(0x5EED, 10)
+        generators = list(rng._generators(trials))
+        assert len(generators) == len(trials)
+        for gen, t in zip(generators, trials):
+            want = rng.derive(t).generator
+            assert gen.bit_generator.state == want.bit_generator.state
+            assert gen.standard_normal(6).tolist() == want.standard_normal(6).tolist()
 
     def test_streams_are_made_one_at_a_time(self):
         streams = RandomStream(4).derive_many(range(10))
