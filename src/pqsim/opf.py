@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .devices import (
     target_dimension,
 )
 from .qcore import (
+    HERMITIAN_ATOL,
+    NORM_ATOL,
     Ensemble,
     FactorSpace,
     POVMSet,
@@ -37,19 +39,17 @@ from .qcore import (
     RandomStream,
     StateStack,
     _checked_int,
+    _require_square,
     _row_norms,
-    _square_matrix,
     ensemble_densities,
     normalized_states,
     quadratic_forms,
-    random_pure_state,
     random_pure_states,
+    random_pure_states_in_turn,
     random_unitaries,
     random_unitary,
     require_density,
     require_ensemble_weights,
-    require_hermitian,
-    require_psd,
     require_unitary,
     tensor_products,
     unitary_images,
@@ -145,7 +145,12 @@ class FullMeasurement:
 
     @classmethod
     def from_povm(cls, povm: POVMSet, space: FactorSpace) -> "FullMeasurement":
-        return cls(tuple(opf_from_quantum(q, space) for q in povm.elements))
+        """One ``opf_from_quantum`` outcome per POVM element, on ``space``.
+
+        The elements are checked in one stacked pass, with
+        ``opf_from_quantum``'s checks and messages; the first bad element
+        raises.  Each outcome evaluates its own quadratic form."""
+        return cls(_quantum_opfs(povm._stack, space))
 
 
 def _completeness_violation(probs: np.ndarray) -> np.ndarray:
@@ -159,25 +164,45 @@ def _completeness_violation(probs: np.ndarray) -> np.ndarray:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def _povm_element(element) -> np.ndarray:
-    """A complex copy of a POVM element: square, Hermitian, 0 <= Q <= I; else ValueError."""
-    q = _square_matrix(element, "POVM element")
-    require_hermitian(q, "POVM element must be Hermitian")
-    if require_psd(q, "POVM element must satisfy 0 <= Q <= I")[-1] > 1.0 + 1e-9:
-        raise ValueError("POVM element must satisfy 0 <= Q <= I")
+def _povm_elements(elements) -> np.ndarray:
+    """A complex copy of a (k, d, d) stack of POVM elements, each square,
+    Hermitian, then 0 <= Q <= I; else ValueError, with the message of the
+    first bad element's first failed check.  A non-finite element is not
+    Hermitian, and zeros in its place keep inf - inf and LAPACK off NaN."""
+    q = np.array(elements, dtype=complex)
+    _require_square(q.shape[1:], "POVM element")
+    finite = np.isfinite(q).all(axis=(-2, -1))
+    checked = q if finite.all() else np.where(finite[..., None, None], q, 0.0)
+    hermitian = finite & (np.abs(checked - checked.swapaxes(-1, -2).conj()).max(
+        axis=(-2, -1)) <= HERMITIAN_ATOL)
+    eigenvalues = np.linalg.eigvalsh(checked)
+    bad = ~hermitian | (eigenvalues[:, 0] < -NORM_ATOL) | (eigenvalues[:, -1] > 1.0 + 1e-9)
+    if bad.any():
+        raise ValueError("POVM element must satisfy 0 <= Q <= I" if hermitian[bad.argmax()]
+                         else "POVM element must be Hermitian")
     return q
 
 
-def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> OPF:
-    """OPF of a quantum POVM element: f(psi) = <psi|Q|psi>, with 0 <= Q <= I."""
-    q = _povm_element(element)
-    dim = q.shape[0]
+def _quantum_opfs(elements, space: FactorSpace | None) -> tuple[OPF, ...]:
+    """``opf_from_quantum`` of every element of a (k, d, d) stack, the
+    elements checked in one pass."""
+    q = _povm_elements(elements)
+    dim = q.shape[-1]
     if space is None:
         space = FactorSpace((dim,))
     elif space.total_dim != dim:
         raise ValueError("declared space does not match the element's dimension")
-    return OPF(space, lambda states: quadratic_forms(q, states.amplitudes), "quantum",
-               operator=q)
+
+    def quantum(element: np.ndarray) -> OPF:
+        return OPF(space, lambda states: quadratic_forms(element, states.amplitudes),
+                   "quantum", operator=element)
+
+    return tuple(map(quantum, q))
+
+
+def opf_from_quantum(element: np.ndarray, space: FactorSpace | None = None) -> OPF:
+    """OPF of a quantum POVM element: f(psi) = <psi|Q|psi>, with 0 <= Q <= I."""
+    return _quantum_opfs([element], space)[0]
 
 
 def device_measurement(spec: DeviceSpec, selectors: Sequence[Outcome], space: FactorSpace,
@@ -426,10 +451,11 @@ def check_closure(measurement: FullMeasurement, samples: int,
     as mix, compose_unitary and compose_system define it: a weighted sum of
     the outcomes, the outcomes on U psi, the outcomes on psi (x) phi.
 
-    Each property draws its 10 weight vectors, unitaries or backgrounds in
-    turn and evaluates them as one stack, so the measurement is evaluated
-    once on the sampled states, once on all rotated probes and once on all
-    products; each block of a stack reads as the one evaluation it replaces.
+    Each property draws its 10 weight vectors, unitaries, or lead probes and
+    backgrounds in turn, each kind in one draw, and evaluates them as one
+    stack, so the measurement is evaluated once on the sampled states, once
+    on all rotated probes and once on all products; each block of a stack
+    reads as the one evaluation it replaces.
     """
     samples = _checked_int(samples, "samples", 1)
     space = measurement.space
@@ -457,8 +483,8 @@ def check_closure(measurement: FullMeasurement, samples: int,
     if space.n_factors >= 2:
         lead = FactorSpace(space.dims[:-1])
         back = FactorSpace((space.dims[-1],))
-        lead_probes = StateStack.of([random_pure_state(lead, aux) for _ in range(10)])
-        backgrounds = StateStack.of([random_pure_state(back, aux) for _ in range(10)])
+        lead_probes = random_pure_states_in_turn(lead, aux, 10)
+        backgrounds = random_pure_states_in_turn(back, aux, 10)
         joint = measurement.probabilities(tensor_products(lead_probes, backgrounds)).reshape(
             10, 10, n_out)
         composition_violation = _worst(_completeness_violation(joint),
@@ -733,15 +759,30 @@ def density_from_projector_values(states: Sequence[np.ndarray], values, dim: int
     return rhos if rows.ndim == 2 else rhos[0]
 
 
-def _ic_outcomes(family: str, dim: int) -> tuple[OPF, ...]:
+class _ICOutcomes(NamedTuple):
+    """The ``ic_projector_states`` of one dimension and their projectors, as
+    read-only arrays, and one outcome per projector for one family."""
+
+    states: np.ndarray
+    projectors: np.ndarray
+    outcomes: tuple[OPF, ...]
+
+
+@functools.cache
+def _ic_outcomes(family: str, dim: int) -> _ICOutcomes:
+    """The informationally complete outcomes of a POVM-statistics family on
+    one dimension: seed-free, so built once per (family, dim), on first use."""
     space = FactorSpace((dim,))
     target = space.indices()
+    states = np.array(ic_projector_states(dim))
+    states.setflags(write=False)
+    projs = states[:, :, None] * states.conj()[:, None, :]  # each np.outer(vec, vec.conj())
+    projs.setflags(write=False)
+    if family == "quantum_povm":
+        return _ICOutcomes(states, projs, _quantum_opfs(projs, space))
     out = []
-    for vec in ic_projector_states(dim):
-        proj = np.outer(vec, vec.conj())
-        if family == "quantum_povm":
-            out.append(opf_from_quantum(proj, space))
-        elif family == "spod":
+    for proj in projs:
+        if family == "spod":
             povm = POVMSet((proj, np.eye(dim) - proj))
             spec = DeviceSpec("PovmSampler", {"povm": povm})
             out.append(opf_from_device(spec, IntegerLabel(1), space, target))
@@ -751,7 +792,7 @@ def _ic_outcomes(family: str, dim: int) -> tuple[OPF, ...]:
             out.append(opf_from_device(spec, Bit(1), space, target))
         else:
             raise AssertionError(family)
-    return tuple(out)
+    return _ICOutcomes(states, projs, tuple(out))
 
 
 def _readout_witness_pair(dim: int, unitary: np.ndarray) -> tuple[Ensemble, Ensemble]:
@@ -781,21 +822,25 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
     space = FactorSpace((dim,))
 
     if family in ("quantum_povm", "spod", "erd_sevrd"):
-        outcomes = _ic_outcomes(family, dim)
+        ic = _ic_outcomes(family, dim)
         # evidence: worst reconstruction error of random mixed states from
         # the outcome values alone
         weights, members = _random_ensembles(space, rng, trials=20, members=3)
-        values = np.zeros((len(weights), len(outcomes)))
-        for column, f in zip(values.T, outcomes):
-            # sum_r p_r f(psi_r), added in member order as ``on_ensembles`` does
-            weighted = weights * f(members).reshape(weights.shape)
-            for term in weighted.T:
-                column += term
-        rhos = density_from_projector_values(ic_projector_states(dim), values, dim)
+        if family == "quantum_povm":  # every outcome's quadratic form in one pass
+            per_member = quadratic_forms(ic.projectors[:, None], members.amplitudes)
+        else:  # device outcomes share no operator
+            per_member = np.array([f(members) for f in ic.outcomes])
+        # sum_r p_r f(psi_r) of every outcome, added in member order as
+        # ``on_ensembles`` does
+        weighted = weights * per_member.reshape((len(ic.outcomes),) + weights.shape)
+        values = np.zeros(weighted.shape[:-1])
+        for term in np.moveaxis(weighted, -1, 0):
+            values += term
+        rhos = density_from_projector_values(ic.states, values.T, dim)
         densities = ensemble_densities(weights, members.amplitudes.reshape(
             weights.shape + (dim,)))
         require_density(densities)
-        return EstimationVerdict(family, dim, "SATISFIED", outcomes=outcomes,
+        return EstimationVerdict(family, dim, "SATISFIED", outcomes=ic.outcomes,
                                  evidence=float(np.max(np.abs(rhos - densities))))
 
     if family == "entropy_meter":
@@ -807,7 +852,7 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
 
     # readout family
     supplied = tuple(outcome_list) if outcome_list is not None else _ic_outcomes(
-        "quantum_povm", dim)
+        "quantum_povm", dim).outcomes
     if len(supplied) > MAX_OUTCOME_LIST:
         raise ValueError(f"outcome list is bounded at {MAX_OUTCOME_LIST} entries")
     for attempt in range(100):
@@ -902,7 +947,7 @@ def update_map_feasibility(element: np.ndarray,
     element's dimension (d^2 states suffice).  The fitted map is then validated
     on additional canonical states; the residual is the worst violation seen.
     """
-    a = _povm_element(element)
+    a = _povm_elements([element])[0]
     dim = a.shape[0]
     probes = StateStack.of(probe_states)
     if probes.space.total_dim != dim:
@@ -910,10 +955,10 @@ def update_map_feasibility(element: np.ndarray,
     n = len(probes)
 
     # the probes, then the validation states: canonical and random ones
-    extra = RandomStream(0x51D, experiment=dim)
-    vecs = np.concatenate([probes.amplitudes, np.array(
-        canonical_probe_states(dim)
-        + [random_pure_state(FactorSpace((dim,)), extra).amplitudes for _ in range(2 * dim)])])
+    extra = random_pure_states_in_turn(FactorSpace((dim,)), RandomStream(0x51D, experiment=dim),
+                                       2 * dim)
+    vecs = np.concatenate([probes.amplitudes, np.array(canonical_probe_states(dim)),
+                           extra.amplitudes])
     projs = vecs[:, :, None] * vecs.conj()[:, None, :]
     coords = hermitian_coords(projs)
     design = coords[:n]

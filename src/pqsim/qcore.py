@@ -626,8 +626,23 @@ class RandomStream:
 # ---------------------------------------------------------------------------
 
 def random_pure_state(space: FactorSpace, rng: RandomStream) -> PureState:
-    """Haar-random pure state on the given space."""
-    return PureState.normalized(space, rng.complex_normal(space.total_dim))
+    """Haar-random pure state on the given space: the one-row case of
+    ``random_pure_states_in_turn``."""
+    return random_pure_states_in_turn(space, rng, 1)[0]
+
+
+def random_pure_states_in_turn(space: FactorSpace, rng: RandomStream, n: int) -> StateStack:
+    """n Haar-random pure states drawn in turn from one stream, as one stack.
+
+    One normal draw fills every state's ``complex_normal`` block, laid out
+    (n, 2, D), as a generator's normals do not depend on how a run of them
+    is split into calls; each row is then normalized as
+    ``PureState.normalized`` does it, so the stack and the stream's next
+    draw are bit-identical to n ``complex_normal`` draws normalized one by one.
+    """
+    dim = space.total_dim
+    normals = rng.normal((n, 2, dim))
+    return normalized_states(space, normals[:, 0] + 1j * normals[:, 1])
 
 
 def random_unitary(dim: int, rng: RandomStream) -> np.ndarray:
@@ -927,10 +942,13 @@ def born_probabilities(rho: DensityMatrix, povm: POVMSet) -> np.ndarray:
 
 def born_probability_rows(rhos: np.ndarray, povm: POVMSet) -> np.ndarray:
     """``born_probabilities`` of every density of an (n, d, d) stack, which is
-    not revalidated, as an (n, k) array; any bad row raises its message."""
+    not revalidated, as an (n, k) array; any bad row raises its message, and
+    a non-finite one the sum's, before any product is taken."""
     dim = rhos.shape[-1]
     if povm.dim != dim:
         raise ValueError(f"POVM dimension {povm.dim} does not match state dimension {dim}")
+    if not np.isfinite(rhos).all():  # the matmul's 0 * inf would warn
+        raise ValueError("Born probabilities do not sum to 1 within tolerance")
     probs = _traced_products(povm._stack, rhos)
     if probs.min(initial=0.0) < -1e-12:  # NaN is not below either
         raise ValueError("Born probability below tolerance; invalid POVM or state")

@@ -37,7 +37,13 @@ score-and-report body are the oracles of their reports.  The one-operator
 one call per projector on it, are the oracles of the stacked operator
 images, and the overlap estimate's body from before it ran only its final
 round is the oracle of that one round.  The one-stack projector design is
-the oracle of the design built in row blocks.
+the oracle of the design built in row blocks.  The one-state draw, one
+``complex_normal`` block normalized at a time, and its call-by-call loop
+are the oracles of ``qcore.random_pure_states_in_turn``; the one-element
+POVM check and ``from_povm``'s one ``opf_from_quantum`` per element are the
+oracles of its stacked check; and the IC outcomes built one projector at
+a time on every call are the oracle of the estimation checker's outcomes
+built once and evaluated as one stack.
 """
 
 import itertools
@@ -49,13 +55,15 @@ import scipy.stats
 from pqsim import devices
 from pqsim.devices import DEVICE_KINDS, outcomes_equal, readout_density, sample_povm
 from pqsim.opf import (
-    _ic_outcomes,
+    OPF,
+    FullMeasurement,
     canonical_probe_states,
     density_from_projector_values,
     hermitian_basis,
     hermitian_coords as stacked_hermitian_coords,
     hermitian_from_coords,
     ic_projector_states,
+    opf_from_device,
 )
 from pqsim.qcore import (
     EIGENVALUE_FLOOR,
@@ -68,11 +76,14 @@ from pqsim.qcore import (
     PureState,
     RandomStream,
     StateStack,
+    _square_matrix,
     _subset_plan,
     quantize as quantize_value,
-    random_pure_state,
+    quadratic_forms as stacked_quadratic_forms,
     reduced_densities,
     require_density,
+    require_hermitian,
+    require_psd,
     spectrum_entropies,
     tensor_product,
 )
@@ -286,6 +297,64 @@ def random_state_amplitudes(dims, rng):
     return normalized_amplitudes(rng.complex_normal(int(np.prod(dims))))
 
 
+def random_pure_state(space, rng):
+    """random_pure_state as one draw made it: one complex_normal block, then
+    PureState.normalized."""
+    return PureState.normalized(space, rng.complex_normal(space.total_dim))
+
+
+def random_states_in_turn(space, rng, n):
+    """n random_pure_state draws from one stream, one call each."""
+    return [random_pure_state(space, rng) for _ in range(n)]
+
+
+def povm_element(element):
+    """A complex copy of one POVM element, checked alone: square, Hermitian,
+    then 0 <= Q <= I."""
+    q = _square_matrix(element, "POVM element")
+    require_hermitian(q, "POVM element must be Hermitian")
+    if require_psd(q, "POVM element must satisfy 0 <= Q <= I")[-1] > 1.0 + 1e-9:
+        raise ValueError("POVM element must satisfy 0 <= Q <= I")
+    return q
+
+
+def opf_from_quantum(element, space=None):
+    """opf_from_quantum on one element checked alone."""
+    q = povm_element(element)
+    dim = q.shape[0]
+    if space is None:
+        space = FactorSpace((dim,))
+    elif space.total_dim != dim:
+        raise ValueError("declared space does not match the element's dimension")
+    return OPF(space, lambda states: stacked_quadratic_forms(q, states.amplitudes), "quantum",
+               operator=q)
+
+
+def from_povm(povm, space):
+    """FullMeasurement.from_povm by its element loop: one opf_from_quantum each."""
+    return FullMeasurement(tuple(opf_from_quantum(q, space) for q in povm.elements))
+
+
+def ic_outcomes(family, dim):
+    """The estimation checker's IC outcomes, built one projector at a time."""
+    space = FactorSpace((dim,))
+    target = space.indices()
+    out = []
+    for vec in ic_projector_states(dim):
+        proj = np.outer(vec, vec.conj())
+        if family == "quantum_povm":
+            out.append(opf_from_quantum(proj, space))
+        elif family == "spod":
+            spec = devices.DeviceSpec("PovmSampler",
+                                      {"povm": POVMSet((proj, np.eye(dim) - proj))})
+            out.append(opf_from_device(spec, devices.IntegerLabel(1), space, target))
+        else:
+            spec = devices.DeviceSpec("EigenvalueSampler",
+                                      {"observable": proj, "variant": "bit"})
+            out.append(opf_from_device(spec, devices.Bit(1), space, target))
+    return tuple(out)
+
+
 def random_unitary(dim, rng):
     """random_unitary as one draw made it: a complex_normal block, one 2-D QR
     and the phase fix, before draws were stacked."""
@@ -414,7 +483,7 @@ def estimation_evidence(family, dim, rng):
     """The evidence of check_estimation_assumption for a POVM-statistics
     family, by its per-trial loop: the outcomes on each ensemble, one
     reconstruction and one ensemble density per trial."""
-    outcomes = _ic_outcomes(family, dim)
+    outcomes = ic_outcomes(family, dim)
     ensembles = estimation_ensembles(FactorSpace((dim,)), rng)
     per_outcome = [f.on_ensembles(ensembles) for f in outcomes]
     worst = 0.0

@@ -17,8 +17,9 @@ pqsim seeds 1-10 and the default seed, under ``estimation_seeds`` the
 records of the overlap estimate and the no-signalling demo at those seeds,
 and under ``cli_d4`` the stdout of the CLI's d=4 fpvnem demo and
 product-form checks, which build the d=16 witness design and the
-513-outcome meter.  No test compares these: two checkouts give
-byte-identical records when their outputs ``diff`` clean.
+513-outcome meter.  ``tests/golden/seeds.json`` holds that whole output,
+captured once in the same way and never regenerated to make a change
+pass, and the script's output must equal it byte for byte.
 
 A change that moves one byte of any of them fails here.  If a change is
 meant to move a record, say which field moved and why in ``CHANGES.md``.
@@ -155,13 +156,19 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def current():
+def script_output():
+    """This file's output as a script, run in a fresh interpreter on one BLAS thread."""
     env = dict(os.environ, **ONE_THREAD)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(HERE.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, str(Path(__file__).resolve())],
                          capture_output=True, text=True, env=env, check=True)
-    return json.loads(out.stdout)
+    return out.stdout
+
+
+@pytest.fixture(scope="module")
+def current(script_output):
+    return json.loads(script_output)
 
 
 def test_golden_covers_every_command_and_op(golden):
@@ -177,6 +184,10 @@ def test_cli_stdout_is_byte_identical(label, golden, current):
 @pytest.mark.parametrize("label", sorted(OPF_OPS))
 def test_opf_record_is_byte_identical(label, golden, current):
     assert current["opf"][label] == golden["opf"][label]
+
+
+def test_seed_swept_output_is_byte_identical(script_output):
+    assert script_output == (HERE / "golden" / "seeds.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

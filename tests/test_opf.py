@@ -57,6 +57,7 @@ from pqsim.qcore import (
     RandomStream,
     StateStack,
     ensemble_densities,
+    quadratic_forms,
     random_density_matrix,
     random_pure_state,
     random_pure_states,
@@ -568,6 +569,51 @@ class TestEstimationAssumption:
         evidence = check_estimation_assumption(family, dim, rng).evidence
         assert evidence == oracles.estimation_evidence(family, dim, rng)
 
+    @pytest.mark.parametrize("family", ["quantum_povm", "spod", "erd_sevrd"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_evidence_equals_per_trial_loop_at_seeds_1_to_10(self, family, dim):
+        for seed in range(1, 11):
+            rng = RandomStream(seed, 3)
+            evidence = check_estimation_assumption(family, dim, rng).evidence
+            assert evidence == oracles.estimation_evidence(family, dim, rng), seed
+
+    @pytest.mark.parametrize("family", ["quantum_povm", "spod", "erd_sevrd"])
+    def test_ic_outcomes_are_built_once_per_family_and_dim(self, family):
+        opf._ic_outcomes.cache_clear()
+        first = opf._ic_outcomes(family, 3)
+        assert opf._ic_outcomes(family, 3) is first
+        assert opf._ic_outcomes(family, 2) is not first
+        for seed in (1, 2):
+            verdict = check_estimation_assumption(family, 3, RandomStream(seed, 3))
+            assert verdict.outcomes is first.outcomes
+        assert not first.states.flags.writeable
+        opf._ic_outcomes.cache_clear()
+        again = opf._ic_outcomes(family, 3)
+        assert again is not first
+        assert again.states.tobytes() == first.states.tobytes()
+        states = random_pure_states((FactorSpace((3,)),), RandomStream(361), 12)
+        for f, g in zip(first.outcomes, again.outcomes, strict=True):
+            assert f(states).tobytes() == g(states).tobytes()
+
+    @pytest.mark.parametrize("family", ["quantum_povm", "spod", "erd_sevrd"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_ic_outcomes_equal_the_per_projector_loop(self, family, dim):
+        ic = opf._ic_outcomes(family, dim)
+        assert ic.states.tobytes() == np.array(ic_projector_states(dim)).tobytes()
+        states = random_pure_states((FactorSpace((dim,)),), RandomStream(367, dim), 60)
+        want = oracles.ic_outcomes(family, dim)
+        for f, g in zip(ic.outcomes, want, strict=True):
+            assert f.provenance == g.provenance
+            assert f(states).tobytes() == g(states).tobytes()
+        assert not ic.projectors.flags.writeable
+        assert ic.projectors.tobytes() == np.array(
+            [np.outer(v, v.conj()) for v in ic_projector_states(dim)]).tobytes()
+        if family == "quantum_povm":  # the stack the checker evaluates in one pass
+            stacked = quadratic_forms(ic.projectors[:, None], states.amplitudes)
+            assert stacked.tobytes() == np.array([g(states) for g in want]).tobytes()
+            for f, q in zip(ic.outcomes, ic.projectors, strict=True):
+                assert f.operator.tobytes() == q.tobytes()
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stacked_ensemble_densities_equal_from_ensemble(self, dim):
         space = FactorSpace((dim,))
@@ -899,6 +945,63 @@ class TestDistributionCounts:
         # probes and of the 10 backgrounds of 10
         assert tables == [30, 300, 100]
         assert len(evaluated) == sum(tables)
+
+
+def _value_error(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+NON_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]])
+NEGATIVE = -0.1 * np.eye(2)
+ABOVE_I = 1.5 * np.eye(2)
+
+
+class TestStackedElementCheck:
+    """``from_povm`` checks its elements as one stack, with the checks, the
+    messages and the first bad element of the one-element loop, and gives
+    the loop's outcomes."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_outcomes_equal_the_element_loop(self, dim):
+        rng = RandomStream(811, dim)
+        b, c = random_povm_element(dim, rng, 0.5), random_povm_element(dim, rng, 0.4)
+        povm = POVMSet((b, c, np.eye(dim) - b - c))
+        spaces = [FactorSpace((dim,))] + ([FactorSpace((2, dim // 2))] if dim in (4, 8) else [])
+        for space in spaces:
+            states = random_pure_states((space,), rng.derive(1), 40)
+            got, want = FullMeasurement.from_povm(povm, space), oracles.from_povm(povm, space)
+            assert got.probabilities(states).tobytes() == want.probabilities(states).tobytes()
+            for f, g in zip(got.outcomes, want.outcomes, strict=True):
+                assert (f.space, f.provenance) == (g.space, g.provenance)
+                assert f.operator.tobytes() == g.operator.tobytes()
+                assert f(states).tobytes() == g(states).tobytes()
+                assert [f(psi) for psi in states] == [g(psi) for psi in states]
+
+    @pytest.mark.parametrize("elements,message", [
+        ((PROJ0, NON_HERMITIAN), "POVM element must be Hermitian"),
+        ((NEGATIVE, np.eye(2) - NEGATIVE), "POVM element must satisfy 0 <= Q <= I"),
+        ((ABOVE_I, np.eye(2) - ABOVE_I), "POVM element must satisfy 0 <= Q <= I"),
+        ((PROJ0, NON_HERMITIAN, NEGATIVE), "POVM element must be Hermitian"),
+        ((PROJ0, NEGATIVE, NON_HERMITIAN), "POVM element must satisfy 0 <= Q <= I"),
+        ((PROJ0, ABOVE_I, np.diag([math.nan, 1.0])), "POVM element must satisfy 0 <= Q <= I"),
+        ((np.diag([math.inf, 0.0]), NEGATIVE), "POVM element must be Hermitian"),
+        ((PROJ0, np.diag([0.0, -math.inf])), "POVM element must be Hermitian"),
+    ])
+    def test_bad_stacks_raise_the_first_bad_elements_error(self, elements, message):
+        stack = np.array(elements, dtype=complex)
+        stack.setflags(write=False)
+        povm = POVMSet._trusted(stack)  # past POVMSet's own checks
+        assert _value_error(lambda: opf._povm_elements(stack)) == message
+        assert _value_error(lambda: FullMeasurement.from_povm(povm, QUBIT)) == message
+        assert _value_error(lambda: oracles.from_povm(povm, QUBIT)) == message
+
+    def test_space_must_match_the_elements(self):
+        povm = POVMSet((PROJ0, np.eye(2) - PROJ0))
+        for build in (FullMeasurement.from_povm, oracles.from_povm):
+            with pytest.raises(ValueError, match="^declared space does not match"):
+                build(povm, TWO_QUBITS)
 
 
 class TestStackedQuadraticForm:
@@ -1376,7 +1479,7 @@ class TestOutcomeColumns:
     def test_ic_outcomes(self, family, dim):
         space = FactorSpace((dim,))
         states = random_pure_states((space,), RandomStream(703, dim), 30)
-        outcomes = opf._ic_outcomes(family, dim)
+        outcomes = opf._ic_outcomes(family, dim).outcomes
         assert len(outcomes) == dim * dim - 1
         for vec, f in zip(ic_projector_states(dim), outcomes):
             proj = np.outer(vec, vec.conj())
