@@ -45,7 +45,7 @@ from .opf import (
     product_form_witness,
 )
 from .qcore import (Ensemble, FactorSpace, HermitianObservable, POVMSet, PureState, RandomStream,
-                    normalized_states)
+                    _norm, normalized_states)
 
 DEFAULT_SEED = 0x5EED
 
@@ -303,7 +303,7 @@ def parse_config(text: str) -> RunConfig:
         if len(state_amplitudes) != space.total_dim:
             fail(f"state.amplitudes has length {len(state_amplitudes)}, "
                  f"expected {space.total_dim}", "state.amplitudes")
-        norm = float(np.linalg.norm(np.array(state_amplitudes)))
+        norm = _norm(np.array(state_amplitudes, dtype=complex))  # inf if it overflows
         if not abs(norm - 1.0) <= 1e-6:  # also rejects non-finite amplitudes
             fail(f"amplitudes norm {norm} deviates from 1 beyond 1e-6", "state.amplitudes")
     elif state_kind in ("bell", "ghz"):

@@ -9,11 +9,12 @@ precision; only declared outputs are quantized.
 Each device kind has one table body, which maps an (n, d, d) stack of
 reduced densities to a :class:`DistributionTable`: the outcome values and
 (n, branches) probabilities of all n states in one pass.
-``DeviceSpec.table`` feeds it a whole stack.  ``DeviceSpec.distribution``
-and the per-kind functions (``povm_distribution``, ``entropy_meter``, ...)
-are its one-row case, on the density ``reduced_density`` gives one state,
-and the sampling operations draw from that row through a
-:class:`~pqsim.qcore.RandomStream`.
+``DeviceSpec.table`` feeds it a whole stack, as ``DeviceSpec.distribution``
+and ``DeviceSpec.apply`` do for a stack or a list of states.  On a single
+state, they and the per-kind functions (``povm_distribution``,
+``entropy_meter``, ...) are its one-row case, on the density
+``reduced_density`` gives the state, and the sampling operations draw from
+that row through a :class:`~pqsim.qcore.RandomStream`.
 """
 
 from __future__ import annotations
@@ -452,15 +453,37 @@ def sample_uncertainty(state: PureState, target, observable, rng: RandomStream,
                     "uncertainty sampler")
 
 
+def _per_state(povm) -> bool:
+    """Whether a POVM sampler's ``povm`` is a tuple of POVMSets, one per state
+    of a stack, such as ``povm_sets`` gives."""
+    return (isinstance(povm, tuple) and len(povm) > 0
+            and all(isinstance(p, POVMSet) for p in povm))
+
+
+def _one_povm(povm) -> None:
+    """Raise ParameterError for a tuple of per-state POVMs given with a single state."""
+    if _per_state(povm):
+        raise ParameterError("povm", "per-state POVMs need a stack of states, "
+                                     "not a single state")
+
+
 def _povm_table(rhos: np.ndarray, povm, max_label: int | None = None) -> DistributionTable:
-    povm = _converted("povm", povm, POVMSet, lambda elements: POVMSet(tuple(elements)))
-    return _label_table(list(range(1, len(povm) + 1)), born_probability_rows(rhos, povm),
-                        max_label)
+    """Labels 1..k of one POVM (a POVMSet or its elements) on every density,
+    or of POVM r of a per-state tuple on density r."""
+    if _per_state(povm):
+        if len(povm) != len(rhos):
+            raise ParameterError("povm", f"{len(povm)} per-state POVMs for {len(rhos)} states")
+        povm = _converted("povm", povm, np.ndarray, lambda p: np.stack([q._stack for q in p]))
+    else:
+        povm = _converted("povm", povm, POVMSet, lambda elements: POVMSet(tuple(elements)))
+    probs = born_probability_rows(rhos, povm)
+    return _label_table(list(range(1, probs.shape[1] + 1)), probs, max_label)
 
 
 def povm_distribution(state: PureState, target, povm,
                       max_label: int | None = None) -> list[tuple[Outcome, float]]:
     """Distribution over 1-based POVM element labels, with optional overflow."""
+    _one_povm(povm)
     return _povm_table(_density_row(state, target), povm, max_label).rows()[0]
 
 
@@ -659,7 +682,8 @@ class DeviceKind:
     densities to their ``DistributionTable``; a ``spectral`` kind's table
     reads their (n, d) ascending eigenvalues instead, which validating the
     densities computes.  The table is the kind's one statement of how its
-    parameters map states to outcomes.
+    parameters map states to outcomes; a PovmSampler's ``povm`` may also be
+    a tuple of POVMSets, one per state of a stack.
     ``may_miss``: the selector types that may match no branch, as outcome
     values of readouts and meters depend on the state; a label or bit
     device has a fixed alphabet, so a miss there is a caller error.  A kind
@@ -763,19 +787,27 @@ class DeviceSpec:
         switch = kind.deterministic_without
         return kind.stochastic and (switch is None or self.params.get(switch) is not None)
 
-    def distribution(self, state: PureState, target) -> list[tuple[Outcome, float]]:
-        """Exact outcome distribution (deterministic devices give one point):
-        the kind's table on the one row of the state's reduced density."""
+    def distribution(self, states: PureState | StateStack | Sequence[PureState], target
+                     ) -> list:
+        """Exact outcome distribution (deterministic devices give one point)
+        of a PureState: the kind's table on the one row of the state's reduced
+        density.  A StateStack or a list gives one such distribution per
+        state, in order: the list view of one ``table`` of them all."""
+        if not isinstance(states, PureState):
+            return self.table(states, target).rows()
+        _one_povm(self.params.get("povm"))
         kind = DEVICE_KINDS[self.kind]
         if kind.single_factor:
-            target = _analysed_factor(state.space, target)
-        row = (_spectrum_row if kind.spectral else _density_row)(state, target)
+            target = _analysed_factor(states.space, target)
+        row = (_spectrum_row if kind.spectral else _density_row)(states, target)
         return kind.table(row, **self.params).rows()[0]
 
     def table(self, states: StateStack | Sequence[PureState] | PureState, target
               ) -> DistributionTable:
         """The distributions of a state, a stack or a list of states in one
         pass: their reduced densities, validated once, through the kind's table."""
+        if isinstance(states, PureState):
+            _one_povm(self.params.get("povm"))
         stack = StateStack.of(states)
         kind = DEVICE_KINDS[self.kind]
         if kind.single_factor:
@@ -784,14 +816,21 @@ class DeviceSpec:
         spectra = require_density(rhos)
         return kind.table(spectra if kind.spectral else rhos, **self.params)
 
-    def distributions(self, states: StateStack | Sequence[PureState], target
-                      ) -> list[list[tuple[Outcome, float]]]:
-        """``distribution`` of each state of a stack or list: the list view of one table."""
-        return self.table(states, target).rows()
-
-    def apply(self, state: PureState, target, rng: RandomStream | None = None) -> Outcome:
-        """Run the device once.  Stochastic kinds require a RandomStream."""
-        return _outcome(self.distribution(state, target), rng, f"device kind {self.kind}")
+    def apply(self, states: PureState | StateStack | Sequence[PureState], target,
+              rng=None):
+        """Run the device once on a PureState: a draw from ``distribution``
+        through ``rng``, a RandomStream, which stochastic kinds require.  On a
+        StateStack or a list, run it once on each state, from one ``table``:
+        ``rng`` holds one RandomStream (or None) per state, or is None for
+        all, and state r's outcome and stream are those of ``apply`` on it alone."""
+        device = f"device kind {self.kind}"
+        if isinstance(states, PureState):
+            return _outcome(self.distribution(states, target), rng, device)
+        rows = self.distribution(states, target)
+        streams = [None] * len(rows) if rng is None else rng
+        if isinstance(streams, RandomStream) or len(streams) != len(rows):
+            raise ValueError(f"{len(rows)} states need one RandomStream (or None) each")
+        return [_outcome(row, stream, device) for row, stream in zip(rows, streams)]
 
     def probability_of(self, state: PureState, target, selector: Outcome) -> float:
         """Analytic probability that the device yields the selected outcome."""

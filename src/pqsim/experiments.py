@@ -19,10 +19,10 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .devices import (
+    DeviceSpec,
     entropy_meter,
     overlap_bits,
     readout_density,
-    sample_povm,
 )
 from .opf import (
     QUBIT_PROBE_STATES,
@@ -284,8 +284,11 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     First confirms the trivial update across repeated applications, then
     certifies (for a generic POVM element) that no state-independent
     linear map reproduces it; the half-identity and zero controls remain
-    feasible.  The two fits depend on the element only, so they are made
-    once per element, on first use.
+    feasible.  Each of the 100 trials draws a state and a diagonal POVM
+    from its own stream; the sampler then runs once on every state, as one
+    ``DeviceSpec.apply`` on the stack with one POVM and one stream per state.
+    The two fits depend on the element only, so they are made once per
+    element, on first use.
     """
     if element not in SPOD_ELEMENTS:
         raise ValueError(f"element must be one of {sorted(SPOD_ELEMENTS)}")
@@ -304,8 +307,7 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     povms = povm_sets(np.stack([b, np.eye(2) - b], axis=1))
     before = reduced_densities(states, space.indices())
     require_density(before)
-    for psi, povm, child in zip(states, povms, children):
-        sample_povm(psi, (0,), povm, child)
+    DeviceSpec("PovmSampler", {"povm": povms}).apply(states, (0,), children)
     after = reduced_densities(states, space.indices())  # devices never touch the state
     require_density(after)
     min_update_fidelity = min(1.0, *fidelities(before, after).tolist())

@@ -178,13 +178,17 @@ def require_unitary(matrix: np.ndarray) -> None:
         raise ValueError("matrix is not unitary within tolerance")
 
 
+# A norm too large for a float is inf, which the norm checks reject with
+# their own messages; numpy's overflow warning would come first.
+@np.errstate(over="ignore")
 def _norm(amps: np.ndarray) -> float:
     """Euclidean norm of a 1-D complex vector, exactly as np.linalg.norm
-    computes it, without its dispatch."""
+    computes it, without its dispatch; inf where it overflows."""
     re, im = amps.real, amps.imag
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+@np.errstate(over="ignore")
 def _row_norms(amps: np.ndarray) -> np.ndarray:
     """``_norm`` of every row of an (n, D) complex stack, bit for bit: each
     row's two dot products are the same BLAS calls on the same strides."""
@@ -861,14 +865,21 @@ def apply_unitary(state: PureState, unitary: np.ndarray,
         state.amplitudes, state.space.dims, u, plan.keep))
 
 
-def partial_trace(state: Union[PureState, DensityMatrix], keep: Union[int, Sequence[int]],
-                  space: FactorSpace | None = None) -> DensityMatrix:
+def partial_trace(state: Union[PureState, StateStack, DensityMatrix],
+                  keep: Union[int, Sequence[int]],
+                  space: FactorSpace | None = None) -> Union[DensityMatrix, np.ndarray]:
     """Reduced density matrix on the kept factors.
 
     ``keep`` must be a nonempty proper subset of the subsystem indices;
     the trivial cases (trace of everything, or of nothing) are rejected.
-    For a :class:`DensityMatrix` input the factorization must be supplied.
+    A :class:`PureState` gives a validated :class:`DensityMatrix`; a
+    :class:`StateStack` of n states gives their (n, d_keep, d_keep) stack,
+    Hermitian by construction and not validated, whose row r equals the
+    entries of ``partial_trace`` of state r.  For a :class:`DensityMatrix`
+    input the factorization must be supplied.
     """
+    if isinstance(state, StateStack):
+        return _reduced_rows(state.amplitudes, state.space.dims, _bipartition(state.space, keep))
     if isinstance(state, PureState):
         plan = _bipartition(state.space, keep)  # rejects the trivial cases
         return DensityMatrix(_reduced_rows(state.amplitudes[None], state.space.dims, plan)[0])
@@ -885,14 +896,14 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep: Union[int, Seque
 
 def reduced_densities(states, keep: Union[int, Sequence[int]]) -> np.ndarray:
     """Reduced density matrices, on the kept factors, of the states of a stack
-    or list: an (n, d_keep, d_keep) stack, Hermitian by construction, equal
-    to ``partial_trace`` of each state, or with every factor kept |psi><psi|."""
+    or list: an (n, d_keep, d_keep) stack, Hermitian by construction, from
+    ``partial_trace`` of the stack, or with every factor kept |psi><psi|."""
     stack = StateStack.of(states)
     plan = _subset_plan(stack.space, keep)
+    if plan.rest:
+        return partial_trace(stack, plan)
     amps = stack.amplitudes
-    if not plan.rest:
-        return amps[:, :, None] * amps.conj()[:, None, :]
-    return _reduced_rows(amps, stack.space.dims, plan)
+    return amps[:, :, None] * amps.conj()[:, None, :]
 
 
 def _reduced_rows(amps: np.ndarray, dims: tuple[int, ...], plan: _SubsetPlan) -> np.ndarray:
@@ -940,16 +951,22 @@ def born_probabilities(rho: DensityMatrix, povm: POVMSet) -> np.ndarray:
     return born_probability_rows(rho.entries[None], povm)[0]
 
 
-def born_probability_rows(rhos: np.ndarray, povm: POVMSet) -> np.ndarray:
+def born_probability_rows(rhos: np.ndarray, povm: POVMSet | np.ndarray) -> np.ndarray:
     """``born_probabilities`` of every density of an (n, d, d) stack, which is
-    not revalidated, as an (n, k) array; any bad row raises its message, and
-    a non-finite one the sum's, before any product is taken."""
+    not revalidated, as an (n, k) array: all against one POVM, or row r
+    against POVM r of an (n, k, d, d) stack of validated elements, such as
+    ``povm_sets`` gives.  Any bad row raises its message, and a non-finite
+    one the sum's, before any product is taken."""
+    elements = povm._stack if isinstance(povm, POVMSet) else povm
     dim = rhos.shape[-1]
-    if povm.dim != dim:
-        raise ValueError(f"POVM dimension {povm.dim} does not match state dimension {dim}")
+    if elements.shape[-1] != dim:
+        raise ValueError(f"POVM dimension {elements.shape[-1]} does not match "
+                         f"state dimension {dim}")
+    if elements.ndim == 4 and len(elements) != len(rhos):
+        raise ValueError(f"{len(elements)} POVMs do not pair with {len(rhos)} densities")
     if not np.isfinite(rhos).all():  # the matmul's 0 * inf would warn
         raise ValueError("Born probabilities do not sum to 1 within tolerance")
-    probs = _traced_products(povm._stack, rhos)
+    probs = _traced_products(elements, rhos)
     if probs.min(initial=0.0) < -1e-12:  # NaN is not below either
         raise ValueError("Born probability below tolerance; invalid POVM or state")
     probs = np.maximum(probs, 0.0)  # as np.clip(probs, 0.0, None), -0.0 to 0.0 too
@@ -961,7 +978,8 @@ def born_probability_rows(rhos: np.ndarray, povm: POVMSet) -> np.ndarray:
 def _traced_products(operators: Sequence[np.ndarray] | np.ndarray, rhos: np.ndarray
                      ) -> np.ndarray:
     """(n, k) values Re Tr(A_j rho_r) of k operators, a sequence or a (k, d, d)
-    stack, on an (n, d, d) stack, in one matmul and one trace; each equals
+    stack, on an (n, d, d) stack, in one matmul and one trace; an (n, k, d, d)
+    stack gives row r its own k operators.  Each value equals
     np.trace(A_j @ rho_r) of the pair alone."""
     return np.matmul(np.asarray(operators), rhos[:, None]).trace(axis1=-2, axis2=-1).real
 

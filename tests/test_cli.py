@@ -595,6 +595,17 @@ def _run_config(tmp_path, text):
     return main(["run", str(cfg)])
 
 
+@pytest.mark.parametrize("amplitudes", ["[1e308, 1e308]", "[1e200, 0]", '["0+1e308i", 0]'])
+def test_huge_explicit_amplitudes_exit_two_without_a_warning(amplitudes, tmp_path, capsys):
+    text = ('space.dims = [2]\nstate.kind = "explicit"\n'
+            f'state.amplitudes = {amplitudes}\naction.type = "device"\n'
+            'action.device.kind = "EntropyMeter"\naction.target = [0]\n')
+    assert _run_config(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "amplitudes norm inf deviates from 1 beyond 1e-6" in err
+    assert "state.amplitudes" in err
+
+
 def _device_config(kind, target, lines):
     return ('space.dims = [2, 2]\nstate.kind = "bell"\naction.type = "device"\n'
             f'action.device.kind = "{kind}"\naction.target = {target}\n'

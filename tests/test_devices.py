@@ -45,7 +45,9 @@ from pqsim.qcore import (
     RandomStream,
     apply_unitary,
     born_probabilities,
+    povm_sets,
     random_pure_state,
+    random_pure_states,
     random_unitary,
     tensor_product,
 )
@@ -403,6 +405,70 @@ class TestPovmSampler:
         want = born_probabilities(reduced_density(state, (0,)), povm)
         got = [p for _, p in povm_distribution(state, (0,), povm)]
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestPerStatePovms:
+    """``povm`` as the tuple ``povm_sets`` gives: POVM r on state r of a stack."""
+
+    STATES = random_pure_states((TWO_QUBITS,), RandomStream(139), 5)
+
+    @staticmethod
+    def _povms(n):
+        b = np.zeros((n, 2, 2), dtype=complex)
+        b[:, [0, 1], [0, 1]] = np.linspace(0.15, 0.85, 2 * n).reshape(n, 2)
+        b[:, 0, 1] = b[:, 1, 0] = 0.1
+        return povm_sets(np.stack([b, np.eye(2) - b], axis=1))
+
+    def test_each_state_gets_its_own_povm(self):
+        povms = self._povms(5)
+        spec = DeviceSpec("PovmSampler", {"povm": povms, "max_label": 1})
+        streams = [RandomStream(141, 0, t) for t in range(5)]
+        oracle_streams = [RandomStream(141, 0, t) for t in range(5)]
+        rows = spec.distribution(self.STATES, (1,))
+        outcomes = spec.apply(self.STATES, (1,), streams)
+        for r, (psi, povm) in enumerate(zip(self.STATES, povms)):
+            one = DeviceSpec("PovmSampler", {"povm": povm, "max_label": 1})
+            assert _branch_keys(rows[r]) == _branch_keys(one.distribution(psi, (1,)))
+            assert outcomes[r] == one.apply(psi, (1,), oracle_streams[r])
+            assert streams[r].uniform() == oracle_streams[r].uniform()
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, states: spec.distribution(states, (0,)),
+        lambda spec, states: spec.apply(states, (0,), [RandomStream(1)] * len(states)),
+        lambda spec, states: spec.table(states, (0,)),
+    ])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_a_tuple_of_another_length_names_povm(self, call, n):
+        spec = DeviceSpec("PovmSampler", {"povm": self._povms(n)})
+        with pytest.raises(ParameterError, match="per-state POVMs") as err:
+            call(spec, self.STATES)
+        assert err.value.name == "povm"
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, psi: spec.distribution(psi, (0,)),
+        lambda spec, psi: spec.apply(psi, (0,), RandomStream(1)),
+        lambda spec, psi: spec.table(psi, (0,)),
+        lambda spec, psi: spec.probability_of(psi, (0,), IntegerLabel(1)),
+        lambda spec, psi: povm_distribution(psi, (0,), spec.params["povm"]),
+        lambda spec, psi: sample_povm(psi, (0,), spec.params["povm"], RandomStream(1)),
+    ])
+    def test_a_tuple_with_a_single_state_names_povm(self, call):
+        spec = DeviceSpec("PovmSampler", {"povm": self._povms(1)})
+        with pytest.raises(ParameterError, match="single state") as err:
+            call(spec, self.STATES[0])
+        assert err.value.name == "povm"
+
+    def test_a_stack_needs_one_stream_per_state(self):
+        spec = DeviceSpec("PovmSampler", {"povm": self._povms(5)})
+        for rng in ([RandomStream(1)] * 4, RandomStream(1)):
+            with pytest.raises(ValueError, match="5 states need one RandomStream"):
+                spec.apply(self.STATES, (0,), rng)
+
+    def test_povms_of_another_shape_name_povm(self):
+        povms = self._povms(4) + povm_sets(np.eye(2)[None, None])
+        with pytest.raises(ParameterError) as err:
+            DeviceSpec("PovmSampler", {"povm": povms}).distribution(self.STATES, (0,))
+        assert err.value.name == "povm"
 
 
 class TestOverlapTest:

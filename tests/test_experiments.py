@@ -13,11 +13,11 @@ import pytest
 
 from pqsim import cli, experiments
 from pqsim.devices import (
+    DeviceSpec,
     MatrixDescription,
     ParameterError,
     overlap_bits,
     readout_density,
-    sample_povm,
 )
 from pqsim.experiments import (
     SPOD_ELEMENTS,
@@ -466,18 +466,22 @@ class TestDeriveManyCallers:
     what their per-trial loops of RandomStream constructions gave."""
 
     def test_spod_update_draws_equal_per_trial_loop(self, monkeypatch):
-        from pqsim import experiments
+        calls = []
+        apply = DeviceSpec.apply
 
-        draws = []
+        def spy(spec, states, target, rng=None):
+            outcomes = apply(spec, states, target, rng)
+            calls.append((spec, states, target, outcomes))
+            return outcomes
 
-        def spy(psi, target, povm, rng):
-            outcome = sample_povm(psi, target, povm, rng)
-            draws.append((psi.amplitudes.tobytes(), povm.elements[0].tobytes(), outcome))
-            return outcome
-
-        monkeypatch.setattr(experiments, "sample_povm", spy)
+        monkeypatch.setattr(DeviceSpec, "apply", spy)
         rng = RandomStream(41, 11)
         spod_update_refutation(rng)
+        assert len(calls) == 1
+        spec, states, target, outcomes = calls[0]
+        assert isinstance(states, StateStack) and len(states) == 100 and target == (0,)
+        draws = [(psi.amplitudes.tobytes(), povm.elements[0].tobytes(), outcome)
+                 for psi, povm, outcome in zip(states, spec.params["povm"], outcomes)]
         assert draws == oracles.spod_update_draws(rng)
 
     @pytest.mark.parametrize("d,precision", [(2, None), (3, 6), (4, 8)])

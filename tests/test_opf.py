@@ -864,7 +864,7 @@ class TestStackedEntropyMeter:
                                                 alpha, precision) for psi in states]
                 assert got.types == (RealValue,)
                 assert got.values[:, 0].tolist() == want
-                assert spec.distributions(states, target) == [
+                assert spec.distribution(states, target) == [
                     spec.distribution(psi, target) for psi in states]
 
     def test_mixed_spaces_rejected(self):

@@ -101,7 +101,7 @@ def test_device_properties_across_shapes(kind, data):
     assert np.all(probs >= 0.0)
     assert abs(math.fsum(probs) - 1.0) <= 1e-12
 
-    stacked = spec.distributions([a, b], target)
+    stacked = spec.distribution([a, b], target)
     assert [_keys(d) for d in stacked] == [_keys(one), _keys(spec.distribution(b, target))]
 
     outcome = spec.apply(a, target, rng.derive(3))
@@ -141,7 +141,7 @@ def test_table_rows_and_draws_equal_the_per_state_bodies(kind, variant, data):
     table = spec.table(states, target)
     assert table.probabilities.shape == (4, len(table.types))
     rows = table.rows()
-    assert [_keys(d) for d in spec.distributions(states, target)] == [_keys(r) for r in rows]
+    assert [_keys(d) for d in spec.distribution(states, target)] == [_keys(r) for r in rows]
     for t, (psi, row) in enumerate(zip(states, rows)):
         want = oracles.device_distribution(spec, psi, target)
         assert _same_branches(row, want, kind)
@@ -152,6 +152,35 @@ def test_table_rows_and_draws_equal_the_per_state_bodies(kind, variant, data):
                               [(oracles.device_apply(spec, psi, target, oracle_stream), 1.0)],
                               kind)
         assert stream.uniform() == oracle_stream.uniform()
+
+
+@pytest.mark.parametrize("space", [FactorSpace((2, 2)), FactorSpace((2, 3)),
+                                   FactorSpace((2, 2, 2))], ids=str)
+@pytest.mark.parametrize("kind,variant", _KIND_VARIANTS)
+def test_stacked_calls_equal_the_per_state_loop(kind, variant, space):
+    """``distribution`` and ``apply`` on a stack give, for every target, each
+    state's own distribution and outcome, and leave each stream where that
+    state's own draw leaves it; a deterministic kind runs with rng=None."""
+    n = space.n_factors
+    targets = [t for r in range(1, 2 if DEVICE_KINDS[kind].single_factor else n + 1)
+               for t in itertools.combinations(range(n), r)]
+    for i, target in enumerate(targets):
+        rng = RandomStream(173, 0, i)
+        dim = math.prod(space.dims[j] for j in target)
+        spec = DeviceSpec(kind, _variants(kind, dim, rng.derive(0))[variant])
+        states = random_pure_states((space,), rng.derive(1), 5)
+        assert [_keys(d) for d in spec.distribution(states, target)] == [
+            _keys(spec.distribution(psi, target)) for psi in states]
+        if not spec.stochastic:
+            assert [_keys([(o, 1.0)]) for o in spec.apply(states, target)] == [
+                _keys([(spec.apply(psi, target), 1.0)]) for psi in states]
+            continue
+        streams = [rng.derive(10 + t) for t in range(5)]
+        oracle_streams = [rng.derive(10 + t) for t in range(5)]
+        outcomes = spec.apply(states, target, streams)
+        want = [spec.apply(psi, target, s) for psi, s in zip(states, oracle_streams)]
+        assert [_keys([(o, 1.0)]) for o in outcomes] == [_keys([(o, 1.0)]) for o in want]
+        assert [s.uniform() for s in streams] == [s.uniform() for s in oracle_streams]
 
 
 _STOCHASTIC_VARIANTS = [(kind, i) for kind, i in _KIND_VARIANTS

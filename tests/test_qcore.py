@@ -158,6 +158,21 @@ def _two_element_povms(n):
     return np.stack([b, np.eye(2) - b], axis=1)
 
 
+def test_born_probability_rows_pair_each_density_with_its_povm():
+    rhos = reduced_densities(random_pure_states((FactorSpace((2, 3)),), RandomStream(15), 6),
+                             (0,))
+    stack = _two_element_povms(6)
+    povms = qcore.povm_sets(stack)
+    got = qcore.born_probability_rows(rhos, stack)
+    assert got.shape == (6, 2)
+    for rho, povm, row in zip(rhos, povms, got):
+        assert row.tobytes() == qcore.born_probability_rows(rho[None], povm)[0].tobytes()
+    with pytest.raises(ValueError, match="6 POVMs do not pair with 5 densities"):
+        qcore.born_probability_rows(rhos[:5], stack)
+    with pytest.raises(ValueError, match="POVM dimension 2 does not match state dimension 3"):
+        qcore.born_probability_rows(np.eye(3)[None] / 3, stack[:1])
+
+
 def _spoil(povm, kind):
     """Make one valid qubit POVM of a stack fail the named POVMSet check."""
     if kind in ("nan", "inf"):
@@ -326,6 +341,32 @@ class TestNonFinite:
     def test_unitary_check_rejects_nan(self):
         with pytest.raises(ValueError, match="not unitary"):
             apply_unitary(KET0, np.array([[1, 0], [0, math.nan]]))
+
+
+class TestHugeAmplitudes:
+    """A finite amplitude whose square overflows makes the norm inf, which the
+    norm checks reject with their own messages and no floating-point warning
+    (the test suite turns every warning into an error)."""
+
+    @pytest.mark.parametrize("amps", [[1e200, 1e200], [1e155, 0.0], [0.0, 1e308j]])
+    def test_single_states(self, amps):
+        with pytest.raises(ValueError, match="state norm inf deviates from 1"):
+            PureState(QUBIT, np.array(amps))
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm inf"):
+            PureState.normalized(QUBIT, np.array(amps))
+
+    def test_stacks(self):
+        rows = np.array([[1.0, 0.0], [1e200, 1e200]])
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm inf"):
+            normalized_states(QUBIT, rows)
+        with pytest.raises(ValueError, match="state norm inf deviates from 1"):
+            StateStack(QUBIT, rows)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e100, 1e150])
+    def test_norms_that_do_not_overflow_are_numpy_s(self, scale):
+        rows = scale * np.random.default_rng(7).standard_normal((4, 6)).view(complex)
+        for row, got in zip(rows, qcore._row_norms(rows)):
+            assert qcore._norm(row) == got == float(np.linalg.norm(row))
 
 
 # Every space the construction oracle is checked on.
@@ -726,6 +767,21 @@ class TestPartialTrace:
             partial_trace(BELL, ())
         with pytest.raises(ValueError):
             partial_trace(BELL, (0, 1))
+        with pytest.raises(ValueError):
+            partial_trace(StateStack.of([BELL, BELL]), (0, 1))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 4)])
+    def test_a_stack_gives_each_state_s_entries(self, dims):
+        space = FactorSpace(dims)
+        states = random_pure_states((space,), RandomStream(14), 7)
+        for r in range(1, len(dims)):
+            for keep in itertools.combinations(range(len(dims)), r):
+                rhos = partial_trace(states, keep)
+                d = math.prod(dims[i] for i in keep)
+                assert rhos.shape == (7, d, d)
+                for rho, psi in zip(rhos, states):
+                    assert rho.tobytes() == partial_trace(psi, keep).entries.tobytes()
+                assert reduced_densities(states, keep).tobytes() == rhos.tobytes()
 
     def test_output_satisfies_density_invariants_bulk(self):
         rng = RandomStream(13)
