@@ -267,7 +267,7 @@ def parse_config(text: str) -> RunConfig:
     def fail(message, key):
         raise ConfigError(message, key, line_of(key))
 
-    seed = (_checked_seed(take("seed"), "seed", line_of("seed")) if "seed" in pairs
+    seed = (_checked_seed(take("seed"), "seed", "seed", line_of("seed")) if "seed" in pairs
             else _env_seed())
 
     dims = take("space.dims", required=True)
@@ -790,13 +790,14 @@ def list_devices(as_json: bool = False, pattern: str = "") -> str:
     return "\n".join(lines)
 
 
-def _checked_seed(seed, source: str, line: int | None = None) -> int:
+def _checked_seed(seed, source: str, key: str | None = None, line: int | None = None) -> int:
     """``seed`` if it is an integer in [0, 2^64), else a ConfigError naming
-    its ``source``.  RandomStream reduces seeds modulo 2^64, so a seed
-    outside that range would silently repeat the records of one inside."""
+    its ``source``, and its config ``key`` when it has one.  RandomStream
+    reduces seeds modulo 2^64, so a seed outside that range would silently
+    repeat the records of one inside."""
     if _is_int(seed) and 0 <= seed < 2 ** 64:
         return seed
-    raise ConfigError(f"{source} must be an integer in [0, 2^64), got {seed!r}", line=line)
+    raise ConfigError(f"{source} must be an integer in [0, 2^64), got {seed!r}", key, line)
 
 
 def _env_seed() -> int:

@@ -523,6 +523,12 @@ class SchmidtDecomposition:
         return len(self.weights)
 
 
+def _in_one_word(trials: range) -> bool:
+    """Whether every trial of the range lies in [0, 2^32): true when both
+    ends do, and for an empty range."""
+    return not trials or (0 <= trials[0] < 2**32 and 0 <= trials[-1] < 2**32)
+
+
 class RandomStream:
     """Reproducible random source keyed by (seed, experiment, trial).
 
@@ -569,7 +575,7 @@ class RandomStream:
         of ``_seedwords.BLOCK`` trials; otherwise every trial goes through
         ``derive``.
         """
-        if trials and not (0 <= trials[0] < 2**32 and 0 <= trials[-1] < 2**32):
+        if not _in_one_word(trials):
             for t in trials:
                 yield self.derive(t)._gen
             return
@@ -582,6 +588,29 @@ class RandomStream:
             block = trials[start:start + _seedwords.BLOCK]
             for words in _seedwords.seed_words(self.seed, self.experiment, block):
                 yield generator(pcg64(seed_words(words)))
+
+    def _normal_rows(self, trials: range, k: int) -> np.ndarray:
+        """(len(trials), k): row i holds the first k ``normal`` draws of the
+        stream ``self.derive(trials[i])``, bit for bit.
+
+        Under ``_generators``' rule, a range inside [0, 2^32) is drawn by
+        ``_seedwords.standard_normals``, one vectorised PCG64 and ziggurat
+        pass per block of ``_seedwords.BLOCK`` trials, with no generator
+        built but for a row the ziggurat's fast path rejects; any other range
+        is drawn by each trial's generator.
+        """
+        normals = np.empty((len(trials), k))
+        if not _in_one_word(trials):
+            for row, gen in zip(normals, self._generators(trials)):
+                gen.standard_normal(out=row)
+            return normals
+        from . import _seedwords
+
+        for start in range(0, len(trials), _seedwords.BLOCK):
+            block = trials[start:start + _seedwords.BLOCK]
+            normals[start:start + len(block)] = _seedwords.standard_normals(
+                _seedwords.seed_words(self.seed, self.experiment, block), k)
+        return normals
 
     @property
     def generator(self) -> np.random.Generator:
@@ -643,9 +672,10 @@ def random_pure_states_in_turn(space: FactorSpace, rng: RandomStream, n: int) ->
     is split into calls; each row is then normalized as
     ``PureState.normalized`` does it, so the stack and the stream's next
     draw are bit-identical to n ``complex_normal`` draws normalized one by one.
+    ``n`` is an integer >= 0.
     """
     dim = space.total_dim
-    normals = rng.normal((n, 2, dim))
+    normals = rng.normal((_checked_int(n, "n", 0), 2, dim))
     return normalized_states(space, normals[:, 0] + 1j * normals[:, 1])
 
 
@@ -661,8 +691,9 @@ def random_unitaries(dim: int, rng: RandomStream, n: int) -> np.ndarray:
     One normal draw fills every matrix's ``complex_normal`` block, laid out
     (n, 2, dim^2); one stacked QR and phase fix then give each matrix the
     LAPACK calls of its own draw, so the stack and the stream's next draw
-    are bit-identical to n calls.
+    are bit-identical to n calls.  ``dim`` is an integer >= 1 and ``n`` one >= 0.
     """
+    dim, n = _checked_int(dim, "dim", 1), _checked_int(n, "n", 0)
     normals = rng.normal((n, 2, dim * dim))
     g = (normals[:, 0] + 1j * normals[:, 1]).reshape(n, dim, dim)
     q, r = np.linalg.qr(g)
@@ -795,14 +826,16 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
     """One state per trial t: the tensor product, left to right, of a
     ``random_pure_state`` on each space, all drawn in turn from ``rng.derive(t)``.
 
-    Each trial's generator (from ``RandomStream._generators``) fills its row
-    of normals in one draw, as a generator's normals do not depend on how a
-    run of them is split into calls; the rest runs on stacks.
+    Every trial's row of normals is the first draws of its stream, as a
+    generator's normals do not depend on how a run of them is split into
+    calls; ``RandomStream._normal_rows`` draws them all in one vectorised
+    PCG64 and ziggurat pass, bit-identical to each trial's own generator,
+    which draws only a row the ziggurat's fast path rejects.  The rest runs
+    on stacks.  ``trials`` is an integer >= 0.
     """
+    trials = _checked_int(trials, "trials", 0)
     sizes = [s.total_dim for s in spaces]
-    normals = np.empty((trials, 2 * sum(sizes)))
-    for row, gen in zip(normals, rng._generators(range(trials))):
-        gen.standard_normal(out=row)
+    normals = rng._normal_rows(range(trials), 2 * sum(sizes))
     joint = None
     start = 0
     for size in sizes:

@@ -11,7 +11,9 @@ direct norm and outer product must match exactly, and the original
 one-state quantum OPF evaluator and per-distribution outcome selection,
 which the library's stacked forms must match exactly.  The per-trial loop
 of RandomStream constructions, numpy's own SeedSequence, is the oracle of
-``RandomStream.derive_many`` and of its bare generators, the numpy
+``RandomStream.derive_many`` and of its bare generators, each trial's
+generator filling its row is the oracle of ``RandomStream._normal_rows``'
+one PCG64 and ziggurat pass, the numpy
 inverse CDF is the oracle of the pure-Python ``RandomStream.choose``, and
 each caller's old per-trial loop is kept here as the oracle of that caller, among them the estimation
 checker's per-trial ensembles and reconstructions, with the
@@ -373,6 +375,16 @@ def tensor_amplitudes(a, b):
 def derived_streams(seed, experiment, trials):
     """The streams of a trial range, one RandomStream construction each."""
     return [RandomStream(seed, experiment, t) for t in trials]
+
+
+def normal_rows(rng, trials, k):
+    """random_pure_states' per-trial loop before its rows were one pass: each
+    trial's generator, from ``RandomStream._generators``, fills its row of k
+    normals in one draw."""
+    normals = np.empty((len(trials), k))
+    for row, gen in zip(normals, rng._generators(trials)):
+        gen.standard_normal(out=row)
+    return normals
 
 
 def choose(rng, probabilities):

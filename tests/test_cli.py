@@ -499,7 +499,9 @@ class TestConfigurationExitCodes:
         assert main(["demo", "cloning", "--m", "6", "--seed", str(seed)]) == 2
         assert "--seed must be an integer in [0, 2^64)" in capsys.readouterr().err
         assert _run_config(tmp_path, f"seed = {seed}\n" + MINIMAL) == 2
-        assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed must be an integer in [0, 2^64)" in err
+        assert "(key 'seed', line 1)" in err  # a config's seed names its key
         monkeypatch.setenv("PQSIM_SEED", str(seed))
         assert main(["demo", "cloning", "--m", "6"]) == 2
         assert _run_config(tmp_path, MINIMAL) == 2

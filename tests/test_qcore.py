@@ -613,6 +613,25 @@ class TestStackedStates:
         with pytest.raises(ValueError, match="must share one FactorSpace"):
             StateStack.of(mixed[:1], FactorSpace((4,)))
 
+    @pytest.mark.parametrize("draw,name,bad", [
+        (lambda rng, v: random_pure_states((QUBIT, QUBIT), rng, v), "trials", -1),
+        (lambda rng, v: random_pure_states_in_turn(QUBIT, rng, v), "n", -1),
+        (lambda rng, v: random_unitaries(2, rng, v), "n", -1),
+        (lambda rng, v: random_unitaries(v, rng, 2), "dim", 0),
+        (lambda rng, v: random_unitary(v, rng), "dim", -2),
+    ])
+    def test_counts_and_dimensions_are_checked_before_any_draw(self, draw, name, bad):
+        # unchecked, these gave numpy's "negative dimensions are not allowed",
+        # a bare TypeError, or a (2, 0, 0) stack for dim 0
+        rng = RandomStream(23)
+        with pytest.raises(ValueError, match=f"^{name} must be at least "):
+            draw(rng, bad)
+        for value in (True, 2.5, "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                draw(rng, value)
+        assert rng.uniform() == RandomStream(23).uniform()  # no draw was made
+        draw(rng, np.int64(1))  # a numpy integer is an integer
+
     def test_empty_stacks(self):
         assert len(random_pure_states((QUBIT,), RandomStream(1), 0)) == 0
         assert len(tensor_products(StateStack.of([], QUBIT), KET0)) == 0
@@ -1504,6 +1523,109 @@ class TestDeriveMany:
         draws = first.normal(8)
         assert_same_stream(next(streams), RandomStream(4, trial=1))
         assert draws.tolist() == RandomStream(4, trial=0).normal(8).tolist()
+
+
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's multiplier
+
+
+def _raw_steps(stream, at_most):
+    """How many raw outputs a stream has taken since it was seeded, found by
+    stepping a fresh copy of its key; None if more than ``at_most``."""
+    state = stream.generator.bit_generator.state
+    fresh = RandomStream(stream.seed, stream.experiment, stream.trial).generator.bit_generator
+    for steps in range(at_most + 1):
+        if fresh.state == state:
+            return steps
+        fresh.random_raw()
+    return None
+
+
+def _fast_path_rows(seed, experiment, trials, k):
+    """Whether each trial's first k raw outputs all pass numpy's ziggurat
+    fast path by the committed tables."""
+    raw = _seedwords.raw_outputs(_seedwords.seed_words(seed, experiment, trials), k)
+    rabs = raw >> np.uint64(9) & np.uint64((1 << 52) - 1)
+    return (rabs < _seedwords._KI9[(raw & np.uint64(0x1FF)).astype(np.intp)]).all(axis=1)
+
+
+class TestNormalRows:
+    """``RandomStream._normal_rows`` equals each trial's own stream, numpy's
+    SeedSequence and generator, in every normal; the rows its ziggurat pass
+    keeps are the rows whose stream took exactly k raw outputs."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 - 1])
+    @pytest.mark.parametrize("experiment", [0, 3, 2**40])
+    @pytest.mark.parametrize("n", [0, 1, 2, 100])
+    def test_rows_equal_each_trials_stream(self, seed, experiment, n):
+        rng = RandomStream(seed, experiment)
+        for k in range(2, 33):
+            rows = rng._normal_rows(range(n), k)
+            assert rows.shape == (n, k) and rows.dtype == np.float64
+            assert rows.tobytes() == oracles.normal_rows(rng, range(n), k).tobytes()
+            fast = _fast_path_rows(rng.seed, experiment, range(n), k)
+            for row, stream, kept in zip(rows, derived_streams(seed, experiment, range(n)), fast):
+                assert row.tobytes() == stream.normal(k).tobytes()
+                steps = _raw_steps(stream, k)
+                assert steps == k if kept else steps is None
+
+    @pytest.mark.parametrize("k", [2, 8, 32])
+    def test_block_boundary(self, k):
+        rng = RandomStream(0x5EED, 3)
+        trials = range(_seedwords.BLOCK + 1)
+        rows = rng._normal_rows(trials, k)
+        want = [s.normal(k) for s in derived_streams(0x5EED, 3, trials)]
+        assert rows.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("trials", [range(2**32 - 2, 2**32 + 2), range(5, -1, -1), range(7, 19)])
+    def test_ranges_outside_one_word_are_drawn_by_derive(self, trials):
+        rng = RandomStream(9, 2)
+        want = [s.normal(8) for s in derived_streams(9, 2, trials)]
+        assert rng._normal_rows(trials, 8).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 8, 17])
+    def test_every_row_through_its_generator_gives_the_same_bytes(self, monkeypatch, k):
+        rng = RandomStream(0x5EED, 10)
+        want = rng._normal_rows(range(300), k)
+        assert not _fast_path_rows(rng.seed, 10, range(300), k).all()  # some rows fall back
+        monkeypatch.setattr(_seedwords, "_KI9", np.zeros_like(_seedwords._KI9))
+        assert rng._normal_rows(range(300), k).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 20, 100])
+    @pytest.mark.parametrize("k", [1, 8, 16, 24])
+    def test_raw_outputs_equal_random_raw(self, n, k):
+        words = _seedwords.seed_words(2**64 - 1, 2**40, range(n))
+        want = [np.random.PCG64(_seedwords.SeedWords(w)).random_raw(k) for w in words]
+        assert _seedwords.raw_outputs(words, k).tobytes() == np.array(want).tobytes()
+
+    def test_tables_are_the_installed_numpys(self):
+        """Re-probe numpy's ziggurat at every box: set a PCG64 so that its
+        next raw output is a chosen word, then draw one normal.  Below the
+        box's ki the draw takes one output and is +-rabs * wi; at ki it takes
+        more."""
+        bit_gen = np.random.PCG64(0)
+        gen = np.random.Generator(bit_gen)
+        inverse = pow(_PCG_MULT, -1, 1 << 128)
+
+        def draw(word):
+            # with inc 1 the next state is the word itself, whose top six
+            # bits are 0, so XSL-RR outputs it unrotated
+            bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                             "state": {"state": (word - 1) * inverse % (1 << 128), "inc": 1}}
+            x = gen.standard_normal()
+            return x, bit_gen.state["state"]["state"] == word
+
+        for box in range(256):
+            ki = int(_seedwords._KI9[box])
+            assert ki == int(_seedwords._KI9[box + 256]) and 0 <= ki < 2**52
+            assert draw(ki << 9 | box)[1] is False
+            if ki == 0:
+                continue
+            for sign in (0, 1):
+                for rabs in {ki - 1, 1}:
+                    x, one_output = draw(rabs << 9 | sign << 8 | box)
+                    assert one_output
+                    assert x == float(rabs) * _seedwords._WI9[sign << 8 | box]
+                    assert x == (-1) ** sign * (float(rabs) * _seedwords._WI9[box])
 
 
 class TestApplyUnitary:
