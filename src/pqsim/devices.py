@@ -19,6 +19,7 @@ that row through a :class:`~pqsim.qcore.RandomStream`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence, Union
@@ -147,14 +148,27 @@ class DistributionTable:
         return len(self.probabilities)
 
     def rows(self) -> list[list[tuple[Outcome, float]]]:
-        """The list view: each row's (outcome, probability) branches, in order."""
+        """The list view: each row's (outcome, probability) branches, in order.
+
+        IntegerLabel and Bit outcomes are frozen and int-valued, so rows share
+        one outcome per distinct value (``_int_outcome``).  A RealValue is
+        built per row, so that 0.0 and -0.0 stay apart.
+        """
         probs = self.probabilities.tolist()
         if self.types == (MatrixDescription,):
             return [[(MatrixDescription(m, self.precision), row[0])]
                     for m, row in zip(self.values, probs)]
-        return [[(Overflow(p) if kind is Overflow else kind(v), p)
+        return [[(Overflow(p) if kind is Overflow else kind(v) if kind is RealValue
+                  else _int_outcome(kind, v), p)
                  for kind, v, p in zip(self.types, row_values, row)]
                 for row_values, row in zip(self.values.tolist(), probs)]
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _int_outcome(kind: type, value: int) -> Outcome:
+    """The one ``kind(value)`` outcome of an int-valued kind, shared by every
+    row and table that has it; ``typed`` keeps 1, 1.0 and True apart."""
+    return kind(value)
 
 
 def _scalar_table(kind: type, values, probs: np.ndarray) -> DistributionTable:

@@ -299,7 +299,7 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     children = []
     for row, pair, child in zip(normals, uniforms, rng.derive_many(range(100))):
         child.generator.standard_normal(out=row)  # random_pure_state's draw
-        pair[:] = child.uniform(), child.uniform()
+        child.generator.random(out=pair)
         children.append(child)
     states = normalized_states(space, normals[:, :dim] + 1j * normals[:, dim:])
     b = np.zeros((100, 2, 2))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .devices import (
     Bit,
@@ -468,8 +469,7 @@ def check_closure(measurement: FullMeasurement, samples: int,
     probes = states[:50]
     n_probes = len(probes)
 
-    weights = (aux.generator.dirichlet(np.ones(n_out), size=10) if n_out > 1
-               else np.ones((10, 1)))
+    weights = _flat_dirichlet([aux.generator] * 10, n_out)
     mixed = np.cumsum(values[None, :n_probes] * weights[:, None, :], axis=2)[..., -1]
     mixture_violation = _worst(_range_violations(mixed))
 
@@ -743,20 +743,36 @@ def ic_projector_states(dim: int) -> list[np.ndarray]:
 def density_from_projector_values(states: Sequence[np.ndarray], values, dim: int) -> np.ndarray:
     """Reconstruct rho from Tr(P_a rho) values plus the unit-trace constraint:
     one (d, d) matrix from m values, or an (n, d, d) stack from an (n, m)
-    stack of value rows.
+    stack of value rows, m = len(states); any other shape is a ValueError.
 
-    The design is built once.  The fit stays one ``lstsq`` per row: a single
-    ``lstsq`` on all rows as right-hand sides rounds differently (by up to
-    4e-16 on d = 4), which would move the estimation checker's evidence.
+    The design is built once, and all rows are fitted in one call of the
+    stacked least-squares kernel that ``np.linalg.lstsq`` calls: each row is
+    the one-right-hand-side ``gelsd`` solve that ``lstsq`` makes of that row
+    alone, with its ``rcond`` and its error on a non-converging SVD.  One
+    ``lstsq`` with all rows as right-hand sides would round differently (by
+    up to 4e-16 on d = 4) and move the estimation checker's evidence.
     """
     design = np.vstack([_projector_design(np.array(states)),
                         hermitian_coords(np.eye(dim, dtype=complex))])
     rows = np.asarray(values, dtype=float)
-    targets = np.atleast_2d(rows)
-    targets = np.concatenate([targets, np.ones((len(targets), 1))], axis=1)
-    coeffs = np.array([np.linalg.lstsq(design, target, rcond=None)[0] for target in targets])
-    rhos = hermitian_from_coords(coeffs)
+    m = len(design) - 1
+    if rows.ndim not in (1, 2) or rows.shape[-1] != m:
+        raise ValueError(f"values must have shape ({m},) or (n, {m}), got {rows.shape}")
+    stack = rows.reshape(-1, m)
+    targets = np.ones((len(stack), m + 1, 1))
+    targets[:, :m, 0] = stack
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        coeffs = _umath_linalg.lstsq(np.broadcast_to(design, (len(targets),) + design.shape),
+                                     targets, np.finfo(float).eps * max(design.shape),
+                                     signature="ddd->ddid")[0]
+    rhos = hermitian_from_coords(coeffs[..., 0])
     return rhos if rows.ndim == 2 else rhos[0]
+
+
+def _lstsq_failed(err, flag):
+    """The error ``np.linalg.lstsq`` raises when its SVD does not converge."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 class _ICOutcomes(NamedTuple):
@@ -876,23 +892,43 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
 
 def _random_ensembles(space: FactorSpace, rng: RandomStream, trials: int,
                       members: int) -> tuple[np.ndarray, StateStack]:
-    """One random ensemble per trial t, drawn from ``rng.derive(t)``: Dirichlet
-    weights, then ``members`` ``random_pure_state`` draws.  Returns the
-    (trials, members) weights, checked as ``Ensemble`` checks them, and the
-    trials * members states in trial-major order.
+    """One random ensemble per trial t, drawn from ``rng.derive(t)``: flat
+    Dirichlet weights (``_flat_dirichlet``), then ``members``
+    ``random_pure_state`` draws.  Returns the (trials, members) weights,
+    checked as ``Ensemble`` checks them, and the trials * members states in
+    trial-major order.
 
     Each trial's normals come in one draw, as a generator's normals do not
     depend on how a run of them is split into calls.
     """
     dim = space.total_dim
-    weights = np.empty((trials, members))
+    gens = list(rng._generators(range(trials)))
+    weights = _flat_dirichlet(gens, members)
     normals = np.empty((trials, members, 2, dim))
-    for row, block, gen in zip(weights, normals, rng._generators(range(trials))):
-        row[:] = gen.dirichlet(np.ones(members))
+    for block, gen in zip(normals, gens):
         gen.standard_normal(out=block.reshape(-1))
     require_ensemble_weights(weights)
     amps = normals[:, :, 0] + 1j * normals[:, :, 1]
     return weights, normalized_states(space, amps.reshape(trials * members, dim))
+
+
+def _flat_dirichlet(gens: Sequence[np.random.Generator], k: int) -> np.ndarray:
+    """One row of Dirichlet(1, ..., 1) weights over k per generator, in
+    order, each bit for bit ``gen.dirichlet(np.ones(k))``, which leaves the
+    stream where that draw leaves it; a generator listed n times draws n
+    rows in turn, as ``dirichlet(..., size=n)`` does.  At k = 1 every weight
+    is 1, with no draw.
+
+    numpy draws a flat Dirichlet row as k standard exponentials (its
+    gamma(1) draw is the exponential ziggurat) times 1 / their left-to-right
+    sum, and so does this, without ``dirichlet``'s per-call overhead.
+    """
+    rows = np.ones((len(gens), k))
+    if k > 1:
+        for row, gen in zip(rows, gens):
+            gen.standard_exponential(out=row)
+        rows *= 1.0 / np.cumsum(rows, axis=1)[:, -1:]
+    return rows
 
 
 # ---------------------------------------------------------------------------

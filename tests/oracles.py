@@ -16,7 +16,9 @@ generator filling its row is the oracle of ``RandomStream._normal_rows``'
 one PCG64 and ziggurat pass, the numpy
 inverse CDF is the oracle of the pure-Python ``RandomStream.choose``, and
 each caller's old per-trial loop is kept here as the oracle of that caller, among them the estimation
-checker's per-trial ensembles and reconstructions, with the
+checker's per-trial ensembles, their weights drawn by ``Generator.dirichlet``,
+and its reconstructions, one ``np.linalg.lstsq`` per row (the oracle of
+``density_from_projector_values``' one stacked fit), with the
 one-member-at-a-time ensemble density.  So is the per-probe loop of
 ``update_map_feasibility``, the oracle of its stacked form, and the
 one-row bodies of the stacked entropy, quantizer and fidelity with the old
@@ -60,7 +62,6 @@ from pqsim.opf import (
     OPF,
     FullMeasurement,
     canonical_probe_states,
-    density_from_projector_values,
     hermitian_basis,
     hermitian_coords as stacked_hermitian_coords,
     hermitian_from_coords,
@@ -485,10 +486,30 @@ def random_ensemble(space, rng, members):
     ))
 
 
+def random_ensembles(space, rng, trials, members):
+    """``opf._random_ensembles`` by its old per-trial loop: one
+    ``random_ensemble`` per stream ``rng.derive(t)``, its weights drawn by
+    ``Generator.dirichlet``."""
+    return [random_ensemble(space, child, members)
+            for child in derived_streams(rng.seed, rng.experiment, range(trials))]
+
+
 def estimation_ensembles(space, rng):
     """check_estimation_assumption's 20 random ensembles, by its per-trial loop."""
-    return [random_ensemble(space, child, members=3)
-            for child in derived_streams(rng.seed, rng.experiment, range(20))]
+    return random_ensembles(space, rng, trials=20, members=3)
+
+
+def density_rows(states, values, dim):
+    """``density_from_projector_values`` by its old per-row loop: one
+    ``np.linalg.lstsq`` of the design per row of an (n, m) value stack, each
+    with the unit trace appended, as an (n, d, d) stack."""
+    design = np.vstack([np.array([stacked_hermitian_coords(np.outer(s, np.conj(s)))
+                                  for s in states]),
+                        stacked_hermitian_coords(np.eye(dim, dtype=complex))])
+    coeffs = [np.linalg.lstsq(design, np.append(row, 1.0), rcond=None)[0]
+              for row in np.asarray(values, dtype=float)]
+    return np.array([hermitian_from_coords(c) for c in coeffs],
+                    dtype=complex).reshape(-1, dim, dim)
 
 
 def estimation_evidence(family, dim, rng):
@@ -501,7 +522,7 @@ def estimation_evidence(family, dim, rng):
     worst = 0.0
     for trial, ens in enumerate(ensembles):
         values = [v[trial] for v in per_outcome]
-        rho = density_from_projector_values(ic_projector_states(dim), values, dim)
+        rho, = density_rows(ic_projector_states(dim), [values], dim)
         worst = max(worst, float(np.max(np.abs(rho - ens.density().entries))))
     return worst
 

@@ -10,6 +10,7 @@ from pqsim.devices import (
     DEVICE_KINDS,
     Bit,
     DeviceSpec,
+    DistributionTable,
     IntegerLabel,
     MatrixDescription,
     Overflow,
@@ -898,6 +899,36 @@ class TestDeviceSpec:
         assert not DeviceSpec("OverlapTest",
                               {"target_state": KET0, "threshold": 0.5}).stochastic
         assert not DeviceSpec("Readout").stochastic
+
+
+class TestDistributionTableRows:
+    def test_real_values_keep_the_sign_of_zero(self):
+        table = DistributionTable((RealValue, RealValue), np.array([[0.0, -0.0], [-0.0, 0.0]]),
+                                  np.full((2, 2), 0.5))
+        signs = [[math.copysign(1.0, outcome.value) for outcome, _ in row]
+                 for row in table.rows()]
+        assert signs == [[1.0, -1.0], [-1.0, 1.0]]
+
+    @pytest.mark.parametrize("kind", [IntegerLabel, Bit])
+    def test_int_outcomes_are_shared_and_equal_fresh_ones(self, kind):
+        rows = devices._scalar_table(kind, [1, 0], np.full((50, 2), 0.5)).rows()
+        for row in rows:
+            assert [(outcome, p) for outcome, p in row] == [(kind(1), 0.5), (kind(0), 0.5)]
+            assert [type(outcome.value) for outcome, _ in row] == [int, int]
+            assert [hash(outcome) for outcome, _ in row] == [hash(kind(1)), hash(kind(0))]
+            assert row[0][0] is rows[0][0][0] and row[1][0] is rows[0][1][0]
+
+    def test_overflow_carries_its_rows_mass(self):
+        probs = np.array([[0.25, 0.5, 0.25], [0.5, 0.0, 0.5]])
+        rows = devices._label_table([0, 1, 2], probs, max_label=1).rows()
+        assert [row[-1] for row in rows] == [(Overflow(0.25), 0.25), (Overflow(0.5), 0.5)]
+        assert [row[-1][0].excluded_probability for row in rows] == [0.25, 0.5]
+        assert rows[0][0][0] is rows[1][0][0]
+
+    def test_a_bit_outside_0_1_is_still_rejected(self):
+        table = DistributionTable((Bit, Bit), np.array([[1, 0], [1, 2]]), np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="Bit outcome must be 0 or 1"):
+            table.rows()
 
 
 class TestOutcomeEquality:

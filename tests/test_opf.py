@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -663,6 +664,65 @@ class TestEstimationAssumption:
             assert rebuilt.tobytes() == one.tobytes()
             np.testing.assert_allclose(rebuilt, rho, atol=1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_density_rows_equal_the_per_row_lstsq_loop(self, dim):
+        rng = RandomStream(361)
+        states = ic_projector_states(dim)
+        projs = [np.outer(s, s.conj()) for s in states]
+        rhos = [random_density_matrix(dim, rng).entries for _ in range(7)]
+        rows = np.array([[np.trace(p @ rho).real for p in projs] for rho in rhos])
+        want = oracles.density_rows(states, rows, dim)
+        assert density_from_projector_values(states, rows, dim).tobytes() == want.tobytes()
+        for row, one in zip(rows, want):
+            assert density_from_projector_values(states, row, dim).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("family", ["quantum_povm", "spod", "erd_sevrd"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 20, 100])
+    def test_family_values_fit_as_the_per_row_lstsq_loop(self, family, dim, n):
+        ic = opf._ic_outcomes(family, dim)
+        states = random_pure_states((FactorSpace((dim,)),), RandomStream(373, n), max(n, 1))
+        values = np.array([f(states) for f in ic.outcomes]).T[:n]
+        got = density_from_projector_values(ic.states, values, dim)
+        want = oracles.density_rows(ic_projector_states(dim), values, dim)
+        assert got.shape == want.shape == (n, dim, dim)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rows_fit_as_the_per_row_lstsq_loop(self, dim, bad):
+        states = ic_projector_states(dim)
+        rows = RandomStream(379, dim).generator.random((6, dim * dim - 1))
+        rows[1, 0] = bad
+        rows[4] = bad
+        try:
+            want = oracles.density_rows(states, rows, dim)
+        except Exception as err:  # the same error type, or the same bytes
+            with pytest.raises(type(err)):
+                density_from_projector_values(states, rows, dim)
+        else:
+            assert density_from_projector_values(states, rows, dim).tobytes() == want.tobytes()
+
+    def test_nonconverging_fit_raises_lstsqs_error(self, capfd):
+        # a NaN probe makes a NaN design, whose SVD does not converge
+        states = [np.array([math.nan, 1.0]), *ic_projector_states(2)[1:]]
+        for fit in (oracles.density_rows, density_from_projector_values):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                fit(states, np.full((2, 3), 0.5), 2)
+        capfd.readouterr()  # LAPACK's own report of the NaN argument
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_empty_value_stack_gives_an_empty_density_stack(self, dim):
+        states = ic_projector_states(dim)
+        got = density_from_projector_values(states, np.zeros((0, dim * dim - 1)), dim)
+        assert got.shape == (0, dim, dim) and got.dtype == complex
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (0,), (3, 7), (3, 9), (1, 2, 8), (2, 1, 8), ()])
+    def test_values_of_another_shape_are_named(self, shape):
+        with pytest.raises(ValueError, match=r"values must have shape \(8,\) or \(n, 8\), "
+                                             + re.escape(f"got {shape}")):
+            density_from_projector_values(ic_projector_states(3), np.zeros(shape), 3)
+
     def test_density_reconstruction_roundtrip(self):
         rng = RandomStream(349)
         for dim in (2, 3, 4):
@@ -671,6 +731,45 @@ class TestEstimationAssumption:
             values = [np.trace(np.outer(s, s.conj()) @ rho).real for s in states]
             rebuilt = density_from_projector_values(states, values, dim)
             np.testing.assert_allclose(rebuilt, rho, atol=1e-9)
+
+
+class TestFlatDirichlet:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("size", [1, 10])
+    def test_equals_generator_dirichlet(self, k, size):
+        for t in range(40):
+            gen = RandomStream(383, 3).derive(t).generator
+            ref = RandomStream(383, 3).derive(t).generator
+            got = opf._flat_dirichlet([gen] * size, k)
+            want = ref.dirichlet(np.ones(k), size=size)
+            assert got.tobytes() == want.tobytes()
+            # the stream is left where dirichlet leaves it
+            assert gen.standard_normal(24).tobytes() == ref.standard_normal(24).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_one_row_per_generator(self, k):
+        gens = list(RandomStream(389)._generators(range(20)))
+        got = opf._flat_dirichlet(gens, k)
+        want = [RandomStream(389).derive(t).generator.dirichlet(np.ones(k)) for t in range(20)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_one_outcome_is_weight_one_with_no_draw(self):
+        gen, fresh = RandomStream(397).generator, RandomStream(397).generator
+        got = opf._flat_dirichlet([gen] * 10, 1)
+        assert got.shape == (10, 1) and got.tolist() == [[1.0]] * 10
+        assert gen.random() == fresh.random()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("members", [2, 3, 5])
+    def test_random_ensembles_equal_the_dirichlet_loop(self, dim, members):
+        space = FactorSpace((dim,))
+        rng = RandomStream(401, 3)
+        weights, states = opf._random_ensembles(space, rng, trials=20, members=members)
+        want = oracles.random_ensembles(space, rng, trials=20, members=members)
+        assert weights.tobytes() == np.array(
+            [[w for _, w in e.members] for e in want]).tobytes()
+        assert states.amplitudes.tobytes() == np.array(
+            [s.amplitudes for e in want for s, _ in e.members]).tobytes()
 
 
 class TestUpdateMapFeasibility:
