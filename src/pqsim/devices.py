@@ -9,12 +9,13 @@ precision; only declared outputs are quantized.
 Each device kind has one table body, which maps an (n, d, d) stack of
 reduced densities to a :class:`DistributionTable`: the outcome values and
 (n, branches) probabilities of all n states in one pass.
-``DeviceSpec.table`` feeds it a whole stack, as ``DeviceSpec.distribution``
-and ``DeviceSpec.apply`` do for a stack or a list of states.  On a single
-state, they and the per-kind functions (``povm_distribution``,
-``entropy_meter``, ...) are its one-row case, on the density
-``reduced_density`` gives the state, and the sampling operations draw from
-that row through a :class:`~pqsim.qcore.RandomStream`.
+``DeviceSpec.table`` is the one way a device is evaluated: it validates the
+reduced densities of a state, a stack or a list of states once and feeds
+them to the table.  ``DeviceSpec.distribution`` is the table's list view
+(its one row for a single state), and ``DeviceSpec.apply`` draws from each
+row through a :class:`~pqsim.qcore.RandomStream`.  The per-kind functions
+(``povm_distribution``, ``entropy_meter``, ``sample_povm``, ...) are
+``DeviceSpec`` calls on one state.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .qcore import (
     StateStack,
     _subset_plan,
     born_probability_rows,
-    partial_trace,
+    partial_trace,  # unused here; perfbench/selftest.py checks the tracer wraps this binding
     quadratic_forms,
     quantize,
     reduced_densities,
@@ -180,27 +181,14 @@ def _scalar_table(kind: type, values, probs: np.ndarray) -> DistributionTable:
     return DistributionTable((kind,) * probs.shape[1], values, probs)
 
 
-def _only(table: DistributionTable) -> Outcome:
-    """The one outcome of a deterministic device's one-row table."""
-    return table.rows()[0][0][0]
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
 def reduced_density(state: PureState, target: Union[int, Sequence[int]]) -> DensityMatrix:
-    """Reduced density matrix of the target factors (the whole state if all)."""
-    plan = _subset_plan(state.space, target)
-    if not plan.rest:
-        return DensityMatrix.from_pure(state)
-    return partial_trace(state, plan)
-
-
-def _density_row(state: PureState, target) -> np.ndarray:
-    """The reduced density of one state, from ``reduced_density``, as a
-    one-row stack for a table body."""
-    return reduced_density(state, target).entries[None]
+    """Reduced density matrix of the target factors (the whole state if all):
+    the one row of ``reduced_densities``, validated."""
+    return DensityMatrix(reduced_densities(state, target)[0])
 
 
 def target_dimension(space: FactorSpace, target: Union[int, Sequence[int]]) -> int:
@@ -342,13 +330,16 @@ def readout_density(state: PureState, target, basis=None,
     by default) and, when ``precision`` is supplied, each entry's real and
     imaginary parts are reported to the nearest multiple of 2^-precision.
     """
-    return function_readout(state, target, 1, basis, precision)
+    return DeviceSpec("Readout", {"basis": basis, "precision": precision}
+                      ).distribution(state, target)[0][0]
 
 
 def function_readout(state: PureState, target, exponent: int = 1, basis=None,
                      precision: int | None = None) -> MatrixDescription:
     """Description of rho^n for a positive integer n (n=1 is the identity map)."""
-    return _only(_power_table(_density_row(state, target), exponent, basis, precision))
+    return DeviceSpec("FunctionReadout", {"exponent": exponent, "basis": basis,
+                                          "precision": precision}
+                      ).distribution(state, target)[0][0]
 
 
 def _expectation_table(rhos: np.ndarray, observable,
@@ -362,7 +353,8 @@ def _expectation_table(rhos: np.ndarray, observable,
 def expectation_readout(state: PureState, target, observable,
                         precision: int | None = None) -> RealValue:
     """Expectation value Tr(A rho_1), optionally quantized."""
-    return _only(_expectation_table(_density_row(state, target), observable, precision))
+    return DeviceSpec("ExpectationReadout", {"observable": observable, "precision": precision}
+                      ).distribution(state, target)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,6 @@ def _eigenvalue_table(rhos: np.ndarray, observable, variant: str = "value",
                       precision: int | None = None, max_label: int | None = None,
                       label_offset: int = 0) -> DistributionTable:
     obs = _observable(observable, rhos.shape[-1])
-    _require_variant_inputs(variant, obs, max_label)
     probs = _cluster_probabilities(rhos, obs)
     if variant == "value":
         values = np.array(obs.eigenvalues)
@@ -408,8 +399,9 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
       - ``bit``            for projector-valued observables only: the
                            eigenvalue itself as a 0/1 bit
     """
-    return _eigenvalue_table(_density_row(state, target), observable, variant, precision,
-                             max_label, label_offset).rows()[0]
+    return DeviceSpec("EigenvalueSampler", {
+        "observable": observable, "variant": variant, "precision": precision,
+        "max_label": max_label, "label_offset": label_offset}).distribution(state, target)
 
 
 def _require_variant_inputs(variant: str, observable, max_label: int | None) -> None:
@@ -430,13 +422,14 @@ def sample_eigenvalue(state: PureState, target, observable, rng: RandomStream,
                       variant: str = "value", precision: int | None = None,
                       max_label: int | None = None, label_offset: int = 0) -> Outcome:
     """Draw one eigenvalue-sampler outcome; the global state is unchanged."""
-    return _outcome(eigenvalue_distribution(state, target, observable, variant, precision,
-                                            max_label, label_offset), rng, "eigenvalue sampler")
+    return DeviceSpec("EigenvalueSampler", {
+        "observable": observable, "variant": variant, "precision": precision,
+        "max_label": max_label, "label_offset": label_offset}).apply(state, target, rng)
 
 
 def sample_projection(state: PureState, target, phi: PureState, rng: RandomStream) -> Bit:
     """Bit 1 with probability Tr(P_phi rho_1): the projector special case."""
-    w = float(quadratic_forms(_density_row(state, target), phi.amplitudes)[0])
+    w = float(quadratic_forms(reduced_densities(state, target), phi.amplitudes)[0])
     return Bit(1) if rng.choose([1.0 - w, w]) == 1 else Bit(0)
 
 
@@ -457,14 +450,15 @@ def uncertainty_distribution(state: PureState, target, observable,
     Only the reported value is quantized; the expectation shift and the
     Born probabilities stay at full precision.
     """
-    return _uncertainty_table(_density_row(state, target), observable, precision).rows()[0]
+    return DeviceSpec("UncertaintySampler", {"observable": observable, "precision": precision}
+                      ).distribution(state, target)
 
 
 def sample_uncertainty(state: PureState, target, observable, rng: RandomStream,
                        precision: int | None = None) -> Outcome:
     """Draw an eigenvalue of the mean-shifted observable A - <A>."""
-    return _outcome(uncertainty_distribution(state, target, observable, precision), rng,
-                    "uncertainty sampler")
+    return DeviceSpec("UncertaintySampler", {"observable": observable, "precision": precision}
+                      ).apply(state, target, rng)
 
 
 def _per_state(povm) -> bool:
@@ -472,13 +466,6 @@ def _per_state(povm) -> bool:
     of a stack, such as ``povm_sets`` gives."""
     return (isinstance(povm, tuple) and len(povm) > 0
             and all(isinstance(p, POVMSet) for p in povm))
-
-
-def _one_povm(povm) -> None:
-    """Raise ParameterError for a tuple of per-state POVMs given with a single state."""
-    if _per_state(povm):
-        raise ParameterError("povm", "per-state POVMs need a stack of states, "
-                                     "not a single state")
 
 
 def _povm_table(rhos: np.ndarray, povm, max_label: int | None = None) -> DistributionTable:
@@ -497,14 +484,15 @@ def _povm_table(rhos: np.ndarray, povm, max_label: int | None = None) -> Distrib
 def povm_distribution(state: PureState, target, povm,
                       max_label: int | None = None) -> list[tuple[Outcome, float]]:
     """Distribution over 1-based POVM element labels, with optional overflow."""
-    _one_povm(povm)
-    return _povm_table(_density_row(state, target), povm, max_label).rows()[0]
+    return DeviceSpec("PovmSampler", {"povm": povm, "max_label": max_label}
+                      ).distribution(state, target)
 
 
 def sample_povm(state: PureState, target, povm, rng: RandomStream,
                 max_label: int | None = None) -> Outcome:
     """Draw a POVM label with probability Tr(A_i rho_1); state unchanged."""
-    return _outcome(povm_distribution(state, target, povm, max_label), rng, "POVM sampler")
+    return DeviceSpec("PovmSampler", {"povm": povm, "max_label": max_label}
+                      ).apply(state, target, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +531,16 @@ def overlap_distribution(state: PureState, target, phi: PureState, threshold: fl
     the threshold.  Smoothed version: 1 with logistic probability
     1/(1 + exp(-k (overlap - threshold))).
     """
-    return _overlap_table(_density_row(state, target), phi, threshold, sharpness).rows()[0]
+    return DeviceSpec("OverlapTest", {"target_state": phi, "threshold": threshold,
+                                      "sharpness": sharpness}).distribution(state, target)
 
 
 def overlap_test(state: PureState, target, phi: PureState, threshold: float,
                  rng: RandomStream | None = None, sharpness: float | None = None) -> Bit:
     """Run the overlap test; rng is required only for the smoothed version."""
-    dist = overlap_distribution(state, target, phi, threshold, sharpness)
-    return _outcome(dist, None if sharpness is None else rng, "smoothed overlap test")
+    return DeviceSpec("OverlapTest", {"target_state": phi, "threshold": threshold,
+                                      "sharpness": sharpness}
+                      ).apply(state, target, None if sharpness is None else rng)
 
 
 def _basis_weights(rhos: np.ndarray, basis) -> np.ndarray:
@@ -561,7 +551,7 @@ def _basis_weights(rhos: np.ndarray, basis) -> np.ndarray:
 
 def basis_weights(state: PureState, target, basis=None) -> np.ndarray:
     """Tr(P_{phi_i} rho_1) for every basis state."""
-    return _basis_weights(_density_row(state, target), basis)[0]
+    return _basis_weights(reduced_densities(state, target), basis)[0]
 
 
 def _basis_select_table(rhos: np.ndarray, basis=None,
@@ -587,25 +577,20 @@ def basis_select_distribution(state: PureState, target, basis=None,
     maximal weight.  Smoothed version: probabilities proportional to
     exp(k * weight).
     """
-    return _basis_select_table(_density_row(state, target), basis, sharpness).rows()[0]
+    return DeviceSpec("BasisSelect", {"basis": basis, "sharpness": sharpness}
+                      ).distribution(state, target)
 
 
 def basis_select(state: PureState, target, basis=None, rng: RandomStream | None = None,
                  sharpness: float | None = None) -> IntegerLabel:
     """Pick the basis state of maximal weight (or its softmax smoothing)."""
-    dist = basis_select_distribution(state, target, basis, sharpness)
-    return _outcome(dist, rng, "stochastic basis selection")
+    return DeviceSpec("BasisSelect", {"basis": basis, "sharpness": sharpness}
+                      ).apply(state, target, rng)
 
 
 # ---------------------------------------------------------------------------
 # Entropy meters, certifiers, entanglement analyser
 # ---------------------------------------------------------------------------
-
-def _spectrum_row(state: PureState, target) -> np.ndarray:
-    """The ascending eigenvalues of one state's reduced density, which
-    ``reduced_density`` computes to check it, as a one-row stack."""
-    return reduced_density(state, target).eigenvalues()[None]
-
 
 def _entropy_values(spectra: np.ndarray, alpha: float) -> np.ndarray:
     """Order-alpha entropies in bits of (n, d) density spectra, in one pass."""
@@ -625,7 +610,8 @@ def _entropy_table(spectra: np.ndarray, alpha: float = 1.0,
 def entropy_meter(state: PureState, target, alpha: float = 1.0,
                   precision: int | None = None) -> RealValue:
     """Entanglement entropy of order alpha of the target subsystem, in bits."""
-    return _only(_entropy_table(_spectrum_row(state, target), alpha, precision))
+    return DeviceSpec("EntropyMeter", {"alpha": alpha, "precision": precision}
+                      ).distribution(state, target)[0][0]
 
 
 def _certify_table(spectra: np.ndarray, entropy_threshold: float, alpha: float = 1.0,
@@ -642,15 +628,17 @@ def certify_distribution(state: PureState, target, alpha: float, threshold: floa
                          sharpness: float | None = None) -> list[tuple[Outcome, float]]:
     """Bit distribution of the entropy certifier: the entropy meter's reading
     S_alpha(rho_1) vs threshold."""
-    return _certify_table(_spectrum_row(state, target), threshold, alpha, sharpness).rows()[0]
+    return DeviceSpec("EntropyCertifier", {"alpha": alpha, "entropy_threshold": threshold,
+                                           "sharpness": sharpness}).distribution(state, target)
 
 
 def entropy_certify(state: PureState, target, alpha: float, threshold: float,
                     rng: RandomStream | None = None,
                     sharpness: float | None = None) -> Bit:
     """Certify S_alpha(rho_1) > E, hard or logistically smoothed."""
-    dist = certify_distribution(state, target, alpha, threshold, sharpness)
-    return _outcome(dist, None if sharpness is None else rng, "smoothed entropy certifier")
+    return DeviceSpec("EntropyCertifier", {"alpha": alpha, "entropy_threshold": threshold,
+                                           "sharpness": sharpness}
+                      ).apply(state, target, None if sharpness is None else rng)
 
 
 def _analysed_factor(space: FactorSpace, target_single) -> int:
@@ -679,8 +667,8 @@ def entanglement_analyse(state: PureState, target_single, basis=None,
     one-index set).  M equals the transpose of the reduced density matrix
     in the same basis, which is how it is computed.
     """
-    factor = _analysed_factor(state.space, target_single)
-    return _only(_analyse_table(_density_row(state, factor), basis, precision))
+    return DeviceSpec("EntanglementAnalyse", {"basis": basis, "precision": precision}
+                      ).distribution(state, target_single)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -804,24 +792,19 @@ class DeviceSpec:
     def distribution(self, states: PureState | StateStack | Sequence[PureState], target
                      ) -> list:
         """Exact outcome distribution (deterministic devices give one point)
-        of a PureState: the kind's table on the one row of the state's reduced
-        density.  A StateStack or a list gives one such distribution per
-        state, in order: the list view of one ``table`` of them all."""
-        if not isinstance(states, PureState):
-            return self.table(states, target).rows()
-        _one_povm(self.params.get("povm"))
-        kind = DEVICE_KINDS[self.kind]
-        if kind.single_factor:
-            target = _analysed_factor(states.space, target)
-        row = (_spectrum_row if kind.spectral else _density_row)(states, target)
-        return kind.table(row, **self.params).rows()[0]
+        of a PureState: the one row of its ``table``.  A StateStack or a list
+        gives one such distribution per state, in order: the list view of one
+        ``table`` of them all."""
+        rows = self.table(states, target).rows()
+        return rows[0] if isinstance(states, PureState) else rows
 
     def table(self, states: StateStack | Sequence[PureState] | PureState, target
               ) -> DistributionTable:
         """The distributions of a state, a stack or a list of states in one
         pass: their reduced densities, validated once, through the kind's table."""
-        if isinstance(states, PureState):
-            _one_povm(self.params.get("povm"))
+        if isinstance(states, PureState) and _per_state(self.params.get("povm")):
+            raise ParameterError("povm", "per-state POVMs need a stack of states, "
+                                         "not a single state")
         stack = StateStack.of(states)
         kind = DEVICE_KINDS[self.kind]
         if kind.single_factor:

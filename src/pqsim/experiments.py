@@ -409,10 +409,10 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
     threshold = 1.0 - 1e-9 if precision is None else 1.0 - 10.0 * 2.0 ** (-precision)
 
     states = random_pure_states((factor,), rng, trials)
+    readout = DeviceSpec("Readout", {"precision": precision})
     fidelities = []
     for trial, (psi, joint) in enumerate(zip(states, tensor_products(states, blank))):
-        description = readout_density(joint, (0,), precision=precision)
-        vals, vecs = np.linalg.eigh(description.matrix)
+        vals, vecs = np.linalg.eigh(readout.table(joint, (0,)).values[0])
         if precision is None and (vals[-1] < 1.0 - 1e-9 or vals[-2] > 1e-9):
             evidence = {"d": d, "trial": trial, "rank_defect": float(vals[-2])}
             return Certificate("cloning", _judge(evidence, VIOLATION_CERTIFIED,

@@ -263,18 +263,7 @@ def mix(opfs: Sequence[OPF], weights: Sequence[float]) -> OPF:
     dims = opfs[0].space.dims
     if any(f.space.dims != dims for f in opfs):
         raise ValueError("mixed OPFs must share one space")
-
-    operator = None
-    if all(f.operator is not None for f in opfs):
-        operator = sum(wi * f.operator for wi, f in zip(w, opfs))
-
-    def evaluate(states: StateStack) -> np.ndarray:
-        total = np.zeros(len(states))  # summed left to right from 0, like sum()
-        for wi, f in zip(w, opfs):
-            total = total + wi * f.values(states)
-        return total
-
-    return OPF(opfs[0].space, evaluate, "mixture", operator=operator)
+    return _weighted_outcome(opfs[0].space, list(zip(w, opfs)))
 
 
 def compose_unitary(f: OPF, unitary: np.ndarray) -> OPF:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pqsim import devices
+from pqsim import devices, qcore
 from pqsim.devices import (
     DEVICE_KINDS,
     Bit,
@@ -106,6 +106,18 @@ PER_KIND_FUNCTIONS = {
     "EntropyCertifier": lambda s, t, p: certify_distribution(
         s, t, p.get("alpha", 1.0), p["entropy_threshold"], p.get("sharpness")),
     "EntanglementAnalyse": lambda s, t, p: [(entanglement_analyse(s, t, **p), 1.0)],
+}
+
+# the catalog sampler of each stochastic kind, as a (state, target, params, rng) call
+SAMPLERS = {
+    "EigenvalueSampler": lambda s, t, p, rng: sample_eigenvalue(s, t, rng=rng, **p),
+    "UncertaintySampler": lambda s, t, p, rng: sample_uncertainty(s, t, rng=rng, **p),
+    "PovmSampler": lambda s, t, p, rng: sample_povm(s, t, rng=rng, **p),
+    "OverlapTest": lambda s, t, p, rng: overlap_test(s, t, p["target_state"], p["threshold"],
+                                                     rng, p.get("sharpness")),
+    "BasisSelect": lambda s, t, p, rng: basis_select(s, t, rng=rng, **p),
+    "EntropyCertifier": lambda s, t, p, rng: entropy_certify(
+        s, t, p.get("alpha", 1.0), p["entropy_threshold"], rng, p.get("sharpness")),
 }
 
 
@@ -753,17 +765,17 @@ class TestDeviceSpec:
     @pytest.mark.parametrize("kind,params", SPEC_CASES)
     def test_distribution_is_one_partial_trace_and_the_kind_functions_row(
             self, kind, params, monkeypatch):
-        # each per-state evaluation traces the state once, through the
-        # module's partial_trace, and gives what the per-kind function gives
+        # each per-state evaluation traces the state once, through qcore's
+        # partial_trace, and gives what the per-kind function gives
         state = random_pure_state(TWO_QUBITS, RandomStream(197))
         calls = []
-        original = devices.partial_trace
+        original = qcore.partial_trace
 
         def spy(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(devices, "partial_trace", spy)
+        monkeypatch.setattr(qcore, "partial_trace", spy)
         got = DeviceSpec(kind, params).distribution(state, (1,))
         assert len(calls) == 1
         want = PER_KIND_FUNCTIONS[kind](state, (1,), params)
@@ -816,20 +828,19 @@ class TestDeviceSpec:
         ("PovmSampler", {"povm": COMPUTATIONAL}),
         ("PovmSampler", {"povm": COMPUTATIONAL, "max_label": 1}),
         ("PovmSampler", {"povm": POVMSet((np.eye(2),))}),  # one branch
+        ("OverlapTest", {"target_state": PLUS, "threshold": 0.4, "sharpness": 6.0}),
+        ("BasisSelect", {}),
+        ("BasisSelect", {"basis": HADAMARD_ROWS, "sharpness": 5.0}),
+        ("EntropyCertifier", {"alpha": 2.0, "entropy_threshold": 0.3, "sharpness": 4.0}),
     ])
     @pytest.mark.parametrize("state", [KET0, PLUS, BELL], ids=["ket0", "plus", "bell"])
     def test_sample_functions_draw_as_apply(self, kind, params, state):
         # the outcome and the stream's next uniform: a one-branch distribution
         # draws nothing, in both
-        sampler, first = {"EigenvalueSampler": (sample_eigenvalue, "observable"),
-                          "UncertaintySampler": (sample_uncertainty, "observable"),
-                          "PovmSampler": (sample_povm, "povm")}[kind]
-        rest = {name: value for name, value in params.items() if name != first}
         spec = DeviceSpec(kind, params)
         for seed in range(6):
             rng, fresh = RandomStream(seed), RandomStream(seed)
-            assert (sampler(state, (0,), params[first], rng, **rest)
-                    == spec.apply(state, (0,), fresh))
+            assert SAMPLERS[kind](state, (0,), params, rng) == spec.apply(state, (0,), fresh)
             assert rng.uniform() == fresh.uniform()
 
     def test_one_element_povm_leaves_the_stream_alone(self):

@@ -14,10 +14,10 @@ import pytest
 from pqsim import cli, experiments
 from pqsim.devices import (
     DeviceSpec,
+    DistributionTable,
     MatrixDescription,
     ParameterError,
     overlap_bits,
-    readout_density,
 )
 from pqsim.experiments import (
     SPOD_ELEMENTS,
@@ -344,18 +344,17 @@ class TestReportFailedChecks:
 
     def test_cloning_rank_defect(self, monkeypatch):
         # a readout that reports the maximally mixed state has no rank-1 description
-        monkeypatch.setattr(experiments, "readout_density",
-                            lambda state, target, precision=None: MatrixDescription(
-                                np.eye(2) / 2, precision))
+        monkeypatch.setattr(DeviceSpec, "table", lambda spec, state, target: DistributionTable(
+            (MatrixDescription,), np.eye(2)[None] / 2, np.ones((1, 1)), spec.params["precision"]))
         cert = cloning_demo(2, RandomStream(12))
         _fails_naming(cert, "rank_defect")
         assert cert.evidence["rank_defect"] == 0.5
 
     def test_cloning_successes(self, monkeypatch):
         # a readout that always describes |0> copies most states badly
-        monkeypatch.setattr(experiments, "readout_density",
-                            lambda state, target, precision=None: readout_density(
-                                tensor_product(KET0, KET0), (0,), precision=precision))
+        original = DeviceSpec.table
+        monkeypatch.setattr(DeviceSpec, "table", lambda spec, state, target: original(
+            spec, tensor_product(KET0, KET0), (0,)))
         cert = cloning_demo(2, RandomStream(14), precision=8)
         _fails_naming(cert, "successes")
         assert cert.evidence["successes"] < 95
@@ -486,18 +485,19 @@ class TestDeriveManyCallers:
 
     @pytest.mark.parametrize("d,precision", [(2, None), (3, 6), (4, 8)])
     def test_cloning_equals_per_trial_loop(self, d, precision, monkeypatch):
-        from pqsim import experiments
-
+        # the oracle reads each trial out by readout_density
         descriptions = []
+        original = DeviceSpec.table
 
-        def spy(*args, **kwargs):
-            description = readout_density(*args, **kwargs)
-            descriptions.append(description.matrix.tobytes())
-            return description
+        def spy(spec, state, target):
+            table = original(spec, state, target)
+            descriptions.append(table.values[0].tobytes())
+            return table
 
-        monkeypatch.setattr(experiments, "readout_density", spy)
+        monkeypatch.setattr(DeviceSpec, "table", spy)
         rng = RandomStream(43, 13)
         cert = cloning_demo(d, rng, precision=precision, trials=40)
+        monkeypatch.undo()  # the oracle's own readouts are not recorded
         want = oracles.cloning_trials(d, rng, precision, 40)
         assert descriptions == [description for description, _ in want]
         fidelities = [fidelity for _, fidelity in want]
