@@ -11,9 +11,10 @@ reduced densities to a :class:`DistributionTable`: the outcome values and
 (n, branches) probabilities of all n states in one pass.
 ``DeviceSpec.table`` is the one way a device is evaluated: it validates the
 reduced densities of a state, a stack or a list of states once and feeds
-them to the table.  ``DeviceSpec.distribution`` is the table's list view
-(its one row for a single state), and ``DeviceSpec.apply`` draws from each
-row through a :class:`~pqsim.qcore.RandomStream`.  The per-kind functions
+them to the table with every parameter but ``precision``, which it applies
+itself.  ``DeviceSpec.distribution`` is the table's list view (its one row
+for a single state), and ``DeviceSpec.apply`` draws from each row through
+a :class:`~pqsim.qcore.RandomStream`.  The per-kind functions
 (``povm_distribution``, ``entropy_meter``, ``sample_povm``, ...) are
 ``DeviceSpec`` calls on one state.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence, Union
 
@@ -137,7 +139,8 @@ class DistributionTable:
     payload of branch j on row r: a float for RealValue, an int for
     IntegerLabel and Bit, a placeholder for Overflow, whose outcome carries
     its own probability.  A readout's one MatrixDescription branch keeps the
-    (n, d, d) matrices in ``values`` instead, described at ``precision``.
+    (n, d, d) matrices in ``values`` instead.  ``precision`` is the m of
+    values quantized to multiples of 2^-m, None at full precision.
     """
 
     types: tuple[type, ...]
@@ -200,11 +203,29 @@ def quantize_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
     return quantize(matrix.real, m) + 1j * quantize(matrix.imag, m)
 
 
+def _at_precision(table: DistributionTable, precision) -> DistributionTable:
+    """Every device's one finite-precision step: at ``precision`` m, RealValue
+    values or a readout's matrix entries to the nearest multiple of 2^-m.
+    Label, bit and overflow branches ignore it."""
+    matrices = table.types == (MatrixDescription,)
+    if precision is None or not (matrices or RealValue in table.types):
+        return table
+    try:
+        m = int(precision)
+        values = quantize_matrix(table.values, m) if matrices else quantize(table.values, m)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ParameterError("precision", str(err)) from None
+    return DistributionTable(table.types, values, table.probabilities, m)
+
+
 def basis_matrix(basis, dim: int) -> np.ndarray:
     """Column matrix of basis states from a row list (None = computational)."""
     if basis is None:
         return np.eye(dim, dtype=complex)
-    rows = np.array(basis, dtype=complex)
+    try:
+        rows = np.array(basis, dtype=complex)
+    except (TypeError, ValueError) as err:  # ragged or not numbers
+        raise ParameterError("basis", str(err)) from None
     if rows.shape != (dim, dim):
         raise ParameterError("basis", f"basis must list {dim} vectors of length {dim}")
     b = rows.T
@@ -307,8 +328,7 @@ def _threshold_table(values: np.ndarray, threshold: float,
 # Readout devices
 # ---------------------------------------------------------------------------
 
-def _power_table(rhos: np.ndarray, exponent: int = 1, basis=None,
-                 precision: int | None = None) -> DistributionTable:
+def _power_table(rhos: np.ndarray, exponent: int = 1, basis=None) -> DistributionTable:
     """Descriptions of rho^n in the basis, one sure branch per density."""
     exponent = int(exponent)
     if exponent < 1:
@@ -316,10 +336,7 @@ def _power_table(rhos: np.ndarray, exponent: int = 1, basis=None,
                              "supported matrix functions are positive integer powers")
     b = basis_matrix(basis, rhos.shape[-1])
     mats = b.conj().T @ np.linalg.matrix_power(rhos, exponent) @ b
-    if precision is not None:
-        precision = int(precision)
-        mats = quantize_matrix(mats, precision)
-    return DistributionTable((MatrixDescription,), mats, np.ones((len(mats), 1)), precision)
+    return DistributionTable((MatrixDescription,), mats, np.ones((len(mats), 1)))
 
 
 def readout_density(state: PureState, target, basis=None,
@@ -342,11 +359,8 @@ def function_readout(state: PureState, target, exponent: int = 1, basis=None,
                       ).distribution(state, target)[0][0]
 
 
-def _expectation_table(rhos: np.ndarray, observable,
-                       precision: int | None = None) -> DistributionTable:
+def _expectation_table(rhos: np.ndarray, observable) -> DistributionTable:
     values = _traced_products((_observable(observable, rhos.shape[-1]).entries,), rhos)[:, 0]
-    if precision is not None:
-        values = quantize(values, precision)
     return _scalar_table(RealValue, values[:, None], np.ones((len(values), 1)))
 
 
@@ -367,14 +381,11 @@ def _cluster_probabilities(rhos: np.ndarray, obs: HermitianObservable) -> np.nda
 
 
 def _eigenvalue_table(rhos: np.ndarray, observable, variant: str = "value",
-                      precision: int | None = None, max_label: int | None = None,
-                      label_offset: int = 0) -> DistributionTable:
+                      max_label: int | None = None, label_offset: int = 0) -> DistributionTable:
     obs = _observable(observable, rhos.shape[-1])
     probs = _cluster_probabilities(rhos, obs)
     if variant == "value":
-        values = np.array(obs.eigenvalues)
-        return _scalar_table(RealValue, values if precision is None
-                             else quantize(values, precision), probs)
+        return _scalar_table(RealValue, np.array(obs.eigenvalues), probs)
     if variant == "bit":
         return _scalar_table(Bit, [int(round(lam)) for lam in obs.eigenvalues], probs)
     labels = [i + label_offset for i in range(obs.n_clusters)]
@@ -433,14 +444,11 @@ def sample_projection(state: PureState, target, phi: PureState, rng: RandomStrea
     return Bit(1) if rng.choose([1.0 - w, w]) == 1 else Bit(0)
 
 
-def _uncertainty_table(rhos: np.ndarray, observable,
-                       precision: int | None = None) -> DistributionTable:
+def _uncertainty_table(rhos: np.ndarray, observable) -> DistributionTable:
     obs = _observable(observable, rhos.shape[-1])
     means = _traced_products((obs.entries,), rhos)[:, 0]
-    values = np.array(obs.eigenvalues) - means[:, None]
-    if precision is not None:
-        values = quantize(values, precision)
-    return _scalar_table(RealValue, values, _cluster_probabilities(rhos, obs))
+    return _scalar_table(RealValue, np.array(obs.eigenvalues) - means[:, None],
+                         _cluster_probabilities(rhos, obs))
 
 
 def uncertainty_distribution(state: PureState, target, observable,
@@ -594,16 +602,13 @@ def basis_select(state: PureState, target, basis=None, rng: RandomStream | None 
 
 def _entropy_values(spectra: np.ndarray, alpha: float) -> np.ndarray:
     """Order-alpha entropies in bits of (n, d) density spectra, in one pass."""
-    if not alpha >= 0:  # NaN is not either
+    if not (isinstance(alpha, numbers.Real) and alpha >= 0):  # NaN is not either
         raise ParameterError("alpha", "alpha must be nonnegative")
     return spectrum_entropies(spectra, alpha)
 
 
-def _entropy_table(spectra: np.ndarray, alpha: float = 1.0,
-                   precision: int | None = None) -> DistributionTable:
+def _entropy_table(spectra: np.ndarray, alpha: float = 1.0) -> DistributionTable:
     values = _entropy_values(spectra, alpha)
-    if precision is not None:
-        values = quantize(values, precision)
     return _scalar_table(RealValue, values[:, None], np.ones((len(values), 1)))
 
 
@@ -652,9 +657,8 @@ def _analysed_factor(space: FactorSpace, target_single) -> int:
     return subset[0]
 
 
-def _analyse_table(rhos: np.ndarray, basis=None,
-                   precision: int | None = None) -> DistributionTable:
-    readout = _power_table(rhos, 1, basis, precision)
+def _analyse_table(rhos: np.ndarray, basis=None) -> DistributionTable:
+    readout = _power_table(rhos, 1, basis)
     return replace(readout, values=readout.values.swapaxes(-1, -2))
 
 
@@ -681,8 +685,9 @@ class DeviceKind:
 
     ``params`` are in catalog order, a trailing ``?`` marking an optional
     one.  ``table(densities, **params)`` maps an (n, d, d) stack of reduced
-    densities to their ``DistributionTable``; a ``spectral`` kind's table
-    reads their (n, d) ascending eigenvalues instead, which validating the
+    densities to their ``DistributionTable``, taking every parameter but
+    ``precision``, which ``DeviceSpec.table`` applies; a ``spectral`` kind's
+    table reads their (n, d) ascending eigenvalues instead, which validating the
     densities computes.  The table is the kind's one statement of how its
     parameters map states to outcomes; a PovmSampler's ``povm`` may also be
     a tuple of POVMSets, one per state of a stack.
@@ -811,7 +816,9 @@ class DeviceSpec:
             _analysed_factor(stack.space, target)
         rhos = reduced_densities(stack, target)
         spectra = require_density(rhos)
-        return kind.table(spectra if kind.spectral else rhos, **self.params)
+        params = dict(self.params)
+        precision = params.pop("precision", None)
+        return _at_precision(kind.table(spectra if kind.spectral else rhos, **params), precision)
 
     def apply(self, states: PureState | StateStack | Sequence[PureState], target,
               rng=None):

@@ -12,8 +12,12 @@ for linear post-measurement update maps.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -31,7 +35,6 @@ from .devices import (
     target_dimension,
 )
 from .qcore import (
-    HERMITIAN_ATOL,
     NORM_ATOL,
     Ensemble,
     FactorSpace,
@@ -40,6 +43,7 @@ from .qcore import (
     RandomStream,
     StateStack,
     _checked_int,
+    _element_spectra,
     _require_square,
     _row_norms,
     ensemble_densities,
@@ -169,14 +173,10 @@ def _povm_elements(elements) -> np.ndarray:
     """A complex copy of a (k, d, d) stack of POVM elements, each square,
     Hermitian, then 0 <= Q <= I; else ValueError, with the message of the
     first bad element's first failed check.  A non-finite element is not
-    Hermitian, and zeros in its place keep inf - inf and LAPACK off NaN."""
+    Hermitian (``qcore._element_spectra``)."""
     q = np.array(elements, dtype=complex)
     _require_square(q.shape[1:], "POVM element")
-    finite = np.isfinite(q).all(axis=(-2, -1))
-    checked = q if finite.all() else np.where(finite[..., None, None], q, 0.0)
-    hermitian = finite & (np.abs(checked - checked.swapaxes(-1, -2).conj()).max(
-        axis=(-2, -1)) <= HERMITIAN_ATOL)
-    eigenvalues = np.linalg.eigvalsh(checked)
+    _, hermitian, eigenvalues = _element_spectra(q)
     bad = ~hermitian | (eigenvalues[:, 0] < -NORM_ATOL) | (eigenvalues[:, -1] > 1.0 + 1e-9)
     if bad.any():
         raise ValueError("POVM element must satisfy 0 <= Q <= I" if hermitian[bad.argmax()]
@@ -642,8 +642,65 @@ def quadratic_fit(amps: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarr
 
 def _design_fit(design: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
     """``quadratic_fit`` on the rows of its projector design."""
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    coeffs = _lstsq(design, values[:, None])[:, 0]
     return float(np.max(np.abs(values - design @ coeffs))), coeffs
+
+
+_BLAS_LOCK = threading.RLock()
+
+
+@functools.cache
+def _openblas_thread_count():
+    """The getter and setter of the thread count of numpy's bundled OpenBLAS,
+    or None where numpy carries no such library (a build against another BLAS)."""
+    import glob
+
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int  # int openblas_get_num_threads(void)
+    put.argtypes, put.restype = [ctypes.c_int], None  # void openblas_set_num_threads(int)
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread for the block, then restore
+    its count; the lock keeps two threads from restoring each other's count,
+    and a block nested in another restores one.  Without that library this
+    does nothing."""
+    count = _openblas_thread_count()
+    if count is None:
+        yield
+        return
+    get, put = count
+    with _BLAS_LOCK:
+        threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(threads)
+
+
+def _lstsq(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The least-squares X of design @ X = targets ((m, n) and (m, k), or
+    stacks that broadcast, each solved alone) by the kernel, ``rcond`` and
+    SVD error of ``np.linalg.lstsq``: its stacked ``gelsd``, which rounds by
+    the BLAS thread count, so it runs on one thread (``_one_blas_thread``)."""
+    with _one_blas_thread(), np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                                         divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(design, targets, np.finfo(float).eps * max(design.shape[-2:]),
+                                   signature="ddd->ddid")[0]
+
+
+def _lstsq_failed(err, flag):
+    """The error ``np.linalg.lstsq`` raises when its SVD does not converge."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def product_form_witness(f: OPF, extra_probes: StateStack | Sequence[PureState] = ()
@@ -734,12 +791,11 @@ def density_from_projector_values(states: Sequence[np.ndarray], values, dim: int
     one (d, d) matrix from m values, or an (n, d, d) stack from an (n, m)
     stack of value rows, m = len(states); any other shape is a ValueError.
 
-    The design is built once, and all rows are fitted in one call of the
-    stacked least-squares kernel that ``np.linalg.lstsq`` calls: each row is
-    the one-right-hand-side ``gelsd`` solve that ``lstsq`` makes of that row
-    alone, with its ``rcond`` and its error on a non-converging SVD.  One
-    ``lstsq`` with all rows as right-hand sides would round differently (by
-    up to 4e-16 on d = 4) and move the estimation checker's evidence.
+    The design is built once, and all rows are fitted in one ``_lstsq``
+    call: each row is the one-right-hand-side solve that ``np.linalg.lstsq``
+    makes of that row alone.  One solve with all rows as right-hand sides
+    would round differently (by up to 4e-16 on d = 4) and move the
+    estimation checker's evidence.
     """
     design = np.vstack([_projector_design(np.array(states)),
                         hermitian_coords(np.eye(dim, dtype=complex))])
@@ -750,18 +806,8 @@ def density_from_projector_values(states: Sequence[np.ndarray], values, dim: int
     stack = rows.reshape(-1, m)
     targets = np.ones((len(stack), m + 1, 1))
     targets[:, :m, 0] = stack
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        coeffs = _umath_linalg.lstsq(np.broadcast_to(design, (len(targets),) + design.shape),
-                                     targets, np.finfo(float).eps * max(design.shape),
-                                     signature="ddd->ddid")[0]
-    rhos = hermitian_from_coords(coeffs[..., 0])
+    rhos = hermitian_from_coords(_lstsq(design, targets)[..., 0])
     return rhos if rows.ndim == 2 else rhos[0]
-
-
-def _lstsq_failed(err, flag):
-    """The error ``np.linalg.lstsq`` raises when its SVD does not converge."""
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 class _ICOutcomes(NamedTuple):
@@ -991,8 +1037,7 @@ def update_map_feasibility(element: np.ndarray,
         raise ValueError("probe states do not span the Hermitian operator space")
 
     weights = quadratic_forms(a, vecs)  # <phi|A|phi>
-    solution, *_ = np.linalg.lstsq(design, weights[:n, None] * design, rcond=None)
-    lmap = solution.T  # acts on Hermitian coordinates from the left
+    lmap = _lstsq(design, weights[:n, None] * design).T  # acts on coordinates from the left
 
     got = hermitian_from_coords(np.matmul(lmap, coords[:, :, None])[:, :, 0])
     misfit = (got - weights[:, None, None] * projs).reshape(len(vecs), -1)

@@ -181,36 +181,11 @@ def require_unitary(matrix: np.ndarray) -> None:
 # A norm too large for a float is inf, which the norm checks reject with
 # their own messages; numpy's overflow warning would come first.
 @np.errstate(over="ignore")
-def _norm(amps: np.ndarray) -> float:
-    """Euclidean norm of a 1-D complex vector, exactly as np.linalg.norm
-    computes it, without its dispatch; inf where it overflows."""
-    re, im = amps.real, amps.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-@np.errstate(over="ignore")
 def _row_norms(amps: np.ndarray) -> np.ndarray:
-    """``_norm`` of every row of an (n, D) complex stack, bit for bit: each
-    row's two dot products are the same BLAS calls on the same strides."""
+    """The Euclidean norm of every row of an (n, D) complex stack, as
+    np.linalg.norm computes it, without its dispatch; inf where it overflows."""
     re, im = amps.real, amps.imag
-    return np.sqrt(np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
-                   + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0])
-
-
-def _require_unit_norm(nrm: float) -> None:
-    """The norm check of every pure state, built alone or in a stack: raise
-    ValueError unless ``nrm`` lies within ``NORM_ATOL`` of 1.  A non-finite
-    norm never does."""
-    if not abs(nrm - 1.0) <= NORM_ATOL:
-        raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_ATOL}")
-
-
-def _require_normalizable(nrm: float) -> None:
-    """Raise ValueError unless a vector of norm ``nrm`` can be divided by it."""
-    if nrm <= 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    if not math.isfinite(nrm):
-        raise ValueError(f"cannot normalize a vector of norm {nrm}")
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 class PureState:
@@ -225,25 +200,13 @@ class PureState:
     __slots__ = ("space", "amplitudes")
 
     def __init__(self, space: FactorSpace, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.size != space.total_dim:
-            raise ValueError(
-                f"amplitude vector of length {amps.size} does not match total_dim {space.total_dim}"
-            )
-        nrm = _norm(amps)
-        _require_unit_norm(nrm)
-        amps = amps / nrm  # a private copy: the input is never aliased
-        amps.setflags(write=False)
         self.space = space
-        self.amplitudes = amps
+        self.amplitudes = _checked_rows(_amplitude_row(space, amplitudes))[0]
 
     @classmethod
     def normalized(cls, space: FactorSpace, amplitudes) -> "PureState":
         """Construct from any nonzero vector, dividing out its norm."""
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        nrm = _norm(amps)
-        _require_normalizable(nrm)
-        return cls(space, amps / nrm)
+        return cls._trusted(space, _normalized_rows(_amplitude_row(space, amplitudes))[0])
 
     @classmethod
     def _trusted(cls, space: FactorSpace, amplitudes: np.ndarray) -> "PureState":
@@ -433,17 +396,25 @@ class HermitianObservable:
         return f"HermitianObservable(dim={self.dim}, clusters={self.n_clusters})"
 
 
+def _element_spectra(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The POVM-element checks' one pass over a (..., d, d) stack: the stack
+    with zeros in place of non-finite elements (off inf - inf and LAPACK),
+    whether each element is Hermitian (a non-finite one is not) and its eigenvalues."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        stack = np.where(finite[..., None, None], stack, 0.0)
+    hermitian = finite & (np.abs(stack - stack.swapaxes(-1, -2).conj()).max(
+        axis=(-2, -1)) <= HERMITIAN_ATOL)
+    return stack, hermitian, np.linalg.eigvalsh(stack)
+
+
 def _require_povms(elements: np.ndarray) -> None:
     """``POVMSet``'s checks on every POVM of an (n, k, d, d) stack, k >= 1: each
     element Hermitian, then positive semi-definite, in element order; then
     the elements summing to the identity.  The first bad POVM raises one
     POVM's message, for its first bad element."""
-    finite = np.isfinite(elements).all(axis=(-2, -1))
-    if not finite.all():  # zeros in their place keep inf - inf and LAPACK off NaN
-        elements = np.where(finite[..., None, None], elements, 0.0)
-    hermitian = finite & (np.abs(elements - elements.swapaxes(-1, -2).conj()).max(
-        axis=(-2, -1)) <= HERMITIAN_ATOL)
-    element_bad = ~hermitian | (np.linalg.eigvalsh(elements)[..., 0] < -NORM_ATOL)
+    elements, hermitian, eigenvalues = _element_spectra(elements)
+    element_bad = ~hermitian | (eigenvalues[..., 0] < -NORM_ATOL)
     incomplete = np.abs(elements.sum(axis=1) - np.eye(elements.shape[-1])).max(
         axis=(-2, -1)) > NORM_ATOL
     bad = element_bad.any(axis=1) | incomplete
@@ -732,13 +703,25 @@ def _amplitude_stack(space: FactorSpace, amplitudes) -> np.ndarray:
     return amps
 
 
+def _amplitude_row(space: FactorSpace, amplitudes) -> np.ndarray:
+    """Any amplitude vector for ``space``, flattened to a complex (1, D) stack."""
+    amps = np.asarray(amplitudes, dtype=complex).reshape(1, -1)
+    if amps.shape[1] != space.total_dim:
+        raise ValueError(f"amplitude vector of length {amps.shape[1]} does not match "
+                         f"total_dim {space.total_dim}")
+    return amps
+
+
 def _checked_rows(amps: np.ndarray) -> np.ndarray:
-    """``PureState``'s norm check and division, on every row of a stack."""
+    """The norm check and division of every pure state, on every row of a
+    stack: each norm must lie within ``NORM_ATOL`` of 1 (a non-finite one
+    never does), and the first that does not is named."""
     nrm = _row_norms(amps)
-    bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)  # NaN is bad too
-    if bad.any():
-        _require_unit_norm(float(nrm[bad.argmax()]))
-    amps = amps / nrm[:, None]
+    ok = np.abs(nrm - 1.0) <= NORM_ATOL
+    if not ok.all():
+        raise ValueError(f"state norm {float(nrm[ok.argmin()])} deviates from 1 by more "
+                         f"than {NORM_ATOL}")
+    amps = amps / nrm[:, None]  # a private copy: the input is never aliased
     amps.setflags(write=False)
     return amps
 
@@ -746,9 +729,11 @@ def _checked_rows(amps: np.ndarray) -> np.ndarray:
 def _normalized_rows(amps: np.ndarray) -> np.ndarray:
     """``PureState.normalized`` on every row of a stack."""
     nrm = _row_norms(amps)
-    bad = ~((nrm > 0.0) & np.isfinite(nrm))
-    if bad.any():
-        _require_normalizable(float(nrm[bad.argmax()]))
+    ok = (nrm > 0.0) & np.isfinite(nrm)
+    if not ok.all():
+        first = float(nrm[ok.argmin()])
+        raise ValueError("cannot normalize the zero vector" if first <= 0.0
+                         else f"cannot normalize a vector of norm {first}")
     return _checked_rows(amps / nrm[:, None])
 
 

@@ -41,7 +41,11 @@ score-and-report body are the oracles of their reports.  The one-operator
 one call per projector on it, are the oracles of the stacked operator
 images, and the overlap estimate's body from before it ran only its final
 round is the oracle of that one round.  The one-stack projector design is
-the oracle of the design built in row blocks.  The one-state draw, one
+the oracle of the design built in row blocks, and the witness body from
+before its design was kept per dimension, fitting by ``np.linalg.lstsq``,
+is the oracle of ``product_form_witness``: with ``density_rows`` and
+``update_map_fit``, every ``opf._lstsq`` caller is pinned to numpy's public
+solve.  The one-state draw, one
 ``complex_normal`` block normalized at a time, and its call-by-call loop
 are the oracles of ``qcore.random_pure_states_in_turn``; the one-element
 POVM check and ``from_povm``'s one ``opf_from_quantum`` per element are the
@@ -882,8 +886,9 @@ def projector_design(amps):
 def product_form_fit(f, extra_probes=()):
     """(residual, operator, probe count) of ``product_form_witness`` by its
     body from before the probe design was kept per dimension: the probes
-    redrawn, normalized and designed on every call."""
-    from pqsim.opf import _witness_probe_states, quadratic_fit
+    redrawn, normalized and designed on every call, and fitted by
+    ``np.linalg.lstsq`` on the one BLAS thread every library fit runs on."""
+    from pqsim.opf import _one_blas_thread, _witness_probe_states
     from pqsim.qcore import StateStack, normalized_states
 
     dim = f.space.total_dim
@@ -891,7 +896,11 @@ def product_form_fit(f, extra_probes=()):
     extra = StateStack.of(extra_probes, f.space, "state space does not match the OPF's space")
     amps = np.concatenate([probes.amplitudes, extra.amplitudes])
     amps.setflags(write=False)
-    residual, coeffs = quadratic_fit(amps, f.values(StateStack._trusted(f.space, amps)))
+    design = projector_design(amps)
+    values = f.values(StateStack._trusted(f.space, amps))
+    with _one_blas_thread():
+        coeffs = np.linalg.lstsq(design, values, rcond=None)[0]
+    residual = float(np.max(np.abs(values - design @ coeffs)))
     return residual, hermitian_from_coords(coeffs), len(amps)
 
 

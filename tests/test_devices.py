@@ -868,6 +868,33 @@ class TestDeviceSpec:
             DeviceSpec("ExpectationReadout", {"observable": object()}).distribution(KET0, (0,))
         assert err.value.name == "observable"
 
+    @pytest.mark.parametrize("kind,params,name", [
+        ("Readout", {"basis": [[1, 0], [0]]}, "basis"),  # ragged
+        ("Readout", {"basis": [["a", "b"], ["c", "d"]]}, "basis"),
+        ("BasisSelect", {"basis": [[1, 0], [0]]}, "basis"),
+        ("EntanglementAnalyse", {"basis": [["a", "b"], ["c", "d"]]}, "basis"),
+        ("EntropyMeter", {"alpha": "x"}, "alpha"),
+        ("EntropyMeter", {"alpha": None}, "alpha"),
+        ("EntropyCertifier", {"alpha": "x", "entropy_threshold": 0.5}, "alpha"),
+        *[(kind, {**params, "precision": precision}, "precision")
+          for kind, params in [("Readout", {}), ("ExpectationReadout", {"observable": PAULI_Z}),
+                               ("EntropyMeter", {}), ("UncertaintySampler",
+                                                      {"observable": PAULI_Z})]
+          for precision in (0, -1, "x", float("inf"))],
+    ])
+    def test_malformed_parameter_is_named(self, kind, params, name):
+        with pytest.raises(ParameterError) as err:
+            DeviceSpec(kind, params).table(BELL, (0,))
+        assert err.value.name == name
+
+    @pytest.mark.parametrize("variant", ["integer_label", "finite", "bit"])
+    def test_label_variants_ignore_precision(self, variant):
+        params = {"observable": np.diag([1.0, 0.0]), "variant": variant, "max_label": 1}
+        want = DeviceSpec("EigenvalueSampler", params).distribution(BELL, (0,))
+        for precision in (3, 0, "x"):
+            assert DeviceSpec("EigenvalueSampler", {**params, "precision": precision}
+                              ).distribution(BELL, (0,)) == want
+
     def test_apply_draws_whenever_it_gets_a_stream(self):
         spec = DeviceSpec("BasisSelect")
         rng, fresh = RandomStream(5), RandomStream(5)

@@ -10,8 +10,9 @@ to make a change pass:
   random-stream namespaces.
 
 The records are computed in a fresh interpreter with BLAS pinned to one
-thread, as the benchmark runs them: least-squares residuals move by ulps
-with the BLAS thread count.  Running this file as a script prints the
+thread, as the benchmark runs them, and again at two threads, which must
+print the same bytes: every least-squares fit pins its own solve to one
+thread (``opf._lstsq``).  Running this file as a script prints the
 records as JSON, and under ``opf_seeds`` each in-process op's record at
 pqsim seeds 1-10 and the default seed, under ``estimation_seeds`` the
 records of the overlap estimate and the no-signalling demo at those seeds,
@@ -40,8 +41,7 @@ from pqsim import cli, experiments, opf
 from pqsim.qcore import FactorSpace, POVMSet, RandomStream
 
 HERE = Path(__file__).resolve().parent
-ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                     "MKL_NUM_THREADS")}
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 CLI_COMMANDS = {
     "list-devices": ["list-devices"],
@@ -155,15 +155,19 @@ def golden():
     return json.loads((HERE / "golden" / "records.json").read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module")
-def script_output():
-    """This file's output as a script, run in a fresh interpreter on one BLAS thread."""
-    env = dict(os.environ, **ONE_THREAD)
+def run_script(threads: int) -> str:
+    """This file's output as a script, run in a fresh interpreter on ``threads`` BLAS threads."""
+    env = dict(os.environ, **{name: str(threads) for name in BLAS_THREADS})
     env["PYTHONPATH"] = os.pathsep.join(
         [str(HERE.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, str(Path(__file__).resolve())],
                          capture_output=True, text=True, env=env, check=True)
     return out.stdout
+
+
+@pytest.fixture(scope="module")
+def script_output():
+    return run_script(1)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +192,10 @@ def test_opf_record_is_byte_identical(label, golden, current):
 
 def test_seed_swept_output_is_byte_identical(script_output):
     assert script_output == (HERE / "golden" / "seeds.json").read_text(encoding="utf-8")
+
+
+def test_seed_swept_output_does_not_depend_on_the_blas_thread_count():
+    assert run_script(2) == (HERE / "golden" / "seeds.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

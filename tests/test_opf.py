@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -433,6 +435,37 @@ class TestProductFormWitness:
                 assert cert.residual == residual
                 assert cert.operator.tobytes() == operator.tobytes()
                 assert cert.probe_count == count
+
+    def test_fits_pin_one_blas_thread_and_restore_the_count(self):
+        """Inside ``_one_blas_thread`` OpenBLAS runs one thread, and the count
+        set before comes back after, also with threads entering it at once."""
+        count = opf._openblas_thread_count()
+        if count is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        get, put = count
+        before, interval = get(), sys.getswitchinterval()
+        inside = []
+
+        def fit():
+            for _ in range(200):
+                with opf._one_blas_thread():
+                    time.sleep(0)  # let another thread in while this one is pinned
+                    inside.append(get())
+
+        try:
+            put(2)
+            sys.setswitchinterval(1e-6)
+            workers = [threading.Thread(target=fit) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert inside == [1] * 800
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
 
     def test_probe_design_is_built_once_per_dimension_read_only(self):
         first = opf._witness_design(4)
