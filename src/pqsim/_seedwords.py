@@ -127,9 +127,9 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's 128-bit LCG multiplier
 
 # numpy's ziggurat tables for standard_normal: ki_double (uint64) then
-# wi_double (float64), little-endian, read off the installed numpy by probing
-# PCG64 outputs (tests/test_qcore.py re-probes every entry).  wi at the one
-# index whose ki is 0 is never used, and is stored as 0.
+# wi_double (float64), little-endian, read off numpy 2.4.6 by probing PCG64
+# outputs (tests/test_qcore.py re-probes every entry on the installed numpy).
+# wi at the one index whose ki is 0 is never used, and is stored as 0.
 _TABLES = np.frombuffer(base64.b64decode(
     "au8lgD3zDgAAAAAAAAAAAKjG+5i+CAwAQoG9+lSjDQDq7sF+9lEOAH730+lVsg4Aucp+gUvvDgCq"
     "RPoKRxkPABjL/2HtNw8AXCVhlUZPDwCWoxvkpWEPAKSWU3V6cA8AmkQo7LJ8DwDTV2MM8YYPAN4l"

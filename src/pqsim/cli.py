@@ -45,7 +45,7 @@ from .opf import (
     product_form_witness,
 )
 from .qcore import (Ensemble, FactorSpace, HermitianObservable, POVMSet, PureState, RandomStream,
-                    _row_norms, normalized_states)
+                    _row_norms, normalized_states, projectors)
 
 DEFAULT_SEED = 0x5EED
 
@@ -455,8 +455,7 @@ def _resolve_basis(value, dim: int, key: str):
 
 
 def _computational_povm(dim: int) -> POVMSet:
-    eye = np.eye(dim, dtype=complex)
-    return POVMSet(tuple(np.outer(eye[i], eye[i]) for i in range(dim)))
+    return POVMSet(tuple(projectors(np.eye(dim, dtype=complex))))
 
 
 def _resolve_povm(value, dim: int, key: str) -> POVMSet:
@@ -527,7 +526,7 @@ def build_state(config: RunConfig) -> PureState:
             space, RandomStream(config.seed, experiment=_STATE_STREAM).complex_normal(
                 space.total_dim))
     amps = np.array(config.state_amplitudes)
-    norm = float(np.linalg.norm(amps))
+    norm = float(_row_norms(amps))
     if abs(norm - 1.0) > 1e-9:
         print(f"warning: renormalizing explicit amplitudes (norm {norm:.9g})",
               file=sys.stderr)
@@ -660,10 +659,13 @@ def _product_form(read, rng):
 _D = Param(int, 2, 2, 4)
 _M = Param(int, 3, 1, 8)  # the entropy meter's precision: 2^m log2(d) + 1 outcomes
 _THRESHOLD = Param(float, 0.05, low=0.0, open=True)
+# a count's largest array stays near 256 MB at d = 4: fpvnem's (samples, 16) and cloning's
+# (trials, 8) complex states at 10^6, the closure check's (samples, 257) floats at 10^5
+_MAX_COUNT = 10**6
 
 EXPERIMENTS = {a.config_name: a for a in (
     Action("fpvnem", "fpvnem", 10, {
-        "d": _D, "m": _M, "samples": Param(int, 1000, 1),
+        "d": _D, "m": _M, "samples": Param(int, 1000, 1, _MAX_COUNT),
         "include_entangled": Param(bool, True, choices=(True, False))},
         lambda read, rng: exp.fpvnem_refutation(
             read("d"), read("m"), read("samples"), rng,
@@ -677,7 +679,7 @@ EXPERIMENTS = {a.config_name: a for a in (
         lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights")),
         check=_no_signalling_weights),
     Action("cloning", "cloning", 13, {
-        "d": _D, "precision": Param(int, None, 1), "trials": Param(int, 100, 1)},
+        "d": _D, "precision": Param(int, None, 1), "trials": Param(int, 100, 1, _MAX_COUNT)},
         lambda read, rng: exp.cloning_demo(read("d"), rng, precision=read("precision"),
                                            trials=read("trials")),
         m_param="precision"),
@@ -688,14 +690,14 @@ EXPERIMENTS = {a.config_name: a for a in (
             PureState.basis_state(FactorSpace((2,)), 0), read("n"), rng,
             confidence=read("confidence"), threshold=read("threshold"))),
     Action("ensemble-readout", "ensemble-readout", 15, {
-        "n": Param(int, 10_000, 100), "precisions": Param(int, None, 1, many=True),
+        "n": Param(int, 10_000, 100, _MAX_COUNT), "precisions": Param(int, None, 1, many=True),
         "threshold": _THRESHOLD},
         lambda read, rng: exp.ensemble_estimate_readout(
             _default_ensemble(), read("n"), rng, precision_schedule=read("precisions"),
             threshold=read("threshold")),
         m_param="precisions"),
     Action("ensemble-overlap", "ensemble-overlap", 16, {
-        "n": Param(int, 2000, 1),
+        "n": Param(int, 2000, 1, _MAX_COUNT),
         "epsilons": Param(float, (0.05, 0.01), 0.0, 1.0, open=True, many=True),
         "threshold": _THRESHOLD},
         lambda read, rng: exp.ensemble_estimate_overlap(
@@ -707,7 +709,7 @@ CHECKS = {a.config_name: a for a in (
     Action("closure", "closure", 3, {
         "family": Param(str, "quantum_povm",
                         choices=("quantum_povm", "entropy_meter", "fpvnem")),
-        "samples": Param(int, 100, 1), "m": _M},
+        "samples": Param(int, 100, 1, 10**5), "m": _M},
         _closure, m_param="m"),
     Action("product-form", "product_form", 3, {
         "family": Param(str, "fpvnem", choices=("fpvnem", "quantum")),

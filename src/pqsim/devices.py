@@ -155,8 +155,8 @@ class DistributionTable:
         """The list view: each row's (outcome, probability) branches, in order.
 
         IntegerLabel and Bit outcomes are frozen and int-valued, so rows share
-        one outcome per distinct value (``_int_outcome``).  A RealValue is
-        built per row, so that 0.0 and -0.0 stay apart.
+        one outcome per distinct value (``_int_outcome``, which keeps 256).
+        A RealValue is built per row, so that 0.0 and -0.0 stay apart.
         """
         probs = self.probabilities.tolist()
         if self.types == (MatrixDescription,):
@@ -274,8 +274,9 @@ def _logistic(x: float) -> float:
 
 def _outcome(distribution: list[tuple[Outcome, float]], rng: RandomStream | None,
              device: str) -> Outcome:
-    """One run of a device: the only outcome of a one-point distribution, a
-    draw from ``rng``, or without one the outcome of probability 1."""
+    """One run of a device: the only outcome of a one-point distribution,
+    which leaves the stream alone; a draw from ``rng``, one uniform through
+    ``RandomStream.choose``; or without one the outcome of probability 1."""
     if len(distribution) == 1:
         return distribution[0][0]
     if rng is not None:

@@ -47,7 +47,9 @@ from .qcore import (
     _require_square,
     _row_norms,
     ensemble_densities,
+    in_order_sum,
     normalized_states,
+    projectors,
     quadratic_forms,
     random_pure_states,
     random_pure_states_in_turn,
@@ -161,8 +163,7 @@ class FullMeasurement:
 def _completeness_violation(probs: np.ndarray) -> np.ndarray:
     """Worst |sum_i f_i - 1| over the rows of an (n, k) matrix, each summed
     left to right, as a 0-d array; of a (blocks, n, k) stack, each block's."""
-    totals = np.cumsum(probs, axis=-1)[..., -1]
-    return np.max(np.abs(totals - 1.0), axis=-1, initial=0.0)
+    return np.max(np.abs(in_order_sum(probs) - 1.0), axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,7 @@ def check_closure(measurement: FullMeasurement, samples: int,
     n_probes = len(probes)
 
     weights = _flat_dirichlet([aux.generator] * 10, n_out)
-    mixed = np.cumsum(values[None, :n_probes] * weights[:, None, :], axis=2)[..., -1]
+    mixed = in_order_sum(values[None, :n_probes] * weights[:, None, :])
     mixture_violation = _worst(_range_violations(mixed))
 
     unitaries = random_unitaries(space.total_dim, aux, 10)
@@ -563,7 +564,7 @@ def _witness_probe_states(dim: int) -> list[np.ndarray]:
     salt = RandomStream(0x9E3779B9, experiment=dim)
     for _ in range(2 * dim):
         v = salt.complex_normal(dim)
-        probes.append(v / np.linalg.norm(v))
+        probes.append(v / _row_norms(v))
     return probes
 
 
@@ -628,8 +629,7 @@ def _projector_design(amps: np.ndarray) -> np.ndarray:
     design = np.empty((n, d * d))
     for start in range(0, n, _DESIGN_BLOCK):
         rows = amps[start:start + _DESIGN_BLOCK]
-        design[start:start + len(rows)] = hermitian_coords(
-            rows[:, :, None] * rows.conj()[:, None, :])
+        design[start:start + len(rows)] = hermitian_coords(projectors(rows))
     return design
 
 
@@ -690,8 +690,10 @@ def _one_blas_thread():
 def _lstsq(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The least-squares X of design @ X = targets ((m, n) and (m, k), or
     stacks that broadcast, each solved alone) by the kernel, ``rcond`` and
-    SVD error of ``np.linalg.lstsq``: its stacked ``gelsd``, which rounds by
-    the BLAS thread count, so it runs on one thread (``_one_blas_thread``)."""
+    SVD error of ``np.linalg.lstsq``: its stacked ``gelsd``, numpy 2.4's
+    gufunc ``_umath_linalg.lstsq`` ``"ddd->ddid"``, which rounds by the BLAS
+    thread count, so it runs on one thread (``_one_blas_thread``).  Under
+    another BLAS than numpy's OpenBLAS a fit can move by ulps with its count."""
     with _one_blas_thread(), np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
                                          divide="ignore", under="ignore"):
         return _umath_linalg.lstsq(design, targets, np.finfo(float).eps * max(design.shape[-2:]),
@@ -827,7 +829,7 @@ def _ic_outcomes(family: str, dim: int) -> _ICOutcomes:
     target = space.indices()
     states = np.array(ic_projector_states(dim))
     states.setflags(write=False)
-    projs = states[:, :, None] * states.conj()[:, None, :]  # each np.outer(vec, vec.conj())
+    projs = projectors(states)
     projs.setflags(write=False)
     if family == "quantum_povm":
         return _ICOutcomes(states, projs, _quantum_opfs(projs, space))
@@ -883,10 +885,7 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
             per_member = np.array([f(members) for f in ic.outcomes])
         # sum_r p_r f(psi_r) of every outcome, added in member order as
         # ``on_ensembles`` does
-        weighted = weights * per_member.reshape((len(ic.outcomes),) + weights.shape)
-        values = np.zeros(weighted.shape[:-1])
-        for term in np.moveaxis(weighted, -1, 0):
-            values += term
+        values = in_order_sum(weights * per_member.reshape((len(ic.outcomes),) + weights.shape))
         rhos = density_from_projector_values(ic.states, values.T, dim)
         densities = ensemble_densities(weights, members.amplitudes.reshape(
             weights.shape + (dim,)))
@@ -937,7 +936,7 @@ def _random_ensembles(space: FactorSpace, rng: RandomStream, trials: int,
     depend on how a run of them is split into calls.
     """
     dim = space.total_dim
-    gens = list(rng._generators(range(trials)))
+    gens = [stream.generator for stream in rng.derive_many(range(trials))]
     weights = _flat_dirichlet(gens, members)
     normals = np.empty((trials, members, 2, dim))
     for block, gen in zip(normals, gens):
@@ -962,7 +961,7 @@ def _flat_dirichlet(gens: Sequence[np.random.Generator], k: int) -> np.ndarray:
     if k > 1:
         for row, gen in zip(rows, gens):
             gen.standard_exponential(out=row)
-        rows *= 1.0 / np.cumsum(rows, axis=1)[:, -1:]
+        rows *= 1.0 / in_order_sum(rows)[:, None]
     return rows
 
 
@@ -1030,7 +1029,7 @@ def update_map_feasibility(element: np.ndarray,
                                        2 * dim)
     vecs = np.concatenate([probes.amplitudes, np.array(canonical_probe_states(dim)),
                            extra.amplitudes])
-    projs = vecs[:, :, None] * vecs.conj()[:, None, :]
+    projs = projectors(vecs)
     coords = hermitian_coords(projs)
     design = coords[:n]
     if np.linalg.matrix_rank(design, tol=1e-9) < dim * dim:

@@ -95,11 +95,11 @@ _cached_plan = functools.lru_cache(maxsize=1024)(_build_plan)
 
 
 def _subset_plan(space: FactorSpace, subset: Union[int, Sequence[int]]) -> _SubsetPlan:
-    """The plan of a subsystem index set on ``space``, kept per (dims, subset)
-    for an int or a tuple of hashable entries, built anew for anything else
-    (a list, or an iterator that one build consumes).  A bad subset raises
-    its message on every call: an exception is never kept.  A plan that a
-    caller already holds for ``space`` is returned as it is."""
+    """The plan of a subsystem index set on ``space``: kept per (dims, subset),
+    up to 1,024 plans, for an int or a tuple of hashable entries, built anew
+    for anything else (a list, an iterator).  A bad subset raises its message
+    on every call: an exception is never kept.  A plan that a caller already
+    holds for ``space`` is returned as it is."""
     if type(subset) is _SubsetPlan:
         return subset
     if isinstance(subset, (int, np.integer, tuple)):
@@ -188,6 +188,18 @@ def _row_norms(amps: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def projectors(amps: np.ndarray) -> np.ndarray:
+    """|psi><psi| of every (..., D) amplitude row, as (..., D, D): each entry
+    is one product, bit-identical to ``np.outer(psi, psi.conj())``."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
+
+
+def in_order_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The sum along ``axis``, added left to right from 0.0: bit-identical to
+    Python's ``sum`` or a ``+=`` loop, which numpy's pairwise ``np.sum`` is not."""
+    return np.cumsum(x, axis).take(-1, axis) + 0.0  # cumsum starts at x_0, not 0.0 + x_0
+
+
 class PureState:
     """Normalized complex amplitude vector over a declared factorization.
 
@@ -237,7 +249,7 @@ class PureState:
 
     def density(self) -> np.ndarray:
         """Rank-1 projector |psi><psi| as a plain array."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        return projectors(self.amplitudes)
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -319,9 +331,7 @@ def require_ensemble_weights(weights: np.ndarray) -> None:
     all weights positive, and their sum, added in member order, within
     ``NORM_ATOL`` of 1.  The first bad row raises one ensemble's message."""
     positive = (weights > 0.0).all(axis=1)  # NaN is not positive either
-    totals = np.zeros(len(weights))
-    for column in weights.T:  # the order of Python's sum over the members
-        totals += column
+    totals = in_order_sum(weights)  # the order of Python's sum over the members
     bad = ~positive | ~(np.abs(totals - 1.0) <= NORM_ATOL)
     if bad.any():
         row = bad.argmax()
@@ -335,12 +345,7 @@ def ensemble_densities(weights: np.ndarray, amplitudes: np.ndarray) -> np.ndarra
     (n, m, D) amplitude array, as an (n, D, D) stack, not validated.  The
     terms are added in member order, the order of ``DensityMatrix.from_ensemble``,
     its one-row case."""
-    n, members, dim = amplitudes.shape
-    rho = np.zeros((n, dim, dim), dtype=complex)
-    for r in range(members):
-        amps = amplitudes[:, r]
-        rho += weights[:, r, None, None] * (amps[:, :, None] * amps.conj()[:, None, :])
-    return rho
+    return in_order_sum(weights[:, :, None, None] * projectors(amplitudes), axis=1)
 
 
 class HermitianObservable:
@@ -504,8 +509,9 @@ class RandomStream:
     """Reproducible random source keyed by (seed, experiment, trial).
 
     Identical keys yield identical sample sequences across runs and
-    platforms.  A stream is stateful and must not be shared between
-    concurrent consumers; derive per-trial children instead.
+    platforms: ``PCG64`` seeded by ``SeedSequence(entropy=seed mod 2^64,
+    spawn_key=(experiment, trial))``.  A stream is stateful and must not be
+    shared between concurrent consumers; derive per-trial children instead.
     """
 
     __slots__ = ("seed", "experiment", "trial", "_gen")
@@ -527,28 +533,16 @@ class RandomStream:
 
     def derive_many(self, trials: range) -> Iterator["RandomStream"]:
         """The streams ``self.derive(t)`` for t in ``trials``, in order, made
-        lazily: each of ``_generators``' generators in its ``RandomStream``."""
-        for t, gen in zip(trials, self._generators(trials)):
-            stream = RandomStream.__new__(RandomStream)
-            stream.seed = self.seed
-            stream.experiment = self.experiment
-            stream.trial = t
-            stream._gen = gen
-            yield stream
+        lazily, each bit-identical to ``derive``'s.
 
-    def _generators(self, trials: range) -> Iterator[np.random.Generator]:
-        """The generators of the streams ``self.derive(t)`` for t in ``trials``,
-        in order, made lazily, for callers that read only ``generator``.
-
-        Each is bit-identical to ``derive``'s.  When both ends of the range
-        lie in [0, 2^32), so does every trial, and the seeding words come
-        from vectorised passes of numpy's SeedSequence mixing, one per block
-        of ``_seedwords.BLOCK`` trials; otherwise every trial goes through
-        ``derive``.
+        When both ends of the range lie in [0, 2^32), so does every trial, and
+        the seeding words come from vectorised passes of numpy's SeedSequence
+        mixing, one per block of ``_seedwords.BLOCK`` (4,096) trials: a few
+        microseconds a stream, not a SeedSequence's 15.  Otherwise every trial
+        goes through ``derive``.
         """
         if not _in_one_word(trials):
-            for t in trials:
-                yield self.derive(t)._gen
+            yield from map(self.derive, trials)
             return
         # imported on first use: it imports numpy.random, which importing
         # pqsim does not
@@ -557,23 +551,21 @@ class RandomStream:
         pcg64, generator, seed_words = np.random.PCG64, np.random.Generator, _seedwords.SeedWords
         for start in range(0, len(trials), _seedwords.BLOCK):
             block = trials[start:start + _seedwords.BLOCK]
-            for words in _seedwords.seed_words(self.seed, self.experiment, block):
-                yield generator(pcg64(seed_words(words)))
+            for t, words in zip(block, _seedwords.seed_words(self.seed, self.experiment, block)):
+                stream = RandomStream.__new__(RandomStream)
+                stream.seed, stream.experiment, stream.trial = self.seed, self.experiment, t
+                stream._gen = generator(pcg64(seed_words(words)))
+                yield stream
 
     def _normal_rows(self, trials: range, k: int) -> np.ndarray:
         """(len(trials), k): row i holds the first k ``normal`` draws of the
-        stream ``self.derive(trials[i])``, bit for bit.
-
-        Under ``_generators``' rule, a range inside [0, 2^32) is drawn by
-        ``_seedwords.standard_normals``, one vectorised PCG64 and ziggurat
-        pass per block of ``_seedwords.BLOCK`` trials, with no generator
-        built but for a row the ziggurat's fast path rejects; any other range
-        is drawn by each trial's generator.
-        """
+        stream ``self.derive(trials[i])``, bit for bit: ``derive_many``'s seed
+        words through ``_seedwords.standard_normals``, block by block, or
+        outside [0, 2^32) each trial's ``derive`` stream."""
         normals = np.empty((len(trials), k))
         if not _in_one_word(trials):
-            for row, gen in zip(normals, self._generators(trials)):
-                gen.standard_normal(out=row)
+            for row, t in zip(normals, trials):
+                self.derive(t)._gen.standard_normal(out=row)
             return normals
         from . import _seedwords
 
@@ -813,10 +805,8 @@ def random_pure_states(spaces: Sequence[FactorSpace], rng: RandomStream,
 
     Every trial's row of normals is the first draws of its stream, as a
     generator's normals do not depend on how a run of them is split into
-    calls; ``RandomStream._normal_rows`` draws them all in one vectorised
-    PCG64 and ziggurat pass, bit-identical to each trial's own generator,
-    which draws only a row the ziggurat's fast path rejects.  The rest runs
-    on stacks.  ``trials`` is an integer >= 0.
+    calls, so ``RandomStream._normal_rows`` draws them all at once.  The rest
+    runs on stacks.  ``trials`` is an integer >= 0.
     """
     trials = _checked_int(trials, "trials", 0)
     sizes = [s.total_dim for s in spaces]
@@ -920,8 +910,7 @@ def reduced_densities(states, keep: Union[int, Sequence[int]]) -> np.ndarray:
     plan = _subset_plan(stack.space, keep)
     if plan.rest:
         return partial_trace(stack, plan)
-    amps = stack.amplitudes
-    return amps[:, :, None] * amps.conj()[:, None, :]
+    return projectors(stack.amplitudes)
 
 
 def _reduced_rows(amps: np.ndarray, dims: tuple[int, ...], plan: _SubsetPlan) -> np.ndarray:
@@ -932,7 +921,8 @@ def _reduced_rows(amps: np.ndarray, dims: tuple[int, ...], plan: _SubsetPlan) ->
 
 
 def _grouped(amps: np.ndarray, dims: tuple[int, ...], plan: _SubsetPlan) -> np.ndarray:
-    """(n, D) amplitude rows as (n, d_keep, d_rest) matrices: kept factors by the rest."""
+    """(n, D) amplitude rows as (n, d_keep, d_rest) matrices, kept factors by the
+    rest: for ``partial_trace``, ``schmidt_decompose`` and ``apply_on_factors``."""
     n = len(amps)
     return np.transpose(amps.reshape((n,) + dims), plan.axes).reshape(n, plan.d_keep, plan.d_rest)
 
@@ -1020,8 +1010,9 @@ def measure_projective(state: PureState, observable: HermitianObservable,
     """Projective measurement on the chosen factors, with state collapse.
 
     Returns the sampled eigenvalue-cluster index and the renormalized
-    post-measurement state (P_i x I)|psi>.  Clusters with probability
-    below the selection floor are never chosen.
+    post-measurement state (P_i x I)|psi>, every cluster's image from one
+    ``apply_on_factors`` call.  Clusters with probability below the
+    selection floor are never chosen.
     """
     plan = _subset_plan(state.space, on)
     if observable.dim != plan.d_keep:

@@ -384,10 +384,10 @@ def derived_streams(seed, experiment, trials):
 
 def normal_rows(rng, trials, k):
     """random_pure_states' per-trial loop before its rows were one pass: each
-    trial's generator, from ``RandomStream._generators``, fills its row of k
+    trial's generator, from ``RandomStream.derive_many``, fills its row of k
     normals in one draw."""
     normals = np.empty((len(trials), k))
-    for row, gen in zip(normals, rng._generators(trials)):
+    for row, gen in zip(normals, (s.generator for s in rng.derive_many(trials))):
         gen.standard_normal(out=row)
     return normals
 

@@ -455,6 +455,28 @@ class TestConfigurationExitCodes:
         assert main(["run", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,name", [
+        (None, "samples"),  # check closure --samples
+        ("fpvnem", "samples"),
+        ("cloning", "trials"),
+        ("ensemble-readout", "n"),
+        ("ensemble-overlap", "n"),
+    ])
+    def test_huge_count_exits_two_naming_its_key(self, experiment, name, tmp_path, capsys):
+        # 2^64 overflows numpy's sizes and draws; a count has a bound instead
+        if experiment is None:
+            status, key = main(["check", "closure", "--samples", str(2 ** 64)]), name
+        else:
+            cfg = tmp_path / "huge.pq"
+            cfg.write_text('space.dims = [2]\nstate.kind = "random"\n'
+                           f'action.type = "experiment"\naction.experiment.id = "{experiment}"\n'
+                           f"action.experiment.{name} = {2 ** 64}\n")
+            status, key = main(["run", str(cfg)]), f"action.experiment.{name}"
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and f"(key '{key}'" in captured.err
+
     def test_non_finite_amplitude_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "nan.pq"
         cfg.write_text('space.dims = [2, 2]\nstate.kind = "explicit"\n'

@@ -781,7 +781,7 @@ class TestFlatDirichlet:
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_one_row_per_generator(self, k):
-        gens = list(RandomStream(389)._generators(range(20)))
+        gens = [s.generator for s in RandomStream(389).derive_many(range(20))]
         got = opf._flat_dirichlet(gens, k)
         want = [RandomStream(389).derive(t).generator.dirichlet(np.ones(k)) for t in range(20)]
         assert got.tobytes() == np.array(want).tobytes()

@@ -367,6 +367,27 @@ class TestHugeAmplitudes:
         rows = scale * np.random.default_rng(7).standard_normal((4, 6)).view(complex)
         for row, got in zip(rows, qcore._row_norms(rows)):
             assert got == float(np.linalg.norm(row))
+            assert qcore._row_norms(row) == got  # a vector alone
+            assert qcore._row_norms(row.real) == float(np.linalg.norm(row.real))
+
+
+class TestRepeatedRules:
+    """``projectors`` and ``in_order_sum`` give the bits of the loops they replace."""
+
+    def test_projectors_are_outer_products(self):
+        rows = np.random.default_rng(8).standard_normal((5, 6)).view(complex)
+        rows[::2, 1] = -0.0
+        for row, projector in zip(rows, qcore.projectors(rows)):
+            assert projector.tobytes() == np.outer(row, row.conj()).tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_in_order_sum_is_a_loop_from_zero(self, axis):
+        x = np.random.default_rng(9).choice([0.0, -0.0, 0.1, -0.3, 1e16, -1e16], size=(40, 7))
+        x[:, 0] = x[0, :] = -0.0  # a sum of -0.0 alone is 0.0 from 0.0
+        want = np.zeros(x.shape[1 - axis])
+        for term in np.moveaxis(x, axis, 0):
+            want += term
+        assert qcore.in_order_sum(x, axis).tobytes() == want.tobytes()
 
 
 # Every space the construction oracle is checked on.
@@ -1510,7 +1531,7 @@ class TestDeriveMany:
     ])
     def test_bare_generators_equal_derive(self, trials):
         rng = RandomStream(0x5EED, 10)
-        generators = list(rng._generators(trials))
+        generators = [s.generator for s in rng.derive_many(trials)]
         assert len(generators) == len(trials)
         for gen, t in zip(generators, trials):
             want = rng.derive(t).generator
