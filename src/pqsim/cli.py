@@ -196,48 +196,6 @@ class RunConfig:
     # the device parse_config built and checked from ``params``; run uses it
     device: dev.DeviceSpec | None = field(default=None, compare=False, repr=False)
 
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    def to_text(self) -> str:
-        """Serialize so that parse_config round-trips to an equal RunConfig."""
-        lines = [f"seed = {self.seed}",
-                 f"space.dims = {_render(list(self.dims))}",
-                 f'state.kind = "{self.state_kind}"']
-        if self.state_labels:
-            lines.append(f"state.labels = {_render(list(self.state_labels))}")
-        if self.state_amplitudes:
-            rendered = [format_value(a) for a in self.state_amplitudes]
-            lines.append(f"state.amplitudes = {_render(rendered, quote=True)}")
-        lines.append(f'action.type = "{self.action_type}"')
-        prefix = f"action.{self.action_type}."
-        lines.append(f'{prefix}{_NAME_KEYS[self.action_type]} = "{self.name}"')
-        if self.action_type == "device":
-            lines.append(f"action.target = {_render(list(self.target))}")
-            lines.append(f"action.repetitions = {self.repetitions}")
-        for key, value in self.params:
-            lines.append(f"{prefix}{key} = {_render(value)}")
-        if self.output_path:
-            lines.append(f'output.path = "{self.output_path}"')
-        lines.append(f'output.format = "{self.output_format}"')
-        return "\n".join(lines) + "\n"
-
-
-def _render(value, quote: bool = False) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return f'"{value}"'
-    if isinstance(value, (list, tuple)):
-        inner = ", ".join(f'"{v}"' if quote else _render(v) for v in value)
-        return f"[{inner}]"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
 
 _STATE_KINDS = ("bell", "ghz", "product", "random", "explicit")
 _NAME_KEYS = {"device": "kind", "experiment": "id", "check": "kind"}  # action.<type>.<key>
@@ -277,6 +235,9 @@ def parse_config(text: str) -> RunConfig:
         space = FactorSpace(dims)
     except ValueError as err:
         fail(str(err), "space.dims")
+    if space.total_dim > _MAX_DIM:
+        fail(f"space.dims has total dimension {space.total_dim}, above {_MAX_DIM} = 2^24",
+             "space.dims")
 
     state_kind = take("state.kind", required=True)
     if state_kind not in _STATE_KINDS:
@@ -341,6 +302,9 @@ def parse_config(text: str) -> RunConfig:
             dim = dev.target_dimension(space, target)
         except ValueError as err:
             fail(str(err), "action.target")
+        if dim > _MAX_TARGET_DIM:
+            fail(f"action.target has dimension {dim}, above {_MAX_TARGET_DIM} = 2^12",
+                 "action.target")
         if record.single_factor and len(target) != 1:
             fail(f"{name} acts on a single factor", "action.target")
         repetitions = take("action.repetitions", 1)
@@ -662,6 +626,9 @@ _THRESHOLD = Param(float, 0.05, low=0.0, open=True)
 # a count's largest array stays near 256 MB at d = 4: fpvnem's (samples, 16) and cloning's
 # (trials, 8) complex states at 10^6, the closure check's (samples, 257) floats at 10^5
 _MAX_COUNT = 10**6
+# and so does a size's: 2^24 complex amplitudes, or a (2^12, 2^12) complex density, take 256 MB
+_MAX_DIM = 2**24
+_MAX_TARGET_DIM = 2**12
 
 EXPERIMENTS = {a.config_name: a for a in (
     Action("fpvnem", "fpvnem", 10, {
@@ -753,10 +720,15 @@ def run(config: RunConfig) -> int:
         records = [fields]
 
     render = _as_text if config.output_format == "text" else format_record
-    with (open(config.output_path, "w", encoding="utf-8") if config.output_path
-          else contextlib.nullcontext(sys.stdout)) as out:
+    try:
+        out = (open(config.output_path, "w", encoding="utf-8") if config.output_path
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as err:
+        raise ConfigError(f"cannot write {config.output_path!r}: {err.strerror}",
+                          "output.path") from None
+    with out as stream:
         for fields in records:  # a device run's records are written as they are made
-            out.write(render(fields) + "\n")
+            stream.write(render(fields) + "\n")
     return status
 
 
@@ -853,8 +825,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            try:
+                with open(args.config, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as err:
+                raise ConfigError(f"cannot read {args.config!r}: {err.strerror}") from None
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"{args.config!r} is not UTF-8 text: {err.reason} "
+                                  f"at byte {err.start}") from None
             return run(parse_config(text))
         if args.command == "list-devices":
             print(list_devices(as_json=args.json, pattern=args.filter))
@@ -872,9 +850,6 @@ def main(argv: list[str] | None = None) -> int:
         return status
     except ConfigError as err:
         print(f"pqsim: configuration error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"pqsim: {err}", file=sys.stderr)
         return 2
 
 

@@ -852,14 +852,15 @@ class OutcomeSelection:
     ``matrix(table)[r, i]`` adds up, in branch order, the probabilities of
     the branches of row r that match ``selectors[i]`` under
     :func:`outcomes_equal`, so a measurement with many outcomes needs one
-    table per stack of states, not one per outcome.  The scalar selectors of
-    each type are sorted once; each branch value finds its candidates by a
-    binary search, and |value - selector| <= ``OUTCOME_ATOL`` (equality for
-    labels and bits) decides each match.  A selector that matches no branch
-    of a row must still be a legal outcome of the device kind.
+    table per stack of states, not one per outcome.  Scalar branches are
+    matched on the table's distinct values: |value - selector| <=
+    ``OUTCOME_ATOL`` (equality for labels and bits) is decided once per
+    distinct value and selector, then read back for every branch.  A
+    selector that matches no branch of a row must still be a legal outcome
+    of the device kind.
     """
 
-    __slots__ = ("kind", "selectors", "_groups", "_sorted", "_may_miss")
+    __slots__ = ("kind", "selectors", "_groups", "_scalars", "_may_miss")
 
     def __init__(self, spec: DeviceSpec, selectors: Sequence[Outcome]):
         self.kind = spec.kind
@@ -868,35 +869,14 @@ class OutcomeSelection:
         for i, selector in enumerate(self.selectors):
             groups.setdefault(type(selector), []).append(i)
         self._groups = groups
-        # per scalar type: its selectors' values in ascending order, and their indices
-        self._sorted = {}
-        for kind in _SCALARS:
-            if kind in groups:
-                idx = np.array(groups[kind])
-                values = np.array([self.selectors[i].value for i in idx], dtype=float)
-                order = np.argsort(values, kind="stable")
-                self._sorted[kind] = (values[order], idx[order])
+        # per scalar type: its selectors' indices and values
+        self._scalars = {kind: (np.array(groups[kind]),
+                                np.array([self.selectors[i].value for i in groups[kind]],
+                                         dtype=float))
+                         for kind in _SCALARS if kind in groups}
         may_miss = DEVICE_KINDS[spec.kind].may_miss
         self._may_miss = np.array([isinstance(s, may_miss) for s in self.selectors],
                                   dtype=bool)
-
-    def _scalar_matches(self, kind: type, values: np.ndarray,
-                        k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The flat (n, k) cell and the flat ``values`` entry of every match of
-        an (n, c) block of branch values against the selectors of one scalar
-        type, in row-major entry order."""
-        sel_values, sel_index = self._sorted[kind]
-        v = np.asarray(values, dtype=float).reshape(-1)
-        atol = OUTCOME_ATOL if kind is RealValue else 0.0
-        # the window is twice the tolerance wide on each side, so rounding in
-        # v -+ 2 atol cannot leave a match out; the exact test below decides
-        lo = np.searchsorted(sel_values, v - 2.0 * atol, "left")
-        counts = np.searchsorted(sel_values, v + 2.0 * atol, "right") - lo
-        entry = np.repeat(np.arange(v.size), counts)
-        pos = np.arange(entry.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        hit = np.abs(v[entry] - sel_values[pos]) <= atol
-        entry, pos = entry[hit], pos[hit]
-        return entry // values.shape[1] * k + sel_index[pos], entry
 
     def matrix(self, table: DistributionTable) -> np.ndarray:
         """(n, k) probabilities of the k selectors on each of the n rows of a table."""
@@ -910,11 +890,17 @@ class OutcomeSelection:
             if kind not in self._groups:
                 continue
             probs = table.probabilities[:, cols]
-            if kind in self._sorted:
-                # row-major entries keep branch order, so add.at sums each
-                # cell in the order the branches come
-                cells, entries = self._scalar_matches(kind, table.values[:, cols], k)
-                np.add.at(out.reshape(-1), cells, probs.reshape(-1)[entries])
+            if kind in self._scalars:
+                index, values = self._scalars[kind]
+                distinct, inverse = np.unique(np.asarray(table.values[:, cols], dtype=float),
+                                              return_inverse=True)
+                atol = OUTCOME_ATOL if kind is RealValue else 0.0
+                hits = np.abs(distinct[:, None] - values) <= atol
+                # np.nonzero walks (row, branch, selector) in row-major order,
+                # so add.at sums each cell in the order the branches come
+                row, branch, selector = np.nonzero(hits[inverse.reshape(probs.shape)])
+                cells = row * k + index[selector]
+                np.add.at(out.reshape(-1), cells, probs[row, branch])
                 matched.reshape(-1)[cells] = True
                 continue
             for i in self._groups[kind]:

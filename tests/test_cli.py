@@ -50,8 +50,9 @@ class TestConfigParsing:
         assert config.dims == (2, 2)
         assert config.state_kind == "bell"
         assert config.name == "EntropyMeter"
-        assert config.param("alpha") == 1
-        assert config.param("precision") is None  # m absent: infinite precision
+        params = dict(config.params)
+        assert params.get("alpha") == 1
+        assert params.get("precision") is None  # m absent: infinite precision
         assert config.seed == DEFAULT_SEED
         assert config.repetitions == 1
 
@@ -130,32 +131,6 @@ action.target = [0]
             parse_config(MINIMAL.replace("action.target = [0]", "action.target = [5]"))
         assert "action.target" in str(err.value)
 
-    def test_round_trip_through_serialization(self):
-        for text in (
-            MINIMAL,
-            """
-seed = 99
-space.dims = [2]
-state.kind = "explicit"
-state.amplitudes = ["0.70710678118654757+0i", "0-0.70710678118654757i"]
-action.type = "experiment"
-action.experiment.id = "cloning"
-action.experiment.d = 2
-output.format = "text"
-""",
-            """
-space.dims = [2]
-state.kind = "random"
-action.type = "check"
-action.check.kind = "estimation_assumption"
-action.check.family = "readout"
-output.path = "out.records"
-""",
-        ):
-            config = parse_config(text)
-            assert parse_config(config.to_text()) == config
-
-
     @pytest.mark.parametrize("action,name_line,name", [
         ("device", 'action.device.kind = "EntropyMeter"\naction.target = [0]', "EntropyMeter"),
         ("experiment", 'action.experiment.id = "spod-update"', "spod-update"),
@@ -165,8 +140,6 @@ output.path = "out.records"
         text = f'space.dims = [2, 2]\nstate.kind = "bell"\naction.type = "{action}"\n{name_line}\n'
         config = parse_config(text)
         assert config.name == name
-        assert name_line.split("\n")[0] in config.to_text().splitlines()
-        assert parse_config(config.to_text()).name == name
 
 
 class TestStateConstruction:
@@ -551,6 +524,45 @@ class TestConfigurationExitCodes:
         monkeypatch.setattr(cli, "entropy_meter_measurement", refuse)
         assert main(argv) == 2
         assert "m must lie in [1, 8], got 9 (key 'm')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe" + MINIMAL.encode()),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_config_exits_two_naming_its_path(self, make, tmp_path, capsys):
+        path = tmp_path / "run.pq"
+        make(path)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and repr(str(path)) in captured.err
+
+    def test_output_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert _run_config(tmp_path, MINIMAL + f'output.path = "{out}"\n') == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(str(out)) in captured.err and "(key 'output.path')" in captured.err
+
+    @pytest.mark.parametrize("text,key", [
+        # a 40-qubit GHZ state has 2^40 amplitudes, 16 TiB
+        (f'space.dims = [{", ".join(["2"] * 40)}]\nstate.kind = "ghz"\naction.type = "device"\n'
+         'action.device.kind = "EntropyMeter"\naction.target = [0]\n', "space.dims"),
+        (f'space.dims = [{", ".join(["2"] * 40)}]\nstate.kind = "ghz"\n'
+         'action.type = "experiment"\naction.experiment.id = "spod-update"\n', "space.dims"),
+        (f'space.dims = [{", ".join(["2"] * 40)}]\nstate.kind = "product"\n'
+         f'state.labels = [{", ".join(["0"] * 40)}]\n'
+         'action.type = "experiment"\naction.experiment.id = "spod-update"\n', "space.dims"),
+        # 2^24 amplitudes are allowed, but a (2^24, 2^24) density is 4 PiB
+        ('space.dims = [4096, 4096]\nstate.kind = "bell"\naction.type = "device"\n'
+         'action.device.kind = "Readout"\naction.target = [0, 1]\n', "action.target"),
+    ], ids=["ghz-device", "ghz-experiment", "product-experiment", "readout-on-both"])
+    def test_oversized_space_exits_two_naming_its_key(self, text, key, tmp_path, capsys):
+        assert _run_config(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and f"(key '{key}'" in captured.err
 
 
 @pytest.mark.parametrize("verdict,status", [

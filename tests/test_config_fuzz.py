@@ -35,6 +35,8 @@ TOKENS = (
     '"bit"', '"finite"', '"fpvnem"', '"1+1i"', "[]", "[0]", "[1]", "[0, 1]", "[1, 0]",
     "[2]", "[2, 2]", "[3, 2]", "[0.5, 0.5]", "[1e308, 1e308]", "[1e-200, 1e-200]",
     '["1", "0"]', '["1+1i", "0"]', "[true]", "[1, 2", '"open', "18446744073709551616",
+    # spaces of 2^40 dimensions, beyond space.dims' bound, whose arrays fail to allocate
+    "[1048576, 1048576]", "[1099511627776]",
 )
 
 # keys a config may hold but a generated one may lack

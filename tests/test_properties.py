@@ -1,6 +1,7 @@
 """Properties of every device kind and of full measurements on 1-3 factors
-of dimension 2-4, every nonempty target and seeded random states, and the
-round trip of a record through its text format."""
+of dimension 2-4, every nonempty target and seeded random states, of
+selected-outcome probabilities read off a table, and the round trip of a
+record through its text format."""
 
 import itertools
 import math
@@ -11,7 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsim.cli import format_record, parse_complex
-from pqsim.devices import DEVICE_KINDS, DeviceSpec, IntegerLabel, MatrixDescription, Overflow
+from pqsim.devices import (
+    DEVICE_KINDS,
+    OUTCOME_ATOL,
+    Bit,
+    DeviceSpec,
+    DistributionTable,
+    IntegerLabel,
+    MatrixDescription,
+    OutcomeSelection,
+    Overflow,
+    RealValue,
+)
 from pqsim.opf import FullMeasurement, device_measurement, entropy_meter_measurement
 from pqsim.qcore import (
     FactorSpace,
@@ -237,6 +249,58 @@ def test_full_measurements_are_complete_across_shapes(shape, seed, precision, al
     states = random_pure_states((space,), rng.derive(1), 8)
     for measurement in measurements:
         assert measurement.completeness_violation(states) <= 1e-12
+
+
+# a kind that may miss every scalar selector, and one whose misses are errors
+_SELECTING = (DeviceSpec("EigenvalueSampler", {"observable": np.diag([0.0, 1.0])}),
+              DeviceSpec("PovmSampler", {"povm": POVMSet((np.eye(2) / 2, np.eye(2) / 2))}))
+_ANCHORS = (0.0, 0.25, -1.5)
+# each anchor, the values exactly OUTCOME_ATOL from it and one float step
+# beyond those, and NaN; 0.0 +- OUTCOME_ATOL is exactly OUTCOME_ATOL away
+_REALS = (*_ANCHORS, math.nan, *(v for a in _ANCHORS for v in (
+    a + OUTCOME_ATOL, a - OUTCOME_ATOL, np.nextafter(a + OUTCOME_ATOL, math.inf),
+    np.nextafter(a - OUTCOME_ATOL, -math.inf))))
+_PAYLOADS = {RealValue: st.sampled_from(_REALS), IntegerLabel: st.sampled_from([-3, 0, 1, 2, 7]),
+             Bit: st.sampled_from([0, 1]), Overflow: st.just(0)}
+
+
+@st.composite
+def _selections(draw):
+    """(spec, selectors, table): a table of 1-4 rows over mixed scalar and
+    overflow branches whose values repeat, with repeated selectors."""
+    types = draw(st.lists(st.sampled_from(list(_PAYLOADS)), max_size=6))
+    n = draw(st.integers(1, 4))
+    values = [[draw(_PAYLOADS[t]) for t in types] for _ in range(n)]
+    # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: the order of addition shows
+    probs = [[draw(st.one_of(st.sampled_from([0.1, 0.2, 0.3]), st.floats(0.0, 1.0)))
+              for _ in types] for _ in range(n)]
+    table = DistributionTable(
+        tuple(types), np.array(values, dtype=object if IntegerLabel in types else float)
+        .reshape(n, len(types)), np.array(probs).reshape(n, len(types)))
+    selectors = draw(st.lists(st.one_of(
+        _PAYLOADS[RealValue].map(RealValue), _PAYLOADS[IntegerLabel].map(IntegerLabel),
+        _PAYLOADS[Bit].map(Bit), st.just(Overflow())), min_size=1, max_size=6))
+    selectors.append(draw(st.sampled_from(selectors)))
+    return draw(st.sampled_from(_SELECTING)), selectors, table
+
+
+def _result_or_message(compute):
+    try:
+        return compute().tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_selections())
+def test_selection_matrix_equals_the_outcomes_equal_loop(case):
+    """``OutcomeSelection.matrix`` gives, byte for byte, each row's loop over
+    its branches under ``outcomes_equal``, or raises the loop's message."""
+    spec, selectors, table = case
+    rows = table.rows()
+    assert _result_or_message(lambda: OutcomeSelection(spec, selectors).matrix(table)) == \
+        _result_or_message(lambda: np.array([oracles.selection_probabilities(
+            spec, selectors, row) for row in rows]))
 
 
 _FINITE = st.floats(allow_nan=False)
