@@ -23,18 +23,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from . import devices as dev
 from . import experiments as exp
+from ._record import field, record
 from .opf import (
     ESTIMATION_FAMILIES,
     FullMeasurement,
@@ -179,7 +178,7 @@ def _read_pairs(text: str) -> dict[str, tuple[object, int]]:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     seed: int
     dims: tuple[int, ...]
@@ -341,7 +340,7 @@ def parse_config(text: str) -> RunConfig:
 # Parameter bounds and device parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Param:
     """One parameter's default and bounds: a value out of ``choices``, or a
     number of ``type`` in [low, high] (in (low, high) when ``open``).  An
@@ -540,7 +539,7 @@ def _device_records(config: RunConfig):
 # Experiments and checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Action:
     """One experiment or check: its names, stream, parameters and call.
 
@@ -710,15 +709,10 @@ def _action_record(action: Action, params: dict, seed: int,
 
 
 def run(config: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit status."""
-    if config.action_type == "device":
-        records, status = _device_records(config), 0
-    else:
-        fields, status = _action_record(_ACTIONS[config.action_type][config.name],
-                                        dict(config.params), config.seed,
-                                        f"action.{config.action_type}.")
-        records = [fields]
+    """Execute a parsed configuration; returns the process exit status.
 
+    ``output.path`` is opened first, so an unwritable path exits 2 before
+    any computation."""
     render = _as_text if config.output_format == "text" else format_record
     try:
         out = (open(config.output_path, "w", encoding="utf-8") if config.output_path
@@ -727,6 +721,13 @@ def run(config: RunConfig) -> int:
         raise ConfigError(f"cannot write {config.output_path!r}: {err.strerror}",
                           "output.path") from None
     with out as stream:
+        if config.action_type == "device":
+            records, status = _device_records(config), 0
+        else:
+            fields, status = _action_record(_ACTIONS[config.action_type][config.name],
+                                            dict(config.params), config.seed,
+                                            f"action.{config.action_type}.")
+            records = [fields]
         for fields in records:  # a device run's records are written as they are made
             stream.write(render(fields) + "\n")
     return status
@@ -751,6 +752,8 @@ def list_devices(as_json: bool = False, pattern: str = "") -> str:
         if pattern.lower() in kind.lower()
     }
     if as_json:
+        import json  # only here: importing pqsim does not load it
+
         return json.dumps({
             kind: {"aliases": e.aliases, "summary": e.summary, "params": ", ".join(e.params),
                    "stochastic": e.stochastic}

@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from ._record import field, record, replace
 from .qcore import (
     DensityMatrix,
     FactorSpace,
@@ -58,17 +58,17 @@ _VARIANTS = ("value", "integer_label", "finite", "bit")  # of the eigenvalue sam
 # Outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RealValue:
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class IntegerLabel:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Bit:
     value: int
 
@@ -96,7 +96,7 @@ class MatrixDescription:
         return f"MatrixDescription(shape={self.matrix.shape}, precision={self.precision})"
 
 
-@dataclass(frozen=True)
+@record
 class Overflow:
     """Error code for finite-range samplers; carries the excluded mass."""
 
@@ -130,7 +130,7 @@ def outcomes_equal(a: Outcome, b: Outcome, atol: float = OUTCOME_ATOL) -> bool:
     return True  # Overflow
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DistributionTable:
     """The outcome distributions of one device on n states, as arrays.
 
@@ -680,7 +680,7 @@ def entanglement_analyse(state: PureState, target_single, basis=None,
 # Device kinds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DeviceKind:
     """One device kind: its catalog entry, table and outcome set.
 
@@ -767,7 +767,7 @@ DEVICE_KINDS: dict[str, DeviceKind] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class DeviceSpec:
     """Tagged description of one catalog device with its classical inputs; a
     missing required parameter raises ParameterError naming it."""

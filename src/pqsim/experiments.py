@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
+from ._record import field, record
 from .devices import (
     DeviceSpec,
     entropy_meter,
@@ -68,7 +67,7 @@ PAULI = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """Verdict plus numeric evidence for one experiment run."""
 
@@ -89,7 +88,7 @@ class Certificate:
         return fields
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeStat:
     """Frequency estimate with its confidence interval and trial count."""
 
@@ -105,7 +104,7 @@ class OutcomeStat:
             raise ValueError("interval must contain the frequency estimate")
 
 
-@dataclass(frozen=True)
+@record
 class EstimationReport:
     """Result of a statistical estimation protocol.
 
@@ -152,6 +151,8 @@ class EstimationReport:
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    import statistics  # only here: importing pqsim does not load it
+
     z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials

@@ -18,12 +18,12 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from ._record import field, record
 from .devices import (
     Bit,
     DeviceSpec,
@@ -120,7 +120,7 @@ class OPF:
         return f"OPF(dims={self.space.dims}, provenance={self.provenance!r})"
 
 
-@dataclass(frozen=True)
+@record
 class FullMeasurement:
     """Finite list of OPFs that should sum to 1 on every pure state.
 
@@ -375,7 +375,7 @@ def entropy_meter_measurement(space: FactorSpace, target, precision: int,
 # Closure checker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ClosureReport:
     """Sampled verification of completeness and the three closure properties.
     A NaN in any evaluation makes its property's violation and
@@ -583,7 +583,7 @@ def _witness_design(dim: int) -> tuple[np.ndarray, np.ndarray]:
 # Product-form (quadratic) witness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ProductFormCertificate:
     """Least-squares evidence for or against the quadratic form of an OPF.
 
@@ -734,7 +734,7 @@ def product_form_witness(f: OPF, extra_probes: StateStack | Sequence[PureState] 
 ESTIMATION_FAMILIES = ("quantum_povm", "entropy_meter", "spod", "erd_sevrd", "readout")
 
 
-@dataclass(frozen=True)
+@record
 class EstimationWitness:
     """Two ensembles with one density matrix that a finite list cannot separate."""
 
@@ -747,7 +747,7 @@ class EstimationWitness:
     list_size: int
 
 
-@dataclass(frozen=True)
+@record
 class EstimationVerdict:
     family: str
     dimension: int
@@ -969,7 +969,7 @@ def _flat_dirichlet(gens: Sequence[np.random.Generator], k: int) -> np.ndarray:
 # Post-measurement update-map feasibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CPMapCandidate:
     """Linear map on density matrices, as a matrix over a Hermitian basis."""
 
@@ -980,7 +980,7 @@ class CPMapCandidate:
         return hermitian_from_coords(self.matrix @ hermitian_coords(rho))
 
 
-@dataclass(frozen=True)
+@record
 class UpdateMapCertificate:
     """Feasibility evidence for a state-independent linear update map.
 

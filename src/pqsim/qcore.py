@@ -13,10 +13,11 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
+
+from ._record import record
 
 # Construction tolerances.  These are contracts, not knobs: validation uses
 # them to reject unphysical inputs rather than to silently repair them.
@@ -29,7 +30,7 @@ PROJECTOR_ATOL = 1e-8
 SELECTION_FLOOR = 1e-12  # outcomes below this probability are never sampled
 
 
-@dataclass(frozen=True)
+@record
 class FactorSpace:
     """Tensor factorization C^{d_1} x ... x C^{d_n} with every d_i >= 2."""
 
@@ -298,7 +299,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@record
 class Ensemble:
     """Finite weighted list of pure states: a proper mixture."""
 
@@ -447,7 +448,7 @@ def povm_sets(elements) -> tuple["POVMSet", ...]:
     return tuple(POVMSet._trusted(row) for row in stack)
 
 
-@dataclass(frozen=True)
+@record
 class POVMSet:
     """Finite list of positive semi-definite operators summing to identity.
 
@@ -486,7 +487,7 @@ class POVMSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@record
 class SchmidtDecomposition:
     """Bi-orthogonal expansion psi = sum_i sqrt(p_i) phi_i x chi_i."""
 
@@ -734,7 +735,7 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], a.shape[1] * b.shape[1])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class StateStack:
     """n pure states on one FactorSpace, as one read-only (n, D) array.
 
@@ -1044,12 +1045,18 @@ def fidelities(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
 def quantize(x: float | np.ndarray, m: int) -> float | np.ndarray:
     """Nearest multiple of 2^-m, ties rounded to the even multiple, of a
-    number (returned as a float) or of every entry of an array."""
+    number (returned as a float) or of every entry of an array.
+
+    A finite x whose x * 2^m overflows is already a multiple of 2^-m (its
+    last bit is worth at least 2^(972 - m)), so it is returned unchanged."""
     m = int(m)
     if m < 1:
         raise ValueError("precision m must be a positive integer")
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(x, m)
     # + 0.0 turns the -0.0 that rint gives for small negatives into 0.0
-    q = np.ldexp(np.rint(np.ldexp(np.asarray(x, dtype=float), m)), -m) + 0.0
+    q = np.where(np.isinf(scaled), x, np.ldexp(np.rint(scaled), -m) + 0.0)
     return float(q) if np.ndim(q) == 0 else q
 
 

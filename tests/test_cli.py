@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +546,21 @@ class TestConfigurationExitCodes:
         assert captured.out == ""
         assert repr(str(out)) in captured.err and "(key 'output.path')" in captured.err
 
+    def test_output_path_is_opened_before_the_experiment_runs(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(exp, "fpvnem_refutation", refuse)
+        out = tmp_path / "out"
+        out.mkdir()
+        text = ('space.dims = [4]\nstate.kind = "random"\naction.type = "experiment"\n'
+                'action.experiment.id = "fpvnem"\naction.experiment.d = 4\n'
+                "action.experiment.m = 8\naction.experiment.samples = 20000\n"
+                f'output.path = "{out}"\n')
+        assert _run_config(tmp_path, text) == 2
+        assert "(key 'output.path')" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,key", [
         # a 40-qubit GHZ state has 2^40 amplitudes, 16 TiB
         (f'space.dims = [{", ".join(["2"] * 40)}]\nstate.kind = "ghz"\naction.type = "device"\n'
@@ -589,6 +605,20 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses_json_or_statistics():
+    """A traced CLI process finds all five layers in sys.modules after
+    ``import pqsim.cli``; the records need no ``dataclasses``, and only
+    ``list-devices --json`` and ``wilson_interval`` import the other two."""
+    layers = [f"pqsim.{m}" for m in ("qcore", "devices", "opf", "experiments", "cli")]
+    code = "import sys, pqsim.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    loaded = set(out.stdout.split())
+    assert set(layers) <= loaded
+    assert not {"dataclasses", "json", "statistics"} & loaded
 
 
 def test_cli_import_does_not_load_numpy_random():
@@ -640,6 +670,32 @@ def test_huge_explicit_amplitudes_exit_two_without_a_warning(amplitudes, tmp_pat
     err = capsys.readouterr().err
     assert "amplitudes norm inf deviates from 1 beyond 1e-6" in err
     assert "state.amplitudes" in err
+
+
+# precisions where x * 2^m overflows a float for some x; a quantize that
+# rounds such an x prints value=inf, NaN phases or a traceback here
+_HUGE_PRECISIONS = {
+    "entropy-meter-m2000": ('space.dims = [2, 2]\nstate.kind = "bell"\naction.type = "device"\n'
+                            'action.device.kind = "EntropyMeter"\naction.target = [0]\n'
+                            "action.device.precision = 2000\n", 0),
+    "eigenvalue-1e308-m4": ('space.dims = [2, 2]\nstate.kind = "bell"\naction.type = "device"\n'
+                            'action.device.kind = "EigenvalueSampler"\naction.target = [0]\n'
+                            "action.device.observable = [1e308, 0, 0, 1]\n"
+                            "action.device.precision = 4\n", 0),
+    "ensemble-readout-m1100": ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
+                               'action.experiment.id = "ensemble-readout"\n'
+                               "action.experiment.precisions = [1100]\n", 0),
+    # FAIL: the fidelity threshold 1 - 10 * 2^-m rounds to 1 at this m
+    "cloning-m2000": ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
+                      'action.experiment.id = "cloning"\naction.experiment.precision = 2000\n', 1),
+}
+
+
+@pytest.mark.parametrize("text,status", _HUGE_PRECISIONS.values(), ids=list(_HUGE_PRECISIONS))
+def test_huge_precision_runs_without_overflow(text, status, tmp_path, capsys):
+    assert _run_config(tmp_path, text) == status  # an overflow warning would be an error here
+    out = capsys.readouterr().out
+    assert out and not re.search(r"\b(nan|-?inf)\b", out)
 
 
 def _device_config(kind, target, lines):

@@ -1,6 +1,5 @@
 """Counterexample experiments and estimation protocols."""
 
-import dataclasses
 import json
 import math
 import os
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 from pqsim import cli, experiments
+from pqsim._record import replace
 from pqsim.devices import (
     DeviceSpec,
     DistributionTable,
@@ -265,7 +265,7 @@ class TestFailedChecks:
 
         def doubled(*args, **kwargs):
             measurement = measure(*args, **kwargs)
-            return dataclasses.replace(measurement, outcomes=measurement.outcomes * 2)
+            return replace(measurement, outcomes=measurement.outcomes * 2)
 
         monkeypatch.setattr(experiments, "entropy_meter_measurement", doubled)
         _fails_naming(fpvnem_refutation(2, 3, 50, RandomStream(1)), "outcome_bound")
@@ -288,7 +288,7 @@ class TestFailedChecks:
     def test_fpvnem_residual(self, monkeypatch):
         witness = experiments.product_form_witness
         monkeypatch.setattr(experiments, "product_form_witness", lambda f: (
-            dataclasses.replace(witness(f), residual=0.05)))
+            replace(witness(f), residual=0.05)))
         _fails_naming(fpvnem_refutation(2, 3, 50, RandomStream(1)), "residual")
 
     def test_fpvnem_product_only_residual(self, monkeypatch):
@@ -312,7 +312,7 @@ class TestFailedChecks:
         def forced(a, probes):
             cert = fit(a, probes)
             if np.array_equal(a, SPOD_ELEMENTS[element]):
-                return dataclasses.replace(cert, residual=residual)
+                return replace(cert, residual=residual)
             return cert
 
         monkeypatch.setattr(experiments, "update_map_feasibility", forced)

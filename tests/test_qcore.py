@@ -1245,6 +1245,16 @@ class TestQuantize:
             assert [quantize(x, m) for x in xs.tolist()] == want
         assert type(quantize(0.3, 2)) is float
 
+    @pytest.mark.parametrize("x,m", [(1e308, 4), (-1e308, 1), (0.3, 2000), (-0.3, 1100),
+                                     (2.0 ** 1020, 4), (5e-324, 2000), (np.nextafter(1.0, 2.0), 1075)])
+    def test_overflowing_scale_returns_x_unchanged(self, x, m):
+        """Where x * 2^m overflows, x is already a multiple of 2^-m; an
+        overflow warning would be an error here."""
+        assert quantize(x, m) == x
+        got = quantize(np.array([x, 0.3, np.inf, -np.inf]), m)
+        assert got[0] == x and np.isinf(got[2:]).all()
+        assert got[1] == (0.3 if m >= 1074 else oracles.quantize(0.3, m))
+
     @given(st.floats(min_value=-64.0, max_value=64.0), st.integers(min_value=1, max_value=20))
     def test_idempotent(self, x, m):
         once = quantize(x, m)
