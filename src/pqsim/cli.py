@@ -547,9 +547,7 @@ class Action:
     default when absent, else the value checked against its bounds, so an
     unused parameter is never checked.  An experiment returns its
     certificate or report, a check its record fields and whether it passed.
-    ``m_param`` is the parameter the CLI flag ``--m`` feeds.  ``check(read)``,
-    where set, runs before the call and raises ParameterError when
-    parameters that each pass their bounds do not fit together.
+    ``m_param`` is the parameter the CLI flag ``--m`` feeds.
     """
 
     cli_name: str
@@ -558,12 +556,13 @@ class Action:
     params: dict[str, Param]
     call: Callable
     m_param: str | None = None
-    check: Callable | None = None
 
 
 def _run_action(action: Action, params: dict, seed: int, prefix: str = ""):
     """Run an action on the given parameters; a ConfigError names the
-    parameter's key, ``prefix`` + its name."""
+    parameter's key, ``prefix`` + its name.  The library checks what the
+    bounds cannot see: a ParameterError naming one of the action's
+    parameters is that parameter's ConfigError."""
     for name in params:
         if name not in action.params:
             raise ConfigError(f"{action.cli_name} takes no parameter {name!r}", prefix + name)
@@ -572,20 +571,12 @@ def _run_action(action: Action, params: dict, seed: int, prefix: str = ""):
         param = action.params[name]
         return param.parse(params[name], prefix + name) if name in params else param.default
 
-    if action.check is not None:
-        try:
-            action.check(read)
-        except dev.ParameterError as err:
-            raise ConfigError(str(err), prefix + err.name) from None
-    return action.call(read, RandomStream(seed, experiment=action.stream))
-
-
-def _no_signalling_weights(read) -> None:
-    """The no-signalling weights are one or two numbers summing to 1."""
     try:
-        exp.checked_schmidt_weights(read("weights"))
-    except ValueError as err:
-        raise dev.ParameterError("weights", str(err)) from None
+        return action.call(read, RandomStream(seed, experiment=action.stream))
+    except dev.ParameterError as err:
+        if err.name not in action.params:
+            raise
+        raise ConfigError(str(err), prefix + err.name) from None
 
 
 def _default_ensemble() -> Ensemble:
@@ -642,15 +633,16 @@ EXPERIMENTS = {a.config_name: a for a in (
         lambda read, rng: exp.spod_update_refutation(rng, element=read("element"))),
     Action("no-signalling", "no-signalling", 12, {
         "weights": Param(float, (0.5, 0.5), 0.0, 1.0, many=True)},
-        lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights")),
-        check=_no_signalling_weights),
+        lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights"))),
     Action("cloning", "cloning", 13, {
-        "d": _D, "precision": Param(int, None, 1), "trials": Param(int, 100, 1, _MAX_COUNT)},
+        "d": _D, "precision": Param(int, None, 1, exp.CLONING_MAX_PRECISION),
+        "trials": Param(int, 100, 1, _MAX_COUNT)},
         lambda read, rng: exp.cloning_demo(read("d"), rng, precision=read("precision"),
                                            trials=read("trials")),
         m_param="precision"),
     Action("tomography", "tomography", 14, {
-        "n": Param(int, 100_000, 100), "confidence": Param(float, 0.95, 0.0, 1.0, open=True),
+        "n": Param(int, 100_000, 100, 2**63 - 1),  # Generator.binomial's counts are int64
+        "confidence": Param(float, 0.95, 0.0, 1.0, open=True),
         "threshold": Param(float, 0.02, low=0.0, open=True)},
         lambda read, rng: exp.tomography_estimate(
             PureState.basis_state(FactorSpace((2,)), 0), read("n"), rng,
@@ -712,10 +704,11 @@ def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit status.
 
     ``output.path`` is opened first, so an unwritable path exits 2 before
-    any computation."""
+    any computation.  It is opened to append and emptied only when the first
+    record is ready, so a run that fails before then leaves the file as it was."""
     render = _as_text if config.output_format == "text" else format_record
     try:
-        out = (open(config.output_path, "w", encoding="utf-8") if config.output_path
+        out = (open(config.output_path, "a", encoding="utf-8") if config.output_path
                else contextlib.nullcontext(sys.stdout))
     except OSError as err:
         raise ConfigError(f"cannot write {config.output_path!r}: {err.strerror}",
@@ -728,8 +721,13 @@ def run(config: RunConfig) -> int:
                                             dict(config.params), config.seed,
                                             f"action.{config.action_type}.")
             records = [fields]
-        for fields in records:  # a device run's records are written as they are made
-            stream.write(render(fields) + "\n")
+        # a device run's records are written as they are made; output.path is
+        # emptied before the first, unless it is empty or cannot seek (a pipe)
+        for n, fields in enumerate(records):
+            line = render(fields) + "\n"
+            if n == 0 and config.output_path and stream.seekable() and stream.tell():
+                stream.truncate(0)
+            stream.write(line)
     return status
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -33,6 +32,7 @@ from .qcore import (
     DensityMatrix,
     FactorSpace,
     HermitianObservable,
+    ParameterError,
     POVMSet,
     PureState,
     RandomStream,
@@ -104,15 +104,6 @@ class Overflow:
 
 
 Outcome = Union[RealValue, IntegerLabel, Bit, MatrixDescription, Overflow]
-
-
-class ParameterError(ValueError):
-    """Parameters that each pass their own checks but do not fit together;
-    ``name`` is the parameter to change."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(message)
-        self.name = name
 
 
 def outcomes_equal(a: Outcome, b: Outcome, atol: float = OUTCOME_ATOL) -> bool:
@@ -384,6 +375,7 @@ def _cluster_probabilities(rhos: np.ndarray, obs: HermitianObservable) -> np.nda
 def _eigenvalue_table(rhos: np.ndarray, observable, variant: str = "value",
                       max_label: int | None = None, label_offset: int = 0) -> DistributionTable:
     obs = _observable(observable, rhos.shape[-1])
+    _require_variant_inputs(variant, obs, max_label)
     probs = _cluster_probabilities(rhos, obs)
     if variant == "value":
         return _scalar_table(RealValue, np.array(obs.eigenvalues), probs)
@@ -416,7 +408,8 @@ def eigenvalue_distribution(state: PureState, target, observable, variant: str =
         "max_label": max_label, "label_offset": label_offset}).distribution(state, target)
 
 
-def _require_variant_inputs(variant: str, observable, max_label: int | None) -> None:
+def _require_variant_inputs(variant: str, obs: HermitianObservable,
+                            max_label: int | None) -> None:
     """Raise ParameterError for an unknown eigenvalue-sampler variant or one
     that lacks what it needs: ``finite`` a max_label, ``bit`` a
     projector-valued observable."""
@@ -424,10 +417,8 @@ def _require_variant_inputs(variant: str, observable, max_label: int | None) -> 
         raise ParameterError("variant", f"variant must be one of {_VARIANTS}, got {variant!r}")
     if variant == "finite" and max_label is None:
         raise ParameterError("max_label", "finite variant needs max_label")
-    if variant == "bit":
-        obs = _converted("observable", observable, HermitianObservable, HermitianObservable)
-        if any(min(abs(v), abs(v - 1.0)) > 1e-9 for v in obs.eigenvalues):
-            raise ParameterError("variant", "bit variant needs a projector-valued observable")
+    if variant == "bit" and any(min(abs(v), abs(v - 1.0)) > 1e-9 for v in obs.eigenvalues):
+        raise ParameterError("variant", "bit variant needs a projector-valued observable")
 
 
 def sample_eigenvalue(state: PureState, target, observable, rng: RandomStream,
@@ -601,15 +592,8 @@ def basis_select(state: PureState, target, basis=None, rng: RandomStream | None 
 # Entropy meters, certifiers, entanglement analyser
 # ---------------------------------------------------------------------------
 
-def _entropy_values(spectra: np.ndarray, alpha: float) -> np.ndarray:
-    """Order-alpha entropies in bits of (n, d) density spectra, in one pass."""
-    if not (isinstance(alpha, numbers.Real) and alpha >= 0):  # NaN is not either
-        raise ParameterError("alpha", "alpha must be nonnegative")
-    return spectrum_entropies(spectra, alpha)
-
-
 def _entropy_table(spectra: np.ndarray, alpha: float = 1.0) -> DistributionTable:
-    values = _entropy_values(spectra, alpha)
+    values = spectrum_entropies(spectra, alpha)
     return _scalar_table(RealValue, values[:, None], np.ones((len(values), 1)))
 
 
@@ -622,7 +606,7 @@ def entropy_meter(state: PureState, target, alpha: float = 1.0,
 
 def _certify_table(spectra: np.ndarray, entropy_threshold: float, alpha: float = 1.0,
                    sharpness: float | None = None) -> DistributionTable:
-    values = _entropy_values(spectra, alpha)
+    values = spectrum_entropies(spectra, alpha)
     limit = math.log2(spectra.shape[-1])
     if not 0.0 < entropy_threshold < limit:
         raise ParameterError("entropy_threshold", f"entropy threshold {entropy_threshold} "
@@ -696,9 +680,7 @@ class DeviceKind:
     values of readouts and meters depend on the state; a label or bit
     device has a fixed alphabet, so a miss there is a caller error.  A kind
     with ``deterministic_without`` is stochastic only when that parameter
-    is set; a ``single_factor`` kind acts on one factor.  ``check(params)``,
-    where set, raises ParameterError when parameters that each pass their
-    own checks do not fit together; ``DeviceSpec`` runs it.
+    is set; a ``single_factor`` kind acts on one factor.
     """
 
     aliases: str
@@ -709,7 +691,6 @@ class DeviceKind:
     may_miss: tuple[type, ...] = ()
     deterministic_without: str | None = None
     single_factor: bool = False
-    check: Callable[[Mapping[str, Any]], None] | None = None
     spectral: bool = False
 
     @property
@@ -737,9 +718,7 @@ DEVICE_KINDS: dict[str, DeviceKind] = {
     "EigenvalueSampler": DeviceKind(
         "SEVRD/FSEVRD/ISEVRD/FISEVRD/SPRD", "Born-rule eigenvalue draw without disturbance",
         ("observable", "variant?", "precision?", "max_label?", "label_offset?"), True,
-        _eigenvalue_table, _SAMPLED_VALUES,
-        check=lambda p: _require_variant_inputs(p.get("variant", "value"),
-                                                p["observable"], p.get("max_label"))),
+        _eigenvalue_table, _SAMPLED_VALUES),
     "UncertaintySampler": DeviceKind(
         "SURD/FSURD", "eigenvalue draw of the mean-shifted observable",
         ("observable", "precision?"), True, _uncertainty_table, _SAMPLED_VALUES),
@@ -785,8 +764,6 @@ class DeviceSpec:
         for name in kind.required:
             if name not in self.params:
                 raise ParameterError(name, f"{self.kind} needs the parameter {name!r}")
-        if kind.check is not None:
-            kind.check(self.params)
         object.__setattr__(self, "params", dict(self.params))
 
     @property

@@ -37,6 +37,7 @@ from .qcore import (
     Ensemble,
     FactorSpace,
     HermitianObservable,
+    ParameterError,
     PureState,
     RandomStream,
     StateStack,
@@ -58,6 +59,9 @@ VIOLATION_CERTIFIED = "VIOLATION_CERTIFIED"
 CONSISTENT = "CONSISTENT"
 FAIL = "FAIL"
 CLONING_SUCCESS_QUOTA = 0.95  # share of trials a finite-precision readout must clone
+# cloning's largest precision, float64's fraction bits: beyond them the fidelity
+# threshold 1 - 10 * 2^-m lies within a few ulps of 1, below the readout's rounding
+CLONING_MAX_PRECISION = 52
 SAME_STATE_ATOL = 1e-6  # recovered states closer than this (up to phase) are one state
 
 PAULI = (
@@ -150,10 +154,15 @@ class EstimationReport:
 
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion; a ParameterError
+    naming ``confidence`` where 0.5 + confidence/2 rounds to 1."""
     import statistics  # only here: importing pqsim does not load it
 
-    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    quantile = 0.5 + confidence / 2.0
+    if not quantile < 1.0:
+        raise ParameterError("confidence", f"confidence {confidence!r} rounds 0.5 + "
+                             "confidence/2 to 1, whose normal quantile is infinite")
+    z = statistics.NormalDist().inv_cdf(quantile)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -334,12 +343,13 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
 
 def checked_schmidt_weights(values: Sequence[float]) -> np.ndarray:
     """The Schmidt weights of the no-signalling state as an array: one or two
-    nonnegative numbers summing to 1 (a NaN does not), else ValueError."""
+    nonnegative numbers summing to 1 (a NaN does not), else a ParameterError
+    naming ``weights``."""
     weights = np.asarray(values, dtype=float)
     if weights.size not in (1, 2) or np.any(weights < 0):
-        raise ValueError("Schmidt weights must be one or two nonnegative numbers")
+        raise ParameterError("weights", "Schmidt weights must be one or two nonnegative numbers")
     if not abs(weights.sum() - 1.0) <= 1e-9:
-        raise ValueError("Schmidt weights must sum to 1")
+        raise ParameterError("weights", "Schmidt weights must sum to 1")
     return weights
 
 
@@ -402,13 +412,15 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
     Each trial reads out the reduced density matrix of an unknown state,
     reconstructs the state from the rank-1 description, and prepares two
     copies.  Infinite precision demands copy fidelity >= 1 - 1e-9 on every
-    trial; at finite precision m >= 1 the quota is fidelity >= 1 - 10*2^-m
-    on at least ``CLONING_SUCCESS_QUOTA`` of the ``trials`` >= 1.  One
-    ``Readout`` spec reads each trial's description off its table.
+    trial; at finite precision m in [1, ``CLONING_MAX_PRECISION``] the quota
+    is fidelity >= 1 - 10*2^-m on at least ``CLONING_SUCCESS_QUOTA`` of the
+    ``trials`` >= 1.  One ``Readout`` spec reads each trial's description off
+    its table.
     """
     d = _checked_int(d, "d", 2, 4)
     trials = _checked_int(trials, "trials", 1)
-    precision = None if precision is None else _checked_int(precision, "precision", 1)
+    precision = (None if precision is None
+                 else _checked_int(precision, "precision", 1, CLONING_MAX_PRECISION))
     factor = FactorSpace((d,))
     blank = PureState.basis_state(FactorSpace((2,)), 0)
     threshold = 1.0 - 1e-9 if precision is None else 1.0 - 10.0 * 2.0 ** (-precision)
@@ -654,11 +666,12 @@ def fibonacci_net(size: int) -> list[np.ndarray]:
     return states
 
 
-def _net_size_for(epsilon: float) -> int:
+def _net_size_for(epsilon: float) -> int | float:
     # overlap > 1 - eps means Bloch angle < arccos(1 - 2 eps); the covering
-    # radius of an N-point Fibonacci net is below 3.5/sqrt(N)
+    # radius of an N-point Fibonacci net is below 3.5/sqrt(N).  An eps so small
+    # that 1 - 2 eps rounds to 1 gives angle 0, which no finite net resolves
     theta = math.acos(1.0 - 2.0 * epsilon)
-    return max(int(math.ceil((3.5 / theta) ** 2)), 8)
+    return max(int(math.ceil((3.5 / theta) ** 2)), 8) if theta > 0.0 else math.inf
 
 
 def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float],

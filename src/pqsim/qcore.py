@@ -12,6 +12,7 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 import operator
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -109,6 +110,15 @@ def _subset_plan(space: FactorSpace, subset: Union[int, Sequence[int]]) -> _Subs
         except TypeError:  # an unhashable entry; a build error raises again below
             pass
     return _build_plan(space.dims, subset)
+
+
+class ParameterError(ValueError):
+    """A parameter value rejected by the code that uses it; ``name`` is the
+    parameter to change, which the CLI reports as its config key."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 def _require_square(shape: tuple[int, ...], what: str) -> None:
@@ -1094,9 +1104,9 @@ def spectrum_entropies(eigenvalues: np.ndarray, alpha: float = 1.0) -> np.ndarra
     pairwise, so a zero in place of a dropped eigenvalue would regroup the
     additions and change the last bits.
     """
+    if not (isinstance(alpha, numbers.Real) and alpha >= 0):  # NaN is not either
+        raise ParameterError("alpha", "alpha must be nonnegative")
     alpha = float(alpha)
-    if not alpha >= 0.0:  # NaN is not either
-        raise ValueError("alpha must be nonnegative")
     von_neumann = abs(alpha - 1.0) <= 1e-9
     vals = np.asarray(eigenvalues, dtype=float)
     kept = vals > EIGENVALUE_FLOOR

@@ -30,7 +30,8 @@ from pqsim.cli import (
     run,
     run_experiment,
 )
-from pqsim.qcore import FactorSpace, HermitianObservable, PureState, RandomStream
+from pqsim.qcore import (FactorSpace, HermitianObservable, ParameterError, PureState,
+                         RandomStream)
 
 from . import oracles
 
@@ -561,6 +562,24 @@ class TestConfigurationExitCodes:
         assert _run_config(tmp_path, text) == 2
         assert "(key 'output.path')" in capsys.readouterr().err
 
+    def test_config_error_leaves_an_existing_output_file_intact(self, tmp_path, capsys):
+        out = tmp_path / "out.records"
+        out.write_bytes(b"kept\n")
+        text = ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
+                'action.experiment.id = "spod-update"\naction.experiment.element = "nope"\n')
+        assert _run_config(tmp_path, text + f'output.path = "{out}"\n') == 2
+        assert out.read_bytes() == b"kept\n"
+        # a run that writes replaces the whole file with its records
+        text = text.replace('"nope"', '"projector0"')
+        assert _run_config(tmp_path, text) == 0
+        records = capsys.readouterr().out
+        assert _run_config(tmp_path, text + f'output.path = "{out}"\n') == 0
+        assert out.read_text(encoding="utf-8") == records
+
+    def test_output_path_that_cannot_be_emptied_is_written(self, tmp_path, capsys):
+        assert _run_config(tmp_path, MINIMAL + f'output.path = "{os.devnull}"\n') == 0
+        assert capsys.readouterr() == ("", "")
+
     @pytest.mark.parametrize("text,key", [
         # a 40-qubit GHZ state has 2^40 amplitudes, 16 TiB
         (f'space.dims = [{", ".join(["2"] * 40)}]\nstate.kind = "ghz"\naction.type = "device"\n'
@@ -685,9 +704,9 @@ _HUGE_PRECISIONS = {
     "ensemble-readout-m1100": ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
                                'action.experiment.id = "ensemble-readout"\n'
                                "action.experiment.precisions = [1100]\n", 0),
-    # FAIL: the fidelity threshold 1 - 10 * 2^-m rounds to 1 at this m
-    "cloning-m2000": ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
-                      'action.experiment.id = "cloning"\naction.experiment.precision = 2000\n', 1),
+    # cloning's largest precision; above it the config exits 2
+    "cloning-m52": ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
+                    'action.experiment.id = "cloning"\naction.experiment.precision = 52\n', 0),
 }
 
 
@@ -938,6 +957,10 @@ class TestExperimentParameterExitCodes:
         ("ensemble-overlap", "weights = [0.5, 0.5]"),
         ("no-signalling", "weights = [0.7, 0.7]"),
         ("no-signalling", "weights = [0.2, 0.3, 0.5]"),
+        # 0.5 + confidence/2 rounds to 1, which has no normal quantile
+        ("tomography", "confidence = 0.9999999999999999"),
+        ("tomography", "n = 30000000000000000000"),  # above Generator.binomial's int64
+        ("cloning", "precision = 53"),
     ])
     def test_malformed_or_unread_parameter_exits_two(self, experiment, line, tmp_path,
                                                      capsys):
@@ -960,6 +983,24 @@ class TestExperimentParameterExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"takes no parameter '{argv[2][2:]}'" in captured.err
+
+    @pytest.mark.parametrize("epsilon", ["1e-10", "1e-17"])
+    def test_tiny_epsilon_ends_in_the_net_cap_failure(self, epsilon, tmp_path, capsys):
+        # at 1e-17, 1 - 2 eps rounds to 1 and no finite net resolves eps
+        text = ('space.dims = [2]\nstate.kind = "random"\naction.type = "experiment"\n'
+                f'action.experiment.id = "ensemble-overlap"\naction.experiment.epsilons = '
+                f'[{epsilon}]\n')
+        assert _run_config(tmp_path, text) == 1
+        out = capsys.readouterr().out
+        assert "failed_checks=[net_cap]" in out and "status=FAIL" in out
+
+    def test_parameter_error_naming_no_parameter_of_the_action_is_raised(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ParameterError("threshold", "not a parameter of spod-update")
+
+        monkeypatch.setattr(exp, "spod_update_refutation", refuse)
+        with pytest.raises(ParameterError, match="not a parameter of spod-update"):
+            main(["demo", "spod-update"])
 
     def test_tomography_reads_confidence(self):
         report = run_experiment("tomography", {"n": 1000, "confidence": 0.9}, seed=3)

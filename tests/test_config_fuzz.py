@@ -6,9 +6,9 @@ returns 0, 1 or 2, raises nothing and warns about nothing; an exit 2 names
 a key on stderr; an exit 0 or 1 prints the same bytes when run again, and a
 device run leaves the state's amplitudes bit-identical.  The examples are
 derandomized and bounded, so the test is reproducible and takes seconds.
-Besides 2^64, one past the largest seed, the pool's integers are small: a
-count such as ``action.repetitions`` takes any integer, and a large one
-makes a long run.
+Besides 2^64, one past the largest seed, and 3 * 10^19, above int64, the
+pool's integers are small: a count such as ``action.repetitions`` takes
+any integer, and a large one makes a long run.
 """
 
 import contextlib
@@ -37,6 +37,8 @@ TOKENS = (
     '["1", "0"]', '["1+1i", "0"]', "[true]", "[1, 2", '"open', "18446744073709551616",
     # spaces of 2^40 dimensions, beyond space.dims' bound, whose arrays fail to allocate
     "[1048576, 1048576]", "[1099511627776]",
+    # an epsilon with 1 - 2 eps = 1, a confidence with 0.5 + c/2 = 1, a count above int64
+    "1e-17", "0.9999999999999999", "30000000000000000000",
 )
 
 # keys a config may hold but a generated one may lack

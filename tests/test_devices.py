@@ -754,8 +754,9 @@ class TestDeviceSpec:
         ({"observable": np.diag([1.0, -1.0]), "variant": "finite"}, "max_label"),
     ])
     def test_eigenvalue_sampler_parameters_are_checked_together(self, params, name):
+        spec = DeviceSpec("EigenvalueSampler", params)  # checked where the table uses them
         with pytest.raises(ParameterError) as err:
-            DeviceSpec("EigenvalueSampler", params)
+            spec.distribution(KET0, (0,))
         assert err.value.name == name
         with pytest.raises(ParameterError, match=str(err.value)):
             eigenvalue_distribution(KET0, (0,), **params)

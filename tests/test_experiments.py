@@ -21,6 +21,7 @@ from pqsim.devices import (
 )
 from pqsim.experiments import (
     SPOD_ELEMENTS,
+    CLONING_MAX_PRECISION,
     CONSISTENT,
     FAIL,
     VIOLATION_CERTIFIED,
@@ -410,8 +411,9 @@ class TestNoSignallingDemo:
 
     @pytest.mark.parametrize("weights", [[math.nan], [0.5, math.nan]])
     def test_nan_weights_fail_the_sum_check(self, weights):
-        with pytest.raises(ValueError, match="^Schmidt weights must sum to 1$"):
+        with pytest.raises(ParameterError, match="^Schmidt weights must sum to 1$") as err:
             experiments.checked_schmidt_weights(weights)
+        assert err.value.name == "weights"
         with pytest.raises(ValueError, match="^Schmidt weights must sum to 1$"):
             no_signalling_demo(RandomStream(8), schmidt_weights=weights)
 
@@ -729,12 +731,15 @@ class TestEnsembleOverlap:
             ensemble_estimate_overlap(Ensemble(((KET0, 1.0),)), [], 100,
                                       RandomStream(31))
 
-    def test_net_cap_failure_reported(self):
-        report = ensemble_estimate_overlap(Ensemble(((KET0, 1.0),)), [1e-4], 100,
-                                           RandomStream(32), net_cap=100)
+    # at 1e-17, 1 - 2 eps rounds to 1: no finite net resolves it
+    @pytest.mark.parametrize("eps,net_cap", [(1e-4, 100), (1e-17, 4000)])
+    def test_net_cap_failure_reported(self, eps, net_cap):
+        report = ensemble_estimate_overlap(Ensemble(((KET0, 1.0),)), [eps], 100,
+                                           RandomStream(32), net_cap=net_cap)
         assert report.status == FAIL
         assert not report.passed
-        assert report.extras["net_cap"] == 100
+        assert report.extras["net_cap"] == net_cap
+        assert report.extras["requested_net"] > net_cap
 
     def test_net_covers_sphere(self):
         # every state must find at least one net point above the acceptance
@@ -793,7 +798,8 @@ INTEGER_ARGUMENTS = {
     ("cloning trials", 0, "trials must be at least 1, got 0"),
     ("cloning precision", 6.0, "precision must be an integer, got 6.0"),
     ("cloning precision", True, "precision must be an integer, got True"),
-    ("cloning precision", 0, "precision must be at least 1, got 0"),
+    ("cloning precision", 0, r"precision must be in \[1, 52\], got 0"),
+    ("cloning precision", 53, r"precision must be in \[1, 52\], got 53"),
     ("tomography n_trials", 100.5, "n_trials must be an integer, got 100.5"),
     ("tomography n_trials", True, "n_trials must be an integer, got True"),
     ("tomography n_trials", 99, "n_trials must be at least 100, got 99"),
@@ -817,6 +823,7 @@ def test_integer_argument_rejected_by_name(argument, value, message):
 
 @pytest.mark.parametrize("argument,value", [
     ("cloning d", 4), ("cloning trials", 1), ("cloning precision", 1),
+    ("cloning precision", CLONING_MAX_PRECISION),
     ("tomography n_trials", 100), ("readout n_draws", 100), ("readout schedule", 1),
     ("overlap n_draws", 0), ("overlap net_cap", 1), ("overlap net_cap", np.int64(4000)),
     ("cloning d", np.int64(2)),
@@ -835,6 +842,14 @@ class TestReportPlumbing:
             lo, hi = wilson_interval(k, n, 0.95)
             assert lo <= k / n <= hi
             assert 0.0 <= lo <= hi <= 1.0
+
+    def test_wilson_interval_rejects_a_confidence_that_rounds_to_certainty(self):
+        # 0.5 + c/2 rounds to 1 here, and 1 has no normal quantile
+        with pytest.raises(ParameterError) as err:
+            wilson_interval(17, 100, 0.9999999999999999)
+        assert err.value.name == "confidence"
+        lo, hi = wilson_interval(17, 100, 0.9999999999999998)
+        assert 0.0 <= lo <= 0.17 <= hi <= 1.0
 
     def test_wilson_interval_matches_scipy_quantile(self):
         for confidence in (0.8, 0.9, 0.95, 0.99, 0.999):

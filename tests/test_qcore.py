@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsim import _seedwords, qcore
+from pqsim import _seedwords, devices, qcore
 from pqsim.devices import reduced_density
 from pqsim.qcore import (
     DensityMatrix,
@@ -1298,6 +1298,13 @@ class TestEntropies:
     def test_entropy_rejects_negative_or_nan_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be nonnegative"):
             entropy(DensityMatrix.maximally_mixed(2), alpha)
+
+    def test_alpha_error_is_the_parameter_error_devices_export(self):
+        # a string is not a number, though float() would read this one
+        with pytest.raises(qcore.ParameterError, match="alpha must be nonnegative") as err:
+            entropy(DensityMatrix.maximally_mixed(2), "2")
+        assert err.value.name == "alpha"
+        assert devices.ParameterError is qcore.ParameterError
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 1.0 - 1e-10, 1.0 + 1e-10])
     def test_stack_equals_filtered_rows(self, alpha):

@@ -57,6 +57,7 @@ def test_cli_block_command_exits_zero(command, capsys):
     ("demo no-signalling --m 3", 2),
     ("check closure --d 3", 2),
     ("demo fpvnem --m 9", 2),
+    ("demo cloning --m 53", 2),
     ("check closure --family entropy_meter --m 9", 2),
     ("check closure --m 9", 0),
     ("check closure --family quantum_povm --m 0", 0),

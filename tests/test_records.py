@@ -45,7 +45,7 @@ RECORDS = {
         lambda: devices.DeviceKind("A", "a kind", ("x?",), False, len),
         "DeviceKind(aliases='A', summary='a kind', params=('x?',), stochastic=False, "
         "table=<built-in function len>, may_miss=(), deterministic_without=None, "
-        "single_factor=False, check=None, spectral=False)"),
+        "single_factor=False, spectral=False)"),
     devices.DeviceSpec: (lambda: devices.DeviceSpec("Readout"),
                          "DeviceSpec(kind='Readout', params={})"),
     opf.FullMeasurement: (lambda: opf.FullMeasurement((F,)),
@@ -90,7 +90,7 @@ RECORDS = {
                                         "high=inf, open=False, choices=(), many=False)"),
     cli.Action: (lambda: cli.Action("a", "b", 1, {}, len),
                  "Action(cli_name='a', config_name='b', stream=1, params={}, "
-                 "call=<built-in function len>, m_param=None, check=None)"),
+                 "call=<built-in function len>, m_param=None)"),
 }
 CLASSES = list(RECORDS)
 IDENTITY_EQ = {qcore.StateStack, devices.DistributionTable}
