@@ -14,8 +14,9 @@ produce byte-identical record output.
 
 Exit status: 0 on success (including VIOLATION_CERTIFIED, a successful
 reproduction), 1 on FAIL or invariant violation, 2 on configuration
-errors.  The environment variable ``PQSIM_SEED`` overrides the default
-seed; an explicit ``--seed`` flag or config entry wins over it.
+errors and on output that cannot be written.  The environment variable
+``PQSIM_SEED`` overrides the default seed; an explicit ``--seed`` flag or
+config entry wins over it.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def parse_config(text: str) -> RunConfig:
 
     The space, state, target and device are checked here, the device by
     running it once on a basis state.  An experiment's or check's
-    parameters are checked against their bounds when ``run`` reads them.
+    parameters are checked when ``run`` runs it.
     """
     pairs = _read_pairs(text)
     consumed: set[str] = set()
@@ -342,11 +343,13 @@ def parse_config(text: str) -> RunConfig:
 
 @record
 class Param:
-    """One parameter's default and bounds: a value out of ``choices``, or a
-    number of ``type`` in [low, high] (in (low, high) when ``open``).  An
-    ``int`` parameter takes integers only, a ``float`` one integers or
-    floats, and neither takes a bool.  A ``many`` parameter is a nonempty
-    list of such values; a single value counts as a list of one."""
+    """One parameter's type and default: a value out of ``choices``, or a
+    number of ``type``.  An ``int`` parameter takes integers only, a
+    ``float`` one integers or floats, and neither takes a bool.  A ``many``
+    parameter is a list of such values; a single value counts as a list of
+    one.  The function that uses the parameter states its rule; [low, high]
+    (or (low, high) when ``open``) holds only a limit that no such function
+    applies, such as a cap on a count."""
 
     type: type
     default: Any = None
@@ -361,8 +364,6 @@ class Param:
         if not self.many:
             return self._one(value, key)
         items = value if isinstance(value, (list, tuple)) else (value,)
-        if not items:
-            raise ConfigError(f"{key} must be nonempty", key)
         return [self._one(item, key) for item in items]
 
     def _one(self, value, key: str):
@@ -373,14 +374,22 @@ class Param:
         if not (_is_int(value) or (self.type is float and isinstance(value, float))):
             noun = "an integer" if self.type is int else "a number"
             raise ConfigError(f"{key} must be {noun}, got {value!r}", key)
-        inside = (self.low < value < self.high if self.open
-                  else self.low <= value <= self.high)
-        # the magnitude bound rejects NaN, infinities and ints no float can hold
-        if not (inside and abs(value) <= sys.float_info.max):
-            left, right = "()" if self.open else "[]"
-            raise ConfigError(f"{key} must lie in {left}{self.low:g}, {self.high:g}{right}, "
+        if not (self.low < value < self.high if self.open else self.low <= value <= self.high):
+            raise ConfigError(f"{key} must {self._range()}, got {value}", key)
+        if not abs(value) <= sys.float_info.max:  # an integer no float can hold
+            raise ConfigError(f"{key} must have magnitude at most {sys.float_info.max!r}, "
                               f"got {value}", key)
         return float(value) if self.type is float else value
+
+    def _range(self) -> str:
+        """The bounds in words, each printed as it is written: one comparison
+        when the other bound is infinite."""
+        if self.high == math.inf:
+            return f"be {'above' if self.open else 'at least'} {self.low}"
+        if self.low == -math.inf:
+            return f"be {'below' if self.open else 'at most'} {self.high}"
+        left, right = "()" if self.open else "[]"
+        return f"lie in {left}{self.low}, {self.high}{right}"
 
 
 _NAMED_OBSERVABLES = dict(zip(("pauli_x", "pauli_y", "pauli_z"), exp.PAULI))
@@ -544,9 +553,10 @@ class Action:
     """One experiment or check: its names, stream, parameters and call.
 
     ``call(read, rng)`` reads each parameter through ``read(name)``: the
-    default when absent, else the value checked against its bounds, so an
-    unused parameter is never checked.  An experiment returns its
-    certificate or report, a check its record fields and whether it passed.
+    default when absent, else the value its ``Param`` parses, so an unused
+    parameter is never checked.  The library function it calls checks the
+    values it is given.  An experiment returns its certificate or report, a
+    check its record fields and whether it passed.
     ``m_param`` is the parameter the CLI flag ``--m`` feeds.
     """
 
@@ -560,9 +570,9 @@ class Action:
 
 def _run_action(action: Action, params: dict, seed: int, prefix: str = ""):
     """Run an action on the given parameters; a ConfigError names the
-    parameter's key, ``prefix`` + its name.  The library checks what the
-    bounds cannot see: a ParameterError naming one of the action's
-    parameters is that parameter's ConfigError."""
+    parameter's key, ``prefix`` + its name.  A ParameterError from the
+    library naming one of the action's parameters is that parameter's
+    ConfigError."""
     for name in params:
         if name not in action.params:
             raise ConfigError(f"{action.cli_name} takes no parameter {name!r}", prefix + name)
@@ -610,6 +620,7 @@ def _product_form(read, rng):
         cert.verdict == expected
 
 
+# the meter that the closure and product-form checks build before any library check runs
 _D = Param(int, 2, 2, 4)
 _M = Param(int, 3, 1, 8)  # the entropy meter's precision: 2^m log2(d) + 1 outcomes
 _THRESHOLD = Param(float, 0.05, low=0.0, open=True)
@@ -622,7 +633,7 @@ _MAX_TARGET_DIM = 2**12
 
 EXPERIMENTS = {a.config_name: a for a in (
     Action("fpvnem", "fpvnem", 10, {
-        "d": _D, "m": _M, "samples": Param(int, 1000, 1, _MAX_COUNT),
+        "d": Param(int, 2), "m": Param(int, 3), "samples": Param(int, 1000, high=_MAX_COUNT),
         "include_entangled": Param(bool, True, choices=(True, False))},
         lambda read, rng: exp.fpvnem_refutation(
             read("d"), read("m"), read("samples"), rng,
@@ -632,31 +643,31 @@ EXPERIMENTS = {a.config_name: a for a in (
         "element": Param(str, "projector0", choices=tuple(exp.SPOD_ELEMENTS))},
         lambda read, rng: exp.spod_update_refutation(rng, element=read("element"))),
     Action("no-signalling", "no-signalling", 12, {
-        "weights": Param(float, (0.5, 0.5), 0.0, 1.0, many=True)},
+        "weights": Param(float, (0.5, 0.5), many=True)},
         lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights"))),
     Action("cloning", "cloning", 13, {
-        "d": _D, "precision": Param(int, None, 1, exp.CLONING_MAX_PRECISION),
-        "trials": Param(int, 100, 1, _MAX_COUNT)},
+        "d": Param(int, 2), "precision": Param(int),
+        "trials": Param(int, 100, high=_MAX_COUNT)},
         lambda read, rng: exp.cloning_demo(read("d"), rng, precision=read("precision"),
                                            trials=read("trials")),
         m_param="precision"),
     Action("tomography", "tomography", 14, {
-        "n": Param(int, 100_000, 100, 2**63 - 1),  # Generator.binomial's counts are int64
-        "confidence": Param(float, 0.95, 0.0, 1.0, open=True),
+        "n": Param(int, 100_000, high=2**63 - 1),  # Generator.binomial's counts are int64
+        "confidence": Param(float, 0.95),
         "threshold": Param(float, 0.02, low=0.0, open=True)},
         lambda read, rng: exp.tomography_estimate(
             PureState.basis_state(FactorSpace((2,)), 0), read("n"), rng,
             confidence=read("confidence"), threshold=read("threshold"))),
     Action("ensemble-readout", "ensemble-readout", 15, {
-        "n": Param(int, 10_000, 100, _MAX_COUNT), "precisions": Param(int, None, 1, many=True),
+        "n": Param(int, 10_000, high=_MAX_COUNT), "precisions": Param(int, many=True),
         "threshold": _THRESHOLD},
         lambda read, rng: exp.ensemble_estimate_readout(
-            _default_ensemble(), read("n"), rng, precision_schedule=read("precisions"),
+            _default_ensemble(), read("n"), rng, precisions=read("precisions"),
             threshold=read("threshold")),
         m_param="precisions"),
     Action("ensemble-overlap", "ensemble-overlap", 16, {
-        "n": Param(int, 2000, 1, _MAX_COUNT),
-        "epsilons": Param(float, (0.05, 0.01), 0.0, 1.0, open=True, many=True),
+        "n": Param(int, 2000, 1, _MAX_COUNT),  # the library takes 0 draws as well
+        "epsilons": Param(float, (0.05, 0.01), many=True),
         "threshold": _THRESHOLD},
         lambda read, rng: exp.ensemble_estimate_overlap(
             _default_ensemble(), read("epsilons"), read("n"), rng,
@@ -667,14 +678,14 @@ CHECKS = {a.config_name: a for a in (
     Action("closure", "closure", 3, {
         "family": Param(str, "quantum_povm",
                         choices=("quantum_povm", "entropy_meter", "fpvnem")),
-        "samples": Param(int, 100, 1, 10**5), "m": _M},
+        "samples": Param(int, 100, high=10**5), "m": _M},
         _closure, m_param="m"),
     Action("product-form", "product_form", 3, {
         "family": Param(str, "fpvnem", choices=("fpvnem", "quantum")),
         "d": _D, "m": _M},
         _product_form, m_param="m"),
     Action("estimation", "estimation_assumption", 3, {
-        "family": Param(str, "readout", choices=ESTIMATION_FAMILIES), "d": _D},
+        "family": Param(str, "readout", choices=ESTIMATION_FAMILIES), "d": Param(int, 2)},
         lambda read, rng: (check_estimation_assumption(read("family"), read("d"), rng)
                            .record_fields(), True)),
 )}
@@ -723,12 +734,35 @@ def run(config: RunConfig) -> int:
             records = [fields]
         # a device run's records are written as they are made; output.path is
         # emptied before the first, unless it is empty or cannot seek (a pipe)
-        for n, fields in enumerate(records):
-            line = render(fields) + "\n"
-            if n == 0 and config.output_path and stream.seekable() and stream.tell():
-                stream.truncate(0)
-            stream.write(line)
+        lines = map(render, records)
+        first = next(lines)
+        if config.output_path and stream.seekable() and stream.tell():
+            stream.truncate(0)
+        _write(stream, itertools.chain((first,), lines))
     return status
+
+
+class OutputError(Exception):
+    """Output that could not be written: stdout is closed, its reader has
+    gone, or its disk is full.  ``main`` exits 2 naming the error."""
+
+
+def _write(stream, lines) -> None:
+    """Write each line and a newline to ``stream``, then flush once.  No
+    stream (a closed stdout is None) or a failed write is an OutputError;
+    the stream's descriptor then points at devnull, so that its buffered
+    rest is dropped at close and at exit instead of failing again."""
+    if stream is None:
+        raise OutputError("stdout is closed")
+    try:
+        for line in lines:
+            stream.write(line + "\n")
+        stream.flush()
+    except OSError as err:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise OutputError(err) from None
 
 
 def _as_text(fields: dict) -> str:
@@ -836,7 +870,7 @@ def main(argv: list[str] | None = None) -> int:
                                   f"at byte {err.start}") from None
             return run(parse_config(text))
         if args.command == "list-devices":
-            print(list_devices(as_json=args.json, pattern=args.filter))
+            _write(sys.stdout, [list_devices(as_json=args.json, pattern=args.filter)])
             return 0
         # demo or check: the flags given feed the action's parameters
         seed = _seed_from(args)
@@ -847,10 +881,13 @@ def main(argv: list[str] | None = None) -> int:
         if "m" in params and action.m_param is not None:
             params[action.m_param] = params.pop("m")
         fields, status = _action_record(action, params, seed)
-        print(format_record(fields))
+        _write(sys.stdout, [format_record(fields)])
         return status
     except ConfigError as err:
         print(f"pqsim: configuration error: {err}", file=sys.stderr)
+        return 2
+    except OutputError as err:
+        print(f"pqsim: cannot write output: {err}", file=sys.stderr)
         return 2
 
 

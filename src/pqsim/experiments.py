@@ -155,13 +155,14 @@ class EstimationReport:
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; a ParameterError
-    naming ``confidence`` where 0.5 + confidence/2 rounds to 1."""
+    naming ``confidence`` unless 0.5 < 0.5 + confidence/2 < 1 in floats."""
     import statistics  # only here: importing pqsim does not load it
 
     quantile = 0.5 + confidence / 2.0
-    if not quantile < 1.0:
-        raise ParameterError("confidence", f"confidence {confidence!r} rounds 0.5 + "
-                             "confidence/2 to 1, whose normal quantile is infinite")
+    if not 0.5 < quantile < 1.0:
+        raise ParameterError("confidence", f"confidence {confidence!r} puts 0.5 + confidence/2 "
+                             f"at {quantile!r}, outside (0.5, 1) where the normal quantile "
+                             "is positive and finite")
     z = statistics.NormalDist().inv_cdf(quantile)
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -454,7 +455,7 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
 # Estimation protocols
 # ---------------------------------------------------------------------------
 
-def tomography_estimate(source: Union[Ensemble, PureState], n_trials: int,
+def tomography_estimate(source: Union[Ensemble, PureState], n: int,
                         rng: RandomStream, confidence: float = 0.95,
                         threshold: float = 0.02) -> EstimationReport:
     """Qubit state tomography from three informationally complete outcomes.
@@ -467,7 +468,7 @@ def tomography_estimate(source: Union[Ensemble, PureState], n_trials: int,
     space = source.space
     if space.total_dim != 2:
         raise ValueError("tomography protocol is implemented for d = 2")
-    n_trials = _checked_int(n_trials, "n_trials", 100)  # the confidence recipe's minimum
+    n_trials = _checked_int(n, "n", 100)  # the confidence recipe's minimum
 
     rho_true = source.density().entries if isinstance(source, Ensemble) else source.density()
     budgets = [n_trials // 3 + (1 if i < n_trials % 3 else 0) for i in range(3)]
@@ -526,8 +527,8 @@ def _state_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a * phase - b)))
 
 
-def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
-                              precision_schedule: Sequence[int] | None = None,
+def ensemble_estimate_readout(source: Ensemble, n: int, rng: RandomStream,
+                              precisions: Sequence[int] | None = None,
                               confidence: float = 0.95,
                               threshold: float = 0.05) -> EstimationReport:
     """Recover a finite ensemble by repeated state readout.
@@ -539,18 +540,18 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
     2^-(m-1), the quantization cell size.  The achieved metric is the
     total variation sum |p_i - p_i^e| against the true weights.
     """
-    n_draws = _checked_int(n_draws, "n_draws", 100)
+    n_draws = _checked_int(n, "n", 100)
     members = source.members
     weights = source.weights
 
-    if precision_schedule is not None and len(precision_schedule) == 0:
-        raise ValueError("precision schedule must be nonempty")
-    schedule = [_checked_int(m, "precision_schedule entry", 1)
-                for m in (() if precision_schedule is None else precision_schedule)]
+    if precisions is not None and len(precisions) == 0:
+        raise ParameterError("precisions", "precision schedule must be nonempty")
+    schedule = [_checked_int(m, "precisions", 1)
+                for m in (() if precisions is None else precisions)]
 
     # group draws by (member, precision); the draw sequence is multinomial
     groups: dict[tuple[int, int | None], int] = {}
-    if precision_schedule is None:
+    if precisions is None:
         counts = rng.derive(0).generator.multinomial(n_draws, weights)
         for r, c in enumerate(counts):
             if c > 0:
@@ -592,7 +593,7 @@ def ensemble_estimate_readout(source: Ensemble, n_draws: int, rng: RandomStream,
 
     extras = {"members": len(members), "draws": n_draws,
               "max_member_deviation": max(deviations),
-              "finite_precision": precision_schedule is not None}
+              "finite_precision": precisions is not None}
     return _ensemble_report("ensemble-readout", source, clusters, matches, n_draws, rng,
                             confidence, threshold, extras)
 
@@ -674,8 +675,8 @@ def _net_size_for(epsilon: float) -> int | float:
     return max(int(math.ceil((3.5 / theta) ** 2)), 8) if theta > 0.0 else math.inf
 
 
-def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float],
-                              n_draws: int, rng: RandomStream,
+def ensemble_estimate_overlap(source: Ensemble, epsilons: Sequence[float],
+                              n: int, rng: RandomStream,
                               confidence: float = 0.95, threshold: float = 0.05,
                               net_cap: int = 4000) -> EstimationReport:
     """Recover a qubit ensemble using only threshold overlap tests.
@@ -691,12 +692,12 @@ def ensemble_estimate_overlap(source: Ensemble, epsilon_schedule: Sequence[float
     """
     if source.space.total_dim != 2:
         raise ValueError("overlap estimation is implemented for d = 2")
-    schedule = [float(e) for e in epsilon_schedule]
+    schedule = [float(e) for e in epsilons]
     if len(schedule) == 0:
-        raise ValueError("epsilon schedule must be nonempty")
+        raise ParameterError("epsilons", "epsilon schedule must be nonempty")
     if any(not 0.0 < e < 1.0 for e in schedule):
-        raise ValueError("epsilon values must lie in (0, 1)")
-    n_draws = _checked_int(n_draws, "n_draws", 0)
+        raise ParameterError("epsilons", "epsilon values must lie in (0, 1)")
+    n_draws = _checked_int(n, "n", 0)
     net_cap = _checked_int(net_cap, "net_cap", 1)
 
     members = source.members

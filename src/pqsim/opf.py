@@ -856,7 +856,7 @@ def _readout_witness_pair(dim: int, unitary: np.ndarray) -> tuple[Ensemble, Ense
     return Ensemble(((a0, 0.5), (a1, 0.5))), Ensemble(((b0, 0.5), (b1, 0.5)))
 
 
-def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
+def check_estimation_assumption(family: str, d: int, rng: RandomStream,
                                 outcome_list: Sequence[OPF] | None = None
                                 ) -> EstimationVerdict:
     """Decide whether a measurement family admits a finite estimating outcome list.
@@ -870,7 +870,7 @@ def check_estimation_assumption(family: str, dim: int, rng: RandomStream,
     """
     if family not in ESTIMATION_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {ESTIMATION_FAMILIES}")
-    dim = _checked_int(dim, "dim", 2, 4)
+    dim = _checked_int(d, "d", 2, 4)
 
     space = FactorSpace((dim,))
 

@@ -137,12 +137,12 @@ def _square_matrix(entries, what: str) -> np.ndarray:
 
 def _checked_int(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int, if it is an integer (not a bool) in [low, high];
-    else ValueError naming the argument."""
+    else a ParameterError naming the argument."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ParameterError(name, f"{name} must be an integer, got {value!r}")
     if value < low or (high is not None and value > high):
         span = f"at least {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be {span}, got {value}")
+        raise ParameterError(name, f"{name} must be {span}, got {value}")
     return int(value)
 
 

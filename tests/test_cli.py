@@ -961,6 +961,14 @@ class TestExperimentParameterExitCodes:
         ("tomography", "confidence = 0.9999999999999999"),
         ("tomography", "n = 30000000000000000000"),  # above Generator.binomial's int64
         ("cloning", "precision = 53"),
+        # the rules below are stated only by the library function the parameter feeds
+        ("ensemble-overlap", "epsilons = []"),
+        ("ensemble-readout", "precisions = []"),
+        ("no-signalling", "weights = []"),
+        ("tomography", "confidence = 0"),
+        ("tomography", "confidence = -1"),
+        ("fpvnem", "d = 5"),
+        ("cloning", "trials = 0"),
     ])
     def test_malformed_or_unread_parameter_exits_two(self, experiment, line, tmp_path,
                                                      capsys):
@@ -983,6 +991,39 @@ class TestExperimentParameterExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"takes no parameter '{argv[2][2:]}'" in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["demo", "fpvnem", "--d", "5"], "d must be in [2, 4], got 5 (key 'd')"),
+        (["check", "estimation", "--d", "5"], "d must be in [2, 4], got 5 (key 'd')"),
+        (["check", "closure", "--samples", "0"],
+         "samples must be at least 1, got 0 (key 'samples')"),
+    ])
+    def test_flag_error_is_the_library_message_naming_the_key(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("action,line,message", [
+        ("experiment.id = \"tomography\"", "experiment.n = 30000000000000000000",
+         "must be at most 9223372036854775807, got 30000000000000000000"),
+        ("experiment.id = \"ensemble-overlap\"", "experiment.n = 0",
+         "must lie in [1, 1000000], got 0"),
+        ("experiment.id = \"tomography\"", "experiment.threshold = 0",
+         "must be above 0.0, got 0"),
+        ("device.kind = \"Readout\"\naction.target = [0]", "device.precision = 0",
+         "must be at least 1, got 0"),
+        ("experiment.id = \"fpvnem\"", f"experiment.d = {10**400}",
+         f"must have magnitude at most 1.7976931348623157e+308, got {10**400}"),
+    ], ids=["at-most", "two-sided", "above", "at-least", "magnitude"])
+    def test_bound_message_states_the_bound_exactly(self, action, line, message, tmp_path,
+                                                    capsys):
+        kind = action.split(".")[0]
+        text = ('space.dims = [2]\nstate.kind = "random"\n'
+                f'action.type = "{kind}"\naction.{action}\naction.{line}\n')
+        assert _run_config(tmp_path, text) == 2
+        key = "action." + line.split(" = ")[0]
+        assert f"{key} {message} (key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("epsilon", ["1e-10", "1e-17"])
     def test_tiny_epsilon_ends_in_the_net_cap_failure(self, epsilon, tmp_path, capsys):
@@ -1012,3 +1053,49 @@ class TestExperimentParameterExitCodes:
         assert main(["demo", "ensemble-readout", "--m", "4", "--seed", "3"]) == 0
         expected = run_experiment("ensemble-readout", {"precisions": [4]}, seed=3)
         assert capsys.readouterr().out == format_record(expected.record_fields()) + "\n"
+
+
+class TestOutputFailures:
+    """A write that fails exits 2 with one stderr line naming the error: no
+    traceback, and no error at shutdown.  Each case runs in its own process."""
+
+    MANY = ('space.dims = [2]\nstate.kind = "random"\naction.type = "device"\n'
+            'action.device.kind = "BasisSelect"\naction.target = [0]\n'
+            "action.repetitions = 1000000\n")
+
+    @staticmethod
+    def _pqsim(*args, **kwargs):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        return subprocess.Popen([sys.executable, "-m", "pqsim.cli", *args], env=env,
+                                stderr=subprocess.PIPE, text=True, **kwargs)
+
+    def _argv(self, command, tmp_path):
+        if command != "run":
+            return command.split()
+        path = tmp_path / "many.pq"
+        path.write_text(self.MANY, encoding="utf-8")
+        return ["run", str(path)]
+
+    @pytest.mark.parametrize("command", ["demo no-signalling", "run"])
+    def test_closed_stdout_exits_two(self, command, tmp_path):
+        process = self._pqsim(*self._argv(command, tmp_path), preexec_fn=lambda: os.close(1))
+        err = process.communicate(timeout=60)[1]
+        assert err == "pqsim: cannot write output: stdout is closed\n"
+        assert process.returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["demo no-signalling", "check closure", "list-devices",
+                                         "run"])
+    def test_full_device_exits_two(self, command, tmp_path):
+        with open("/dev/full", "w") as full:
+            process = self._pqsim(*self._argv(command, tmp_path), stdout=full)
+            err = process.communicate(timeout=60)[1]
+        assert err == "pqsim: cannot write output: [Errno 28] No space left on device\n"
+        assert process.returncode == 2
+
+    def test_reader_that_closes_after_one_line_exits_two(self, tmp_path):
+        with self._pqsim(*self._argv("run", tmp_path), stdout=subprocess.PIPE) as process:
+            assert process.stdout.readline().startswith("outcome_type=")
+            process.stdout.close()
+            assert process.wait(timeout=60) == 2
+            assert process.stderr.read() == "pqsim: cannot write output: [Errno 32] Broken pipe\n"

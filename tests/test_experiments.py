@@ -370,7 +370,7 @@ class TestReportFailedChecks:
     def test_ensemble_readout_metric(self):
         # at precision 1 the three members' descriptions merge
         _report_fails_naming(ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(26),
-                                                       precision_schedule=[1]),
+                                                       precisions=[1]),
                              "metric_below_threshold")
         _report_fails_naming(ensemble_estimate_readout(self.ENSEMBLE, 10_000, RandomStream(22),
                                                        threshold=1e-9),
@@ -573,27 +573,28 @@ class TestEnsembleReadout:
 
     def test_finite_precision_schedule(self):
         report = ensemble_estimate_readout(self.ENSEMBLE, 5000, RandomStream(26),
-                                           precision_schedule=[6, 7, 8, 9, 10, 11, 12])
+                                           precisions=[6, 7, 8, 9, 10, 11, 12])
         assert report.extras["finite_precision"]
         assert report.metric_value < 0.05
         # member reconstruction error bounded by the coarsest quantization cell
         assert report.extras["max_member_deviation"] < 2.0 ** -5
 
     def test_empty_schedule_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError) as err:
             ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(27),
-                                      precision_schedule=[])
+                                      precisions=[])
+        assert err.value.name == "precisions"
         with pytest.raises(ValueError, match="^precision schedule must be nonempty$"):
             ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(27),
-                                      precision_schedule=np.array([], dtype=int))
+                                      precisions=np.array([], dtype=int))
 
     @pytest.mark.parametrize("schedule", [[4, 6], [6], [8, 2, 12]])
     def test_array_schedule_gives_the_list_record(self, schedule):
         for seed in (1, 26, 27):
             got = ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(seed),
-                                            precision_schedule=np.array(schedule))
+                                            precisions=np.array(schedule))
             want = ensemble_estimate_readout(self.ENSEMBLE, 1000, RandomStream(seed),
-                                             precision_schedule=schedule)
+                                             precisions=schedule)
             assert _record(got) == _record(want)
 
     def test_repetition_harness(self):
@@ -681,7 +682,7 @@ class TestEnsembleScore:
         for source in self.SOURCES:
             for seed in range(1, 21):
                 self._same(ensemble_estimate_readout(source, 2000, RandomStream(seed),
-                                                     precision_schedule=schedule),
+                                                     precisions=schedule),
                            oracles.ensemble_estimate_readout(source, 2000, RandomStream(seed),
                                                              precision_schedule=schedule))
 
@@ -727,9 +728,17 @@ class TestEnsembleOverlap:
         assert len(report.recovered) == 2
 
     def test_empty_schedule_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError) as err:
             ensemble_estimate_overlap(Ensemble(((KET0, 1.0),)), [], 100,
                                       RandomStream(31))
+        assert err.value.name == "epsilons"
+
+    @pytest.mark.parametrize("epsilons", [[0.0], [0.05, 1.0], [2]])
+    def test_epsilon_outside_the_open_interval_rejected(self, epsilons):
+        with pytest.raises(ParameterError, match=r"^epsilon values must lie in \(0, 1\)$") as err:
+            ensemble_estimate_overlap(Ensemble(((KET0, 1.0),)), epsilons, 100,
+                                      RandomStream(31))
+        assert err.value.name == "epsilons"
 
     # at 1e-17, 1 - 2 eps rounds to 1: no finite net resolves it
     @pytest.mark.parametrize("eps,net_cap", [(1e-4, 100), (1e-17, 4000)])
@@ -779,11 +788,11 @@ INTEGER_ARGUMENTS = {
     "cloning d": lambda v: cloning_demo(v, RandomStream(1), trials=5),
     "cloning trials": lambda v: cloning_demo(2, RandomStream(1), trials=v),
     "cloning precision": lambda v: cloning_demo(2, RandomStream(1), precision=v, trials=5),
-    "tomography n_trials": lambda v: tomography_estimate(KET0, v, RandomStream(1)),
-    "readout n_draws": lambda v: ensemble_estimate_readout(ENSEMBLE, v, RandomStream(1)),
-    "readout schedule": lambda v: ensemble_estimate_readout(
-        ENSEMBLE, 100, RandomStream(1), precision_schedule=[4, v]),
-    "overlap n_draws": lambda v: ensemble_estimate_overlap(ENSEMBLE, [0.05], v, RandomStream(1)),
+    "tomography n": lambda v: tomography_estimate(KET0, v, RandomStream(1)),
+    "readout n": lambda v: ensemble_estimate_readout(ENSEMBLE, v, RandomStream(1)),
+    "readout precisions": lambda v: ensemble_estimate_readout(
+        ENSEMBLE, 100, RandomStream(1), precisions=[4, v]),
+    "overlap n": lambda v: ensemble_estimate_overlap(ENSEMBLE, [0.05], v, RandomStream(1)),
     "overlap net_cap": lambda v: ensemble_estimate_overlap(ENSEMBLE, [0.05], 10, RandomStream(1),
                                                            net_cap=v),
 }
@@ -800,32 +809,33 @@ INTEGER_ARGUMENTS = {
     ("cloning precision", True, "precision must be an integer, got True"),
     ("cloning precision", 0, r"precision must be in \[1, 52\], got 0"),
     ("cloning precision", 53, r"precision must be in \[1, 52\], got 53"),
-    ("tomography n_trials", 100.5, "n_trials must be an integer, got 100.5"),
-    ("tomography n_trials", True, "n_trials must be an integer, got True"),
-    ("tomography n_trials", 99, "n_trials must be at least 100, got 99"),
-    ("readout n_draws", 100.5, "n_draws must be an integer, got 100.5"),
-    ("readout n_draws", True, "n_draws must be an integer, got True"),
-    ("readout n_draws", 99, "n_draws must be at least 100, got 99"),
-    ("readout schedule", 4.0, "precision_schedule entry must be an integer, got 4.0"),
-    ("readout schedule", True, "precision_schedule entry must be an integer, got True"),
-    ("readout schedule", 0, "precision_schedule entry must be at least 1, got 0"),
-    ("overlap n_draws", 10.0, "n_draws must be an integer, got 10.0"),
-    ("overlap n_draws", True, "n_draws must be an integer, got True"),
-    ("overlap n_draws", -1, "n_draws must be at least 0, got -1"),
+    ("tomography n", 100.5, "n must be an integer, got 100.5"),
+    ("tomography n", True, "n must be an integer, got True"),
+    ("tomography n", 99, "n must be at least 100, got 99"),
+    ("readout n", 100.5, "n must be an integer, got 100.5"),
+    ("readout n", True, "n must be an integer, got True"),
+    ("readout n", 99, "n must be at least 100, got 99"),
+    ("readout precisions", 4.0, "precisions must be an integer, got 4.0"),
+    ("readout precisions", True, "precisions must be an integer, got True"),
+    ("readout precisions", 0, "precisions must be at least 1, got 0"),
+    ("overlap n", 10.0, "n must be an integer, got 10.0"),
+    ("overlap n", True, "n must be an integer, got True"),
+    ("overlap n", -1, "n must be at least 0, got -1"),
     ("overlap net_cap", True, "net_cap must be an integer, got True"),
     ("overlap net_cap", 50.5, "net_cap must be an integer, got 50.5"),
     ("overlap net_cap", 0, "net_cap must be at least 1, got 0"),
 ])
 def test_integer_argument_rejected_by_name(argument, value, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ParameterError, match=f"^{message}$") as err:
         INTEGER_ARGUMENTS[argument](value)
+    assert err.value.name == argument.split()[-1]
 
 
 @pytest.mark.parametrize("argument,value", [
     ("cloning d", 4), ("cloning trials", 1), ("cloning precision", 1),
     ("cloning precision", CLONING_MAX_PRECISION),
-    ("tomography n_trials", 100), ("readout n_draws", 100), ("readout schedule", 1),
-    ("overlap n_draws", 0), ("overlap net_cap", 1), ("overlap net_cap", np.int64(4000)),
+    ("tomography n", 100), ("readout n", 100), ("readout precisions", 1),
+    ("overlap n", 0), ("overlap net_cap", 1), ("overlap net_cap", np.int64(4000)),
     ("cloning d", np.int64(2)),
 ])
 def test_integer_argument_accepts_its_bounds(argument, value):
@@ -850,6 +860,13 @@ class TestReportPlumbing:
         assert err.value.name == "confidence"
         lo, hi = wilson_interval(17, 100, 0.9999999999999998)
         assert 0.0 <= lo <= 0.17 <= hi <= 1.0
+
+    @pytest.mark.parametrize("confidence", [0.0, -1.0, 1.0, 1e-300, math.nan])
+    def test_wilson_interval_rejects_a_confidence_outside_its_range(self, confidence):
+        # 0.5 + c/2 must lie in (0.5, 1), where the normal quantile is positive and finite
+        with pytest.raises(ParameterError) as err:
+            wilson_interval(17, 100, confidence)
+        assert err.value.name == "confidence"
 
     def test_wilson_interval_matches_scipy_quantile(self):
         for confidence in (0.8, 0.9, 0.95, 0.99, 0.999):

@@ -56,6 +56,7 @@ from pqsim.qcore import (
     Ensemble,
     FactorSpace,
     POVMSet,
+    ParameterError,
     PureState,
     RandomStream,
     StateStack,
@@ -506,14 +507,15 @@ class TestEntropyOutcomeValues:
 
 class TestEstimationAssumption:
     @pytest.mark.parametrize("dim,message", [
-        (2.5, "dim must be an integer, got 2.5"),
-        (True, "dim must be an integer, got True"),
-        (5, r"dim must be in \[2, 4\], got 5"),
-        (1, r"dim must be in \[2, 4\], got 1"),
+        (2.5, "d must be an integer, got 2.5"),
+        (True, "d must be an integer, got True"),
+        (5, r"d must be in \[2, 4\], got 5"),
+        (1, r"d must be in \[2, 4\], got 1"),
     ])
     def test_dimension_rejected_by_name(self, dim, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ParameterError, match=f"^{message}$") as err:
             check_estimation_assumption("quantum_povm", dim, RandomStream(1))
+        assert err.value.name == "d"
 
     def test_satisfied_families_return_ic_outcomes(self):
         rng = RandomStream(293)

@@ -4,7 +4,10 @@ library example.  The README is read when the tests run, so a claim it
 makes that the program does not keep fails here."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,18 @@ def test_prose_example_exits_as_stated(command, status, capsys):
     assert main(command.split()) == status
     err = capsys.readouterr().err
     assert ("configuration error" in err) == (status == 2)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_write_failure_example_exits_two():
+    command = "pqsim demo no-signalling > /dev/full"
+    assert f"`{command}`" in README
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "pqsim.cli", *command.split()[1:3]],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert done.returncode == 2
+    assert f"`{done.stderr.strip()}`" in README
 
 
 def test_config_example_runs(tmp_path, monkeypatch, capsys):
