@@ -45,7 +45,7 @@ from .opf import (
     product_form_witness,
 )
 from .qcore import (Ensemble, FactorSpace, HermitianObservable, POVMSet, PureState, RandomStream,
-                    _row_norms, normalized_states, projectors)
+                    _checked_int, _row_norms, normalized_states, projectors)
 
 DEFAULT_SEED = 0x5EED
 
@@ -343,13 +343,14 @@ def parse_config(text: str) -> RunConfig:
 
 @record
 class Param:
-    """One parameter's type and default: a value out of ``choices``, or a
-    number of ``type``.  An ``int`` parameter takes integers only, a
-    ``float`` one integers or floats, and neither takes a bool.  A ``many``
-    parameter is a list of such values; a single value counts as a list of
-    one.  The function that uses the parameter states its rule; [low, high]
-    (or (low, high) when ``open``) holds only a limit that no such function
-    applies, such as a cap on a count."""
+    """One parameter's type: a value out of ``choices``, or a number of
+    ``type``.  An ``int`` parameter takes integers only, a ``float`` one
+    integers or floats, and neither takes a bool.  A ``many`` parameter is
+    a list of such values; a single value counts as a list of one.  The
+    function that uses the parameter states its rule and its default;
+    [low, high] (or (low, high) when ``open``) holds only a limit that no
+    such function applies, such as a cap on a count, and ``default`` only
+    the value the CLI gives an argument that the function requires."""
 
     type: type
     default: Any = None
@@ -484,12 +485,11 @@ def _device_spec(kind: str, raw: dict, dim: int, line_of=lambda key: None) -> de
 
 def build_state(config: RunConfig) -> PureState:
     space = FactorSpace(config.dims)
-    if config.state_kind == "bell":
+    if config.state_kind in ("bell", "ghz"):  # sum_i |i...i> / sqrt(d); bell has two factors
         d = space.dims[0]
-        return PureState(space, np.eye(d).reshape(-1) / math.sqrt(d))
-    if config.state_kind == "ghz":
         amps = np.zeros(space.total_dim)
-        amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
+        # |i...i> is index i (1 + d + ... + d^(n-1)) = i (D - 1) / (d - 1)
+        amps[np.arange(d) * ((space.total_dim - 1) // (d - 1))] = 1.0 / math.sqrt(d)
         return PureState(space, amps)
     if config.state_kind == "product":
         return PureState.basis_state(space, config.state_labels)
@@ -552,12 +552,13 @@ def _device_records(config: RunConfig):
 class Action:
     """One experiment or check: its names, stream, parameters and call.
 
-    ``call(read, rng)`` reads each parameter through ``read(name)``: the
-    default when absent, else the value its ``Param`` parses, so an unused
-    parameter is never checked.  The library function it calls checks the
-    values it is given.  An experiment returns its certificate or report, a
-    check its record fields and whether it passed.
-    ``m_param`` is the parameter the CLI flag ``--m`` feeds.
+    ``call(rng=..., **values)`` takes each parameter by its name: the value
+    its ``Param`` parses when given, else the ``Param`` default when it has
+    one; every other parameter falls to the signature of the library
+    function it calls, which checks the values it is given.  An experiment
+    returns its certificate or report, a check its record fields and
+    whether it passed.  ``m_param`` is the parameter the CLI flag ``--m``
+    feeds.
     """
 
     cli_name: str
@@ -573,16 +574,14 @@ def _run_action(action: Action, params: dict, seed: int, prefix: str = ""):
     parameter's key, ``prefix`` + its name.  A ParameterError from the
     library naming one of the action's parameters is that parameter's
     ConfigError."""
-    for name in params:
+    values = {name: param.default for name, param in action.params.items()
+              if param.default is not None}
+    for name, value in params.items():
         if name not in action.params:
             raise ConfigError(f"{action.cli_name} takes no parameter {name!r}", prefix + name)
-
-    def read(name):
-        param = action.params[name]
-        return param.parse(params[name], prefix + name) if name in params else param.default
-
+        values[name] = action.params[name].parse(value, prefix + name)
     try:
-        return action.call(read, RandomStream(seed, experiment=action.stream))
+        return action.call(rng=RandomStream(seed, experiment=action.stream), **values)
     except dev.ParameterError as err:
         if err.name not in action.params:
             raise
@@ -594,23 +593,22 @@ def _default_ensemble() -> Ensemble:
     return Ensemble(((ket0, 0.5), (ket1, 0.3), (plus, 0.2)))
 
 
-def _closure(read, rng):
-    family = read("family")
+def _closure(rng, family, samples, m):
     space = FactorSpace((2, 2))
     if family == "quantum_povm":
         measurement = FullMeasurement.from_povm(_computational_povm(4), space)
-    else:  # entropy_meter, fpvnem
-        measurement = entropy_meter_measurement(space, (0,), precision=read("m"))
-    report = check_closure(measurement, read("samples"), rng)
+    else:  # entropy_meter, fpvnem: 2^m log2(d) + 1 outcomes
+        measurement = entropy_meter_measurement(space, (0,), precision=_checked_int(m, "m", 1, 8))
+    report = check_closure(measurement, samples, rng)
     return dict(report.record_fields(), family=family), report.passed
 
 
-def _product_form(read, rng):
-    family = read("family")
+def _product_form(rng, family, d, m):
     # the witness fits operators on a space of total dimension <= 16
-    space = FactorSpace((read("d"),) * 2)
+    space = FactorSpace((_checked_int(d, "d", 2, 4),) * 2)
     if family == "fpvnem":
-        opf = entropy_meter_measurement(space, (0,), precision=read("m")).outcomes[0]
+        opf = entropy_meter_measurement(space, (0,),
+                                        precision=_checked_int(m, "m", 1, 8)).outcomes[0]
         expected = "VIOLATION"
     else:  # quantum
         opf = opf_from_quantum(np.diag(np.linspace(0.1, 0.9, space.total_dim)), space)
@@ -620,10 +618,11 @@ def _product_form(read, rng):
         cert.verdict == expected
 
 
-# the meter that the closure and product-form checks build before any library check runs
-_D = Param(int, 2, 2, 4)
-_M = Param(int, 3, 1, 8)  # the entropy meter's precision: 2^m log2(d) + 1 outcomes
-_THRESHOLD = Param(float, 0.05, low=0.0, open=True)
+def _estimation(rng, family, d):
+    return check_estimation_assumption(family, d, rng).record_fields(), True
+
+
+_THRESHOLD = Param(float, low=0.0, open=True)
 # a count's largest array stays near 256 MB at d = 4: fpvnem's (samples, 16) and cloning's
 # (trials, 8) complex states at 10^6, the closure check's (samples, 257) floats at 10^5
 _MAX_COUNT = 10**6
@@ -631,63 +630,52 @@ _MAX_COUNT = 10**6
 _MAX_DIM = 2**24
 _MAX_TARGET_DIM = 2**12
 
+# Each call looks its library function up on ``exp`` when it runs, so that a
+# function replaced on ``pqsim.experiments`` (by the benchmark's tracer, or a
+# test's monkeypatch) is the one called; a reference bound here would not be.
 EXPERIMENTS = {a.config_name: a for a in (
     Action("fpvnem", "fpvnem", 10, {
         "d": Param(int, 2), "m": Param(int, 3), "samples": Param(int, 1000, high=_MAX_COUNT),
-        "include_entangled": Param(bool, True, choices=(True, False))},
-        lambda read, rng: exp.fpvnem_refutation(
-            read("d"), read("m"), read("samples"), rng,
-            include_entangled=read("include_entangled")),
-        m_param="m"),
+        "include_entangled": Param(bool, choices=(True, False))},
+        lambda **values: exp.fpvnem_refutation(**values), m_param="m"),
     Action("spod-update", "spod-update", 11, {
-        "element": Param(str, "projector0", choices=tuple(exp.SPOD_ELEMENTS))},
-        lambda read, rng: exp.spod_update_refutation(rng, element=read("element"))),
-    Action("no-signalling", "no-signalling", 12, {
-        "weights": Param(float, (0.5, 0.5), many=True)},
-        lambda read, rng: exp.no_signalling_demo(rng, schmidt_weights=read("weights"))),
+        "element": Param(str, choices=tuple(exp.SPOD_ELEMENTS))},
+        lambda **values: exp.spod_update_refutation(**values)),
+    Action("no-signalling", "no-signalling", 12, {"weights": Param(float, many=True)},
+        lambda **values: exp.no_signalling_demo(**values)),
     Action("cloning", "cloning", 13, {
-        "d": Param(int, 2), "precision": Param(int),
-        "trials": Param(int, 100, high=_MAX_COUNT)},
-        lambda read, rng: exp.cloning_demo(read("d"), rng, precision=read("precision"),
-                                           trials=read("trials")),
-        m_param="precision"),
+        "d": Param(int, 2), "precision": Param(int), "trials": Param(int, high=_MAX_COUNT)},
+        lambda **values: exp.cloning_demo(**values), m_param="precision"),
     Action("tomography", "tomography", 14, {
         "n": Param(int, 100_000, high=2**63 - 1),  # Generator.binomial's counts are int64
-        "confidence": Param(float, 0.95),
-        "threshold": Param(float, 0.02, low=0.0, open=True)},
-        lambda read, rng: exp.tomography_estimate(
-            PureState.basis_state(FactorSpace((2,)), 0), read("n"), rng,
-            confidence=read("confidence"), threshold=read("threshold"))),
+        "confidence": Param(float), "threshold": _THRESHOLD},
+        lambda **values: exp.tomography_estimate(
+            PureState.basis_state(FactorSpace((2,)), 0), **values)),
     Action("ensemble-readout", "ensemble-readout", 15, {
         "n": Param(int, 10_000, high=_MAX_COUNT), "precisions": Param(int, many=True),
         "threshold": _THRESHOLD},
-        lambda read, rng: exp.ensemble_estimate_readout(
-            _default_ensemble(), read("n"), rng, precisions=read("precisions"),
-            threshold=read("threshold")),
+        lambda **values: exp.ensemble_estimate_readout(_default_ensemble(), **values),
         m_param="precisions"),
     Action("ensemble-overlap", "ensemble-overlap", 16, {
         "n": Param(int, 2000, 1, _MAX_COUNT),  # the library takes 0 draws as well
         "epsilons": Param(float, (0.05, 0.01), many=True),
         "threshold": _THRESHOLD},
-        lambda read, rng: exp.ensemble_estimate_overlap(
-            _default_ensemble(), read("epsilons"), read("n"), rng,
-            threshold=read("threshold"))),
+        lambda **values: exp.ensemble_estimate_overlap(_default_ensemble(), **values)),
 )}
 
 CHECKS = {a.config_name: a for a in (
     Action("closure", "closure", 3, {
         "family": Param(str, "quantum_povm",
                         choices=("quantum_povm", "entropy_meter", "fpvnem")),
-        "samples": Param(int, 100, high=10**5), "m": _M},
+        "samples": Param(int, 100, high=10**5), "m": Param(int, 3)},
         _closure, m_param="m"),
     Action("product-form", "product_form", 3, {
         "family": Param(str, "fpvnem", choices=("fpvnem", "quantum")),
-        "d": _D, "m": _M},
+        "d": Param(int, 2), "m": Param(int, 3)},
         _product_form, m_param="m"),
     Action("estimation", "estimation_assumption", 3, {
         "family": Param(str, "readout", choices=ESTIMATION_FAMILIES), "d": Param(int, 2)},
-        lambda read, rng: (check_estimation_assumption(read("family"), read("d"), rng)
-                           .record_fields(), True)),
+        _estimation),
 )}
 
 # the record table of each action type, keyed by the name a config gives

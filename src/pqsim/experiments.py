@@ -355,7 +355,7 @@ def checked_schmidt_weights(values: Sequence[float]) -> np.ndarray:
 
 
 def no_signalling_demo(rng: RandomStream,
-                       schmidt_weights: Sequence[float] = (0.5, 0.5)) -> Certificate:
+                       weights: Sequence[float] = (0.5, 0.5)) -> Certificate:
     """Remote measurement made visible through a local entropy meter.
 
     Prepares sum_i sqrt(p_i)|ii> on two qubits, reads the entropy of the
@@ -363,7 +363,7 @@ def no_signalling_demo(rng: RandomStream,
     in the Schmidt basis, and reads the entropy again.  Any change is a
     signal that quantum measurements alone could never produce.
     """
-    weights = checked_schmidt_weights(schmidt_weights)
+    weights = checked_schmidt_weights(weights)
     space = FactorSpace((2, 2))
     amps = np.zeros(4)
     amps[0] = math.sqrt(weights[0])
@@ -414,9 +414,11 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
     reconstructs the state from the rank-1 description, and prepares two
     copies.  Infinite precision demands copy fidelity >= 1 - 1e-9 on every
     trial; at finite precision m in [1, ``CLONING_MAX_PRECISION``] the quota
-    is fidelity >= 1 - 10*2^-m on at least ``CLONING_SUCCESS_QUOTA`` of the
-    ``trials`` >= 1.  One ``Readout`` spec reads each trial's description off
-    its table.
+    is fidelity >= max(1 - 10*2^-m, (d+3)/(2(d+1))) on at least
+    ``CLONING_SUCCESS_QUOTA`` of the ``trials`` >= 1.  (d+3)/(2(d+1)) is the
+    fidelity of the optimal universal quantum 1 -> 2 cloner (Werner 1998), so
+    a coarse readout certifies nothing that a quantum cloner also reaches.
+    One ``Readout`` spec reads each trial's description off its table.
     """
     d = _checked_int(d, "d", 2, 4)
     trials = _checked_int(trials, "trials", 1)
@@ -424,7 +426,8 @@ def cloning_demo(d: int, rng: RandomStream, precision: int | None = None,
                  else _checked_int(precision, "precision", 1, CLONING_MAX_PRECISION))
     factor = FactorSpace((d,))
     blank = PureState.basis_state(FactorSpace((2,)), 0)
-    threshold = 1.0 - 1e-9 if precision is None else 1.0 - 10.0 * 2.0 ** (-precision)
+    threshold = (1.0 - 1e-9 if precision is None
+                 else max(1.0 - 10.0 * 2.0 ** (-precision), (d + 3) / (2 * (d + 1))))
 
     states = random_pure_states((factor,), rng, trials)
     readout = DeviceSpec("Readout", {"precision": precision})

@@ -1102,10 +1102,13 @@ def spectrum_entropies(eigenvalues: np.ndarray, alpha: float = 1.0) -> np.ndarra
     The rows are summed in groups with the same number of eigenvalues above
     the floor, with the others left out: ``np.sum`` adds a row of 8 or more
     pairwise, so a zero in place of a dropped eigenvalue would regroup the
-    additions and change the last bits.
+    additions and change the last bits.  A large order can make a row's
+    sum of lambda^alpha underflow, or overflow on an eigenvalue rounded
+    above 1; such a row is computed relative to its largest eigenvalue
+    instead, which keeps it finite and accurate.
     """
-    if not (isinstance(alpha, numbers.Real) and alpha >= 0):  # NaN is not either
-        raise ParameterError("alpha", "alpha must be nonnegative")
+    if not (isinstance(alpha, numbers.Real) and 0 <= alpha < math.inf):  # nor NaN
+        raise ParameterError("alpha", "alpha must be nonnegative and finite")
     alpha = float(alpha)
     von_neumann = abs(alpha - 1.0) <= 1e-9
     vals = np.asarray(eigenvalues, dtype=float)
@@ -1118,6 +1121,26 @@ def spectrum_entropies(eigenvalues: np.ndarray, alpha: float = 1.0) -> np.ndarra
         if von_neumann:
             values[rows] = -(group * np.log2(group)).sum(axis=1)
         else:
-            values[rows] = np.log2((group ** alpha).sum(axis=1)) / (1.0 - alpha)
+            values[rows] = _renyi_entropies(group, alpha)
     # + 0.0 normalizes -0.0, which would leak into record output
     return np.maximum(values, 0.0) + 0.0
+
+
+def _renyi_entropies(group: np.ndarray, alpha: float) -> np.ndarray:
+    """log2(sum lambda^alpha) / (1 - alpha) of each row of eigenvalues.  A
+    row whose sum is below the smallest normal float (alpha > 1) or
+    infinite (an eigenvalue rounded above 1) is instead
+    (alpha / (alpha - 1)) (-log2 lambda_max) minus
+    log2(sum (lambda / lambda_max)^alpha) / (alpha - 1): no log2 of 0 or inf."""
+    with np.errstate(over="ignore"):
+        sums = (group ** alpha).sum(axis=1)
+    scaled = (sums < np.finfo(float).tiny) | (sums == np.inf)
+    if group.shape[1] == 0 or not scaled.any():
+        return np.log2(sums) / (1.0 - alpha)
+    values = np.empty(len(group))
+    values[~scaled] = np.log2(sums[~scaled]) / (1.0 - alpha)
+    rows = group[scaled]
+    top = rows.max(axis=1)
+    values[scaled] = (alpha / (alpha - 1.0) * -np.log2(top)
+                      - np.log2(((rows / top[:, None]) ** alpha).sum(axis=1)) / (alpha - 1.0))
+    return values

@@ -128,7 +128,7 @@ def test_criterion_3_no_signalling_violation():
         assert bell.evidence["entropy_after"] == pytest.approx(0.0, abs=1e-10)
         assert bell.verdict == VIOLATION_CERTIFIED
         partial = no_signalling_demo(RandomStream(0x5EED),
-                                     schmidt_weights=(0.36, 0.64))
+                                     weights=(0.36, 0.64))
         want = shannon_bits([0.36, 0.64])
         assert partial.evidence["entropy_before"] == pytest.approx(0.9427, abs=1e-3)
         assert partial.evidence["entropy_before"] == pytest.approx(want, abs=1e-10)

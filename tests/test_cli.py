@@ -1,5 +1,6 @@
 """Config parsing, record output, and command-line behavior."""
 
+import inspect
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 from pqsim import cli
 from pqsim import experiments as exp
 from pqsim.devices import DEVICE_KINDS, DeviceSpec
+from pqsim.opf import check_estimation_assumption
 from pqsim.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -157,6 +159,20 @@ class TestStateConstruction:
         want = np.zeros(8)
         want[0] = want[7] = 1 / math.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, want, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bell_is_the_identity_over_root_d(self, d):
+        state = build_state(parse_config(MINIMAL.replace("[2, 2]", f"[{d}, {d}]")))
+        want = PureState(FactorSpace((d, d)), np.eye(d).reshape(-1) / math.sqrt(d))
+        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_ghz_on_qutrits_sums_every_repeated_label(self):
+        text = MINIMAL.replace('"bell"', '"ghz"').replace("[2, 2]", "[3, 3, 3]")
+        state = build_state(parse_config(text))
+        want = np.zeros(27)
+        want[[0, 13, 26]] = 1 / math.sqrt(3)  # |000>, |111>, |222>
+        assert state.amplitudes.tobytes() == PureState(FactorSpace((3, 3, 3)),
+                                                       want).amplitudes.tobytes()
 
     def test_product_labels(self):
         text = """
@@ -512,6 +528,19 @@ class TestConfigurationExitCodes:
         assert main(["check", "closure", "--family", "quantum_povm", "--m", "0",
                      "--samples", "5"]) == 0
 
+    @pytest.mark.parametrize("check", ["closure", "product_form"])
+    @pytest.mark.parametrize("value,status", [('"x"', 2), ("true", 2), ("1.5", 2), ("0", 0)])
+    def test_unused_argument_is_parsed_for_its_type_only(self, check, value, status,
+                                                         tmp_path, capsys):
+        # neither family reads m: its type is checked when it is parsed, its range never
+        family = "quantum_povm" if check == "closure" else "quantum"
+        text = ('space.dims = [2]\nstate.kind = "random"\naction.type = "check"\n'
+                f'action.check.kind = "{check}"\naction.check.family = "{family}"\n'
+                f"action.check.m = {value}\n")
+        assert _run_config(tmp_path, text) == status
+        err = capsys.readouterr().err
+        assert ("action.check.m must be an integer, got" in err) == (status == 2), err
+
     @pytest.mark.parametrize("argv", [
         ["check", "closure", "--family", "entropy_meter", "--m", "9"],
         ["check", "closure", "--family", "fpvnem", "--m", "9"],
@@ -525,7 +554,7 @@ class TestConfigurationExitCodes:
 
         monkeypatch.setattr(cli, "entropy_meter_measurement", refuse)
         assert main(argv) == 2
-        assert "m must lie in [1, 8], got 9 (key 'm')" in capsys.readouterr().err
+        assert "m must be in [1, 8], got 9 (key 'm')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("make", [
         lambda path: path.mkdir(),
@@ -605,8 +634,41 @@ class TestConfigurationExitCodes:
 def test_certificate_passed_gives_the_exit_status(verdict, status):
     cert = exp.Certificate("demo", verdict, {"evidence": 1.5}, 7)
     assert cert.passed is (status == 0)
-    action = cli.Action("demo", "demo", 99, {}, lambda read, rng: cert)
+    action = cli.Action("demo", "demo", 99, {}, lambda rng: cert)
     assert cli._action_record(action, {}, 7) == (cert.record_fields(), status)
+
+
+def test_coarse_cloning_that_a_quantum_cloner_matches_fails(capsys):
+    # at d = 4, m = 1 the quota 1 - 10/2 would pass any copy; 0.7 = (d+3)/(2(d+1)) is
+    # the optimal quantum cloner's fidelity, and 89 of 100 copies reach it, not 95
+    assert main(["demo", "cloning", "--d", "4", "--m", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "failed_checks=[successes]" in out and "successes=89 " in out
+
+
+# the library function behind each action, listed apart from the CLI's tables
+_LIBRARY_FUNCTIONS = {
+    ("experiment", "fpvnem"): exp.fpvnem_refutation,
+    ("experiment", "spod-update"): exp.spod_update_refutation,
+    ("experiment", "no-signalling"): exp.no_signalling_demo,
+    ("experiment", "cloning"): exp.cloning_demo,
+    ("experiment", "tomography"): exp.tomography_estimate,
+    ("experiment", "ensemble-readout"): exp.ensemble_estimate_readout,
+    ("experiment", "ensemble-overlap"): exp.ensemble_estimate_overlap,
+    ("check", "estimation_assumption"): check_estimation_assumption,
+}
+
+
+@pytest.mark.parametrize("action_type,name", list(_LIBRARY_FUNCTIONS))
+def test_cli_restates_no_default_of_the_library(action_type, name):
+    """Each parameter is an argument of the library function of that name, and
+    the CLI gives a default only to an argument that the function requires."""
+    signature = inspect.signature(_LIBRARY_FUNCTIONS[action_type, name]).parameters
+    params = cli._ACTIONS[action_type][name].params
+    assert set(params) <= set(signature)
+    restated = [key for key, param in params.items() if param.default is not None
+                and signature[key].default is not inspect.Parameter.empty]
+    assert restated == []
 
 
 def test_default_ensemble_equals_its_per_state_construction():
@@ -689,6 +751,25 @@ def test_huge_explicit_amplitudes_exit_two_without_a_warning(amplitudes, tmp_pat
     err = capsys.readouterr().err
     assert "amplitudes norm inf deviates from 1 beyond 1e-6" in err
     assert "state.amplitudes" in err
+
+
+@pytest.mark.parametrize("device,value", [
+    ('EntropyMeter"', "0.014499714692262012"),  # (a / (a - 1)) (-log2 0.99)
+    ('EntropyCertifier"\naction.device.entropy_threshold = 0.5', "0"),
+], ids=["meter", "certifier"])
+def test_large_renyi_order_reads_finite_in_a_process(device, value, tmp_path):
+    """alpha = 100000 on the spectrum (0.99, 0.01): sum lambda^alpha underflows to
+    0, and the entropy still reads about 0.0145, with nothing on stderr."""
+    cfg = tmp_path / "run.pq"
+    cfg.write_text('space.dims = [2, 2]\nstate.kind = "explicit"\n'
+                   f"state.amplitudes = [{math.sqrt(0.99)!r}, 0, 0, 0.1]\n"
+                   f'action.type = "device"\naction.device.kind = "{device}\n'
+                   "action.device.alpha = 100000\naction.target = [0]\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-m", "pqsim.cli", "run", str(cfg)],
+                         capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert f" value={value}\n" in out.stdout
 
 
 # precisions where x * 2^m overflows a float for some x; a quantize that

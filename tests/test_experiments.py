@@ -397,13 +397,13 @@ class TestNoSignallingDemo:
         assert cert.evidence["entropy_after"] == pytest.approx(0.0, abs=1e-10)
 
     def test_product_state_shows_no_signal(self):
-        cert = no_signalling_demo(RandomStream(9), schmidt_weights=(1.0,))
+        cert = no_signalling_demo(RandomStream(9), weights=(1.0,))
         assert cert.verdict == CONSISTENT
         assert cert.evidence["entropy_before"] == pytest.approx(0.0, abs=1e-10)
         assert cert.evidence["entropy_after"] == pytest.approx(0.0, abs=1e-10)
 
     def test_partially_entangled_matches_binary_entropy_oracle(self):
-        cert = no_signalling_demo(RandomStream(10), schmidt_weights=(0.36, 0.64))
+        cert = no_signalling_demo(RandomStream(10), weights=(0.36, 0.64))
         want = shannon_bits([0.36, 0.64])
         assert cert.evidence["entropy_before"] == pytest.approx(want, abs=1e-10)
         assert cert.evidence["entropy_before"] == pytest.approx(0.9427, abs=1e-3)
@@ -415,7 +415,7 @@ class TestNoSignallingDemo:
             experiments.checked_schmidt_weights(weights)
         assert err.value.name == "weights"
         with pytest.raises(ValueError, match="^Schmidt weights must sum to 1$"):
-            no_signalling_demo(RandomStream(8), schmidt_weights=weights)
+            no_signalling_demo(RandomStream(8), weights=weights)
 
     def test_both_remote_outcomes_collapse_entropy(self):
         seen = set()
@@ -429,7 +429,7 @@ class TestNoSignallingDemo:
         from pqsim.qcore import partial_trace, von_neumann_entropy
 
         for weights in ((0.5, 0.5), (0.36, 0.64), (0.1, 0.9)):
-            cert = no_signalling_demo(RandomStream(40), schmidt_weights=weights)
+            cert = no_signalling_demo(RandomStream(40), weights=weights)
             amps = np.zeros(4)
             amps[0], amps[3] = math.sqrt(weights[0]), math.sqrt(weights[1])
             state = PureState(FactorSpace((2, 2)), amps)
@@ -438,7 +438,7 @@ class TestNoSignallingDemo:
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            no_signalling_demo(RandomStream(11), schmidt_weights=(0.4, 0.4))
+            no_signalling_demo(RandomStream(11), weights=(0.4, 0.4))
 
 
 class TestCloningDemo:
@@ -460,6 +460,15 @@ class TestCloningDemo:
 
     def test_deterministic(self):
         assert cloning_demo(2, RandomStream(15)) == cloning_demo(2, RandomStream(15))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_quota_is_never_below_the_quantum_cloner_fidelity(self, d):
+        # the optimal universal quantum 1 -> 2 cloner reaches (d+3)/(2(d+1)), above
+        # 1 - 10*2^-m at m <= 5; from m = 6 on, 1 - 10*2^-m is the higher of the two
+        for precision, want in [*((m, (d + 3) / (2 * (d + 1))) for m in range(1, 6)),
+                                (6, 1.0 - 10.0 / 64.0)]:
+            cert = cloning_demo(d, RandomStream(16), precision=precision, trials=10)
+            assert cert.evidence["fidelity_threshold"] == want
 
 
 class TestDeriveManyCallers:

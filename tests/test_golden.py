@@ -156,12 +156,15 @@ def golden():
 
 
 def run_script(threads: int) -> str:
-    """This file's output as a script, run in a fresh interpreter on ``threads`` BLAS threads."""
+    """This file's output as a script, run in a fresh interpreter on ``threads``
+    BLAS threads; the script writes nothing to stderr, so a warning on any
+    golden path fails."""
     env = dict(os.environ, **{name: str(threads) for name in BLAS_THREADS})
     env["PYTHONPATH"] = os.pathsep.join(
         [str(HERE.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, str(Path(__file__).resolve())],
                          capture_output=True, text=True, env=env, check=True)
+    assert out.stderr == ""
     return out.stdout
 
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1294,8 +1295,8 @@ class TestEntropies:
         with pytest.raises(ValueError):
             renyi_entropy(DensityMatrix.maximally_mixed(2), 1.0)
 
-    @pytest.mark.parametrize("alpha", [-0.5, math.nan])
-    def test_entropy_rejects_negative_or_nan_alpha(self, alpha):
+    @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf])
+    def test_entropy_rejects_negative_nan_or_infinite_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be nonnegative"):
             entropy(DensityMatrix.maximally_mixed(2), alpha)
 
@@ -1321,6 +1322,25 @@ class TestEntropies:
             got = spectrum_entropies(vals, alpha)
             assert got.tolist() == [spectrum_entropy(row, alpha) for row in vals]
             assert got.tolist() == [oracles.spectrum_entropy(row, alpha) for row in vals]
+
+    @pytest.mark.parametrize("alpha", [1075, 1e5, 1e308])
+    def test_large_order_is_finite_and_warns_nothing(self, alpha):
+        """At these orders sum lambda^alpha underflows below the smallest
+        normal float, or overflows on an eigenvalue rounded above 1; the
+        entropy stays finite, in [0, log2 d], and near its closed form
+        (alpha / (alpha - 1)) (-log2 lambda_max), which holds here because
+        (lambda / lambda_max)^alpha underflows to 0 for every eigenvalue but
+        the largest."""
+        spectra = np.array([[0.5, 0.5, 0.0, 0.0], [0.99, 0.01, 0.0, 0.0],
+                            [0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1],
+                            [1.0 + 2.0 ** -52, 0.0, 0.0, 0.0]])  # at 1e308 its power is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectrum_entropies(spectra, alpha)
+        assert np.all(np.isfinite(got)) and np.all((got >= 0) & (got <= 2))
+        want = [1.0, alpha / (alpha - 1) * -math.log2(0.99), 2.0,
+                alpha / (alpha - 1) * -math.log2(0.7), 0.0]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_entropy_dispatcher_continuity_at_alpha_one(self):
         rng = RandomStream(47)

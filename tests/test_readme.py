@@ -64,6 +64,7 @@ def test_cli_block_command_exits_zero(command, capsys):
     ("check closure --family entropy_meter --m 9", 2),
     ("check closure --m 9", 0),
     ("check closure --family quantum_povm --m 0", 0),
+    ("demo cloning --d 4 --m 1", 1),
 ])
 def test_prose_example_exits_as_stated(command, status, capsys):
     assert f"`{command}`" in README
