@@ -43,7 +43,6 @@ from .qcore import (
     quadratic_forms,
     quantize,
     reduced_densities,
-    require_density,
     spectrum_entropies,
     _traced_products,
 )
@@ -672,10 +671,10 @@ class DeviceKind:
     one.  ``table(densities, **params)`` maps an (n, d, d) stack of reduced
     densities to their ``DistributionTable``, taking every parameter but
     ``precision``, which ``DeviceSpec.table`` applies; a ``spectral`` kind's
-    table reads their (n, d) ascending eigenvalues instead, which validating the
-    densities computes.  The table is the kind's one statement of how its
-    parameters map states to outcomes; a PovmSampler's ``povm`` may also be
-    a tuple of POVMSets, one per state of a stack.
+    table reads their (n, d) ascending eigenvalues instead.  The table is
+    the kind's one statement of how its parameters map states to outcomes;
+    a PovmSampler's ``povm`` may also be a tuple of POVMSets, one per state
+    of a stack.
     ``may_miss``: the selector types that may match no branch, as outcome
     values of readouts and meters depend on the state; a label or bit
     device has a fixed alphabet, so a miss there is a caller error.  A kind
@@ -784,7 +783,9 @@ class DeviceSpec:
     def table(self, states: StateStack | Sequence[PureState] | PureState, target
               ) -> DistributionTable:
         """The distributions of a state, a stack or a list of states in one
-        pass: their reduced densities, validated once, through the kind's table."""
+        pass: the reduced densities of validated states, which are densities
+        by construction and not rechecked, through the kind's table; their
+        spectra only for a spectral kind."""
         if isinstance(states, PureState) and _per_state(self.params.get("povm")):
             raise ParameterError("povm", "per-state POVMs need a stack of states, "
                                          "not a single state")
@@ -793,10 +794,10 @@ class DeviceSpec:
         if kind.single_factor:
             _analysed_factor(stack.space, target)
         rhos = reduced_densities(stack, target)
-        spectra = require_density(rhos)
         params = dict(self.params)
         precision = params.pop("precision", None)
-        return _at_precision(kind.table(spectra if kind.spectral else rhos, **params), precision)
+        return _at_precision(kind.table(np.linalg.eigvalsh(rhos) if kind.spectral else rhos,
+                                        **params), precision)
 
     def apply(self, states: PureState | StateStack | Sequence[PureState], target,
               rng=None):

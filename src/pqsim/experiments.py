@@ -50,7 +50,6 @@ from .qcore import (
     projectors,
     random_pure_states,
     reduced_densities,
-    require_density,
     schmidt_decompose,
     tensor_products,
 )
@@ -294,13 +293,15 @@ def _update_map_certificates(element: str) -> tuple[UpdateMapCertificate, Update
 def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Certificate:
     """POVM-statistics device vs the linear state-update postulate.
 
-    First confirms the trivial update across repeated applications, then
-    certifies (for a generic POVM element) that no state-independent
-    linear map reproduces it; the half-identity and zero controls remain
-    feasible.  Each of the 100 trials draws a state and a diagonal POVM
-    from its own stream, the POVM's two uniforms in one ``Generator.random``
-    call; the sampler then runs once on every state, as one
-    ``DeviceSpec.apply`` on the stack with one POVM and one stream per state.
+    First confirms the trivial update by the fidelity of each state's
+    density before and after the sampler runs, both densities of validated
+    states and so not rechecked.  Then it certifies (for a generic POVM
+    element) that no state-independent linear map reproduces it; the
+    half-identity and zero controls remain feasible.  Each of the 100
+    trials draws a state and a diagonal POVM from its own stream, the
+    POVM's two uniforms in one ``Generator.random`` call; the sampler then
+    runs once on every state, as one ``DeviceSpec.apply`` on the stack with
+    one POVM and one stream per state.
     The two fits depend on the element only, so they are made once per
     element, on first use.
     """
@@ -320,10 +321,8 @@ def spod_update_refutation(rng: RandomStream, element: str = "projector0") -> Ce
     b[:, [0, 1], [0, 1]] = 0.2 + 0.6 * uniforms
     povms = povm_sets(np.stack([b, np.eye(2) - b], axis=1))
     before = reduced_densities(states, space.indices())
-    require_density(before)
     DeviceSpec("PovmSampler", {"povm": povms}).apply(states, (0,), children)
     after = reduced_densities(states, space.indices())  # devices never touch the state
-    require_density(after)
     min_update_fidelity = min(1.0, *fidelities(before, after).tolist())
 
     cert, control = _update_map_certificates(element)
@@ -709,7 +708,6 @@ def ensemble_estimate_overlap(source: Ensemble, epsilons: Sequence[float],
     drawn = [r for r, count in enumerate(counts) if count > 0]
     rhos = reduced_densities(StateStack.of([members[r][0] for r in drawn], space),
                              space.indices())
-    require_density(rhos)
 
     for eps in schedule:  # every round's net must fit; eps and size end as the final round's
         size = _net_size_for(eps)

@@ -55,7 +55,6 @@ from .qcore import (
     random_pure_states_in_turn,
     random_unitaries,
     random_unitary,
-    require_density,
     require_ensemble_weights,
     require_unitary,
     tensor_products,
@@ -889,7 +888,6 @@ def check_estimation_assumption(family: str, d: int, rng: RandomStream,
         rhos = density_from_projector_values(ic.states, values.T, dim)
         densities = ensemble_densities(weights, members.amplitudes.reshape(
             weights.shape + (dim,)))
-        require_density(densities)
         return EstimationVerdict(family, dim, "SATISFIED", outcomes=ic.outcomes,
                                  evidence=float(np.max(np.abs(rhos - densities))))
 

@@ -170,7 +170,10 @@ def require_psd(matrix: np.ndarray, message: str) -> np.ndarray:
 def require_density(matrix: np.ndarray) -> np.ndarray:
     """``DensityMatrix``'s checks on a square matrix, or on every matrix of
     a (..., d, d) stack: Hermitian, unit trace within ``TRACE_ATOL`` and
-    positive semi-definite.  Returns the ascending eigenvalues."""
+    positive semi-definite.  Returns the ascending eigenvalues.  Its one
+    library caller is ``DensityMatrix``, whose entries are user-given; the
+    densities of validated states are densities by construction, which
+    ``tests/test_validated_densities.py`` checks in place of a run-time check."""
     require_hermitian(matrix, "density matrix is not Hermitian within tolerance")
     traces = matrix.trace(axis1=-2, axis2=-1)
     off = abs(traces - 1.0) > TRACE_ATOL
@@ -1114,8 +1117,8 @@ def spectrum_entropies(eigenvalues: np.ndarray, alpha: float = 1.0) -> np.ndarra
     vals = np.asarray(eigenvalues, dtype=float)
     kept = vals > EIGENVALUE_FLOOR
     counts = kept.sum(axis=1)
-    values = np.empty(len(vals))
-    for count in set(counts.tolist()):
+    values = np.zeros(len(vals))  # a row with no eigenvalue above the floor reads 0
+    for count in set(counts.tolist()) - {0}:  # with no log2 of its empty sum
         rows = counts == count
         group = vals[kept & rows[:, None]].reshape(np.count_nonzero(rows), count)
         if von_neumann:
@@ -1135,7 +1138,7 @@ def _renyi_entropies(group: np.ndarray, alpha: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         sums = (group ** alpha).sum(axis=1)
     scaled = (sums < np.finfo(float).tiny) | (sums == np.inf)
-    if group.shape[1] == 0 or not scaled.any():
+    if not scaled.any():
         return np.log2(sums) / (1.0 - alpha)
     values = np.empty(len(group))
     values[~scaled] = np.log2(sums[~scaled]) / (1.0 - alpha)

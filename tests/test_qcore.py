@@ -1342,6 +1342,20 @@ class TestEntropies:
                 alpha / (alpha - 1) * -math.log2(0.7), 0.0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.0, 1e5])
+    def test_row_with_no_eigenvalue_above_the_floor_reads_zero_and_warns_nothing(self, alpha):
+        """Such a row reads 0 with no log2 of its empty sum, alone and beside
+        rows that keep eigenvalues, whose values it leaves as they are."""
+        floor = qcore.EIGENVALUE_FLOOR
+        spectra = np.array([[0.0, 0.0], [0.5, 0.5], [floor, -1e-15], [0.9, 0.1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = spectrum_entropies(spectra[:1], alpha)
+            got = spectrum_entropies(spectra, alpha)
+        assert alone.tolist() == [0.0]
+        assert got.tolist() == [0.0, spectrum_entropy(spectra[1], alpha), 0.0,
+                                spectrum_entropy(spectra[3], alpha)]
+
     def test_entropy_dispatcher_continuity_at_alpha_one(self):
         rng = RandomStream(47)
         for trial in range(10):

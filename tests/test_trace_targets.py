@@ -4,7 +4,7 @@
 its self-tests are not collected with this suite.  This test loads the
 tracer module by path, without installing it, and resolves each target the
 way ``install`` does, so deleting or renaming a wrapped name fails here.
-A short traced benchmark run of each of the two workloads also fails
+A short traced benchmark run of each of the three workloads also fails
 when a layer the workload must exercise records no calls, as when a
 stacked path replaces the last call of a traced per-state function.
 """
@@ -53,3 +53,10 @@ def test_short_traced_cli_demos_run_succeeds():
     through ``DeviceSpec.distribution`` to ``partial_trace``, which the
     cli-demos workload requires to record calls."""
     _traced_short_run("--workload", "cli-demos")
+
+
+def test_short_traced_device_draws_run_succeeds():
+    """Single draws still reach an eigendecomposition, which the
+    device-draws workload requires to record calls: a table eigendecomposes
+    its densities only for a spectral kind."""
+    _traced_short_run("--workload", "device-draws", "--seed", "1")
